@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke bench-json chaos
+.PHONY: check build vet test race bench chaos
 
 check: build vet test race
 
@@ -20,35 +20,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# What cosmbench (bench/, see BENCHMARK.json) does not measure: the
+# paper-figure groups, the ablations, and the overload, failover,
+# event-log, gossip-round and read-replica benchmarks. The market's hot
+# paths are cosmbench workloads: `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# A fast benchmark sanity pass for CI: the overload-saturation,
-# obs-overhead, flight-recorder, and 10k-offer import groups run a few
-# iterations so a
-# regression that breaks or wildly slows a hot path is caught without a
-# full bench run.
-bench-smoke:
-	$(GO) test -run 'NoSuchTest' -bench 'ObsOverhead|SpanOverhead|EventLogAppend|Overload_Saturation|Import_10kOffers' -benchtime 20x -benchmem .
-
-# Machine-readable benchmark record for the current PR's tentpole, as
-# go-test JSON events for tracking across commits. PR selects the
-# output file; BENCH_PATTERN the benchmark group — defaults cover the
-# semantic-matchmaking PR (graded conformant imports over a five-level
-# hierarchy vs the flat exact path and the linear oracle) plus the
-# exact-match and mesh groups it must not regress.
-# `make bench-json PR=9
-# BENCH_PATTERN='Mesh_50Traders|Mesh_GossipRound|Import_10kOffers|JournalAppend'`
-# reproduces the previous record.
-PR ?= 10
-BENCH_PATTERN ?= Import_Conformant_10kOffers|Import_10kOffers|Mesh_50Traders
-# Wall-clock benchmarks (seconds per op: failure detection + election)
-# run few iterations — 100x of a real leader kill would take minutes.
-BENCH_SLOW_PATTERN ?= FailoverLatency
-
-bench-json:
-	$(GO) test -json -run 'NoSuchTest' -bench '$(BENCH_PATTERN)' -benchtime 100x -benchmem . > BENCH_$(PR).json
-	$(GO) test -json -run 'NoSuchTest' -bench '$(BENCH_SLOW_PATTERN)' -benchtime 5x -benchmem . >> BENCH_$(PR).json
 
 chaos:
 	$(GO) run ./cmd/marketsim -chaos

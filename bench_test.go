@@ -13,7 +13,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -150,57 +149,6 @@ func BenchmarkFig1_Import(b *testing.B) {
 	}
 }
 
-// BenchmarkImport_10kOffers measures the trader's matching hot path at
-// market scale — 10k stored offers, 64 concurrent importers, a ~5%
-// selective range constraint — across the three engine configurations:
-// the pre-redesign linear scan (ablation), indexed type snapshots, and
-// indexed snapshots plus the short-TTL import-result cache. The indexed
-// path must beat the linear scan by a wide margin (the acceptance bar
-// for the sharded-store redesign is >= 5x) with fewer allocations per
-// import.
-func BenchmarkImport_10kOffers(b *testing.B) {
-	const stored = 10_000
-	req := trader.ImportRequest{
-		Type:       "CarRentalService",
-		Constraint: "ChargePerDay < 45", // matches charges 40..44: ~5% of fillTrader's spread
-		Policy:     "min:ChargePerDay",
-		Max:        5,
-	}
-	run := func(b *testing.B, tr *trader.Trader) {
-		b.Helper()
-		fillTrader(b, tr, stored)
-		ctx := context.Background()
-		if warm, err := tr.Import(ctx, req); err != nil || len(warm) == 0 {
-			b.Fatalf("warmup import = %v, %v", warm, err)
-		}
-		// 64 concurrent importers regardless of core count.
-		factor := (64 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
-		b.SetParallelism(factor)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				res, err := tr.Import(ctx, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res) == 0 {
-					b.Fatal("no offers")
-				}
-			}
-		})
-	}
-	b.Run("linear", func(b *testing.B) {
-		run(b, trader.New("T", newCarRepo(b), trader.WithoutOfferIndex(), trader.WithImportCacheTTL(0)))
-	})
-	b.Run("indexed", func(b *testing.B) {
-		run(b, trader.New("T", newCarRepo(b), trader.WithImportCacheTTL(0)))
-	})
-	b.Run("indexed+cache", func(b *testing.B) {
-		run(b, trader.New("T", newCarRepo(b)))
-	})
-}
-
 // BenchmarkFig1_ImportRemote measures the same import across the wire.
 func BenchmarkFig1_ImportRemote(b *testing.B) {
 	b.ReportAllocs()
@@ -248,7 +196,7 @@ func BenchmarkFig1_Triangle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		offer, err := tr.ImportOne(ctx, trader.ImportRequest{Type: "CarRentalService"})
+		offer, err := trader.ImportOne(ctx, tr, trader.ImportRequest{Type: "CarRentalService"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -807,7 +755,7 @@ func BenchmarkAblation_ConstraintCompile(b *testing.B) {
 		opts := []trader.Option{}
 		if !cached {
 			name = "reparse"
-			opts = append(opts, trader.WithoutConstraintCache())
+			opts = append(opts, trader.WithConstraintCacheSize(0))
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -1212,204 +1160,15 @@ func BenchmarkAblation_Transport(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead measures what the observability layer costs on
-// the hot RPC path. "off" runs the wire stack with no registry — every
-// instrument is nil and records nothing — and is the acceptance bar:
-// it must stay within ~5% of a build with no obs calls at all. "on"
-// adds the full client+server metric families; "on+trace" additionally
-// propagates a request trace across the wire.
-func BenchmarkObsOverhead(b *testing.B) {
-	b.ReportAllocs()
-	run := func(b *testing.B, reg *obs.Registry, traced bool) {
-		echo := wire.HandlerFunc(func(_ context.Context, _ string, req *wire.Request) *wire.Response {
-			return &wire.Response{Status: wire.StatusOK, Body: req.Body}
-		})
-		opts := []wire.ServerOption{wire.WithServerLog(func(string, ...any) {})}
-		if reg != nil {
-			opts = append(opts, wire.WithServerMetrics(wire.NewServerMetrics(reg)))
-		}
-		s := wire.NewServer(opts...)
-		if err := s.Register("echo", echo); err != nil {
-			b.Fatal(err)
-		}
-		bound, err := s.ListenAndServe("loop:bench-obs")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		pool := wire.NewPool(wire.WithPoolMetrics(wire.NewClientMetrics(reg)))
-		defer pool.Close()
-
-		ctx := context.Background()
-		if traced {
-			ctx = obs.WithTrace(ctx, obs.NewTrace())
-		}
-		req := &wire.Request{Service: "echo", Op: "Ping", Body: []byte("overhead")}
-		// Warm the connection so dialing is not part of the measurement.
-		if _, err := pool.Call(ctx, bound, req); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pool.Call(ctx, bound, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		run(b, nil, false)
-	})
-	b.Run("on", func(b *testing.B) {
-		b.ReportAllocs()
-		run(b, obs.NewRegistry(), false)
-	})
-	b.Run("on+trace", func(b *testing.B) {
-		b.ReportAllocs()
-		run(b, obs.NewRegistry(), true)
-	})
-}
-
 // ---------------------------------------------------------------------
-// E9 — durable market state (write-ahead journal + crash recovery)
+// E9 — replicated market state (read replicas)
 // ---------------------------------------------------------------------
 
-// BenchmarkJournalAppend measures the WAL append hot path — the cost
-// every journalled export/withdraw pays on top of the in-memory
-// mutation — per fsync policy. The payload is a realistic one-offer
-// export record.
-func BenchmarkJournalAppend(b *testing.B) {
-	tr := trader.New("bench", newCarRepo(b))
-	if _, err := tr.Export("CarRentalService",
-		ref.New("tcp:10.0.0.1:7000", "CarRentalService"), carProps(49)); err != nil {
-		b.Fatal(err)
-	}
-	offers, err := tr.ImportWith(context.Background(), "CarRentalService")
-	if err != nil || len(offers) != 1 {
-		b.Fatalf("import = %v, %v", offers, err)
-	}
-	payload, err := json.Marshal(struct {
-		Op     string               `json:"op"`
-		Offers []trader.OfferRecord `json:"offers"`
-	}{"export", []trader.OfferRecord{offers[0].Record()}})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	for _, policy := range []journal.FsyncPolicy{journal.FsyncNever, journal.FsyncInterval, journal.FsyncAlways} {
-		b.Run("fsync="+policy.String(), func(b *testing.B) {
-			j, err := journal.Open(b.TempDir(), journal.Options{Fsync: policy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer j.Close()
-			if err := j.Start(func() ([]byte, error) { return nil, nil }); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := j.Append(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRecovery_10kOffers measures crash recovery: rebuilding a
-// 10k-offer trader (store, per-type snapshots, attribute indexes, offer
-// ID counter) from its journal — the daemon's boot-time cost after a
-// kill -9. The journal is pure records (worst case: no snapshot to
-// shortcut replay).
-func BenchmarkRecovery_10kOffers(b *testing.B) {
-	const stored = 10_000
-	dir := b.TempDir()
-	j, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed := trader.New("bench", newCarRepo(b))
-	if err := j.Start(seed.JournalSnapshot); err != nil {
-		b.Fatal(err)
-	}
-	seed.SetJournal(j)
-	fillTrader(b, seed, stored)
-	if err := j.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := trader.New("bench", newCarRepo(b))
-		j, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNever})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if snap, ok := j.Snapshot(); ok {
-			if err := tr.RestoreSnapshot(snap); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := j.Replay(tr.ReplayRecord); err != nil {
-			b.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if n := tr.OfferCount(); n != stored {
-			b.Fatalf("recovered %d offers, want %d", n, stored)
-		}
-	}
-}
-
-// BenchmarkReplCatchup_10kOffers measures a fresh follower replicating
-// a leader's full 10k-offer journal through the pull protocol — the
-// catch-up a new read replica pays before it can serve.
-func BenchmarkReplCatchup_10kOffers(b *testing.B) {
-	const stored = 10_000
-	dir := b.TempDir()
-	j, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	leader := trader.New("HA", newCarRepo(b))
-	if err := j.Start(leader.JournalSnapshot); err != nil {
-		b.Fatal(err)
-	}
-	leader.SetJournal(j)
-	fillTrader(b, leader, stored)
-	defer j.Close()
-
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		follower := trader.New("HA", newCarRepo(b))
-		follower.SetFollower("cosm://leader")
-		for {
-			batch, err := leader.PullBatch(ctx, "bench", follower.Epoch(), follower.ReplApplied(), 512, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := follower.ApplyBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			if follower.ReplApplied() >= batch.LastSeq {
-				break
-			}
-		}
-		if n := follower.OfferCount(); n != stored {
-			b.Fatalf("replicated %d offers, want %d", n, stored)
-		}
-	}
-}
-
-// BenchmarkReplicaImport_10kOffers is BenchmarkImport_10kOffers served
-// by a follower read replica: the local matching path over replicated
-// state, proving reads cost the same on a replica as on the leader.
+// BenchmarkReplicaImport_10kOffers is the matching hot path — 10k
+// stored offers, 64 concurrent importers, a ~5% selective range
+// constraint — served by a follower read replica: the local matching
+// path over replicated state, proving reads cost the same on a replica
+// as on the leader (cosmbench's import_match measures the leader side).
 func BenchmarkReplicaImport_10kOffers(b *testing.B) {
 	const stored = 10_000
 	dir := b.TempDir()
@@ -1468,41 +1227,8 @@ func BenchmarkReplicaImport_10kOffers(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// E11 — flight recorder (timed spans + cluster event timeline)
+// E11 — flight recorder (cluster event timeline)
 // ---------------------------------------------------------------------
-
-// BenchmarkSpanOverhead measures what the span instrumentation costs
-// on the request path. "nil" is the acceptance bar: a daemon started
-// with -trace-buffer 0 leaves the recorder nil, and the guarded
-// Record sites compiled into wire must cost ~nothing — zero
-// allocations. "enabled" is the sharded ring append paid per request
-// when tracing is on.
-func BenchmarkSpanOverhead(b *testing.B) {
-	tr := obs.NewTrace()
-	span := obs.Span{Trace: tr.ID, ID: tr.Span, Parent: tr.Parent,
-		Op: "svc/Op", Peer: "loop:bench", Kind: obs.SpanServer,
-		Status: "ok", Start: time.Now(), Duration: time.Millisecond}
-	b.Run("nil", func(b *testing.B) {
-		var rec *obs.SpanRecorder
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rec.Enabled() {
-				rec.Record(span)
-			}
-		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		rec := obs.NewSpanRecorder(4096)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rec.Enabled() {
-				rec.Record(span)
-			}
-		}
-	})
-}
 
 // BenchmarkEventLogAppend measures the cluster timeline append paid at
 // every recorded state transition (vote, promote, breaker trip, ...).
@@ -1532,10 +1258,7 @@ func BenchmarkEventLogAppend(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // buildMesh stands up a fully linked in-process mesh of n traders, each
-// exporting `offers` offers of its own distinct service type — the
-// sharpest case for summary routing, since exactly one peer can answer
-// any given import. Import caching is off so repeat imports measure the
-// matching path, not the cache.
+// exporting `offers` offers of its own distinct service type.
 func buildMesh(b *testing.B, n, offers int) []*trader.Trader {
 	b.Helper()
 	meshType := func(i int) string { return fmt.Sprintf("MeshService%02d", i) }
@@ -1571,204 +1294,10 @@ func buildMesh(b *testing.B, n, offers int) []*trader.Trader {
 	return traders
 }
 
-// BenchmarkMesh_50Traders measures a federated import across a 50-node
-// full mesh in three regimes. "local" is the baseline: the importing
-// trader matches its own store. "full-scatter" is the pre-summary
-// behaviour: with no routing knowledge every one-hop import fans out to
-// all 49 peers. "summary-routed" runs one offer-summary gossip round
-// first, after which the scatter planner consults only peers whose
-// summaries cover the requested type — the acceptance bar is <= 3 peers
-// per import (here it is exactly 1) with a latency within ~2x local.
-// Each variant reports peers/op (from FedStats deltas) and its own
-// measured p99.
-func BenchmarkMesh_50Traders(b *testing.B) {
-	const (
-		meshSize = 50
-		offers   = 5
-	)
-	meshType := func(i int) string { return fmt.Sprintf("MeshService%02d", i) }
-	ctx := context.Background()
-
-	runImports := func(b *testing.B, traders []*trader.Trader, hops int, maxPeersPerOp float64) {
-		b.Helper()
-		b.ReportAllocs()
-		importer := traders[0]
-		before := importer.FedStats()
-		lat := make([]time.Duration, 0, b.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			target := 0
-			if hops > 0 {
-				target = 1 + i%(meshSize-1)
-			}
-			t0 := time.Now()
-			got, err := importer.ImportWith(ctx, meshType(target), trader.Hops(hops))
-			lat = append(lat, time.Since(t0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(got) != offers {
-				b.Fatalf("import %d: got %d offers, want %d", i, len(got), offers)
-			}
-		}
-		b.StopTimer()
-		if hops > 0 {
-			stats := importer.FedStats()
-			peersPerOp := float64(stats.PeersAsked-before.PeersAsked) / float64(b.N)
-			b.ReportMetric(peersPerOp, "peers/op")
-			if maxPeersPerOp > 0 && peersPerOp > maxPeersPerOp {
-				b.Fatalf("summary-routed imports consulted %.1f peers/op, want <= %.0f", peersPerOp, maxPeersPerOp)
-			}
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		idx := len(lat) * 99 / 100
-		if idx >= len(lat) {
-			idx = len(lat) - 1
-		}
-		b.ReportMetric(float64(lat[idx])/float64(time.Microsecond), "p99-us")
-	}
-
-	b.Run("local", func(b *testing.B) {
-		traders := buildMesh(b, meshSize, offers)
-		runImports(b, traders, 0, 0)
-	})
-	b.Run("full-scatter", func(b *testing.B) {
-		traders := buildMesh(b, meshSize, offers)
-		runImports(b, traders, 1, 0)
-	})
-	b.Run("summary-routed", func(b *testing.B) {
-		traders := buildMesh(b, meshSize, offers)
-		for _, t := range traders {
-			if _, failed := t.GossipRound(ctx, time.Second); failed > 0 {
-				b.Fatalf("gossip round reported %d failed pushes", failed)
-			}
-		}
-		runImports(b, traders, 1, 3)
-	})
-}
-
-// ---------------------------------------------------------------------
-// E13 — semantic matchmaking (conformance-aware graded imports)
-// ---------------------------------------------------------------------
-
-// conformantLevels is the depth of the benchmark hierarchy: a five-level
-// chain L0 <- L1 <- L2 <- L3 <- L4, each level adding one attribute on
-// top of the shared Price.
-const conformantLevels = 5
-
-func conformantLevelName(i int) string { return fmt.Sprintf("L%d", i) }
-
-// conformantHierRepo defines the chain; every type carries Price plus
-// one extra attribute per inherited level, so each is a conforming
-// subtype of all its ancestors.
-func conformantHierRepo(b *testing.B) *typemgr.Repo {
-	b.Helper()
-	repo := typemgr.NewRepo()
-	for i := 0; i < conformantLevels; i++ {
-		st := &typemgr.ServiceType{
-			Name:  conformantLevelName(i),
-			Attrs: []typemgr.AttrDef{{Name: "Price", Type: sidl.Basic(sidl.Float64)}},
-		}
-		if i > 0 {
-			st.Super = conformantLevelName(i - 1)
-		}
-		for k := 1; k <= i; k++ {
-			st.Attrs = append(st.Attrs, typemgr.AttrDef{
-				Name: fmt.Sprintf("A%d", k), Type: sidl.Basic(sidl.Int64),
-			})
-		}
-		if err := repo.Define(st); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return repo
-}
-
-// fillConformant spreads n offers evenly over the hierarchy's levels
-// with the same ~90-value price spread fillTrader uses.
-func fillConformant(b *testing.B, tr *trader.Trader, n int) {
-	b.Helper()
-	for i := 0; i < n; i++ {
-		level := i % conformantLevels
-		props := []sidl.Property{{Name: "Price", Value: sidl.FloatLit(float64(10 + i%90))}}
-		for k := 1; k <= level; k++ {
-			props = append(props, sidl.Property{Name: fmt.Sprintf("A%d", k), Value: sidl.IntLit(int64(k))})
-		}
-		r := ref.New(fmt.Sprintf("tcp:10.7.%d.%d:7000", i/250, i%250), conformantLevelName(level))
-		if _, err := tr.Export(conformantLevelName(level), r, props); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkImport_Conformant_10kOffers measures the graded matching hot
-// path at market scale: 10k offers spread over a five-level type
-// hierarchy, 64 concurrent importers asking for the root type, a ~4%
-// selective range constraint, score-ordered results. "exact" is the
-// baseline: the same 10k offers under a single flat type, i.e. the
-// one-bucket indexed path of BenchmarkImport_10kOffers. "conformant"
-// resolves the root's subtype closure and fans the same import out over
-// all five per-type index snapshots — the acceptance bar is ~2x the
-// flat baseline. "linear" is the ablation oracle: the same conformant
-// import over the unindexed store, which the indexed path must beat by
-// >= 5x.
-func BenchmarkImport_Conformant_10kOffers(b *testing.B) {
-	const stored = 10_000
-	run := func(b *testing.B, tr *trader.Trader, fill func(*testing.B, *trader.Trader, int)) {
-		b.Helper()
-		fill(b, tr, stored)
-		req := trader.NewImport("L0",
-			trader.Conformant(),
-			trader.Where("Price < 14"), // prices 10..13: ~4% of the spread
-			trader.OrderBy("score"),
-			trader.Limit(5))
-		ctx := context.Background()
-		if warm, err := tr.ImportGraded(ctx, req); err != nil || len(warm) == 0 {
-			b.Fatalf("warmup import = %v, %v", warm, err)
-		}
-		factor := (64 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
-		b.SetParallelism(factor)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				res, err := tr.ImportGraded(ctx, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res) == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-	}
-	// flatFill puts every offer under the root type: the closure is a
-	// single bucket, so this is the exact-type indexed path.
-	flatFill := func(b *testing.B, tr *trader.Trader, n int) {
-		b.Helper()
-		for i := 0; i < n; i++ {
-			props := []sidl.Property{{Name: "Price", Value: sidl.FloatLit(float64(10 + i%90))}}
-			r := ref.New(fmt.Sprintf("tcp:10.8.%d.%d:7000", i/250, i%250), "L0")
-			if _, err := tr.Export("L0", r, props); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("exact", func(b *testing.B) {
-		run(b, trader.New("T", conformantHierRepo(b), trader.WithImportCacheTTL(0)), flatFill)
-	})
-	b.Run("conformant", func(b *testing.B) {
-		run(b, trader.New("T", conformantHierRepo(b), trader.WithImportCacheTTL(0)), fillConformant)
-	})
-	b.Run("linear", func(b *testing.B) {
-		run(b, trader.New("T", conformantHierRepo(b), trader.WithoutOfferIndex(), trader.WithImportCacheTTL(0)), fillConformant)
-	})
-}
-
 // BenchmarkMesh_GossipRound measures one summary-exchange round: the
 // importing trader pushing its digest to (and pulling digests from) all
 // 49 mesh peers. This is the background cost that buys the scatter
-// narrowing above.
+// narrowing cosmbench's federated_import workload measures.
 func BenchmarkMesh_GossipRound(b *testing.B) {
 	b.ReportAllocs()
 	traders := buildMesh(b, 50, 5)

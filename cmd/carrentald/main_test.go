@@ -95,7 +95,7 @@ func TestDaemonPublishesAndBooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offer, err := tc.ImportOneWith(ctx, "CarRentalService")
+	offer, err := trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService"))
 	if err != nil || offer.Ref != carRef {
 		t.Fatalf("trader offer = %+v, %v", offer, err)
 	}
@@ -126,7 +126,7 @@ func TestDaemonPublishesAndBooks(t *testing.T) {
 	if entries, _ := bc.Search(ctx, "car"); len(entries) != 0 {
 		t.Fatalf("browser entries after shutdown = %v", entries)
 	}
-	if _, err := tc.ImportOneWith(ctx, "CarRentalService"); err == nil {
+	if _, err := trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService")); err == nil {
 		t.Fatal("trader offer must be withdrawn after shutdown")
 	}
 }

@@ -243,7 +243,7 @@ func runWithInput(args []string, stdin io.Reader) error {
 		if err != nil {
 			return err
 		}
-		matches, err := tc.ImportGradedWith(ctx, serviceType, opts...)
+		matches, err := tc.ImportGraded(ctx, trader.NewImport(serviceType, opts...))
 		if err != nil {
 			return err
 		}
@@ -374,7 +374,7 @@ func dump(ctx context.Context, w io.Writer, tc *trader.Client) error {
 	seen := map[string]bool{}
 	doc := dumpDoc{Offers: []trader.OfferRecord{}}
 	for _, name := range names {
-		offers, err := tc.ImportWith(ctx, name)
+		offers, err := tc.Import(ctx, trader.NewImport(name))
 		if err != nil {
 			return fmt.Errorf("dump type %s: %w", name, err)
 		}

@@ -486,7 +486,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	// The restored market is equivalent modulo trader-assigned IDs and
 	// the lease re-anchoring: same types, refs, props; the leased offer
 	// still expires.
-	got, err := dst.ImportWith(context.Background(), "CarRentalService")
+	got, err := dst.Import(context.Background(), trader.NewImport("CarRentalService"))
 	if err != nil {
 		t.Fatal(err)
 	}

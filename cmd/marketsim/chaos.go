@@ -167,9 +167,9 @@ func runChaos(w io.Writer, cc chaosConfig) error {
 	// a fresh import->bind->book from the top — never a blind re-send
 	// of the failed call.
 	bookOnce := func(actx context.Context, days int) (string, error) {
-		conn, offer, err := trader.Select(actx, chaosTrd, pool, "CarRentalService",
+		conn, offer, err := trader.ImportBind(actx, chaosTrd, pool, trader.NewImport("CarRentalService",
 			trader.Where("CarModel == FIAT_Uno"),
-			trader.OrderBy("min:ChargePerDay"))
+			trader.OrderBy("min:ChargePerDay")))
 		if err != nil {
 			return "", err
 		}
@@ -257,7 +257,7 @@ func runChaos(w io.Writer, cc chaosConfig) error {
 			i, rep.Checked, rep.Healthy, rep.Suspected, rep.Withdrawn)
 	}
 
-	offers, err := trd.ImportWith(ctx, "CarRentalService")
+	offers, err := trd.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil {
 		return err
 	}

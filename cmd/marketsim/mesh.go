@@ -97,7 +97,7 @@ func runMesh(w io.Writer, mc meshConfig) error {
 			}
 			before := traders[from].FedStats()
 			start := time.Now()
-			offers, ierr := traders[from].ImportWith(ctx, typeName(to), trader.Hops(1))
+			offers, ierr := traders[from].Import(ctx, trader.NewImport(typeName(to), trader.Hops(1)))
 			if ierr != nil {
 				return 0, 0, 0, ierr
 			}

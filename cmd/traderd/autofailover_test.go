@@ -154,7 +154,7 @@ func TestAutoFailoverElectsAndRejoins(t *testing.T) {
 
 	// Zero lost acknowledged exports on the elected leader.
 	tw := dialUp(t, pool, refs[winner])
-	offers, err := tw.ImportWith(ctx, "CarRentalService")
+	offers, err := tw.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil {
 		t.Fatal(err)
 	}

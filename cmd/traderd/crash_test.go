@@ -15,6 +15,7 @@ import (
 
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader"
 	"cosm/internal/wire"
 )
 
@@ -140,7 +141,7 @@ func TestCrashRecoveryKillDashNine(t *testing.T) {
 	if err := tc.Replace(ctx, ids[1], crashProps("VW_Golf", 199)); err != nil {
 		t.Fatal(err)
 	}
-	before, err := tc.ImportWith(ctx, "CarRentalService")
+	before, err := tc.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestCrashRecoveryKillDashNine(t *testing.T) {
 	}()
 	tc2 := dialUp(t, pool, r2)
 
-	after, err := tc2.ImportWith(ctx, "CarRentalService")
+	after, err := tc2.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestReplicatedFailoverKillDashNine(t *testing.T) {
 	}
 
 	// Zero lost acknowledged exports.
-	offers, err := tp.ImportWith(ctx, "CarRentalService")
+	offers, err := tp.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func waitForOffers(t *testing.T, tc *trader.Client, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		offers, err := tc.ImportWith(context.Background(), "CarRentalService")
+		offers, err := tc.Import(context.Background(), trader.NewImport("CarRentalService"))
 		if err == nil && len(offers) >= n {
 			return
 		}

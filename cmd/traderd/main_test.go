@@ -67,7 +67,7 @@ func TestDaemonPreloadsTypesAndTrades(t *testing.T) {
 	if _, err := tc.ExportSID(ctx, sidl.CarRentalSID(), target); err != nil {
 		t.Fatal(err)
 	}
-	offer, err := tc.ImportOneWith(ctx, "CarRentalService")
+	offer, err := trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService"))
 	if err != nil || offer.Ref != target {
 		t.Fatalf("ImportOne = %+v, %v", offer, err)
 	}
@@ -112,7 +112,7 @@ func TestDaemonFederationViaLinkFlag(t *testing.T) {
 	tcA := dialUp(t, pool, ref.New("loop:traderd-a", trader.ServiceName))
 
 	// A federated import at A reaches B's offer.
-	offers, err := tcA.ImportWith(ctx, "CarRentalService", trader.Hops(1))
+	offers, err := tcA.Import(ctx, trader.NewImport("CarRentalService", trader.Hops(1)))
 	if err != nil || len(offers) != 1 || offers[0].Ref != target {
 		t.Fatalf("federated Import = %v, %v", offers, err)
 	}

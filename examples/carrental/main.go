@@ -146,9 +146,9 @@ func run() error {
 
 	// --- Path 2: typed trader import (Fig. 1): cheapest FIAT_Uno.
 	fmt.Println("\n== trader import: CarRentalService, ChargePerDay < 90, min:ChargePerDay")
-	offer, err := tc.ImportOneWith(ctx, "CarRentalService",
+	offer, err := trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService",
 		trader.Where("CarModel == FIAT_Uno && ChargePerDay < 90"),
-		trader.OrderBy("min:ChargePerDay"))
+		trader.OrderBy("min:ChargePerDay")))
 	if err != nil {
 		return err
 	}

@@ -150,13 +150,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	local, err := hamburgTC.ImportWith(ctx, "CarRentalService")
+	local, err := hamburgTC.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\n== hamburg import, hop limit 0: %d offers (munich invisible)\n", len(local))
 
-	federated, err := hamburgTC.ImportWith(ctx, "CarRentalService", trader.Hops(1))
+	federated, err := hamburgTC.Import(ctx, trader.NewImport("CarRentalService", trader.Hops(1)))
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,7 @@ package bench
 // These are the wire-level counterparts of the in-process election
 // tests in internal/trader — the full daemon wiring (service handlers,
 // leader-hint redirects, journal fail-stop) exercised end to end, plus
-// the failover-latency benchmark behind BENCH_7.json.
+// the failover-latency benchmark.
 
 import (
 	"context"
@@ -237,7 +237,7 @@ func TestFailureAutoFailoverElectsMaxApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offers, err := tw.ImportWith(ctx, "CarRentalService")
+	offers, err := tw.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,9 +169,9 @@ func TestIntegrationFullMarket(t *testing.T) {
 
 	// Trading path: constrained, policy-ordered import picks the
 	// cheaper provider.
-	offer, err := in.trd.ImportOneWith(ctx, "CarRentalService",
+	offer, err := trader.ImportOne(ctx, in.trd, trader.NewImport("CarRentalService",
 		trader.Where("CarModel == FIAT_Uno && ChargePerDay < 90"),
-		trader.OrderBy("min:ChargePerDay"))
+		trader.OrderBy("min:ChargePerDay")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestIntegrationFederationOverTCP(t *testing.T) {
 	isar := startProvider(t, munich, "IsarCars", carrental.Tariff{"FIAT_Uno": 66})
 
 	// Local import at Hamburg sees nothing; hop 1 reaches Munich.
-	offers, err := hamburg.trd.ImportWith(ctx, "CarRentalService")
+	offers, err := hamburg.trd.Import(ctx, trader.NewImport("CarRentalService"))
 	if err != nil || len(offers) != 0 {
 		t.Fatalf("hop 0 offers = %v, %v", offers, err)
 	}
-	offers, err = hamburg.trd.ImportWith(ctx, "CarRentalService", trader.Hops(1))
+	offers, err = hamburg.trd.Import(ctx, trader.NewImport("CarRentalService", trader.Hops(1)))
 	if err != nil || len(offers) != 1 || offers[0].Ref != isar {
 		t.Fatalf("hop 1 offers = %v, %v", offers, err)
 	}

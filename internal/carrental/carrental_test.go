@@ -218,9 +218,9 @@ func TestPublishIntegrated(t *testing.T) {
 		t.Fatalf("browser entries = %v, %v", entries, err)
 	}
 	// ...and through the trader (typed import).
-	offer, err := tc.ImportOneWith(ctx, "CarRentalService",
+	offer, err := trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService",
 		trader.Where("ChargePerDay < 100"),
-		trader.OrderBy("min:ChargePerDay"))
+		trader.OrderBy("min:ChargePerDay")))
 	if err != nil || offer.Ref != carRef {
 		t.Fatalf("trader offer = %+v, %v", offer, err)
 	}
@@ -232,7 +232,7 @@ func TestPublishIntegrated(t *testing.T) {
 	if entries, _ := bc.Search(ctx, "car"); len(entries) != 0 {
 		t.Fatalf("browser entries after unpublish = %v", entries)
 	}
-	if _, err := tc.ImportOneWith(ctx, "CarRentalService"); err == nil {
+	if _, err := trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService")); err == nil {
 		t.Fatal("trader offer must be withdrawn after unpublish")
 	}
 }

@@ -9,10 +9,9 @@
 // and phase 3 scores every surviving offer into a graded result the
 // preference policy can order by.
 //
-// The package is deliberately generic: the pipeline carries any item
-// type, so the trader instantiates it with *Offer while tests (and
-// future matchers, e.g. a mediation planner ranking service chains)
-// instantiate it with their own payloads.
+// This package holds the vocabulary of that answer — the grade lattice,
+// the scoring model and the grading of a conformant closure; the loop
+// that walks offers lives with the offer store, in the trader.
 package match
 
 import (

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"errors"
 	"testing"
 
 	"cosm/internal/typemgr"
@@ -99,89 +98,5 @@ func TestGradeRemote(t *testing.T) {
 	// Unknown type vouched for by an old peer: conservative subtype.
 	if g, s := GradeRemote("A", "X", cl); g != GradeSubtype || s != ScoreStructural {
 		t.Fatalf("unknown remote: %v %v", g, s)
-	}
-}
-
-// fakeGather returns one full match per bucket plus, for the "B"
-// bucket, one partial match — enough to exercise floor handling.
-func fakePipeline(t *testing.T) *Pipeline[string] {
-	t.Helper()
-	return &Pipeline[string]{
-		Resolve: func(reqType string) ([]TypeMatch, error) {
-			if reqType == "nope" {
-				return nil, errors.New("unknown type")
-			}
-			return []TypeMatch{
-				{Name: "A", Grade: GradeExact, Score: ScoreExact},
-				{Name: "B", Grade: GradeSubtype, Score: 0.9},
-			}, nil
-		},
-		Gather: func(tm TypeMatch, min Grade) ([]Graded[string], error) {
-			ms := []Graded[string]{{Item: tm.Name + "-full", Grade: tm.Grade, Score: tm.Score}}
-			if tm.Name == "B" && min <= GradePartial {
-				ms = append(ms, Graded[string]{
-					Item: "B-partial", Grade: GradePartial,
-					Score: PartialScore(tm.Score, 1, 2),
-				})
-			}
-			return ms, nil
-		},
-	}
-}
-
-func TestPipelineRunFloors(t *testing.T) {
-	p := fakePipeline(t)
-	for _, tc := range []struct {
-		min  Grade
-		want []string
-	}{
-		{GradeNone, []string{"A-full", "B-full", "B-partial"}},
-		{GradePartial, []string{"A-full", "B-full", "B-partial"}},
-		{GradeSubtype, []string{"A-full", "B-full"}},
-		{GradeExact, []string{"A-full"}},
-	} {
-		got, err := p.Run("T", tc.min)
-		if err != nil {
-			t.Fatalf("Run(min=%v): %v", tc.min, err)
-		}
-		if len(got) != len(tc.want) {
-			t.Fatalf("Run(min=%v) = %+v, want %v", tc.min, got, tc.want)
-		}
-		for i := range tc.want {
-			if got[i].Item != tc.want[i] {
-				t.Fatalf("Run(min=%v) = %+v, want %v", tc.min, got, tc.want)
-			}
-		}
-	}
-	if _, err := p.Run("nope", GradeNone); err == nil {
-		t.Fatal("Run should propagate resolve errors")
-	}
-}
-
-func TestPipelinePluggablePhase(t *testing.T) {
-	p := fakePipeline(t)
-	var saw int
-	p.Phases = append(p.Phases, PhaseFunc[string]{
-		PhaseName: "demote-b",
-		Fn: func(ms []Graded[string]) []Graded[string] {
-			saw = len(ms)
-			for i := range ms {
-				if ms[i].Item == "B-full" {
-					ms[i].Grade, ms[i].Score = GradePartial, 0.1
-				}
-			}
-			return ms
-		},
-	})
-	got, err := p.Run("T", GradeSubtype)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saw == 0 {
-		t.Fatal("custom phase never ran")
-	}
-	// The phase demoted B-full below the floor; Run must drop it.
-	if len(got) != 1 || got[0].Item != "A-full" {
-		t.Fatalf("post-phase floor not enforced: %+v", got)
 	}
 }

@@ -8,7 +8,7 @@
 // Everything is stdlib-only and nil-safe: a nil *Registry hands out nil
 // instruments whose methods are no-ops, so instrumented code paths need
 // no "is observability on?" branches and cost almost nothing when
-// disabled (see BenchmarkObsOverhead).
+// disabled.
 //
 // Cardinality is bounded by construction: label values beyond a vec's
 // cap collapse into the reserved "_other" child, so a client spraying

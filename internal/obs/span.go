@@ -8,7 +8,7 @@ package obs
 // fact: "what happened, in what order, and where did the time go" for a
 // request that fanned out across the market. The recorder is nil-safe
 // like the Registry: a nil *SpanRecorder records nothing at negligible
-// cost (see BenchmarkSpanOverhead).
+// cost (cosmbench's obs.trace_overhead_ratio row is the enabled side).
 
 import (
 	"sort"

@@ -63,17 +63,16 @@ func ImportBind(ctx context.Context, imp Importer, pool *wire.Pool, req ImportRe
 	return BindFirstLive(ctx, pool, offers)
 }
 
-// Select is the one-call service selection path: build the import
-// request from functional options, import the preference-ordered offer
-// list from imp (a local *Trader or remote *Client), and bind the first
-// live provider:
-//
-//	conn, offer, err := trader.Select(ctx, trd, pool, "CarRentalService",
-//	        trader.Where("ChargePerDay < 90"),
-//	        trader.OrderBy("min:ChargePerDay"))
-//
-// It replaces the hand-rolled Import/ImportOne → BindFirstLive triangle
-// at daemon and example call sites.
-func Select(ctx context.Context, imp Importer, pool *wire.Pool, serviceType string, opts ...ImportOption) (*cosm.Conn, *Offer, error) {
-	return ImportBind(ctx, imp, pool, NewImport(serviceType, opts...))
+// ImportOne returns the single best offer for req from imp, or an error
+// wrapping ErrNoOffer when nothing matches.
+func ImportOne(ctx context.Context, imp Importer, req ImportRequest) (*Offer, error) {
+	req.Max = 1
+	offers, err := imp.Import(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if len(offers) == 0 {
+		return nil, fmt.Errorf("%w: type %q constraint %q", ErrNoOffer, req.Type, req.Constraint)
+	}
+	return offers[0], nil
 }

@@ -257,15 +257,7 @@ func (c *Client) Replace(ctx context.Context, offerID string, props []sidl.Prope
 // Import matches offers at the remote trader. It is ImportGraded with
 // the grades dropped.
 func (c *Client) Import(ctx context.Context, req ImportRequest) ([]*Offer, error) {
-	ms, err := c.ImportGraded(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	offers := make([]*Offer, len(ms))
-	for i := range ms {
-		offers[i] = ms[i].Offer
-	}
-	return offers, nil
+	return offersOf(c.ImportGraded(ctx, req))
 }
 
 // ImportGraded matches offers at the remote trader, keeping the
@@ -290,41 +282,6 @@ func (c *Client) ImportGraded(ctx context.Context, req ImportRequest) ([]Match, 
 		ms = append(ms, m)
 	}
 	return ms, nil
-}
-
-// ImportWith is Import with the functional-options request builder.
-func (c *Client) ImportWith(ctx context.Context, serviceType string, opts ...ImportOption) ([]*Offer, error) {
-	return c.Import(ctx, NewImport(serviceType, opts...))
-}
-
-// ImportGradedWith is ImportGraded with the functional-options request
-// builder.
-func (c *Client) ImportGradedWith(ctx context.Context, serviceType string, opts ...ImportOption) ([]Match, error) {
-	return c.ImportGraded(ctx, NewImport(serviceType, opts...))
-}
-
-// ImportOneWith is ImportOne with the functional-options request
-// builder: it returns the single best remote offer, or ErrNoOffer.
-func (c *Client) ImportOneWith(ctx context.Context, serviceType string, opts ...ImportOption) (*Offer, error) {
-	return c.ImportOne(ctx, NewImport(serviceType, opts...))
-}
-
-// ImportOne returns the single best remote offer, or ErrNoOffer.
-func (c *Client) ImportOne(ctx context.Context, req ImportRequest) (*Offer, error) {
-	req.Max = 1
-	offers, err := c.Import(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if len(offers) == 0 {
-		return nil, fmt.Errorf("%w: type %q constraint %q", ErrNoOffer, req.Type, req.Constraint)
-	}
-	return offers[0], nil
-}
-
-// FederatedImport implements Federate over the wire.
-func (c *Client) FederatedImport(ctx context.Context, req ImportRequest) ([]Match, error) {
-	return c.ImportGraded(ctx, req)
 }
 
 // DefineTypeFromSID registers a service type at the remote trader's

@@ -8,14 +8,22 @@ package trader
 // naturally — recovery produces the same matching state a live trader
 // would have.
 //
+// One mutation path: every offer-store change is a mutation — the
+// decoded form of a walRecord — and apply is the only function that
+// turns one into store calls. A live operation validates, builds the
+// mutation and commits it; recovery (ReplayRecord) and replication
+// (ApplyBatch) decode a record and apply it. Live, recovered and
+// replicated state therefore agree by construction.
+//
 // Ordering discipline: offer mutations are journalled before they are
 // applied (classic WAL — a crash may lose the in-memory effect but
 // never the record), after validation has passed so the log carries no
 // rejected operations. Type mutations validate-and-apply inside the
-// repo, then journal. All records are idempotent state setters: a
-// compaction snapshot may be slightly newer than its watermark, so the
-// records spanning the snapshot instant replay over state that already
-// contains them.
+// repo, then journal; a lease purge applies first and is journalled
+// only when it reclaimed something. All records are idempotent state
+// setters: a compaction snapshot may be slightly newer than its
+// watermark, so the records spanning the snapshot instant replay over
+// state that already contains them.
 
 import (
 	"encoding/json"
@@ -84,6 +92,149 @@ type walRecord struct {
 	Epoch   uint64        `json:"epoch,omitempty"` // epoch (fencing term)
 }
 
+// mutation is one offer-store change in decoded form — the in-memory
+// twin of walRecord, holding live values so the path that built it
+// never re-parses the record it journals.
+type mutation struct {
+	op      string
+	offers  []*Offer            // export
+	ids     []string            // withdraw(_all), replace, suspect
+	props   map[string]sidl.Lit // replace
+	suspect bool
+	at      time.Time // purge instant
+}
+
+// record renders the mutation in journal form.
+func (m *mutation) record() *walRecord {
+	// Fields an op does not use stay empty and are omitted from the JSON.
+	r := &walRecord{Op: m.op, IDs: m.ids, Suspect: m.suspect, Props: propsToRecords(m.props)}
+	r.Offers = make([]OfferRecord, len(m.offers))
+	for i, o := range m.offers {
+		r.Offers[i] = o.Record()
+	}
+	if !m.at.IsZero() {
+		r.At = m.at.UnixNano()
+	}
+	return r
+}
+
+// mutation decodes an offer-store record; any other op is an error.
+func (r *walRecord) mutation() (*mutation, error) {
+	m := &mutation{op: r.Op, ids: r.IDs, suspect: r.Suspect}
+	switch r.Op {
+	case opExport:
+		m.offers = make([]*Offer, len(r.Offers))
+		for i, rec := range r.Offers {
+			o, err := OfferFromRecord(rec)
+			if err != nil {
+				return nil, err
+			}
+			m.offers[i] = o
+		}
+	case opWithdraw, opWithdrawAll, opSuspect:
+	case opReplace:
+		props, err := propsFromRecords(r.Props)
+		if err != nil {
+			return nil, err
+		}
+		m.props = props
+	case opPurge:
+		m.at = time.Unix(0, r.At)
+	default:
+		return nil, fmt.Errorf("unknown op %q", r.Op)
+	}
+	return m, nil
+}
+
+// apply is the single place a mutation becomes store calls; live
+// operations, recovery and replication all end here. It returns the
+// offers the mutation touched — inserted, removed, or swapped in — so
+// the live path can count and log them; IDs that no longer exist are
+// skipped, which is what makes every record idempotent on replay.
+func (t *Trader) apply(m *mutation) []*Offer {
+	update := func(set func(*Offer)) []*Offer {
+		var fresh []*Offer
+		for _, id := range m.ids {
+			if o, ok := t.store.update(id, set); ok {
+				fresh = append(fresh, o)
+			}
+		}
+		return fresh
+	}
+	switch m.op {
+	case opExport:
+		for _, o := range m.offers {
+			t.store.insert(o)
+			// Recovered and replicated IDs must push the counter past
+			// themselves; for a live export this is a no-op.
+			t.bumpSeqFromID(o.ID)
+		}
+		return m.offers
+	case opWithdraw, opWithdrawAll:
+		var gone []*Offer
+		for _, id := range m.ids {
+			if o, ok := t.store.remove(id); ok {
+				gone = append(gone, o)
+			}
+		}
+		return gone
+	case opReplace:
+		return update(func(o *Offer) { o.Props = m.props })
+	case opSuspect:
+		return update(func(o *Offer) { o.Suspect = m.suspect })
+	case opPurge:
+		return t.store.purgeExpired(m.at)
+	}
+	panic("trader: apply: unknown mutation op " + m.op)
+}
+
+// errJournalAppend marks a commit whose record never reached the
+// journal, so the mutation was not applied either.
+var errJournalAppend = errors.New("trader: journal")
+
+// commit makes one validated mutation durable and visible: append its
+// record to the attached journal, apply it, and — when synchronous
+// replication is configured — block until enough followers
+// acknowledged the record's sequence number. Append and apply run
+// under the apply lock so a concurrent snapshot can never capture a
+// state that is missing a journalled record: the snapshot contract
+// allows state ahead of the watermark (replay is idempotent), never
+// behind it. The replication wait happens after the lock is released —
+// it can take seconds, and a snapshot (or a bootstrapping follower's
+// pull, whose ack is what the wait is for) must not block on it. The
+// applied offers are returned even when the wait fails: the mutation
+// is in the log and in the store by then.
+func (t *Trader) commit(m *mutation) ([]*Offer, error) {
+	if t.journal == nil {
+		return t.apply(m), nil
+	}
+	t.applyMu.RLock()
+	seq, err := t.journal.AppendJSON(m.record())
+	if err != nil {
+		t.applyMu.RUnlock()
+		return nil, fmt.Errorf("%w: %w", errJournalAppend, err)
+	}
+	applied := t.apply(m)
+	t.applyMu.RUnlock()
+	return applied, t.waitReplicated(seq)
+}
+
+// journalRecord appends a record whose effect is already in place — a
+// type definition or removal the repo validated and applied, a purge
+// that reclaimed something — and waits for replication like commit.
+func (t *Trader) journalRecord(r *walRecord) error {
+	if t.journal == nil {
+		return nil
+	}
+	t.applyMu.RLock()
+	seq, err := t.journal.AppendJSON(r)
+	t.applyMu.RUnlock()
+	if err != nil {
+		return fmt.Errorf("%w: %w", errJournalAppend, err)
+	}
+	return t.waitReplicated(seq)
+}
+
 // traderSnapshot is the compaction snapshot: the full offer store, the
 // retained SIDL sources of journalled type definitions, and the offer
 // ID counter.
@@ -115,7 +266,12 @@ func propsFromRecords(recs []PropRecord) (map[string]sidl.Lit, error) {
 	return props, nil
 }
 
-func offerToRecord(o *Offer) OfferRecord {
+// Record returns the offer in its canonical durable form — sorted
+// kind/text property encoding, nanosecond expiry. The journal, the
+// compaction snapshot and cosmcli's dump format all share this one
+// representation, so a dump of a recovered trader is comparable
+// byte-for-byte with a dump of the original.
+func (o *Offer) Record() OfferRecord {
 	rec := OfferRecord{ID: o.ID, Type: o.Type, Ref: o.Ref.String(), Props: propsToRecords(o.Props), Suspect: o.Suspect}
 	if !o.Expires.IsZero() {
 		rec.Expires = o.Expires.UnixNano()
@@ -123,7 +279,8 @@ func offerToRecord(o *Offer) OfferRecord {
 	return rec
 }
 
-func offerFromRecord(rec OfferRecord) (*Offer, error) {
+// OfferFromRecord reverses (*Offer).Record.
+func OfferFromRecord(rec OfferRecord) (*Offer, error) {
 	r, err := ref.Parse(rec.Ref)
 	if err != nil {
 		return nil, fmt.Errorf("trader: journal offer %q: %w", rec.ID, err)
@@ -138,16 +295,6 @@ func offerFromRecord(rec OfferRecord) (*Offer, error) {
 	}
 	return o, nil
 }
-
-// Record returns the offer in its canonical durable form — sorted
-// kind/text property encoding, nanosecond expiry. The journal, the
-// compaction snapshot and cosmcli's dump format all share this one
-// representation, so a dump of a recovered trader is comparable
-// byte-for-byte with a dump of the original.
-func (o *Offer) Record() OfferRecord { return offerToRecord(o) }
-
-// OfferFromRecord reverses (*Offer).Record.
-func OfferFromRecord(rec OfferRecord) (*Offer, error) { return offerFromRecord(rec) }
 
 // SetJournal attaches a started journal: from now on every offer and
 // type mutation appends a logical record before it is applied. Call it
@@ -172,40 +319,6 @@ func (t *Trader) SetJournal(j *journal.Journal) {
 		})
 	}
 }
-
-// journalApply writes one record to the attached journal, runs apply
-// (the in-memory effect of the record), and — when synchronous
-// replication is configured — blocks until enough followers
-// acknowledged the record's sequence number. Append and apply run
-// under the apply lock so a concurrent snapshot can never capture a
-// state that is missing a journalled record: the snapshot contract
-// allows state ahead of the watermark (replay is idempotent), never
-// behind it. The replication wait happens after the lock is released —
-// it can take seconds, and a snapshot (or a bootstrapping follower's
-// pull, whose ack is what the wait is for) must not block on it.
-func (t *Trader) journalApply(r *walRecord, apply func()) error {
-	if t.journal == nil {
-		if apply != nil {
-			apply()
-		}
-		return nil
-	}
-	t.applyMu.RLock()
-	seq, err := t.journal.AppendJSON(r)
-	if err != nil {
-		t.applyMu.RUnlock()
-		return fmt.Errorf("trader: journal: %w", err)
-	}
-	if apply != nil {
-		apply()
-	}
-	t.applyMu.RUnlock()
-	return t.waitReplicated(seq)
-}
-
-// journalled reports whether a journal is attached (i.e. whether the
-// mutation paths must pay for WAL-first existence checks).
-func (t *Trader) journalled() bool { return t.journal != nil }
 
 // JournalSnapshot serialises the trader's durable state for journal
 // compaction: every stored offer (expired ones included — replayed
@@ -233,7 +346,7 @@ func (t *Trader) JournalSnapshot() ([]byte, error) {
 	offers := t.store.all()
 	sort.Slice(offers, func(i, j int) bool { return offers[i].ID < offers[j].ID })
 	for _, o := range offers {
-		snap.Offers = append(snap.Offers, offerToRecord(o))
+		snap.Offers = append(snap.Offers, o.Record())
 	}
 	return json.Marshal(snap)
 }
@@ -263,7 +376,7 @@ func (t *Trader) RestoreSnapshot(payload []byte) error {
 		pending = stuck
 	}
 	for _, rec := range snap.Offers {
-		o, err := offerFromRecord(rec)
+		o, err := OfferFromRecord(rec)
 		if err != nil {
 			return err
 		}
@@ -284,41 +397,6 @@ func (t *Trader) ReplayRecord(seq uint64, payload []byte) error {
 		return fmt.Errorf("trader: journal record %d: %w", seq, err)
 	}
 	switch r.Op {
-	case opExport:
-		for _, rec := range r.Offers {
-			o, err := offerFromRecord(rec)
-			if err != nil {
-				return err
-			}
-			t.store.insert(o)
-			t.bumpSeqFromID(o.ID)
-		}
-	case opWithdraw, opWithdrawAll:
-		for _, id := range r.IDs {
-			t.store.remove(id)
-		}
-	case opReplace:
-		props, err := propsFromRecords(r.Props)
-		if err != nil {
-			return fmt.Errorf("trader: journal record %d: %w", seq, err)
-		}
-		for _, id := range r.IDs {
-			t.store.update(id, func(old *Offer) *Offer {
-				fresh := *old
-				fresh.Props = props
-				return &fresh
-			})
-		}
-	case opSuspect:
-		for _, id := range r.IDs {
-			t.store.update(id, func(old *Offer) *Offer {
-				fresh := *old
-				fresh.Suspect = r.Suspect
-				return &fresh
-			})
-		}
-	case opPurge:
-		t.store.purgeExpired(time.Unix(0, r.At))
 	case opDefineType:
 		if err := t.defineFromSIDL(r.SIDL); err != nil {
 			return fmt.Errorf("trader: journal record %d: %w", seq, err)
@@ -341,7 +419,11 @@ func (t *Trader) ReplayRecord(seq uint64, payload []byte) error {
 		}
 		t.repl.mu.Unlock()
 	default:
-		return fmt.Errorf("trader: journal record %d: unknown op %q", seq, r.Op)
+		m, err := r.mutation()
+		if err != nil {
+			return fmt.Errorf("trader: journal record %d: %w", seq, err)
+		}
+		t.apply(m)
 	}
 	return nil
 }
@@ -386,7 +468,7 @@ func (t *Trader) DefineTypeSIDL(text string) error {
 	if err := t.types.DefineWithSource(st, text); err != nil {
 		return err
 	}
-	return t.journalApply(&walRecord{Op: opDefineType, SIDL: text}, nil)
+	return t.journalRecord(&walRecord{Op: opDefineType, SIDL: text})
 }
 
 // RemoveType deletes a service type through the management interface
@@ -398,7 +480,7 @@ func (t *Trader) RemoveType(name string) error {
 	if err := t.types.Remove(name); err != nil {
 		return err
 	}
-	return t.journalApply(&walRecord{Op: opRemoveType, Name: name}, nil)
+	return t.journalRecord(&walRecord{Op: opRemoveType, Name: name})
 }
 
 // bumpSeqFromID advances the offer ID counter past the sequence number

@@ -43,7 +43,7 @@ func offersJSON(t *testing.T, offers []*Offer) []byte {
 	t.Helper()
 	recs := make([]OfferRecord, len(offers))
 	for i, o := range offers {
-		recs[i] = offerToRecord(o)
+		recs[i] = o.Record()
 	}
 	b, err := json.Marshal(recs)
 	if err != nil {
@@ -87,8 +87,8 @@ func TestDurableCrashRecoveryEquivalence(t *testing.T) {
 	if err := tr1.Withdraw(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if n := tr1.WithdrawAll([]string{ids[1], "T/o999"}); n != 1 {
-		t.Fatalf("WithdrawAll = %d", n)
+	if n, err := tr1.WithdrawAll([]string{ids[1], "T/o999"}); n != 1 || err != nil {
+		t.Fatalf("WithdrawAll = %d, %v", n, err)
 	}
 	if err := tr1.Replace(ids[2], carProps("AUDI", 200, "GBP")); err != nil {
 		t.Fatal(err)
@@ -248,10 +248,10 @@ func TestDurableTypeLifecycle(t *testing.T) {
 }
 
 // TestUnjournalledTraderUnaffected pins the default: with no journal
-// attached, mutations take no durability branches and leave no files.
+// attached, mutations commit straight to the store.
 func TestUnjournalledTraderUnaffected(t *testing.T) {
 	tr := New("T", newCarRepo(t))
-	if tr.journalled() {
+	if tr.journal != nil {
 		t.Fatal("fresh trader reports a journal")
 	}
 	id, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 80, "USD"))

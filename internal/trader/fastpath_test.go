@@ -462,7 +462,7 @@ func TestShardConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			for _, o := range tr.liveOffers() {
+			for _, o := range tr.store.live(tr.now()) {
 				if i%2 == 0 {
 					_ = tr.MarkSuspect(o.ID, true)
 				} else {
@@ -489,7 +489,7 @@ func TestShardConcurrency(t *testing.T) {
 	for _, o := range tr.Offers() {
 		rest = append(rest, o.ID)
 	}
-	if n := tr.WithdrawAll(rest); n != want {
+	if n, err := tr.WithdrawAll(rest); n != want || err != nil {
 		t.Fatalf("WithdrawAll = %d, want %d", n, want)
 	}
 	if tr.OfferCount() != 0 {
@@ -520,10 +520,10 @@ func TestExportAllAtomicValidation(t *testing.T) {
 	if len(ids) != 2 || tr.OfferCount() != 2 {
 		t.Fatalf("ids = %v, count = %d", ids, tr.OfferCount())
 	}
-	if n := tr.WithdrawAll(append(ids, "T/o999")); n != 2 {
+	if n, err := tr.WithdrawAll(append(ids, "T/o999")); n != 2 || err != nil {
 		t.Fatalf("WithdrawAll = %d, want 2 (unknown IDs skipped)", n)
 	}
-	if n := tr.WithdrawAll(ids); n != 0 {
+	if n, err := tr.WithdrawAll(ids); n != 0 || err != nil {
 		t.Fatalf("second WithdrawAll = %d, want 0", n)
 	}
 }
@@ -549,7 +549,7 @@ func TestRemoteBatchExportWithdraw(t *testing.T) {
 		t.Fatalf("ids = %v", ids)
 	}
 
-	offers, err := tc.ImportWith(ctx, "CarRentalService", trader0OrderByCharge()...)
+	offers, err := tc.Import(ctx, NewImport("CarRentalService", trader0OrderByCharge()...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestRemoteBatchExportWithdraw(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("WithdrawAll = %d, want 2", n)
 	}
-	left, err := tc.ImportWith(ctx, "CarRentalService")
+	left, err := tc.Import(ctx, NewImport("CarRentalService"))
 	if err != nil || len(left) != 1 {
 		t.Fatalf("left = %+v, %v", left, err)
 	}

@@ -41,24 +41,20 @@ type SummaryPeer interface {
 	ExchangeSummary(ctx context.Context, s OfferSummary) (OfferSummary, error)
 }
 
-// defaultGossipHorizon bounds how far reachability is re-advertised: a
-// trader advertises its own offers (hop 0) and what its direct links
+// gossipHorizon bounds how far reachability is re-advertised: a trader
+// advertises its own offers (hop 0) and what its direct links
 // advertised as their own (hop 1). Deeper relaying would let stale
 // counts circulate through cycles.
-const defaultGossipHorizon = 2
+const gossipHorizon = 2
 
-// defaultSummaryTTL is how long a received summary steers routing
-// before the link degrades to unknown coverage (see WithSummaryTTL).
-const defaultSummaryTTL = 30 * time.Second
+// summaryTTL is how long a received summary steers routing before the
+// link degrades to unknown coverage (see meshLink.freshSummary).
+const summaryTTL = 30 * time.Second
 
 // Summary builds this trader's current offer summary: its own stored
-// types at hop 0 plus, within the horizon, the types its links
-// advertise, re-advertised one hop further. horizon <= 0 means the
-// default (own offers plus direct links).
-func (t *Trader) Summary(horizon int) OfferSummary {
-	if horizon <= 0 {
-		horizon = defaultGossipHorizon
-	}
+// types at hop 0 plus, within the gossip horizon, the types its links
+// advertise, re-advertised one hop further.
+func (t *Trader) Summary() OfferSummary {
 	now := t.now()
 	type agg struct {
 		count int
@@ -68,28 +64,26 @@ func (t *Trader) Summary(horizon int) OfferSummary {
 	for name, count := range t.store.typeCounts(now) {
 		types[name] = agg{count: count, hops: 0}
 	}
-	if horizon > 1 {
-		for _, l := range t.mesh.snapshot() {
-			sum, at := l.summarySnapshot()
-			if sum == nil || (t.summaryTTL > 0 && now.Sub(at) > t.summaryTTL) {
+	for _, l := range t.mesh.snapshot() {
+		sum := l.freshSummary(now)
+		if sum == nil {
+			continue
+		}
+		for _, e := range sum.Entries {
+			h := e.Hops + 1
+			if h >= gossipHorizon {
 				continue
 			}
-			for _, e := range sum.Entries {
-				h := e.Hops + 1
-				if h > horizon-1 {
-					continue
-				}
-				cur, ok := types[e.Type]
-				if !ok {
-					types[e.Type] = agg{count: e.Count, hops: h}
-					continue
-				}
-				cur.count += e.Count
-				if h < cur.hops {
-					cur.hops = h
-				}
-				types[e.Type] = cur
+			cur, ok := types[e.Type]
+			if !ok {
+				types[e.Type] = agg{count: e.Count, hops: h}
+				continue
 			}
+			cur.count += e.Count
+			if h < cur.hops {
+				cur.hops = h
+			}
+			types[e.Type] = cur
 		}
 	}
 	s := OfferSummary{From: t.id, Gen: uint64(now.UnixNano())}
@@ -105,7 +99,7 @@ func (t *Trader) Summary(horizon int) OfferSummary {
 // replies with this trader's own summary.
 func (t *Trader) ExchangeSummary(_ context.Context, s OfferSummary) (OfferSummary, error) {
 	t.acceptSummary(s)
-	return t.Summary(t.gossipHorizon), nil
+	return t.Summary(), nil
 }
 
 // acceptSummary records a peer's summary on the link that reaches it.
@@ -131,7 +125,7 @@ func (t *Trader) acceptSummary(s OfferSummary) {
 // the returned count of failed pushes; timeout bounds each push
 // (<= 0 means no per-push bound beyond ctx).
 func (t *Trader) GossipRound(ctx context.Context, timeout time.Duration) (pushed, failed int) {
-	mine := t.Summary(t.gossipHorizon)
+	mine := t.Summary()
 	for _, l := range t.mesh.snapshot() {
 		peer, ok := l.peer.(SummaryPeer)
 		if !ok {
@@ -149,7 +143,7 @@ func (t *Trader) GossipRound(ctx context.Context, timeout time.Duration) (pushed
 		if err != nil {
 			failed++
 			t.metrics.gossip.With("push_error").Inc()
-			if l.fail(t.now()) {
+			if l.br.Failure(t.now()) {
 				t.event("link_down", "link", l.name, "err", err.Error())
 			}
 			continue

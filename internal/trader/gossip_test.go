@@ -14,7 +14,7 @@ func TestSummaryAdvertisesOwnOffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := tr.Summary(0)
+	s := tr.Summary()
 	if s.From != "A" || s.Gen == 0 {
 		t.Fatalf("summary header = %+v", s)
 	}
@@ -167,7 +167,7 @@ func TestSummaryTTLFallsBackToFullFanOut(t *testing.T) {
 	}
 
 	// Stale summaries: both links degrade to unknown, full fan-out.
-	advance(defaultSummaryTTL + time.Second)
+	advance(summaryTTL + time.Second)
 	before = hub.FedStats()
 	if _, err := hub.Import(ctx, ImportRequest{Type: "CarRentalService", HopLimit: 1}); err != nil {
 		t.Fatal(err)

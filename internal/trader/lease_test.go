@@ -108,7 +108,7 @@ func TestRemoteExportLease(t *testing.T) {
 		t.Fatalf("ExportLease = %q, %v", id, err)
 	}
 	// The offer is live now (wall clock: 30s have not passed).
-	one, err := tc.ImportOne(ctx, ImportRequest{Type: "CarRentalService"})
+	one, err := ImportOne(ctx, tc, ImportRequest{Type: "CarRentalService"})
 	if err != nil || one.Ref != carRef(5) {
 		t.Fatalf("ImportOne = %+v, %v", one, err)
 	}

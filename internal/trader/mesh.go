@@ -76,12 +76,6 @@ func (l *meshLink) seen(now time.Time) {
 	l.mu.Unlock()
 }
 
-// fail records a failed interaction; it returns true when the failure
-// tripped the link's breaker open.
-func (l *meshLink) fail(now time.Time) bool {
-	return l.br.Failure(now)
-}
-
 // id returns the best-known federation identity of the peer.
 func (l *meshLink) id() string {
 	l.mu.Lock()
@@ -108,11 +102,17 @@ func (l *meshLink) setSummary(s *OfferSummary, now time.Time) bool {
 	return true
 }
 
-// summarySnapshot returns the stored summary and its arrival instant.
-func (l *meshLink) summarySnapshot() (*OfferSummary, time.Time) {
+// freshSummary returns the peer's summary while it may still steer
+// routing: nil before the first one arrives and once it is older than
+// summaryTTL, so a stalled gossiper degrades the link to unknown
+// coverage (always consulted) instead of hiding offers.
+func (l *meshLink) freshSummary(now time.Time) *OfferSummary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.summary, l.summaryAt
+	if l.summary == nil || now.Sub(l.summaryAt) > summaryTTL {
+		return nil
+	}
+	return l.summary
 }
 
 // info renders the link's observable state.
@@ -332,8 +332,8 @@ func (t *Trader) planScatter(req ImportRequest, visited []string) scatterPlan {
 		if skip(l) {
 			continue
 		}
-		sum, at := l.summarySnapshot()
-		if sum == nil || (t.summaryTTL > 0 && now.Sub(at) > t.summaryTTL) {
+		sum := l.freshSummary(now)
+		if sum == nil {
 			unknown = append(unknown, scored{l: l, hops: -1})
 			continue
 		}
@@ -344,7 +344,7 @@ func (t *Trader) planScatter(req ImportRequest, visited []string) scatterPlan {
 				continue // out of the request's remaining hop budget
 			}
 			// Coverage is decided by the same typemgr closure the local
-			// matching pipeline resolves against, so summary routing and
+			// matcher resolves against, so summary routing and
 			// matching can never disagree about the hierarchy.
 			if !t.types.Covers(req.Type, e.Type) {
 				continue
@@ -457,7 +457,7 @@ func (t *Trader) federatedMatches(ctx context.Context, req ImportRequest) []Matc
 	launch := func(l *meshLink) {
 		t.fedPeers.Add(1)
 		go func() {
-			ms, err := l.peer.FederatedImport(subCtx, sub)
+			ms, err := l.peer.ImportGraded(subCtx, sub)
 			results <- linkResult{link: l, matches: ms, err: err}
 		}()
 	}
@@ -505,7 +505,7 @@ func (t *Trader) federatedMatches(ctx context.Context, req ImportRequest) []Matc
 				delete(pendingLinks, r.link)
 			}
 			if r.err != nil {
-				if r.link.fail(now()) {
+				if r.link.br.Failure(now()) {
 					t.event("link_down", "link", r.link.name, "err", r.err.Error())
 				}
 				continue

@@ -284,7 +284,7 @@ type failingFederate struct{ id string }
 
 func (f *failingFederate) FederationID() string { return f.id }
 
-func (f *failingFederate) FederatedImport(context.Context, ImportRequest) ([]Match, error) {
+func (f *failingFederate) ImportGraded(context.Context, ImportRequest) ([]Match, error) {
 	return nil, errors.New("boom")
 }
 

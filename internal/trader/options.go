@@ -1,7 +1,6 @@
 package trader
 
 import (
-	"context"
 	"time"
 
 	"cosm/internal/match"
@@ -14,11 +13,11 @@ type ImportOption func(*ImportRequest)
 
 // NewImport builds an import request for a service type:
 //
-//	req := trader.NewImport("CarRentalService",
+//	offers, err := trd.Import(ctx, trader.NewImport("CarRentalService",
 //	        trader.Where("CarModel == FIAT_Uno && ChargePerDay < 90"),
 //	        trader.OrderBy("min:ChargePerDay"),
 //	        trader.Limit(3),
-//	        trader.Hops(1))
+//	        trader.Hops(1)))
 //
 // The zero request (no options) matches every offer of the type at the
 // local trader in stable ID order.
@@ -87,21 +86,4 @@ func MaxPeers(n int) ImportOption {
 // (the default) disables hedging.
 func Hedge(d time.Duration) ImportOption {
 	return func(req *ImportRequest) { req.Hedge = d }
-}
-
-// ImportWith is Import with the functional-options request builder.
-func (t *Trader) ImportWith(ctx context.Context, serviceType string, opts ...ImportOption) ([]*Offer, error) {
-	return t.Import(ctx, NewImport(serviceType, opts...))
-}
-
-// ImportOneWith is ImportOne with the functional-options request
-// builder: it returns the single best offer, or ErrNoOffer.
-func (t *Trader) ImportOneWith(ctx context.Context, serviceType string, opts ...ImportOption) (*Offer, error) {
-	return t.ImportOne(ctx, NewImport(serviceType, opts...))
-}
-
-// ImportGradedWith is ImportGraded with the functional-options request
-// builder.
-func (t *Trader) ImportGradedWith(ctx context.Context, serviceType string, opts ...ImportOption) ([]Match, error) {
-	return t.ImportGraded(ctx, NewImport(serviceType, opts...))
 }

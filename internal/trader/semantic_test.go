@@ -94,7 +94,7 @@ func TestImportGradedDiamond(t *testing.T) {
 
 	// Default import of the base type: the whole conformant closure,
 	// graded exact for A and subtype for the rest, scored by depth.
-	ms, err := tr.ImportGradedWith(ctx, "A")
+	ms, err := tr.ImportGraded(ctx, NewImport("A"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestImportGradedDiamond(t *testing.T) {
 	}
 
 	// GradeExact restricts the import to the literal requested type.
-	ms, err = tr.ImportGradedWith(ctx, "A", MinGrade(match.GradeExact))
+	ms, err = tr.ImportGraded(ctx, NewImport("A", MinGrade(match.GradeExact)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestImportGradedDiamond(t *testing.T) {
 	}
 
 	// Conformant() spells out today's default; the result must agree.
-	explicit, err := tr.ImportGradedWith(ctx, "A", Conformant())
+	explicit, err := tr.ImportGraded(ctx, NewImport("A", Conformant()))
 	if err != nil || len(explicit) != 4 {
 		t.Fatalf("Conformant() import = %+v, %v", explicit, err)
 	}
@@ -141,7 +141,7 @@ func TestImportGradedDiamond(t *testing.T) {
 	// Importing C finds C exactly and D only structurally: D's declared
 	// chain runs D→B→A, so its conformance to C is worth the structural
 	// score, below every declared subtype.
-	ms, err = tr.ImportGradedWith(ctx, "C")
+	ms, err = tr.ImportGraded(ctx, NewImport("C"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestImportGradedDiamond(t *testing.T) {
 	}
 
 	// An unknown request type matches nothing, without erroring.
-	if ms, err := tr.ImportGradedWith(ctx, "Nope"); err != nil || len(ms) != 0 {
+	if ms, err := tr.ImportGraded(ctx, NewImport("Nope")); err != nil || len(ms) != 0 {
 		t.Fatalf("unknown type import = %+v, %v", ms, err)
 	}
 }
@@ -173,7 +173,7 @@ func TestImportGradedPartialAttribute(t *testing.T) {
 	}
 
 	// Under the default floor the half-satisfying offer is filtered out.
-	ms, err := tr.ImportGradedWith(ctx, "B", Where("x == 1 && y == 1"))
+	ms, err := tr.ImportGraded(ctx, NewImport("B", Where("x == 1 && y == 1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +183,8 @@ func TestImportGradedPartialAttribute(t *testing.T) {
 
 	// GradePartial surfaces it, graded and scored below the full match,
 	// and the score policy ranks the full match first.
-	ms, err = tr.ImportGradedWith(ctx, "B", Where("x == 1 && y == 1"),
-		MinGrade(match.GradePartial), OrderBy("score"))
+	ms, err = tr.ImportGraded(ctx, NewImport("B", Where("x == 1 && y == 1"),
+		MinGrade(match.GradePartial), OrderBy("score")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,42 +201,6 @@ func TestImportGradedPartialAttribute(t *testing.T) {
 	}
 	if grades := reg.CounterVec("cosm_trader_match_grade_total", "", "grade").Snapshot(); grades["partial-attribute"] != 1 {
 		t.Fatalf("grade counters = %v, want partial-attribute=1", grades)
-	}
-}
-
-// TestPluggableMatchPhase proves the pipeline accepts external stages:
-// a WithMatchPhase stage that halves every score and demotes offers
-// missing a property reorders and filters the result.
-func TestPluggableMatchPhase(t *testing.T) {
-	ctx := context.Background()
-	demote := match.PhaseFunc[*Offer]{
-		PhaseName: "demote-unpriced",
-		Fn: func(gs []match.Graded[*Offer]) []match.Graded[*Offer] {
-			kept := gs[:0]
-			for _, g := range gs {
-				if _, ok := g.Item.Props["y"]; ok {
-					kept = append(kept, g)
-				}
-			}
-			return kept
-		},
-	}
-	tr := New("S", hierDiamondRepo(t), WithMatchPhase(demote))
-	exportDiamond(t, tr)
-
-	ms, err := tr.ImportGradedWith(ctx, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only B and D carry a "y" property; A and C are dropped by the
-	// plugged-in phase.
-	if len(ms) != 2 {
-		t.Fatalf("phase-filtered matches = %+v, want B and D", ms)
-	}
-	for _, m := range ms {
-		if m.Type != "B" && m.Type != "D" {
-			t.Fatalf("phase kept %s, want only B and D", m.Type)
-		}
 	}
 }
 
@@ -300,7 +264,7 @@ func TestMeshSummaryRoutesSubtypeCoverage(t *testing.T) {
 		t.Fatalf("gossip round pushed %d, failed %d", pushed, failed)
 	}
 	before := hub.FedStats()
-	ms, err := hub.ImportGradedWith(ctx, "C", Hops(1))
+	ms, err := hub.ImportGraded(ctx, NewImport("C", Hops(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +283,7 @@ type ungradedFederate struct{ offers []*Offer }
 
 func (f *ungradedFederate) FederationID() string { return "OLD" }
 
-func (f *ungradedFederate) FederatedImport(context.Context, ImportRequest) ([]Match, error) {
+func (f *ungradedFederate) ImportGraded(context.Context, ImportRequest) ([]Match, error) {
 	ms := make([]Match, len(f.offers))
 	for i, o := range f.offers {
 		ms[i] = Match{Offer: o}
@@ -336,7 +300,7 @@ func TestFederationRegradesOldPeerMatches(t *testing.T) {
 	a := New("A", hierDiamondRepo(t))
 	mustLink(t, a, "old", old)
 
-	ms, err := a.ImportGradedWith(ctx, "A", Hops(1))
+	ms, err := a.ImportGraded(ctx, NewImport("A", Hops(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +309,7 @@ func TestFederationRegradesOldPeerMatches(t *testing.T) {
 	}
 
 	// The origin re-applies the grade floor the old peer ignored.
-	ms, err = a.ImportGradedWith(ctx, "A", Hops(1), MinGrade(match.GradeExact))
+	ms, err = a.ImportGraded(ctx, NewImport("A", Hops(1), MinGrade(match.GradeExact)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,6 +325,9 @@ func TestFederationRegradesOldPeerMatches(t *testing.T) {
 // histories over randomized type hierarchies — declared chains,
 // structural-only conformance and diamonds included — and asserts every
 // graded import returns byte-identical results (IDs, grades, scores).
+// Replace, MarkSuspect, Withdraw and Export are interleaved between the
+// imports, so every import may find snapshots, indexes and the result
+// cache invalidated by the write just before it.
 func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(11))
@@ -406,8 +373,8 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 		traders := []*Trader{indexed, linear}
 
 		var ids []string
-		export := func() {
-			typ := names[r.Intn(len(names))]
+		typeOf := map[string]string{}
+		randProps := func(typ string) []sidl.Property {
 			props := make([]sidl.Property, 0, len(attrsOf[typ])+1)
 			for _, a := range attrsOf[typ] {
 				props = append(props, sidl.Property{Name: a, Value: sidl.IntLit(int64(r.Intn(10)))})
@@ -415,6 +382,11 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 			if r.Intn(3) == 0 {
 				props = append(props, sidl.Property{Name: "extra", Value: sidl.IntLit(int64(r.Intn(10)))})
 			}
+			return props
+		}
+		export := func() {
+			typ := names[r.Intn(len(names))]
+			props := randProps(typ)
 			target := hierRef(len(ids) + 1)
 			var firstID string
 			for i, tr := range traders {
@@ -429,6 +401,29 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 				}
 			}
 			ids = append(ids, firstID)
+			typeOf[firstID] = typ
+		}
+		// write applies one random mutation to both traders; an ID already
+		// withdrawn must be refused by both alike.
+		write := func() {
+			id := ids[r.Intn(len(ids))]
+			var op func(*Trader) error
+			switch r.Intn(4) {
+			case 0:
+				export()
+				return
+			case 1:
+				props := randProps(typeOf[id])
+				op = func(tr *Trader) error { return tr.Replace(id, props) }
+			case 2:
+				suspect := r.Intn(2) == 0
+				op = func(tr *Trader) error { return tr.MarkSuspect(id, suspect) }
+			default:
+				op = func(tr *Trader) error { return tr.Withdraw(id) }
+			}
+			if errA, errB := op(indexed), op(linear); (errA == nil) != (errB == nil) {
+				t.Fatalf("trial %d write on %s: errs %v vs %v", trial, id, errA, errB)
+			}
 		}
 
 		leaf := func() string {
@@ -452,6 +447,9 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 
 		check := func(round int) {
 			for k := 0; k < 12; k++ {
+				if r.Intn(2) == 0 {
+					write()
+				}
 				reqType := names[r.Intn(len(names))]
 				if r.Intn(8) == 0 {
 					reqType = "Unknown"

@@ -738,7 +738,11 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		for _, e := range idsV.Elems {
 			ids = append(ids, e.Str)
 		}
-		call.Result = xcode.NewInt(tt.int32T, int64(t.WithdrawAll(ids)))
+		n, err := t.WithdrawAll(ids)
+		if err != nil {
+			return err
+		}
+		call.Result = xcode.NewInt(tt.int32T, int64(n))
 		return nil
 	})
 	svc.MustHandle("Replace", func(call *cosm.Call) error {

@@ -79,7 +79,7 @@ func TestRemoteExportImportLifecycle(t *testing.T) {
 	if err := tc.Replace(ctx, id, carProps("FIAT_Uno", 75, "USD")); err != nil {
 		t.Fatal(err)
 	}
-	one, err := tc.ImportOne(ctx, ImportRequest{Type: "CarRentalService"})
+	one, err := ImportOne(ctx, tc, ImportRequest{Type: "CarRentalService"})
 	if err != nil || one.Props["ChargePerDay"] != sidl.FloatLit(75) {
 		t.Fatalf("after replace: %+v, %v", one, err)
 	}
@@ -87,7 +87,7 @@ func TestRemoteExportImportLifecycle(t *testing.T) {
 	if err := tc.Withdraw(ctx, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.ImportOne(ctx, ImportRequest{Type: "CarRentalService"}); !errors.Is(err, ErrNoOffer) {
+	if _, err := ImportOne(ctx, tc, ImportRequest{Type: "CarRentalService"}); !errors.Is(err, ErrNoOffer) {
 		t.Fatalf("err = %v", err)
 	}
 	// Remote errors propagate.
@@ -110,7 +110,7 @@ func TestRemoteExportSIDAndManagement(t *testing.T) {
 	if _, err := tc.ExportSID(ctx, sid, target); err != nil {
 		t.Fatal(err)
 	}
-	one, err := tc.ImportOne(ctx, ImportRequest{Type: "CarRentalService"})
+	one, err := ImportOne(ctx, tc, ImportRequest{Type: "CarRentalService"})
 	if err != nil || one.Ref != target {
 		t.Fatalf("offer = %+v, %v", one, err)
 	}
@@ -231,8 +231,8 @@ func TestLinkManagementOverWire(t *testing.T) {
 
 	// The scatter knobs survive the wire round trip: a remote import
 	// with MaxPeers and Hedge still reaches B's offer.
-	offers, err := clientA.ImportWith(ctx, "CarRentalService",
-		Hops(1), MaxPeers(1), Hedge(50*time.Millisecond))
+	offers, err := clientA.Import(ctx, NewImport("CarRentalService",
+		Hops(1), MaxPeers(1), Hedge(50*time.Millisecond)))
 	if err != nil || len(offers) != 1 || offers[0].Ref != carRef(2) {
 		t.Fatalf("remote routed import = %+v, %v", offers, err)
 	}
@@ -276,5 +276,47 @@ func TestLitWireCodec(t *testing.T) {
 		if _, err := decodeLit(bad[0], bad[1]); err == nil {
 			t.Fatalf("decodeLit(%q, %q) should fail", bad[0], bad[1])
 		}
+	}
+}
+
+// TestRemoteWithdrawAllFollowsLeaderHint: a provider's batch
+// deregistration sent to a read replica must not silently withdraw
+// nothing. The follower refuses it like any other mutation, and a
+// client following leader hints lands it on the leader with the right
+// count.
+func TestRemoteWithdrawAllFollowsLeaderHint(t *testing.T) {
+	ctx := context.Background()
+	_, leader, leaderRef := startTraderNode(t, "trd-wall-leader", "HA")
+	fnode, follower, followerRef := startTraderNode(t, "trd-wall-follower", "HA")
+	follower.SetFollower(leaderRef.String())
+
+	var ids []string
+	for i := 1; i <= 3; i++ {
+		id, err := leader.Export("CarRentalService", carRef(i), carProps("AUDI", float64(100+i), "USD"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	batch := append([]string{"HA/o999"}, ids[:2]...)
+
+	tc, err := DialTrader(ctx, fnode.Pool(), followerRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := tc.WithdrawAll(ctx, batch); !isNotLeaderError(err) {
+		t.Fatalf("WithdrawAll at a follower = %d, %v; want a not-leader rejection", n, err)
+	}
+	if leader.OfferCount() != 3 {
+		t.Fatalf("rejected batch withdrew offers: %d left", leader.OfferCount())
+	}
+
+	tc.FollowLeaderHints(true)
+	n, err := tc.WithdrawAll(ctx, batch)
+	if err != nil {
+		t.Fatalf("redirected WithdrawAll: %v", err)
+	}
+	if n != 2 || leader.OfferCount() != 1 {
+		t.Fatalf("redirected WithdrawAll = %d with %d offers left at the leader, want 2 and 1", n, leader.OfferCount())
 	}
 }

@@ -182,9 +182,10 @@ func (st *offerStore) removeFromBucketLocked(sh *storeShard, o *Offer) {
 	}
 }
 
-// update swaps the stored offer for id with mutate's copy (copy-on-
-// write: mutate must return a fresh *Offer, never modify the old one).
-func (st *offerStore) update(id string, mutate func(*Offer) *Offer) (*Offer, bool) {
+// update swaps the stored offer for id with a copy edited by set (copy-
+// on-write: stored offers are immutable, so set only ever sees the
+// fresh copy) and returns that copy.
+func (st *offerStore) update(id string, set func(fresh *Offer)) (*Offer, bool) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
@@ -193,22 +194,24 @@ func (st *offerStore) update(id string, mutate func(*Offer) *Offer) (*Offer, boo
 			sh.mu.Unlock()
 			continue
 		}
-		fresh := mutate(o)
-		sh.byID[id] = fresh
+		fresh := *o
+		set(&fresh)
+		sh.byID[id] = &fresh
 		if b := sh.types[o.Type]; b != nil {
-			b.offers[id] = fresh
+			b.offers[id] = &fresh
 			b.version++
 			b.snap.Store(nil)
 		}
 		sh.mu.Unlock()
-		return fresh, true
+		return &fresh, true
 	}
 	return nil, false
 }
 
-// purgeExpired removes offers whose lease ran out at time now.
-func (st *offerStore) purgeExpired(now time.Time) int {
-	n := 0
+// purgeExpired removes and returns the offers whose lease ran out at
+// time now.
+func (st *offerStore) purgeExpired(now time.Time) []*Offer {
+	var purged []*Offer
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
@@ -218,11 +221,11 @@ func (st *offerStore) purgeExpired(now time.Time) int {
 			}
 			delete(sh.byID, id)
 			st.removeFromBucketLocked(sh, o)
-			n++
+			purged = append(purged, o)
 		}
 		sh.mu.Unlock()
 	}
-	return n
+	return purged
 }
 
 // typeCounts returns the number of stored, unexpired offers per
@@ -297,8 +300,9 @@ func (st *offerStore) all() []*Offer {
 	return out
 }
 
-// resolve is phase 1 of the matching pipeline: the graded stored type
-// buckets whose offers satisfy requests for reqType — the type itself
+// resolve is phase 1 of the matcher (see localMatches): the graded
+// stored type buckets whose offers satisfy requests for reqType — the
+// type itself
 // (exact) plus every stored type in its conformant closure (subtype,
 // scored by hierarchy distance). The closure comes from the typemgr
 // hierarchy index, so this never walks conformance per stored type; the

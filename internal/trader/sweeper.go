@@ -214,7 +214,7 @@ func (sw *Sweeper) SweepOnce(ctx context.Context) SweepReport {
 
 	// Shared immutable snapshots — the sweeper only reads Ref/ID/Suspect,
 	// so it skips the management view's per-offer deep copy.
-	offers := sw.t.liveOffers()
+	offers := sw.t.store.live(sw.t.now())
 
 	// One probe per distinct provider reference: a provider exporting
 	// ten offers is pinged once, and all ten share the verdict.

@@ -24,7 +24,6 @@ import (
 var (
 	ErrOfferUnknown = errors.New("trader: unknown offer")
 	ErrNoOffer      = errors.New("trader: no matching offer")
-	ErrHopLimit     = errors.New("trader: federation hop limit exhausted")
 )
 
 // Offer is one exported service offer: the triangular relationship of
@@ -129,11 +128,10 @@ type LinkDialer func(ctx context.Context, peer ref.ServiceRef) (Federate, error)
 // Federate is the linked-trader interface used for federation: both
 // *Trader (in-process links) and *Client (remote links) implement it.
 type Federate interface {
-	// FederatedImport answers an import on behalf of a partner trader,
-	// returning graded matches. Peers that predate grading return
-	// GradeNone matches; the origin trader re-grades those against its
-	// own hierarchy view.
-	FederatedImport(ctx context.Context, req ImportRequest) ([]Match, error)
+	// ImportGraded answers an import on behalf of a partner trader.
+	// Peers that predate grading return GradeNone matches; the origin
+	// trader re-grades those against its own hierarchy view.
+	ImportGraded(ctx context.Context, req ImportRequest) ([]Match, error)
 	// FederationID globally identifies the trader for loop protection.
 	FederationID() string
 }
@@ -158,12 +156,6 @@ type Trader struct {
 	linkPolicy wire.BreakerPolicy
 	linkDialer LinkDialer
 
-	// summaryTTL bounds how long a gossiped offer summary may steer
-	// routing; older summaries degrade the link to unknown coverage
-	// (always consulted). Zero means summaries never expire.
-	summaryTTL    time.Duration
-	gossipHorizon int
-
 	// Federation scatter tallies (see FedStats).
 	fedImports atomic.Uint64
 	fedPeers   atomic.Uint64
@@ -176,11 +168,6 @@ type Trader struct {
 
 	now      func() time.Time
 	useIndex bool
-
-	// matchPhases are pluggable matcher stages run after the built-in
-	// resolve/filter/score phases on every local match pass (see
-	// WithMatchPhase).
-	matchPhases []match.Phase[*Offer]
 
 	// constraints caches compiled constraint expressions (bounded LRU;
 	// nil disables caching).
@@ -198,7 +185,7 @@ type Trader struct {
 	// applyMu orders journalled mutations against snapshot capture:
 	// mutations hold it shared across append+apply, JournalSnapshot
 	// holds it exclusively, so a snapshot never misses a journalled
-	// record (see journalApply in durable.go).
+	// record (see commit in durable.go).
 	applyMu sync.RWMutex
 
 	// repl carries the replication role, fencing epoch and follower
@@ -298,24 +285,11 @@ func newTraderMetrics(reg *obs.Registry) traderMetrics {
 // Option configures a Trader.
 type Option func(*Trader)
 
-// WithRandSeed seeds the "random" selection policy deterministically
-// (tests, reproducible benchmarks).
-func WithRandSeed(seed int64) Option {
-	return func(t *Trader) { t.rng = rand.New(rand.NewSource(seed)) }
-}
-
 // WithoutOfferIndex makes imports scan all offers linearly instead of
 // using the sharded type snapshots; only the offer-index ablation
 // benchmark and the index-equivalence property test should want this.
 func WithoutOfferIndex() Option {
 	return func(t *Trader) { t.useIndex = false }
-}
-
-// WithoutConstraintCache disables the compiled-constraint cache, so
-// every import re-parses its constraint; only the constraint-compile
-// ablation benchmark should want this.
-func WithoutConstraintCache() Option {
-	return func(t *Trader) { t.constraints = nil }
 }
 
 // WithConstraintCacheSize bounds the compiled-constraint LRU to n
@@ -332,16 +306,6 @@ func WithConstraintCacheSize(n int) Option {
 // the cache.
 func WithImportCacheTTL(d time.Duration) Option {
 	return func(t *Trader) { t.importTTL = d }
-}
-
-// WithMatchPhase appends a pluggable stage to the semantic matching
-// pipeline, run over the local match set after the built-in
-// resolve/filter/score phases — the slot custom matchers (business
-// rules, re-rankers, mediation planners) plug into. Phases must be
-// deterministic and side-effect free on the offers: results may be
-// served from the import cache, and offers are shared snapshots.
-func WithMatchPhase(p match.Phase[*Offer]) Option {
-	return func(t *Trader) { t.matchPhases = append(t.matchPhases, p) }
 }
 
 // WithClock injects a time source for lease handling (tests use a fake
@@ -388,22 +352,6 @@ func WithLinkPolicy(policy wire.BreakerPolicy) Option {
 	return func(t *Trader) { t.linkPolicy = policy }
 }
 
-// WithSummaryTTL bounds how long a gossiped offer summary may steer
-// federated routing (default 30s): a link whose summary is older is
-// treated as having unknown coverage and is always consulted, so a
-// stalled gossiper degrades to the full fan-out instead of hiding
-// offers. d <= 0 means summaries never expire.
-func WithSummaryTTL(d time.Duration) Option {
-	return func(t *Trader) { t.summaryTTL = d }
-}
-
-// WithGossipHorizon bounds how far reachability is re-advertised in
-// this trader's summaries: 1 advertises only its own offers, 2 (the
-// default) also relays what its direct links advertise as their own.
-func WithGossipHorizon(h int) Option {
-	return func(t *Trader) { t.gossipHorizon = h }
-}
-
 // WithEvents feeds the trader's cluster-lifecycle transitions into ev,
 // the node's event timeline (exposed at /debug/events and merged
 // cluster-wide by `cosmcli events`). A nil ev disables the feed.
@@ -434,16 +382,14 @@ func WithReplSync(n int, timeout time.Duration) Option {
 // repository. The identity must be unique within a federation.
 func New(id string, types *typemgr.Repo, opts ...Option) *Trader {
 	t := &Trader{
-		id:            id,
-		types:         types,
-		rng:           rand.New(rand.NewSource(1)),
-		now:           time.Now,
-		useIndex:      true,
-		constraints:   newLRU[*Constraint](defaultConstraintCacheSize),
-		importTTL:     defaultImportCacheTTL,
-		linkPolicy:    wire.DefaultBreakerPolicy(),
-		summaryTTL:    defaultSummaryTTL,
-		gossipHorizon: defaultGossipHorizon,
+		id:          id,
+		types:       types,
+		rng:         rand.New(rand.NewSource(1)),
+		now:         time.Now,
+		useIndex:    true,
+		constraints: newLRU[*Constraint](defaultConstraintCacheSize),
+		importTTL:   defaultImportCacheTTL,
+		linkPolicy:  wire.DefaultBreakerPolicy(),
 	}
 	for _, o := range opts {
 		o(t)
@@ -484,8 +430,11 @@ func (t *Trader) ExportLease(serviceType string, r ref.ServiceRef, props []sidl.
 	offer := t.makeOffer(serviceType, r, props, ttl)
 	// WAL-first: a crash after the append replays the export, a crash
 	// before it rejects the call — never a silently lost offer.
-	rec := &walRecord{Op: opExport, Offers: []OfferRecord{offerToRecord(offer)}}
-	if err := t.journalApply(rec, func() { t.commitOffer(offer, ttl) }); err != nil {
+	applied, err := t.commit(&mutation{op: opExport, offers: []*Offer{offer}})
+	for _, o := range applied {
+		t.noteExport(o, ttl)
+	}
+	if err != nil {
 		return "", err
 	}
 	return offer.ID, nil
@@ -498,26 +447,39 @@ func checkExport(types *typemgr.Repo, serviceType string, ttl time.Duration, pro
 	return types.CheckOffer(serviceType, props)
 }
 
-// makeOffer builds one pre-validated offer with a fresh ID; the caller
-// journals and then commits it.
-func (t *Trader) makeOffer(serviceType string, r ref.ServiceRef, props []sidl.Property, ttl time.Duration) *Offer {
-	propMap := make(map[string]sidl.Lit, len(props))
+// propMap indexes a validated property list by name.
+func propMap(props []sidl.Property) map[string]sidl.Lit {
+	m := make(map[string]sidl.Lit, len(props))
 	for _, p := range props {
-		propMap[p.Name] = p.Value
+		m[p.Name] = p.Value
 	}
+	return m
+}
+
+// makeOffer builds one pre-validated offer with a fresh ID; the caller
+// commits it.
+func (t *Trader) makeOffer(serviceType string, r ref.ServiceRef, props []sidl.Property, ttl time.Duration) *Offer {
 	id := t.id + "/o" + strconv.FormatUint(t.seq.Add(1), 10)
-	offer := &Offer{ID: id, Type: serviceType, Ref: r, Props: propMap}
+	offer := &Offer{ID: id, Type: serviceType, Ref: r, Props: propMap(props)}
 	if ttl > 0 {
 		offer.Expires = t.now().Add(ttl)
 	}
 	return offer
 }
 
-// commitOffer stores a journalled offer.
-func (t *Trader) commitOffer(offer *Offer, ttl time.Duration) {
-	t.store.insert(offer)
+// noteExport counts and logs one live export. Only the live path calls
+// it: replayed and replicated exports are not market activity here.
+func (t *Trader) noteExport(o *Offer, ttl time.Duration) {
 	t.metrics.exports.Inc()
-	t.log.Log(nil, "export", "offer", offer.ID, "type", offer.Type, "ref", offer.Ref.String(), "ttl", ttl)
+	t.log.Log(nil, "export", "offer", o.ID, "type", o.Type, "ref", o.Ref.String(), "ttl", ttl)
+}
+
+// noteWithdrawals counts and logs live withdrawals.
+func (t *Trader) noteWithdrawals(gone []*Offer) {
+	for _, o := range gone {
+		t.metrics.withdrawals.Inc()
+		t.log.Log(nil, "withdraw", "offer", o.ID, "type", o.Type)
+	}
 }
 
 // ExportItem is one offer of an ExportAll batch.
@@ -543,20 +505,18 @@ func (t *Trader) ExportAll(items []ExportItem) ([]string, error) {
 		}
 	}
 	offers := make([]*Offer, len(items))
-	recs := make([]OfferRecord, len(items))
+	ids := make([]string, len(items))
 	for i := range items {
 		offers[i] = t.makeOffer(items[i].Type, items[i].Ref, items[i].Props, items[i].TTL)
-		recs[i] = offerToRecord(offers[i])
+		ids[i] = offers[i].ID
 	}
-	// One journal record covers the whole batch: it registers completely
-	// or not at all, matching the call's atomicity contract.
-	ids := make([]string, len(items))
-	err := t.journalApply(&walRecord{Op: opExport, Offers: recs}, func() {
-		for i := range items {
-			t.commitOffer(offers[i], items[i].TTL)
-			ids[i] = offers[i].ID
-		}
-	})
+	// One mutation, hence one journal record, covers the whole batch: it
+	// registers completely or not at all, matching the call's atomicity
+	// contract.
+	applied, err := t.commit(&mutation{op: opExport, offers: offers})
+	for i, o := range applied {
+		t.noteExport(o, items[i].TTL)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -573,154 +533,91 @@ func (t *Trader) ExportSID(sid *sidl.SID, r ref.ServiceRef) (string, error) {
 	return t.Export(sid.Trader.TypeOfService, r, sid.Trader.Properties)
 }
 
-// Withdraw removes an offer by ID.
-func (t *Trader) Withdraw(offerID string) error {
+// target is the shared gate of the single-offer mutations: only a leader
+// mutates, and — the log carries no rejected operations — an ID the
+// store does not hold is refused before anything is journalled. A
+// concurrent withdrawal may still win the race to apply; the then-empty
+// record is idempotent on replay and oneApplied reports the offer
+// unknown all the same.
+func (t *Trader) target(offerID string) (*Offer, error) {
 	if err := t.leaderCheck(); err != nil {
-		return err
+		return nil, err
 	}
-	if t.journalled() {
-		// WAL-first, but only for offers that exist: the log carries no
-		// rejected withdrawals. A concurrent withdrawal may still win the
-		// race below; the duplicate record is idempotent on replay.
-		if _, ok := t.store.lookup(offerID); !ok {
-			return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
-		}
-		var raced bool
-		err := t.journalApply(&walRecord{Op: opWithdraw, IDs: []string{offerID}}, func() {
-			offer, ok := t.store.remove(offerID)
-			if !ok {
-				raced = true
-				return
-			}
-			t.metrics.withdrawals.Inc()
-			t.log.Log(nil, "withdraw", "offer", offerID, "type", offer.Type)
-		})
-		if err != nil {
-			return err
-		}
-		if raced {
-			return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
-		}
-		return nil
-	}
-	offer, ok := t.store.remove(offerID)
+	offer, ok := t.store.lookup(offerID)
 	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
+	}
+	return offer, nil
+}
+
+// oneApplied turns the outcome of a single-offer commit into the call's
+// error: losing the race described at target leaves nothing applied and
+// surfaces as ErrOfferUnknown.
+func oneApplied(applied []*Offer, err error, offerID string) error {
+	if err == nil && len(applied) == 0 {
 		return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
 	}
-	t.metrics.withdrawals.Inc()
-	t.log.Log(nil, "withdraw", "offer", offerID, "type", offer.Type)
-	return nil
+	return err
+}
+
+// Withdraw removes an offer by ID.
+func (t *Trader) Withdraw(offerID string) error {
+	if _, err := t.target(offerID); err != nil {
+		return err
+	}
+	gone, err := t.commit(&mutation{op: opWithdraw, ids: []string{offerID}})
+	t.noteWithdrawals(gone)
+	return oneApplied(gone, err, offerID)
 }
 
 // WithdrawAll removes a batch of offers and returns how many were
 // actually withdrawn. Unknown IDs are skipped, so the call is
-// idempotent — the shape a provider's shutdown path wants. A journal
-// append failure is logged and the in-memory withdrawal proceeds: the
-// call's contract is idempotent best-effort, and a provider retry after
-// a recovery that resurrected the offers heals the divergence.
-func (t *Trader) WithdrawAll(offerIDs []string) int {
+// idempotent — the shape a provider's shutdown path wants. A follower
+// refuses with ErrNotLeader like every other mutation. A journal append
+// failure is logged and the in-memory withdrawal proceeds: the call's
+// contract is idempotent best-effort, and a provider retry after a
+// recovery that resurrected the offers heals the divergence.
+func (t *Trader) WithdrawAll(offerIDs []string) (int, error) {
 	if err := t.leaderCheck(); err != nil {
-		t.log.Log(nil, "not_leader", "op", opWithdrawAll, "err", err.Error())
-		return 0
+		return 0, err
 	}
 	if len(offerIDs) == 0 {
-		return 0
+		return 0, nil
 	}
-	n, removed := 0, false
-	remove := func() {
-		removed = true
-		for _, id := range offerIDs {
-			if offer, ok := t.store.remove(id); ok {
-				n++
-				t.metrics.withdrawals.Inc()
-				t.log.Log(nil, "withdraw", "offer", id, "type", offer.Type)
-			}
-		}
-	}
-	if err := t.journalApply(&walRecord{Op: opWithdrawAll, IDs: offerIDs}, remove); err != nil {
+	m := &mutation{op: opWithdrawAll, ids: offerIDs}
+	gone, err := t.commit(m)
+	if errors.Is(err, errJournalAppend) {
 		t.log.Log(nil, "journal_error", "op", opWithdrawAll, "err", err.Error())
+		gone, err = t.apply(m), nil
 	}
-	if !removed {
-		// The append itself failed, so the in-memory withdrawal never
-		// ran; proceed with it — the call is idempotent best-effort.
-		remove()
-	}
-	return n
+	t.noteWithdrawals(gone)
+	return len(gone), err
 }
 
 // Replace atomically replaces the properties of an existing offer (the
 // "replacing of exported services" operation of section 2.1). The new
 // properties must still satisfy the offer's service type.
 func (t *Trader) Replace(offerID string, props []sidl.Property) error {
-	if err := t.leaderCheck(); err != nil {
+	offer, err := t.target(offerID)
+	if err != nil {
 		return err
-	}
-	offer, ok := t.store.lookup(offerID)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
 	}
 	if err := t.types.CheckOffer(offer.Type, props); err != nil {
 		return err
 	}
-	propMap := make(map[string]sidl.Lit, len(props))
-	for _, p := range props {
-		propMap[p.Name] = p.Value
-	}
-	rec := &walRecord{Op: opReplace, IDs: []string{offerID}, Props: propsToRecords(propMap)}
-	err := t.journalApply(rec, func() {
-		// Copy-on-write swap; the offer may have been withdrawn
-		// meanwhile (the journalled record is idempotent on replay).
-		_, ok = t.store.update(offerID, func(old *Offer) *Offer {
-			fresh := *old
-			fresh.Props = propMap
-			return &fresh
-		})
-	})
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
-	}
-	return nil
+	applied, err := t.commit(&mutation{op: opReplace, ids: []string{offerID}, props: propMap(props)})
+	return oneApplied(applied, err, offerID)
 }
 
 // MarkSuspect flags or clears the liveness suspicion on an offer (see
 // Offer.Suspect). It is called by the Sweeper; operators can also set
 // it by hand through the management view.
 func (t *Trader) MarkSuspect(offerID string, suspect bool) error {
-	if err := t.leaderCheck(); err != nil {
+	if _, err := t.target(offerID); err != nil {
 		return err
 	}
-	if t.journalled() {
-		if _, ok := t.store.lookup(offerID); !ok {
-			return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
-		}
-		var ok bool
-		err := t.journalApply(&walRecord{Op: opSuspect, IDs: []string{offerID}, Suspect: suspect}, func() {
-			_, ok = t.store.update(offerID, func(old *Offer) *Offer {
-				fresh := *old
-				fresh.Suspect = suspect
-				return &fresh
-			})
-		})
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
-		}
-		return nil
-	}
-	_, ok := t.store.update(offerID, func(old *Offer) *Offer {
-		fresh := *old
-		fresh.Suspect = suspect
-		return &fresh
-	})
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
-	}
-	return nil
+	applied, err := t.commit(&mutation{op: opSuspect, ids: []string{offerID}, suspect: suspect})
+	return oneApplied(applied, err, offerID)
 }
 
 // OfferCount returns the number of stored, unexpired offers.
@@ -740,13 +637,6 @@ func (t *Trader) Offers() []*Offer {
 	return out
 }
 
-// liveOffers returns the stored, unexpired offers sorted by ID without
-// copying; the offers are immutable and must not be modified. The
-// sweeper's probe loop uses this view.
-func (t *Trader) liveOffers() []*Offer {
-	return t.store.live(t.now())
-}
-
 // PurgeExpired removes offers whose lease has run out and returns how
 // many were reclaimed.
 func (t *Trader) PurgeExpired() int {
@@ -756,14 +646,15 @@ func (t *Trader) PurgeExpired() int {
 		// regardless, so a follower never purges on its own.
 		return 0
 	}
-	now := t.now()
-	n := t.store.purgeExpired(now)
+	// Apply first, journal only a purge that reclaimed something (the
+	// sweeper calls this every round), with the purge instant: replay
+	// re-evaluates expiry against the same absolute time, so recovery
+	// reclaims exactly the offers this call did. Apply-before-append only
+	// ever leaves a snapshot ahead of the watermark, which replay tolerates.
+	m := &mutation{op: opPurge, at: t.now()}
+	n := len(t.apply(m))
 	if n > 0 {
-		// Journalled after-apply with the purge instant: replay re-evaluates
-		// expiry against the same absolute time, so recovery reclaims
-		// exactly the offers this call did. Apply-before-append only ever
-		// leaves a snapshot ahead of the watermark, which replay tolerates.
-		if err := t.journalApply(&walRecord{Op: opPurge, At: now.UnixNano()}, nil); err != nil {
+		if err := t.journalRecord(m.record()); err != nil {
 			t.log.Log(nil, "journal_error", "op", opPurge, "err", err.Error())
 		}
 		t.metrics.purged.Add(uint64(n))
@@ -791,7 +682,11 @@ func effectiveMinGrade(g match.Grade) match.Grade {
 // The returned offers are shared immutable snapshots; callers must not
 // modify them.
 func (t *Trader) Import(ctx context.Context, req ImportRequest) ([]*Offer, error) {
-	ms, err := t.ImportGraded(ctx, req)
+	return offersOf(t.ImportGraded(ctx, req))
+}
+
+// offersOf projects a graded import result onto its offers.
+func offersOf(ms []Match, err error) ([]*Offer, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -803,10 +698,10 @@ func (t *Trader) Import(ctx context.Context, req ImportRequest) ([]*Offer, error
 }
 
 // ImportGraded is the semantic import: every returned offer carries the
-// grade and score the matching pipeline assigned it (exact type,
-// conforming subtype, or — when req.MinGrade admits it — partial
-// attribute satisfaction). See Import for the ungraded convenience
-// wrapper and the result-ordering contract.
+// grade and score the matcher assigned it (exact type, conforming
+// subtype, or — when req.MinGrade admits it — partial attribute
+// satisfaction). See Import for the ungraded projection and the
+// result-ordering contract.
 func (t *Trader) ImportGraded(ctx context.Context, req ImportRequest) ([]Match, error) {
 	t.metrics.imports.With(req.Type).Inc()
 	constraint, err := t.compile(req.Constraint)
@@ -844,10 +739,7 @@ func (t *Trader) ImportGraded(ctx context.Context, req ImportRequest) ([]Match, 
 		storeGen, repoGen = t.store.gens()
 	}
 
-	matches, consulted, err := t.localMatches(req.Type, constraint, minGrade)
-	if err != nil {
-		return nil, err
-	}
+	matches, consulted := t.localMatches(req.Type, constraint, minGrade)
 
 	if req.HopLimit > 0 {
 		matches = append(matches, t.federatedMatches(ctx, req)...)
@@ -918,24 +810,6 @@ func (t *Trader) recordMatches(ms []Match) {
 	}
 }
 
-// ImportOne returns the single best offer, or ErrNoOffer.
-func (t *Trader) ImportOne(ctx context.Context, req ImportRequest) (*Offer, error) {
-	req.Max = 1
-	offers, err := t.Import(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if len(offers) == 0 {
-		return nil, fmt.Errorf("%w: type %q constraint %q", ErrNoOffer, req.Type, req.Constraint)
-	}
-	return offers[0], nil
-}
-
-// FederatedImport implements Federate for in-process links.
-func (t *Trader) FederatedImport(ctx context.Context, req ImportRequest) ([]Match, error) {
-	return t.ImportGraded(ctx, req)
-}
-
 // compile returns the compiled form of a constraint expression, served
 // from the bounded LRU when possible.
 func (t *Trader) compile(src string) (*Constraint, error) {
@@ -955,78 +829,60 @@ func (t *Trader) compile(src string) (*Constraint, error) {
 	return c, nil
 }
 
-// localMatches runs the semantic matching pipeline over the local
-// store: phase 1 resolves the requested type to its graded conformant
-// closure, phase 2 filters each closure bucket through the compiled
-// constraint (index-narrowed when only full matches are wanted), phase
-// 3 scores the survivors, and any WithMatchPhase stages run last. The
-// result is sorted by offer ID; the bucket versions consulted feed the
-// import-result cache. Offers are shared immutable snapshots.
-func (t *Trader) localMatches(reqType string, constraint *Constraint, minGrade match.Grade) ([]Match, []bucketVersion, error) {
+// localMatches is the matcher over the local store. Phase 1 resolves
+// the requested type to the stored buckets of its graded conformant
+// closure; phases 2 and 3 filter each bucket through the compiled
+// constraint (index-narrowed when only full matches are wanted) and
+// grade the survivors. A bucket whose type grade is below the floor is
+// skipped outright unless the floor admits partial-attribute matches,
+// which any conformant offer may still yield. The result is sorted by
+// offer ID; the bucket versions consulted feed the import-result cache.
+// Offers are shared immutable snapshots.
+func (t *Trader) localMatches(reqType string, constraint *Constraint, minGrade match.Grade) ([]Match, []bucketVersion) {
 	now := t.now()
-
+	if !t.useIndex {
+		return t.linearMatches(reqType, constraint, minGrade, now), nil
+	}
+	var matches []Match
 	var consulted []bucketVersion
-	pipe := &match.Pipeline[*Offer]{
-		Phases: t.matchPhases,
-		Gather: func(tm match.TypeMatch, min match.Grade) ([]match.Graded[*Offer], error) {
-			snap, ok := t.store.snapshot(tm.Name)
-			if !ok {
-				return nil, nil // withdrawn since resolve; the gens catch it
-			}
-			consulted = append(consulted, bucketVersion{name: tm.Name, version: snap.version})
-			return t.gatherBucket(snap, tm, constraint, min, now), nil
-		},
-	}
-	if t.useIndex {
-		pipe.Resolve = func(rt string) ([]match.TypeMatch, error) { return t.store.resolve(rt), nil }
-	} else {
-		// Ablation path: no stored-bucket intersection, no snapshots,
-		// no index narrowing — the requested type's closure is walked
-		// per offer over a full store scan. WithoutOfferIndex is the
-		// equivalence oracle the property test compares against.
-		return t.linearMatches(reqType, constraint, minGrade, now)
-	}
-
-	gs, err := pipe.Run(reqType, minGrade)
-	if err != nil {
-		return nil, nil, err
-	}
-	matches := make([]Match, len(gs))
-	for i, g := range gs {
-		matches[i] = Match{Offer: g.Item, Grade: g.Grade, Score: g.Score}
+	for _, tm := range t.store.resolve(reqType) {
+		if minGrade > match.GradePartial && !tm.Grade.AtLeast(minGrade) {
+			continue
+		}
+		snap, ok := t.store.snapshot(tm.Name)
+		if !ok {
+			continue // withdrawn since resolve; the gens catch it
+		}
+		consulted = append(consulted, bucketVersion{name: tm.Name, version: snap.version})
+		matches = t.appendBucket(matches, snap, tm, constraint, minGrade, now)
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
-	return matches, consulted, nil
+	return matches, consulted
 }
 
-// gatherBucket is phase 2+3 for one conformant type bucket: candidate
-// selection, constraint filtering and scoring. When the grade floor
+// appendBucket is phase 2+3 for one conformant type bucket: candidate
+// selection, constraint filtering and grading. When the grade floor
 // excludes partial-attribute matches the candidate set is narrowed
 // through the snapshot's attribute indexes (every index hint is a
 // necessary condition of a *full* match); with a partial floor the
 // whole bucket must be scanned, because an offer failing every hint may
 // still satisfy some conjuncts.
-func (t *Trader) gatherBucket(snap *typeSnapshot, tm match.TypeMatch, constraint *Constraint, minGrade match.Grade, now time.Time) []match.Graded[*Offer] {
-	var out []match.Graded[*Offer]
+func (t *Trader) appendBucket(out []Match, snap *typeSnapshot, tm match.TypeMatch, constraint *Constraint, minGrade match.Grade, now time.Time) []Match {
 	if minGrade > match.GradePartial {
 		candidates, kind := snap.candidates(constraint)
 		t.metrics.indexLookups.With(kind).Inc()
 		for _, o := range candidates {
-			if o.expired(now) {
-				continue
-			}
-			if constraint.Match(o.Props) {
-				out = append(out, match.Graded[*Offer]{Item: o, Grade: tm.Grade, Score: tm.Score})
+			if !o.expired(now) && constraint.Match(o.Props) {
+				out = append(out, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
 			}
 		}
 		return out
 	}
 	t.metrics.indexLookups.With("scan").Inc()
 	for _, o := range snap.offers {
-		if o.expired(now) {
-			continue
+		if !o.expired(now) {
+			out = appendGraded(out, o, tm, constraint)
 		}
-		out = appendGraded(out, o, tm, constraint)
 	}
 	return out
 }
@@ -1034,24 +890,23 @@ func (t *Trader) gatherBucket(snap *typeSnapshot, tm match.TypeMatch, constraint
 // appendGraded grades one type-conformant offer against the constraint
 // — full (inheriting the bucket's type grade) or partial-attribute —
 // and appends it; offers satisfying no conjunct are dropped.
-func appendGraded(out []match.Graded[*Offer], o *Offer, tm match.TypeMatch, constraint *Constraint) []match.Graded[*Offer] {
+func appendGraded(out []Match, o *Offer, tm match.TypeMatch, constraint *Constraint) []Match {
 	sat, total := constraint.satisfied(o.Props)
 	switch {
 	case sat == total:
-		out = append(out, match.Graded[*Offer]{Item: o, Grade: tm.Grade, Score: tm.Score})
+		out = append(out, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
 	case sat > 0:
-		out = append(out, match.Graded[*Offer]{
-			Item: o, Grade: match.GradePartial,
-			Score: match.PartialScore(tm.Score, sat, total),
-		})
+		out = append(out, Match{Offer: o, Grade: match.GradePartial, Score: match.PartialScore(tm.Score, sat, total)})
 	}
 	return out
 }
 
-// linearMatches is the WithoutOfferIndex oracle: a full-store linear
-// scan with a per-offer closure lookup, implementing exactly the same
-// graded semantics as the indexed pipeline.
-func (t *Trader) linearMatches(reqType string, constraint *Constraint, minGrade match.Grade, now time.Time) ([]Match, []bucketVersion, error) {
+// linearMatches is the WithoutOfferIndex oracle the index-equivalence
+// property test compares against: no stored-bucket intersection, no
+// snapshots, no index narrowing — a full-store scan with a per-offer
+// closure lookup, implementing exactly the graded semantics of
+// localMatches.
+func (t *Trader) linearMatches(reqType string, constraint *Constraint, minGrade match.Grade, now time.Time) []Match {
 	t.metrics.indexLookups.With("linear").Inc()
 	grades := map[string]match.TypeMatch{}
 	if cl, err := t.types.ConformingTypes(reqType); err == nil {
@@ -1062,7 +917,7 @@ func (t *Trader) linearMatches(reqType string, constraint *Constraint, minGrade 
 		// Unknown request type: only literal type names match.
 		grades[reqType] = match.TypeMatch{Name: reqType, Grade: match.GradeExact, Score: match.ScoreExact}
 	}
-	var gs []match.Graded[*Offer]
+	var matches []Match
 	for _, o := range t.store.all() {
 		tm, ok := grades[o.Type]
 		if !ok || o.expired(now) {
@@ -1070,20 +925,14 @@ func (t *Trader) linearMatches(reqType string, constraint *Constraint, minGrade 
 		}
 		if minGrade > match.GradePartial {
 			if tm.Grade.AtLeast(minGrade) && constraint.Match(o.Props) {
-				gs = append(gs, match.Graded[*Offer]{Item: o, Grade: tm.Grade, Score: tm.Score})
+				matches = append(matches, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
 			}
 			continue
 		}
-		gs = appendGraded(gs, o, tm, constraint)
-	}
-	matches := make([]Match, 0, len(gs))
-	for _, g := range gs {
-		if g.Grade.AtLeast(minGrade) {
-			matches = append(matches, Match{Offer: g.Item, Grade: g.Grade, Score: g.Score})
-		}
+		matches = appendGraded(matches, o, tm, constraint)
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
-	return matches, nil, nil
+	return matches
 }
 
 // regradeRemote grades matches relayed by pre-grading peers (GradeNone

@@ -133,7 +133,7 @@ func TestReplace(t *testing.T) {
 }
 
 func TestImportPolicies(t *testing.T) {
-	tr := New("T1", newCarRepo(t), WithRandSeed(7))
+	tr := New("T1", newCarRepo(t))
 	ctx := context.Background()
 	charges := []float64{90, 40, 120, 70}
 	for i, c := range charges {
@@ -142,14 +142,14 @@ func TestImportPolicies(t *testing.T) {
 		}
 	}
 
-	best, err := tr.ImportOne(ctx, ImportRequest{Type: "CarRentalService", Policy: "min:ChargePerDay"})
+	best, err := ImportOne(ctx, tr, ImportRequest{Type: "CarRentalService", Policy: "min:ChargePerDay"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := best.Props["ChargePerDay"]; v.Float != 40 {
 		t.Fatalf("min policy picked %v", v)
 	}
-	best, err = tr.ImportOne(ctx, ImportRequest{Type: "CarRentalService", Policy: "max:ChargePerDay"})
+	best, err = ImportOne(ctx, tr, ImportRequest{Type: "CarRentalService", Policy: "max:ChargePerDay"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestImportPolicies(t *testing.T) {
 	}
 
 	// ImportOne with no match.
-	if _, err := tr.ImportOne(ctx, ImportRequest{Type: "CarRentalService", Constraint: "ChargePerDay < 0"}); !errors.Is(err, ErrNoOffer) {
+	if _, err := ImportOne(ctx, tr, ImportRequest{Type: "CarRentalService", Constraint: "ChargePerDay < 0"}); !errors.Is(err, ErrNoOffer) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestImportSubtypeOffers(t *testing.T) {
 func TestImportWithoutIndexMatchesIndexed(t *testing.T) {
 	ctx := context.Background()
 	indexed := New("A", newCarRepo(t))
-	linear := New("B", newCarRepo(t), WithoutOfferIndex(), WithoutConstraintCache())
+	linear := New("B", newCarRepo(t), WithoutOfferIndex(), WithConstraintCacheSize(0))
 	for i := 0; i < 10; i++ {
 		props := carProps("AUDI", float64(50+i*10), "USD")
 		if _, err := indexed.Export("CarRentalService", carRef(i), props); err != nil {
@@ -311,7 +311,7 @@ type blackholeFederate struct{ id string }
 
 func (f *blackholeFederate) FederationID() string { return f.id }
 
-func (f *blackholeFederate) FederatedImport(ctx context.Context, _ ImportRequest) ([]Match, error) {
+func (f *blackholeFederate) ImportGraded(ctx context.Context, _ ImportRequest) ([]Match, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }

@@ -49,9 +49,12 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
-// breaker is one endpoint's circuit breaker. All methods are
-// goroutine-safe; time is injected by the Pool for testability.
-type breaker struct {
+// Breaker is a circuit breaker (closed / open / half-open, one
+// half-open probe per cooldown). The Pool keeps one per endpoint;
+// callers tracking the health of resources the Pool does not see — the
+// trader's federation links — keep their own. All methods are
+// goroutine-safe; time is injected by the caller for testability.
+type Breaker struct {
 	policy BreakerPolicy
 	// onTransition, when set, observes every state change (metrics). It
 	// is invoked outside the breaker lock.
@@ -63,22 +66,24 @@ type breaker struct {
 	openedAt time.Time // instant of the closed/half-open -> open transition
 }
 
-func newBreaker(policy BreakerPolicy) *breaker {
-	return &breaker{policy: policy}
+// NewBreaker returns a closed breaker with the given policy. A policy
+// with Threshold < 1 disables it (Allow always admits).
+func NewBreaker(policy BreakerPolicy) *Breaker {
+	return &Breaker{policy: policy}
 }
 
 // notify reports a state change to the transition observer.
-func (b *breaker) notify(to BreakerState) {
+func (b *Breaker) notify(to BreakerState) {
 	if b.onTransition != nil {
 		b.onTransition(to)
 	}
 }
 
-// allow decides whether a caller may use the endpoint now. While open
+// Allow decides whether a caller may use the endpoint now. While open
 // it returns ErrCircuitOpen until the cooldown elapses, then admits
 // exactly one caller as the half-open probe; further callers keep
 // failing fast until the probe reports success or failure.
-func (b *breaker) allow(now time.Time) error {
+func (b *Breaker) Allow(now time.Time) error {
 	if !b.policy.enabled() {
 		return nil
 	}
@@ -102,9 +107,9 @@ func (b *breaker) allow(now time.Time) error {
 	}
 }
 
-// success records a healthy interaction (successful dial or call, or
+// Success records a healthy interaction (successful dial or call, or
 // any response proving the endpoint is alive) and closes the circuit.
-func (b *breaker) success() {
+func (b *Breaker) Success() {
 	if !b.policy.enabled() {
 		return
 	}
@@ -123,9 +128,9 @@ func (b *breaker) success() {
 // it is provably alive — a half-open probe that gets shed closes the
 // circuit rather than reopening it — but an overloaded answer is not
 // a healthy interaction, so it does not forgive the consecutive-failure
-// streak the way success() does. A flapping endpoint that alternates
+// streak the way Success does. A flapping endpoint that alternates
 // connection failures with sheds still trips the breaker.
-func (b *breaker) shed() {
+func (b *Breaker) shed() {
 	if !b.policy.enabled() {
 		return
 	}
@@ -142,9 +147,9 @@ func (b *breaker) shed() {
 	}
 }
 
-// failure records a dial/transport failure. It returns true when this
+// Failure records a dial/transport failure. It returns true when this
 // failure opened the circuit (for pool statistics).
-func (b *breaker) failure(now time.Time) bool {
+func (b *Breaker) Failure(now time.Time) bool {
 	if !b.policy.enabled() {
 		return false
 	}
@@ -171,35 +176,8 @@ func (b *breaker) failure(now time.Time) bool {
 	return opened
 }
 
-// Breaker is a standalone circuit breaker with the same semantics as
-// the Pool's per-endpoint breakers (closed / open / half-open, one
-// half-open probe per cooldown), for callers that track the health of
-// resources the Pool does not see — the trader's federation links use
-// one per link.
-type Breaker struct{ b *breaker }
-
-// NewBreaker returns a standalone breaker with the given policy. A
-// policy with Threshold < 1 disables it (Allow always admits).
-func NewBreaker(policy BreakerPolicy) *Breaker {
-	return &Breaker{b: newBreaker(policy)}
-}
-
-// Allow decides whether a caller may use the resource now; while open
-// it returns ErrCircuitOpen until the cooldown admits one probe.
-func (b *Breaker) Allow(now time.Time) error { return b.b.allow(now) }
-
-// Success records a healthy interaction and closes the circuit.
-func (b *Breaker) Success() { b.b.success() }
-
-// Failure records a failure; it returns true when this failure opened
-// the circuit.
-func (b *Breaker) Failure(now time.Time) bool { return b.b.failure(now) }
-
 // State reports the observable state.
-func (b *Breaker) State() BreakerState { return b.b.current() }
-
-// current reports the observable state.
-func (b *breaker) current() BreakerState {
+func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {

@@ -110,7 +110,7 @@ func (c *Client) readLoop() {
 			c.failAll(fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, f.ftype))
 			return
 		}
-		resp, err := decodeResponse(f.version, f.payload)
+		resp, err := decodeResponse(f.payload)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -326,7 +326,7 @@ type Pool struct {
 	mu       sync.Mutex
 	clients  map[string]*Client
 	dialing  map[string]*dialCall
-	breakers map[string]*breaker
+	breakers map[string]*Breaker
 	closed   bool
 
 	dials        atomic.Uint64
@@ -420,7 +420,7 @@ func NewPool(opts ...PoolOption) *Pool {
 		now:           time.Now,
 		clients:       map[string]*Client{},
 		dialing:       map[string]*dialCall{},
-		breakers:      map[string]*breaker{},
+		breakers:      map[string]*Breaker{},
 	}
 	for _, o := range opts {
 		o(p)
@@ -433,7 +433,7 @@ func NewPool(opts ...PoolOption) *Pool {
 				defer p.mu.Unlock()
 				n := 0
 				for _, b := range p.breakers {
-					if b.current() == BreakerOpen {
+					if b.State() == BreakerOpen {
 						n++
 					}
 				}
@@ -460,10 +460,10 @@ func (p *Pool) Stats() PoolStats {
 
 // breakerFor returns the endpoint's breaker, creating it lazily.
 // Callers must hold p.mu.
-func (p *Pool) breakerFor(endpoint string) *breaker {
+func (p *Pool) breakerFor(endpoint string) *Breaker {
 	b, ok := p.breakers[endpoint]
 	if !ok {
-		b = newBreaker(p.breakerPolicy)
+		b = NewBreaker(p.breakerPolicy)
 		if p.metrics != nil || p.events != nil {
 			metrics, events, ep := p.metrics, p.events, endpoint
 			b.onTransition = func(to BreakerState) {
@@ -485,7 +485,7 @@ func (p *Pool) BreakerState(endpoint string) BreakerState {
 	if !ok {
 		return BreakerClosed
 	}
-	return b.current()
+	return b.State()
 }
 
 // noteFailure feeds a dial/transport failure into the endpoint's
@@ -494,7 +494,7 @@ func (p *Pool) noteFailure(endpoint string) {
 	p.mu.Lock()
 	b := p.breakerFor(endpoint)
 	p.mu.Unlock()
-	if b.failure(p.now()) {
+	if b.Failure(p.now()) {
 		p.breakerOpens.Add(1)
 	}
 }
@@ -505,7 +505,7 @@ func (p *Pool) noteSuccess(endpoint string) {
 	b, ok := p.breakers[endpoint]
 	p.mu.Unlock()
 	if ok {
-		b.success()
+		b.Success()
 	}
 }
 
@@ -552,7 +552,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 			// During half-open the in-flight dial is the breaker's
 			// single probe: everyone else fails fast instead of
 			// queueing behind a dial to a likely-dead endpoint.
-			if b, known := p.breakers[endpoint]; known && b.current() == BreakerHalfOpen {
+			if b, known := p.breakers[endpoint]; known && b.State() == BreakerHalfOpen {
 				p.mu.Unlock()
 				p.failFast.Add(1)
 				p.metrics.failedFast()
@@ -573,7 +573,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 			continue // the shared dial died immediately; start over
 		}
 		b := p.breakerFor(endpoint)
-		if err := b.allow(p.now()); err != nil {
+		if err := b.Allow(p.now()); err != nil {
 			p.mu.Unlock()
 			p.failFast.Add(1)
 			p.metrics.failedFast()
@@ -604,7 +604,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 		if err != nil {
 			p.dialFailures.Add(1)
 			p.metrics.dialFailed()
-			if b.failure(p.now()) {
+			if b.Failure(p.now()) {
 				p.breakerOpens.Add(1)
 			}
 			dc.err = err
@@ -617,7 +617,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 			close(dc.done)
 			return nil, ErrClientClosed
 		}
-		b.success() // a completed dial is evidence of a live endpoint
+		b.Success() // a completed dial is evidence of a live endpoint
 		dc.c = c
 		close(dc.done)
 		return c, nil

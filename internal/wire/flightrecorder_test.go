@@ -74,47 +74,6 @@ func TestSpansLinkAcrossTheWire(t *testing.T) {
 	}
 }
 
-// TestV1PeerDegradesToSpanless extends the frame-version compat matrix:
-// a v1 peer's frames carry no trace metadata, so its requests are
-// served normally but record no server span — span-less entries, not
-// errors.
-func TestV1PeerDegradesToSpanless(t *testing.T) {
-	rec := obs.NewSpanRecorder(64)
-	s := NewServer(WithServerLog(func(string, ...any) {}), WithServerRecorder(rec))
-	if err := s.Register("svc", echoHandler()); err != nil {
-		t.Fatal(err)
-	}
-	bound, err := s.ListenAndServe("loop:span-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	conn, err := DialConn(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A v1 frame: even with trace metadata set on the struct, the v1
-	// encoding has nowhere to carry it (see TestFrameVersionTraceMatrix).
-	req := frame{version: 1, ftype: frameRequest, id: 1, traceID: "t-v1", parentID: "s-v1",
-		payload: encodeRequest(&Request{Service: "svc", Op: "X", Body: []byte("b")})}
-	if err := writeFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ftype != frameResponse || resp.id != 1 {
-		t.Fatalf("v1 response = %+v", resp)
-	}
-	time.Sleep(50 * time.Millisecond) // span recording is post-response
-	if spans := rec.Snapshot(); len(spans) != 0 {
-		t.Fatalf("v1 request recorded spans: %+v", spans)
-	}
-}
-
 // TestSlowRequestWatchdog: a request over the threshold bumps the slow
 // counter and emits one structured slow_request line with its trace.
 func TestSlowRequestWatchdog(t *testing.T) {

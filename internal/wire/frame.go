@@ -17,7 +17,8 @@ import (
 //
 // id correlates responses with requests over one multiplexed connection.
 //
-// Version 2 extends version 1 compatibly:
+// Frames have exactly one version (see DESIGN.md section 12 for the
+// compatibility policy); a frame carrying any other is malformed.
 //
 //   - request frames carry an 8-byte big-endian TTL (microseconds of
 //     caller budget remaining at send time; 0 = unbounded) between the
@@ -27,22 +28,15 @@ import (
 //   - after the TTL, request frames carry a trace-metadata section: one
 //     length byte, then (when non-zero) the request's trace ID and the
 //     caller's span ID, each length-prefixed. A zero length byte is the
-//     entire section for untraced requests, so readers tolerate the
-//     absence of trace IDs and v1 peers — which have no extension at
-//     all — are unaffected;
-//   - a new cancel frame type (no payload) tells the server the caller
-//     of the identified request has given up, so server-side work can
-//     be cancelled;
-//   - response payloads carry a retry-after hint (see
-//     encodeResponse).
-//
-// Readers accept both versions: a v1 request is simply one without a
-// deadline or trace, which is exactly the pre-v2 semantics.
+//     entire section for untraced requests;
+//   - a cancel frame (no payload) tells the server the caller of the
+//     identified request has given up, so server-side work can be
+//     cancelled;
+//   - response payloads carry a retry-after hint (see encodeResponse).
 const (
 	frameHeaderLen = 16
 	frameTTLLen    = 8
 	protoVersion   = 2
-	minProtoVer    = 1
 
 	// frameMaxMeta bounds the trace-metadata section (it is
 	// length-prefixed by a single byte anyway); each ID within is
@@ -51,8 +45,8 @@ const (
 
 	frameRequest  = 1
 	frameResponse = 2
-	// frameCancel (v2+) carries no payload; its id names the request
-	// whose server-side work should be cancelled.
+	// frameCancel carries no payload; its id names the request whose
+	// server-side work should be cancelled.
 	frameCancel = 3
 )
 
@@ -69,17 +63,16 @@ var (
 var frameMagic = [2]byte{'C', 'W'}
 
 type frame struct {
-	version byte
-	ftype   byte
-	id      uint64
+	ftype byte
+	id    uint64
 	// ttl is the caller's remaining budget for request frames
 	// (microseconds; 0 means no deadline). Only meaningful when
-	// ftype == frameRequest and version >= 2.
+	// ftype == frameRequest.
 	ttl uint64
-	// traceID and parentID are the request's trace metadata (v2
-	// requests only; both empty for untraced requests and v1 frames).
-	// traceID identifies the whole logical request across every hop;
-	// parentID is the calling side's span.
+	// traceID and parentID are the request's trace metadata (requests
+	// only; both empty for untraced requests). traceID identifies the
+	// whole logical request across every hop; parentID is the calling
+	// side's span.
 	traceID  string
 	parentID string
 	payload  []byte
@@ -138,19 +131,15 @@ func writeFrame(w io.Writer, f frame) error {
 	if len(f.payload) > MaxFramePayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
 	}
-	version := f.version
-	if version == 0 {
-		version = protoVersion
-	}
 	var ext []byte
-	if f.ftype == frameRequest && version >= 2 {
+	if f.ftype == frameRequest {
 		var ttl [frameTTLLen]byte
 		binary.BigEndian.PutUint64(ttl[:], f.ttl)
 		ext = append(ttl[:], encodeFrameMeta(f.traceID, f.parentID)...)
 	}
 	hdr := make([]byte, frameHeaderLen, frameHeaderLen+len(ext)+len(f.payload))
 	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = version
+	hdr[2] = protoVersion
 	hdr[3] = f.ftype
 	binary.BigEndian.PutUint64(hdr[4:], f.id)
 	binary.BigEndian.PutUint32(hdr[12:], uint32(len(f.payload)))
@@ -170,22 +159,15 @@ func readFrame(r io.Reader) (frame, error) {
 	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] {
 		return frame{}, fmt.Errorf("%w: bad magic %x", ErrBadFrame, hdr[:2])
 	}
-	version := hdr[2]
-	if version < minProtoVer || version > protoVersion {
-		return frame{}, fmt.Errorf("%w: version %d", ErrBadFrame, version)
+	if hdr[2] != protoVersion {
+		return frame{}, fmt.Errorf("%w: version %d", ErrBadFrame, hdr[2])
 	}
 	ftype := hdr[3]
-	switch ftype {
-	case frameRequest, frameResponse:
-	case frameCancel:
-		if version < 2 {
-			return frame{}, fmt.Errorf("%w: cancel frame in version %d", ErrBadFrame, version)
-		}
-	default:
+	if ftype != frameRequest && ftype != frameResponse && ftype != frameCancel {
 		return frame{}, fmt.Errorf("%w: frame type %d", ErrBadFrame, ftype)
 	}
-	f := frame{version: version, ftype: ftype, id: binary.BigEndian.Uint64(hdr[4:])}
-	if ftype == frameRequest && version >= 2 {
+	f := frame{ftype: ftype, id: binary.BigEndian.Uint64(hdr[4:])}
+	if ftype == frameRequest {
 		var ttl [frameTTLLen]byte
 		if _, err := io.ReadFull(r, ttl[:]); err != nil {
 			return frame{}, fmt.Errorf("%w: truncated deadline: %v", ErrBadFrame, err)
@@ -260,12 +242,12 @@ const (
 	StatusProtocol
 	// StatusBadRequest: the request body could not be decoded.
 	StatusBadRequest
-	// StatusOverloaded (v2): the server shed the request before
+	// StatusOverloaded: the server shed the request before
 	// dispatching it — admission limits were exceeded or the server is
 	// draining. The handler did not run, so retrying is always safe;
 	// RetryAfter carries the server's backoff hint.
 	StatusOverloaded
-	// StatusDeadlineExpired (v2): the request's propagated deadline had
+	// StatusDeadlineExpired: the request's propagated deadline had
 	// already expired before dispatch, so the server refused to burn
 	// cycles on work whose caller has given up. The handler did not run.
 	StatusDeadlineExpired
@@ -343,13 +325,8 @@ func decodeRequest(payload []byte) (*Request, error) {
 	return &Request{Service: service, Op: op, Body: rest}, nil
 }
 
-// Response payload layouts:
-//
-//	v1: status, errmsg, body
-//	v2: status, retry-after (uvarint ms), errmsg, body
-//
-// The version of the enclosing frame selects the layout, so a v2 node
-// still decodes responses from a v1 peer.
+// Response payload layout: status, retry-after (uvarint ms), errmsg,
+// body.
 
 func encodeResponse(r *Response) []byte {
 	buf := make([]byte, 0, len(r.ErrMsg)+len(r.Body)+24)
@@ -359,7 +336,7 @@ func encodeResponse(r *Response) []byte {
 	return append(buf, r.Body...)
 }
 
-func decodeResponse(version byte, payload []byte) (*Response, error) {
+func decodeResponse(payload []byte) (*Response, error) {
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("%w: empty response", ErrBadFrame)
 	}
@@ -367,19 +344,13 @@ func decodeResponse(version byte, payload []byte) (*Response, error) {
 	if status < StatusOK || status > StatusDeadlineExpired {
 		return nil, fmt.Errorf("%w: status %d", ErrBadFrame, payload[0])
 	}
-	rest := payload[1:]
-	var retryAfter time.Duration
-	if version >= 2 {
-		ms, size := binary.Uvarint(rest)
-		if size <= 0 {
-			return nil, fmt.Errorf("%w: truncated retry-after", ErrBadFrame)
-		}
-		rest = rest[size:]
-		retryAfter = time.Duration(ms) * time.Millisecond
+	ms, size := binary.Uvarint(payload[1:])
+	if size <= 0 {
+		return nil, fmt.Errorf("%w: truncated retry-after", ErrBadFrame)
 	}
-	msg, rest, err := consumeString(rest, MaxFramePayload)
+	msg, rest, err := consumeString(payload[1+size:], MaxFramePayload)
 	if err != nil {
 		return nil, err
 	}
-	return &Response{Status: status, ErrMsg: msg, Body: rest, RetryAfter: retryAfter}, nil
+	return &Response{Status: status, ErrMsg: msg, Body: rest, RetryAfter: time.Duration(ms) * time.Millisecond}, nil
 }

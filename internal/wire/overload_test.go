@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"sync"
@@ -108,7 +107,7 @@ func TestExpiredRequestNeverDispatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := decodeResponse(f.version, f.payload)
+	resp, err := decodeResponse(f.payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,68 +528,30 @@ func TestPoolHonorsRetryAfterHint(t *testing.T) {
 // instead of reopening, but the shed does not erase failure history the
 // way a success would.
 func TestBreakerShedSemantics(t *testing.T) {
-	b := newBreaker(BreakerPolicy{Threshold: 2, Cooldown: time.Second})
+	b := NewBreaker(BreakerPolicy{Threshold: 2, Cooldown: time.Second})
 	now := time.Unix(0, 0)
 
-	b.failure(now)
+	b.Failure(now)
 	b.shed()
-	if b.current() != BreakerClosed {
-		t.Fatalf("state = %v, want closed", b.current())
+	if b.State() != BreakerClosed {
+		t.Fatalf("state = %v, want closed", b.State())
 	}
 	// The pre-shed failure still counts: one more failure trips it.
-	if opened := b.failure(now); !opened {
+	if opened := b.Failure(now); !opened {
 		t.Fatal("second failure must open (shed must not reset the streak)")
 	}
 
 	// Half-open probe answered with a shed: close the circuit.
 	now = now.Add(2 * time.Second)
-	if err := b.allow(now); err != nil {
+	if err := b.Allow(now); err != nil {
 		t.Fatalf("allow after cooldown: %v", err)
 	}
-	if b.current() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.current())
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", b.State())
 	}
 	b.shed()
-	if b.current() != BreakerClosed {
-		t.Fatalf("state after half-open shed = %v, want closed", b.current())
-	}
-}
-
-// A v1 peer (no TTL extension, no retry-after field) must still be
-// served: version negotiation is per-frame and backward compatible.
-func TestServesV1Frames(t *testing.T) {
-	_, bound := startServer(t, "loop:v1-compat", map[string]Handler{"echo": echoHandler()})
-	conn, err := DialConn(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Hand-build a v1 request frame: 16-byte header, no TTL extension.
-	payload := encodeRequest(&Request{Service: "echo", Op: "Ping", Body: []byte("old")})
-	hdr := make([]byte, frameHeaderLen)
-	hdr[0], hdr[1] = 'C', 'W'
-	hdr[2] = 1 // version 1
-	hdr[3] = frameRequest
-	binary.BigEndian.PutUint64(hdr[4:], 42)
-	binary.BigEndian.PutUint32(hdr[12:], uint32(len(payload)))
-	if _, err := conn.Write(append(hdr, payload...)); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.id != 42 || f.ftype != frameResponse {
-		t.Fatalf("frame = %+v", f)
-	}
-	resp, err := decodeResponse(f.version, f.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusOK || string(resp.Body) != "Ping:old" {
-		t.Fatalf("resp = %+v", resp)
+	if b.State() != BreakerClosed {
+		t.Fatalf("state after half-open shed = %v, want closed", b.State())
 	}
 }
 

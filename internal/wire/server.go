@@ -182,8 +182,8 @@ func WithServerMetrics(m *ServerMetrics) ServerOption {
 
 // WithServerRecorder attaches the flight recorder: every traced request
 // records one server-kind span (op, remote, status, duration, parented
-// at the caller's span) into r. Untraced requests — v1 peers without
-// trace metadata — record nothing. A nil r costs nothing.
+// at the caller's span) into r. Untraced requests — callers that sent
+// no trace metadata — record nothing. A nil r costs nothing.
 func WithServerRecorder(r *obs.SpanRecorder) ServerOption {
 	return func(s *Server) { s.rec = r }
 }

@@ -45,9 +45,9 @@ func TestFrameMetaCodec(t *testing.T) {
 	}
 }
 
-// The version/trace compatibility matrix: trace metadata survives a v2
-// round trip, is absent-but-harmless on untraced v2 frames, and v1
-// frames — which have no extension section at all — read back cleanly.
+// The trace metadata matrix: trace metadata survives a request round
+// trip, is absent-but-harmless on untraced requests, and response
+// frames have no section to carry it.
 func TestFrameVersionTraceMatrix(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -57,8 +57,6 @@ func TestFrameVersionTraceMatrix(t *testing.T) {
 	}{
 		{"v2 traced", frame{ftype: frameRequest, id: 1, ttl: 50, traceID: "t1", parentID: "s1", payload: []byte("p")}, "t1", "s1"},
 		{"v2 untraced", frame{ftype: frameRequest, id: 2, ttl: 50, payload: []byte("p")}, "", ""},
-		{"v1 ignores trace", frame{version: 1, ftype: frameRequest, id: 3, traceID: "t1", parentID: "s1", payload: []byte("p")}, "", ""},
-		{"v1 plain", frame{version: 1, ftype: frameRequest, id: 4, payload: []byte("p")}, "", ""},
 		{"v2 response no meta", frame{ftype: frameResponse, id: 5, traceID: "t1", payload: []byte("p")}, "", ""},
 	}
 	for _, c := range cases {
@@ -141,7 +139,7 @@ func TestErrorResponseEchoesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := decodeResponse(f.version, f.payload)
+	resp, err := decodeResponse(f.payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +282,16 @@ func TestClientServerMetrics(t *testing.T) {
 // closed → open → half-open → closed.
 func TestBreakerTransitionNotify(t *testing.T) {
 	var got []BreakerState
-	b := newBreaker(BreakerPolicy{Threshold: 2, Cooldown: 10 * time.Millisecond})
+	b := NewBreaker(BreakerPolicy{Threshold: 2, Cooldown: 10 * time.Millisecond})
 	b.onTransition = func(to BreakerState) { got = append(got, to) }
 
 	now := time.Now()
-	b.failure(now)
-	b.failure(now) // trips open
-	if err := b.allow(now.Add(20 * time.Millisecond)); err != nil {
+	b.Failure(now)
+	b.Failure(now) // trips open
+	if err := b.Allow(now.Add(20 * time.Millisecond)); err != nil {
 		t.Fatalf("probe not admitted after cooldown: %v", err)
 	}
-	b.success() // half-open probe succeeds → closed
+	b.Success() // half-open probe succeeds → closed
 	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerClosed}
 	if len(got) != len(want) {
 		t.Fatalf("transitions = %v, want %v", got, want)

@@ -303,12 +303,15 @@ func TestFrameErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
-		data := make([]byte, frameHeaderLen)
-		copy(data, "CW")
-		data[2] = 99
-		data[3] = frameRequest
-		if _, err := readFrame(bytes.NewReader(data)); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("err = %v", err)
+		// Frames have exactly one version: older and newer are malformed.
+		for _, v := range []byte{0, protoVersion - 1, protoVersion + 1, 99} {
+			data := make([]byte, frameHeaderLen)
+			copy(data, "CW")
+			data[2] = v
+			data[3] = frameRequest
+			if _, err := readFrame(bytes.NewReader(data)); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("version %d: err = %v", v, err)
+			}
 		}
 	})
 	t.Run("bad type", func(t *testing.T) {
@@ -342,31 +345,21 @@ func TestRequestResponseCodecs(t *testing.T) {
 		t.Fatalf("request round trip: %+v", got)
 	}
 	resp := &Response{Status: StatusProtocol, ErrMsg: "illegal op", Body: []byte("x"), RetryAfter: 40 * time.Millisecond}
-	gotR, err := decodeResponse(protoVersion, encodeResponse(resp))
+	gotR, err := decodeResponse(encodeResponse(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotR.Status != resp.Status || gotR.ErrMsg != resp.ErrMsg || !bytes.Equal(gotR.Body, resp.Body) || gotR.RetryAfter != resp.RetryAfter {
 		t.Fatalf("response round trip: %+v", gotR)
 	}
-	// A v1 response payload has no retry-after field.
-	v1 := append([]byte{byte(StatusOK)}, appendString(nil, "msg")...)
-	v1 = append(v1, 'b')
-	gotV1, err := decodeResponse(1, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotV1.Status != StatusOK || gotV1.ErrMsg != "msg" || string(gotV1.Body) != "b" || gotV1.RetryAfter != 0 {
-		t.Fatalf("v1 response round trip: %+v", gotV1)
-	}
 	// Malformed inputs.
 	if _, err := decodeRequest(nil); err == nil {
 		t.Fatal("decodeRequest(nil) must fail")
 	}
-	if _, err := decodeResponse(protoVersion, nil); err == nil {
+	if _, err := decodeResponse(nil); err == nil {
 		t.Fatal("decodeResponse(nil) must fail")
 	}
-	if _, err := decodeResponse(protoVersion, []byte{99, 0}); err == nil {
+	if _, err := decodeResponse([]byte{99, 0}); err == nil {
 		t.Fatal("bad status must fail")
 	}
 }
@@ -545,7 +538,7 @@ func TestResponseCodecProperty(t *testing.T) {
 	f := func(status uint8, msg string, body []byte, retryMillis uint16) bool {
 		s := Status(status%8) + StatusOK
 		resp := &Response{Status: s, ErrMsg: msg, Body: body, RetryAfter: time.Duration(retryMillis) * time.Millisecond}
-		got, err := decodeResponse(protoVersion, encodeResponse(resp))
+		got, err := decodeResponse(encodeResponse(resp))
 		if err != nil {
 			return false
 		}
