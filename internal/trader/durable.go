@@ -165,9 +165,6 @@ func (t *Trader) apply(m *mutation) []*Offer {
 	case opExport:
 		for _, o := range m.offers {
 			t.store.insert(o)
-			// Recovered and replicated IDs must push the counter past
-			// themselves; for a live export this is a no-op.
-			t.bumpSeqFromID(o.ID)
 		}
 		return m.offers
 	case opWithdraw, opWithdrawAll:
@@ -422,6 +419,11 @@ func (t *Trader) ReplayRecord(seq uint64, payload []byte) error {
 		m, err := r.mutation()
 		if err != nil {
 			return fmt.Errorf("trader: journal record %d: %w", seq, err)
+		}
+		// Recovered and replicated IDs push the counter past themselves (a
+		// live export drew its ID from it, so only this path parses them).
+		for _, o := range m.offers {
+			t.bumpSeqFromID(o.ID)
 		}
 		t.apply(m)
 	}

@@ -576,7 +576,10 @@ func (t *Trader) Withdraw(offerID string) error {
 // refuses with ErrNotLeader like every other mutation. A journal append
 // failure is logged and the in-memory withdrawal proceeds: the call's
 // contract is idempotent best-effort, and a provider retry after a
-// recovery that resurrected the offers heals the divergence.
+// recovery that resurrected the offers heals the divergence. A sync-
+// replication timeout, as for Withdraw, is an error after the withdrawal
+// was applied: the count comes back beside it, but the wire op carries
+// only the error, so a remote retry finds the offers gone and reports 0.
 func (t *Trader) WithdrawAll(offerIDs []string) (int, error) {
 	if err := t.leaderCheck(); err != nil {
 		return 0, err
