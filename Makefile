@@ -1,18 +1,37 @@
 # COSM build/verification entry points. `make check` is the gate every
-# change must pass: build, vet, full tests, and the race detector over
-# the whole tree (the resilience layer is concurrency-heavy).
+# change must pass: build, vet, the layering rule, full tests, and the
+# race detector over the whole tree (the resilience layer is
+# concurrency-heavy).
 
 GO ?= go
 
-.PHONY: check build vet test race bench chaos
+.PHONY: check build vet layers test race bench chaos
 
-check: build vet test race
+check: build vet layers test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The paper's trader (internal/trader/core) is a pure leaf — DESIGN.md
+# §12 has the rule. Of this module it may reach only the description
+# and type layers below it (and obs's nil-safe counters); it imports no
+# network, file or context package; and it neither reads a clock nor
+# starts a goroutine. The module half is checked over the transitive
+# closure; the standard-library half over core's own imports, because
+# fmt alone pulls os into every closure.
+CORE := ./internal/trader/core
+
+layers:
+	@bad=$$($(GO) list -deps $(CORE) | grep '^cosm/' | \
+		grep -vxE 'cosm/internal/(sidl|fsm|ref|xcode|typemgr|match|obs|trader/core)'); \
+	if [ -n "$$bad" ]; then echo "layers: $(CORE) must not depend on:" $$bad; exit 1; fi
+	@bad=$$($(GO) list -f '{{join .Imports "\n"}}' $(CORE) | grep -xE '(net|os|context)(/.*)?'); \
+	if [ -n "$$bad" ]; then echo "layers: $(CORE) must not import:" $$bad; exit 1; fi
+	@if grep -nE 'time\.Now|^[[:space:]]*go ' $$(ls $(CORE)/*.go | grep -v _test.go); then \
+		echo "layers: $(CORE) reads a clock or starts a goroutine"; exit 1; fi
 
 test:
 	$(GO) test ./...

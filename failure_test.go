@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -63,7 +64,10 @@ func TestFailureProviderCrashMidSession(t *testing.T) {
 	if err == nil {
 		t.Fatal("Commit against a crashed provider must fail")
 	}
-	if !errors.Is(err, wire.ErrClientClosed) && !errors.Is(err, wire.ErrRemote) {
+	// Three clean failure classes: the pooled connection noticed the
+	// crash (closed), the node answered before dying (remote), or the
+	// binding's re-dial raced the dead listener (refused).
+	if !errors.Is(err, wire.ErrClientClosed) && !errors.Is(err, wire.ErrRemote) && !errors.Is(err, syscall.ECONNREFUSED) {
 		t.Fatalf("unexpected failure class: %v", err)
 	}
 

@@ -35,7 +35,6 @@ import (
 var (
 	ErrUnknownActivity = errors.New("activity: unknown activity")
 	ErrNotActive       = errors.New("activity: activity is not active")
-	ErrAborted         = errors.New("activity: activity aborted")
 )
 
 // State is the lifecycle state of an activity.

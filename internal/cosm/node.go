@@ -129,9 +129,6 @@ func (n *Node) Host(name string, svc *Service) error {
 	return n.server.Register(name, wire.HandlerFunc(svc.serveCOSM))
 }
 
-// Unhost removes a hosted service.
-func (n *Node) Unhost(name string) { n.server.Unregister(name) }
-
 // ListenAndServe binds the node to an endpoint ("tcp:host:port" or
 // "loop:name") and starts serving. It returns the bound endpoint.
 func (n *Node) ListenAndServe(endpoint string) (string, error) {

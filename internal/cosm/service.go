@@ -39,7 +39,6 @@ const (
 // Errors reported by service construction and dispatch.
 var (
 	ErrUnknownOp  = errors.New("cosm: unknown operation")
-	ErrNoHandler  = errors.New("cosm: operation has no handler")
 	ErrBadArgs    = errors.New("cosm: bad arguments")
 	ErrBadResult  = errors.New("cosm: handler produced bad result")
 	ErrNilService = errors.New("cosm: nil service")

@@ -125,8 +125,8 @@ func (l *Logger) Logf(format string, args ...any) {
 
 // Sink returns a printf-style function forwarding to Logf — the adapter
 // for the pre-existing logf option hooks (wire.WithServerLog,
-// trader.WithSweeperLog, daemon.Drain). A nil logger yields a no-op
-// sink, never nil, so callers can install it unconditionally.
+// daemon.Drain). A nil logger yields a no-op sink, never nil, so
+// callers can install it unconditionally.
 func (l *Logger) Sink() func(format string, args ...any) {
 	if l == nil {
 		return func(string, ...any) {}

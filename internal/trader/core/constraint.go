@@ -1,8 +1,4 @@
-// Package trader implements the ODP trading function of the paper
-// (section 2): service offers classified by service types, exported by
-// service providers and imported by clients through typed, constrained,
-// policy-driven matching — plus trader federation for wider scopes.
-package trader
+package core
 
 import (
 	"errors"

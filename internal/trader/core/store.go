@@ -1,4 +1,4 @@
-package trader
+package core
 
 import (
 	"math"
@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cosm/internal/match"
-	"cosm/internal/obs"
 	"cosm/internal/typemgr"
 )
 
@@ -16,35 +15,6 @@ import (
 // the service-type name, so one hot type contends only with types that
 // share its shard and exports of distinct types proceed in parallel.
 const storeShards = 16
-
-// offerStore is the trader's sharded, snapshot-serving offer store.
-//
-// Writes (export, withdraw, replace, suspect-marking, purge) take one
-// shard's write lock and swap offers copy-on-write: a stored *Offer is
-// immutable from the moment it enters the store, so readers may hold it
-// without locks or clones. Reads go through per-type immutable
-// snapshots (see typeSnapshot) that are rebuilt lazily after a write to
-// that type — imports therefore never block exports of other types and
-// pay no per-request index build for read-mostly workloads.
-type offerStore struct {
-	repo *typemgr.Repo
-	now  func() time.Time
-
-	shards [storeShards]storeShard
-
-	// typeSetGen is bumped whenever a type bucket appears or
-	// disappears. Together with the repo generation it pins the set of
-	// stored types matching a request type, validating the resolution
-	// cache and import-result cache entries.
-	typeSetGen atomic.Uint64
-
-	// resolutions caches request type -> conforming stored type names
-	// (bounded: request types arrive from the network).
-	resolutions *lruCache[*resolution]
-
-	// rebuilds counts snapshot rebuilds (nil-safe obs counter).
-	rebuilds *obs.Counter
-}
 
 type storeShard struct {
 	mu    sync.RWMutex
@@ -78,55 +48,46 @@ type bucketVersion struct {
 	version uint64
 }
 
-func newOfferStore(repo *typemgr.Repo, now func() time.Time) *offerStore {
-	st := &offerStore{repo: repo, now: now, resolutions: newLRU[*resolution](256)}
-	for i := range st.shards {
-		st.shards[i].types = map[string]*typeBucket{}
-		st.shards[i].byID = map[string]*Offer{}
-	}
-	return st
-}
-
 // shardFor hashes a service-type name to its shard (FNV-1a).
-func (st *offerStore) shardFor(serviceType string) *storeShard {
+func (s *State) shardFor(serviceType string) *storeShard {
 	var h uint32 = 2166136261
 	for i := 0; i < len(serviceType); i++ {
 		h ^= uint32(serviceType[i])
 		h *= 16777619
 	}
-	return &st.shards[h%storeShards]
+	return &s.shards[h%storeShards]
 }
 
 // gens returns the generation pair import-result cache entries are
 // validated against.
-func (st *offerStore) gens() (storeGen, repoGen uint64) {
-	return st.typeSetGen.Load(), st.repo.Gen()
+func (s *State) gens() (storeGen, repoGen uint64) {
+	return s.typeSetGen.Load(), s.repo.Gen()
 }
 
-// clear empties every shard — the follower snapshot-install path
-// replaces the whole store wholesale. Bumping the type-set generation
+// Clear empties the store — a follower installing a leader snapshot
+// replaces its contents wholesale. Bumping the type-set generation
 // invalidates cached resolutions and import results implicitly.
-func (st *offerStore) clear() {
-	for i := range st.shards {
-		sh := &st.shards[i]
+func (s *State) Clear() {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.types = map[string]*typeBucket{}
 		sh.byID = map[string]*Offer{}
 		sh.mu.Unlock()
 	}
-	st.typeSetGen.Add(1)
+	s.typeSetGen.Add(1)
 }
 
 // insert stores an immutable offer.
-func (st *offerStore) insert(o *Offer) {
-	sh := st.shardFor(o.Type)
+func (s *State) insert(o *Offer) {
+	sh := s.shardFor(o.Type)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	b := sh.types[o.Type]
 	if b == nil {
 		b = &typeBucket{name: o.Type, offers: map[string]*Offer{}}
 		sh.types[o.Type] = b
-		st.typeSetGen.Add(1)
+		s.typeSetGen.Add(1)
 	}
 	b.offers[o.ID] = o
 	sh.byID[o.ID] = o
@@ -134,41 +95,43 @@ func (st *offerStore) insert(o *Offer) {
 	b.snap.Store(nil)
 }
 
-// lookup returns the stored offer by ID (shared, immutable).
-func (st *offerStore) lookup(id string) (*Offer, bool) {
-	for i := range st.shards {
-		sh := &st.shards[i]
+// find returns the stored offer for id (shared, immutable) and the
+// shard holding it, or nil, nil. An offer never changes shard — its
+// type is fixed for life — so a writer that found one re-checks only
+// its presence after taking the shard's write lock.
+func (s *State) find(id string) (*storeShard, *Offer) {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.RLock()
 		o, ok := sh.byID[id]
 		sh.mu.RUnlock()
 		if ok {
-			return o, true
+			return sh, o
 		}
 	}
-	return nil, false
+	return nil, nil
 }
 
 // remove withdraws an offer by ID and returns it.
-func (st *offerStore) remove(id string) (*Offer, bool) {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		o, ok := sh.byID[id]
-		if !ok {
-			sh.mu.Unlock()
-			continue
-		}
-		delete(sh.byID, id)
-		st.removeFromBucketLocked(sh, o)
-		sh.mu.Unlock()
-		return o, true
+func (s *State) remove(id string) (*Offer, bool) {
+	sh, _ := s.find(id)
+	if sh == nil {
+		return nil, false
 	}
-	return nil, false
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	o, ok := sh.byID[id]
+	if !ok {
+		return nil, false
+	}
+	delete(sh.byID, id)
+	s.removeFromBucketLocked(sh, o)
+	return o, true
 }
 
 // removeFromBucketLocked detaches o from its type bucket; the caller
 // holds the shard's write lock and has already removed it from byID.
-func (st *offerStore) removeFromBucketLocked(sh *storeShard, o *Offer) {
+func (s *State) removeFromBucketLocked(sh *storeShard, o *Offer) {
 	b := sh.types[o.Type]
 	if b == nil {
 		return
@@ -178,49 +141,48 @@ func (st *offerStore) removeFromBucketLocked(sh *storeShard, o *Offer) {
 	b.snap.Store(nil)
 	if len(b.offers) == 0 {
 		delete(sh.types, o.Type)
-		st.typeSetGen.Add(1)
+		s.typeSetGen.Add(1)
 	}
 }
 
 // update swaps the stored offer for id with a copy edited by set (copy-
 // on-write: stored offers are immutable, so set only ever sees the
 // fresh copy) and returns that copy.
-func (st *offerStore) update(id string, set func(fresh *Offer)) (*Offer, bool) {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		o, ok := sh.byID[id]
-		if !ok {
-			sh.mu.Unlock()
-			continue
-		}
-		fresh := *o
-		set(&fresh)
-		sh.byID[id] = &fresh
-		if b := sh.types[o.Type]; b != nil {
-			b.offers[id] = &fresh
-			b.version++
-			b.snap.Store(nil)
-		}
-		sh.mu.Unlock()
-		return &fresh, true
+func (s *State) update(id string, set func(fresh *Offer)) (*Offer, bool) {
+	sh, _ := s.find(id)
+	if sh == nil {
+		return nil, false
 	}
-	return nil, false
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	o, ok := sh.byID[id]
+	if !ok {
+		return nil, false
+	}
+	fresh := *o
+	set(&fresh)
+	sh.byID[id] = &fresh
+	if b := sh.types[o.Type]; b != nil {
+		b.offers[id] = &fresh
+		b.version++
+		b.snap.Store(nil)
+	}
+	return &fresh, true
 }
 
 // purgeExpired removes and returns the offers whose lease ran out at
 // time now.
-func (st *offerStore) purgeExpired(now time.Time) []*Offer {
+func (s *State) purgeExpired(now time.Time) []*Offer {
 	var purged []*Offer
-	for i := range st.shards {
-		sh := &st.shards[i]
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.Lock()
 		for id, o := range sh.byID {
-			if !o.expired(now) {
+			if !o.Expired(now) {
 				continue
 			}
 			delete(sh.byID, id)
-			st.removeFromBucketLocked(sh, o)
+			s.removeFromBucketLocked(sh, o)
 			purged = append(purged, o)
 		}
 		sh.mu.Unlock()
@@ -228,96 +190,36 @@ func (st *offerStore) purgeExpired(now time.Time) []*Offer {
 	return purged
 }
 
-// typeCounts returns the number of stored, unexpired offers per
-// service type at time now — the raw material of an offer summary.
-func (st *offerStore) typeCounts(now time.Time) map[string]int {
-	out := map[string]int{}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for name, b := range sh.types {
-			n := 0
-			for _, o := range b.offers {
-				if !o.expired(now) {
-					n++
-				}
-			}
-			if n > 0 {
-				out[name] = n
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// count returns the number of stored, unexpired offers at time now.
-func (st *offerStore) count(now time.Time) int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
+// each calls fn for every stored offer, expired ones included, shard
+// by shard under the shard's read lock.
+func (s *State) each(fn func(*Offer)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, o := range sh.byID {
-			if !o.expired(now) {
-				n++
-			}
+			fn(o)
 		}
 		sh.mu.RUnlock()
 	}
-	return n
-}
-
-// live returns every stored, unexpired offer (shared, immutable),
-// sorted by ID.
-func (st *offerStore) live(now time.Time) []*Offer {
-	var out []*Offer
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, o := range sh.byID {
-			if !o.expired(now) {
-				out = append(out, o)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// all returns every stored offer, expired ones included (shared,
-// immutable) — the linear-scan ablation path.
-func (st *offerStore) all() []*Offer {
-	var out []*Offer
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, o := range sh.byID {
-			out = append(out, o)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // resolve is phase 1 of the matcher (see localMatches): the graded
 // stored type buckets whose offers satisfy requests for reqType — the
-// type itself
-// (exact) plus every stored type in its conformant closure (subtype,
-// scored by hierarchy distance). The closure comes from the typemgr
-// hierarchy index, so this never walks conformance per stored type; the
-// intersection with the stored bucket set is cached and revalidated
-// against the store and repo generations, so steady-state imports do no
-// hierarchy work at all.
-func (st *offerStore) resolve(reqType string) []match.TypeMatch {
-	storeGen, repoGen := st.gens()
-	if r, ok := st.resolutions.get(reqType); ok && r.storeGen == storeGen && r.repoGen == repoGen {
+// type itself (exact) plus every stored type in its conformant closure
+// (subtype, scored by hierarchy distance). The closure comes from the
+// typemgr hierarchy index, so this never walks conformance per stored
+// type; the intersection with the stored bucket set is cached and
+// revalidated against the store and repo generations, so steady-state
+// imports do no hierarchy work at all.
+func (s *State) resolve(reqType string) []match.TypeMatch {
+	storeGen, repoGen := s.gens()
+	if r, ok := s.resolutions.get(reqType); ok && r.storeGen == storeGen && r.repoGen == repoGen {
 		return r.types
 	}
 
 	stored := map[string]bool{}
-	for i := range st.shards {
-		sh := &st.shards[i]
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.RLock()
 		for name := range sh.types {
 			stored[name] = true
@@ -326,29 +228,19 @@ func (st *offerStore) resolve(reqType string) []match.TypeMatch {
 	}
 
 	var types []match.TypeMatch
-	cl, err := st.repo.ConformingTypes(reqType)
-	if err != nil {
-		// The request type is unknown to the repository (or its
-		// hierarchy is corrupt): offers stored under the literal name
-		// still match exactly, nothing else can conform.
-		if stored[reqType] {
-			types = []match.TypeMatch{{Name: reqType, Grade: match.GradeExact, Score: match.ScoreExact}}
-		}
-	} else {
-		for _, tm := range match.GradeClosure(cl) {
-			if stored[tm.Name] {
-				types = append(types, tm)
-			}
+	for _, tm := range gradedClosure(s.repo, reqType) {
+		if stored[tm.Name] {
+			types = append(types, tm)
 		}
 	}
-	st.resolutions.add(reqType, &resolution{storeGen: storeGen, repoGen: repoGen, types: types})
+	s.resolutions.add(reqType, &resolution{storeGen: storeGen, repoGen: repoGen, types: types})
 	return types
 }
 
 // snapshot returns the current matching snapshot for a stored type,
 // building it under the shard's read lock if a write invalidated it.
-func (st *offerStore) snapshot(serviceType string) (*typeSnapshot, bool) {
-	sh := st.shardFor(serviceType)
+func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
+	sh := s.shardFor(serviceType)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	b := sh.types[serviceType]
@@ -365,20 +257,20 @@ func (st *offerStore) snapshot(serviceType string) (*typeSnapshot, bool) {
 	// is bounded by one rebuild per reader already past the nil check.
 	snap := buildSnapshot(b)
 	b.snap.Store(snap)
-	st.rebuilds.Inc()
+	s.rebuilds.Inc()
 	return snap, true
 }
 
 // validate reports whether an import-result cache entry still describes
 // the store: same type set, same repo generation, and every consulted
 // bucket unchanged.
-func (st *offerStore) validate(e *importCacheEntry) bool {
-	storeGen, repoGen := st.gens()
+func (s *State) validate(e *importCacheEntry) bool {
+	storeGen, repoGen := s.gens()
 	if e.storeGen != storeGen || e.repoGen != repoGen {
 		return false
 	}
 	for _, bv := range e.consulted {
-		sh := st.shardFor(bv.name)
+		sh := s.shardFor(bv.name)
 		sh.mu.RLock()
 		b := sh.types[bv.name]
 		ok := b != nil && b.version == bv.version
@@ -388,6 +280,18 @@ func (st *offerStore) validate(e *importCacheEntry) bool {
 		}
 	}
 	return true
+}
+
+// gradedClosure is the graded conformant closure of reqType. A type
+// the repository does not know (or whose hierarchy is corrupt) is
+// conformed to by nothing: only offers stored under the literal name
+// match it, exactly.
+func gradedClosure(repo *typemgr.Repo, reqType string) []match.TypeMatch {
+	cl, err := repo.ConformingTypes(reqType)
+	if err != nil {
+		return []match.TypeMatch{{Name: reqType, Grade: match.GradeExact, Score: match.ScoreExact}}
+	}
+	return match.GradeClosure(cl)
 }
 
 // ---------------------------------------------------------------------

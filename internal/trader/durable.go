@@ -3,17 +3,13 @@ package trader
 // Durable market state: the trader journals every offer-store and
 // type-repo mutation as a logical JSON record into an attached
 // write-ahead journal (internal/journal) and can rebuild itself from a
-// snapshot plus a record replay. Replay goes through the store API, so
-// PR 4's per-type snapshots, attribute indexes and caches rebuild
-// naturally — recovery produces the same matching state a live trader
-// would have.
+// snapshot plus a record replay.
 //
-// One mutation path: every offer-store change is a mutation — the
-// decoded form of a walRecord — and apply is the only function that
-// turns one into store calls. A live operation validates, builds the
-// mutation and commits it; recovery (ReplayRecord) and replication
-// (ApplyBatch) decode a record and apply it. Live, recovered and
-// replicated state therefore agree by construction.
+// One mutation path: every offer-store change is a core.Mutation — the
+// decoded form of a walRecord — and ends in core.State.Apply. A live
+// operation validates, builds the mutation and commits it; recovery
+// (ReplayRecord) and replication (ApplyBatch) decode a record and apply
+// it. Live, recovered and replicated state agree by construction.
 //
 // Ordering discipline: offer mutations are journalled before they are
 // applied (classic WAL — a crash may lose the in-memory effect but
@@ -35,49 +31,23 @@ import (
 	"time"
 
 	"cosm/internal/journal"
-	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
 	"cosm/internal/typemgr"
 )
 
-// Journal record operations.
+// Journal record operations beside the core's offer mutations
+// (core.OpExport and friends), which keep their names on disk.
 const (
-	opExport      = "export"
-	opWithdraw    = "withdraw"
-	opWithdrawAll = "withdraw_all"
-	opReplace     = "replace"
-	opSuspect     = "suspect"
-	opPurge       = "purge"
-	opDefineType  = "deftype"
-	opRemoveType  = "removetype"
-	opEpoch       = "epoch"
+	opDefineType = "deftype"
+	opRemoveType = "removetype"
+	opEpoch      = "epoch"
 	// opVote records an election vote pledge. It lives in the per-node
 	// vote ledger (votelog.go), never in the replicated journal — votes
 	// are per-node facts — but ReplayRecord still understands it, and
 	// adopts it conservatively (denying extra votes is always safe).
 	opVote = "vote"
 )
-
-// PropRecord is one offer property in journal form, reusing the wire
-// protocol's kind/text literal encoding.
-type PropRecord struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-	Text string `json:"text"`
-}
-
-// OfferRecord is the journal form of one stored offer. Unlike the wire
-// form (whole Unix seconds), expiry is kept at nanosecond precision so
-// a recovered trader purges leases at exactly the instants the original
-// would have.
-type OfferRecord struct {
-	ID      string       `json:"id"`
-	Type    string       `json:"type"`
-	Ref     string       `json:"ref"`
-	Props   []PropRecord `json:"props,omitempty"`
-	Expires int64        `json:"expires,omitempty"` // UnixNano; 0 = never
-	Suspect bool         `json:"suspect,omitempty"`
-}
 
 // walRecord is one logical journal record.
 type walRecord struct {
@@ -92,97 +62,46 @@ type walRecord struct {
 	Epoch   uint64        `json:"epoch,omitempty"` // epoch (fencing term)
 }
 
-// mutation is one offer-store change in decoded form — the in-memory
-// twin of walRecord, holding live values so the path that built it
-// never re-parses the record it journals.
-type mutation struct {
-	op      string
-	offers  []*Offer            // export
-	ids     []string            // withdraw(_all), replace, suspect
-	props   map[string]sidl.Lit // replace
-	suspect bool
-	at      time.Time // purge instant
-}
-
-// record renders the mutation in journal form.
-func (m *mutation) record() *walRecord {
+// recordOf renders a mutation in journal form.
+func recordOf(m *core.Mutation) *walRecord {
 	// Fields an op does not use stay empty and are omitted from the JSON.
-	r := &walRecord{Op: m.op, IDs: m.ids, Suspect: m.suspect, Props: propsToRecords(m.props)}
-	r.Offers = make([]OfferRecord, len(m.offers))
-	for i, o := range m.offers {
+	r := &walRecord{Op: m.Op, IDs: m.IDs, Suspect: m.Suspect, Props: core.PropsToRecords(m.Props)}
+	r.Offers = make([]OfferRecord, len(m.Offers))
+	for i, o := range m.Offers {
 		r.Offers[i] = o.Record()
 	}
-	if !m.at.IsZero() {
-		r.At = m.at.UnixNano()
+	if !m.At.IsZero() {
+		r.At = m.At.UnixNano()
 	}
 	return r
 }
 
 // mutation decodes an offer-store record; any other op is an error.
-func (r *walRecord) mutation() (*mutation, error) {
-	m := &mutation{op: r.Op, ids: r.IDs, suspect: r.Suspect}
+func (r *walRecord) mutation() (*core.Mutation, error) {
+	m := &core.Mutation{Op: r.Op, IDs: r.IDs, Suspect: r.Suspect}
 	switch r.Op {
-	case opExport:
-		m.offers = make([]*Offer, len(r.Offers))
+	case core.OpExport:
+		m.Offers = make([]*Offer, len(r.Offers))
 		for i, rec := range r.Offers {
 			o, err := OfferFromRecord(rec)
 			if err != nil {
 				return nil, err
 			}
-			m.offers[i] = o
+			m.Offers[i] = o
 		}
-	case opWithdraw, opWithdrawAll, opSuspect:
-	case opReplace:
-		props, err := propsFromRecords(r.Props)
+	case core.OpWithdraw, core.OpWithdrawAll, core.OpSuspect:
+	case core.OpReplace:
+		props, err := core.PropsFromRecords(r.Props)
 		if err != nil {
 			return nil, err
 		}
-		m.props = props
-	case opPurge:
-		m.at = time.Unix(0, r.At)
+		m.Props = props
+	case core.OpPurge:
+		m.At = time.Unix(0, r.At)
 	default:
 		return nil, fmt.Errorf("unknown op %q", r.Op)
 	}
 	return m, nil
-}
-
-// apply is the single place a mutation becomes store calls; live
-// operations, recovery and replication all end here. It returns the
-// offers the mutation touched — inserted, removed, or swapped in — so
-// the live path can count and log them; IDs that no longer exist are
-// skipped, which is what makes every record idempotent on replay.
-func (t *Trader) apply(m *mutation) []*Offer {
-	update := func(set func(*Offer)) []*Offer {
-		var fresh []*Offer
-		for _, id := range m.ids {
-			if o, ok := t.store.update(id, set); ok {
-				fresh = append(fresh, o)
-			}
-		}
-		return fresh
-	}
-	switch m.op {
-	case opExport:
-		for _, o := range m.offers {
-			t.store.insert(o)
-		}
-		return m.offers
-	case opWithdraw, opWithdrawAll:
-		var gone []*Offer
-		for _, id := range m.ids {
-			if o, ok := t.store.remove(id); ok {
-				gone = append(gone, o)
-			}
-		}
-		return gone
-	case opReplace:
-		return update(func(o *Offer) { o.Props = m.props })
-	case opSuspect:
-		return update(func(o *Offer) { o.Suspect = m.suspect })
-	case opPurge:
-		return t.store.purgeExpired(m.at)
-	}
-	panic("trader: apply: unknown mutation op " + m.op)
 }
 
 // errJournalAppend marks a commit whose record never reached the
@@ -201,17 +120,17 @@ var errJournalAppend = errors.New("trader: journal")
 // pull, whose ack is what the wait is for) must not block on it. The
 // applied offers are returned even when the wait fails: the mutation
 // is in the log and in the store by then.
-func (t *Trader) commit(m *mutation) ([]*Offer, error) {
+func (t *Trader) commit(m *core.Mutation) ([]*Offer, error) {
 	if t.journal == nil {
-		return t.apply(m), nil
+		return t.core.Apply(m), nil
 	}
 	t.applyMu.RLock()
-	seq, err := t.journal.AppendJSON(m.record())
+	seq, err := t.journal.AppendJSON(recordOf(m))
 	if err != nil {
 		t.applyMu.RUnlock()
 		return nil, fmt.Errorf("%w: %w", errJournalAppend, err)
 	}
-	applied := t.apply(m)
+	applied := t.core.Apply(m)
 	t.applyMu.RUnlock()
 	return applied, t.waitReplicated(seq)
 }
@@ -240,57 +159,6 @@ type traderSnapshot struct {
 	Epoch  uint64        `json:"epoch,omitempty"`
 	Types  []string      `json:"types,omitempty"`
 	Offers []OfferRecord `json:"offers,omitempty"`
-}
-
-func propsToRecords(props map[string]sidl.Lit) []PropRecord {
-	out := make([]PropRecord, 0, len(props))
-	for _, name := range sortedPropNames(props) {
-		kind, text := encodeLit(props[name])
-		out = append(out, PropRecord{Name: name, Kind: kind, Text: text})
-	}
-	return out
-}
-
-func propsFromRecords(recs []PropRecord) (map[string]sidl.Lit, error) {
-	props := make(map[string]sidl.Lit, len(recs))
-	for _, p := range recs {
-		lit, err := decodeLit(p.Kind, p.Text)
-		if err != nil {
-			return nil, err
-		}
-		props[p.Name] = lit
-	}
-	return props, nil
-}
-
-// Record returns the offer in its canonical durable form — sorted
-// kind/text property encoding, nanosecond expiry. The journal, the
-// compaction snapshot and cosmcli's dump format all share this one
-// representation, so a dump of a recovered trader is comparable
-// byte-for-byte with a dump of the original.
-func (o *Offer) Record() OfferRecord {
-	rec := OfferRecord{ID: o.ID, Type: o.Type, Ref: o.Ref.String(), Props: propsToRecords(o.Props), Suspect: o.Suspect}
-	if !o.Expires.IsZero() {
-		rec.Expires = o.Expires.UnixNano()
-	}
-	return rec
-}
-
-// OfferFromRecord reverses (*Offer).Record.
-func OfferFromRecord(rec OfferRecord) (*Offer, error) {
-	r, err := ref.Parse(rec.Ref)
-	if err != nil {
-		return nil, fmt.Errorf("trader: journal offer %q: %w", rec.ID, err)
-	}
-	props, err := propsFromRecords(rec.Props)
-	if err != nil {
-		return nil, fmt.Errorf("trader: journal offer %q: %w", rec.ID, err)
-	}
-	o := &Offer{ID: rec.ID, Type: rec.Type, Ref: r, Props: props, Suspect: rec.Suspect}
-	if rec.Expires != 0 {
-		o.Expires = time.Unix(0, rec.Expires)
-	}
-	return o, nil
 }
 
 // SetJournal attaches a started journal: from now on every offer and
@@ -340,7 +208,7 @@ func (t *Trader) JournalSnapshot() ([]byte, error) {
 	for _, n := range names {
 		snap.Types = append(snap.Types, sources[n])
 	}
-	offers := t.store.all()
+	offers := t.core.All()
 	sort.Slice(offers, func(i, j int) bool { return offers[i].ID < offers[j].ID })
 	for _, o := range offers {
 		snap.Offers = append(snap.Offers, o.Record())
@@ -372,14 +240,16 @@ func (t *Trader) RestoreSnapshot(payload []byte) error {
 		}
 		pending = stuck
 	}
-	for _, rec := range snap.Offers {
+	offers := make([]*Offer, len(snap.Offers))
+	for i, rec := range snap.Offers {
 		o, err := OfferFromRecord(rec)
 		if err != nil {
 			return err
 		}
-		t.store.insert(o)
+		offers[i] = o
 		t.bumpSeqFromID(o.ID)
 	}
+	t.core.Apply(&core.Mutation{Op: core.OpExport, Offers: offers})
 	t.bumpSeq(snap.Seq)
 	t.raiseEpoch(snap.Epoch)
 	return nil
@@ -422,10 +292,10 @@ func (t *Trader) ReplayRecord(seq uint64, payload []byte) error {
 		}
 		// Recovered and replicated IDs push the counter past themselves (a
 		// live export drew its ID from it, so only this path parses them).
-		for _, o := range m.offers {
+		for _, o := range m.Offers {
 			t.bumpSeqFromID(o.ID)
 		}
-		t.apply(m)
+		t.core.Apply(m)
 	}
 	return nil
 }

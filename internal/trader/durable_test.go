@@ -212,10 +212,10 @@ func TestDurablePurgeReplay(t *testing.T) {
 
 	tr2, j2 := newDurableTrader(t, "T", dir, journal.Options{Fsync: journal.FsyncAlways}, WithClock(clock))
 	defer j2.Close()
-	if _, ok := tr2.store.lookup(short); ok {
+	if _, ok := tr2.core.Lookup(short); ok {
 		t.Fatalf("purged offer %q resurrected by recovery", short)
 	}
-	if _, ok := tr2.store.lookup(long); !ok {
+	if _, ok := tr2.core.Lookup(long); !ok {
 		t.Fatalf("live offer %q lost in recovery", long)
 	}
 }

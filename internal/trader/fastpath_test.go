@@ -11,6 +11,7 @@ import (
 	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
 )
 
 // --- randomized equivalence: indexed snapshots vs. linear scan -------
@@ -85,43 +86,39 @@ func fpExpr(r *rand.Rand, depth int) string {
 	}
 }
 
-// TestIndexedMatchesLinearProperty drives an indexed trader and a
-// linear-scan trader through identical randomized export/withdraw/
-// replace/suspect/lease histories and asserts every import returns
-// exactly the same offers in the same order.
+// TestIndexedMatchesLinearProperty drives an indexed core.State and a
+// linear-scan one through identical randomized export/withdraw/
+// replace/suspect/lease histories — no Trader, no clock: mutations are
+// applied directly and every import names its instant — and asserts
+// every import returns exactly the same offers in the same order.
 func TestIndexedMatchesLinearProperty(t *testing.T) {
-	ctx := context.Background()
 	r := rand.New(rand.NewSource(42))
-
 	clock := time.Unix(1_000_000, 0)
-	now := func() time.Time { return clock }
 
-	// Same trader ID so both assign identical offer IDs.
-	indexed := New("T", newCarRepo(t), WithClock(now))
-	linear := New("T", newCarRepo(t), WithClock(now), WithoutOfferIndex())
-	traders := []*Trader{indexed, linear}
+	caches := core.Options{ConstraintCacheSize: defaultConstraintCacheSize, ImportCacheTTL: defaultImportCacheTTL}
+	indexed := core.New(newCarRepo(t), caches)
+	caches.Linear = true
+	linear := core.New(newCarRepo(t), caches)
+	states := []*core.State{indexed, linear}
+	apply := func(m *core.Mutation) {
+		for _, st := range states {
+			st.Apply(m)
+		}
+	}
 
 	var ids []string
 	export := func() {
-		props := fpOfferProps(r)
-		target := ref.New(fmt.Sprintf("tcp:10.1.%d.%d:7000", len(ids)/250, len(ids)%250), "CarRentalService")
-		ttl := time.Duration(0)
+		o := &Offer{
+			ID:    fmt.Sprintf("T/o%d", len(ids)+1),
+			Type:  "CarRentalService",
+			Ref:   ref.New(fmt.Sprintf("tcp:10.1.%d.%d:7000", len(ids)/250, len(ids)%250), "CarRentalService"),
+			Props: propMap(fpOfferProps(r)),
+		}
 		if r.Intn(4) == 0 {
-			ttl = time.Duration(1+r.Intn(120)) * time.Second
+			o.Expires = clock.Add(time.Duration(1+r.Intn(120)) * time.Second)
 		}
-		var firstID string
-		for i, tr := range traders {
-			id, err := tr.ExportLease("CarRentalService", target, props, ttl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				firstID = id
-			} else if id != firstID {
-				t.Fatalf("diverging offer ids %q vs %q", firstID, id)
-			}
-		}
-		ids = append(ids, firstID)
+		apply(&core.Mutation{Op: core.OpExport, Offers: []*Offer{o}})
+		ids = append(ids, o.ID)
 	}
 
 	policies := []string{"", "first", "min:ChargePerDay", "max:AverageMilage"}
@@ -133,17 +130,21 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 				Policy:     policies[r.Intn(len(policies))],
 				Max:        r.Intn(5), // 0 = all
 			}
-			a, errA := indexed.Import(ctx, req)
-			b, errB := linear.Import(ctx, req)
+			qa, errA := indexed.Prepare(req.Type, req.Constraint, req.Policy, req.Max, req.MinGrade)
+			qb, errB := linear.Prepare(req.Type, req.Constraint, req.Policy, req.Max, req.MinGrade)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("round %d %+v: errs %v vs %v", round, req, errA, errB)
 			}
+			if errA != nil {
+				continue
+			}
+			a, b := indexed.Import(qa, nil, clock), linear.Import(qb, nil, clock)
 			if len(a) != len(b) {
 				t.Fatalf("round %d constraint %q: indexed %d offers, linear %d", round, req.Constraint, len(a), len(b))
 			}
 			for i := range a {
 				if a[i].ID != b[i].ID || a[i].Suspect != b[i].Suspect {
-					t.Fatalf("round %d constraint %q offer %d: indexed %+v, linear %+v", round, req.Constraint, i, a[i], b[i])
+					t.Fatalf("round %d constraint %q offer %d: indexed %+v, linear %+v", round, req.Constraint, i, a[i].Offer, b[i].Offer)
 				}
 			}
 		}
@@ -154,31 +155,16 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 			export()
 		}
 		// Mutate identically on both sides.
-		if len(ids) > 0 && r.Intn(2) == 0 {
-			id := ids[r.Intn(len(ids))]
-			for _, tr := range traders {
-				_ = tr.Withdraw(id)
-			}
+		if r.Intn(2) == 0 {
+			apply(&core.Mutation{Op: core.OpWithdraw, IDs: []string{ids[r.Intn(len(ids))]}})
 		}
-		if len(ids) > 0 {
-			id := ids[r.Intn(len(ids))]
-			props := fpOfferProps(r)
-			for _, tr := range traders {
-				_ = tr.Replace(id, props)
-			}
-		}
-		if len(ids) > 0 {
-			id := ids[r.Intn(len(ids))]
-			sus := r.Intn(2) == 0
-			for _, tr := range traders {
-				_ = tr.MarkSuspect(id, sus)
-			}
-		}
+		apply(&core.Mutation{Op: core.OpReplace, IDs: []string{ids[r.Intn(len(ids))]}, Props: propMap(fpOfferProps(r))})
+		apply(&core.Mutation{Op: core.OpSuspect, IDs: []string{ids[r.Intn(len(ids))]}, Suspect: r.Intn(2) == 0})
 		clock = clock.Add(time.Duration(r.Intn(30)) * time.Second) // expire some leases
 		check(round)
 	}
-	if indexed.OfferCount() != linear.OfferCount() {
-		t.Fatalf("offer counts diverged: %d vs %d", indexed.OfferCount(), linear.OfferCount())
+	if indexed.Count(clock) != linear.Count(clock) {
+		t.Fatalf("offer counts diverged: %d vs %d", indexed.Count(clock), linear.Count(clock))
 	}
 }
 
@@ -347,9 +333,6 @@ func TestConstraintCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := tr.constraints.len(); n > 4 {
-		t.Fatalf("constraint cache grew to %d entries (cap 4)", n)
-	}
 
 	// Repeats hit.
 	snap := reg.CounterVec("cosm_trader_constraint_cache_total", "", "outcome").Snapshot()
@@ -364,29 +347,14 @@ func TestConstraintCacheBounded(t *testing.T) {
 	if snap["hit"] != 1 {
 		t.Fatalf("hit = %d, want 1 (snapshot %v)", snap["hit"], snap)
 	}
-}
-
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRU[int](2)
-	c.add("a", 1)
-	c.add("b", 2)
-	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing")
+	// Anything older than the last four was evicted: it compiles afresh.
+	req.Constraint = "ChargePerDay < 1095"
+	if _, err := tr.Import(ctx, req); err != nil {
+		t.Fatal(err)
 	}
-	c.add("c", 3)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if v, ok := c.get("a"); !ok || v != 1 {
-		t.Fatalf("a = %d, %v", v, ok)
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
-	}
-	var nilLRU *lruCache[int]
-	nilLRU.add("x", 1) // nil cache: no-ops, no panic
-	if _, ok := nilLRU.get("x"); ok || nilLRU.len() != 0 {
-		t.Fatal("nil LRU must be inert")
+	snap = reg.CounterVec("cosm_trader_constraint_cache_total", "", "outcome").Snapshot()
+	if snap["hit"] != 1 || snap["miss"] != 101 {
+		t.Fatalf("evicted constraint: hit = %d, miss = %d, want 1 and 101", snap["hit"], snap["miss"])
 	}
 }
 
@@ -462,7 +430,7 @@ func TestShardConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			for _, o := range tr.store.live(tr.now()) {
+			for _, o := range tr.core.Live(tr.now()) {
 				if i%2 == 0 {
 					_ = tr.MarkSuspect(o.ID, true)
 				} else {

@@ -61,7 +61,7 @@ func (t *Trader) Summary() OfferSummary {
 		hops  int
 	}
 	types := map[string]agg{}
-	for name, count := range t.store.typeCounts(now) {
+	for name, count := range t.core.TypeCounts(now) {
 		types[name] = agg{count: count, hops: 0}
 	}
 	for _, l := range t.mesh.snapshot() {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"cosm/internal/trader/core"
 	"cosm/internal/wire"
 )
 
@@ -493,7 +494,7 @@ func (t *Trader) federatedMatches(ctx context.Context, req ImportRequest) []Matc
 		pendingLinks[l]++
 	}
 
-	minGrade := effectiveMinGrade(req.MinGrade)
+	minGrade := core.EffectiveMinGrade(req.MinGrade)
 	var out []Match
 	seen := make(map[string]bool)
 	now := func() time.Time { return t.now() }

@@ -316,7 +316,7 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 				return 0, fmt.Errorf("trader: install snapshot: %w", err)
 			}
 		}
-		t.store.clear()
+		t.core.Clear()
 		if err := t.RestoreSnapshot(b.Snapshot); err != nil {
 			t.applyMu.RUnlock()
 			return 0, err

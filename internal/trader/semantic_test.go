@@ -16,6 +16,7 @@ import (
 	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
 	"cosm/internal/typemgr"
 	"cosm/internal/xcode"
 )
@@ -602,7 +603,7 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	if decodedReq.MinGrade != match.GradeNone {
 		t.Fatalf("minGrade = %v, want GradeNone (floor dropped)", decodedReq.MinGrade)
 	}
-	if effectiveMinGrade(decodedReq.MinGrade) != match.GradeSubtype {
+	if core.EffectiveMinGrade(decodedReq.MinGrade) != match.GradeSubtype {
 		t.Fatal("degraded request must match with the default grade floor")
 	}
 

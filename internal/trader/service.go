@@ -2,13 +2,13 @@ package trader
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"cosm/internal/cosm"
 	"cosm/internal/journal"
 	"cosm/internal/match"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
 	"cosm/internal/wire"
 	"cosm/internal/xcode"
 )
@@ -181,50 +181,6 @@ module CosmTrader {
     };
 };
 `
-
-func encodeLit(l sidl.Lit) (kind, text string) {
-	switch l.Kind {
-	case sidl.LitBool:
-		return "bool", strconv.FormatBool(l.Bool)
-	case sidl.LitInt:
-		return "int", strconv.FormatInt(l.Int, 10)
-	case sidl.LitFloat:
-		return "float", strconv.FormatFloat(l.Float, 'g', -1, 64)
-	case sidl.LitString:
-		return "string", l.Str
-	case sidl.LitEnum:
-		return "enum", l.Enum
-	}
-	return "", ""
-}
-
-func decodeLit(kind, text string) (sidl.Lit, error) {
-	switch kind {
-	case "bool":
-		b, err := strconv.ParseBool(text)
-		if err != nil {
-			return sidl.Lit{}, fmt.Errorf("trader: bad bool property %q: %w", text, err)
-		}
-		return sidl.BoolLit(b), nil
-	case "int":
-		i, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return sidl.Lit{}, fmt.Errorf("trader: bad int property %q: %w", text, err)
-		}
-		return sidl.IntLit(i), nil
-	case "float":
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return sidl.Lit{}, fmt.Errorf("trader: bad float property %q: %w", text, err)
-		}
-		return sidl.FloatLit(f), nil
-	case "string":
-		return sidl.StringLit(text), nil
-	case "enum":
-		return sidl.EnumLit(text), nil
-	}
-	return sidl.Lit{}, fmt.Errorf("trader: unknown property kind %q", kind)
-}
 
 // traderTypes caches the parsed IDL types used by both the service
 // facade and the typed client.
@@ -414,7 +370,7 @@ func summaryFromValue(v *xcode.Value) (OfferSummary, error) {
 func (tt *traderTypes) propsValue(props []sidl.Property) (*xcode.Value, error) {
 	elems := make([]*xcode.Value, len(props))
 	for i, p := range props {
-		kind, text := encodeLit(p.Value)
+		kind, text := core.EncodeLit(p.Value)
 		pv, err := xcode.NewStruct(tt.propT, map[string]*xcode.Value{
 			"name": xcode.NewString(tt.strT, p.Name),
 			"kind": xcode.NewString(tt.strT, kind),
@@ -443,7 +399,7 @@ func propsFromValue(v *xcode.Value) ([]sidl.Property, error) {
 		if err != nil {
 			return nil, err
 		}
-		lit, err := decodeLit(kind.Str, text.Str)
+		lit, err := core.DecodeLit(kind.Str, text.Str)
 		if err != nil {
 			return nil, err
 		}
@@ -454,7 +410,7 @@ func propsFromValue(v *xcode.Value) ([]sidl.Property, error) {
 
 func (tt *traderTypes) offerValue(o *Offer) (*xcode.Value, error) {
 	props := make([]sidl.Property, 0, len(o.Props))
-	for _, name := range sortedPropNames(o.Props) {
+	for _, name := range core.SortedPropNames(o.Props) {
 		props = append(props, sidl.Property{Name: name, Value: o.Props[name]})
 	}
 	propsV, err := tt.propsValue(props)
@@ -545,19 +501,6 @@ func offerFromValue(v *xcode.Value) (*Offer, error) {
 		o.Suspect = sv.Bool
 	}
 	return o, nil
-}
-
-func sortedPropNames(props map[string]sidl.Lit) []string {
-	names := make([]string, 0, len(props))
-	for n := range props {
-		names = append(names, n)
-	}
-	for i := 1; i < len(names); i++ { // insertion sort: tiny inputs
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }
 
 // exportItemValue encodes one batch-export item.

@@ -9,6 +9,7 @@ import (
 	"cosm/internal/cosm"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
 	"cosm/internal/typemgr"
 	"cosm/internal/wire"
 )
@@ -258,10 +259,10 @@ func TestLitWireCodec(t *testing.T) {
 		sidl.EnumLit("AUDI"),
 	}
 	for _, l := range lits {
-		kind, text := encodeLit(l)
-		got, err := decodeLit(kind, text)
+		kind, text := core.EncodeLit(l)
+		got, err := core.DecodeLit(kind, text)
 		if err != nil {
-			t.Fatalf("decodeLit(%q, %q): %v", kind, text, err)
+			t.Fatalf("core.DecodeLit(%q, %q): %v", kind, text, err)
 		}
 		if got != l {
 			t.Fatalf("round trip: %+v vs %+v", got, l)
@@ -273,8 +274,8 @@ func TestLitWireCodec(t *testing.T) {
 		{"float", "x"},
 		{"quaternion", "1"},
 	} {
-		if _, err := decodeLit(bad[0], bad[1]); err == nil {
-			t.Fatalf("decodeLit(%q, %q) should fail", bad[0], bad[1])
+		if _, err := core.DecodeLit(bad[0], bad[1]); err == nil {
+			t.Fatalf("core.DecodeLit(%q, %q) should fail", bad[0], bad[1])
 		}
 	}
 }

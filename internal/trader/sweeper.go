@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cosm/internal/cosm"
-	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/wire"
 )
@@ -32,14 +31,9 @@ type PingFunc func(ctx context.Context, target ref.ServiceRef) error
 type Sweeper struct {
 	t            *Trader
 	ping         PingFunc
-	interval     time.Duration
-	timeout      time.Duration
 	probeTimeout time.Duration
 	thresh       int
 	tick         <-chan time.Time
-	logf         func(format string, args ...any)
-	log          *obs.Logger
-	probes       *obs.CounterVec // cosm_trader_probes_total{outcome}
 
 	mu    sync.Mutex
 	fails map[string]int // offer ID -> consecutive failed probes
@@ -50,20 +44,16 @@ type Sweeper struct {
 	stopped   chan struct{}
 }
 
+// The background loop sweeps every sweepInterval and bounds one whole
+// sweep, probes included, by sweepTimeout; providers not yet probed when
+// that budget runs out are skipped, not failed — see SweepOnce.
+const (
+	sweepInterval = 30 * time.Second
+	sweepTimeout  = 10 * time.Second
+)
+
 // SweeperOption configures a Sweeper.
 type SweeperOption func(*Sweeper)
-
-// WithSweepInterval sets the background sweep period (default 30s).
-func WithSweepInterval(d time.Duration) SweeperOption {
-	return func(sw *Sweeper) { sw.interval = d }
-}
-
-// WithSweepTimeout bounds one whole sweep, probes included
-// (default 10s). Providers not yet probed when the budget runs out are
-// skipped, not failed — see SweepOnce.
-func WithSweepTimeout(d time.Duration) SweeperOption {
-	return func(sw *Sweeper) { sw.timeout = d }
-}
 
 // WithProbeTimeout bounds each individual provider probe (default 2s),
 // so one black-holed provider cannot eat the whole sweep budget and
@@ -91,32 +81,6 @@ func WithSweepTick(tick <-chan time.Time) SweeperOption {
 	return func(sw *Sweeper) { sw.tick = tick }
 }
 
-// WithSweeperLog directs sweep diagnostics to logf (default: silent).
-func WithSweeperLog(logf func(format string, args ...any)) SweeperOption {
-	return func(sw *Sweeper) { sw.logf = logf }
-}
-
-// WithSweeperLogger routes probe results through the structured logger
-// l: every sweep emits one event=sweep summary line, and each suspicion
-// or withdrawal its own event line. A nil l is a no-op.
-func WithSweeperLogger(l *obs.Logger) SweeperOption {
-	return func(sw *Sweeper) {
-		if l == nil {
-			return
-		}
-		sw.log = l
-		sw.logf = l.Sink()
-	}
-}
-
-// WithSweeperMetrics counts probe outcomes (ok, failed) into reg's
-// cosm_trader_probes_total family. A nil reg disables recording.
-func WithSweeperMetrics(reg *obs.Registry) SweeperOption {
-	return func(sw *Sweeper) {
-		sw.probes = reg.CounterVec("cosm_trader_probes_total", "Sweeper liveness probes by outcome.", "outcome")
-	}
-}
-
 // NewSweeper returns a sweeper over t probing providers through pool.
 // The sweeper does not run until Start (or SweepOnce) is called.
 func NewSweeper(t *Trader, pool *wire.Pool, opts ...SweeperOption) *Sweeper {
@@ -125,11 +89,8 @@ func NewSweeper(t *Trader, pool *wire.Pool, opts ...SweeperOption) *Sweeper {
 		ping: func(ctx context.Context, target ref.ServiceRef) error {
 			return cosm.Ping(ctx, pool, target)
 		},
-		interval:     30 * time.Second,
-		timeout:      10 * time.Second,
 		probeTimeout: 2 * time.Second,
 		thresh:       2,
-		logf:         func(string, ...any) {},
 		fails:        map[string]int{},
 		done:         make(chan struct{}),
 		stopped:      make(chan struct{}),
@@ -155,7 +116,7 @@ func (sw *Sweeper) loop() {
 	defer close(sw.stopped)
 	tick := sw.tick
 	if tick == nil {
-		ticker := time.NewTicker(sw.interval)
+		ticker := time.NewTicker(sweepInterval)
 		defer ticker.Stop()
 		tick = ticker.C
 	}
@@ -164,7 +125,7 @@ func (sw *Sweeper) loop() {
 		case <-sw.done:
 			return
 		case <-tick:
-			ctx, cancel := context.WithTimeout(context.Background(), sw.timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), sweepTimeout)
 			sw.SweepOnce(ctx)
 			cancel()
 		}
@@ -214,7 +175,7 @@ func (sw *Sweeper) SweepOnce(ctx context.Context) SweepReport {
 
 	// Shared immutable snapshots — the sweeper only reads Ref/ID/Suspect,
 	// so it skips the management view's per-offer deep copy.
-	offers := sw.t.store.live(sw.t.now())
+	offers := sw.t.core.Live(sw.t.now())
 
 	// One probe per distinct provider reference: a provider exporting
 	// ten offers is pinged once, and all ten share the verdict.
@@ -236,11 +197,6 @@ func (sw *Sweeper) SweepOnce(ctx context.Context) SweepReport {
 			break
 		}
 		verdict[o.Ref] = err
-		if err == nil {
-			sw.probes.With("ok").Inc()
-		} else {
-			sw.probes.With("failed").Inc()
-		}
 	}
 
 	// tracked collects offer IDs whose failure streak must survive this
@@ -273,7 +229,6 @@ func (sw *Sweeper) SweepOnce(ctx context.Context) SweepReport {
 		if n >= sw.thresh {
 			if werr := sw.t.Withdraw(o.ID); werr == nil {
 				rep.Withdrawn++
-				sw.logf("trader: sweeper withdrew %s (%s unreachable %d sweeps: %v)", o.ID, o.Ref, n, err)
 			}
 			sw.mu.Lock()
 			delete(sw.fails, o.ID)
@@ -282,13 +237,8 @@ func (sw *Sweeper) SweepOnce(ctx context.Context) SweepReport {
 		}
 		rep.Suspected++
 		_ = sw.t.MarkSuspect(o.ID, true)
-		sw.logf("trader: sweeper suspects %s (%s unreachable: %v)", o.ID, o.Ref, err)
 		tracked[o.ID] = true
 	}
-	if rep.Skipped > 0 {
-		sw.logf("trader: sweep budget exhausted, %d offer(s) not probed", rep.Skipped)
-	}
-
 	// Drop failure counts for offers withdrawn or replaced out of band.
 	sw.mu.Lock()
 	for id := range sw.fails {
@@ -297,8 +247,5 @@ func (sw *Sweeper) SweepOnce(ctx context.Context) SweepReport {
 		}
 	}
 	sw.mu.Unlock()
-	sw.log.Log(nil, "sweep", "checked", rep.Checked, "healthy", rep.Healthy,
-		"suspected", rep.Suspected, "withdrawn", rep.Withdrawn,
-		"expired", rep.Expired, "skipped", rep.Skipped)
 	return rep
 }

@@ -1,11 +1,19 @@
+// Package trader implements the ODP trading function of the paper
+// (section 2): service offers classified by service types, exported by
+// service providers and imported by clients through typed, constrained,
+// policy-driven matching — plus trader federation for wider scopes.
+//
+// The trader proper — offer store, constraint language, policies,
+// matcher — is package core, one directory down. This package is the
+// shell around it: offer IDs, the clock, type checking, the journal
+// (durable.go), the HA cell (repl.go, election.go, votelog.go), the
+// mesh (mesh.go, gossip.go, sweeper.go) and RPC (service.go, client.go).
 package trader
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,6 +24,7 @@ import (
 	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
 	"cosm/internal/typemgr"
 	"cosm/internal/wire"
 )
@@ -26,65 +35,34 @@ var (
 	ErrNoOffer      = errors.New("trader: no matching offer")
 )
 
-// Offer is one exported service offer: the triangular relationship of
-// Fig. 1 stores these at the trader (step 1) and hands matching ones to
-// importers (step 3), which then bind directly (steps 4 and 5).
-//
-// Stored offers are immutable: mutation operations (Replace,
-// MarkSuspect) swap in a fresh copy, so offers returned by Import are
-// shared snapshots that must not be modified by callers.
-type Offer struct {
-	// ID is the trader-assigned offer identifier, unique per trader.
-	ID string
-	// Type names the registered service type the offer belongs to.
-	Type string
-	// Ref is the exporter's service reference for direct binding.
-	Ref ref.ServiceRef
-	// Props holds the characterising attribute values.
-	Props map[string]sidl.Lit
-	// Expires is the lease expiry instant; the zero value means the
-	// offer never expires. Expired offers stop matching immediately and
-	// are reclaimed by PurgeExpired. Leases let providers in an open
-	// market disappear without leaving dangling offers behind — the
-	// liveness gap of 1994-era traders that failure tests demonstrate.
-	Expires time.Time
-	// Suspect marks an offer whose provider failed its most recent
-	// liveness probe (see Sweeper). Suspect offers still match — the
-	// failure may have been a transient network hiccup and the bind
-	// failover path skips dead providers anyway — but importers and
-	// operators can see the flag and prefer healthy offers.
-	Suspect bool
-}
+// The core's types and functions, under the names this package has
+// always exported them by; package core documents them.
+type (
+	Offer       = core.Offer
+	Match       = core.Match
+	OfferRecord = core.OfferRecord
+	PropRecord  = core.PropRecord
+	Constraint  = core.Constraint
+	Policy      = core.Policy
+)
 
-// expired reports whether the offer's lease has run out at time now.
-func (o *Offer) expired(now time.Time) bool {
-	return !o.Expires.IsZero() && now.After(o.Expires)
-}
+// Errors wrapped by constraint and policy parse failures.
+var (
+	ErrConstraint = core.ErrConstraint
+	ErrPolicy     = core.ErrPolicy
+)
 
-func (o *Offer) clone() *Offer {
-	c := &Offer{ID: o.ID, Type: o.Type, Ref: o.Ref, Props: make(map[string]sidl.Lit, len(o.Props)), Expires: o.Expires, Suspect: o.Suspect}
-	for k, v := range o.Props {
-		c.Props[k] = v
-	}
-	return c
-}
+// Compile parses a constraint expression.
+func Compile(src string) (*Constraint, error) { return core.Compile(src) }
 
-// Match is one graded import result: the offer plus how well it
-// satisfies the request (see the match package for the grade lattice
-// and scoring model). The Offer is a shared immutable snapshot; the
-// grade and score are per-request and cost no offer copy.
-type Match struct {
-	*Offer
-	// Grade classifies the match: exact type, conforming subtype, or
-	// partial attribute satisfaction. Offers relayed by pre-grading
-	// peers arrive as GradeNone and are re-graded by the origin trader.
-	Grade match.Grade
-	// Score orders matches of equal grade: the type-conformance score
-	// (1.0 exact, decaying with declared subtype depth, 0.5 structural)
-	// scaled down for partial-attribute matches so that every full
-	// match outranks every partial one.
-	Score float64
-}
+// MustCompile is Compile for statically known expressions.
+func MustCompile(src string) *Constraint { return core.MustCompile(src) }
+
+// ParsePolicy parses a policy string; "" means "first".
+func ParsePolicy(src string) (Policy, error) { return core.ParsePolicy(src) }
+
+// OfferFromRecord reverses (*Offer).Record.
+func OfferFromRecord(rec OfferRecord) (*Offer, error) { return core.OfferFromRecord(rec) }
 
 // ImportRequest is one import call (step 2 of Fig. 1). It doubles as
 // the wire struct of the trader protocol; in-process callers usually
@@ -140,15 +118,16 @@ type Federate interface {
 // repository, with export/withdraw/replace/import operations, a
 // management interface, and optional federation links. Safe for
 // concurrent use.
-//
-// The offer store is sharded by service-type hash and serves imports
-// from immutable per-type snapshots with attribute indexes (see
-// offerStore), so the matching hot path takes no trader-wide lock.
 type Trader struct {
 	id    string
 	types *typemgr.Repo
-	store *offerStore
 	seq   atomic.Uint64
+
+	// core is the market state: every offer lives there, every mutation
+	// ends in its Apply and every import in its Import. coreOpts is what
+	// the options asked of it; New builds core from them.
+	core     *core.State
+	coreOpts core.Options
 
 	// mesh is the named federation link registry (see mesh.go); its
 	// own mutex guards it, so concurrent AddLink and Import never race.
@@ -163,20 +142,7 @@ type Trader struct {
 	fedFull    atomic.Uint64
 	fedHedged  atomic.Uint64
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	now      func() time.Time
-	useIndex bool
-
-	// constraints caches compiled constraint expressions (bounded LRU;
-	// nil disables caching).
-	constraints *lruCache[*Constraint]
-
-	// importTTL bounds how long an import result may be served from the
-	// result cache; zero disables the cache.
-	importTTL   time.Duration
-	importCache *lruCache[*importCacheEntry]
+	now func() time.Time
 
 	// journal, when attached via SetJournal, receives a logical record
 	// for every offer and type mutation (see durable.go).
@@ -207,25 +173,11 @@ type Trader struct {
 	votes *VoteLog
 }
 
-// Default sizes of the trader's bounded caches.
+// Defaults of the core's bounded caches.
 const (
 	defaultConstraintCacheSize = 256
 	defaultImportCacheTTL      = 250 * time.Millisecond
-	importCacheSize            = 512
 )
-
-// importCacheEntry is one cached import result plus everything needed
-// to prove it still describes the store: the generation pair pins the
-// set of matching types, the consulted bucket versions pin their
-// contents, and expires bounds staleness by the trader's clock (and by
-// the earliest lease expiry among the cached offers).
-type importCacheEntry struct {
-	expires   time.Time
-	storeGen  uint64
-	repoGen   uint64
-	consulted []bucketVersion
-	matches   []Match
-}
 
 // traderMetrics binds the cosm_trader_* metric families. The zero value
 // (no registry) records nothing: obs instruments are nil-safe.
@@ -236,11 +188,6 @@ type traderMetrics struct {
 	matches     *obs.Histogram  // matches returned per import
 	matchGrades *obs.CounterVec // by grade: exact, subtype, partial-attribute
 	purged      *obs.Counter
-
-	indexLookups     *obs.CounterVec // by index kind: eq, range, scan, linear
-	snapshotRebuilds *obs.Counter
-	importCache      *obs.CounterVec // by outcome: hit, miss
-	constraintCache  *obs.CounterVec // by outcome: hit, miss
 
 	replRecords       *obs.CounterVec // by direction: sent (leader), applied (follower)
 	fencingRejections *obs.Counter
@@ -254,9 +201,6 @@ type traderMetrics struct {
 }
 
 func newTraderMetrics(reg *obs.Registry) traderMetrics {
-	if reg == nil {
-		return traderMetrics{}
-	}
 	return traderMetrics{
 		exports:     reg.Counter("cosm_trader_exports_total", "Offers exported."),
 		withdrawals: reg.Counter("cosm_trader_withdrawals_total", "Offers withdrawn."),
@@ -264,11 +208,6 @@ func newTraderMetrics(reg *obs.Registry) traderMetrics {
 		matches:     reg.Histogram("cosm_trader_import_matches", "Offers returned per import.", obs.CountBuckets),
 		matchGrades: reg.CounterVec("cosm_trader_match_grade_total", "Matches returned by semantic grade (exact, subtype, partial-attribute).", "grade"),
 		purged:      reg.Counter("cosm_trader_offers_purged_total", "Expired offers reclaimed."),
-
-		indexLookups:     reg.CounterVec("cosm_trader_index_lookups_total", "Type-bucket match passes by index kind (eq, range, scan, linear).", "kind"),
-		snapshotRebuilds: reg.Counter("cosm_trader_index_snapshot_rebuilds_total", "Type snapshots rebuilt after writes."),
-		importCache:      reg.CounterVec("cosm_trader_import_cache_total", "Import-result cache lookups by outcome.", "outcome"),
-		constraintCache:  reg.CounterVec("cosm_trader_constraint_cache_total", "Compiled-constraint cache lookups by outcome.", "outcome"),
 
 		replRecords:       reg.CounterVec("cosm_trader_repl_records_total", "Replication records by direction (sent by the leader, applied by the follower).", "dir"),
 		fencingRejections: reg.Counter("cosm_trader_repl_fencing_rejections_total", "Replication batches or promotions rejected by epoch fencing."),
@@ -289,13 +228,13 @@ type Option func(*Trader)
 // using the sharded type snapshots; only the offer-index ablation
 // benchmark and the index-equivalence property test should want this.
 func WithoutOfferIndex() Option {
-	return func(t *Trader) { t.useIndex = false }
+	return func(t *Trader) { t.coreOpts.Linear = true }
 }
 
 // WithConstraintCacheSize bounds the compiled-constraint LRU to n
 // entries (default 256); n <= 0 disables the cache.
 func WithConstraintCacheSize(n int) Option {
-	return func(t *Trader) { t.constraints = newLRU[*Constraint](n) }
+	return func(t *Trader) { t.coreOpts.ConstraintCacheSize = n }
 }
 
 // WithImportCacheTTL bounds how long a local import result may be
@@ -305,7 +244,7 @@ func WithConstraintCacheSize(n int) Option {
 // relative to lease expiry of remote clocks. A non-positive d disables
 // the cache.
 func WithImportCacheTTL(d time.Duration) Option {
-	return func(t *Trader) { t.importTTL = d }
+	return func(t *Trader) { t.coreOpts.ImportCacheTTL = d }
 }
 
 // WithClock injects a time source for lease handling (tests use a fake
@@ -330,18 +269,17 @@ func WithLogger(l *obs.Logger) Option {
 func WithMetrics(reg *obs.Registry) Option {
 	return func(t *Trader) {
 		t.metrics = newTraderMetrics(reg)
-		if reg != nil {
-			reg.GaugeFunc("cosm_trader_offers", "Stored, unexpired offers.",
-				func() float64 { return float64(t.OfferCount()) })
-			reg.GaugeFunc("cosm_trader_epoch", "Current fencing epoch of the replication group.",
-				func() float64 { return float64(t.Epoch()) })
-			reg.GaugeFunc("cosm_trader_repl_lag_records", "Records the follower still has to apply (0 on a leader).",
-				func() float64 { return float64(t.replLagRecords()) })
-			reg.GaugeFunc("cosm_trader_repl_lag_seconds", "Seconds since the follower was last caught up with its leader (0 when caught up or leading).",
-				func() float64 { return t.replLagSeconds() })
-			reg.GaugeFunc("cosm_trader_links", "Registered federation links.",
-				func() float64 { return float64(t.LinkCount()) })
-		}
+		t.coreOpts.Metrics = reg
+		reg.GaugeFunc("cosm_trader_offers", "Stored, unexpired offers.",
+			func() float64 { return float64(t.OfferCount()) })
+		reg.GaugeFunc("cosm_trader_epoch", "Current fencing epoch of the replication group.",
+			func() float64 { return float64(t.Epoch()) })
+		reg.GaugeFunc("cosm_trader_repl_lag_records", "Records the follower still has to apply (0 on a leader).",
+			func() float64 { return float64(t.replLagRecords()) })
+		reg.GaugeFunc("cosm_trader_repl_lag_seconds", "Seconds since the follower was last caught up with its leader (0 when caught up or leading).",
+			func() float64 { return t.replLagSeconds() })
+		reg.GaugeFunc("cosm_trader_links", "Registered federation links.",
+			func() float64 { return float64(t.LinkCount()) })
 	}
 }
 
@@ -382,24 +320,17 @@ func WithReplSync(n int, timeout time.Duration) Option {
 // repository. The identity must be unique within a federation.
 func New(id string, types *typemgr.Repo, opts ...Option) *Trader {
 	t := &Trader{
-		id:          id,
-		types:       types,
-		rng:         rand.New(rand.NewSource(1)),
-		now:         time.Now,
-		useIndex:    true,
-		constraints: newLRU[*Constraint](defaultConstraintCacheSize),
-		importTTL:   defaultImportCacheTTL,
-		linkPolicy:  wire.DefaultBreakerPolicy(),
+		id:         id,
+		types:      types,
+		now:        time.Now,
+		linkPolicy: wire.DefaultBreakerPolicy(),
+		coreOpts:   core.Options{ConstraintCacheSize: defaultConstraintCacheSize, ImportCacheTTL: defaultImportCacheTTL},
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	t.mesh = newLinkRegistry(t.linkPolicy)
-	if t.importTTL > 0 {
-		t.importCache = newLRU[*importCacheEntry](importCacheSize)
-	}
-	t.store = newOfferStore(types, func() time.Time { return t.now() })
-	t.store.rebuilds = t.metrics.snapshotRebuilds
+	t.core = core.New(types, t.coreOpts)
 	return t
 }
 
@@ -430,7 +361,7 @@ func (t *Trader) ExportLease(serviceType string, r ref.ServiceRef, props []sidl.
 	offer := t.makeOffer(serviceType, r, props, ttl)
 	// WAL-first: a crash after the append replays the export, a crash
 	// before it rejects the call — never a silently lost offer.
-	applied, err := t.commit(&mutation{op: opExport, offers: []*Offer{offer}})
+	applied, err := t.commit(&core.Mutation{Op: core.OpExport, Offers: []*Offer{offer}})
 	for _, o := range applied {
 		t.noteExport(o, ttl)
 	}
@@ -513,7 +444,7 @@ func (t *Trader) ExportAll(items []ExportItem) ([]string, error) {
 	// One mutation, hence one journal record, covers the whole batch: it
 	// registers completely or not at all, matching the call's atomicity
 	// contract.
-	applied, err := t.commit(&mutation{op: opExport, offers: offers})
+	applied, err := t.commit(&core.Mutation{Op: core.OpExport, Offers: offers})
 	for i, o := range applied {
 		t.noteExport(o, items[i].TTL)
 	}
@@ -543,7 +474,7 @@ func (t *Trader) target(offerID string) (*Offer, error) {
 	if err := t.leaderCheck(); err != nil {
 		return nil, err
 	}
-	offer, ok := t.store.lookup(offerID)
+	offer, ok := t.core.Lookup(offerID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrOfferUnknown, offerID)
 	}
@@ -565,7 +496,7 @@ func (t *Trader) Withdraw(offerID string) error {
 	if _, err := t.target(offerID); err != nil {
 		return err
 	}
-	gone, err := t.commit(&mutation{op: opWithdraw, ids: []string{offerID}})
+	gone, err := t.commit(&core.Mutation{Op: core.OpWithdraw, IDs: []string{offerID}})
 	t.noteWithdrawals(gone)
 	return oneApplied(gone, err, offerID)
 }
@@ -587,11 +518,11 @@ func (t *Trader) WithdrawAll(offerIDs []string) (int, error) {
 	if len(offerIDs) == 0 {
 		return 0, nil
 	}
-	m := &mutation{op: opWithdrawAll, ids: offerIDs}
+	m := &core.Mutation{Op: core.OpWithdrawAll, IDs: offerIDs}
 	gone, err := t.commit(m)
 	if errors.Is(err, errJournalAppend) {
-		t.log.Log(nil, "journal_error", "op", opWithdrawAll, "err", err.Error())
-		gone, err = t.apply(m), nil
+		t.log.Log(nil, "journal_error", "op", m.Op, "err", err.Error())
+		gone, err = t.core.Apply(m), nil
 	}
 	t.noteWithdrawals(gone)
 	return len(gone), err
@@ -608,7 +539,7 @@ func (t *Trader) Replace(offerID string, props []sidl.Property) error {
 	if err := t.types.CheckOffer(offer.Type, props); err != nil {
 		return err
 	}
-	applied, err := t.commit(&mutation{op: opReplace, ids: []string{offerID}, props: propMap(props)})
+	applied, err := t.commit(&core.Mutation{Op: core.OpReplace, IDs: []string{offerID}, Props: propMap(props)})
 	return oneApplied(applied, err, offerID)
 }
 
@@ -619,23 +550,23 @@ func (t *Trader) MarkSuspect(offerID string, suspect bool) error {
 	if _, err := t.target(offerID); err != nil {
 		return err
 	}
-	applied, err := t.commit(&mutation{op: opSuspect, ids: []string{offerID}, suspect: suspect})
+	applied, err := t.commit(&core.Mutation{Op: core.OpSuspect, IDs: []string{offerID}, Suspect: suspect})
 	return oneApplied(applied, err, offerID)
 }
 
 // OfferCount returns the number of stored, unexpired offers.
 func (t *Trader) OfferCount() int {
-	return t.store.count(t.now())
+	return t.core.Count(t.now())
 }
 
 // Offers returns a snapshot of all stored, unexpired offers, sorted by
 // ID — the management view a trader operator inspects. The offers are
 // deep copies and safe to modify.
 func (t *Trader) Offers() []*Offer {
-	live := t.store.live(t.now())
+	live := t.core.Live(t.now())
 	out := make([]*Offer, len(live))
 	for i, o := range live {
-		out[i] = o.clone()
+		out[i] = o.Clone()
 	}
 	return out
 }
@@ -654,26 +585,16 @@ func (t *Trader) PurgeExpired() int {
 	// re-evaluates expiry against the same absolute time, so recovery
 	// reclaims exactly the offers this call did. Apply-before-append only
 	// ever leaves a snapshot ahead of the watermark, which replay tolerates.
-	m := &mutation{op: opPurge, at: t.now()}
-	n := len(t.apply(m))
+	m := &core.Mutation{Op: core.OpPurge, At: t.now()}
+	n := len(t.core.Apply(m))
 	if n > 0 {
-		if err := t.journalRecord(m.record()); err != nil {
-			t.log.Log(nil, "journal_error", "op", opPurge, "err", err.Error())
+		if err := t.journalRecord(recordOf(m)); err != nil {
+			t.log.Log(nil, "journal_error", "op", m.Op, "err", err.Error())
 		}
 		t.metrics.purged.Add(uint64(n))
 		t.log.Log(nil, "purge", "reclaimed", n)
 	}
 	return n
-}
-
-// effectiveMinGrade maps a request's grade floor to the engine's: the
-// zero value (unset, and what pre-grading peers send) means the classic
-// behaviour — full matches only, exact type or conforming subtype.
-func effectiveMinGrade(g match.Grade) match.Grade {
-	if g == match.GradeNone {
-		return match.GradeSubtype
-	}
-	return g
 }
 
 // Import matches a request against the local offer store and, when the
@@ -707,96 +628,17 @@ func offersOf(ms []Match, err error) ([]*Offer, error) {
 // result-ordering contract.
 func (t *Trader) ImportGraded(ctx context.Context, req ImportRequest) ([]Match, error) {
 	t.metrics.imports.With(req.Type).Inc()
-	constraint, err := t.compile(req.Constraint)
+	// Compile before fanning out: a malformed request is refused here and
+	// never reaches — or counts against — a partner trader.
+	q, err := t.core.Prepare(req.Type, req.Constraint, req.Policy, req.Max, req.MinGrade)
 	if err != nil {
 		return nil, err
 	}
-	policy, err := ParsePolicy(req.Policy)
-	if err != nil {
-		return nil, err
-	}
-	minGrade := effectiveMinGrade(req.MinGrade)
-
-	// Purely local, deterministically ordered imports can be answered
-	// from the result cache: entries are invalidated by any store or
-	// type-repo change that could alter the result, so the TTL only
-	// bounds reuse, it never hides a change.
-	now := t.now()
-	cacheable := t.importCache != nil && t.useIndex && req.HopLimit == 0 && policy.cacheable()
-	var key string
-	var storeGen, repoGen uint64
-	if cacheable {
-		key = req.Type + "\x1f" + req.Constraint + "\x1f" + req.Policy + "\x1f" +
-			strconv.Itoa(req.Max) + "\x1f" + strconv.Itoa(int(minGrade))
-		if e, ok := t.importCache.get(key); ok && !now.After(e.expires) && t.store.validate(e) {
-			t.metrics.importCache.With("hit").Inc()
-			matches := append([]Match(nil), e.matches...)
-			t.recordMatches(matches)
-			t.log.Log(ctx, "import", "type", req.Type, "constraint", req.Constraint,
-				"hoplimit", req.HopLimit, "matches", len(matches), "cache", "hit")
-			return matches, nil
-		}
-		t.metrics.importCache.With("miss").Inc()
-		// Capture the generations before reading any snapshot: a write
-		// racing with the match pass then fails the entry's validation.
-		storeGen, repoGen = t.store.gens()
-	}
-
-	matches, consulted := t.localMatches(req.Type, constraint, minGrade)
-
+	var remote []Match
 	if req.HopLimit > 0 {
-		matches = append(matches, t.federatedMatches(ctx, req)...)
+		remote = t.federatedMatches(ctx, req)
 	}
-
-	// Deduplicate by target reference: the same service exported at two
-	// federated traders is still one service. First occurrence wins, so
-	// a local (already grade-ordered-by-bucket) match shadows a remote
-	// duplicate of the same service.
-	seen := make(map[ref.ServiceRef]bool, len(matches))
-	unique := matches[:0]
-	for _, m := range matches {
-		if seen[m.Ref] {
-			continue
-		}
-		seen[m.Ref] = true
-		unique = append(unique, m)
-	}
-	matches = unique
-
-	t.rngMu.Lock()
-	policy.apply(matches, t.rng)
-	t.rngMu.Unlock()
-
-	// Stable partition: healthy offers precede suspect ones, each class
-	// keeping its policy order. A suspect provider may be fine (the
-	// probe failure could be transient), but importers walking the list
-	// front-to-back — in particular the bind failover path — should
-	// reach live providers first.
-	sort.SliceStable(matches, func(i, j int) bool {
-		return !matches[i].Suspect && matches[j].Suspect
-	})
-
-	if req.Max > 0 && len(matches) > req.Max {
-		matches = matches[:req.Max]
-	}
-
-	if cacheable {
-		expires := now.Add(t.importTTL)
-		for _, m := range matches {
-			// A cached result must not outlive its shortest lease.
-			if !m.Expires.IsZero() && m.Expires.Before(expires) {
-				expires = m.Expires
-			}
-		}
-		t.importCache.add(key, &importCacheEntry{
-			expires:   expires,
-			storeGen:  storeGen,
-			repoGen:   repoGen,
-			consulted: consulted,
-			matches:   append([]Match(nil), matches...),
-		})
-	}
-
+	matches := t.core.Import(q, remote, t.now())
 	t.recordMatches(matches)
 	// The import line carries the trace from ctx, so a federated import
 	// shows up in each consulted trader's log under one trace ID.
@@ -811,131 +653,6 @@ func (t *Trader) recordMatches(ms []Match) {
 	for _, m := range ms {
 		t.metrics.matchGrades.With(m.Grade.String()).Inc()
 	}
-}
-
-// compile returns the compiled form of a constraint expression, served
-// from the bounded LRU when possible.
-func (t *Trader) compile(src string) (*Constraint, error) {
-	if t.constraints == nil {
-		return Compile(src)
-	}
-	if c, ok := t.constraints.get(src); ok {
-		t.metrics.constraintCache.With("hit").Inc()
-		return c, nil
-	}
-	c, err := Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	t.metrics.constraintCache.With("miss").Inc()
-	t.constraints.add(src, c)
-	return c, nil
-}
-
-// localMatches is the matcher over the local store. Phase 1 resolves
-// the requested type to the stored buckets of its graded conformant
-// closure; phases 2 and 3 filter each bucket through the compiled
-// constraint (index-narrowed when only full matches are wanted) and
-// grade the survivors. A bucket whose type grade is below the floor is
-// skipped outright unless the floor admits partial-attribute matches,
-// which any conformant offer may still yield. The result is sorted by
-// offer ID; the bucket versions consulted feed the import-result cache.
-// Offers are shared immutable snapshots.
-func (t *Trader) localMatches(reqType string, constraint *Constraint, minGrade match.Grade) ([]Match, []bucketVersion) {
-	now := t.now()
-	if !t.useIndex {
-		return t.linearMatches(reqType, constraint, minGrade, now), nil
-	}
-	var matches []Match
-	var consulted []bucketVersion
-	for _, tm := range t.store.resolve(reqType) {
-		if minGrade > match.GradePartial && !tm.Grade.AtLeast(minGrade) {
-			continue
-		}
-		snap, ok := t.store.snapshot(tm.Name)
-		if !ok {
-			continue // withdrawn since resolve; the gens catch it
-		}
-		consulted = append(consulted, bucketVersion{name: tm.Name, version: snap.version})
-		matches = t.appendBucket(matches, snap, tm, constraint, minGrade, now)
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
-	return matches, consulted
-}
-
-// appendBucket is phase 2+3 for one conformant type bucket: candidate
-// selection, constraint filtering and grading. When the grade floor
-// excludes partial-attribute matches the candidate set is narrowed
-// through the snapshot's attribute indexes (every index hint is a
-// necessary condition of a *full* match); with a partial floor the
-// whole bucket must be scanned, because an offer failing every hint may
-// still satisfy some conjuncts.
-func (t *Trader) appendBucket(out []Match, snap *typeSnapshot, tm match.TypeMatch, constraint *Constraint, minGrade match.Grade, now time.Time) []Match {
-	if minGrade > match.GradePartial {
-		candidates, kind := snap.candidates(constraint)
-		t.metrics.indexLookups.With(kind).Inc()
-		for _, o := range candidates {
-			if !o.expired(now) && constraint.Match(o.Props) {
-				out = append(out, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
-			}
-		}
-		return out
-	}
-	t.metrics.indexLookups.With("scan").Inc()
-	for _, o := range snap.offers {
-		if !o.expired(now) {
-			out = appendGraded(out, o, tm, constraint)
-		}
-	}
-	return out
-}
-
-// appendGraded grades one type-conformant offer against the constraint
-// — full (inheriting the bucket's type grade) or partial-attribute —
-// and appends it; offers satisfying no conjunct are dropped.
-func appendGraded(out []Match, o *Offer, tm match.TypeMatch, constraint *Constraint) []Match {
-	sat, total := constraint.satisfied(o.Props)
-	switch {
-	case sat == total:
-		out = append(out, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
-	case sat > 0:
-		out = append(out, Match{Offer: o, Grade: match.GradePartial, Score: match.PartialScore(tm.Score, sat, total)})
-	}
-	return out
-}
-
-// linearMatches is the WithoutOfferIndex oracle the index-equivalence
-// property test compares against: no stored-bucket intersection, no
-// snapshots, no index narrowing — a full-store scan with a per-offer
-// closure lookup, implementing exactly the graded semantics of
-// localMatches.
-func (t *Trader) linearMatches(reqType string, constraint *Constraint, minGrade match.Grade, now time.Time) []Match {
-	t.metrics.indexLookups.With("linear").Inc()
-	grades := map[string]match.TypeMatch{}
-	if cl, err := t.types.ConformingTypes(reqType); err == nil {
-		for _, tm := range match.GradeClosure(cl) {
-			grades[tm.Name] = tm
-		}
-	} else {
-		// Unknown request type: only literal type names match.
-		grades[reqType] = match.TypeMatch{Name: reqType, Grade: match.GradeExact, Score: match.ScoreExact}
-	}
-	var matches []Match
-	for _, o := range t.store.all() {
-		tm, ok := grades[o.Type]
-		if !ok || o.expired(now) {
-			continue
-		}
-		if minGrade > match.GradePartial {
-			if tm.Grade.AtLeast(minGrade) && constraint.Match(o.Props) {
-				matches = append(matches, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
-			}
-			continue
-		}
-		matches = appendGraded(matches, o, tm, constraint)
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
-	return matches
 }
 
 // regradeRemote grades matches relayed by pre-grading peers (GradeNone

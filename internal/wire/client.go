@@ -221,9 +221,11 @@ func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error
 	if werr != nil {
 		// A failed write may have left a partial frame on the stream;
 		// the connection is unusable for every caller, not just this
-		// one.
+		// one — so this call, too, was in flight when the connection
+		// broke (often the read loop saw the peer die first and closed
+		// the socket under the write).
 		c.failAll(werr)
-		return nil, fmt.Errorf("wire: send %s/%s: %w", req.Service, req.Op, werr)
+		return nil, fmt.Errorf("wire: send %s/%s: %w: %w", req.Service, req.Op, ErrClientClosed, werr)
 	}
 
 	select {
