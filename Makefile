@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet layers test race bench chaos
+.PHONY: check build vet layers test race fuzz bench chaos
 
 check: build vet layers test race
 
@@ -38,6 +38,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every native fuzz target of the module for FUZZTIME each, beyond its
+# checked-in corpus. The targets are discovered, not listed, so a new
+# Fuzz* function is picked up for free; go test takes one -fuzz target
+# per invocation. A finding is written to the package's testdata/fuzz
+# and fails the run.
+FUZZTIME ?= 30s
+
+fuzz:
+	@$(GO) test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ { names = names " " $$1 } /^ok/ { n = split(names, f, " "); for (i = 1; i <= n; i++) print $$2, f[i]; names = "" }' | \
+	while read pkg target; do \
+		echo "== fuzz $$pkg $$target for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # What cosmbench (bench/, see BENCHMARK.json) does not measure: the
 # paper-figure groups, the ablations, and the overload, failover,

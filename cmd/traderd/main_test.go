@@ -110,6 +110,16 @@ func TestDaemonFederationViaLinkFlag(t *testing.T) {
 		}, sigA)
 	}()
 	tcA := dialUp(t, pool, ref.New("loop:traderd-a", trader.ServiceName))
+	// The daemon serves before it links (two daemons may name each
+	// other), so being up does not mean being linked yet.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if links, err := tcA.LinkList(ctx); err == nil && len(links) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("trader A never linked to B")
+		}
+	}
 
 	// A federated import at A reaches B's offer.
 	offers, err := tcA.Import(ctx, trader.NewImport("CarRentalService", trader.Hops(1)))

@@ -180,8 +180,8 @@ func (m *Manager) Commit(ctx context.Context, id string) (bool, error) {
 	prepared := make([]ref.ServiceRef, 0, len(participants))
 	vote := true
 	for _, p := range participants {
-		ok, err := m.invokeBool(ctx, p, OpPrepare, id)
-		if err != nil || !ok {
+		var ok bool
+		if err := m.call(ctx, p, OpPrepare, &ok, id); err != nil || !ok {
 			vote = false
 			break
 		}
@@ -242,26 +242,16 @@ func (m *Manager) setState(id string, s State) {
 // individual failures.
 func (m *Manager) finish(ctx context.Context, id string, participants []ref.ServiceRef, op string) {
 	for _, p := range participants {
-		_, _ = m.invokeVoid(ctx, p, op, id)
+		_ = m.call(ctx, p, op, nil, id) // best effort: the decision is taken
 	}
 }
 
-func (m *Manager) invokeBool(ctx context.Context, p ref.ServiceRef, op, id string) (bool, error) {
-	res, err := m.invoke(ctx, p, op, id)
-	if err != nil {
-		return false, err
-	}
-	return res.Value != nil && res.Value.Bool, nil
-}
-
-func (m *Manager) invokeVoid(ctx context.Context, p ref.ServiceRef, op, id string) (*cosm.Result, error) {
-	return m.invoke(ctx, p, op, id)
-}
-
-func (m *Manager) invoke(ctx context.Context, p ref.ServiceRef, op, id string) (*cosm.Result, error) {
+// call invokes one participant operation for the activity; result
+// receives the operation's result (nil discards it).
+func (m *Manager) call(ctx context.Context, p ref.ServiceRef, op string, result any, id string) error {
 	conn, err := cosm.Bind(ctx, m.pool, p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return conn.Invoke(ctx, op, newStringValue(id))
+	return conn.Call(ctx, op, result, id)
 }

@@ -5,7 +5,6 @@ import (
 
 	"cosm/internal/cosm"
 	"cosm/internal/sidl"
-	"cosm/internal/xcode"
 )
 
 // Resource is the local transactional state a participant service
@@ -62,46 +61,29 @@ func ExtendSID(sid *sidl.SID) *sidl.SID {
 // HandleParticipant attaches the three participant operations of an
 // ExtendSID-ed service to a Resource.
 func HandleParticipant(svc *cosm.Service, res Resource) error {
-	boolT := sidl.Basic(sidl.Bool)
-	activityArg := func(call *cosm.Call) (string, error) {
-		v, err := call.Arg("activity")
-		if err != nil {
-			return "", err
+	bind := func(do func(activityID string) error) cosm.OpHandler {
+		return func(call *cosm.Call) error {
+			var id string
+			if err := call.Args(&id); err != nil {
+				return err
+			}
+			return do(id)
 		}
-		return v.Str, nil
 	}
 	if err := svc.Handle(OpPrepare, func(call *cosm.Call) error {
-		id, err := activityArg(call)
-		if err != nil {
+		var id string
+		if err := call.Args(&id); err != nil {
 			return err
 		}
-		vote := res.Prepare(id) == nil
-		call.Result = xcode.NewBool(boolT, vote)
-		return nil
+		return call.Return(res.Prepare(id) == nil)
 	}); err != nil {
 		return fmt.Errorf("activity: %w", err)
 	}
-	if err := svc.Handle(OpCommit, func(call *cosm.Call) error {
-		id, err := activityArg(call)
-		if err != nil {
-			return err
-		}
-		return res.Commit(id)
-	}); err != nil {
+	if err := svc.Handle(OpCommit, bind(res.Commit)); err != nil {
 		return fmt.Errorf("activity: %w", err)
 	}
-	if err := svc.Handle(OpAbort, func(call *cosm.Call) error {
-		id, err := activityArg(call)
-		if err != nil {
-			return err
-		}
-		return res.Abort(id)
-	}); err != nil {
+	if err := svc.Handle(OpAbort, bind(res.Abort)); err != nil {
 		return fmt.Errorf("activity: %w", err)
 	}
 	return nil
-}
-
-func newStringValue(s string) *xcode.Value {
-	return xcode.NewString(sidl.Basic(sidl.String), s)
 }

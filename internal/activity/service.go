@@ -8,7 +8,6 @@ import (
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/wire"
-	"cosm/internal/xcode"
 )
 
 // ServiceName is the well-known hosted name of an activity manager.
@@ -44,62 +43,45 @@ func NewService(m *Manager) (*cosm.Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	strT := sidl.Basic(sidl.String)
-	boolT := sidl.Basic(sidl.Bool)
-
-	activityArg := func(call *cosm.Call) (string, error) {
-		v, err := call.Arg("activity")
-		if err != nil {
-			return "", err
-		}
-		return v.Str, nil
-	}
-
 	svc.MustHandle("Begin", func(call *cosm.Call) error {
-		call.Result = xcode.NewString(strT, m.Begin())
-		return nil
+		return call.Return(m.Begin())
 	})
 	svc.MustHandle("Join", func(call *cosm.Call) error {
-		id, err := activityArg(call)
-		if err != nil {
+		var id string
+		var participant ref.ServiceRef
+		if err := call.Args(&id, &participant); err != nil {
 			return err
 		}
-		participant, err := call.Arg("participant")
-		if err != nil {
-			return err
-		}
-		return m.Join(id, participant.Ref)
+		return m.Join(id, participant)
 	})
 	svc.MustHandle("Commit", func(call *cosm.Call) error {
-		id, err := activityArg(call)
-		if err != nil {
+		var id string
+		if err := call.Args(&id); err != nil {
 			return err
 		}
 		committed, err := m.Commit(context.Background(), id)
 		if err != nil {
 			return err
 		}
-		call.Result = xcode.NewBool(boolT, committed)
-		return nil
+		return call.Return(committed)
 	})
 	svc.MustHandle("Abort", func(call *cosm.Call) error {
-		id, err := activityArg(call)
-		if err != nil {
+		var id string
+		if err := call.Args(&id); err != nil {
 			return err
 		}
 		return m.Abort(context.Background(), id)
 	})
 	svc.MustHandle("Status", func(call *cosm.Call) error {
-		id, err := activityArg(call)
-		if err != nil {
+		var id string
+		if err := call.Args(&id); err != nil {
 			return err
 		}
 		state, err := m.Status(id)
 		if err != nil {
 			return err
 		}
-		call.Result = xcode.NewString(strT, state.String())
-		return nil
+		return call.Return(state.String())
 	})
 	return svc, nil
 }
@@ -108,8 +90,6 @@ func NewService(m *Manager) (*cosm.Service, error) {
 // manager.
 type Client struct {
 	conn *cosm.Conn
-	strT *sidl.Type
-	refT *sidl.Type
 }
 
 // DialManager binds to the activity manager behind r.
@@ -118,23 +98,21 @@ func DialManager(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*Clien
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, strT: sidl.Basic(sidl.String), refT: sidl.Basic(sidl.SvcRef)}, nil
+	return &Client{conn: conn}, nil
 }
 
 // Begin starts a new remote activity.
 func (c *Client) Begin(ctx context.Context) (string, error) {
-	res, err := c.conn.Invoke(ctx, "Begin")
-	if err != nil {
+	var id string
+	if err := c.conn.Call(ctx, "Begin", &id); err != nil {
 		return "", fmt.Errorf("activity: remote begin: %w", err)
 	}
-	return res.Value.Str, nil
+	return id, nil
 }
 
 // Join enlists a participant.
 func (c *Client) Join(ctx context.Context, id string, participant ref.ServiceRef) error {
-	_, err := c.conn.Invoke(ctx, "Join",
-		xcode.NewString(c.strT, id), xcode.NewRef(c.refT, participant))
-	if err != nil {
+	if err := c.conn.Call(ctx, "Join", nil, id, participant); err != nil {
 		return fmt.Errorf("activity: remote join: %w", err)
 	}
 	return nil
@@ -143,17 +121,16 @@ func (c *Client) Join(ctx context.Context, id string, participant ref.ServiceRef
 // Commit drives two-phase commit; it reports whether the activity
 // committed.
 func (c *Client) Commit(ctx context.Context, id string) (bool, error) {
-	res, err := c.conn.Invoke(ctx, "Commit", xcode.NewString(c.strT, id))
-	if err != nil {
+	var committed bool
+	if err := c.conn.Call(ctx, "Commit", &committed, id); err != nil {
 		return false, fmt.Errorf("activity: remote commit: %w", err)
 	}
-	return res.Value.Bool, nil
+	return committed, nil
 }
 
 // Abort rolls the activity back.
 func (c *Client) Abort(ctx context.Context, id string) error {
-	_, err := c.conn.Invoke(ctx, "Abort", xcode.NewString(c.strT, id))
-	if err != nil {
+	if err := c.conn.Call(ctx, "Abort", nil, id); err != nil {
 		return fmt.Errorf("activity: remote abort: %w", err)
 	}
 	return nil
@@ -161,9 +138,9 @@ func (c *Client) Abort(ctx context.Context, id string) error {
 
 // Status reports the activity's lifecycle state name.
 func (c *Client) Status(ctx context.Context, id string) (string, error) {
-	res, err := c.conn.Invoke(ctx, "Status", xcode.NewString(c.strT, id))
-	if err != nil {
+	var state string
+	if err := c.conn.Call(ctx, "Status", &state, id); err != nil {
 		return "", fmt.Errorf("activity: remote status: %w", err)
 	}
-	return res.Value.Str, nil
+	return state, nil
 }

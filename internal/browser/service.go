@@ -8,7 +8,6 @@ import (
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/wire"
-	"cosm/internal/xcode"
 )
 
 // IDL is the browser's own service description — the browser is a COSM
@@ -38,6 +37,26 @@ module CosmBrowser {
 };
 `
 
+// entryWire is Entry_t: an Entry with its description as SIDL text.
+type entryWire struct {
+	Name     string
+	Target   ref.ServiceRef
+	SidlText string
+}
+
+func wireEntry(e Entry) (entryWire, error) {
+	text, err := e.SID.MarshalText()
+	return entryWire{Name: e.Name, Target: e.Ref, SidlText: string(text)}, err
+}
+
+func (w *entryWire) entry() (Entry, error) {
+	var sid sidl.SID
+	if err := sid.UnmarshalText([]byte(w.SidlText)); err != nil {
+		return Entry{}, fmt.Errorf("%w: %v", ErrBadSID, err)
+	}
+	return Entry{Name: w.Name, SID: &sid, Ref: w.Target}, nil
+}
+
 // NewService wraps a Directory as a hosted COSM service.
 func NewService(d *Directory) (*cosm.Service, error) {
 	sid, err := sidl.Parse(IDL)
@@ -48,95 +67,58 @@ func NewService(d *Directory) (*cosm.Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	strT := sidl.Basic(sidl.String)
-	refT := sidl.Basic(sidl.SvcRef)
-	entryT := sid.Type("Entry_t")
-	entriesT := sid.Type("Entries_t")
-	namesT := sid.Type("Names_t")
-
-	entryValue := func(e Entry) (*xcode.Value, error) {
-		text, err := e.SID.MarshalText()
-		if err != nil {
-			return nil, err
-		}
-		return xcode.NewStruct(entryT, map[string]*xcode.Value{
-			"name":     xcode.NewString(strT, e.Name),
-			"target":   xcode.NewRef(refT, e.Ref),
-			"sidlText": xcode.NewString(strT, string(text)),
-		})
-	}
-
 	svc.MustHandle("RegisterSID", func(call *cosm.Call) error {
-		text, err := call.Arg("sidlText")
-		if err != nil {
+		var text string
+		var target ref.ServiceRef
+		if err := call.Args(&text, &target); err != nil {
 			return err
 		}
-		target, err := call.Arg("target")
-		if err != nil {
-			return err
-		}
-		parsed, err := sidl.Parse(text.Str)
+		parsed, err := sidl.Parse(text)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSID, err)
 		}
-		return d.Register(parsed, target.Ref)
+		return d.Register(parsed, target)
 	})
 	svc.MustHandle("Withdraw", func(call *cosm.Call) error {
-		name, err := call.Arg("name")
-		if err != nil {
+		var name string
+		if err := call.Args(&name); err != nil {
 			return err
 		}
-		return d.Withdraw(name.Str)
+		return d.Withdraw(name)
 	})
 	svc.MustHandle("List", func(call *cosm.Call) error {
-		names := d.Names()
-		elems := make([]*xcode.Value, len(names))
-		for i, n := range names {
-			elems[i] = xcode.NewString(strT, n)
-		}
-		seq, err := xcode.NewSequence(namesT, elems...)
-		if err != nil {
-			return err
-		}
-		call.Result = seq
-		return nil
+		return call.Return(d.Names())
 	})
 	svc.MustHandle("Get", func(call *cosm.Call) error {
-		name, err := call.Arg("name")
+		var name string
+		if err := call.Args(&name); err != nil {
+			return err
+		}
+		e, err := d.Get(name)
 		if err != nil {
 			return err
 		}
-		e, err := d.Get(name.Str)
+		w, err := wireEntry(e)
 		if err != nil {
 			return err
 		}
-		ev, err := entryValue(e)
-		if err != nil {
-			return err
-		}
-		call.Result = ev
-		return nil
+		return call.Return(w)
 	})
 	svc.MustHandle("Search", func(call *cosm.Call) error {
-		keyword, err := call.Arg("keyword")
-		if err != nil {
+		var keyword string
+		if err := call.Args(&keyword); err != nil {
 			return err
 		}
-		entries := d.Search(keyword.Str)
-		elems := make([]*xcode.Value, len(entries))
+		entries := d.Search(keyword)
+		ws := make([]entryWire, len(entries))
 		for i, e := range entries {
-			ev, err := entryValue(e)
+			w, err := wireEntry(e)
 			if err != nil {
 				return err
 			}
-			elems[i] = ev
+			ws[i] = w
 		}
-		seq, err := xcode.NewSequence(entriesT, elems...)
-		if err != nil {
-			return err
-		}
-		call.Result = seq
-		return nil
+		return call.Return(ws)
 	})
 	return svc, nil
 }
@@ -144,8 +126,6 @@ func NewService(d *Directory) (*cosm.Service, error) {
 // Client is a typed wrapper over a dynamic binding to a remote browser.
 type Client struct {
 	conn *cosm.Conn
-	strT *sidl.Type
-	refT *sidl.Type
 }
 
 // DialBrowser binds to the browser behind r.
@@ -154,7 +134,7 @@ func DialBrowser(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*Clien
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, strT: sidl.Basic(sidl.String), refT: sidl.Basic(sidl.SvcRef)}, nil
+	return &Client{conn: conn}, nil
 }
 
 // RegisterSID registers a description and reference at the remote
@@ -164,9 +144,7 @@ func (c *Client) RegisterSID(ctx context.Context, sid *sidl.SID, target ref.Serv
 	if err != nil {
 		return err
 	}
-	_, err = c.conn.Invoke(ctx, "RegisterSID",
-		xcode.NewString(c.strT, string(text)), xcode.NewRef(c.refT, target))
-	if err != nil {
+	if err := c.conn.Call(ctx, "RegisterSID", nil, string(text), target); err != nil {
 		return fmt.Errorf("browser: remote register: %w", err)
 	}
 	return nil
@@ -174,8 +152,7 @@ func (c *Client) RegisterSID(ctx context.Context, sid *sidl.SID, target ref.Serv
 
 // Withdraw removes a registration at the remote browser.
 func (c *Client) Withdraw(ctx context.Context, name string) error {
-	_, err := c.conn.Invoke(ctx, "Withdraw", xcode.NewString(c.strT, name))
-	if err != nil {
+	if err := c.conn.Call(ctx, "Withdraw", nil, name); err != nil {
 		return fmt.Errorf("browser: remote withdraw: %w", err)
 	}
 	return nil
@@ -183,59 +160,35 @@ func (c *Client) Withdraw(ctx context.Context, name string) error {
 
 // List returns the registered service names.
 func (c *Client) List(ctx context.Context) ([]string, error) {
-	res, err := c.conn.Invoke(ctx, "List")
-	if err != nil {
+	var names []string
+	if err := c.conn.Call(ctx, "List", &names); err != nil {
 		return nil, fmt.Errorf("browser: remote list: %w", err)
-	}
-	names := make([]string, 0, len(res.Value.Elems))
-	for _, e := range res.Value.Elems {
-		names = append(names, e.Str)
 	}
 	return names, nil
 }
 
 // Get fetches one entry by service name, parsing the SID text.
 func (c *Client) Get(ctx context.Context, name string) (Entry, error) {
-	res, err := c.conn.Invoke(ctx, "Get", xcode.NewString(c.strT, name))
-	if err != nil {
+	var w entryWire
+	if err := c.conn.Call(ctx, "Get", &w, name); err != nil {
 		return Entry{}, fmt.Errorf("browser: remote get: %w", err)
 	}
-	return entryFromValue(res.Value)
+	return w.entry()
 }
 
 // Search performs a keyword search at the remote browser.
 func (c *Client) Search(ctx context.Context, keyword string) ([]Entry, error) {
-	res, err := c.conn.Invoke(ctx, "Search", xcode.NewString(c.strT, keyword))
-	if err != nil {
+	var ws []entryWire
+	if err := c.conn.Call(ctx, "Search", &ws, keyword); err != nil {
 		return nil, fmt.Errorf("browser: remote search: %w", err)
 	}
-	entries := make([]Entry, 0, len(res.Value.Elems))
-	for _, ev := range res.Value.Elems {
-		e, err := entryFromValue(ev)
+	entries := make([]Entry, len(ws))
+	for i := range ws {
+		e, err := ws[i].entry()
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, e)
+		entries[i] = e
 	}
 	return entries, nil
-}
-
-func entryFromValue(v *xcode.Value) (Entry, error) {
-	name, err := v.Field("name")
-	if err != nil {
-		return Entry{}, err
-	}
-	target, err := v.Field("target")
-	if err != nil {
-		return Entry{}, err
-	}
-	text, err := v.Field("sidlText")
-	if err != nil {
-		return Entry{}, err
-	}
-	var sid sidl.SID
-	if err := sid.UnmarshalText([]byte(text.Str)); err != nil {
-		return Entry{}, fmt.Errorf("%w: %v", ErrBadSID, err)
-	}
-	return Entry{Name: name.Str, SID: &sid, Ref: target.Ref}, nil
 }

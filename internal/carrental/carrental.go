@@ -16,7 +16,6 @@ import (
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/trader"
-	"cosm/internal/xcode"
 )
 
 // ErrNoSelection reports a Commit for a session that never selected a
@@ -88,40 +87,42 @@ func (s *Service) Bookings() int {
 	return s.bookings
 }
 
-func (s *Service) selectCar(call *cosm.Call) error {
-	sel, err := call.Arg("selection")
-	if err != nil {
-		return err
-	}
-	model, err := sel.Field("model")
-	if err != nil {
-		return err
-	}
-	days, err := sel.Field("days")
-	if err != nil {
-		return err
-	}
-	if days.Int <= 0 {
-		return fmt.Errorf("carrental: days must be positive, got %d", days.Int)
-	}
-	modelName := model.EnumLiteral()
-	perDay, available := s.tariff[modelName]
-	charge := perDay * float64(days.Int)
+// The Go shapes of SelectCar_t, SelectCarReturn_t and BookCarReturn_t
+// (sidl.CarRentalIDL); the enums bind as their literals.
+type selectCarArgs struct {
+	Model       string
+	BookingDate string
+	Days        int64
+}
 
-	out := xcode.Zero(s.sid.Type("SelectCarReturn_t"))
-	if err := out.SetField("available", xcode.NewBool(sidl.Basic(sidl.Bool), available)); err != nil {
+type selectCarReturn struct {
+	Available bool
+	Charge    float64
+	Currency  string
+}
+
+type bookCarReturn struct {
+	OK           bool
+	Confirmation string
+}
+
+func (s *Service) selectCar(call *cosm.Call) error {
+	var sel selectCarArgs
+	if err := call.Args(&sel); err != nil {
 		return err
 	}
+	if sel.Days <= 0 {
+		return fmt.Errorf("carrental: days must be positive, got %d", sel.Days)
+	}
+	perDay, available := s.tariff[sel.Model]
+	out := selectCarReturn{Available: available, Currency: "USD"}
 	if available {
-		if err := out.SetField("charge", xcode.NewFloat(sidl.Basic(sidl.Float64), charge)); err != nil {
-			return err
-		}
+		out.Charge = perDay * float64(sel.Days)
 		s.mu.Lock()
-		s.selections[call.Session] = selection{model: modelName, days: days.Int, charge: charge}
+		s.selections[call.Session] = selection{model: sel.Model, days: sel.Days, charge: out.Charge}
 		s.mu.Unlock()
 	}
-	call.Result = out
-	return nil
+	return call.Return(out)
 }
 
 func (s *Service) commit(call *cosm.Call) error {
@@ -136,16 +137,7 @@ func (s *Service) commit(call *cosm.Call) error {
 	if !ok {
 		return ErrNoSelection
 	}
-	out := xcode.Zero(s.sid.Type("BookCarReturn_t"))
-	if err := out.SetField("ok", xcode.NewBool(sidl.Basic(sidl.Bool), true)); err != nil {
-		return err
-	}
-	confirmation := fmt.Sprintf("RES-%04d-%s-%dd", n, sel.model, sel.days)
-	if err := out.SetField("confirmation", xcode.NewString(sidl.Basic(sidl.String), confirmation)); err != nil {
-		return err
-	}
-	call.Result = out
-	return nil
+	return call.Return(bookCarReturn{OK: true, Confirmation: fmt.Sprintf("RES-%04d-%s-%dd", n, sel.model, sel.days)})
 }
 
 // Publication records where a service was published, so it can be

@@ -140,6 +140,51 @@ func (c *Conn) Invoke(ctx context.Context, opName string, args ...*xcode.Value) 
 	if err != nil {
 		return nil, err
 	}
+	return c.roundTrip(ctx, op, body)
+}
+
+// Call is Invoke for a caller that has Go types for the operation: args
+// are encoded as the in/inout parameter types the bound SID declares —
+// the peer's, so what an older peer does not declare is left out — and
+// the operation result is decoded into what result points to (see
+// xcode.Encode and Decode). A nil result discards it; out/inout results
+// are not bound, use Invoke for operations that have them.
+func (c *Conn) Call(ctx context.Context, opName string, result any, args ...any) error {
+	op, ok := c.sid.Op(opName)
+	if !ok {
+		return fmt.Errorf("%w: %q in %s", ErrUnknownOp, opName, c.sid.ServiceName)
+	}
+	if want := inCount(op); len(args) != want {
+		return fmt.Errorf("%w: op %s takes %d in-arguments, got %d", ErrBadArgs, opName, want, len(args))
+	}
+	body := appendChunk(nil, []byte(c.session))
+	i := 0
+	for _, p := range op.Params {
+		if p.Dir == sidl.Out {
+			continue
+		}
+		v, err := xcode.Encode(p.Type, args[i])
+		if err != nil {
+			return fmt.Errorf("%w: argument %q of op %s: %v", ErrBadArgs, p.Name, opName, err)
+		}
+		body = appendChunk(body, xcode.Marshal(v))
+		i++
+	}
+	res, err := c.roundTrip(ctx, op, body)
+	if err != nil || result == nil {
+		return err
+	}
+	if res.Value == nil {
+		return fmt.Errorf("%w: op %s returns nothing to decode", ErrBadResult, opName)
+	}
+	if err := xcode.Decode(res.Value, result); err != nil {
+		return fmt.Errorf("%w: result of op %s: %v", ErrBadResult, opName, err)
+	}
+	return nil
+}
+
+// roundTrip sends one encoded call body and decodes the reply.
+func (c *Conn) roundTrip(ctx context.Context, op sidl.Op, body []byte) (*Result, error) {
 	// One dial, one send, no transparent retry: the operation may not
 	// be idempotent, and replaying it could execute it twice. Callers
 	// that want recovery re-run their protocol from the top.
@@ -147,7 +192,7 @@ func (c *Conn) Invoke(ctx context.Context, opName string, args ...*xcode.Value) 
 	if err != nil {
 		return nil, err
 	}
-	respBody, err := client.Call(ctx, &wire.Request{Service: c.ref.Service, Op: opName, Body: body})
+	respBody, err := client.Call(ctx, &wire.Request{Service: c.ref.Service, Op: op.Name, Body: body})
 	if err != nil {
 		return nil, err
 	}

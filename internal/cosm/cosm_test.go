@@ -1,6 +1,7 @@
 package cosm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -458,13 +459,125 @@ func TestChunkCodecErrors(t *testing.T) {
 	if _, _, err := consumeChunk([]byte{5, 1}); !errors.Is(err, ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := consumeUvarint([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}); !errors.Is(err, ErrBadArgs) {
+	if _, _, err := consumeChunk([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}); !errors.Is(err, ErrBadArgs) {
 		t.Fatalf("overflow err = %v", err)
 	}
-	// Round trip sanity for multi-byte varints.
-	data := appendUvarint(nil, 1<<40)
-	v, rest, err := consumeUvarint(data)
-	if err != nil || v != 1<<40 || len(rest) != 0 {
-		t.Fatalf("uvarint round trip: %d %v %v", v, rest, err)
+	// Round trip sanity for multi-byte length prefixes.
+	long := bytes.Repeat([]byte{7}, 1<<15)
+	chunk, rest, err := consumeChunk(appendChunk(nil, long))
+	if err != nil || !bytes.Equal(chunk, long) || len(rest) != 0 {
+		t.Fatalf("chunk round trip: %d bytes, %d left, %v", len(chunk), len(rest), err)
+	}
+}
+
+// TestTypedCallAndHandler drives the typed path at both ends against the
+// dynamic one: a handler written with Args/Return serves a dynamic
+// Invoke, a dynamic handler serves Conn.Call, and the two typed ends
+// meet an older and a newer description of each other.
+func TestTypedCallAndHandler(t *testing.T) {
+	type pair struct{ A, B int }
+	sid, err := sidl.Parse(calcIDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.MustHandle("Add", func(call *Call) error {
+		var p pair
+		if err := call.Args(&p); err != nil {
+			return err
+		}
+		return call.Return(p.A + p.B)
+	})
+	svc.MustHandle("Div", func(call *Call) error {
+		var p, extra pair
+		if err := call.Args(&p, &extra); err != nil { // one argument too many
+			return err
+		}
+		return nil
+	})
+	var noted string
+	svc.MustHandle("Note", func(call *Call) error {
+		if err := call.Args(&noted); err != nil {
+			return err
+		}
+		if noted == "return something" {
+			return call.Return("a result a void operation does not have")
+		}
+		return nil
+	})
+	svc.MustHandle("Split", func(call *Call) error {
+		// Return, then a hand-set extended result: what goes out is the
+		// hand-set value, projected like any dynamic result.
+		if err := call.Return(1); err != nil {
+			return err
+		}
+		call.Result = xcode.NewInt(sidl.Basic(sidl.Int32), 7)
+		return nil
+	})
+	node := NewNode(WithNodeLog(func(string, ...any) {}))
+	defer node.Close()
+	if err := node.Host("Calc", svc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.ListenAndServe("loop:calc-typed"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	conn, err := Bind(ctx, node.Pool(), node.MustRefFor("Calc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var sum int
+	if err := conn.Call(ctx, "Add", &sum, pair{20, 22}); err != nil || sum != 42 {
+		t.Fatalf("typed Add = %d, %v", sum, err)
+	}
+	if err := conn.Call(ctx, "Add", &sum, &pair{1, 2}); err != nil || sum != 3 {
+		t.Fatalf("typed Add of a pointer = %d, %v", sum, err)
+	}
+	// The typed handler serves a dynamic caller with the same bytes.
+	arg, err := xcode.NewStruct(sid.Type("Pair_t"), map[string]*xcode.Value{
+		"a": xcode.NewInt(sidl.Basic(sidl.Int32), 5), "b": xcode.NewInt(sidl.Basic(sidl.Int32), 6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := conn.Invoke(ctx, "Add", arg); err != nil || res.Value.Int != 11 {
+		t.Fatalf("dynamic Add against the typed handler = %v, %v", res, err)
+	}
+	if err := conn.Call(ctx, "Note", nil, "hello"); err != nil || noted != "hello" {
+		t.Fatalf("typed Note = %q, %v", noted, err)
+	}
+	var res int
+	if err := conn.Call(ctx, "Split", &res, 4, 0); err != nil || res != 7 {
+		t.Fatalf("Split = %d, %v; want the hand-set result", res, err)
+	}
+
+	for name, c := range map[string]struct {
+		op     string
+		result any
+		args   []any
+		want   error
+	}{
+		"unknown operation":      {"Mul", nil, nil, ErrUnknownOp},
+		"too few arguments":      {"Add", &sum, nil, ErrBadArgs},
+		"too many arguments":     {"Add", &sum, []any{pair{}, pair{}}, ErrBadArgs},
+		"argument of wrong kind": {"Add", &sum, []any{"20+22"}, ErrBadArgs},
+		"result of wrong kind":   {"Add", new(string), []any{pair{}}, ErrBadResult},
+		"result of a void op":    {"Note", &sum, []any{"x"}, ErrBadResult},
+		"result not a pointer":   {"Add", sum, []any{pair{}}, ErrBadResult},
+	} {
+		if err := conn.Call(ctx, c.op, c.result, c.args...); !errors.Is(err, c.want) {
+			t.Errorf("%s: Call = %v, want %v", name, err, c.want)
+		}
+	}
+	// Handler-side mistakes surface as application errors naming the op.
+	if err := conn.Call(ctx, "Div", &sum, pair{1, 1}); err == nil || !strings.Contains(err.Error(), "handler binds 2") {
+		t.Errorf("Args with a wrong count = %v", err)
+	}
+	if err := conn.Call(ctx, "Note", nil, "return something"); err == nil || !strings.Contains(err.Error(), "result of op Note") {
+		t.Errorf("Return on a void operation = %v", err)
 	}
 }

@@ -16,6 +16,7 @@ package cosm
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -64,6 +65,10 @@ type Call struct {
 	Result *xcode.Value
 	// Out holds out/inout results, pre-populated with zero values.
 	Out []*xcode.Value
+
+	// returned is what Return encoded: a value of exactly the declared
+	// result type, which needs no projection on the way out.
+	returned *xcode.Value
 }
 
 // Arg returns the in/inout argument by parameter name.
@@ -98,6 +103,32 @@ func (c *Call) SetOut(name string, v *xcode.Value) error {
 		i++
 	}
 	return fmt.Errorf("%w: no out-parameter %q in op %s", ErrBadResult, name, c.Op.Name)
+}
+
+// Args decodes the in/inout arguments, in parameter order, into what the
+// dst pointers point to (see xcode.Decode) — the typed counterpart of
+// Arg for a handler that has Go types for its parameters.
+func (c *Call) Args(dst ...any) error {
+	if len(dst) != len(c.In) {
+		return fmt.Errorf("%w: op %s takes %d in-arguments, handler binds %d", ErrBadArgs, c.Op.Name, len(c.In), len(dst))
+	}
+	for i, d := range dst {
+		if err := xcode.Decode(c.In[i], d); err != nil {
+			return fmt.Errorf("%w: argument %d of op %s: %v", ErrBadArgs, i+1, c.Op.Name, err)
+		}
+	}
+	return nil
+}
+
+// Return sets Result from a Go value, encoded as the result type the
+// operation's signature declares (see xcode.Encode).
+func (c *Call) Return(src any) error {
+	v, err := xcode.Encode(c.Op.Result, src)
+	if err != nil {
+		return fmt.Errorf("%w: result of op %s: %v", ErrBadResult, c.Op.Name, err)
+	}
+	c.Result, c.returned = v, v
+	return nil
 }
 
 // OpHandler implements one operation. It runs concurrently with other
@@ -230,61 +261,49 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 // out/inout value in parameter order, all length-prefixed.
 
 func appendChunk(dst []byte, chunk []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(chunk)))
+	dst = binary.AppendUvarint(dst, uint64(len(chunk)))
 	return append(dst, chunk...)
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-func consumeUvarint(data []byte) (uint64, []byte, error) {
-	var v uint64
-	for i := 0; i < len(data); i++ {
-		b := data[i]
-		if i >= 9 {
-			return 0, nil, fmt.Errorf("%w: uvarint overflow", ErrBadArgs)
-		}
-		v |= uint64(b&0x7F) << (7 * uint(i))
-		if b < 0x80 {
-			return v, data[i+1:], nil
-		}
-	}
-	return 0, nil, fmt.Errorf("%w: truncated uvarint", ErrBadArgs)
-}
-
 func consumeChunk(data []byte) ([]byte, []byte, error) {
-	n, rest, err := consumeUvarint(data)
-	if err != nil {
-		return nil, nil, err
+	n, size := binary.Uvarint(data)
+	if size <= 0 {
+		return nil, nil, fmt.Errorf("%w: truncated or overlong chunk length", ErrBadArgs)
 	}
+	rest := data[size:]
 	if uint64(len(rest)) < n {
 		return nil, nil, fmt.Errorf("%w: truncated chunk", ErrBadArgs)
 	}
 	return rest[:n], rest[n:], nil
 }
 
-func encodeCallBody(op sidl.Op, session string, args []*xcode.Value) ([]byte, error) {
-	inParams := make([]sidl.Param, 0, len(op.Params))
+// inCount returns how many arguments an invocation of op carries.
+func inCount(op sidl.Op) int {
+	n := 0
 	for _, p := range op.Params {
 		if p.Dir != sidl.Out {
-			inParams = append(inParams, p)
+			n++
 		}
 	}
-	if len(args) != len(inParams) {
-		return nil, fmt.Errorf("%w: op %s takes %d in-arguments, got %d", ErrBadArgs, op.Name, len(inParams), len(args))
+	return n
+}
+
+func encodeCallBody(op sidl.Op, session string, args []*xcode.Value) ([]byte, error) {
+	if want := inCount(op); len(args) != want {
+		return nil, fmt.Errorf("%w: op %s takes %d in-arguments, got %d", ErrBadArgs, op.Name, want, len(args))
 	}
 	body := appendChunk(nil, []byte(session))
-	for i, p := range inParams {
+	i := 0
+	for _, p := range op.Params {
+		if p.Dir == sidl.Out {
+			continue
+		}
 		projected, err := args[i].Project(p.Type)
 		if err != nil {
 			return nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
 		}
 		body = appendChunk(body, xcode.Marshal(projected))
+		i++
 	}
 	return body, nil
 }
@@ -321,9 +340,12 @@ func encodeCallResult(op sidl.Op, call *Call) ([]byte, error) {
 		if call.Result == nil {
 			return nil, fmt.Errorf("%w: op %s returned no result", ErrBadResult, op.Name)
 		}
-		projected, err := call.Result.Project(op.Result)
-		if err != nil {
-			return nil, fmt.Errorf("%w: result: %v", ErrBadResult, err)
+		projected := call.Result
+		if projected != call.returned {
+			var err error
+			if projected, err = call.Result.Project(op.Result); err != nil {
+				return nil, fmt.Errorf("%w: result: %v", ErrBadResult, err)
+			}
 		}
 		body = appendChunk(body, xcode.Marshal(projected))
 	}

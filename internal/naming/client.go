@@ -8,9 +8,7 @@ import (
 
 	"cosm/internal/cosm"
 	"cosm/internal/ref"
-	"cosm/internal/sidl"
 	"cosm/internal/wire"
-	"cosm/internal/xcode"
 )
 
 // NameClient is a typed wrapper over a dynamic binding to a remote name
@@ -19,8 +17,6 @@ import (
 // alone.
 type NameClient struct {
 	conn *cosm.Conn
-	strT *sidl.Type
-	refT *sidl.Type
 }
 
 // DialNameServer binds to the name server behind r.
@@ -29,68 +25,42 @@ func DialNameServer(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*Na
 	if err != nil {
 		return nil, err
 	}
-	return &NameClient{
-		conn: conn,
-		strT: sidl.Basic(sidl.String),
-		refT: sidl.Basic(sidl.SvcRef),
-	}, nil
+	return &NameClient{conn: conn}, nil
 }
 
 // Register binds name to target at the remote name server.
 func (c *NameClient) Register(ctx context.Context, name string, target ref.ServiceRef) error {
-	_, err := c.conn.Invoke(ctx, "Register",
-		xcode.NewString(c.strT, name), xcode.NewRef(c.refT, target))
-	return wrapRemote(err)
+	return wrapRemote(c.conn.Call(ctx, "Register", nil, name, target))
 }
 
 // Rebind binds name to target, replacing an existing binding.
 func (c *NameClient) Rebind(ctx context.Context, name string, target ref.ServiceRef) error {
-	_, err := c.conn.Invoke(ctx, "Rebind",
-		xcode.NewString(c.strT, name), xcode.NewRef(c.refT, target))
-	return wrapRemote(err)
+	return wrapRemote(c.conn.Call(ctx, "Rebind", nil, name, target))
 }
 
 // Unregister removes the binding for name.
 func (c *NameClient) Unregister(ctx context.Context, name string) error {
-	_, err := c.conn.Invoke(ctx, "Unregister", xcode.NewString(c.strT, name))
-	return wrapRemote(err)
+	return wrapRemote(c.conn.Call(ctx, "Unregister", nil, name))
 }
 
 // Resolve returns the reference bound to name.
 func (c *NameClient) Resolve(ctx context.Context, name string) (ref.ServiceRef, error) {
-	res, err := c.conn.Invoke(ctx, "Resolve", xcode.NewString(c.strT, name))
-	if err != nil {
-		return ref.ServiceRef{}, wrapRemote(err)
-	}
-	return res.Value.Ref, nil
+	var target ref.ServiceRef
+	err := c.conn.Call(ctx, "Resolve", &target, name)
+	return target, wrapRemote(err)
 }
 
 // List returns bindings by name prefix.
 func (c *NameClient) List(ctx context.Context, prefix string) ([]Entry, error) {
-	res, err := c.conn.Invoke(ctx, "List", xcode.NewString(c.strT, prefix))
-	if err != nil {
-		return nil, wrapRemote(err)
-	}
-	entries := make([]Entry, 0, len(res.Value.Elems))
-	for _, ev := range res.Value.Elems {
-		name, err := ev.Field("name")
-		if err != nil {
-			return nil, err
-		}
-		target, err := ev.Field("target")
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, Entry{Name: name.Str, Target: target.Ref})
-	}
-	return entries, nil
+	var entries []Entry
+	err := c.conn.Call(ctx, "List", &entries, prefix)
+	return entries, wrapRemote(err)
 }
 
 // GroupClient is a typed wrapper over a dynamic binding to a remote
 // group manager.
 type GroupClient struct {
 	conn *cosm.Conn
-	strT *sidl.Type
 }
 
 // DialGroups binds to the group manager behind r.
@@ -99,47 +69,31 @@ func DialGroups(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*GroupC
 	if err != nil {
 		return nil, err
 	}
-	return &GroupClient{conn: conn, strT: sidl.Basic(sidl.String)}, nil
+	return &GroupClient{conn: conn}, nil
 }
 
 // Join adds endpoint to group.
 func (c *GroupClient) Join(ctx context.Context, group, endpoint string) error {
-	_, err := c.conn.Invoke(ctx, "Join",
-		xcode.NewString(c.strT, group), xcode.NewString(c.strT, endpoint))
-	return wrapRemote(err)
+	return wrapRemote(c.conn.Call(ctx, "Join", nil, group, endpoint))
 }
 
 // Leave removes endpoint from group.
 func (c *GroupClient) Leave(ctx context.Context, group, endpoint string) error {
-	_, err := c.conn.Invoke(ctx, "Leave",
-		xcode.NewString(c.strT, group), xcode.NewString(c.strT, endpoint))
-	return wrapRemote(err)
+	return wrapRemote(c.conn.Call(ctx, "Leave", nil, group, endpoint))
 }
 
 // Members returns the endpoints in group.
 func (c *GroupClient) Members(ctx context.Context, group string) ([]string, error) {
-	res, err := c.conn.Invoke(ctx, "Members", xcode.NewString(c.strT, group))
-	if err != nil {
-		return nil, wrapRemote(err)
-	}
-	return stringSeq(res.Value), nil
+	var members []string
+	err := c.conn.Call(ctx, "Members", &members, group)
+	return members, wrapRemote(err)
 }
 
 // Groups returns all group names.
 func (c *GroupClient) Groups(ctx context.Context) ([]string, error) {
-	res, err := c.conn.Invoke(ctx, "Groups")
-	if err != nil {
-		return nil, wrapRemote(err)
-	}
-	return stringSeq(res.Value), nil
-}
-
-func stringSeq(v *xcode.Value) []string {
-	out := make([]string, 0, len(v.Elems))
-	for _, e := range v.Elems {
-		out = append(out, e.Str)
-	}
-	return out
+	var names []string
+	err := c.conn.Call(ctx, "Groups", &names)
+	return names, wrapRemote(err)
 }
 
 // wrapRemote preserves the transport error chain and re-maps the name

@@ -6,7 +6,6 @@ import (
 	"cosm/internal/cosm"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
-	"cosm/internal/xcode"
 )
 
 // IDL is the name server's own service description: the name server is
@@ -49,7 +48,9 @@ module CosmGroups {
 };
 `
 
-// NewService wraps a Registry as a hosted COSM service.
+// NewService wraps a Registry as a hosted COSM service. Arguments and
+// results bind to Go types through the operation signatures (see
+// cosm.Call.Args); Entry has the shape of Entry_t and binds as it is.
 func NewService(reg *Registry) (*cosm.Service, error) {
 	sid, err := sidl.Parse(IDL)
 	if err != nil {
@@ -59,91 +60,43 @@ func NewService(reg *Registry) (*cosm.Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	refT := sidl.Basic(sidl.SvcRef)
-	strT := sidl.Basic(sidl.String)
-	entryT := sid.Type("Entry_t")
-	entriesT := sid.Type("Entries_t")
-
-	nameArg := func(call *cosm.Call) (string, error) {
-		v, err := call.Arg("name")
-		if err != nil {
-			return "", err
+	bind := func(do func(name string, target ref.ServiceRef) error) cosm.OpHandler {
+		return func(call *cosm.Call) error {
+			var name string
+			var target ref.ServiceRef
+			if err := call.Args(&name, &target); err != nil {
+				return err
+			}
+			return do(name, target)
 		}
-		return v.Str, nil
 	}
-	targetArg := func(call *cosm.Call) (ref.ServiceRef, error) {
-		v, err := call.Arg("target")
-		if err != nil {
-			return ref.ServiceRef{}, err
-		}
-		return v.Ref, nil
-	}
-
-	svc.MustHandle("Register", func(call *cosm.Call) error {
-		name, err := nameArg(call)
-		if err != nil {
-			return err
-		}
-		target, err := targetArg(call)
-		if err != nil {
-			return err
-		}
-		return reg.Register(name, target)
-	})
-	svc.MustHandle("Rebind", func(call *cosm.Call) error {
-		name, err := nameArg(call)
-		if err != nil {
-			return err
-		}
-		target, err := targetArg(call)
-		if err != nil {
-			return err
-		}
-		return reg.Rebind(name, target)
-	})
+	svc.MustHandle("Register", bind(reg.Register))
+	svc.MustHandle("Rebind", bind(reg.Rebind))
 	svc.MustHandle("Unregister", func(call *cosm.Call) error {
-		name, err := nameArg(call)
-		if err != nil {
+		var name string
+		if err := call.Args(&name); err != nil {
 			return err
 		}
 		reg.Unregister(name)
 		return nil
 	})
 	svc.MustHandle("Resolve", func(call *cosm.Call) error {
-		name, err := nameArg(call)
-		if err != nil {
+		var name string
+		if err := call.Args(&name); err != nil {
 			return err
 		}
 		target, err := reg.Resolve(name)
 		if err != nil {
 			return err
 		}
-		call.Result = xcode.NewRef(refT, target)
-		return nil
+		return call.Return(target)
 	})
 	svc.MustHandle("List", func(call *cosm.Call) error {
-		prefix, err := call.Arg("prefix")
-		if err != nil {
+		var prefix string
+		if err := call.Args(&prefix); err != nil {
 			return err
 		}
-		entries := reg.List(prefix.Str)
-		elems := make([]*xcode.Value, len(entries))
-		for i, e := range entries {
-			ev, err := xcode.NewStruct(entryT, map[string]*xcode.Value{
-				"name":   xcode.NewString(strT, e.Name),
-				"target": xcode.NewRef(refT, e.Target),
-			})
-			if err != nil {
-				return err
-			}
-			elems[i] = ev
-		}
-		seq, err := xcode.NewSequence(entriesT, elems...)
-		if err != nil {
-			return err
-		}
-		call.Result = seq
-		return nil
+		return call.Return(reg.List(prefix))
 	})
 	return svc, nil
 }
@@ -158,66 +111,30 @@ func NewGroupService(groups *Groups) (*cosm.Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	strT := sidl.Basic(sidl.String)
-	membersT := sid.Type("Members_t")
-
-	strArg := func(call *cosm.Call, name string) (string, error) {
-		v, err := call.Arg(name)
-		if err != nil {
-			return "", err
-		}
-		return v.Str, nil
-	}
-	strSeq := func(items []string) (*xcode.Value, error) {
-		elems := make([]*xcode.Value, len(items))
-		for i, s := range items {
-			elems[i] = xcode.NewString(strT, s)
-		}
-		return xcode.NewSequence(membersT, elems...)
-	}
-
 	svc.MustHandle("Join", func(call *cosm.Call) error {
-		group, err := strArg(call, "group")
-		if err != nil {
-			return err
-		}
-		endpoint, err := strArg(call, "endpoint")
-		if err != nil {
+		var group, endpoint string
+		if err := call.Args(&group, &endpoint); err != nil {
 			return err
 		}
 		return groups.Join(group, endpoint)
 	})
 	svc.MustHandle("Leave", func(call *cosm.Call) error {
-		group, err := strArg(call, "group")
-		if err != nil {
-			return err
-		}
-		endpoint, err := strArg(call, "endpoint")
-		if err != nil {
+		var group, endpoint string
+		if err := call.Args(&group, &endpoint); err != nil {
 			return err
 		}
 		groups.Leave(group, endpoint)
 		return nil
 	})
 	svc.MustHandle("Members", func(call *cosm.Call) error {
-		group, err := strArg(call, "group")
-		if err != nil {
+		var group string
+		if err := call.Args(&group); err != nil {
 			return err
 		}
-		seq, err := strSeq(groups.Members(group))
-		if err != nil {
-			return err
-		}
-		call.Result = seq
-		return nil
+		return call.Return(groups.Members(group))
 	})
 	svc.MustHandle("Groups", func(call *cosm.Call) error {
-		seq, err := strSeq(groups.Names())
-		if err != nil {
-			return err
-		}
-		call.Result = seq
-		return nil
+		return call.Return(groups.Names())
 	})
 	return svc, nil
 }

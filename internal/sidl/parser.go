@@ -314,7 +314,7 @@ func (p *parser) parseTypeSpec(scope map[string]*Type) (*Type, error) {
 	word := p.tok.text
 	switch word {
 	case "void":
-		return Basic(Void), p.advance()
+		return nil, p.errorf("void is only an operation's result type")
 	case "boolean":
 		return Basic(Bool), p.advance()
 	case "octet":
@@ -472,7 +472,14 @@ func (p *parser) parseInterface(sid *SID, scope map[string]*Type) error {
 	}
 	for !p.isPunct("}") {
 		doc := p.tok.doc
-		result, err := p.parseTypeSpec(scope)
+		// The one position void may take; parseTypeSpec refuses it.
+		result := Basic(Void)
+		var err error
+		if p.isKeyword("void") {
+			err = p.advance()
+		} else {
+			result, err = p.parseTypeSpec(scope)
+		}
 		if err != nil {
 			return err
 		}

@@ -375,6 +375,27 @@ func TestValidateDirect(t *testing.T) {
 			&SID{ServiceName: "S", Ops: []Op{{Name: "F", Result: Basic(Void)}}},
 			nil,
 		},
+		{"void typedef", &SID{ServiceName: "S", Types: []*Type{{Kind: Void, Name: "V"}}}, ErrVoid},
+		{"void sequence element", &SID{ServiceName: "S", Types: []*Type{{Kind: Sequence, Name: "In_t", Elem: Basic(Void)}}}, ErrVoid},
+		{"void struct member", &SID{ServiceName: "S", Types: []*Type{StructOf("R", Field{Name: "v", Type: Basic(Void)})}}, ErrVoid},
+		{"void constant", &SID{ServiceName: "S", Consts: []Const{{Name: "C", Type: Basic(Void)}}}, ErrVoid},
+		{
+			"void parameter",
+			&SID{ServiceName: "S", Ops: []Op{{Name: "F", Result: Basic(Void),
+				Params: []Param{{Name: "p", Dir: In, Type: Basic(Void)}}}}},
+			ErrVoid,
+		},
+		{
+			"void nested in a parameter",
+			&SID{ServiceName: "S", Ops: []Op{{Name: "F", Result: Basic(Void),
+				Params: []Param{{Name: "p", Dir: In, Type: SequenceOf(SequenceOf(Basic(Void)))}}}}},
+			ErrVoid,
+		},
+		{
+			"void nested in a result",
+			&SID{ServiceName: "S", Ops: []Op{{Name: "F", Result: SequenceOf(Basic(Void))}}},
+			ErrVoid,
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -382,6 +403,36 @@ func TestValidateDirect(t *testing.T) {
 				t.Fatalf("Validate() = %v, want %v", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestVoidOnlyAsOperationResult: a void value encodes to no bytes, so a
+// downloaded SID that nests void in a sequence lets a 602-byte reply
+// claim 200 x 262144 elements (see xcode's TestUnmarshalVoidSequence).
+// Both paths a description enters by — Parse and UnmarshalText — refuse
+// void anywhere but as an operation's result.
+func TestVoidOnlyAsOperationResult(t *testing.T) {
+	for name, decl := range map[string]string{
+		"sequence<void>":        "typedef sequence<void> In_t;",
+		"nested sequence<void>": "typedef sequence<sequence<void> > Out_t;",
+		"struct member":         "struct R { long a; void v; };",
+		"typedef":               "typedef void V;",
+		"parameter":             "interface COSM_Operations { long F(in void p); };",
+		"nested in a result":    "interface COSM_Operations { sequence<void> F(); };",
+		"constant":              "const void C = 1;",
+	} {
+		src := "module X { " + decl + " };"
+		if _, err := Parse(src); !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s: Parse(%q) = %v, want a syntax error", name, src, err)
+		}
+		var sid SID
+		if err := sid.UnmarshalText([]byte(src)); err == nil {
+			t.Errorf("%s: UnmarshalText(%q) accepted void", name, src)
+		}
+	}
+	sid, err := Parse("module X { interface COSM_Operations { void F(in long a); }; };")
+	if err != nil || sid.Ops[0].Result.Kind != Void {
+		t.Fatalf("a void result must still parse: %v", err)
 	}
 }
 

@@ -258,6 +258,7 @@ var (
 	ErrDupOp        = errors.New("sidl: duplicate operation name")
 	ErrUnknownOp    = errors.New("sidl: reference to unknown operation")
 	ErrBadParamName = errors.New("sidl: duplicate parameter name")
+	ErrVoid         = errors.New("sidl: void is only an operation's result type")
 )
 
 // Type returns the named type declaration, or nil.
@@ -316,6 +317,14 @@ func (s *SID) Validate() error {
 			return fmt.Errorf("%w: %s", ErrDupType, t.Name)
 		}
 		typeNames[t.Name] = true
+		if t.hasVoid() {
+			return fmt.Errorf("%w: in type %s", ErrVoid, t.Name)
+		}
+	}
+	for _, c := range s.Consts {
+		if c.Type.hasVoid() {
+			return fmt.Errorf("%w: in constant %s", ErrVoid, c.Name)
+		}
 	}
 	opNames := make(map[string]bool, len(s.Ops))
 	for _, o := range s.Ops {
@@ -329,12 +338,15 @@ func (s *SID) Validate() error {
 				return fmt.Errorf("%w: %s in op %s", ErrBadParamName, p.Name, o.Name)
 			}
 			params[p.Name] = true
-			if p.Type == nil || p.Type.Kind == Void {
-				return fmt.Errorf("sidl: parameter %s of op %s has void type", p.Name, o.Name)
+			if p.Type == nil || p.Type.hasVoid() {
+				return fmt.Errorf("%w: in parameter %s of op %s", ErrVoid, p.Name, o.Name)
 			}
 		}
 		if o.Result == nil {
 			return fmt.Errorf("sidl: op %s has nil result type", o.Name)
+		}
+		if o.Result.Kind != Void && o.Result.hasVoid() {
+			return fmt.Errorf("%w: inside the result of op %s", ErrVoid, o.Name)
 		}
 	}
 	if s.FSM.Restricted() {

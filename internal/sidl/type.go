@@ -127,6 +127,24 @@ func SequenceOf(elem *Type) *Type {
 	return &Type{Kind: Sequence, Elem: elem}
 }
 
+// hasVoid reports whether void occurs anywhere in the type tree. A void
+// value encodes to zero bytes, so a sequence of them could claim any
+// length at no cost in input; only an operation's result may be void.
+func (t *Type) hasVoid() bool {
+	if t == nil {
+		return false
+	}
+	if t.Kind == Void || t.Elem.hasVoid() {
+		return true
+	}
+	for _, f := range t.Fields {
+		if f.Type.hasVoid() {
+			return true
+		}
+	}
+	return false
+}
+
 // Field looks up a struct member by name; ok is false if t is not a
 // struct or has no such member.
 func (t *Type) Field(name string) (Field, bool) {

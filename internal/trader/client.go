@@ -12,7 +12,6 @@ import (
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/wire"
-	"cosm/internal/xcode"
 )
 
 // Client is a typed wrapper over a dynamic binding to a remote trader.
@@ -20,7 +19,6 @@ import (
 // a federation exactly like in-process ones.
 type Client struct {
 	pool *wire.Pool
-	tt   *traderTypes
 	fid  string
 
 	// redirect makes mutations chase a not-leader rejection's hint
@@ -44,11 +42,7 @@ func DialTrader(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*Client
 	if err != nil {
 		return nil, err
 	}
-	tt, err := newTraderTypes()
-	if err != nil {
-		return nil, err
-	}
-	return &Client{pool: pool, conn: conn, tt: tt, fid: r.String()}, nil
+	return &Client{pool: pool, conn: conn, fid: r.String()}, nil
 }
 
 // FederationID identifies the remote trader by its reference.
@@ -62,12 +56,14 @@ func (c *Client) FederationID() string { return c.fid }
 // goroutines.
 func (c *Client) FollowLeaderHints(on bool) { c.redirect = on }
 
-// invoke routes one call through the current connection.
-func (c *Client) invoke(ctx context.Context, op string, args ...*xcode.Value) (*cosm.Result, error) {
+// call routes one invocation through the current connection: args are
+// encoded as, and result decoded from, the types the bound trader's SID
+// gives the operation (see cosm.Conn.Call).
+func (c *Client) call(ctx context.Context, op string, result any, args ...any) error {
 	c.mu.RLock()
 	conn := c.conn
 	c.mu.RUnlock()
-	return conn.Invoke(ctx, op, args...)
+	return conn.Call(ctx, op, result, args...)
 }
 
 // isNotLeaderError recognises a not-leader rejection whether it is the
@@ -100,15 +96,15 @@ func (c *Client) dropLeader(conn *cosm.Conn) {
 	c.mu.Unlock()
 }
 
-// invokeMut is invoke for mutations: under FollowLeaderHints mutations
-// go straight to the last known leader, and a not-leader rejection
+// callMut is call for mutations: under FollowLeaderHints mutations go
+// straight to the last known leader, and a not-leader rejection
 // invalidates that cache, re-binds to the rejection's hinted leader and
 // retries once.
-func (c *Client) invokeMut(ctx context.Context, op string, args ...*xcode.Value) (*cosm.Result, error) {
+func (c *Client) callMut(ctx context.Context, op string, result any, args ...any) error {
 	conn, cached := c.mutConn()
-	res, err := conn.Invoke(ctx, op, args...)
+	err := conn.Call(ctx, op, result, args...)
 	if err == nil || !c.redirect || !isNotLeaderError(err) {
-		return res, err
+		return err
 	}
 	if cached {
 		// The cached leader was deposed; stop steering mutations at it.
@@ -117,61 +113,46 @@ func (c *Client) invokeMut(ctx context.Context, op string, args ...*xcode.Value)
 	hint, ok := LeaderHintFromError(err)
 	if !ok {
 		if !cached {
-			return res, err
+			return err
 		}
 		// A stale cached leader with no forwarding hint: fall back to
 		// the primary binding, which may know the new leader.
 		c.mu.RLock()
 		primary := c.conn
 		c.mu.RUnlock()
-		return primary.Invoke(ctx, op, args...)
+		return primary.Call(ctx, op, result, args...)
 	}
 	r, perr := ref.Parse(hint)
 	if perr != nil {
-		return res, err
+		return err
 	}
 	lconn, berr := cosm.Bind(ctx, c.pool, r)
 	if berr != nil {
-		return res, err
+		return err
 	}
 	c.mu.Lock()
 	c.leader = lconn
 	c.mu.Unlock()
-	return lconn.Invoke(ctx, op, args...)
+	return lconn.Call(ctx, op, result, args...)
 }
 
 // Export registers an offer at the remote trader.
 func (c *Client) Export(ctx context.Context, serviceType string, target ref.ServiceRef, props []sidl.Property) (string, error) {
-	propsV, err := c.tt.propsValue(props)
-	if err != nil {
-		return "", err
-	}
-	res, err := c.invokeMut(ctx, "Export",
-		xcode.NewString(c.tt.strT, serviceType),
-		xcode.NewRef(c.tt.refT, target),
-		propsV)
-	if err != nil {
+	var id string
+	if err := c.callMut(ctx, "Export", &id, serviceType, target, wireProps(props)); err != nil {
 		return "", fmt.Errorf("trader: remote export: %w", err)
 	}
-	return res.Value.Str, nil
+	return id, nil
 }
 
 // ExportLease registers an offer with a lease at the remote trader.
 // ttl is rounded down to whole seconds; zero means no expiry.
 func (c *Client) ExportLease(ctx context.Context, serviceType string, target ref.ServiceRef, props []sidl.Property, ttl time.Duration) (string, error) {
-	propsV, err := c.tt.propsValue(props)
-	if err != nil {
-		return "", err
-	}
-	res, err := c.invokeMut(ctx, "ExportLease",
-		xcode.NewString(c.tt.strT, serviceType),
-		xcode.NewRef(c.tt.refT, target),
-		propsV,
-		xcode.NewInt(sidl.Basic(sidl.Int64), int64(ttl/time.Second)))
-	if err != nil {
+	var id string
+	if err := c.callMut(ctx, "ExportLease", &id, serviceType, target, wireProps(props), int64(ttl/time.Second)); err != nil {
 		return "", fmt.Errorf("trader: remote export lease: %w", err)
 	}
-	return res.Value.Str, nil
+	return id, nil
 }
 
 // ExportAll registers a batch of offers at the remote trader in one
@@ -179,25 +160,9 @@ func (c *Client) ExportLease(ctx context.Context, serviceType string, target ref
 // returned IDs parallel items. Lease TTLs are rounded down to whole
 // seconds.
 func (c *Client) ExportAll(ctx context.Context, items []ExportItem) ([]string, error) {
-	elems := make([]*xcode.Value, len(items))
-	for i := range items {
-		iv, err := c.tt.exportItemValue(items[i])
-		if err != nil {
-			return nil, err
-		}
-		elems[i] = iv
-	}
-	seq, err := xcode.NewSequence(c.tt.itemsT, elems...)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.invokeMut(ctx, "ExportAll", seq)
-	if err != nil {
+	var ids []string
+	if err := c.callMut(ctx, "ExportAll", &ids, wireExportItems(items)); err != nil {
 		return nil, fmt.Errorf("trader: remote export batch: %w", err)
-	}
-	ids := make([]string, 0, len(res.Value.Elems))
-	for _, e := range res.Value.Elems {
-		ids = append(ids, e.Str)
 	}
 	return ids, nil
 }
@@ -208,19 +173,16 @@ func (c *Client) ExportSID(ctx context.Context, sid *sidl.SID, target ref.Servic
 	if err != nil {
 		return "", err
 	}
-	res, err := c.invokeMut(ctx, "ExportSID",
-		xcode.NewString(c.tt.strT, string(text)),
-		xcode.NewRef(c.tt.refT, target))
-	if err != nil {
+	var id string
+	if err := c.callMut(ctx, "ExportSID", &id, string(text), target); err != nil {
 		return "", fmt.Errorf("trader: remote export SID: %w", err)
 	}
-	return res.Value.Str, nil
+	return id, nil
 }
 
 // Withdraw removes an offer at the remote trader.
 func (c *Client) Withdraw(ctx context.Context, offerID string) error {
-	_, err := c.invokeMut(ctx, "Withdraw", xcode.NewString(c.tt.strT, offerID))
-	if err != nil {
+	if err := c.callMut(ctx, "Withdraw", nil, offerID); err != nil {
 		return fmt.Errorf("trader: remote withdraw: %w", err)
 	}
 	return nil
@@ -230,25 +192,16 @@ func (c *Client) Withdraw(ctx context.Context, offerID string) error {
 // round trip and returns how many were actually withdrawn. Unknown IDs
 // are skipped (idempotent).
 func (c *Client) WithdrawAll(ctx context.Context, offerIDs []string) (int, error) {
-	seq, err := c.tt.namesValue(offerIDs)
-	if err != nil {
-		return 0, err
-	}
-	res, err := c.invokeMut(ctx, "WithdrawAll", seq)
-	if err != nil {
+	var n int
+	if err := c.callMut(ctx, "WithdrawAll", &n, offerIDs); err != nil {
 		return 0, fmt.Errorf("trader: remote withdraw batch: %w", err)
 	}
-	return int(res.Value.Int), nil
+	return n, nil
 }
 
 // Replace replaces an offer's properties at the remote trader.
 func (c *Client) Replace(ctx context.Context, offerID string, props []sidl.Property) error {
-	propsV, err := c.tt.propsValue(props)
-	if err != nil {
-		return err
-	}
-	_, err = c.invokeMut(ctx, "Replace", xcode.NewString(c.tt.strT, offerID), propsV)
-	if err != nil {
+	if err := c.callMut(ctx, "Replace", nil, offerID, wireProps(props)); err != nil {
 		return fmt.Errorf("trader: remote replace: %w", err)
 	}
 	return nil
@@ -262,24 +215,20 @@ func (c *Client) Import(ctx context.Context, req ImportRequest) ([]*Offer, error
 
 // ImportGraded matches offers at the remote trader, keeping the
 // semantic grade and score of every match. A trader that predates
-// grading answers plain offers; tolerant decode turns those into
-// GradeNone matches (which the federation path re-grades locally).
+// grading answers plain offers; those decode as GradeNone matches
+// (which the federation path re-grades locally).
 func (c *Client) ImportGraded(ctx context.Context, req ImportRequest) ([]Match, error) {
-	reqV, err := c.tt.importReqValue(req)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.invoke(ctx, "Import", reqV)
-	if err != nil {
+	var ws []offerWire
+	if err := c.call(ctx, "Import", &ws, wireImportReq(req)); err != nil {
 		return nil, fmt.Errorf("trader: remote import: %w", err)
 	}
-	ms := make([]Match, 0, len(res.Value.Elems))
-	for _, ov := range res.Value.Elems {
-		m, err := matchFromValue(ov)
+	ms := make([]Match, len(ws))
+	for i := range ws {
+		m, err := ws[i].match()
 		if err != nil {
 			return nil, err
 		}
-		ms = append(ms, m)
+		ms[i] = m
 	}
 	return ms, nil
 }
@@ -291,8 +240,7 @@ func (c *Client) DefineTypeFromSID(ctx context.Context, sid *sidl.SID) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.invokeMut(ctx, "DefineTypeFromSID", xcode.NewString(c.tt.strT, string(text)))
-	if err != nil {
+	if err := c.callMut(ctx, "DefineTypeFromSID", nil, string(text)); err != nil {
 		return fmt.Errorf("trader: remote define type: %w", err)
 	}
 	return nil
@@ -300,21 +248,16 @@ func (c *Client) DefineTypeFromSID(ctx context.Context, sid *sidl.SID) error {
 
 // TypeNames lists the remote trader's registered service types.
 func (c *Client) TypeNames(ctx context.Context) ([]string, error) {
-	res, err := c.invoke(ctx, "TypeNames")
-	if err != nil {
+	var names []string
+	if err := c.call(ctx, "TypeNames", &names); err != nil {
 		return nil, fmt.Errorf("trader: remote type names: %w", err)
-	}
-	names := make([]string, 0, len(res.Value.Elems))
-	for _, e := range res.Value.Elems {
-		names = append(names, e.Str)
 	}
 	return names, nil
 }
 
 // RemoveType removes a service type at the remote trader.
 func (c *Client) RemoveType(ctx context.Context, name string) error {
-	_, err := c.invokeMut(ctx, "RemoveType", xcode.NewString(c.tt.strT, name))
-	if err != nil {
+	if err := c.callMut(ctx, "RemoveType", nil, name); err != nil {
 		return fmt.Errorf("trader: remote remove type: %w", err)
 	}
 	return nil
@@ -326,10 +269,7 @@ var _ SummaryPeer = (*Client)(nil)
 // pointing at the trader behind peer. The remote trader resolves peer
 // with its own link dialer.
 func (c *Client) LinkAdd(ctx context.Context, name string, peer ref.ServiceRef) error {
-	_, err := c.invokeMut(ctx, "LinkAdd",
-		xcode.NewString(c.tt.strT, name),
-		xcode.NewRef(c.tt.refT, peer))
-	if err != nil {
+	if err := c.callMut(ctx, "LinkAdd", nil, name, peer); err != nil {
 		return fmt.Errorf("trader: remote link add: %w", err)
 	}
 	return nil
@@ -337,8 +277,7 @@ func (c *Client) LinkAdd(ctx context.Context, name string, peer ref.ServiceRef) 
 
 // LinkRemove removes a federation link at the remote trader.
 func (c *Client) LinkRemove(ctx context.Context, name string) error {
-	_, err := c.invokeMut(ctx, "LinkRemove", xcode.NewString(c.tt.strT, name))
-	if err != nil {
+	if err := c.callMut(ctx, "LinkRemove", nil, name); err != nil {
 		return fmt.Errorf("trader: remote link remove: %w", err)
 	}
 	return nil
@@ -346,34 +285,22 @@ func (c *Client) LinkRemove(ctx context.Context, name string) error {
 
 // LinkList returns the remote trader's federation links.
 func (c *Client) LinkList(ctx context.Context) ([]LinkInfo, error) {
-	res, err := c.invoke(ctx, "LinkList")
-	if err != nil {
+	var ws []linkInfoWire
+	if err := c.call(ctx, "LinkList", &ws); err != nil {
 		return nil, fmt.Errorf("trader: remote link list: %w", err)
 	}
-	links := make([]LinkInfo, 0, len(res.Value.Elems))
-	for _, lv := range res.Value.Elems {
-		li, err := linkInfoFromValue(lv)
-		if err != nil {
-			return nil, err
-		}
-		links = append(links, li)
-	}
-	return links, nil
+	return linkInfosFromWire(ws), nil
 }
 
 // ExchangeSummary implements SummaryPeer over the wire: it pushes s to
 // the remote trader and returns the summary it replies with, so a
 // gossip round over a remote link works exactly like in-process.
 func (c *Client) ExchangeSummary(ctx context.Context, s OfferSummary) (OfferSummary, error) {
-	sv, err := c.tt.summaryValue(s)
-	if err != nil {
-		return OfferSummary{}, err
-	}
-	res, err := c.invoke(ctx, "SummaryExchange", sv)
-	if err != nil {
+	var theirs OfferSummary
+	if err := c.call(ctx, "SummaryExchange", &theirs, s); err != nil {
 		return OfferSummary{}, fmt.Errorf("trader: remote summary exchange: %w", err)
 	}
-	return summaryFromValue(res.Value)
+	return theirs, nil
 }
 
 var _ ReplSource = (*Client)(nil)
@@ -383,23 +310,17 @@ var _ ReplSource = (*Client)(nil)
 // ones. The client implements ReplSource, so a follower's pull loop
 // works over the wire exactly like in-process.
 func (c *Client) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error) {
-	res, err := c.invoke(ctx, "ReplPull",
-		xcode.NewString(c.tt.strT, followerID),
-		xcode.NewInt(c.tt.int64T, int64(epoch)),
-		xcode.NewInt(c.tt.int64T, int64(afterSeq)),
-		xcode.NewInt(c.tt.int32T, int64(max)),
-		xcode.NewInt(c.tt.int64T, int64(wait/time.Millisecond)))
-	if err != nil {
+	var w replBatchWire
+	if err := c.call(ctx, "ReplPull", &w, followerID, epoch, afterSeq, max, int64(wait/time.Millisecond)); err != nil {
 		return nil, fmt.Errorf("trader: remote repl pull: %w", err)
 	}
-	return replBatchFromValue(res.Value)
+	return w.batch(), nil
 }
 
 // Promote asks the remote trader to take leadership at the given
 // fencing epoch (which must be strictly greater than any it has seen).
 func (c *Client) Promote(ctx context.Context, epoch uint64) error {
-	_, err := c.invoke(ctx, "Promote", xcode.NewInt(c.tt.int64T, int64(epoch)))
-	if err != nil {
+	if err := c.call(ctx, "Promote", nil, epoch); err != nil {
 		return fmt.Errorf("trader: remote promote: %w", err)
 	}
 	return nil
@@ -408,11 +329,11 @@ func (c *Client) Promote(ctx context.Context, epoch uint64) error {
 // ReplStatus reports the remote trader's replication role and
 // position.
 func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
-	res, err := c.invoke(ctx, "ReplStatus")
-	if err != nil {
+	var st ReplStatus
+	if err := c.call(ctx, "ReplStatus", &st); err != nil {
 		return ReplStatus{}, fmt.Errorf("trader: remote repl status: %w", err)
 	}
-	return replStatusFromValue(res.Value)
+	return st, nil
 }
 
 var _ ElectionPeer = (*Client)(nil)
@@ -422,12 +343,9 @@ var _ ElectionPeer = (*Client)(nil)
 // implements ElectionPeer, so the failover monitor's election round
 // works over the wire exactly like in-process.
 func (c *Client) RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error) {
-	res, err := c.invoke(ctx, "RequestVote",
-		xcode.NewString(c.tt.strT, candidateID),
-		xcode.NewInt(c.tt.int64T, int64(newEpoch)),
-		xcode.NewInt(c.tt.int64T, int64(applied)))
-	if err != nil {
+	var v Vote
+	if err := c.call(ctx, "RequestVote", &v, candidateID, newEpoch, applied); err != nil {
 		return Vote{}, fmt.Errorf("trader: remote request vote: %w", err)
 	}
-	return voteFromValue(res.Value)
+	return v, nil
 }

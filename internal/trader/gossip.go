@@ -10,7 +10,7 @@ import (
 // can reach and how many additional federation hops away they are
 // (0 = stored at the sender itself).
 type SummaryEntry struct {
-	Type  string
+	Type  string `sidl:"serviceType"`
 	Count int
 	Hops  int
 }

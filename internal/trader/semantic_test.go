@@ -561,9 +561,18 @@ module OldTrader {
 // trader's Offer_t decodes into a GradeNone match that the federation
 // layer re-grades — new-client → old-trader degrades instead of failing.
 func TestWireCompatNewClientOldTrader(t *testing.T) {
-	tt, err := newTraderTypes()
+	newSid, err := sidl.Parse(IDL)
 	if err != nil {
 		t.Fatal(err)
+	}
+	offerT := newSid.Type("Offer_t")
+	// What the client's import does with each element of a reply.
+	matchFromValue := func(v *xcode.Value) (Match, error) {
+		var w offerWire
+		if err := xcode.Decode(v, &w); err != nil {
+			return Match{}, err
+		}
+		return w.match()
 	}
 	oldSid, err := sidl.Parse(oldTraderIDL)
 	if err != nil {
@@ -575,15 +584,12 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 		t.Fatal("old IDL types missing")
 	}
 
-	// Request direction: project, marshal, unmarshal, decode.
-	reqV, err := tt.importReqValue(ImportRequest{
+	// Request direction: encode as the old peer's type (which is the
+	// projection), marshal, unmarshal, decode.
+	projected, err := xcode.Encode(oldReqT, wireImportReq(ImportRequest{
 		Type: "A", Constraint: "x == 1", Policy: "score",
 		Max: 3, MinGrade: match.GradeExact,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	projected, err := reqV.Project(oldReqT)
+	}))
 	if err != nil {
 		t.Fatalf("new import request does not project onto the old protocol: %v", err)
 	}
@@ -591,10 +597,11 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodedReq, err := importReqFromValue(wireReq)
-	if err != nil {
+	var reqW importReqWire
+	if err := xcode.Decode(wireReq, &reqW); err != nil {
 		t.Fatalf("old trader cannot decode the projected request: %v", err)
 	}
+	decodedReq := reqW.request()
 	if decodedReq.Type != "A" || decodedReq.Constraint != "x == 1" || decodedReq.Max != 3 {
 		t.Fatalf("request fields lost in projection: %+v", decodedReq)
 	}
@@ -640,13 +647,13 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	}
 
 	// A graded response round-trips grade and score through the codec.
-	gradedV, err := tt.matchValue(Match{
+	gradedV, err := xcode.Encode(offerT, wireMatch(Match{
 		Offer: m.Offer, Grade: match.GradeSubtype, Score: 0.85,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := xcode.Unmarshal(tt.offerT, xcode.Marshal(gradedV))
+	back, err := xcode.Unmarshal(offerT, xcode.Marshal(gradedV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +666,15 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	}
 	// And an old client reading the graded Offer_t simply ignores the
 	// extra fields.
-	if o, err := offerFromValue(back); err != nil || o.ID != "OLD/o1" {
+	var o struct {
+		ID          string
+		ServiceType string
+		Target      ref.ServiceRef
+		Props       []PropRecord
+		ExpiresUnix int64
+		Suspect     bool
+	}
+	if err := xcode.Decode(back, &o); err != nil || o.ID != "OLD/o1" {
 		t.Fatalf("old-style decode of graded offer = %+v, %v", o, err)
 	}
 }

@@ -206,12 +206,15 @@ func decode(t *sidl.Type, data []byte) (*Value, []byte, error) {
 			return nil, nil, fmt.Errorf("%w: sequence length %d", ErrOversize, n)
 		}
 		// Guard against tiny payloads claiming huge lengths: every
-		// element costs at least one byte unless it is empty-struct-like.
-		if n > uint64(len(rest))+1 {
-			min := minEncodedSize(t.Elem)
-			if min > 0 && n*uint64(min) > uint64(len(rest)) {
-				return nil, nil, fmt.Errorf("%w: sequence claims %d elements in %d bytes", ErrBadData, n, len(rest))
-			}
+		// element must cost input. An element type that can encode to
+		// nothing (void, which no valid SID nests) would let a few bytes
+		// claim any number of elements, so it is refused outright.
+		min := minEncodedSize(t.Elem)
+		if min == 0 {
+			return nil, nil, fmt.Errorf("%w: sequence of zero-size %s", ErrBadData, t.Elem)
+		}
+		if n*uint64(min) > uint64(len(rest)) {
+			return nil, nil, fmt.Errorf("%w: sequence claims %d elements in %d bytes", ErrBadData, n, len(rest))
 		}
 		v.Elems = make([]*Value, n)
 		for i := range v.Elems {

@@ -274,7 +274,8 @@ func (v *Value) Equal(o *Value) bool {
 	case sidl.UInt32, sidl.UInt64:
 		return v.Uint == o.Uint
 	case sidl.Float32, sidl.Float64:
-		return v.Float == o.Float
+		// NaN equals NaN here: a value must equal its own clone.
+		return v.Float == o.Float || v.Float != v.Float && o.Float != o.Float
 	case sidl.String:
 		return v.Str == o.Str
 	case sidl.Enum:

@@ -1,8 +1,10 @@
 package xcode
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -214,6 +216,37 @@ func TestUnmarshalErrors(t *testing.T) {
 				t.Fatalf("Unmarshal err = %v, want %v", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestUnmarshalVoidSequence: void encodes to nothing, so before the
+// guard refused zero-size elements this 602-byte body — 200 inner
+// sequences each claiming MaxSequenceLen voids — decoded into 7.6 GB.
+// sidl no longer lets such a type out of a parser; the codec must not
+// depend on that.
+func TestUnmarshalVoidSequence(t *testing.T) {
+	typ := sidl.SequenceOf(sidl.SequenceOf(sidl.Basic(sidl.Void)))
+	body := binary.AppendUvarint(nil, 200)
+	for i := 0; i < 200; i++ {
+		body = binary.AppendUvarint(body, MaxSequenceLen)
+	}
+	if len(body) != 602 {
+		t.Fatalf("body is %d bytes, want the 602 of the report", len(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(typ, body)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadData) {
+		t.Fatalf("Unmarshal = %v, want ErrBadData", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256*uint64(len(body)) {
+		t.Fatalf("refusing %d bytes allocated %d", len(body), grew)
+	}
+	// The same claim over the smallest real element is refused as well.
+	octets := sidl.SequenceOf(sidl.SequenceOf(sidl.Basic(sidl.Octet)))
+	if _, err := Unmarshal(octets, body); !errors.Is(err, ErrBadData) {
+		t.Fatalf("Unmarshal over octets = %v, want ErrBadData", err)
 	}
 }
 
