@@ -39,19 +39,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Every native fuzz target of the module for FUZZTIME each, beyond its
+# Every native fuzz target of the module for 30 s each, beyond its
 # checked-in corpus. The targets are discovered, not listed, so a new
 # Fuzz* function is picked up for free; go test takes one -fuzz target
-# per invocation. A finding is written to the package's testdata/fuzz
-# and fails the run.
-FUZZTIME ?= 30s
-
+# per invocation. A package that does not build, a listing without a
+# target and a finding (written to the package's testdata/fuzz) each
+# fail the run.
 fuzz:
-	@$(GO) test -list '^Fuzz' ./... | \
-	awk '/^Fuzz/ { names = names " " $$1 } /^ok/ { n = split(names, f, " "); for (i = 1; i <= n; i++) print $$2, f[i]; names = "" }' | \
-	while read pkg target; do \
-		echo "== fuzz $$pkg $$target for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	@list=$$($(GO) test -list '^Fuzz' ./... 2>&1) || { echo "$$list"; echo "fuzz: listing the targets failed"; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ { names = names " " $$1 } /^ok/ { n = split(names, f, " "); for (i = 1; i <= n; i++) print $$2, f[i]; names = "" }'); \
+	if [ -z "$$targets" ]; then echo "fuzz: no Fuzz* target found"; exit 1; fi; \
+	echo "$$targets" | while read pkg target; do \
+		echo "== fuzz $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 30s $$pkg || exit 1; \
 	done
 
 # What cosmbench (bench/, see BENCHMARK.json) does not measure: the

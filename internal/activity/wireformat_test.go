@@ -61,31 +61,31 @@ func TestActivityWireFormatPinned(t *testing.T) {
 	// The manager's calls to the participant, in the order two-phase
 	// commit and abort make them.
 	var driven []cosmtest.Exchange
-	cosmtest.Run(t, tap, msvc.SID(), []cosmtest.Step{
-		{Case: cosmtest.Case{Name: "Begin", Op: "Begin", Result: masked,
-			WantArgs: "", WantResult: "15147878787878787878787878787878787878787878"},
+	cosmtest.Run(t, tap, msvc.SID(), []cosmtest.Case{
+		{Name: "Begin", Op: "Begin", Result: masked,
+			WantArgs: "", WantResult: "15147878787878787878787878787878787878787878",
 			Call: begin},
-		{Case: cosmtest.Case{Name: "Join", Op: "Join", Args: []any{masked, participant},
-			WantArgs: "151478787878787878787878787878787878787878784544636f736d3a2f2f6c6f6f703a7461702d5061727469636970616e742d54657374416374697669747957697265466f726d617450696e6e65642f5061727469636970616e74", WantResult: ""},
+		{Name: "Join", Op: "Join", Args: []any{masked, participant},
+			WantArgs: "151478787878787878787878787878787878787878784544636f736d3a2f2f6c6f6f703a7461702d5061727469636970616e742d54657374416374697669747957697265466f726d617450696e6e65642f5061727469636970616e74", WantResult: "",
 			Call: func() error { return ac.Join(ctx, id, participant) }},
-		{Case: cosmtest.Case{Name: "Status", Op: "Status", Args: []any{masked}, Result: "active",
-			WantArgs: "15147878787878787878787878787878787878787878", WantResult: "0706616374697665"},
+		{Name: "Status", Op: "Status", Args: []any{masked}, Result: "active",
+			WantArgs: "15147878787878787878787878787878787878787878", WantResult: "0706616374697665",
 			Call: func() error { _, err := ac.Status(ctx, id); return err }},
-		{Case: cosmtest.Case{Name: "Commit", Op: "Commit", Args: []any{masked}, Result: true,
-			WantArgs: "15147878787878787878787878787878787878787878", WantResult: "0101"},
+		{Name: "Commit", Op: "Commit", Args: []any{masked}, Result: true,
+			WantArgs: "15147878787878787878787878787878787878787878", WantResult: "0101",
 			Call: func() error {
 				_, err := ac.Commit(ctx, id)
 				driven = append(driven, ptap.Take()...)
 				return err
 			}},
-		{Case: cosmtest.Case{Name: "Begin/second", Op: "Begin", Result: masked,
-			WantArgs: "", WantResult: "15147878787878787878787878787878787878787878"},
+		{Name: "Begin/second", Op: "Begin", Result: masked,
+			WantArgs: "", WantResult: "15147878787878787878787878787878787878787878",
 			Call: begin},
-		{Case: cosmtest.Case{Name: "Join/second", Op: "Join", Args: []any{masked, participant},
-			WantArgs: "151478787878787878787878787878787878787878784544636f736d3a2f2f6c6f6f703a7461702d5061727469636970616e742d54657374416374697669747957697265466f726d617450696e6e65642f5061727469636970616e74", WantResult: ""},
+		{Name: "Join/second", Op: "Join", Args: []any{masked, participant},
+			WantArgs: "151478787878787878787878787878787878787878784544636f736d3a2f2f6c6f6f703a7461702d5061727469636970616e742d54657374416374697669747957697265466f726d617450696e6e65642f5061727469636970616e74", WantResult: "",
 			Call: func() error { return ac.Join(ctx, id, participant) }},
-		{Case: cosmtest.Case{Name: "Abort", Op: "Abort", Args: []any{masked},
-			WantArgs: "15147878787878787878787878787878787878787878", WantResult: ""},
+		{Name: "Abort", Op: "Abort", Args: []any{masked},
+			WantArgs: "15147878787878787878787878787878787878787878", WantResult: "",
 			Call: func() error {
 				err := ac.Abort(ctx, id)
 				driven = append(driven, ptap.Take()...)

@@ -45,27 +45,27 @@ func TestBrowserWireFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosmtest.Run(t, tap, sid, []cosmtest.Step{
-		{Case: cosmtest.Case{Name: "List/empty", Op: "List", Result: []any{},
-			WantArgs: "", WantResult: "0100"},
+	cosmtest.Run(t, tap, sid, []cosmtest.Case{
+		{Name: "List/empty", Op: "List", Result: []any{},
+			WantArgs: "", WantResult: "0100",
 			Call: func() error { _, err := bc.List(ctx); return err }},
-		{Case: cosmtest.Case{Name: "RegisterSID", Op: "RegisterSID", Args: []any{string(text), target},
-			WantArgs: "6a696d6f64756c6520436c6f636b207b0a20202020696e7465726661636520434f534d5f4f7065726174696f6e73207b0a20202020202020202f2f2054656c6c207468652074696d652e0a2020202020202020737472696e67204e6f7728293b0a202020207d3b0a7d3b0a1c1b636f736d3a2f2f7463703a70726f76696465723a372f436c6f636b", WantResult: ""},
+		{Name: "RegisterSID", Op: "RegisterSID", Args: []any{string(text), target},
+			WantArgs: "6a696d6f64756c6520436c6f636b207b0a20202020696e7465726661636520434f534d5f4f7065726174696f6e73207b0a20202020202020202f2f2054656c6c207468652074696d652e0a2020202020202020737472696e67204e6f7728293b0a202020207d3b0a7d3b0a1c1b636f736d3a2f2f7463703a70726f76696465723a372f436c6f636b", WantResult: "",
 			Call: func() error { return bc.RegisterSID(ctx, clock, target) }},
-		{Case: cosmtest.Case{Name: "List", Op: "List", Result: []any{"Clock"},
-			WantArgs: "", WantResult: "070105436c6f636b"},
+		{Name: "List", Op: "List", Result: []any{"Clock"},
+			WantArgs: "", WantResult: "070105436c6f636b",
 			Call: func() error { _, err := bc.List(ctx); return err }},
-		{Case: cosmtest.Case{Name: "Get", Op: "Get", Args: []any{"Clock"}, Result: entry,
-			WantArgs: "0605436c6f636b", WantResult: "8c0105436c6f636b1b636f736d3a2f2f7463703a70726f76696465723a372f436c6f636b696d6f64756c6520436c6f636b207b0a20202020696e7465726661636520434f534d5f4f7065726174696f6e73207b0a20202020202020202f2f2054656c6c207468652074696d652e0a2020202020202020737472696e67204e6f7728293b0a202020207d3b0a7d3b0a"},
+		{Name: "Get", Op: "Get", Args: []any{"Clock"}, Result: entry,
+			WantArgs: "0605436c6f636b", WantResult: "8c0105436c6f636b1b636f736d3a2f2f7463703a70726f76696465723a372f436c6f636b696d6f64756c6520436c6f636b207b0a20202020696e7465726661636520434f534d5f4f7065726174696f6e73207b0a20202020202020202f2f2054656c6c207468652074696d652e0a2020202020202020737472696e67204e6f7728293b0a202020207d3b0a7d3b0a",
 			Call: func() error { _, err := bc.Get(ctx, "Clock"); return err }},
-		{Case: cosmtest.Case{Name: "Search", Op: "Search", Args: []any{"time"}, Result: []any{entry},
-			WantArgs: "050474696d65", WantResult: "8d010105436c6f636b1b636f736d3a2f2f7463703a70726f76696465723a372f436c6f636b696d6f64756c6520436c6f636b207b0a20202020696e7465726661636520434f534d5f4f7065726174696f6e73207b0a20202020202020202f2f2054656c6c207468652074696d652e0a2020202020202020737472696e67204e6f7728293b0a202020207d3b0a7d3b0a"},
+		{Name: "Search", Op: "Search", Args: []any{"time"}, Result: []any{entry},
+			WantArgs: "050474696d65", WantResult: "8d010105436c6f636b1b636f736d3a2f2f7463703a70726f76696465723a372f436c6f636b696d6f64756c6520436c6f636b207b0a20202020696e7465726661636520434f534d5f4f7065726174696f6e73207b0a20202020202020202f2f2054656c6c207468652074696d652e0a2020202020202020737472696e67204e6f7728293b0a202020207d3b0a7d3b0a",
 			Call: func() error { _, err := bc.Search(ctx, "time"); return err }},
-		{Case: cosmtest.Case{Name: "Search/none", Op: "Search", Args: []any{"spaceship"}, Result: []any{},
-			WantArgs: "0a09737061636573686970", WantResult: "0100"},
+		{Name: "Search/none", Op: "Search", Args: []any{"spaceship"}, Result: []any{},
+			WantArgs: "0a09737061636573686970", WantResult: "0100",
 			Call: func() error { _, err := bc.Search(ctx, "spaceship"); return err }},
-		{Case: cosmtest.Case{Name: "Withdraw", Op: "Withdraw", Args: []any{"Clock"},
-			WantArgs: "0605436c6f636b", WantResult: ""},
+		{Name: "Withdraw", Op: "Withdraw", Args: []any{"Clock"},
+			WantArgs: "0605436c6f636b", WantResult: "",
 			Call: func() error { return bc.Withdraw(ctx, "Clock") }},
 	})
 }

@@ -40,14 +40,14 @@ func TestCarRentalWireFormatPinned(t *testing.T) {
 		}
 	}
 	fiat := map[string]any{"model": "FIAT_Uno", "bookingDate": "1994-06-21", "days": 3}
-	cosmtest.Run(t, tap, sid, []cosmtest.Step{
-		{Case: cosmtest.Case{Name: "SelectCar", Op: "SelectCar", Args: []any{fiat},
+	cosmtest.Run(t, tap, sid, []cosmtest.Case{
+		{Name: "SelectCar", Op: "SelectCar", Args: []any{fiat},
 			Result:   map[string]any{"available": true, "charge": 240.0},
-			WantArgs: "10010a313939342d30362d323100000003", WantResult: "0a01406e00000000000000"},
+			WantArgs: "10010a313939342d30362d323100000003", WantResult: "0a01406e00000000000000",
 			Call: invoke("SelectCar", fiat)},
-		{Case: cosmtest.Case{Name: "Commit", Op: "Commit",
+		{Name: "Commit", Op: "Commit",
 			Result:   map[string]any{"ok": true, "confirmation": "RES-0001-FIAT_Uno-3d"},
-			WantArgs: "", WantResult: "1601145245532d303030312d464941545f556e6f2d3364"},
+			WantArgs: "", WantResult: "1601145245532d303030312d464941545f556e6f2d3364",
 			Call: invoke("Commit")},
 	})
 }

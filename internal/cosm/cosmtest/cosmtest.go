@@ -130,27 +130,16 @@ func (tp *Tap) One(t testing.TB) Exchange {
 func Build(t *sidl.Type, spec any) (*xcode.Value, error) {
 	switch s := spec.(type) {
 	case bool:
-		if t.Kind == sidl.Bool {
-			return xcode.NewBool(t, s), nil
-		}
+		return xcode.FromLit(t, sidl.BoolLit(s))
 	case int:
-		switch t.Kind {
-		case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64:
-			return xcode.NewInt(t, int64(s)), nil
-		case sidl.UInt32, sidl.UInt64:
-			return xcode.NewUint(t, uint64(s)), nil
-		}
+		return xcode.FromLit(t, sidl.IntLit(int64(s)))
 	case float64:
-		if t.Kind == sidl.Float32 || t.Kind == sidl.Float64 {
-			return xcode.NewFloat(t, s), nil
-		}
+		return xcode.FromLit(t, sidl.FloatLit(s))
 	case string:
-		switch t.Kind {
-		case sidl.String:
-			return xcode.NewString(t, s), nil
-		case sidl.Enum:
-			return xcode.NewEnum(t, s)
+		if t.Kind == sidl.Enum {
+			return xcode.FromLit(t, sidl.EnumLit(s))
 		}
+		return xcode.FromLit(t, sidl.StringLit(s))
 	case ref.ServiceRef:
 		if t.Kind == sidl.SvcRef {
 			return xcode.NewRef(t, s), nil
@@ -188,8 +177,8 @@ func Build(t *sidl.Type, spec any) (*xcode.Value, error) {
 }
 
 // Case pins one invocation: the golden hex of its argument chunks and of
-// its result chunk, and the same call spelt as Build literals for the
-// dynamic path.
+// its result chunk, the same call spelt as Build literals for the dynamic
+// path, and how Run makes it on the typed path.
 type Case struct {
 	// Name labels the step in failures.
 	Name string
@@ -200,6 +189,11 @@ type Case struct {
 	Result any
 	// WantArgs and WantResult are the golden bodies.
 	WantArgs, WantResult string
+	// Call drives the typed client (or whatever typed code makes exactly
+	// one call through the tap); Before prepares state no wire operation
+	// reaches.
+	Before func()
+	Call   func() error
 }
 
 // Check compares a recorded exchange with the case's golden bodies.
@@ -220,33 +214,21 @@ func (c Case) Check(t testing.TB, path string, ex Exchange) {
 	}
 }
 
-// Step is one case of a typed-path run: Call drives the typed client (or
-// whatever typed code makes exactly one call through the tap), Before
-// prepares state no wire operation reaches.
-type Step struct {
-	Case
-	Before func()
-	Call   func() error
-}
-
 // Run holds a service's RPC surface to its goldens on both paths: every
-// step through the typed client and the real service behind tap, then
-// the same cases through CheckDynamic. The steps must cover every
-// operation of sid.
-func Run(t testing.TB, tap *Tap, sid *sidl.SID, steps []Step) {
+// case through its typed Call and the real service behind tap, then
+// through CheckDynamic. The cases must cover every operation of sid.
+func Run(t testing.TB, tap *Tap, sid *sidl.SID, cases []Case) {
 	t.Helper()
 	covered := map[string]bool{}
-	cases := make([]Case, len(steps))
-	for i, s := range steps {
-		if s.Before != nil {
-			s.Before()
+	for _, c := range cases {
+		if c.Before != nil {
+			c.Before()
 		}
-		if err := s.Call(); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
+		if err := c.Call(); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
 		}
-		s.Check(t, "typed", tap.One(t))
-		covered[s.Op] = true
-		cases[i] = s.Case
+		c.Check(t, "typed", tap.One(t))
+		covered[c.Op] = true
 	}
 	for _, op := range sid.Ops {
 		if !covered[op.Name] {

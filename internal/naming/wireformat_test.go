@@ -27,26 +27,26 @@ func TestNamingWireFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosmtest.Run(t, tap, sid, []cosmtest.Step{
-		{Case: cosmtest.Case{Name: "List/empty", Op: "List", Args: []any{""}, Result: []any{},
-			WantArgs: "0100", WantResult: "0100"},
+	cosmtest.Run(t, tap, sid, []cosmtest.Case{
+		{Name: "List/empty", Op: "List", Args: []any{""}, Result: []any{},
+			WantArgs: "0100", WantResult: "0100",
 			Call: func() error { _, err := nc.List(ctx, ""); return err }},
-		{Case: cosmtest.Case{Name: "Register", Op: "Register", Args: []any{"market/cars", target},
-			WantArgs: "0c0b6d61726b65742f636172732221636f736d3a2f2f7463703a6661723a392f43617252656e74616c53657276696365", WantResult: ""},
+		{Name: "Register", Op: "Register", Args: []any{"market/cars", target},
+			WantArgs: "0c0b6d61726b65742f636172732221636f736d3a2f2f7463703a6661723a392f43617252656e74616c53657276696365", WantResult: "",
 			Call: func() error { return nc.Register(ctx, "market/cars", target) }},
-		{Case: cosmtest.Case{Name: "Rebind", Op: "Rebind", Args: []any{"market/bikes", other},
-			WantArgs: "0d0c6d61726b65742f62696b65731817636f736d3a2f2f7463703a6e6561723a372f42696b6573", WantResult: ""},
+		{Name: "Rebind", Op: "Rebind", Args: []any{"market/bikes", other},
+			WantArgs: "0d0c6d61726b65742f62696b65731817636f736d3a2f2f7463703a6e6561723a372f42696b6573", WantResult: "",
 			Call: func() error { return nc.Rebind(ctx, "market/bikes", other) }},
-		{Case: cosmtest.Case{Name: "Resolve", Op: "Resolve", Args: []any{"market/cars"}, Result: target,
-			WantArgs: "0c0b6d61726b65742f63617273", WantResult: "2221636f736d3a2f2f7463703a6661723a392f43617252656e74616c53657276696365"},
+		{Name: "Resolve", Op: "Resolve", Args: []any{"market/cars"}, Result: target,
+			WantArgs: "0c0b6d61726b65742f63617273", WantResult: "2221636f736d3a2f2f7463703a6661723a392f43617252656e74616c53657276696365",
 			Call: func() error { _, err := nc.Resolve(ctx, "market/cars"); return err }},
-		{Case: cosmtest.Case{Name: "List", Op: "List", Args: []any{"market/"},
+		{Name: "List", Op: "List", Args: []any{"market/"},
 			Result: []any{map[string]any{"name": "market/bikes", "target": other},
 				map[string]any{"name": "market/cars", "target": target}},
-			WantArgs: "08076d61726b65742f", WantResult: "54020c6d61726b65742f62696b657317636f736d3a2f2f7463703a6e6561723a372f42696b65730b6d61726b65742f6361727321636f736d3a2f2f7463703a6661723a392f43617252656e74616c53657276696365"},
+			WantArgs: "08076d61726b65742f", WantResult: "54020c6d61726b65742f62696b657317636f736d3a2f2f7463703a6e6561723a372f42696b65730b6d61726b65742f6361727321636f736d3a2f2f7463703a6661723a392f43617252656e74616c53657276696365",
 			Call: func() error { _, err := nc.List(ctx, "market/"); return err }},
-		{Case: cosmtest.Case{Name: "Unregister", Op: "Unregister", Args: []any{"market/cars"},
-			WantArgs: "0c0b6d61726b65742f63617273", WantResult: ""},
+		{Name: "Unregister", Op: "Unregister", Args: []any{"market/cars"},
+			WantArgs: "0c0b6d61726b65742f63617273", WantResult: "",
 			Call: func() error { return nc.Unregister(ctx, "market/cars") }},
 	})
 
@@ -59,24 +59,24 @@ func TestNamingWireFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosmtest.Run(t, gtap, gsid, []cosmtest.Step{
-		{Case: cosmtest.Case{Name: "Groups/empty", Op: "Groups", Result: []any{},
-			WantArgs: "", WantResult: "0100"},
+	cosmtest.Run(t, gtap, gsid, []cosmtest.Case{
+		{Name: "Groups/empty", Op: "Groups", Result: []any{},
+			WantArgs: "", WantResult: "0100",
 			Call: func() error { _, err := gc.Groups(ctx); return err }},
-		{Case: cosmtest.Case{Name: "Join", Op: "Join", Args: []any{"traders", "tcp:a:1"},
-			WantArgs: "08077472616465727308077463703a613a31", WantResult: ""},
+		{Name: "Join", Op: "Join", Args: []any{"traders", "tcp:a:1"},
+			WantArgs: "08077472616465727308077463703a613a31", WantResult: "",
 			Call: func() error { return gc.Join(ctx, "traders", "tcp:a:1") }},
-		{Case: cosmtest.Case{Name: "Join/second", Op: "Join", Args: []any{"traders", "tcp:b:2"},
-			WantArgs: "08077472616465727308077463703a623a32", WantResult: ""},
+		{Name: "Join/second", Op: "Join", Args: []any{"traders", "tcp:b:2"},
+			WantArgs: "08077472616465727308077463703a623a32", WantResult: "",
 			Call: func() error { return gc.Join(ctx, "traders", "tcp:b:2") }},
-		{Case: cosmtest.Case{Name: "Members", Op: "Members", Args: []any{"traders"}, Result: []any{"tcp:a:1", "tcp:b:2"},
-			WantArgs: "080774726164657273", WantResult: "1102077463703a613a31077463703a623a32"},
+		{Name: "Members", Op: "Members", Args: []any{"traders"}, Result: []any{"tcp:a:1", "tcp:b:2"},
+			WantArgs: "080774726164657273", WantResult: "1102077463703a613a31077463703a623a32",
 			Call: func() error { _, err := gc.Members(ctx, "traders"); return err }},
-		{Case: cosmtest.Case{Name: "Leave", Op: "Leave", Args: []any{"traders", "tcp:a:1"},
-			WantArgs: "08077472616465727308077463703a613a31", WantResult: ""},
+		{Name: "Leave", Op: "Leave", Args: []any{"traders", "tcp:a:1"},
+			WantArgs: "08077472616465727308077463703a613a31", WantResult: "",
 			Call: func() error { return gc.Leave(ctx, "traders", "tcp:a:1") }},
-		{Case: cosmtest.Case{Name: "Groups", Op: "Groups", Result: []any{"traders"},
-			WantArgs: "", WantResult: "09010774726164657273"},
+		{Name: "Groups", Op: "Groups", Result: []any{"traders"},
+			WantArgs: "", WantResult: "09010774726164657273",
 			Call: func() error { _, err := gc.Groups(ctx); return err }},
 	})
 }

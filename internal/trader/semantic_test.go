@@ -7,6 +7,7 @@ package trader
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -676,5 +677,74 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	}
 	if err := xcode.Decode(back, &o); err != nil || o.ID != "OLD/o1" {
 		t.Fatalf("old-style decode of graded offer = %+v, %v", o, err)
+	}
+}
+
+// TestOptionalWireMembersAbsent pins what the twelve optional members
+// read as when a peer's SID lacks them — a struct in its first revision,
+// cut here from today's IDL: exactly what the hand-written decoders read
+// then. A required member stays required.
+func TestOptionalWireMembersAbsent(t *testing.T) {
+	sid, err := sidl.Parse(IDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// without returns the named struct type minus some members, holding
+	// every remaining one at a value that is not its zero.
+	without := func(name string, drop ...string) *xcode.Value {
+		cut := *sid.Type(name)
+		cut.Fields = nil
+		for _, f := range sid.Type(name).Fields {
+			dropped := false
+			for _, d := range drop {
+				dropped = dropped || d == f.Name
+			}
+			if !dropped {
+				cut.Fields = append(cut.Fields, f)
+			}
+		}
+		v := xcode.Zero(&cut)
+		for i, f := range cut.Fields {
+			if f.Type.Kind == sidl.String {
+				v.Fields[i] = xcode.NewString(f.Type, "closed")
+			}
+		}
+		return v
+	}
+
+	var req importReqWire
+	if err := xcode.Decode(without("ImportReq_t", "maxPeers", "hedgeMs", "minGrade"), &req); err != nil {
+		t.Fatal(err)
+	}
+	if r := req.request(); r.MaxPeers != 0 || r.Hedge != 0 || r.MinGrade != match.GradeNone || r.Type != "closed" {
+		t.Errorf("first-revision ImportReq_t reads %+v", r)
+	}
+
+	var offer offerWire
+	if err := xcode.Decode(without("Offer_t", "expiresUnix", "suspect", "grade", "score"), &offer); err != nil {
+		t.Fatal(err)
+	}
+	m, err := offer.match()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Expires.IsZero() || m.Suspect || m.Grade != match.GradeNone || m.Score != 0 || m.ID != "closed" {
+		t.Errorf("first-revision Offer_t reads %+v / %+v", m, m.Offer)
+	}
+
+	links := make([]linkInfoWire, 1)
+	if err := xcode.Decode(without("LinkInfo_t", "lastSeenUnixMs", "hops", "summaryTypes", "summaryGen", "summaryAgeMs"), &links[0]); err != nil {
+		t.Fatal(err)
+	}
+	want := LinkInfo{Name: "closed", PeerID: "closed", State: "closed", SummaryAge: -1}
+	if li := linkInfosFromWire(links)[0]; li != want {
+		t.Errorf("first-revision LinkInfo_t reads %+v, want %+v (never seen, no summary yet)", li, want)
+	}
+
+	for name, dst := range map[string]any{"ImportReq_t": &req, "Offer_t": &offer, "LinkInfo_t": &links[0]} {
+		required := sid.Type(name).Fields[0].Name
+		if err := xcode.Decode(without(name, required), dst); !errors.Is(err, xcode.ErrNoSuchField) {
+			t.Errorf("%s without %s: err = %v, want ErrNoSuchField", name, required, err)
+		}
 	}
 }

@@ -353,7 +353,9 @@ func linkInfosFromWire(ws []linkInfoWire) []LinkInfo {
 		if w.LastSeenUnixMs != 0 {
 			li.LastSeen = time.UnixMilli(w.LastSeenUnixMs)
 		}
-		if w.SummaryAgeMs >= 0 {
+		// hops is 0 exactly until the first summary arrives, so a peer
+		// whose LinkInfo_t lacks the summary members reads "never" too.
+		if w.Hops > 0 && w.SummaryAgeMs >= 0 {
 			li.SummaryAge = time.Duration(w.SummaryAgeMs) * time.Millisecond
 		}
 		links[i] = li

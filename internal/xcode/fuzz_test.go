@@ -24,14 +24,25 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(1), []byte{1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 9}) // NaN charge, ordinal out of range
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		m := ms[int(which)%len(ms)]
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		v, err := Unmarshal(m.typ, data)
-		runtime.ReadMemStats(&after)
 		// A decoded node costs under 200 bytes and at least one of input;
 		// the constant covers what the runtime itself allocates meanwhile.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+512*uint64(len(data)) {
-			t.Fatalf("decoding %d bytes as %s allocated %d", len(data), m.typ, grew)
+		// TotalAlloc counts the whole process, so a breach has to
+		// reproduce: a decode that really is out of proportion is so every
+		// time, what another goroutine allocated meanwhile is not.
+		var v *Value
+		var err error
+		for try, limit := 0, 1<<16+512*uint64(len(data)); ; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			v, err = Unmarshal(m.typ, data)
+			runtime.ReadMemStats(&after)
+			grew := after.TotalAlloc - before.TotalAlloc
+			if grew <= limit {
+				break
+			}
+			if try == 2 {
+				t.Fatalf("decoding %d bytes as %s allocated %d, three times over", len(data), m.typ, grew)
+			}
 		}
 		if err != nil {
 			return
