@@ -1,13 +1,13 @@
 # COSM build/verification entry points. `make check` is the gate every
-# change must pass: build, vet, the layering rule, full tests, and the
-# race detector over the whole tree (the resilience layer is
-# concurrency-heavy).
+# change must pass: build, vet, the layering rule, the option census,
+# full tests, and the race detector over the whole tree (the resilience
+# layer is concurrency-heavy).
 
 GO ?= go
 
-.PHONY: check build vet layers test race fuzz bench chaos
+.PHONY: check build vet layers surface test race fuzz bench chaos
 
-check: build vet layers test race
+check: build vet layers surface test race
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,28 @@ layers:
 	if [ -n "$$bad" ]; then echo "layers: $(CORE) must not import:" $$bad; exit 1; fi
 	@if grep -nE 'time\.Now|^[[:space:]]*go ' $$(ls $(CORE)/*.go | grep -v _test.go); then \
 		echo "layers: $(CORE) reads a clock or starts a goroutine"; exit 1; fi
+
+# Every knob of the plumbing around the market has to earn its keep:
+# DESIGN.md §12 "Options" names, for each exported With* function and
+# each exported field of a *Policy/*Options/*Config struct in the
+# audited packages, who sets it and what fails without it. This fails
+# when the code has one the table lacks, or the table one the code lost.
+AUDITED := wire journal obs cosm daemon browser naming
+
+surface:
+	@have=$$(for p in $(AUDITED); do \
+		files=$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/$$p); \
+		sed -nE "s/^func (With[A-Za-z]*)\(.*/$$p.\1/p" $$files; \
+		for t in $$(sed -nE 's/^type (([A-Z][A-Za-z]*)?(Policy|Options|Config)) struct.*/\1/p' $$files); do \
+			$(GO) doc ./internal/$$p $$t | awk -v t="$$p.$$t" '/^type .* struct \{/ { in_struct = 1; next } /^\}/ { in_struct = 0 } \
+				in_struct && /^\t[A-Z]/ { for (i = 1; i <= NF; i++) { name = $$i; more = sub(/,$$/, "", name); print t "." name; if (!more) break } }'; \
+		done; \
+	done | sort); \
+	want=$$(sed -n '/<!-- surface:begin -->/,/<!-- surface:end -->/p' DESIGN.md | sed -nE 's/^\| `([A-Za-z.]+)`.*/\1/p' | sort); \
+	if [ -z "$$have" ]; then echo "surface: found no option in the code"; exit 1; fi; \
+	bad=$$(for o in $$have; do echo "$$want" | grep -qxF "$$o" || echo "  not in the table: $$o"; done; \
+		for o in $$want; do echo "$$have" | grep -qxF "$$o" || echo "  not in the code: $$o"; done); \
+	if [ -n "$$bad" ]; then echo "surface: DESIGN.md section 12 \"Options\" and the code disagree:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -70,22 +69,7 @@ func run(args []string, sig <-chan os.Signal) error {
 	defer j.Close()
 	if j != nil {
 		start := time.Now()
-		if snap, ok := j.Snapshot(); ok {
-			if err := dir.RestoreSnapshot(snap); err != nil {
-				return fmt.Errorf("recover %s: %w", df.DataDir, err)
-			}
-		}
-		if err := j.Replay(dir.ReplayRecord); err != nil {
-			return fmt.Errorf("recover %s: %w", df.DataDir, err)
-		}
-		if err := j.Start(dir.JournalSnapshot); err != nil {
-			return err
-		}
-		dir.SetJournal(j)
-		// Snapshot immediately so the recovered state is re-anchored in
-		// one file: recovery cost stays bounded even if the daemon
-		// crashes again before the first background compaction.
-		if err := j.Compact(); err != nil {
+		if err := j.Recover(dir); err != nil {
 			return err
 		}
 		log.Printf("recovered %d registrations from %s in %v", dir.Len(), df.DataDir, time.Since(start))

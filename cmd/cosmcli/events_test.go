@@ -13,7 +13,7 @@ import (
 // startIntrospection serves one fake daemon's flight-recorder endpoints.
 func startIntrospection(t *testing.T, rec *obs.SpanRecorder, ev *obs.EventLog) string {
 	t.Helper()
-	srv := httptest.NewServer(obs.HandlerWith(obs.NewRegistry(), nil, obs.MuxConfig{Spans: rec, Events: ev}))
+	srv := httptest.NewServer(obs.Handler(obs.NewRegistry(), nil, obs.MuxConfig{Spans: rec, Events: ev}))
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://")
 }

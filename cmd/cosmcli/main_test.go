@@ -242,7 +242,7 @@ func TestStatsSurfacesMatchGrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(obs.Handler(reg, func() error { return nil }))
+	srv := httptest.NewServer(obs.Handler(reg, func() error { return nil }, obs.MuxConfig{}))
 	defer srv.Close()
 	var buf strings.Builder
 	if err := stats(&buf, strings.TrimPrefix(srv.URL, "http://"), time.Second); err != nil {

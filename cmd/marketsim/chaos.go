@@ -143,17 +143,16 @@ func runChaos(w io.Writer, cc chaosConfig) error {
 
 	// --- client side: everything flows through the fault injector ---
 	faults := wire.NewFaultNet(wire.FaultConfig{
-		Seed:          cc.seed,
-		ResetProb:     cc.reset,
-		DropProb:      cc.drop,
-		CorruptProb:   cc.corrupt,
-		Latency:       cc.latency,
-		LatencyJitter: cc.latency / 2,
+		Seed:        cc.seed,
+		ResetProb:   cc.reset,
+		DropProb:    cc.drop,
+		CorruptProb: cc.corrupt,
+		Latency:     cc.latency,
 	}, wire.DialConnContext)
 	// The chaos pool carries client metrics; per-phase table rows are
-	// interval views diffed from snapshots at the phase boundaries.
-	cm := wire.NewClientMetrics(obs.NewRegistry())
-	pool := wire.NewPool(wire.WithDialer(faults.Dial), wire.WithPoolMetrics(cm))
+	// interval views diffed from readings at the phase boundaries.
+	reg := obs.NewRegistry()
+	pool := wire.NewPool(wire.WithDialer(faults.Dial), wire.WithPoolMetrics(reg))
 	defer pool.Close()
 	gc := genclient.New(pool)
 	chaosTrd, err := trader.DialTrader(ctx, pool, infra.MustRefFor(trader.ServiceName))
@@ -208,7 +207,7 @@ func runChaos(w io.Writer, cc chaosConfig) error {
 
 	var phases []phaseRow
 	runPhase := func(label string) {
-		before := cm.Snapshot()
+		before := readClientTotals(reg)
 		served := map[string]int{}
 		failed := 0
 		for i := 0; i < cc.bookings; i++ {
@@ -219,7 +218,7 @@ func runChaos(w io.Writer, cc chaosConfig) error {
 			}
 			served[who]++
 		}
-		phases = append(phases, phaseDelta(label, before, cm.Snapshot()))
+		phases = append(phases, phaseRow{label, readClientTotals(reg).sub(before)})
 		fmt.Fprintf(w, "%s: %d/%d bookings completed;", label, cc.bookings-failed, cc.bookings)
 		for _, p := range providers {
 			if n := served[p.name]; n > 0 {
@@ -297,39 +296,51 @@ func runChaos(w io.Writer, cc chaosConfig) error {
 	fmt.Fprintf(w, "  %-24s %6s %7s %6s %8s %9s\n", "phase", "calls", "errors", "sheds", "retries", "p99")
 	for _, r := range phases {
 		fmt.Fprintf(w, "  %-24s %6d %7d %6d %8d %9s\n",
-			r.label, r.calls, r.errors, r.sheds, r.retries, r.p99.Round(100*time.Microsecond))
+			r.label, r.calls, r.errors, r.sheds, r.retries,
+			time.Duration(r.latency.Quantile(0.99)*float64(time.Second)).Round(100*time.Microsecond))
 	}
 	return nil
 }
 
-// phaseRow is one line of the per-phase summary table, derived from the
-// client metric registry rather than ad-hoc counters in the demo loop.
+// phaseRow is one line of the per-phase summary table: the client
+// metrics scoped to the phase by diffing the readings taken at its
+// boundaries, rather than ad-hoc counters in the demo loop.
 type phaseRow struct {
-	label                         string
-	calls, errors, sheds, retries uint64
-	p99                           time.Duration
+	label string
+	clientTotals
 }
 
-// phaseDelta scopes the client metrics to one phase by diffing the
-// snapshots taken at its boundaries. Per-endpoint latency intervals are
-// merged into a single histogram before taking the p99.
-func phaseDelta(label string, before, after wire.ClientSnapshot) phaseRow {
-	r := phaseRow{
-		label:   label,
-		sheds:   after.Sheds - before.Sheds,
-		retries: after.Retries - before.Retries,
+// clientTotals is one reading of the cosm_client_* families.
+type clientTotals struct {
+	calls, errors, sheds, retries uint64
+	latency                       obs.HistSnapshot // per-attempt, all endpoints merged
+}
+
+// readClientTotals reads the families wire.WithPoolMetrics bound in reg.
+func readClientTotals(reg *obs.Registry) clientTotals {
+	t := clientTotals{
+		sheds:   reg.Counter("cosm_client_sheds_total", "").Value(),
+		retries: reg.Counter("cosm_client_retries_total", "").Value(),
 	}
-	for status, n := range after.Calls {
-		d := n - before.Calls[status]
-		r.calls += d
+	for status, n := range reg.CounterVec("cosm_client_calls_total", "", "status").Snapshot() {
+		t.calls += n
 		if status != "ok" {
-			r.errors += d
+			t.errors += n
 		}
 	}
-	var lat obs.HistSnapshot
-	for ep, s := range after.Latency {
-		lat = lat.Merge(s.Sub(before.Latency[ep]))
+	for _, s := range reg.HistogramVec("cosm_client_call_seconds", "", "endpoint", nil).Snapshot() {
+		t.latency = t.latency.Merge(s)
 	}
-	r.p99 = time.Duration(lat.Quantile(0.99) * float64(time.Second))
-	return r
+	return t
+}
+
+// sub returns the interval reading t − prev.
+func (t clientTotals) sub(prev clientTotals) clientTotals {
+	return clientTotals{
+		calls:   t.calls - prev.calls,
+		errors:  t.errors - prev.errors,
+		sheds:   t.sheds - prev.sheds,
+		retries: t.retries - prev.retries,
+		latency: t.latency.Sub(prev.latency),
+	}
 }

@@ -112,18 +112,9 @@ func (n *soakNode) start() error {
 		trader.WithReplSync(1, soakReplSyncWait),
 		trader.WithEvents(n.events),
 	)
-	if snap, ok := j.Snapshot(); ok {
-		if err := tr.RestoreSnapshot(snap); err != nil {
-			return err
-		}
-	}
-	if err := j.Replay(tr.ReplayRecord); err != nil {
+	if err := j.Recover(tr); err != nil {
 		return err
 	}
-	if err := j.Start(tr.JournalSnapshot); err != nil {
-		return err
-	}
-	tr.SetJournal(j)
 	// The durable vote ledger closes the restart double-vote window:
 	// kills land mid-election here by design.
 	vl, err := trader.OpenVoteLog(n.dir)

@@ -142,18 +142,11 @@ func run(args []string, sig <-chan os.Signal) error {
 	defer j.Close()
 	if j != nil {
 		start := time.Now()
-		if snap, ok := j.Snapshot(); ok {
-			if err := tr.RestoreSnapshot(snap); err != nil {
-				return fmt.Errorf("recover %s: %w", df.DataDir, err)
-			}
-		}
-		if err := j.Replay(tr.ReplayRecord); err != nil {
-			return fmt.Errorf("recover %s: %w", df.DataDir, err)
-		}
-		if err := j.Start(tr.JournalSnapshot); err != nil {
+		// Recover ends with a compaction, which is what keeps the -type
+		// preloads above: they are never journalled as records.
+		if err := j.Recover(tr); err != nil {
 			return err
 		}
-		tr.SetJournal(j)
 		// The durable vote ledger lives next to the journal: a voter
 		// restarting inside an election round re-adopts its pledge
 		// instead of double-voting.
@@ -163,13 +156,6 @@ func run(args []string, sig <-chan os.Signal) error {
 		}
 		defer vl.Close()
 		tr.SetVoteLog(vl)
-		// Snapshot immediately: state that exists only in boot-time
-		// memory — the -type preloads above — is never journalled as
-		// records, so without this a crash before the first background
-		// compaction would recover the offers but lose their types.
-		if err := j.Compact(); err != nil {
-			return err
-		}
 		log.Printf("recovered %d offers, %d types from %s in %v",
 			tr.OfferCount(), tr.Types().Len(), df.DataDir, time.Since(start))
 	}

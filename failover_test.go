@@ -169,10 +169,9 @@ func TestFailureAutoFailoverElectsMaxApplied(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = j.Close() })
-		if err := j.Start(tr.JournalSnapshot); err != nil {
+		if err := j.Recover(tr); err != nil {
 			t.Fatal(err)
 		}
-		tr.SetJournal(j)
 		return tr
 	}
 	leader := mk("ha0", trader.WithReplSync(1, 2*time.Second))
@@ -298,10 +297,9 @@ func TestFailureJournalFaultFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trader.New("HA", typemgr.NewRepo())
-	if err := j.Start(tr.JournalSnapshot); err != nil {
+	if err := j.Recover(tr); err != nil {
 		t.Fatal(err)
 	}
-	tr.SetJournal(j)
 	node := quietNode()
 	svc, err := trader.NewService(tr)
 	if err != nil {
@@ -363,12 +361,7 @@ func TestFailureJournalFaultFailStop(t *testing.T) {
 	}
 	defer j2.Close()
 	tr2 := trader.New("HA", typemgr.NewRepo())
-	if snap, ok := j2.Snapshot(); ok {
-		if err := tr2.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j2.Replay(tr2.ReplayRecord); err != nil {
+	if err := j2.Recover(tr2); err != nil {
 		t.Fatal(err)
 	}
 	offers, err := tr2.Import(ctx, trader.ImportRequest{Type: "CarRentalService"})
@@ -466,10 +459,9 @@ func BenchmarkFailoverLatency(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { _ = j.Close() })
-		if err := j.Start(tr.JournalSnapshot); err != nil {
+		if err := j.Recover(tr); err != nil {
 			b.Fatal(err)
 		}
-		tr.SetJournal(j)
 		traders[i] = tr
 	}
 	traders[1].SetFollower(refs[0].String())

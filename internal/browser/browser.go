@@ -87,9 +87,6 @@ func WithDirectoryLogger(l *obs.Logger) DirectoryOption {
 // cosm_browser_* families. A nil reg disables recording.
 func WithDirectoryMetrics(reg *obs.Registry) DirectoryOption {
 	return func(d *Directory) {
-		if reg == nil {
-			return
-		}
 		d.metrics = dirMetrics{
 			registrations: reg.Counter("cosm_browser_registrations_total", "SID registrations (upserts included)."),
 			withdrawals:   reg.Counter("cosm_browser_withdrawals_total", "Registrations withdrawn."),

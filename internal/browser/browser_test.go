@@ -4,16 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cosm/internal/cosm"
+	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/xcode"
 )
 
 func TestDirectoryLocal(t *testing.T) {
-	d := NewDirectory()
+	var logs strings.Builder
+	reg := obs.NewRegistry()
+	d := NewDirectory(WithDirectoryLogger(obs.NewLogger(&logs, "browser")), WithDirectoryMetrics(reg))
 	sid := sidl.CarRentalSID()
 	r := ref.New("tcp:h:1", "CarRentalService")
 
@@ -52,6 +56,22 @@ func TestDirectoryLocal(t *testing.T) {
 	}
 	if err := d.Withdraw("CarRentalService"); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("double withdraw err = %v", err)
+	}
+
+	// What happened is on /metrics and in the log: two registrations
+	// (the upsert counts), three fetches, one withdrawal, nothing left.
+	var prom strings.Builder
+	reg.WritePrometheus(&prom)
+	for _, want := range []string{
+		"cosm_browser_registrations_total 2", "cosm_browser_fetches_total 3",
+		"cosm_browser_withdrawals_total 1", "cosm_browser_entries 0",
+	} {
+		if !strings.Contains(prom.String(), want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if n := strings.Count(logs.String(), "event=register"); n != 2 || !strings.Contains(logs.String(), "event=withdraw service=CarRentalService") {
+		t.Errorf("log = %q, want two register lines and one withdraw line", logs.String())
 	}
 }
 

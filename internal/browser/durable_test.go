@@ -9,8 +9,7 @@ import (
 )
 
 // newDurableDirectory opens (or re-opens) a journalled directory over
-// dir, mirroring the daemon boot order: recover, then start, then
-// attach.
+// dir the way the daemon boots.
 func newDurableDirectory(t *testing.T, dir string) (*Directory, *journal.Journal) {
 	t.Helper()
 	d := NewDirectory()
@@ -18,18 +17,9 @@ func newDurableDirectory(t *testing.T, dir string) (*Directory, *journal.Journal
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, ok := j.Snapshot(); ok {
-		if err := d.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Replay(d.ReplayRecord); err != nil {
+	if err := j.Recover(d); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Start(d.JournalSnapshot); err != nil {
-		t.Fatal(err)
-	}
-	d.SetJournal(j)
 	return d, j
 }
 

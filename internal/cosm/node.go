@@ -64,8 +64,8 @@ func WithNodeAdmission(p wire.AdmissionPolicy) NodeOption {
 // pool families (cosm_client_*). A nil reg disables instrumentation.
 func WithNodeMetrics(reg *obs.Registry) NodeOption {
 	return func(c *nodeConfig) {
-		c.serverOpts = append(c.serverOpts, wire.WithServerMetrics(wire.NewServerMetrics(reg)))
-		c.poolOpts = append(c.poolOpts, wire.WithPoolMetrics(wire.NewClientMetrics(reg)))
+		c.serverOpts = append(c.serverOpts, wire.WithServerMetrics(reg))
+		c.poolOpts = append(c.poolOpts, wire.WithPoolMetrics(reg))
 	}
 }
 

@@ -93,6 +93,7 @@ func (f *Flags) Spans() *obs.SpanRecorder {
 	if !f.spansOnce {
 		f.spansOnce = true
 		f.spans = obs.NewSpanRecorder(f.TraceBuffer)
+		f.spans.Instrument(f.Registry)
 	}
 	return f.spans
 }
@@ -107,6 +108,7 @@ func (f *Flags) Events() *obs.EventLog {
 			name = f.MetricsAddr
 		}
 		f.events = obs.NewEventLog(name, f.EventBuffer)
+		f.events.Instrument(f.Registry)
 	}
 	return f.events
 }
@@ -126,7 +128,7 @@ func (f *Flags) OpenJournal() (*journal.Journal, error) {
 	return journal.Open(f.DataDir, journal.Options{
 		Fsync:        policy,
 		CompactEvery: f.CompactEvery,
-		Metrics:      journal.NewMetrics(f.Registry),
+		Metrics:      f.Registry,
 	})
 }
 
@@ -166,7 +168,7 @@ func (f *Flags) Introspection(healthy func() error) (*obs.Introspection, error) 
 	if f.MetricsAddr == "" {
 		return nil, nil
 	}
-	return obs.ServeIntrospectionWith(f.MetricsAddr, f.Registry, healthy, obs.MuxConfig{
+	return obs.ServeIntrospection(f.MetricsAddr, f.Registry, healthy, obs.MuxConfig{
 		Spans:  f.Spans(),
 		Events: f.Events(),
 		Pprof:  f.Pprof,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"cosm/internal/cosm"
 	"cosm/internal/obs"
 	"cosm/internal/ref"
+	"cosm/internal/sidl"
 	"cosm/internal/wire"
 )
 
@@ -197,5 +199,139 @@ func TestDrainNilDeregister(t *testing.T) {
 	}
 	if err := f.Drain(node, nil, func(string, ...any) {}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// metricsGolden is every cosm_client_*, cosm_server_* and cosm_journal_*
+// family as "name type label help" ("-" for an unlabelled family),
+// recorded at the commit before PR 23 rebound them: a rename, a retyped
+// family or a reworded help string breaks dashboards and `cosmcli
+// stats` greps, so it has to show up here first.
+var metricsGolden = []string{
+	"cosm_client_breaker_transitions_total counter to Circuit breaker state transitions by new state.",
+	"cosm_client_breakers_open gauge - Endpoints whose circuit breaker is currently open.",
+	"cosm_client_call_seconds histogram endpoint Per-attempt RPC latency by endpoint (dial included).",
+	"cosm_client_calls_total counter status RPC attempts by outcome status.",
+	"cosm_client_conn_reuse_total counter - Gets served by an already-pooled connection.",
+	"cosm_client_dial_failures_total counter - Pool dial failures.",
+	"cosm_client_dials_total counter - Pool dial attempts.",
+	"cosm_client_failfast_total counter - Requests rejected immediately by an open circuit breaker.",
+	"cosm_client_retries_total counter - Extra call attempts beyond the first.",
+	"cosm_client_sheds_total counter - StatusOverloaded responses received.",
+	"cosm_journal_append_bytes_total counter - Bytes appended to the write-ahead log (framing included).",
+	"cosm_journal_appends_total counter - Records appended to the write-ahead log.",
+	"cosm_journal_compactions_total counter - Log-into-snapshot compactions completed.",
+	"cosm_journal_fsync_errors_total counter - fsync failures; each latches the journal fail-stop.",
+	"cosm_journal_fsync_seconds histogram - fsync latency in seconds.",
+	"cosm_journal_fsyncs_total counter - fsync calls issued by the journal.",
+	"cosm_journal_records_recovered counter - Records replayed from the log during recovery.",
+	"cosm_journal_records_truncated counter - Records cut at a torn or corrupt log tail during recovery.",
+	"cosm_journal_recovery_seconds gauge - Duration of the last boot recovery (open + replay).",
+	"cosm_journal_snapshots_discarded_total counter - Corrupt snapshots ignored during recovery (full log replay instead).",
+	"cosm_server_deadline_expired_total counter - Requests rejected with an already-expired deadline.",
+	"cosm_server_inflight_requests gauge - Requests dispatched and not yet responded to.",
+	"cosm_server_panics_total counter - Handler panics converted into StatusAppError.",
+	"cosm_server_queue_wait_seconds histogram - Admission queue wait before a handler slot freed.",
+	"cosm_server_request_seconds histogram op Handler latency by service/op.",
+	"cosm_server_responses_total counter status Responses sent by status.",
+	"cosm_server_sheds_total counter - Requests shed with StatusOverloaded.",
+	"cosm_server_slow_requests_total counter - Requests exceeding the slow-request watchdog threshold.",
+}
+
+func TestMetricsFamiliesGolden(t *testing.T) {
+	fs := flag.NewFlagSet("d", flag.ContinueOnError)
+	f := Register(fs)
+	if err := fs.Parse([]string{
+		"-metrics-addr", "127.0.0.1:0", "-trace-buffer", "0", "-event-buffer", "0",
+		"-data-dir", t.TempDir(), "-fsync", "always", "-max-inflight", "4",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	j, err := f.OpenJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Start(func() ([]byte, error) { return []byte("{}"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	sid, err := sidl.Parse("module Tiny { interface COSM_Operations { void Nop(); }; };")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := cosm.NewService(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := cosm.NewNode(append(f.NodeOptions(nil), cosm.WithNodeLog(func(string, ...any) {}))...)
+	defer node.Close()
+	if err := node.Host("Tiny", svc); err != nil {
+		t.Fatal(err)
+	}
+	endpoint, err := node.ListenAndServe("loop:daemon-golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := cosm.Ping(ctx, node.Pool(), ref.New(endpoint, "Tiny")); err != nil {
+		t.Fatal(err)
+	}
+	// Eight failed dials open the dead endpoint's breaker: one transition.
+	for i := 0; i < wire.DefaultBreakerPolicy().Threshold; i++ {
+		if _, err := node.Pool().Get(ctx, "loop:daemon-golden-dead"); err == nil {
+			t.Fatal("dial to an endpoint nobody listens on succeeded")
+		}
+	}
+
+	intro, err := f.Introspection(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer intro.Close()
+	resp, err := http.Get("http://" + intro.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A family is "# HELP name help", "# TYPE name type", then its
+	// series; the first label of the first series is the family's own
+	// (a histogram's le comes second).
+	var got []string
+	var name, help, typ string
+	label := "-"
+	flush := func() {
+		if name != "" {
+			got = append(got, name+" "+typ+" "+label+" "+help)
+		}
+		label = "-"
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		switch fields := strings.SplitN(line, " ", 4); {
+		case len(fields) == 4 && fields[1] == "HELP":
+			flush()
+			name, help = fields[2], fields[3]
+		case len(fields) == 4 && fields[1] == "TYPE":
+			typ = fields[3]
+		case label == "-":
+			if open, eq := strings.Index(line, "{"), strings.Index(line, "="); open >= 0 && eq > open && !strings.HasPrefix(line[open+1:], "le=") {
+				label = line[open+1 : eq]
+			}
+		}
+	}
+	flush()
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(metricsGolden, "\n") {
+		t.Fatalf("/metrics families changed:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(metricsGolden, "\n"))
 	}
 }

@@ -12,8 +12,8 @@ import (
 func TestFailStopLatchesOnFsyncFault(t *testing.T) {
 	fi := NewFaultInjector().FailNth(FaultFsync, 3, errors.New("disk on fire"))
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	j, _ := openStarted(t, t.TempDir(), Options{Fsync: FsyncAlways, Metrics: m, FaultHook: fi.Hook()})
+	j, _ := openStarted(t, t.TempDir(), Options{Fsync: FsyncAlways, Metrics: reg, FaultHook: fi.Hook()})
+	m := j.m
 	defer j.Close()
 
 	if _, err := j.Append([]byte("one")); err != nil {
@@ -28,8 +28,8 @@ func TestFailStopLatchesOnFsyncFault(t *testing.T) {
 	if j.Failed() == nil {
 		t.Fatal("fsync fault did not latch")
 	}
-	if m.FsyncErrors() != 1 {
-		t.Fatalf("fsync error counter = %d, want 1", m.FsyncErrors())
+	if m.fsyncErrors.Value() != 1 {
+		t.Fatalf("fsync error counter = %d, want 1", m.fsyncErrors.Value())
 	}
 	// The latch is sticky: every later append is rejected with
 	// ErrFailStop even though the injector only armed one fault.
@@ -70,7 +70,7 @@ func TestFailStopFiresOnFaultObserverOnce(t *testing.T) {
 
 func TestFailStopBackgroundSyncLatches(t *testing.T) {
 	fi := NewFaultInjector().FailNth(FaultFsync, 1, errors.New("io error"))
-	j, _ := openStarted(t, t.TempDir(), Options{Fsync: FsyncInterval, FsyncEvery: 5 * time.Millisecond, FaultHook: fi.Hook()})
+	j, _ := openStarted(t, t.TempDir(), Options{Fsync: FsyncInterval, fsyncEvery: 5 * time.Millisecond, FaultHook: fi.Hook()})
 	defer j.Close()
 
 	faulted := make(chan error, 1)

@@ -24,13 +24,14 @@
 // Lifecycle:
 //
 //	j, err := journal.Open(dir, opts)      // scan, pick snapshot, seal tail
-//	if snap, ok := j.Snapshot(); ok {...}  // restore state
-//	err = j.Replay(func(seq, payload) error {...})
-//	err = j.Start(snapshotFn)              // enable appends + background work
+//	err = j.Recover(store)                 // restore, replay, start, attach, compact
 //	...
 //	seq, err := j.Append(payload)
 //	...
 //	j.Close()                              // final flush + fsync
+//
+// Recover is Snapshot, Replay and Start in their one correct order;
+// the three stay exported for callers that recover without a Store.
 package journal
 
 import (
@@ -40,13 +41,17 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"cosm/internal/obs"
 )
 
 // Errors reported by the journal.
@@ -75,8 +80,8 @@ const (
 	// FsyncAlways syncs after every append: no acknowledged record is
 	// ever lost, at the cost of one fsync per mutation.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a background timer (Options.FsyncEvery):
-	// a crash loses at most one interval's worth of records.
+	// FsyncInterval syncs on a background timer (every 100ms): a crash
+	// loses at most one interval's worth of records.
 	FsyncInterval
 	// FsyncNever leaves syncing to the operating system: fastest, and a
 	// crash loses whatever the page cache still held.
@@ -113,9 +118,6 @@ func (p FsyncPolicy) String() string {
 type Options struct {
 	// Fsync selects the sync policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncEvery is the background sync period under FsyncInterval
-	// (default 100ms).
-	FsyncEvery time.Duration
 	// SegmentSize rotates the append segment once it exceeds this many
 	// bytes (default 4MiB).
 	SegmentSize int64
@@ -123,18 +125,20 @@ type Options struct {
 	// since the last snapshot; 0 disables automatic compaction
 	// (Compact can still be called by hand).
 	CompactEvery int
-	// Metrics records the journal's cosm_journal_* families; nil
-	// disables recording.
-	Metrics *Metrics
-	// Clock injects a time source for the fsync-latency and recovery
-	// metrics (tests); nil means time.Now.
-	Clock func() time.Time
+	// Metrics is the registry receiving the journal's cosm_journal_*
+	// families; nil disables recording.
+	Metrics *obs.Registry
 	// FaultHook, when set, is consulted before each disk operation
 	// (FaultFsync, FaultWrite, FaultSnapshot) and a non-nil return is
 	// treated as that operation failing — the disk-fault injection seam
 	// used by the fail-stop tests and the chaos soak harness (see
 	// FaultInjector). Production journals leave it nil.
 	FaultHook func(op string) error
+
+	// fsyncEvery overrides the FsyncInterval period; only this package's
+	// tests set it, to keep the background ticker out of (or quickly
+	// into) a test.
+	fsyncEvery time.Duration
 }
 
 const (
@@ -168,8 +172,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Journal struct {
 	dir      string
 	opts     Options
-	now      func() time.Time
+	m        metrics
 	openedAt time.Time
+	// recoverySecs holds the float64 bits of the last recovery duration
+	// for the cosm_journal_recovery_seconds gauge.
+	recoverySecs atomic.Uint64
 
 	mu      sync.Mutex
 	started bool
@@ -244,8 +251,6 @@ type Stats struct {
 	HasSnapshot bool
 	// Segments is the number of live segment files.
 	Segments int
-	// SinceSnapshot counts records appended since the last snapshot.
-	SinceSnapshot int
 }
 
 // Open scans dir (creating it if needed), loads the newest valid
@@ -253,8 +258,8 @@ type Stats struct {
 // corrupt record — and returns a journal ready for Snapshot/Replay/
 // Start. The directory must not be shared between live journals.
 func Open(dir string, opts Options) (*Journal, error) {
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = defaultFsyncEvery
+	if opts.fsyncEvery <= 0 {
+		opts.fsyncEvery = defaultFsyncEvery
 	}
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = defaultSegmentSize
@@ -263,17 +268,15 @@ func Open(dir string, opts Options) (*Journal, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{
-		dir:  dir,
-		opts: opts,
-		now:  opts.Clock,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+		dir:      dir,
+		opts:     opts,
+		m:        bindMetrics(opts.Metrics),
+		openedAt: time.Now(),
+		kick:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
-	if j.now == nil {
-		j.now = time.Now
-	}
-
-	j.openedAt = j.now()
+	opts.Metrics.GaugeFunc("cosm_journal_recovery_seconds", "Duration of the last boot recovery (open + replay).",
+		func() float64 { return math.Float64frombits(j.recoverySecs.Load()) })
 	if err := j.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -298,7 +301,7 @@ func (j *Journal) loadSnapshot() error {
 	}
 	payload, seq, err := decodeSnapshot(raw)
 	if err != nil {
-		j.opts.Metrics.snapshotDiscarded()
+		j.m.snapshotsDiscarded.Inc()
 		return nil
 	}
 	j.snapPayload, j.hasSnap, j.snapSeq, j.seq = payload, true, seq, seq
@@ -383,9 +386,7 @@ func (j *Journal) scanSegments() error {
 			break
 		}
 	}
-	if truncated > 0 {
-		j.opts.Metrics.truncated(uint64(truncated))
-	}
+	j.m.recordsTruncated.Add(uint64(truncated))
 	return nil
 }
 
@@ -585,8 +586,45 @@ func (j *Journal) Replay(fn func(seq uint64, payload []byte) error) error {
 			return err
 		}
 	}
-	j.opts.Metrics.recovered(recovered)
+	j.m.recordsRecovered.Add(recovered)
 	return nil
+}
+
+// Store is the state a journal keeps durable, as Recover drives it: the
+// trader and the browser directory both implement it.
+type Store interface {
+	// RestoreSnapshot replaces the state by a JournalSnapshot payload.
+	RestoreSnapshot(payload []byte) error
+	// ReplayRecord applies one logged record; it must be idempotent.
+	ReplayRecord(seq uint64, payload []byte) error
+	// JournalSnapshot folds the current state into a snapshot payload.
+	JournalSnapshot() ([]byte, error)
+	// SetJournal attaches the started journal: mutations append from
+	// here on.
+	SetJournal(j *Journal)
+}
+
+// Recover brings s to the journalled state and the journal into
+// service, in the only order that is correct: restore the snapshot,
+// replay the records past it, Start, attach the journal to s, and
+// compact. The closing compaction re-anchors recovery in one file and
+// snapshots state that exists only in boot-time memory (a daemon's
+// preloaded types are never journalled as records), so a crash before
+// the first background compaction loses none of it.
+func (j *Journal) Recover(s Store) error {
+	if snap, ok := j.Snapshot(); ok {
+		if err := s.RestoreSnapshot(snap); err != nil {
+			return fmt.Errorf("journal: recover %s: %w", j.dir, err)
+		}
+	}
+	if err := j.Replay(s.ReplayRecord); err != nil {
+		return fmt.Errorf("journal: recover %s: %w", j.dir, err)
+	}
+	if err := j.Start(s.JournalSnapshot); err != nil {
+		return err
+	}
+	s.SetJournal(j)
+	return j.Compact()
 }
 
 // Start seals recovery and enables appends: the append segment is
@@ -622,7 +660,7 @@ func (j *Journal) Start(snapshotFn func() ([]byte, error)) error {
 		return err
 	}
 	j.started = true
-	j.opts.Metrics.setRecoverySeconds(j.now().Sub(j.openedAt).Seconds())
+	j.recoverySecs.Store(math.Float64bits(time.Since(j.openedAt).Seconds()))
 
 	if j.opts.Fsync == FsyncInterval {
 		j.bg.Add(1)
@@ -750,7 +788,8 @@ func (j *Journal) append(at uint64, payload []byte) (uint64, error) {
 	}
 	j.mu.Unlock()
 
-	j.opts.Metrics.appendOne(n)
+	j.m.appends.Inc()
+	j.m.appendBytes.Add(uint64(n))
 	if syncErr != nil {
 		j.flushFaultNotify()
 		return 0, syncErr
@@ -994,15 +1033,16 @@ func (j *Journal) syncLocked() error {
 	if !j.dirty {
 		return nil
 	}
-	start := j.now()
+	start := time.Now()
 	err := j.fault(FaultFsync)
 	if err == nil {
 		err = j.seg.Sync()
 	}
-	j.opts.Metrics.fsyncObserve(j.now().Sub(start).Seconds())
+	j.m.fsyncs.Inc()
+	j.m.fsyncSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		err = fmt.Errorf("journal: fsync: %w", err)
-		j.opts.Metrics.fsyncError()
+		j.m.fsyncErrors.Inc()
 		j.latchLocked(err)
 		return err
 	}
@@ -1084,7 +1124,7 @@ func (j *Journal) Failed() error {
 // ErrFailStop instead of acknowledging a record the disk may not hold.
 func (j *Journal) syncLoop() {
 	defer j.bg.Done()
-	t := time.NewTicker(j.opts.FsyncEvery)
+	t := time.NewTicker(j.opts.fsyncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -1172,7 +1212,7 @@ func (j *Journal) Compact() error {
 	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
 		return fmt.Errorf("journal: install snapshot: %w", err)
 	}
-	j.opts.Metrics.compactOne()
+	j.m.compactions.Inc()
 
 	// Drop segments whose every record is ≤ watermark: those are the
 	// segments followed by another segment starting at or below
@@ -1211,11 +1251,10 @@ func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Stats{
-		LastSeq:       j.seq,
-		SnapshotSeq:   j.snapSeq,
-		HasSnapshot:   j.snapLive,
-		Segments:      len(j.segments),
-		SinceSnapshot: j.sinceSnap,
+		LastSeq:     j.seq,
+		SnapshotSeq: j.snapSeq,
+		HasSnapshot: j.snapLive,
+		Segments:    len(j.segments),
 	}
 }
 

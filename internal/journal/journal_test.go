@@ -146,26 +146,26 @@ func TestTornTailTruncatedAtLastValidRecord(t *testing.T) {
 	f.Close()
 
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	j2, replayed := openStarted(t, dir, Options{Metrics: m})
+	j2, replayed := openStarted(t, dir, Options{Metrics: reg})
+	m := j2.m
 	defer j2.Close()
 	if len(replayed) != 5 {
 		t.Fatalf("replayed %d records after torn tail, want 5", len(replayed))
 	}
-	if got := m.RecordsTruncated(); got != 1 {
+	if got := m.recordsTruncated.Value(); got != 1 {
 		t.Fatalf("records_truncated = %d, want 1", got)
 	}
-	if got := m.RecordsRecovered(); got != 5 {
+	if got := m.recordsRecovered.Value(); got != 5 {
 		t.Fatalf("records_recovered = %d, want 5", got)
 	}
 	// The truncated tail is gone from disk: a third recovery is clean.
 	j2.Close()
 	reg2 := obs.NewRegistry()
-	m2 := NewMetrics(reg2)
-	j3, replayed := openStarted(t, dir, Options{Metrics: m2})
+	j3, replayed := openStarted(t, dir, Options{Metrics: reg2})
+	m2 := j3.m
 	defer j3.Close()
-	if len(replayed) != 5 || m2.RecordsTruncated() != 0 {
-		t.Fatalf("second recovery: %d records, truncated=%d", len(replayed), m2.RecordsTruncated())
+	if len(replayed) != 5 || m2.recordsTruncated.Value() != 0 {
+		t.Fatalf("second recovery: %d records, truncated=%d", len(replayed), m2.recordsTruncated.Value())
 	}
 }
 
@@ -196,8 +196,8 @@ func TestBitFlipCutsFromCorruptRecordOn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewMetrics(obs.NewRegistry())
-	j2, replayed := openStarted(t, dir, Options{Metrics: m})
+	j2, replayed := openStarted(t, dir, Options{Metrics: obs.NewRegistry()})
+	m := j2.m
 	defer j2.Close()
 	if len(replayed) != 2 {
 		t.Fatalf("replayed %d records after bit flip, want 2", len(replayed))
@@ -207,7 +207,7 @@ func TestBitFlipCutsFromCorruptRecordOn(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, rec, want)
 		}
 	}
-	if m.RecordsTruncated() == 0 {
+	if m.recordsTruncated.Value() == 0 {
 		t.Fatal("bit flip not counted as truncation")
 	}
 	// Sequence numbers are reissued after the cut.
@@ -404,8 +404,7 @@ func TestCorruptSnapshotFallsBackToFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewMetrics(obs.NewRegistry())
-	j2, replayed := openStarted(t, dir, Options{Metrics: m})
+	j2, replayed := openStarted(t, dir, Options{Metrics: obs.NewRegistry()})
 	defer j2.Close()
 	if _, ok := j2.Snapshot(); ok {
 		t.Fatal("corrupt snapshot accepted")
@@ -419,7 +418,7 @@ func TestFsyncPolicies(t *testing.T) {
 	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(pol.String(), func(t *testing.T) {
 			reg := obs.NewRegistry()
-			j, _ := openStarted(t, t.TempDir(), Options{Fsync: pol, Metrics: NewMetrics(reg)})
+			j, _ := openStarted(t, t.TempDir(), Options{Fsync: pol, Metrics: reg})
 			for i := 0; i < 3; i++ {
 				if _, err := j.Append([]byte("x")); err != nil {
 					t.Fatal(err)
@@ -502,13 +501,13 @@ func TestUnrecognisedSegmentFileTruncated(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segPrefix+"0000000000000001"+segSuffix), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m := NewMetrics(obs.NewRegistry())
-	j, replayed := openStarted(t, dir, Options{Metrics: m})
+	j, replayed := openStarted(t, dir, Options{Metrics: obs.NewRegistry()})
+	m := j.m
 	defer j.Close()
 	if len(replayed) != 0 {
 		t.Fatalf("replayed %d records from garbage", len(replayed))
 	}
-	if m.RecordsTruncated() == 0 {
+	if m.recordsTruncated.Value() == 0 {
 		t.Fatal("garbage file not counted as truncated")
 	}
 	if _, err := j.Append([]byte("fresh")); err != nil {
@@ -524,10 +523,10 @@ func TestUnrecognisedSegmentFileTruncated(t *testing.T) {
 // the rotation flush and the Close flush.
 func TestIntervalFsyncFlushOnRotation(t *testing.T) {
 	dir := t.TempDir()
-	m := NewMetrics(obs.NewRegistry())
 	j, _ := openStarted(t, dir, Options{
-		Fsync: FsyncInterval, FsyncEvery: time.Hour, SegmentSize: 64, Metrics: m,
+		Fsync: FsyncInterval, fsyncEvery: time.Hour, SegmentSize: 64, Metrics: obs.NewRegistry(),
 	})
+	m := j.m
 	payload := []byte("0123456789abcdef") // 16B + 16B framing = 32B per record
 	for i := 0; i < 3; i++ {              // the third append rotates
 		if _, err := j.Append(payload); err != nil {
@@ -559,8 +558,8 @@ func TestIntervalFsyncFlushOnRotation(t *testing.T) {
 // must flush pending appends even when the interval timer never fired.
 func TestIntervalFsyncFlushOnClose(t *testing.T) {
 	dir := t.TempDir()
-	m := NewMetrics(obs.NewRegistry())
-	j, _ := openStarted(t, dir, Options{Fsync: FsyncInterval, FsyncEvery: time.Hour, Metrics: m})
+	j, _ := openStarted(t, dir, Options{Fsync: FsyncInterval, fsyncEvery: time.Hour, Metrics: obs.NewRegistry()})
+	m := j.m
 	for i := 0; i < 3; i++ {
 		if _, err := j.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
@@ -602,14 +601,14 @@ func TestTornFirstRecordOfFreshSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewMetrics(obs.NewRegistry())
-	j2, replayed := openStarted(t, dir, Options{Metrics: m})
+	j2, replayed := openStarted(t, dir, Options{Metrics: obs.NewRegistry()})
+	m := j2.m
 	defer j2.Close()
 	if len(replayed) != 5 {
 		t.Fatalf("replayed %d records, want 5", len(replayed))
 	}
-	if m.RecordsTruncated() != 1 {
-		t.Fatalf("records_truncated = %d, want 1", m.RecordsTruncated())
+	if m.recordsTruncated.Value() != 1 {
+		t.Fatalf("records_truncated = %d, want 1", m.recordsTruncated.Value())
 	}
 	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("empty torn segment survives recovery: %v", err)
@@ -638,11 +637,11 @@ func TestEmptyTrailingSegmentRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewMetrics(obs.NewRegistry())
-	j2, replayed := openStarted(t, dir, Options{Metrics: m})
+	j2, replayed := openStarted(t, dir, Options{Metrics: obs.NewRegistry()})
+	m := j2.m
 	defer j2.Close()
-	if len(replayed) != 4 || m.RecordsTruncated() != 0 {
-		t.Fatalf("replayed %d (truncated %d), want 4 clean records", len(replayed), m.RecordsTruncated())
+	if len(replayed) != 4 || m.recordsTruncated.Value() != 0 {
+		t.Fatalf("replayed %d (truncated %d), want 4 clean records", len(replayed), m.recordsTruncated.Value())
 	}
 	if seq, err := j2.Append([]byte("rec-4")); err != nil || seq != 5 {
 		t.Fatalf("Append into empty trailing segment = %d, %v", seq, err)
@@ -837,5 +836,73 @@ func TestInstallSnapshot(t *testing.T) {
 	}
 	if len(seqs) != 1 || seqs[0] != 101 {
 		t.Fatalf("replayed seqs = %v, want [101]", seqs)
+	}
+}
+
+// orderStore records the calls Recover makes.
+type orderStore struct {
+	calls    []string
+	attached *Journal
+}
+
+func (s *orderStore) RestoreSnapshot(p []byte) error {
+	s.calls = append(s.calls, "restore:"+string(p))
+	return nil
+}
+func (s *orderStore) ReplayRecord(seq uint64, p []byte) error {
+	s.calls = append(s.calls, "replay:"+string(p))
+	return nil
+}
+func (s *orderStore) JournalSnapshot() ([]byte, error) {
+	s.calls = append(s.calls, "snapshot")
+	return []byte("state"), nil
+}
+func (s *orderStore) SetJournal(j *Journal) {
+	s.calls = append(s.calls, "attach")
+	s.attached = j
+}
+
+// TestRecoverOrder: Recover restores the snapshot, replays the records
+// past it, starts the journal, attaches it and compacts — in that order
+// — so a second boot finds everything in the snapshot.
+func TestRecoverOrder(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() *orderStore {
+		j, err := Open(dir, Options{Fsync: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &orderStore{}
+		if err := j.Recover(s); err != nil {
+			t.Fatal(err)
+		}
+		if s.attached != j {
+			t.Fatal("Recover did not attach the journal")
+		}
+		return s
+	}
+	first := boot()
+	if got := strings.Join(first.calls, " "); got != "attach snapshot" {
+		t.Fatalf("fresh directory: calls = %q", got)
+	}
+	for _, p := range []string{"a", "b"} {
+		if _, err := first.attached.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := first.attached.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second := boot()
+	if got := strings.Join(second.calls, " "); got != "restore:state replay:a replay:b attach snapshot" {
+		t.Fatalf("second boot: calls = %q", got)
+	}
+	if err := second.attached.Close(); err != nil {
+		t.Fatal(err)
+	}
+	third := boot()
+	defer third.attached.Close()
+	if got := strings.Join(third.calls, " "); got != "restore:state attach snapshot" {
+		t.Fatalf("third boot: calls = %q (the second boot's compaction should have folded the records)", got)
 	}
 }

@@ -1,17 +1,12 @@
 package journal
 
-import (
-	"math"
-	"sync/atomic"
+import "cosm/internal/obs"
 
-	"cosm/internal/obs"
-)
-
-// Metrics binds the cosm_journal_* metric families. A nil *Metrics (or
-// one built over a nil registry) records nothing: the obs instruments
-// are nil-safe, so the journal hot path needs no "is observability on?"
-// branches.
-type Metrics struct {
+// metrics are the cosm_journal_* instruments of one Journal, held by
+// value and called directly: obs instruments are nil-safe and a nil
+// registry binds nil instruments, so the journal never branches on
+// whether observability is configured.
+type metrics struct {
 	appends            *obs.Counter
 	appendBytes        *obs.Counter
 	fsyncs             *obs.Counter
@@ -21,19 +16,10 @@ type Metrics struct {
 	recordsRecovered   *obs.Counter
 	recordsTruncated   *obs.Counter
 	snapshotsDiscarded *obs.Counter
-
-	// recoverySecs holds the float64 bits of the last recovery duration
-	// for the cosm_journal_recovery_seconds gauge.
-	recoverySecs atomic.Uint64
 }
 
-// NewMetrics registers the journal families on reg; a nil reg yields a
-// nil *Metrics whose recording methods no-op.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return nil
-	}
-	m := &Metrics{
+func bindMetrics(reg *obs.Registry) metrics {
+	return metrics{
 		appends:            reg.Counter("cosm_journal_appends_total", "Records appended to the write-ahead log."),
 		appendBytes:        reg.Counter("cosm_journal_append_bytes_total", "Bytes appended to the write-ahead log (framing included)."),
 		fsyncs:             reg.Counter("cosm_journal_fsyncs_total", "fsync calls issued by the journal."),
@@ -44,94 +30,4 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		recordsTruncated:   reg.Counter("cosm_journal_records_truncated", "Records cut at a torn or corrupt log tail during recovery."),
 		snapshotsDiscarded: reg.Counter("cosm_journal_snapshots_discarded_total", "Corrupt snapshots ignored during recovery (full log replay instead)."),
 	}
-	reg.GaugeFunc("cosm_journal_recovery_seconds", "Duration of the last boot recovery (open + replay).",
-		func() float64 { return math.Float64frombits(m.recoverySecs.Load()) })
-	return m
-}
-
-// setRecoverySeconds records the last recovery duration.
-func (m *Metrics) setRecoverySeconds(s float64) {
-	if m == nil {
-		return
-	}
-	m.recoverySecs.Store(math.Float64bits(s))
-}
-
-// The recording helpers below are nil-safe so the journal never
-// branches on whether observability is configured.
-
-func (m *Metrics) appendOne(frameBytes int) {
-	if m == nil {
-		return
-	}
-	m.appends.Inc()
-	m.appendBytes.Add(uint64(frameBytes))
-}
-
-func (m *Metrics) fsyncObserve(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.fsyncs.Inc()
-	m.fsyncSeconds.Observe(seconds)
-}
-
-func (m *Metrics) fsyncError() {
-	if m == nil {
-		return
-	}
-	m.fsyncErrors.Inc()
-}
-
-func (m *Metrics) compactOne() {
-	if m == nil {
-		return
-	}
-	m.compactions.Inc()
-}
-
-func (m *Metrics) recovered(n uint64) {
-	if m == nil {
-		return
-	}
-	m.recordsRecovered.Add(n)
-}
-
-func (m *Metrics) truncated(n uint64) {
-	if m == nil {
-		return
-	}
-	m.recordsTruncated.Add(n)
-}
-
-func (m *Metrics) snapshotDiscarded() {
-	if m == nil {
-		return
-	}
-	m.snapshotsDiscarded.Inc()
-}
-
-// RecordsRecovered exposes the recovery counter (tests, cosmcli stats
-// assertions).
-func (m *Metrics) RecordsRecovered() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.recordsRecovered.Value()
-}
-
-// RecordsTruncated exposes the truncation counter.
-func (m *Metrics) RecordsTruncated() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.recordsTruncated.Value()
-}
-
-// FsyncErrors exposes the fsync-failure counter (fail-stop tests).
-func (m *Metrics) FsyncErrors() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.fsyncErrors.Value()
 }

@@ -37,6 +37,11 @@ type EventLog struct {
 	next int
 	full bool
 	seq  uint64
+
+	// retained and overwritten report the ring's occupancy and drops;
+	// nil until Instrument binds them.
+	retained    *Gauge
+	overwritten *Counter
 }
 
 // NewEventLog returns a log retaining the last capacity events,
@@ -47,6 +52,16 @@ func NewEventLog(node string, capacity int) *EventLog {
 		return nil
 	}
 	return &EventLog{node: node, clock: time.Now, buf: make([]Event, capacity)}
+}
+
+// Instrument reports the log's occupancy and its overwritten events
+// into reg (cosm_obs_events_*). Call it before the first Record.
+func (l *EventLog) Instrument(reg *Registry) {
+	if l == nil {
+		return
+	}
+	l.retained = reg.Gauge("cosm_obs_events_retained", "Events the cluster timeline currently holds.")
+	l.overwritten = reg.Counter("cosm_obs_events_overwritten_total", "Events evicted from the full cluster timeline by newer ones.")
 }
 
 // WithClock substitutes the time source (tests). Returns the log.
@@ -75,6 +90,7 @@ func (l *EventLog) Record(kind string, kv ...string) {
 		}
 	}
 	l.mu.Lock()
+	evicting := l.full
 	l.seq++
 	l.buf[l.next] = Event{Seq: l.seq, Time: l.clock(), Node: l.node, Kind: kind, Attr: attr}
 	l.next++
@@ -82,6 +98,11 @@ func (l *EventLog) Record(kind string, kv ...string) {
 		l.next, l.full = 0, true
 	}
 	l.mu.Unlock()
+	if evicting {
+		l.overwritten.Inc()
+	} else {
+		l.retained.Add(1)
+	}
 }
 
 // Events copies the retained events, oldest first.

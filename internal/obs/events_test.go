@@ -8,6 +8,7 @@ import (
 
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
+	l.Instrument(NewRegistry())
 	l.Record("promote", "epoch", "3")
 	if got := l.Events(); got != nil {
 		t.Fatalf("nil log events = %v", got)
@@ -23,6 +24,8 @@ func TestEventLogNilSafe(t *testing.T) {
 func TestEventLogBoundedAndOrdered(t *testing.T) {
 	now := time.Unix(5000, 0)
 	l := NewEventLog("n1", 4).WithClock(func() time.Time { return now })
+	reg := NewRegistry()
+	l.Instrument(reg)
 	for i := 0; i < 10; i++ {
 		now = now.Add(time.Second)
 		l.Record("tick", "i", string(rune('0'+i)))
@@ -41,6 +44,12 @@ func TestEventLogBoundedAndOrdered(t *testing.T) {
 	}
 	if got[0].Node != "n1" || got[0].Kind != "tick" {
 		t.Fatalf("event attribution broken: %+v", got[0])
+	}
+	// The ring reports what it holds and what it dropped.
+	retained := reg.Gauge("cosm_obs_events_retained", "").Value()
+	overwritten := reg.Counter("cosm_obs_events_overwritten_total", "").Value()
+	if retained != 4 || overwritten != 6 {
+		t.Fatalf("retained=%d overwritten=%d, want 4 and 6", retained, overwritten)
 	}
 }
 

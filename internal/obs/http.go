@@ -33,15 +33,11 @@ type MuxConfig struct {
 //	/debug/vars  expvar-style JSON: cmdline, memstats, and all metrics
 //	/healthz     200 "ok" while healthy() returns nil, else 503
 //
-// healthy may be nil (always healthy). Daemons pass a func reporting
-// the drain state, so load balancers stop routing during shutdown.
-func Handler(reg *Registry, healthy func() error) http.Handler {
-	return HandlerWith(reg, healthy, MuxConfig{})
-}
-
-// HandlerWith is Handler plus the optional flight-recorder, event-log
-// and pprof endpoints (see MuxConfig).
-func HandlerWith(reg *Registry, healthy func() error, cfg MuxConfig) http.Handler {
+// plus the optional flight-recorder, event-log and pprof endpoints cfg
+// selects. healthy may be nil (always healthy). Daemons pass a func
+// reporting the drain state, so load balancers stop routing during
+// shutdown.
+func Handler(reg *Registry, healthy func() error, cfg MuxConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -129,22 +125,16 @@ type Introspection struct {
 	ln  net.Listener
 }
 
-// ServeIntrospection starts the introspection endpoints on addr
-// (host:port; ":0" picks an ephemeral port) and returns the running
-// server. It returns immediately; Close stops it.
-func ServeIntrospection(addr string, reg *Registry, healthy func() error) (*Introspection, error) {
-	return ServeIntrospectionWith(addr, reg, healthy, MuxConfig{})
-}
-
-// ServeIntrospectionWith is ServeIntrospection with the optional
-// flight-recorder, event-log and pprof endpoints enabled per cfg.
-func ServeIntrospectionWith(addr string, reg *Registry, healthy func() error, cfg MuxConfig) (*Introspection, error) {
+// ServeIntrospection starts the introspection endpoints (see Handler)
+// on addr (host:port; ":0" picks an ephemeral port) and returns the
+// running server. It returns immediately; Close stops it.
+func ServeIntrospection(addr string, reg *Registry, healthy func() error, cfg MuxConfig) (*Introspection, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listener %s: %w", addr, err)
 	}
 	srv := &http.Server{
-		Handler:           HandlerWith(reg, healthy, cfg),
+		Handler:           Handler(reg, healthy, cfg),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() { _ = srv.Serve(ln) }()

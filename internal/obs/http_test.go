@@ -14,7 +14,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("cosm_up_total", "help").Add(7)
 	healthy := error(nil)
-	srv := httptest.NewServer(Handler(reg, func() error { return healthy }))
+	srv := httptest.NewServer(Handler(reg, func() error { return healthy }, MuxConfig{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -84,7 +84,7 @@ func TestHandlerFlightRecorderEndpoints(t *testing.T) {
 	rec.Record(spanAt("tr1", "c1", "", "svc/Op", SpanClient, base, 40*time.Millisecond))
 	rec.Record(spanAt("tr1", "s1", "c1", "svc/Op", SpanServer, base.Add(5*time.Millisecond), 30*time.Millisecond))
 	ev.Record("promote", "epoch", "2")
-	srv := httptest.NewServer(HandlerWith(NewRegistry(), nil, MuxConfig{Spans: rec, Events: ev, Pprof: true}))
+	srv := httptest.NewServer(Handler(NewRegistry(), nil, MuxConfig{Spans: rec, Events: ev, Pprof: true}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/traces")
@@ -143,7 +143,7 @@ func TestHandlerFlightRecorderEndpoints(t *testing.T) {
 }
 
 func TestHandlerWithoutRecorderOmitsEndpoints(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewRegistry(), nil))
+	srv := httptest.NewServer(Handler(NewRegistry(), nil, MuxConfig{}))
 	defer srv.Close()
 	for _, path := range []string{"/debug/traces", "/debug/events", "/debug/pprof/cmdline"} {
 		resp, err := http.Get(srv.URL + path)
@@ -157,7 +157,7 @@ func TestHandlerWithoutRecorderOmitsEndpoints(t *testing.T) {
 }
 
 func TestServeIntrospectionBadAddr(t *testing.T) {
-	if _, err := ServeIntrospection("256.256.256.256:bad", NewRegistry(), nil); err == nil {
+	if _, err := ServeIntrospection("256.256.256.256:bad", NewRegistry(), nil, MuxConfig{}); err == nil {
 		t.Fatal("bad addr accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -30,24 +29,6 @@ type Logger struct {
 // component name.
 func NewLogger(w io.Writer, component string) *Logger {
 	return &Logger{mu: &sync.Mutex{}, w: w, comp: component, now: time.Now}
-}
-
-// defaultLogger guards the process-wide fallback used by components
-// whose owner configured no logger.
-var (
-	defaultMu     sync.Mutex
-	defaultLogger *Logger
-)
-
-// Default returns the process-wide fallback logger (stderr, component
-// "cosm").
-func Default() *Logger {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultLogger == nil {
-		defaultLogger = NewLogger(os.Stderr, "cosm")
-	}
-	return defaultLogger
 }
 
 // With returns a logger with the same writer but a different component

@@ -62,6 +62,10 @@ type spanShard struct {
 // branches. All methods are safe for concurrent use.
 type SpanRecorder struct {
 	shards [spanShards]spanShard
+	// retained and overwritten report the rings' occupancy and drops;
+	// nil until Instrument binds them.
+	retained    *Gauge
+	overwritten *Counter
 }
 
 // NewSpanRecorder returns a recorder retaining about capacity spans
@@ -79,6 +83,16 @@ func NewSpanRecorder(capacity int) *SpanRecorder {
 	return r
 }
 
+// Instrument reports the recorder's occupancy and its overwritten spans
+// into reg (cosm_obs_spans_*). Call it before the first Record.
+func (r *SpanRecorder) Instrument(reg *Registry) {
+	if r == nil {
+		return
+	}
+	r.retained = reg.Gauge("cosm_obs_spans_retained", "Spans the flight recorder currently holds.")
+	r.overwritten = reg.Counter("cosm_obs_spans_overwritten_total", "Spans evicted from the full flight recorder by newer ones.")
+}
+
 // Enabled reports whether spans are being retained.
 func (r *SpanRecorder) Enabled() bool { return r != nil }
 
@@ -91,12 +105,18 @@ func (r *SpanRecorder) Record(s Span) {
 	}
 	sh := &r.shards[fnv32(s.Trace)%spanShards]
 	sh.mu.Lock()
+	evicting := sh.full
 	sh.buf[sh.next] = s
 	sh.next++
 	if sh.next == len(sh.buf) {
 		sh.next, sh.full = 0, true
 	}
 	sh.mu.Unlock()
+	if evicting {
+		r.overwritten.Inc()
+	} else {
+		r.retained.Add(1)
+	}
 }
 
 // Snapshot copies every retained span, ordered by start time.

@@ -13,7 +13,16 @@ func spanAt(trace, id, parent, op, kind string, start time.Time, d time.Duration
 
 func TestSpanRecorderNilSafe(t *testing.T) {
 	var r *SpanRecorder
+	r.Instrument(NewRegistry())
 	r.Record(Span{Trace: "t", ID: "a"})
+	if n := testing.AllocsPerRun(100, func() { r.Record(Span{Trace: "t", ID: "a"}) }); n != 0 {
+		t.Fatalf("nil recorder allocates %v per Record", n)
+	}
+	// An uninstrumented recorder records without allocating too.
+	live := NewSpanRecorder(8)
+	if n := testing.AllocsPerRun(100, func() { live.Record(Span{Trace: "t", ID: "a"}) }); n != 0 {
+		t.Fatalf("uninstrumented recorder allocates %v per Record", n)
+	}
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
@@ -33,6 +42,8 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 
 func TestSpanRecorderBounded(t *testing.T) {
 	r := NewSpanRecorder(16)
+	reg := NewRegistry()
+	r.Instrument(reg)
 	base := time.Unix(1000, 0)
 	// One trace stays in one shard; overfill it and check the ring keeps
 	// only the newest per-shard window, oldest-first.
@@ -50,6 +61,12 @@ func TestSpanRecorderBounded(t *testing.T) {
 	}
 	if last := got[len(got)-1]; last.ID != "s39" {
 		t.Fatalf("newest span = %s, want s39 (eviction must drop oldest)", last.ID)
+	}
+	// The ring reports what it holds and what it dropped.
+	retained := reg.Gauge("cosm_obs_spans_retained", "").Value()
+	overwritten := reg.Counter("cosm_obs_spans_overwritten_total", "").Value()
+	if int(retained) != len(got) || int(overwritten) != 40-len(got) {
+		t.Fatalf("retained=%d overwritten=%d, want %d and %d", retained, overwritten, len(got), 40-len(got))
 	}
 }
 

@@ -190,11 +190,18 @@ func (c *Client) Withdraw(ctx context.Context, offerID string) error {
 
 // WithdrawAll removes a batch of offers at the remote trader in one
 // round trip and returns how many were actually withdrawn. Unknown IDs
-// are skipped (idempotent).
+// are skipped (idempotent). As for Trader.WithdrawAll, the count is
+// meaningful beside an error: a sync-replication timeout reports the
+// withdrawals the trader had applied by then.
 func (c *Client) WithdrawAll(ctx context.Context, offerIDs []string) (int, error) {
 	var n int
 	if err := c.callMut(ctx, "WithdrawAll", &n, offerIDs); err != nil {
-		return 0, fmt.Errorf("trader: remote withdraw batch: %w", err)
+		// The service appends "(withdrew N)" to a failure; any other
+		// error text leaves n at 0.
+		if i := strings.LastIndex(err.Error(), "(withdrew "); i >= 0 {
+			_, _ = fmt.Sscanf(err.Error()[i:], "(withdrew %d)", &n)
+		}
+		return n, fmt.Errorf("trader: remote withdraw batch: %w", err)
 	}
 	return n, nil
 }

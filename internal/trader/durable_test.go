@@ -12,9 +12,8 @@ import (
 	"cosm/internal/typemgr"
 )
 
-// newDurableTrader opens (or re-opens) a journalled trader over dir:
-// recovery first — snapshot, then record replay — and only then the
-// journal is started and attached, mirroring the daemon boot order.
+// newDurableTrader opens (or re-opens) a journalled trader over dir the
+// way the daemon boots.
 func newDurableTrader(t *testing.T, id, dir string, opts journal.Options, topts ...Option) (*Trader, *journal.Journal) {
 	t.Helper()
 	tr := New(id, typemgr.NewRepo(), topts...)
@@ -22,18 +21,9 @@ func newDurableTrader(t *testing.T, id, dir string, opts journal.Options, topts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, ok := j.Snapshot(); ok {
-		if err := tr.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Replay(tr.ReplayRecord); err != nil {
+	if err := j.Recover(tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Start(tr.JournalSnapshot); err != nil {
-		t.Fatal(err)
-	}
-	tr.SetJournal(j)
 	return tr, j
 }
 

@@ -476,7 +476,10 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		}
 		n, err := t.WithdrawAll(ids)
 		if err != nil {
-			return err
+			// A sync-replication timeout fails the call after the
+			// withdrawal was applied; the count crosses the wire in the
+			// error's detail, as the leader hint does.
+			return fmt.Errorf("%w (withdrew %d)", err, n)
 		}
 		return call.Return(n)
 	})

@@ -3,10 +3,12 @@ package trader
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"cosm/internal/cosm"
+	"cosm/internal/journal"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/trader/core"
@@ -319,5 +321,53 @@ func TestRemoteWithdrawAllFollowsLeaderHint(t *testing.T) {
 	}
 	if n != 2 || leader.OfferCount() != 1 {
 		t.Fatalf("redirected WithdrawAll = %d with %d offers left at the leader, want 2 and 1", n, leader.OfferCount())
+	}
+}
+
+// TestRemoteWithdrawAllKeepsCountOnSyncTimeout: when the
+// sync-replication wait times out the withdrawal is already applied, so
+// the count must come back beside the error — a provider's shutdown
+// path that saw "0 withdrawn" would retry a batch that is already gone.
+func TestRemoteWithdrawAllKeepsCountOnSyncTimeout(t *testing.T) {
+	ctx := context.Background()
+	leader, lj := newDurableTrader(t, "HA", t.TempDir(), journal.Options{Fsync: journal.FsyncNever})
+	defer lj.Close()
+	if err := leader.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 1; i <= 3; i++ {
+		id, err := leader.Export("CarRentalService", carRef(i), carProps("AUDI", float64(100+i), "USD"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	// Synchronous replication with no follower: every mutation from here
+	// on is applied, then fails its wait.
+	WithReplSync(1, 20*time.Millisecond)(leader)
+
+	svc, err := NewService(leader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := cosm.NewNode(cosm.WithNodeLog(func(string, ...any) {}))
+	defer node.Close()
+	if err := node.Host(ServiceName, svc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.ListenAndServe("loop:trd-wall-sync-timeout"); err != nil {
+		t.Fatal(err)
+	}
+	tc, err := DialTrader(ctx, node.Pool(), node.MustRefFor(ServiceName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := tc.WithdrawAll(ctx, append([]string{"HA/o999"}, ids[:2]...))
+	if err == nil || !strings.Contains(err.Error(), "followers acked") {
+		t.Fatalf("WithdrawAll without a follower = %d, %v; want a replication timeout", n, err)
+	}
+	if n != 2 || leader.OfferCount() != 1 {
+		t.Fatalf("WithdrawAll = %d beside the timeout with %d offers left, want 2 and 1", n, leader.OfferCount())
 	}
 }

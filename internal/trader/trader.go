@@ -509,8 +509,8 @@ func (t *Trader) Withdraw(offerID string) error {
 // contract is idempotent best-effort, and a provider retry after a
 // recovery that resurrected the offers heals the divergence. A sync-
 // replication timeout, as for Withdraw, is an error after the withdrawal
-// was applied: the count comes back beside it, but the wire op carries
-// only the error, so a remote retry finds the offers gone and reports 0.
+// was applied: the count comes back beside it — over the wire in the
+// error's detail (Client.WithdrawAll).
 func (t *Trader) WithdrawAll(offerIDs []string) (int, error) {
 	if err := t.leaderCheck(); err != nil {
 		return 0, err

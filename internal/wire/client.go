@@ -73,18 +73,16 @@ type Client struct {
 
 // Dial connects an RPC client to an endpoint ("tcp:..." or "loop:...").
 func Dial(endpoint string) (*Client, error) {
-	conn, err := DialConn(endpoint)
+	conn, err := DialConnContext(context.Background(), endpoint)
 	if err != nil {
 		return nil, err
 	}
-	return NewClientConn(endpoint, conn), nil
+	return newClientConn(endpoint, conn), nil
 }
 
-// NewClientConn wraps an already-established transport connection in an
-// RPC client. The client owns conn from here on. Most callers want Dial
-// or a Pool; this constructor exists for custom transports such as the
-// fault-injecting FaultNet.
-func NewClientConn(endpoint string, conn net.Conn) *Client {
+// newClientConn wraps an already-established transport connection in an
+// RPC client. The client owns conn from here on.
+func newClientConn(endpoint string, conn net.Conn) *Client {
 	c := &Client{
 		endpoint: endpoint,
 		conn:     conn,
@@ -321,7 +319,7 @@ type Pool struct {
 	policy        CallPolicy
 	breakerPolicy BreakerPolicy
 	now           func() time.Time
-	metrics       *ClientMetrics
+	m             poolMetrics
 	recorder      *obs.SpanRecorder
 	events        *obs.EventLog
 
@@ -372,14 +370,14 @@ func WithDialer(dial func(ctx context.Context, endpoint string) (net.Conn, error
 	return func(p *Pool) { p.dialer = dial }
 }
 
-// WithCallPolicy sets the retry/backoff policy used by Call.
+// WithCallPolicy sets the retry policy used by Call.
 func WithCallPolicy(policy CallPolicy) PoolOption {
 	return func(p *Pool) { p.policy = policy }
 }
 
-// WithBreakerPolicy sets the per-endpoint circuit breaker policy. A
+// withBreakerPolicy sets the per-endpoint circuit breaker policy. A
 // Threshold below 1 disables breaking entirely.
-func WithBreakerPolicy(policy BreakerPolicy) PoolOption {
+func withBreakerPolicy(policy BreakerPolicy) PoolOption {
 	return func(p *Pool) { p.breakerPolicy = policy }
 }
 
@@ -390,11 +388,25 @@ func WithPoolClock(now func() time.Time) PoolOption {
 }
 
 // WithPoolMetrics records the pool's dial, retry, shed and breaker
-// activity plus per-endpoint call latency into m (see NewClientMetrics).
-// A nil m — the result of NewClientMetrics on a nil registry — disables
-// recording at negligible cost.
-func WithPoolMetrics(m *ClientMetrics) PoolOption {
-	return func(p *Pool) { p.metrics = m }
+// activity plus per-endpoint call latency into reg's cosm_client_*
+// families. A nil reg disables recording at negligible cost.
+func WithPoolMetrics(reg *obs.Registry) PoolOption {
+	return func(p *Pool) {
+		p.m = bindPoolMetrics(reg)
+		reg.GaugeFunc("cosm_client_breakers_open",
+			"Endpoints whose circuit breaker is currently open.",
+			func() float64 {
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				n := 0
+				for _, b := range p.breakers {
+					if b.State() == BreakerOpen {
+						n++
+					}
+				}
+				return float64(n)
+			})
+	}
 }
 
 // WithPoolRecorder attaches the flight recorder: every traced call made
@@ -417,7 +429,7 @@ func WithPoolEvents(ev *obs.EventLog) PoolOption {
 func NewPool(opts ...PoolOption) *Pool {
 	p := &Pool{
 		dialer:        defaultDial,
-		policy:        DefaultCallPolicy(),
+		policy:        defaultCallPolicy(),
 		breakerPolicy: DefaultBreakerPolicy(),
 		now:           time.Now,
 		clients:       map[string]*Client{},
@@ -427,26 +439,8 @@ func NewPool(opts ...PoolOption) *Pool {
 	for _, o := range opts {
 		o(p)
 	}
-	if p.metrics != nil {
-		p.metrics.reg.GaugeFunc("cosm_client_breakers_open",
-			"Endpoints whose circuit breaker is currently open.",
-			func() float64 {
-				p.mu.Lock()
-				defer p.mu.Unlock()
-				n := 0
-				for _, b := range p.breakers {
-					if b.State() == BreakerOpen {
-						n++
-					}
-				}
-				return float64(n)
-			})
-	}
 	return p
 }
-
-// Policy returns the pool's call policy.
-func (p *Pool) Policy() CallPolicy { return p.policy }
 
 // Stats returns a snapshot of the pool's resilience counters.
 func (p *Pool) Stats() PoolStats {
@@ -466,10 +460,10 @@ func (p *Pool) breakerFor(endpoint string) *Breaker {
 	b, ok := p.breakers[endpoint]
 	if !ok {
 		b = NewBreaker(p.breakerPolicy)
-		if p.metrics != nil || p.events != nil {
-			metrics, events, ep := p.metrics, p.events, endpoint
+		if p.m.breaker != nil || p.events != nil {
+			transitions, events, ep := p.m.breaker, p.events, endpoint
 			b.onTransition = func(to BreakerState) {
-				metrics.breakerTransition(to)
+				transitions.With(string(to)).Inc()
 				events.Record("breaker", "endpoint", ep, "to", string(to))
 			}
 		}
@@ -517,7 +511,7 @@ func (p *Pool) noteSuccess(endpoint string) {
 // excusing earlier connection failures the way a success would.
 func (p *Pool) noteShed(endpoint string) {
 	p.sheds.Add(1)
-	p.metrics.shed()
+	p.m.sheds.Inc()
 	p.mu.Lock()
 	b, ok := p.breakers[endpoint]
 	p.mu.Unlock()
@@ -545,7 +539,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 		if c, ok := p.clients[endpoint]; ok {
 			if !c.broken() {
 				p.mu.Unlock()
-				p.metrics.reuse()
+				p.m.reuses.Inc()
 				return c, nil
 			}
 			delete(p.clients, endpoint)
@@ -557,7 +551,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 			if b, known := p.breakers[endpoint]; known && b.State() == BreakerHalfOpen {
 				p.mu.Unlock()
 				p.failFast.Add(1)
-				p.metrics.failedFast()
+				p.m.failFast.Inc()
 				return nil, fmt.Errorf("%w: probe in flight (endpoint %s)", ErrCircuitOpen, endpoint)
 			}
 			p.mu.Unlock()
@@ -578,7 +572,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 		if err := b.Allow(p.now()); err != nil {
 			p.mu.Unlock()
 			p.failFast.Add(1)
-			p.metrics.failedFast()
+			p.m.failFast.Inc()
 			return nil, fmt.Errorf("%w (endpoint %s)", err, endpoint)
 		}
 		dc := &dialCall{done: make(chan struct{})}
@@ -587,11 +581,11 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 		p.mu.Unlock()
 
 		p.dials.Add(1)
-		p.metrics.dialStarted()
+		p.m.dials.Inc()
 		conn, err := dial(ctx, endpoint)
 		var c *Client
 		if err == nil {
-			c = NewClientConn(endpoint, conn)
+			c = newClientConn(endpoint, conn)
 			c.rec = p.recorder
 		}
 
@@ -605,7 +599,7 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 
 		if err != nil {
 			p.dialFailures.Add(1)
-			p.metrics.dialFailed()
+			p.m.dialFailures.Inc()
 			if b.Failure(p.now()) {
 				p.breakerOpens.Add(1)
 			}
@@ -636,11 +630,11 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 // idempotent operations only — non-idempotent invocations go through
 // Client.Call directly, exactly once (see cosm.Conn.Invoke).
 func (p *Pool) Call(ctx context.Context, endpoint string, req *Request) ([]byte, error) {
-	return p.CallWith(ctx, endpoint, req, p.policy)
+	return p.callWith(ctx, endpoint, req, p.policy)
 }
 
-// CallWith is Call under an explicit policy.
-func (p *Pool) CallWith(ctx context.Context, endpoint string, req *Request, policy CallPolicy) ([]byte, error) {
+// callWith is Call under an explicit policy.
+func (p *Pool) callWith(ctx context.Context, endpoint string, req *Request, policy CallPolicy) ([]byte, error) {
 	attempts := policy.attempts()
 	var lastErr error
 	attempt := 1
@@ -654,13 +648,13 @@ func (p *Pool) CallWith(ctx context.Context, endpoint string, req *Request, poli
 			body, err = c.Call(actx, req)
 			if err == nil {
 				cancel()
-				p.metrics.observeAttempt(endpoint, time.Since(start), nil)
+				p.m.observeAttempt(endpoint, start, nil)
 				p.noteSuccess(endpoint)
 				return body, nil
 			}
 			if !Transient(err) {
 				cancel()
-				p.metrics.observeAttempt(endpoint, time.Since(start), err)
+				p.m.observeAttempt(endpoint, start, err)
 				if errors.Is(err, ErrRemote) {
 					// Any remote response proves the endpoint alive.
 					p.noteSuccess(endpoint)
@@ -688,12 +682,12 @@ func (p *Pool) CallWith(ctx context.Context, endpoint string, req *Request, poli
 				// would fail every concurrent in-flight call multiplexed
 				// on it — and no breaker failure is recorded against a
 				// merely slow endpoint.
-				p.Drop(endpoint)
+				p.drop(endpoint)
 				p.noteFailure(endpoint)
 			}
 		}
 		cancel()
-		p.metrics.observeAttempt(endpoint, time.Since(start), err)
+		p.m.observeAttempt(endpoint, start, err)
 		lastErr = err
 		if attempt >= attempts {
 			break
@@ -704,27 +698,25 @@ func (p *Pool) CallWith(ctx context.Context, endpoint string, req *Request, poli
 		// An overloaded server's retry-after hint takes precedence over a
 		// shorter policy backoff: retrying into a shedding server sooner
 		// than it asked only feeds the overload.
-		d := policy.backoff(attempt)
+		d := backoff(attempt)
 		if retryAfter > d {
 			d = retryAfter
 		}
-		if d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, ctx.Err())
-			case <-t.C:
-			}
+		t := time.NewTimer(d)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return nil, fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, ctx.Err())
+		case <-t.C:
 		}
 		p.retries.Add(1)
-		p.metrics.retry()
+		p.m.retries.Inc()
 	}
 	return nil, fmt.Errorf("wire: call %s/%s: %d of %d attempt(s) failed: %w", req.Service, req.Op, attempt, attempts, lastErr)
 }
 
-// Drop removes and closes the cached client for endpoint, if any.
-func (p *Pool) Drop(endpoint string) {
+// drop removes and closes the cached client for endpoint, if any.
+func (p *Pool) drop(endpoint string) {
 	p.mu.Lock()
 	c, ok := p.clients[endpoint]
 	delete(p.clients, endpoint)

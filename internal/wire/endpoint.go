@@ -27,20 +27,20 @@ var (
 	ErrLoopUnknown = errors.New("wire: no such loopback listener")
 )
 
-// Listener accepts transport connections for a server.
-type Listener interface {
+// listener accepts transport connections for a server.
+type listener interface {
 	Accept() (net.Conn, error)
 	Close() error
 	// Endpoint returns the dialable endpoint of this listener.
 	Endpoint() string
 }
 
-// Listen creates a listener for an endpoint:
+// listen creates a listener for an endpoint:
 //
 //	"tcp:host:port" — a TCP listener (use "tcp:127.0.0.1:0" for an
 //	                  ephemeral port; Endpoint reports the bound one);
 //	"loop:name"     — an in-process loopback listener.
-func Listen(endpoint string) (Listener, error) {
+func listen(endpoint string) (listener, error) {
 	scheme, rest, err := splitEndpoint(endpoint)
 	if err != nil {
 		return nil, err
@@ -57,13 +57,6 @@ func Listen(endpoint string) (Listener, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown scheme %q", ErrBadEndpoint, scheme)
 	}
-}
-
-// DialConn opens a raw transport connection to an endpoint with no
-// deadline of its own (the OS connect timeout applies). Most callers
-// want Dial (which returns an RPC *Client) or DialConnContext instead.
-func DialConn(endpoint string) (net.Conn, error) {
-	return DialConnContext(context.Background(), endpoint)
 }
 
 // DialConnContext opens a raw transport connection to an endpoint,

@@ -37,10 +37,9 @@ type FaultConfig struct {
 	// flipped ("bit rot on the wire").
 	CorruptProb float64
 
-	// Latency is added to every Read and Write call; LatencyJitter
-	// adds a further uniform random delay on top.
-	Latency       time.Duration
-	LatencyJitter time.Duration
+	// Latency is added to every Read and Write call, plus a further
+	// uniform random delay of up to half of it.
+	Latency time.Duration
 }
 
 // FaultStats counts injected events (monotonic, goroutine-safe).
@@ -212,7 +211,7 @@ func (c *faultConn) Close() error {
 
 // delay applies the configured latency to one I/O call.
 func (c *faultConn) delay() {
-	d := c.net.cfg.Latency + c.net.jitter(c.net.cfg.LatencyJitter)
+	d := c.net.cfg.Latency + c.net.jitter(c.net.cfg.Latency/2)
 	if d > 0 {
 		time.Sleep(d)
 	}

@@ -79,14 +79,13 @@ func TestSpansLinkAcrossTheWire(t *testing.T) {
 func TestSlowRequestWatchdog(t *testing.T) {
 	var buf syncBuffer
 	reg := obs.NewRegistry()
-	m := NewServerMetrics(reg)
 	slow := HandlerFunc(func(context.Context, string, *Request) *Response {
 		time.Sleep(5 * time.Millisecond)
 		return &Response{Status: StatusOK}
 	})
 	s := NewServer(
 		WithServerLogger(obs.NewLogger(&buf, "wiretest")),
-		WithServerMetrics(m),
+		WithServerMetrics(reg),
 		WithSlowThreshold(time.Millisecond),
 	)
 	if err := s.Register("svc", slow); err != nil {
@@ -109,10 +108,10 @@ func TestSlowRequestWatchdog(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
-	for m.slow.Value() == 0 && time.Now().Before(deadline) {
+	for s.m.slow.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := m.slow.Value(); got != 1 {
+	if got := s.m.slow.Value(); got != 1 {
 		t.Fatalf("slow counter = %d, want 1", got)
 	}
 	for !strings.Contains(buf.String(), "event=slow_request") && time.Now().Before(deadline) {

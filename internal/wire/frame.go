@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -347,6 +348,10 @@ func decodeResponse(payload []byte) (*Response, error) {
 	ms, size := binary.Uvarint(payload[1:])
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: truncated retry-after", ErrBadFrame)
+	}
+	if ms > math.MaxInt64/uint64(time.Millisecond) {
+		// Found by FuzzReadFrame: as a Duration this wraps negative.
+		return nil, fmt.Errorf("%w: retry-after %d ms", ErrBadFrame, ms)
 	}
 	msg, rest, err := consumeString(payload[1+size:], MaxFramePayload)
 	if err != nil {

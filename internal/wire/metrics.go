@@ -17,13 +17,15 @@ import (
 // (Server) families. Label cardinality is bounded by obs (64 values per
 // vec, overflow collapsing into "_other"), so endpoint- and op-labelled
 // families cannot grow without bound.
+//
+// Pool and Server hold their instruments by value and call them
+// directly: obs instruments are nil-safe, and a nil registry binds
+// nil instruments, so the zero poolMetrics/serverMetrics records
+// nothing. Only a label computation that allocates sits behind a nil
+// check of the vec it feeds.
 
-// ClientMetrics binds the client-side (Pool) metric families of a
-// registry. A nil *ClientMetrics — what NewClientMetrics returns for a
-// nil registry — records nothing, so instrumented paths need no
-// branches.
-type ClientMetrics struct {
-	reg          *obs.Registry
+// poolMetrics are the cosm_client_* instruments of one Pool.
+type poolMetrics struct {
 	latency      *obs.HistogramVec // cosm_client_call_seconds{endpoint}
 	status       *obs.CounterVec   // cosm_client_calls_total{status}
 	dials        *obs.Counter
@@ -35,14 +37,8 @@ type ClientMetrics struct {
 	breaker      *obs.CounterVec // cosm_client_breaker_transitions_total{to}
 }
 
-// NewClientMetrics creates (or interns) the cosm_client_* families in
-// reg. Returns nil on a nil registry.
-func NewClientMetrics(reg *obs.Registry) *ClientMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &ClientMetrics{
-		reg:          reg,
+func bindPoolMetrics(reg *obs.Registry) poolMetrics {
+	return poolMetrics{
 		latency:      reg.HistogramVec("cosm_client_call_seconds", "Per-attempt RPC latency by endpoint (dial included).", "endpoint", nil),
 		status:       reg.CounterVec("cosm_client_calls_total", "RPC attempts by outcome status.", "status"),
 		dials:        reg.Counter("cosm_client_dials_total", "Pool dial attempts."),
@@ -55,87 +51,13 @@ func NewClientMetrics(reg *obs.Registry) *ClientMetrics {
 	}
 }
 
-// ClientSnapshot is a point-in-time copy of the client-side families
-// for callers that render their own interval views (marketsim's
-// per-phase chaos table): take one snapshot per phase boundary and diff
-// adjacent pairs.
-type ClientSnapshot struct {
-	Calls   map[string]uint64           // attempts by status label
-	Latency map[string]obs.HistSnapshot // per-attempt latency by endpoint
-	Sheds   uint64
-	Retries uint64
-}
-
-// Snapshot copies the current client metric values (zero value on nil).
-func (m *ClientMetrics) Snapshot() ClientSnapshot {
-	if m == nil {
-		return ClientSnapshot{}
-	}
-	return ClientSnapshot{
-		Calls:   m.status.Snapshot(),
-		Latency: m.latency.Snapshot(),
-		Sheds:   m.sheds.Value(),
-		Retries: m.retries.Value(),
-	}
-}
-
 // observeAttempt records one call attempt's latency and outcome.
-func (m *ClientMetrics) observeAttempt(endpoint string, d time.Duration, err error) {
-	if m == nil {
+func (m *poolMetrics) observeAttempt(endpoint string, start time.Time, err error) {
+	if m.status == nil {
 		return
 	}
-	m.latency.With(endpoint).Observe(d.Seconds())
+	m.latency.With(endpoint).Observe(time.Since(start).Seconds())
 	m.status.With(attemptStatusLabel(err)).Inc()
-}
-
-// breakerTransition records one breaker state change.
-func (m *ClientMetrics) breakerTransition(to BreakerState) {
-	if m == nil {
-		return
-	}
-	m.breaker.With(string(to)).Inc()
-}
-
-func (m *ClientMetrics) dialStarted() {
-	if m == nil {
-		return
-	}
-	m.dials.Inc()
-}
-
-func (m *ClientMetrics) dialFailed() {
-	if m == nil {
-		return
-	}
-	m.dialFailures.Inc()
-}
-
-func (m *ClientMetrics) reuse() {
-	if m == nil {
-		return
-	}
-	m.reuses.Inc()
-}
-
-func (m *ClientMetrics) retry() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-}
-
-func (m *ClientMetrics) failedFast() {
-	if m == nil {
-		return
-	}
-	m.failFast.Inc()
-}
-
-func (m *ClientMetrics) shed() {
-	if m == nil {
-		return
-	}
-	m.sheds.Inc()
 }
 
 // attemptStatusLabel classifies one attempt's outcome into a bounded
@@ -165,9 +87,8 @@ func statusSlug(s Status) string {
 	return strings.ReplaceAll(s.String(), " ", "_")
 }
 
-// ServerMetrics binds the server-side metric families of a registry. A
-// nil *ServerMetrics records nothing.
-type ServerMetrics struct {
+// serverMetrics are the cosm_server_* instruments of one Server.
+type serverMetrics struct {
 	latency   *obs.HistogramVec // cosm_server_request_seconds{op}
 	status    *obs.CounterVec   // cosm_server_responses_total{status}
 	queueWait *obs.Histogram
@@ -178,13 +99,8 @@ type ServerMetrics struct {
 	inflight  *obs.Gauge
 }
 
-// NewServerMetrics creates (or interns) the cosm_server_* families in
-// reg. Returns nil on a nil registry.
-func NewServerMetrics(reg *obs.Registry) *ServerMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &ServerMetrics{
+func bindServerMetrics(reg *obs.Registry) serverMetrics {
+	return serverMetrics{
 		latency:   reg.HistogramVec("cosm_server_request_seconds", "Handler latency by service/op.", "op", nil),
 		status:    reg.CounterVec("cosm_server_responses_total", "Responses sent by status.", "status"),
 		queueWait: reg.Histogram("cosm_server_queue_wait_seconds", "Admission queue wait before a handler slot freed.", nil),
@@ -194,63 +110,4 @@ func NewServerMetrics(reg *obs.Registry) *ServerMetrics {
 		slow:      reg.Counter("cosm_server_slow_requests_total", "Requests exceeding the slow-request watchdog threshold."),
 		inflight:  reg.Gauge("cosm_server_inflight_requests", "Requests dispatched and not yet responded to."),
 	}
-}
-
-// observeHandled records one handled request's latency.
-func (m *ServerMetrics) observeHandled(op string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.latency.With(op).Observe(d.Seconds())
-}
-
-// observeResponse counts one outgoing response by status.
-func (m *ServerMetrics) observeResponse(s Status) {
-	if m == nil {
-		return
-	}
-	m.status.With(statusSlug(s)).Inc()
-}
-
-// observeQueueWait records one admission-queue wait.
-func (m *ServerMetrics) observeQueueWait(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.queueWait.Observe(d.Seconds())
-}
-
-func (m *ServerMetrics) shedOne() {
-	if m == nil {
-		return
-	}
-	m.sheds.Inc()
-}
-
-func (m *ServerMetrics) expireOne() {
-	if m == nil {
-		return
-	}
-	m.expired.Inc()
-}
-
-func (m *ServerMetrics) panicOne() {
-	if m == nil {
-		return
-	}
-	m.panics.Inc()
-}
-
-func (m *ServerMetrics) slowOne() {
-	if m == nil {
-		return
-	}
-	m.slow.Inc()
-}
-
-func (m *ServerMetrics) inflightAdd(delta int64) {
-	if m == nil {
-		return
-	}
-	m.inflight.Add(delta)
 }

@@ -94,7 +94,7 @@ func TestExpiredRequestNeverDispatched(t *testing.T) {
 
 	// ...and the server independently rejects a frame that arrives with
 	// an exhausted TTL (a 1µs budget is expired by the time it is read).
-	conn, err := DialConn(bound)
+	conn, err := DialConnContext(context.Background(), bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestShedWhenSaturated(t *testing.T) {
 	s, bound := startServerWith(t, "loop:shed", AdmissionPolicy{
 		MaxInFlight: 2,
 		MaxQueue:    0,
-		RetryAfter:  40 * time.Millisecond,
+		QueueWait:   40 * time.Millisecond,
 	}, map[string]Handler{"svc": h})
 	c, err := Dial(bound)
 	if err != nil {
@@ -290,56 +290,6 @@ func TestQueueWaitExceededSheds(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Status != StatusOverloaded {
 		t.Fatalf("err = %v, want StatusOverloaded after queue wait", err)
-	}
-}
-
-// One connection cannot monopolise the server: past MaxPerConn its
-// requests are shed even though server-wide slots remain.
-func TestPerConnLimit(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 16)
-	h := HandlerFunc(func(_ context.Context, _ string, _ *Request) *Response {
-		started <- struct{}{}
-		<-release
-		return &Response{Status: StatusOK}
-	})
-	_, bound := startServerWith(t, "loop:per-conn", AdmissionPolicy{
-		MaxInFlight: 8,
-		MaxPerConn:  1,
-	}, map[string]Handler{"svc": h})
-
-	c1, err := Dial(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	go func() {
-		_, _ = c1.Call(context.Background(), &Request{Service: "svc", Op: "X"})
-	}()
-	<-started
-
-	// Second request on the same connection: shed.
-	_, err = c1.Call(context.Background(), &Request{Service: "svc", Op: "X"})
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != StatusOverloaded {
-		t.Fatalf("same-conn err = %v, want StatusOverloaded", err)
-	}
-
-	// A different connection still has budget.
-	c2, err := Dial(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	ok := make(chan error, 1)
-	go func() {
-		_, err := c2.Call(context.Background(), &Request{Service: "svc", Op: "X"})
-		ok <- err
-	}()
-	<-started // the other connection's request was dispatched
-	close(release)
-	if err := <-ok; err != nil {
-		t.Fatalf("other-conn call failed: %v", err)
 	}
 }
 
@@ -480,7 +430,7 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 }
 
-// Pool.CallWith must back off at least the server's retry-after hint
+// Pool.Call must back off at least the server's retry-after hint
 // before retrying a shed attempt, and a shed must not trip the breaker.
 func TestPoolHonorsRetryAfterHint(t *testing.T) {
 	const hint = 60 * time.Millisecond
@@ -499,12 +449,12 @@ func TestPoolHonorsRetryAfterHint(t *testing.T) {
 	})
 	_, bound := startServer(t, "loop:retry-after", map[string]Handler{"svc": shedFirst})
 
-	p := NewPool(WithBreakerPolicy(BreakerPolicy{Threshold: 1, Cooldown: time.Hour}))
+	p := NewPool(withBreakerPolicy(BreakerPolicy{Threshold: 1, Cooldown: time.Hour}))
 	defer p.Close()
-	policy := CallPolicy{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}
+	policy := CallPolicy{MaxAttempts: 2}
 
 	start := time.Now()
-	if _, err := p.CallWith(context.Background(), bound, &Request{Service: "svc", Op: "X"}, policy); err != nil {
+	if _, err := p.callWith(context.Background(), bound, &Request{Service: "svc", Op: "X"}, policy); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)

@@ -8,8 +8,9 @@ import (
 )
 
 // CallPolicy bounds one logical RPC performed through a Pool: how long
-// each attempt may take, how many attempts are made, and how attempts
-// are spaced. The policy retries only *connection-class* failures
+// each attempt may take and how many attempts are made (retries are
+// spaced by a fixed jittered exponential backoff, see backoff). The
+// policy retries only *connection-class* failures
 // (dial failures, broken connections, per-attempt timeouts). Remote
 // application errors are never retried: the request reached a handler
 // that may have had side effects (see Transient). Note that a
@@ -23,30 +24,21 @@ type CallPolicy struct {
 	// AttemptTimeout bounds each individual attempt; 0 leaves attempts
 	// bounded only by the caller's context.
 	AttemptTimeout time.Duration
-	// BackoffBase is the delay before the first retry; each further
-	// retry doubles it, capped at BackoffMax.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential growth (0 means no cap).
-	BackoffMax time.Duration
-	// Jitter is the fraction of each backoff delay that is randomised
-	// away (0 disables jitter, 0.5 subtracts up to half the delay).
-	// Jitter desynchronises retry storms from many clients hitting the
-	// same recovering endpoint.
-	Jitter float64
 }
 
-// DefaultCallPolicy returns the policy a fresh Pool uses: three
-// attempts with short exponential backoff, each attempt bounded so one
-// black-holed endpoint cannot absorb a caller for long.
-func DefaultCallPolicy() CallPolicy {
-	return CallPolicy{
-		MaxAttempts:    3,
-		AttemptTimeout: 5 * time.Second,
-		BackoffBase:    20 * time.Millisecond,
-		BackoffMax:     500 * time.Millisecond,
-		Jitter:         0.5,
-	}
+// defaultCallPolicy returns the policy a fresh Pool uses: three
+// attempts, each bounded so one black-holed endpoint cannot absorb a
+// caller for long.
+func defaultCallPolicy() CallPolicy {
+	return CallPolicy{MaxAttempts: 3, AttemptTimeout: 5 * time.Second}
 }
+
+// Retry spacing: the delay before the first retry, doubled by each
+// further retry up to the cap.
+const (
+	backoffBase = 20 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
+)
 
 // attempts normalises MaxAttempts.
 func (p CallPolicy) attempts() int {
@@ -56,29 +48,18 @@ func (p CallPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-// backoff returns the delay before retry number retry (1-based).
-func (p CallPolicy) backoff(retry int) time.Duration {
-	d := p.BackoffBase
-	if d <= 0 {
-		return 0
-	}
-	for i := 1; i < retry; i++ {
+// backoff returns the delay before retry number retry (1-based): up to
+// half of it is randomised away, which desynchronises retry storms from
+// many clients hitting the same recovering endpoint.
+func backoff(retry int) time.Duration {
+	d := backoffBase
+	for i := 1; i < retry && d < backoffMax; i++ {
 		d *= 2
-		if p.BackoffMax > 0 && d >= p.BackoffMax {
-			d = p.BackoffMax
-			break
-		}
 	}
-	if p.BackoffMax > 0 && d > p.BackoffMax {
-		d = p.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
-	if p.Jitter > 0 {
-		cut := int64(float64(d) * p.Jitter)
-		if cut > 0 {
-			d -= time.Duration(rand.Int63n(cut + 1))
-		}
-	}
-	return d
+	return d - time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
 // attemptCtx derives the per-attempt context.

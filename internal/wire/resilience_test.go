@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cosm/internal/obs"
 )
 
 func TestTransientClassification(t *testing.T) {
@@ -180,7 +182,7 @@ func TestPoolCallRetriesTransient(t *testing.T) {
 			}
 			return DialConnContext(ctx, endpoint)
 		}),
-		WithCallPolicy(CallPolicy{MaxAttempts: 3, BackoffBase: time.Millisecond}),
+		WithCallPolicy(CallPolicy{MaxAttempts: 3}),
 	)
 	defer p.Close()
 
@@ -207,7 +209,7 @@ func TestPoolCallGivesUpOnRemoteError(t *testing.T) {
 			return &Response{Status: StatusAppError, ErrMsg: "no cars left"}
 		}),
 	})
-	p := NewPool(WithCallPolicy(CallPolicy{MaxAttempts: 5, BackoffBase: time.Millisecond}))
+	p := NewPool(WithCallPolicy(CallPolicy{MaxAttempts: 5}))
 	defer p.Close()
 
 	_, err := p.Call(context.Background(), bound, &Request{Service: "svc", Op: "Book"})
@@ -236,7 +238,7 @@ func TestPoolCallRetriesBadRequest(t *testing.T) {
 			return &Response{Status: StatusOK, Body: []byte("ok")}
 		}),
 	})
-	p := NewPool(WithCallPolicy(CallPolicy{MaxAttempts: 3, BackoffBase: time.Millisecond}))
+	p := NewPool(WithCallPolicy(CallPolicy{MaxAttempts: 3}))
 	defer p.Close()
 
 	body, err := p.Call(context.Background(), bound, &Request{Service: "svc", Op: "Get"})
@@ -259,7 +261,7 @@ func TestTimeoutKeepsSharedClientAndBreaker(t *testing.T) {
 			return &Response{Status: StatusOK, Body: []byte("late")}
 		}),
 	})
-	p := NewPool(WithBreakerPolicy(BreakerPolicy{Threshold: 2, Cooldown: time.Minute}))
+	p := NewPool(withBreakerPolicy(BreakerPolicy{Threshold: 2, Cooldown: time.Minute}))
 	defer p.Close()
 
 	c1, err := p.Get(context.Background(), bound)
@@ -269,7 +271,7 @@ func TestTimeoutKeepsSharedClientAndBreaker(t *testing.T) {
 
 	impatient := CallPolicy{MaxAttempts: 1, AttemptTimeout: 30 * time.Millisecond}
 	for i := 0; i < 4; i++ {
-		_, err := p.CallWith(context.Background(), bound, &Request{Service: "slow", Op: "x"}, impatient)
+		_, err := p.callWith(context.Background(), bound, &Request{Service: "slow", Op: "x"}, impatient)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("call %d err = %v, want DeadlineExceeded", i, err)
 		}
@@ -289,7 +291,7 @@ func TestTimeoutKeepsSharedClientAndBreaker(t *testing.T) {
 	}
 	// A patient caller still gets through on the same connection.
 	patient := CallPolicy{MaxAttempts: 1, AttemptTimeout: 5 * time.Second}
-	if body, err := p.CallWith(context.Background(), bound, &Request{Service: "slow", Op: "x"}, patient); err != nil || string(body) != "late" {
+	if body, err := p.callWith(context.Background(), bound, &Request{Service: "slow", Op: "x"}, patient); err != nil || string(body) != "late" {
 		t.Fatalf("patient call = %q, %v; want the late response", body, err)
 	}
 }
@@ -303,7 +305,7 @@ func TestDialHonorsAttemptContext(t *testing.T) {
 			<-ctx.Done() // SYN black hole: nothing ever answers
 			return nil, ctx.Err()
 		}),
-		WithCallPolicy(CallPolicy{MaxAttempts: 2, AttemptTimeout: 50 * time.Millisecond, BackoffBase: time.Millisecond}),
+		WithCallPolicy(CallPolicy{MaxAttempts: 2, AttemptTimeout: 50 * time.Millisecond}),
 	)
 	defer p.Close()
 
@@ -363,6 +365,7 @@ func (f *fakeClock) Advance(d time.Duration) {
 // fake clock.
 func TestBreakerLifecycle(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
+	events := obs.NewEventLog("pool", 16)
 	dialOK := atomic.Bool{}
 	var dials atomic.Int32
 	p := NewPool(
@@ -371,10 +374,11 @@ func TestBreakerLifecycle(t *testing.T) {
 			if !dialOK.Load() {
 				return nil, errors.New("down")
 			}
-			return DialConn("loop:breaker-live")
+			return DialConnContext(context.Background(), "loop:breaker-live")
 		}),
-		WithBreakerPolicy(BreakerPolicy{Threshold: 2, Cooldown: time.Minute}),
+		withBreakerPolicy(BreakerPolicy{Threshold: 2, Cooldown: time.Minute}),
 		WithPoolClock(clk.Now),
+		WithPoolEvents(events),
 	)
 	defer p.Close()
 	startServer(t, "loop:breaker-live", map[string]Handler{"echo": echoHandler()})
@@ -431,6 +435,17 @@ func TestBreakerLifecycle(t *testing.T) {
 	if _, err := p.Call(context.Background(), ep, &Request{Service: "echo", Op: "Hi"}); err != nil {
 		t.Fatalf("call after recovery: %v", err)
 	}
+	// The timeline names the endpoint and every state it went through.
+	var timeline []string
+	for _, e := range events.Events() {
+		if e.Kind != "breaker" || e.Attr["endpoint"] != ep {
+			t.Fatalf("unexpected event %+v", e)
+		}
+		timeline = append(timeline, e.Attr["to"])
+	}
+	if got, want := strings.Join(timeline, " "), "open half-open open half-open closed"; got != want {
+		t.Fatalf("breaker timeline = %q, want %q", got, want)
+	}
 }
 
 // TestBreakerHalfOpenAdmitsSingleProbe: during the half-open window
@@ -448,7 +463,7 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 			}
 			return nil, errors.New("down")
 		}),
-		WithBreakerPolicy(BreakerPolicy{Threshold: 1, Cooldown: time.Second}),
+		withBreakerPolicy(BreakerPolicy{Threshold: 1, Cooldown: time.Second}),
 		WithPoolClock(clk.Now),
 	)
 	defer p.Close()
@@ -482,7 +497,7 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 func TestWriteDeadlineUnwedgesStuckPeer(t *testing.T) {
 	us, them := net.Pipe()
 	defer them.Close()
-	c := NewClientConn("pipe:stuck", us)
+	c := newClientConn("pipe:stuck", us)
 	defer c.Close()
 
 	big := make([]byte, 1<<16) // larger than any pipe buffering
@@ -623,12 +638,10 @@ func TestPoolSurvivesFaultyTransport(t *testing.T) {
 		WithCallPolicy(CallPolicy{
 			MaxAttempts:    8,
 			AttemptTimeout: time.Second,
-			BackoffBase:    time.Millisecond,
-			BackoffMax:     10 * time.Millisecond,
 		}),
 		// Plenty of headroom: injected faults must not strand the
 		// endpoint behind an open breaker for this workload.
-		WithBreakerPolicy(BreakerPolicy{Threshold: 100, Cooldown: 10 * time.Millisecond}),
+		withBreakerPolicy(BreakerPolicy{Threshold: 100, Cooldown: 10 * time.Millisecond}),
 	)
 	defer p.Close()
 

@@ -48,21 +48,14 @@ type AdmissionPolicy struct {
 	// MaxInFlight caps concurrently executing handlers across the whole
 	// server; 0 means unlimited (no admission control at all).
 	MaxInFlight int
-	// MaxPerConn caps dispatched-but-unfinished requests per connection
-	// (queued included), so one greedy client cannot monopolise the
-	// server-wide budget; 0 means unlimited.
-	MaxPerConn int
 	// MaxQueue caps requests waiting for an in-flight slot (FIFO);
 	// beyond it requests are shed immediately. 0 means no queue: a
 	// saturated server sheds at once.
 	MaxQueue int
 	// QueueWait caps how long one request may wait for admission; a
-	// request that queues longer is shed. 0 applies a default of 100ms
-	// when queueing is enabled.
+	// request that queues longer is shed. It is also the backoff hint
+	// attached to shed responses. 0 applies a default of 100ms.
 	QueueWait time.Duration
-	// RetryAfter is the backoff hint attached to shed responses; 0
-	// derives it from QueueWait.
-	RetryAfter time.Duration
 }
 
 const defaultQueueWait = 100 * time.Millisecond
@@ -72,13 +65,6 @@ func (p AdmissionPolicy) queueWait() time.Duration {
 		return p.QueueWait
 	}
 	return defaultQueueWait
-}
-
-func (p AdmissionPolicy) retryAfter() time.Duration {
-	if p.RetryAfter > 0 {
-		return p.RetryAfter
-	}
-	return p.queueWait()
 }
 
 // ServerStats counts overload-protection events across a Server's
@@ -102,7 +88,7 @@ type ServerStats struct {
 type Server struct {
 	logf      func(format string, args ...any)
 	log       *obs.Logger
-	metrics   *ServerMetrics
+	m         serverMetrics
 	rec       *obs.SpanRecorder
 	slow      time.Duration // slow-request watchdog threshold (0 = off)
 	slowLast  atomic.Int64  // UnixNano of the last watchdog log line (sampling)
@@ -124,7 +110,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	services map[string]Handler
-	ln       Listener
+	ln       listener
 	conns    map[net.Conn]bool
 	closed   bool
 	draining bool
@@ -174,10 +160,10 @@ func WithServerLogger(l *obs.Logger) ServerOption {
 }
 
 // WithServerMetrics records request latency by op, responses by
-// status, admission queue waits, sheds, expiries and panics into m
-// (see NewServerMetrics). A nil m disables recording.
-func WithServerMetrics(m *ServerMetrics) ServerOption {
-	return func(s *Server) { s.metrics = m }
+// status, admission queue waits, sheds, expiries and panics into reg's
+// cosm_server_* families. A nil reg disables recording.
+func WithServerMetrics(reg *obs.Registry) ServerOption {
+	return func(s *Server) { s.m = bindServerMetrics(reg) }
 }
 
 // WithServerRecorder attaches the flight recorder: every traced request
@@ -239,59 +225,34 @@ func (s *Server) Register(name string, h Handler) error {
 	return nil
 }
 
-// Unregister removes a named service; unknown names are a no-op.
-func (s *Server) Unregister(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.services, name)
-}
-
-// ServiceNames returns the registered service names (unordered).
-func (s *Server) ServiceNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.services))
-	for n := range s.services {
-		names = append(names, n)
-	}
-	return names
-}
-
-// Serve starts accepting connections on ln and returns immediately. The
-// listener is owned by the server from here on: Close closes it.
-func (s *Server) Serve(ln Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrServerClosed
-	}
-	if s.ln != nil {
-		s.mu.Unlock()
-		return errors.New("wire: server already serving")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return nil
-}
-
-// ListenAndServe creates a listener for endpoint and serves on it,
-// returning the bound endpoint (useful with ephemeral TCP ports).
+// ListenAndServe creates a listener for endpoint, starts accepting
+// connections on it and returns the bound endpoint (useful with
+// ephemeral TCP ports) immediately. Close closes the listener.
 func (s *Server) ListenAndServe(endpoint string) (string, error) {
-	ln, err := Listen(endpoint)
+	ln, err := listen(endpoint)
 	if err != nil {
 		return "", err
 	}
-	if err := s.Serve(ln); err != nil {
+	s.mu.Lock()
+	switch {
+	case s.closed:
+		err = ErrServerClosed
+	case s.ln != nil:
+		err = errors.New("wire: server already serving")
+	default:
+		s.ln = ln
+	}
+	s.mu.Unlock()
+	if err != nil {
 		_ = ln.Close()
 		return "", err
 	}
+	s.wg.Add(1)
+	go s.acceptLoop(ln)
 	return ln.Endpoint(), nil
 }
 
-// Endpoint returns the serving endpoint ("" before Serve).
+// Endpoint returns the serving endpoint ("" before ListenAndServe).
 func (s *Server) Endpoint() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,7 +262,7 @@ func (s *Server) Endpoint() string {
 	return s.ln.Endpoint()
 }
 
-func (s *Server) acceptLoop(ln Listener) {
+func (s *Server) acceptLoop(ln listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -331,10 +292,6 @@ func (s *Server) acceptLoop(ln Listener) {
 type connState struct {
 	conn    net.Conn
 	writeMu sync.Mutex // serializes frame writes
-
-	// dispatched counts queued or executing requests on this connection
-	// (the MaxPerConn budget).
-	dispatched atomic.Int64
 
 	mu      sync.Mutex
 	cancels map[uint64]context.CancelFunc
@@ -450,7 +407,7 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 		// A 1µs TTL is the stamp of a caller at (or past) its deadline.
 		cancel()
 		s.expired.Add(1)
-		s.metrics.expireOne()
+		s.m.expired.Inc()
 		s.respond(cs, f.id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
 		return
 	}
@@ -460,11 +417,6 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 		return
 	}
 	p := s.admission
-	if p.MaxPerConn > 0 && cs.dispatched.Load() >= int64(p.MaxPerConn) {
-		cancel()
-		s.shedResponse(cs, f.id, "per-connection limit"+echo)
-		return
-	}
 
 	queueing := false
 	if s.sem != nil {
@@ -481,16 +433,14 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 		}
 	}
 
-	cs.dispatched.Add(1)
 	s.inflight.Add(1)
-	s.metrics.inflightAdd(1)
+	s.m.inflight.Add(1)
 	handlers.Add(1)
 	cs.register(f.id, cancel)
 	go func(id uint64, req *Request, ctx context.Context) {
 		defer handlers.Done()
 		defer s.inflight.Done()
-		defer s.metrics.inflightAdd(-1)
-		defer cs.dispatched.Add(-1)
+		defer s.m.inflight.Add(-1)
 		defer cs.unregister(id)
 		defer cancel()
 
@@ -503,7 +453,7 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 			select {
 			case s.sem <- struct{}{}:
 				wait.Stop()
-				s.metrics.observeQueueWait(time.Since(waitStart))
+				s.m.queueWait.Observe(time.Since(waitStart).Seconds())
 			case <-wait.C:
 				s.queued.Add(-1)
 				s.shedResponse(cs, id, "queue wait exceeded"+echo)
@@ -512,7 +462,7 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 				wait.Stop()
 				s.queued.Add(-1)
 				s.expired.Add(1)
-				s.metrics.expireOne()
+				s.m.expired.Inc()
 				s.respond(cs, id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
 				return
 			}
@@ -525,7 +475,7 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 		// waiting for a slot.
 		if ctx.Err() != nil {
 			s.expired.Add(1)
-			s.metrics.expireOne()
+			s.m.expired.Inc()
 			s.respond(cs, id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
 			return
 		}
@@ -552,7 +502,7 @@ func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			s.metrics.panicOne()
+			s.m.panics.Inc()
 			// The stack goes through the structured logger when one is
 			// configured, so the panic line carries the request's trace
 			// ID; otherwise through the plain logf fallback.
@@ -565,7 +515,7 @@ func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req
 			resp = &Response{Status: StatusAppError, ErrMsg: fmt.Sprintf("handler panic: %v", r)}
 		}
 		d := time.Since(start)
-		s.metrics.observeHandled(op, d)
+		s.m.latency.With(op).Observe(d.Seconds())
 		// Access log: one line per handled request, tagged with the
 		// trace carried by ctx.
 		if s.log != nil {
@@ -586,7 +536,7 @@ func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req
 			})
 		}
 		if s.slow > 0 && d >= s.slow {
-			s.metrics.slowOne()
+			s.m.slow.Inc()
 			// Sampled promotion: at most one watchdog line per second, so
 			// a systemic slowdown surfaces without flooding the log.
 			now := time.Now().UnixNano()
@@ -609,16 +559,18 @@ func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req
 // configured retry-after hint.
 func (s *Server) shedResponse(cs *connState, id uint64, why string) {
 	s.shed.Add(1)
-	s.metrics.shedOne()
+	s.m.sheds.Inc()
 	s.respond(cs, id, &Response{
 		Status:     StatusOverloaded,
 		ErrMsg:     why,
-		RetryAfter: s.admission.retryAfter(),
+		RetryAfter: s.admission.queueWait(),
 	})
 }
 
 func (s *Server) respond(cs *connState, id uint64, resp *Response) {
-	s.metrics.observeResponse(resp.Status)
+	if s.m.status != nil {
+		s.m.status.With(statusSlug(resp.Status)).Inc()
+	}
 	cs.writeMu.Lock()
 	defer cs.writeMu.Unlock()
 	// Bound the write so one wedged client socket cannot hold writeMu

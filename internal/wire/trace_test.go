@@ -124,7 +124,7 @@ func TestTracePropagatesToHandler(t *testing.T) {
 // failing caller can name the trace without any server-side log access.
 func TestErrorResponseEchoesTrace(t *testing.T) {
 	_, bound := startServer(t, "loop:trace-echo", map[string]Handler{"svc": echoHandler()})
-	conn, err := DialConn(bound)
+	conn, err := DialConnContext(context.Background(), bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,7 @@ func TestServerAccessLog(t *testing.T) {
 // and connection reuse across a pool-driven exchange.
 func TestClientServerMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	sm := NewServerMetrics(reg)
-	s := NewServer(WithServerLog(func(string, ...any) {}), WithServerMetrics(sm))
+	s := NewServer(WithServerLog(func(string, ...any) {}), WithServerMetrics(reg))
 	if err := s.Register("svc", echoHandler()); err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +228,7 @@ func TestClientServerMetrics(t *testing.T) {
 	}
 	defer s.Close()
 
-	cm := NewClientMetrics(reg)
-	pool := NewPool(WithPoolMetrics(cm))
+	pool := NewPool(WithPoolMetrics(reg))
 	defer pool.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := pool.Call(context.Background(), bound, &Request{Service: "svc", Op: "Ping"}); err != nil {
@@ -242,11 +240,11 @@ func TestClientServerMetrics(t *testing.T) {
 		t.Fatal("ghost service call succeeded")
 	}
 
-	snap := cm.Snapshot()
-	if snap.Calls["ok"] != 3 || snap.Calls["no_such_service"] != 1 {
-		t.Fatalf("client calls = %v", snap.Calls)
+	calls := pool.m.status.Snapshot()
+	if calls["ok"] != 3 || calls["no_such_service"] != 1 {
+		t.Fatalf("client calls = %v", calls)
 	}
-	lat := snap.Latency[bound]
+	lat := pool.m.latency.Snapshot()[bound]
 	if lat.Count != 4 {
 		t.Fatalf("latency count = %d, want 4", lat.Count)
 	}
@@ -266,16 +264,16 @@ func TestClientServerMetrics(t *testing.T) {
 		}
 	}
 
-	// Nil metrics wrappers are inert end to end.
-	var nilC *ClientMetrics
-	nilC.observeAttempt("x", time.Second, nil)
-	nilC.shed()
-	if s := nilC.Snapshot(); s.Calls != nil || s.Sheds != 0 {
-		t.Fatalf("nil snapshot = %+v", s)
+	// Instruments bound to a nil registry are inert end to end.
+	nilC := bindPoolMetrics(nil)
+	nilC.observeAttempt("x", time.Now(), nil)
+	nilC.sheds.Inc()
+	if n := len(nilC.status.Snapshot()); n != 0 || nilC.sheds.Value() != 0 {
+		t.Fatalf("nil-registry instruments recorded: %d statuses, %d sheds", n, nilC.sheds.Value())
 	}
-	var nilS *ServerMetrics
-	nilS.observeHandled("x", time.Second)
-	nilS.inflightAdd(1)
+	nilS := bindServerMetrics(nil)
+	nilS.latency.With("x").Observe(1)
+	nilS.inflight.Add(1)
 }
 
 // Breaker transitions surface through the notify hook:
@@ -300,5 +298,26 @@ func TestBreakerTransitionNotify(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("transitions = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestRoundTripAllocsNilRegistry pins what one Pool.Call round trip on
+// loop: allocates — client and server side together — with no registry,
+// recorder or logger bound: 35, the count at the commit before PR 23
+// replaced the metric adapter types by instruments held by value.
+// Instruments bound to a nil registry must stay free.
+func TestRoundTripAllocsNilRegistry(t *testing.T) {
+	_, bound := startServer(t, "loop:allocs", map[string]Handler{"echo": echoHandler()})
+	p := NewPool()
+	defer p.Close()
+	req := &Request{Service: "echo", Op: "N", Body: []byte("payload")}
+	call := func() {
+		if _, err := p.Call(context.Background(), bound, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // dial outside the measurement
+	if got := testing.AllocsPerRun(500, call); got != 35 {
+		t.Fatalf("round trip allocates %v, want 35", got)
 	}
 }

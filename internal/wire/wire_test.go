@@ -234,23 +234,18 @@ func TestRegisterErrors(t *testing.T) {
 	if err := s.Register("b", nil); err == nil {
 		t.Fatal("nil handler must fail")
 	}
-	s.Unregister("a")
-	if err := s.Register("a", echoHandler()); err != nil {
-		t.Fatalf("re-register after Unregister: %v", err)
-	}
-	names := s.ServiceNames()
-	if len(names) != 1 || names[0] != "a" {
-		t.Fatalf("ServiceNames = %v", names)
+	if len(s.services) != 1 || s.services["a"] == nil {
+		t.Fatalf("services = %v", s.services)
 	}
 }
 
 func TestLoopbackNameCollision(t *testing.T) {
-	ln, err := Listen("loop:collide")
+	ln, err := listen("loop:collide")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if _, err := Listen("loop:collide"); !errors.Is(err, ErrLoopInUse) {
+	if _, err := listen("loop:collide"); !errors.Is(err, ErrLoopInUse) {
 		t.Fatalf("err = %v, want ErrLoopInUse", err)
 	}
 }
@@ -263,11 +258,11 @@ func TestDialUnknownLoopback(t *testing.T) {
 
 func TestBadEndpoints(t *testing.T) {
 	for _, ep := range []string{"", "tcp", ":x", "tcp:", "udp:127.0.0.1:1"} {
-		if _, err := Listen(ep); err == nil {
-			t.Fatalf("Listen(%q) succeeded", ep)
+		if _, err := listen(ep); err == nil {
+			t.Fatalf("listen(%q) succeeded", ep)
 		}
-		if _, err := DialConn(ep); err == nil {
-			t.Fatalf("DialConn(%q) succeeded", ep)
+		if _, err := DialConnContext(context.Background(), ep); err == nil {
+			t.Fatalf("DialConnContext(%q) succeeded", ep)
 		}
 	}
 }
@@ -391,7 +386,7 @@ func TestPoolReusesClients(t *testing.T) {
 	if _, err := c3.Call(context.Background(), &Request{Service: "echo", Op: "Hi"}); err != nil {
 		t.Fatal(err)
 	}
-	p.Drop(bound)
+	p.drop(bound)
 	if _, err := c3.Call(context.Background(), &Request{Service: "echo", Op: "Hi"}); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("dropped client err = %v", err)
 	}
@@ -478,7 +473,7 @@ func TestGroupAnycast(t *testing.T) {
 
 func TestGarbageBytesToServer(t *testing.T) {
 	_, bound := startServer(t, "loop:garbage", map[string]Handler{"echo": echoHandler()})
-	conn, err := DialConn(bound)
+	conn, err := DialConnContext(context.Background(), bound)
 	if err != nil {
 		t.Fatal(err)
 	}
