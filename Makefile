@@ -38,7 +38,7 @@ layers:
 # each exported field of a *Policy/*Options/*Config struct in the
 # audited packages, who sets it and what fails without it. This fails
 # when the code has one the table lacks, or the table one the code lost.
-AUDITED := wire journal obs cosm daemon browser naming
+AUDITED := wire journal obs cosm daemon browser naming trader
 
 surface:
 	@have=$$(for p in $(AUDITED); do \

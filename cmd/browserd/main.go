@@ -18,12 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"cosm/internal/browser"
@@ -33,15 +30,7 @@ import (
 	"cosm/internal/ref"
 )
 
-func main() {
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("browserd: ")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := run(os.Args[1:], sig); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { daemon.Main("browserd", run) }
 
 // run starts the daemon and blocks until sig delivers or closes.
 func run(args []string, sig <-chan os.Signal) error {
@@ -79,38 +68,12 @@ func run(args []string, sig <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	node := cosm.NewNode(df.NodeOptions(logger.With("wire"))...)
-	if j != nil {
-		// Final flush+fsync after the drain, before connections close.
-		node.OnDrain(func() {
-			if err := j.Sync(); err != nil {
-				log.Printf("journal sync on drain: %v", err)
-			}
-		})
-	}
-	if err := node.Host(browser.ServiceName, svc); err != nil {
-		return err
-	}
-	endpoint, err := node.ListenAndServe(*listen)
+	node, stop, err := df.Serve(*listen, logger, j, map[string]*cosm.Service{browser.ServiceName: svc})
 	if err != nil {
 		return err
 	}
-	defer node.Close()
-	self := ref.New(endpoint, browser.ServiceName)
-
-	intro, err := df.Introspection(func() error {
-		if node.Draining() {
-			return errors.New("draining")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	defer intro.Close()
-	if intro != nil {
-		log.Printf("metrics at http://%s/metrics", intro.Addr())
-	}
+	defer stop()
+	self := node.MustRefFor(browser.ServiceName)
 
 	// In a cascade, deregister withdraws this browser's SID from the
 	// parent so cascaded lookups stop routing here during the drain.

@@ -18,12 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"cosm/internal/browser"
 	"cosm/internal/carrental"
@@ -34,15 +31,7 @@ import (
 	"cosm/internal/trader"
 )
 
-func main() {
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("carrentald: ")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := run(os.Args[1:], sig); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { daemon.Main("carrentald", run) }
 
 // run starts the daemon and blocks until sig delivers or closes.
 func run(args []string, sig <-chan os.Signal) error {
@@ -62,32 +51,13 @@ func run(args []string, sig <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(os.Stderr, "carrentald")
-	node := cosm.NewNode(df.NodeOptions(logger.With("wire"))...)
-	if err := node.Host(*name, svc); err != nil {
-		return err
-	}
-	endpoint, err := node.ListenAndServe(*listen)
+	node, stop, err := df.Serve(*listen, obs.NewLogger(os.Stderr, "carrentald"), nil, map[string]*cosm.Service{*name: svc})
 	if err != nil {
 		return err
 	}
-	defer node.Close()
-	self := ref.New(endpoint, *name)
+	defer stop()
+	self := node.MustRefFor(*name)
 	ctx := context.Background()
-
-	intro, err := df.Introspection(func() error {
-		if node.Draining() {
-			return errors.New("draining")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	defer intro.Close()
-	if intro != nil {
-		log.Printf("metrics at http://%s/metrics", intro.Addr())
-	}
 
 	var bc *browser.Client
 	if *browserRef != "" {

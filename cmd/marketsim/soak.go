@@ -63,7 +63,7 @@ const (
 
 // soakNode is one cluster member. The identity — index, data dir,
 // listen endpoint, fault injectors — survives kill/restart; the
-// trader, journal, node and loops are per-incarnation.
+// trader, journal, node and cell membership are per-incarnation.
 type soakNode struct {
 	idx       int
 	id        string
@@ -86,12 +86,11 @@ type soakNode struct {
 	inj         *journal.FaultInjector
 	node        *cosm.Node
 	pool        *wire.Pool
-	fl          *trader.Follower
-	mon         *trader.Monitor
+	cell        *trader.Cell
 }
 
 // start boots one incarnation: recover from the data dir, serve on the
-// fixed endpoint, arm the pull loop and the failover monitor.
+// fixed endpoint, join the cell.
 func (n *soakNode) start() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -146,36 +145,16 @@ func (n *soakNode) start() error {
 	// node's FaultNet, so partitions cut exactly what a real network
 	// partition would.
 	pool := wire.NewPool(wire.WithDialer(n.faults.Dial))
-	fl := trader.NewFollower(tr, nil, n.id)
-	fl.SetResolver(func(ctx context.Context, leaderRef string) (trader.ReplSource, error) {
-		r, err := ref.Parse(leaderRef)
-		if err != nil {
-			return nil, err
-		}
-		return trader.DialTrader(ctx, pool, r)
-	})
-	if hint := tr.LeaderHint(); hint != "" {
-		fl.Retarget(hint)
-	}
-	mon := trader.NewMonitor(tr, fl, trader.MonitorConfig{
-		SelfID:          n.id,
+	cell := tr.JoinCell(trader.CellConfig{
 		SelfRef:         n.ref.String(),
-		PeerRefs:        n.peers,
+		Peers:           n.peers,
+		Dial:            trader.PoolDial(pool),
 		ElectionTimeout: soakElectionTimeout,
-		Dial: func(ctx context.Context, peerRef string) (trader.ElectionPeer, error) {
-			r, err := ref.Parse(peerRef)
-			if err != nil {
-				return nil, err
-			}
-			return trader.DialTrader(ctx, pool, r)
-		},
-		OnPromote: n.onPromote,
+		OnPromote:       n.onPromote,
 	})
-	mon.Start()
-	fl.Start()
 
 	n.alive = true
-	n.tr, n.j, n.node, n.pool, n.fl, n.mon = tr, j, node, pool, fl, mon
+	n.tr, n.j, n.node, n.pool, n.cell = tr, j, node, pool, cell
 	return nil
 }
 
@@ -191,13 +170,12 @@ func (n *soakNode) kill() {
 	n.alive = false
 	n.wasFollower = n.tr.Role() == trader.RoleFollower
 	n.lastHint = n.tr.LeaderHint()
-	n.mon.Close()
-	n.fl.Close()
+	n.cell.Close()
 	n.node.Close()
 	n.pool.Close()
 	_ = n.j.Close()
 	_ = n.vl.Close()
-	n.tr, n.j, n.vl, n.node, n.pool, n.fl, n.mon = nil, nil, nil, nil, nil, nil, nil
+	n.tr, n.j, n.vl, n.node, n.pool, n.cell = nil, nil, nil, nil, nil, nil
 }
 
 // snapshot returns the live handles of the current incarnation (nil
@@ -257,7 +235,7 @@ func newSoakChecker(nodes []*soakNode, viol *soakViolations) *soakChecker {
 }
 
 // onElect observes one election win (wired into every incarnation's
-// MonitorConfig.OnPromote): quorum fencing must make wins unique per
+// CellConfig.OnPromote): quorum fencing must make wins unique per
 // epoch across the whole run, restarts included.
 func (c *soakChecker) onElect(id string, epoch uint64) {
 	c.electMu.Lock()
@@ -468,7 +446,6 @@ func runSoak(w io.Writer, sc soakConfig) error {
 	for _, n := range nodes[1:] {
 		tr, _, _, _ := n.snapshot()
 		tr.SetFollower(refs[0].String())
-		n.fl.Retarget(refs[0].String())
 	}
 	if err := n0.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
 		return err

@@ -54,7 +54,6 @@ func TestLeaderKillTimeline(t *testing.T) {
 	for _, n := range nodes[1:] {
 		tr, _, _, _ := n.snapshot()
 		tr.SetFollower(refs[0].String())
-		n.fl.Retarget(refs[0].String())
 	}
 	if err := n0.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
 		t.Fatal(err)

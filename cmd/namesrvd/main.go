@@ -11,29 +11,17 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"cosm/internal/cosm"
 	"cosm/internal/daemon"
 	"cosm/internal/naming"
 	"cosm/internal/obs"
-	"cosm/internal/ref"
 )
 
-func main() {
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("namesrvd: ")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := run(os.Args[1:], sig); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { daemon.Main("namesrvd", run) }
 
 // run starts the daemon and blocks until sig delivers or closes.
 func run(args []string, sig <-chan os.Signal) error {
@@ -52,36 +40,17 @@ func run(args []string, sig <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(os.Stderr, "namesrvd")
-	node := cosm.NewNode(df.NodeOptions(logger.With("wire"))...)
-	if err := node.Host(naming.ServiceName, nameSvc); err != nil {
-		return err
-	}
-	if err := node.Host(naming.GroupServiceName, groupSvc); err != nil {
-		return err
-	}
-	endpoint, err := node.ListenAndServe(*listen)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-
-	intro, err := df.Introspection(func() error {
-		if node.Draining() {
-			return errors.New("draining")
-		}
-		return nil
+	node, stop, err := df.Serve(*listen, obs.NewLogger(os.Stderr, "namesrvd"), nil, map[string]*cosm.Service{
+		naming.ServiceName:      nameSvc,
+		naming.GroupServiceName: groupSvc,
 	})
 	if err != nil {
 		return err
 	}
-	defer intro.Close()
-	if intro != nil {
-		log.Printf("metrics at http://%s/metrics", intro.Addr())
-	}
+	defer stop()
 
-	log.Printf("name server at %s", ref.New(endpoint, naming.ServiceName))
-	log.Printf("group manager at %s", ref.New(endpoint, naming.GroupServiceName))
+	log.Printf("name server at %s", node.MustRefFor(naming.ServiceName))
+	log.Printf("group manager at %s", node.MustRefFor(naming.GroupServiceName))
 	s := <-sig
 	log.Printf("received %v, draining", s)
 	return df.Drain(node, nil, log.Printf)

@@ -23,9 +23,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"cosm/internal/cosm"
@@ -49,15 +47,7 @@ func (l *stringList) Set(s string) error {
 	return nil
 }
 
-func main() {
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("traderd: ")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := run(os.Args[1:], sig); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { daemon.Main("traderd", run) }
 
 // run starts the daemon and blocks until sig delivers or closes.
 func run(args []string, sig <-chan os.Signal) error {
@@ -165,6 +155,7 @@ func run(args []string, sig <-chan os.Signal) error {
 	// promoted leader journals its new epoch before anyone can pull it.
 	if *follow != "" {
 		tr.SetFollower(*follow)
+		log.Printf("following leader at %s", *follow)
 	}
 	if *promote {
 		e := *epoch
@@ -181,78 +172,34 @@ func run(args []string, sig <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	node := cosm.NewNode(df.NodeOptions(logger.With("wire"))...)
-	if j != nil {
-		// Final flush+fsync after the drain, before connections close:
-		// state written by requests served during the drain is durable.
-		node.OnDrain(func() {
-			if err := j.Sync(); err != nil {
-				log.Printf("journal sync on drain: %v", err)
-			}
-		})
-	}
-	if err := node.Host(trader.ServiceName, svc); err != nil {
-		return err
-	}
-	endpoint, err := node.ListenAndServe(*listen)
+	node, stop, err := df.Serve(*listen, logger, j, map[string]*cosm.Service{trader.ServiceName: svc})
 	if err != nil {
 		return err
 	}
-	defer node.Close()
-
-	intro, err := df.Introspection(func() error {
-		if node.Draining() {
-			return errors.New("draining")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	defer intro.Close()
-	if intro != nil {
-		log.Printf("metrics at http://%s/metrics", intro.Addr())
-	}
+	defer stop()
+	self := node.MustRefFor(trader.ServiceName)
 
 	ctx := context.Background()
 	if *follow != "" || *autoFail {
-		// The pull loop resolves its leader lazily: under auto-failover
-		// the leader changes at run time (elections, demote-rejoin), and
-		// even a fixed -follow target may simply not be up yet.
-		fl := trader.NewFollower(tr, nil, *id)
-		fl.SetResolver(func(ctx context.Context, leaderRef string) (trader.ReplSource, error) {
-			r, err := ref.Parse(leaderRef)
-			if err != nil {
-				return nil, err
-			}
-			return trader.DialTrader(ctx, node.Pool(), r)
-		})
-		if *follow != "" {
-			fl.Retarget(*follow)
-			log.Printf("following leader at %s", *follow)
-		}
+		// One cell member either way: with -cluster peers it detects a
+		// dead leader and stands for election, without them it is a plain
+		// read replica. The leader is dialled lazily — it changes at run
+		// time under auto-failover, and even a fixed -follow target may
+		// simply not be up yet.
+		cfg := trader.CellConfig{SelfRef: self.String(), Dial: trader.PoolDial(node.Pool())}
 		if *autoFail {
-			mon := trader.NewMonitor(tr, fl, trader.MonitorConfig{
-				SelfID:          *id,
-				SelfRef:         ref.New(endpoint, trader.ServiceName).String(),
-				PeerRefs:        cluster,
-				ElectionTimeout: *electTO,
-				Dial: func(ctx context.Context, peerRef string) (trader.ElectionPeer, error) {
-					r, err := ref.Parse(peerRef)
-					if err != nil {
-						return nil, err
-					}
-					return trader.DialTrader(ctx, node.Pool(), r)
-				},
-				OnPromote: func(e uint64) { log.Printf("auto-promoted to leader at epoch %d", e) },
-			})
-			mon.Start()
-			defer mon.Close()
+			cfg.Peers = cluster
+			cfg.ElectionTimeout = *electTO
+			cfg.OnPromote = func(e uint64) { log.Printf("auto-promoted to leader at epoch %d", e) }
 			log.Printf("auto-failover armed: cluster of %d, election timeout %v", len(cluster)+1, *electTO)
 		}
-		fl.Start()
-		defer fl.Close()
+		defer tr.JoinCell(cfg).Close()
 	}
+	// Offer liveness: expired leases are reclaimed and dead providers'
+	// offers suspected, then withdrawn. A follower's sweeps do nothing.
+	sw := trader.NewSweeper(tr, node.Pool())
+	sw.Start()
+	defer sw.Close()
 	// The link dialer lets the wire-level LinkAdd operation (cosmcli
 	// links add) resolve peer references over this node's pool.
 	tr.SetLinkDialer(func(ctx context.Context, peer ref.ServiceRef) (trader.Federate, error) {
@@ -285,7 +232,7 @@ func run(args []string, sig <-chan os.Signal) error {
 		log.Printf("gossiping offer summaries every %v", *gossip)
 	}
 
-	log.Printf("trader %q serving at %s", *id, ref.New(endpoint, trader.ServiceName))
+	log.Printf("trader %q serving at %s", *id, self)
 	s := <-sig
 	log.Printf("received %v, draining", s)
 	// The trader registers nothing at other services; its exporters own

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,12 +52,11 @@ func haEndpoints(tb testing.TB, n int) ([]string, []ref.ServiceRef) {
 }
 
 // haNode is one self-healing cluster member for these tests: a trader
-// served over TCP on a fixed endpoint, with its pull loop and failover
-// monitor. down/serve cycle the whole incarnation; the trader itself
-// stays in memory, modelling a process whose network died and revived.
+// served over TCP on a fixed endpoint, a member of its cell. down/serve
+// cycle the whole incarnation; the trader itself stays in memory,
+// modelling a process whose network died and revived.
 type haNode struct {
 	tb       testing.TB
-	id       string
 	endpoint string
 	ref      ref.ServiceRef
 	peers    []string
@@ -64,8 +64,30 @@ type haNode struct {
 
 	node *cosm.Node
 	pool *wire.Pool
-	fl   *trader.Follower
-	mon  *trader.Monitor
+	cell *trader.Cell
+
+	// pullCut fails this member's replication pulls while its votes and
+	// status scans still get through: it falls behind, yet stays in the
+	// cell.
+	pullCut atomic.Bool
+}
+
+// cutPeer is a dialled peer whose ReplPull obeys the owner's pullCut,
+// a long poll already in flight when the cut falls included.
+type cutPeer struct {
+	trader.CellPeer
+	cut *atomic.Bool
+}
+
+func (p cutPeer) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*trader.ReplBatch, error) {
+	if p.cut.Load() {
+		return nil, errors.New("pull cut")
+	}
+	b, err := p.CellPeer.ReplPull(ctx, followerID, epoch, afterSeq, max, wait)
+	if p.cut.Load() {
+		return nil, errors.New("pull cut")
+	}
+	return b, err
 }
 
 func newHACluster(tb testing.TB, traders []*trader.Trader, endpoints []string, refs []ref.ServiceRef) []*haNode {
@@ -78,10 +100,7 @@ func newHACluster(tb testing.TB, traders []*trader.Trader, endpoints []string, r
 				peers = append(peers, refs[j].String())
 			}
 		}
-		nodes[i] = &haNode{
-			tb: tb, id: fmt.Sprintf("ha%d", i),
-			endpoint: endpoints[i], ref: refs[i], peers: peers, tr: tr,
-		}
+		nodes[i] = &haNode{tb: tb, endpoint: endpoints[i], ref: refs[i], peers: peers, tr: tr}
 	}
 	return nodes
 }
@@ -100,32 +119,16 @@ func (n *haNode) serve() {
 		n.tb.Fatal(err)
 	}
 	n.pool = wire.NewPool()
-	n.fl = trader.NewFollower(n.tr, nil, n.id)
-	n.fl.SetResolver(func(ctx context.Context, leaderRef string) (trader.ReplSource, error) {
-		r, err := ref.Parse(leaderRef)
-		if err != nil {
-			return nil, err
-		}
-		return trader.DialTrader(ctx, n.pool, r)
-	})
-	if hint := n.tr.LeaderHint(); hint != "" {
-		n.fl.Retarget(hint)
-	}
-	n.mon = trader.NewMonitor(n.tr, n.fl, trader.MonitorConfig{
-		SelfID:          n.id,
+	dial := trader.PoolDial(n.pool)
+	n.cell = n.tr.JoinCell(trader.CellConfig{
 		SelfRef:         n.ref.String(),
-		PeerRefs:        n.peers,
+		Peers:           n.peers,
 		ElectionTimeout: haElectionTimeout,
-		Dial: func(ctx context.Context, peerRef string) (trader.ElectionPeer, error) {
-			r, err := ref.Parse(peerRef)
-			if err != nil {
-				return nil, err
-			}
-			return trader.DialTrader(ctx, n.pool, r)
+		Dial: func(ctx context.Context, memberRef string) (trader.CellPeer, error) {
+			p, err := dial(ctx, memberRef)
+			return cutPeer{p, &n.pullCut}, err
 		},
 	})
-	n.mon.Start()
-	n.fl.Start()
 	n.tb.Cleanup(n.down)
 }
 
@@ -133,11 +136,10 @@ func (n *haNode) down() {
 	if n.node == nil {
 		return
 	}
-	n.mon.Close()
-	n.fl.Close()
+	n.cell.Close()
 	_ = n.node.Close()
 	n.pool.Close()
-	n.node, n.pool, n.fl, n.mon = nil, nil, nil, nil
+	n.node, n.pool, n.cell = nil, nil, nil
 }
 
 // haWait polls until cond holds or the deadline passes.
@@ -208,10 +210,10 @@ func TestFailureAutoFailoverElectsMaxApplied(t *testing.T) {
 		return ahead.ReplApplied() == behind.ReplApplied() && ahead.ReplApplied() > 0
 	})
 
-	// Freeze ha2's pull loop, then keep exporting: replication stays
+	// Cut ha2's pulls, then keep exporting: replication stays
 	// synchronous through ha1 alone, so ha2 falls behind on records the
 	// cluster acknowledged.
-	nodes[2].fl.Close()
+	nodes[2].pullCut.Store(true)
 	for i := 5; i < 10; i++ {
 		export(i)
 	}

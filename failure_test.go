@@ -559,13 +559,7 @@ func TestFailureLeaderCrashPromoteReplica(t *testing.T) {
 	follower := openHATrader("HA", t.TempDir())
 	follower.SetFollower(leaderRef.String())
 	fnode, followerRef := serveTrader(follower)
-	src, err := trader.DialTrader(ctx, fnode.Pool(), leaderRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := trader.NewFollower(follower, src, "replica-1")
-	fl.Start()
-	defer fl.Close()
+	defer follower.JoinCell(trader.CellConfig{Dial: trader.PoolDial(fnode.Pool())}).Close()
 
 	// Trade against the leader: with -repl-sync semantics every export
 	// below has been pulled by the replica before it returns.

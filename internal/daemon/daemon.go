@@ -1,7 +1,10 @@
-// Package daemon holds the overload-protection and observability
-// plumbing shared by the COSM daemons (traderd, browserd, namesrvd,
-// carrentald): the admission control flags, the metrics endpoint, and
-// the SIGTERM drain sequence. Every daemon exposes the same knobs —
+// Package daemon is the skeleton the COSM daemons (traderd, browserd,
+// namesrvd, carrentald) share: Main is their main function, Flags their
+// common flags, Flags.Serve the node they stand up — admission control,
+// instrumentation, the journal's drain-time sync, the metrics endpoint —
+// and Flags.Drain the SIGTERM sequence. A daemon keeps only what differs:
+// its own flags, its services, what it deregisters. Every daemon exposes
+// the same knobs —
 //
 //	-max-inflight   bound on concurrently served requests
 //	-max-queue      admission queue beyond that bound
@@ -23,7 +26,12 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"cosm/internal/cosm"
@@ -31,6 +39,19 @@ import (
 	"cosm/internal/obs"
 	"cosm/internal/wire"
 )
+
+// Main is a daemon's main function: it prefixes the process log with
+// name, runs the daemon on the command line until SIGINT/SIGTERM, and
+// exits non-zero when run fails. run blocks until sig delivers or closes.
+func Main(name string, run func(args []string, sig <-chan os.Signal) error) {
+	log.SetFlags(log.LstdFlags)
+	log.SetPrefix(name + ": ")
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], sig); err != nil {
+		log.Fatal(err)
+	}
+}
 
 // Flags are the shared daemon tuning knobs, registered by Register.
 type Flags struct {
@@ -157,6 +178,49 @@ func (f *Flags) NodeOptions(l *obs.Logger) []cosm.NodeOption {
 		opts = append(opts, cosm.WithNodeSlowThreshold(time.Duration(f.SlowMS)*time.Millisecond))
 	}
 	return opts
+}
+
+// Serve stands the daemon's node up: built from NodeOptions (logging
+// through l's "wire" child), hosting services by name, listening on the
+// listen endpoint, with the introspection endpoint beside it answering
+// /healthz 503 once the node drains. A non-nil j gets its final
+// flush+fsync after the drain, before connections close, so state
+// written by requests served during the drain is durable. stop closes
+// the endpoint and the node.
+func (f *Flags) Serve(listen string, l *obs.Logger, j *journal.Journal, services map[string]*cosm.Service) (*cosm.Node, func(), error) {
+	node := cosm.NewNode(f.NodeOptions(l.With("wire"))...)
+	fail := func(err error) (*cosm.Node, func(), error) {
+		_ = node.Close()
+		return nil, nil, err
+	}
+	if j != nil {
+		node.OnDrain(func() {
+			if err := j.Sync(); err != nil {
+				log.Printf("journal sync on drain: %v", err)
+			}
+		})
+	}
+	for name, svc := range services {
+		if err := node.Host(name, svc); err != nil {
+			return fail(err)
+		}
+	}
+	if _, err := node.ListenAndServe(listen); err != nil {
+		return fail(err)
+	}
+	intro, err := f.Introspection(func() error {
+		if node.Draining() {
+			return errors.New("draining")
+		}
+		return nil
+	})
+	if err != nil {
+		return fail(err)
+	}
+	if intro != nil {
+		log.Printf("metrics at http://%s/metrics", intro.Addr())
+	}
+	return node, func() { _ = intro.Close(); _ = node.Close() }, nil
 }
 
 // Introspection starts the daemon's metrics endpoint when -metrics-addr

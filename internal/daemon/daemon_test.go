@@ -1,11 +1,13 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"sort"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"cosm/internal/cosm"
+	"cosm/internal/journal"
 	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
@@ -199,6 +202,83 @@ func TestDrainNilDeregister(t *testing.T) {
 	}
 	if err := f.Drain(node, nil, func(string, ...any) {}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeDrainsOnce drives the skeleton every daemon shares: Serve
+// hosts and listens, /healthz turns 503 once the node drains, and the
+// journal's drain-time Sync runs exactly once — observed on a disk whose
+// first fsync fails, where every Sync call would log its own error and
+// the failure must not abort the drain.
+func TestServeDrainsOnce(t *testing.T) {
+	fs := flag.NewFlagSet("d", flag.ContinueOnError)
+	f := Register(fs)
+	if err := fs.Parse([]string{"-metrics-addr", "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+	inj := journal.NewFaultInjector().FailFrom(journal.FaultFsync, 1, errors.New("disk on fire"))
+	j, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncNever, FaultHook: inj.Hook()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Start(func() ([]byte, error) { return []byte("{}"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	sid, err := sidl.Parse("module Tiny { interface COSM_Operations { void Nop(); }; };")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := cosm.NewService(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+	node, stop, err := f.Serve("loop:daemon-serve", nil, j, map[string]*cosm.Service{"Tiny": svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if err := cosm.Ping(context.Background(), node.Pool(), node.MustRefFor("Tiny")); err != nil {
+		t.Fatalf("hosted service does not answer: %v", err)
+	}
+	_, after, ok := strings.Cut(logged.String(), "metrics at http://")
+	if !ok {
+		t.Fatalf("Serve did not announce the metrics endpoint: %q", logged.String())
+	}
+	healthz := "http://" + strings.TrimSuffix(strings.TrimSpace(after), "/metrics") + "/healthz"
+	status := func() int {
+		resp, err := http.Get(healthz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := status(); code != http.StatusOK {
+		t.Fatalf("/healthz before the drain = %d", code)
+	}
+
+	if _, err := j.Append([]byte("unsynced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Drain(node, nil, t.Logf); err != nil {
+		t.Fatalf("a failed drain-time sync aborted the drain: %v", err)
+	}
+	if code := status(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz after the drain began = %d, want 503", code)
+	}
+	if n := strings.Count(logged.String(), "journal sync on drain"); n != 1 || inj.Count(journal.FaultFsync) != 1 {
+		t.Fatalf("drain-time Sync logged %d failures over %d fsync attempts, want exactly one of each:\n%s",
+			n, inj.Count(journal.FaultFsync), logged.String())
+	}
+
+	// A service that cannot be hosted fails Serve before anything listens.
+	if _, _, err := f.Serve("loop:daemon-serve-nil", nil, nil, map[string]*cosm.Service{"Nil": nil}); err == nil {
+		t.Fatal("Serve hosted a nil service")
 	}
 }
 

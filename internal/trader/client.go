@@ -34,7 +34,10 @@ type Client struct {
 	leader *cosm.Conn
 }
 
-var _ Federate = (*Client)(nil)
+var (
+	_ Federate = (*Client)(nil)
+	_ CellPeer = (*Client)(nil)
+)
 
 // DialTrader binds to the trader behind r.
 func DialTrader(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*Client, error) {
@@ -43,6 +46,18 @@ func DialTrader(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*Client
 		return nil, err
 	}
 	return &Client{pool: pool, conn: conn, fid: r.String()}, nil
+}
+
+// PoolDial is the CellDial of a deployed member: parse the ref, bind a
+// *Client over pool.
+func PoolDial(pool *wire.Pool) CellDial {
+	return func(ctx context.Context, memberRef string) (CellPeer, error) {
+		r, err := ref.Parse(memberRef)
+		if err != nil {
+			return nil, err
+		}
+		return DialTrader(ctx, pool, r)
+	}
 }
 
 // FederationID identifies the remote trader by its reference.
@@ -310,12 +325,9 @@ func (c *Client) ExchangeSummary(ctx context.Context, s OfferSummary) (OfferSumm
 	return theirs, nil
 }
 
-var _ ReplSource = (*Client)(nil)
-
 // ReplPull pulls one replication batch from the remote trader: up to
 // max journal records after afterSeq, long-polling up to wait for new
-// ones. The client implements ReplSource, so a follower's pull loop
-// works over the wire exactly like in-process.
+// ones. With RequestVote and ReplStatus it makes the client a CellPeer.
 func (c *Client) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error) {
 	var w replBatchWire
 	if err := c.call(ctx, "ReplPull", &w, followerID, epoch, afterSeq, max, int64(wait/time.Millisecond)); err != nil {
@@ -343,12 +355,8 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 	return st, nil
 }
 
-var _ ElectionPeer = (*Client)(nil)
-
 // RequestVote asks the remote trader for its vote in an election for
-// newEpoch, declaring the candidate's applied position. The client
-// implements ElectionPeer, so the failover monitor's election round
-// works over the wire exactly like in-process.
+// newEpoch, declaring the candidate's applied position.
 func (c *Client) RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error) {
 	var v Vote
 	if err := c.call(ctx, "RequestVote", &v, candidateID, newEpoch, applied); err != nil {

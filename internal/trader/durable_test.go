@@ -183,7 +183,7 @@ func TestDurablePurgeReplay(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1_000_000, 0)
 	clock := func() time.Time { return now }
-	tr1, _ := newDurableTrader(t, "T", dir, journal.Options{Fsync: journal.FsyncAlways}, WithClock(clock))
+	tr1, _ := newDurableTrader(t, "T", dir, journal.Options{Fsync: journal.FsyncAlways}, withClock(clock))
 	if err := tr1.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDurablePurgeReplay(t *testing.T) {
 		t.Fatalf("PurgeExpired = %d", n)
 	}
 
-	tr2, j2 := newDurableTrader(t, "T", dir, journal.Options{Fsync: journal.FsyncAlways}, WithClock(clock))
+	tr2, j2 := newDurableTrader(t, "T", dir, journal.Options{Fsync: journal.FsyncAlways}, withClock(clock))
 	defer j2.Close()
 	if _, ok := tr2.core.Lookup(short); ok {
 		t.Fatalf("purged offer %q resurrected by recovery", short)

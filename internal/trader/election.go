@@ -1,25 +1,9 @@
 package trader
 
-// Automatic failover: each node of a replicated trader group runs a
-// Monitor. Followers watch their leader's health through the pull loop
-// — N consecutive failed pulls (the suspicion window) mark the leader
-// suspect and trigger an election. A candidate asks every other
-// configured cluster member for a vote at the next epoch, carrying its
-// applied position; a member grants at most one vote per epoch
-// (in-memory vote lock), only to candidates at least as advanced as
-// itself, and only when its own leader link looks dead too (the health
-// veto). Promotion requires acknowledgements from a majority of the
-// configured cluster — the candidate's own vote included — so a
-// partitioned minority can never assemble a quorum and mint a second
-// leader for an epoch. The winner journals the new epoch through the
-// exact same Promote path an operator would use.
-//
-// Leaders run the same Monitor in the other direction: a periodic scan
-// for a higher epoch in the cluster. A leader that was deposed while
-// down (the group elected past it) discovers the winner there and
-// demote-rejoins as its follower — catching up through the ordinary
-// pull path, with its divergent unacknowledged tail rewound by the
-// first snapshot install — instead of staying fenced-and-dead.
+// The vote protocol of automatic failover: what a member answers when a
+// candidate asks to lead (RequestVote), and the per-epoch vote lock that
+// makes a majority exclusive. The loop that detects a dead leader and
+// stands for election is the Cell's monitor, in cell.go.
 //
 // Vote pledges are durable when a vote ledger is attached (SetVoteLog):
 // the (epoch, candidate) pair is fsynced into a per-node sidecar file
@@ -31,12 +15,8 @@ package trader
 
 import (
 	"context"
-	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Vote is one member's reply to a RequestVote exchange. Granted aside,
@@ -75,7 +55,7 @@ func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, 
 		// Max-applied wins: granting would let a candidate missing
 		// acknowledged records take over and lose them.
 		deny = "behind_applied"
-	case t.pullHealthy():
+	case t.repl.pullHealthy(t.now()):
 		// Our own pulls from the leader succeeded within the veto
 		// window: the "dead" leader is probably just partitioned from
 		// the candidate. Denying here stops a flapping minority link
@@ -160,22 +140,10 @@ func (t *Trader) electionTarget() uint64 {
 // electionApplied is the position votes compare: the applied pull
 // position on a follower, the journal tail on a leader.
 func (t *Trader) electionApplied() uint64 {
-	if !t.repl.follower.Load() && t.journal != nil {
+	if !t.repl.isFollower() && t.journal != nil {
 		return t.journal.Stats().LastSeq
 	}
 	return t.repl.applied.Load()
-}
-
-// pullHealthy reports whether this follower's own pulls succeeded
-// within the vote health-veto window (0 disables the veto; NewMonitor
-// arms it with the election timeout).
-func (t *Trader) pullHealthy() bool {
-	w := t.repl.voteHealthWindow.Load()
-	if w <= 0 || !t.repl.follower.Load() {
-		return false
-	}
-	last := t.repl.lastPullOK.Load()
-	return last != 0 && t.now().UnixNano()-last < w
 }
 
 // journalFailed reports whether the attached journal latched fail-stop.
@@ -205,404 +173,4 @@ func LeaderHintFromError(err error) (string, bool) {
 		return "", false
 	}
 	return s, true
-}
-
-// ElectionPeer is what the failover monitor needs from another cluster
-// member — implemented by *Client (over the wire) and by *Trader
-// directly (in-process tests and the soak harness).
-type ElectionPeer interface {
-	RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error)
-	ReplStatus(ctx context.Context) (ReplStatus, error)
-}
-
-// ReplStatus lets a *Trader serve as an in-process ElectionPeer.
-func (t *Trader) ReplStatus(ctx context.Context) (ReplStatus, error) {
-	return t.Status(), nil
-}
-
-// MonitorConfig parameterises a failover Monitor.
-type MonitorConfig struct {
-	// SelfID identifies this node in vote requests; it must be unique
-	// within the cluster (the vote lock is keyed by it).
-	SelfID string
-	// SelfRef is this node's own service ref, so peer status hints
-	// naming it are recognised as "us" and never chased.
-	SelfRef string
-	// PeerRefs are the refs of the OTHER configured cluster members;
-	// the quorum rule counts len(PeerRefs)+1 members total.
-	PeerRefs []string
-	// Dial resolves a peer ref into an ElectionPeer. Dialing is lazy
-	// and retried, so members may come up in any order.
-	Dial func(ctx context.Context, ref string) (ElectionPeer, error)
-	// Suspicion is how many consecutive failed pulls mark the leader
-	// suspect (default 3).
-	Suspicion int
-	// ElectionTimeout bounds one election round, paces the monitor's
-	// periodic scans, and doubles as the voter health-veto window
-	// (default 2s).
-	ElectionTimeout time.Duration
-	// OnPromote, when set, observes a successful auto-promotion (the
-	// daemon logs it).
-	OnPromote func(epoch uint64)
-}
-
-// Monitor is the failure-detection and election loop of one cluster
-// member. Followers detect a dead leader and run elections; leaders
-// scan for a higher epoch and demote-rejoin when deposed.
-type Monitor struct {
-	t   *Trader
-	f   *Follower
-	cfg MonitorConfig
-
-	misses  atomic.Int32  // consecutive failed pulls
-	suspect chan struct{} // wakes the loop early once suspicion trips
-
-	peerMu sync.Mutex
-	peers  map[string]ElectionPeer
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-// NewMonitor wires a monitor over trader t and its pull loop f (which
-// must not have been started yet: the monitor installs itself as f's
-// pull-health observer). It also arms t's vote health veto with the
-// election timeout.
-func NewMonitor(t *Trader, f *Follower, cfg MonitorConfig) *Monitor {
-	if cfg.Suspicion <= 0 {
-		cfg.Suspicion = 3
-	}
-	if cfg.ElectionTimeout <= 0 {
-		cfg.ElectionTimeout = 2 * time.Second
-	}
-	m := &Monitor{
-		t:       t,
-		f:       f,
-		cfg:     cfg,
-		suspect: make(chan struct{}, 1),
-		peers:   make(map[string]ElectionPeer),
-		rng:     rand.New(rand.NewSource(seedFrom(cfg.SelfID + "/monitor"))),
-	}
-	t.repl.voteHealthWindow.Store(int64(cfg.ElectionTimeout))
-	if f != nil {
-		f.OnResult(m.observePull)
-	}
-	return m
-}
-
-// Start launches the monitor loop.
-func (m *Monitor) Start() {
-	// Grace period: a node that has never pulled is not "suspicious",
-	// it is booting — without this, a cluster coming up out of order
-	// would elect over a merely slow leader.
-	m.t.repl.lastPullOK.CompareAndSwap(0, m.t.now().UnixNano())
-	ctx, cancel := context.WithCancel(context.Background())
-	m.cancel = cancel
-	m.done = make(chan struct{})
-	go m.run(ctx)
-}
-
-// Close stops the monitor loop and waits for it to exit.
-func (m *Monitor) Close() {
-	if m.cancel == nil {
-		return
-	}
-	m.cancel()
-	<-m.done
-}
-
-// observePull is the Follower.OnResult hook: it counts consecutive
-// misses and wakes the loop once the suspicion window fills.
-func (m *Monitor) observePull(err error) {
-	if err == nil {
-		m.misses.Store(0)
-		return
-	}
-	if n := m.misses.Add(1); int(n) >= m.cfg.Suspicion {
-		select {
-		case m.suspect <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (m *Monitor) run(ctx context.Context) {
-	defer close(m.done)
-	for ctx.Err() == nil {
-		m.pace(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-		if m.t.journalFailed() {
-			// Fail-stopped disk: this node can neither lead nor vote
-			// itself forward; it sheds until an operator replaces it.
-			continue
-		}
-		if m.t.Role() == RoleLeader {
-			m.leaderScan(ctx)
-			continue
-		}
-		if m.suspectNow() {
-			m.t.event("suspect", "node", m.cfg.SelfID,
-				"misses", strconv.Itoa(int(m.misses.Load())))
-			// Decorrelate rival candidacies: followers detect a dead
-			// leader together (their pulls fail together), and rivals
-			// standing together split every vote round on the per-epoch
-			// locks. A random pre-candidacy delay lets one stand first
-			// — the other finds the winner in its relocate scan. Same
-			// trick as Raft's randomized election timeout.
-			m.rngMu.Lock()
-			d := time.Duration(m.rng.Int63n(int64(m.cfg.ElectionTimeout)/2 + 1))
-			m.rngMu.Unlock()
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return
-			}
-			if m.relocate(ctx) {
-				continue // a live leader exists; no election needed
-			}
-			m.electionRound(ctx)
-		}
-	}
-}
-
-// pace sleeps about half an election timeout (with seeded jitter, so
-// rival candidates decorrelate) or wakes early on suspicion.
-func (m *Monitor) pace(ctx context.Context) {
-	base := m.cfg.ElectionTimeout / 2
-	m.rngMu.Lock()
-	d := base + time.Duration(m.rng.Int63n(int64(base)+1))
-	m.rngMu.Unlock()
-	select {
-	case <-time.After(d):
-	case <-m.suspect:
-	case <-ctx.Done():
-	}
-}
-
-// suspectNow reports whether the leader currently looks dead: the
-// suspicion window filled with consecutive misses, or no pull has
-// succeeded for two election timeouts (covers a wedged loop that
-// produces no results at all).
-func (m *Monitor) suspectNow() bool {
-	if int(m.misses.Load()) >= m.cfg.Suspicion {
-		return true
-	}
-	last := m.t.repl.lastPullOK.Load()
-	return last != 0 && m.t.now().UnixNano()-last > 2*int64(m.cfg.ElectionTimeout)
-}
-
-// resetHealth clears suspicion after the loop was re-pointed at a live
-// leader, granting the new link a fresh grace period.
-func (m *Monitor) resetHealth() {
-	m.misses.Store(0)
-	m.t.repl.lastPullOK.Store(m.t.now().UnixNano())
-}
-
-// peerStatus is one peer's status snapshot gathered by scanPeers.
-type peerStatus struct {
-	ref string
-	st  ReplStatus
-}
-
-// scanPeers polls every configured peer's replication status
-// concurrently, dropping unreachable ones.
-func (m *Monitor) scanPeers(ctx context.Context) []peerStatus {
-	ctx, cancel := context.WithTimeout(ctx, m.cfg.ElectionTimeout)
-	defer cancel()
-	ch := make(chan peerStatus, len(m.cfg.PeerRefs))
-	for _, ref := range m.cfg.PeerRefs {
-		go func(ref string) {
-			p, err := m.peer(ctx, ref)
-			if err != nil {
-				ch <- peerStatus{}
-				return
-			}
-			st, err := p.ReplStatus(ctx)
-			if err != nil {
-				ch <- peerStatus{}
-				return
-			}
-			ch <- peerStatus{ref: ref, st: st}
-		}(ref)
-	}
-	var out []peerStatus
-	for range m.cfg.PeerRefs {
-		if ps := <-ch; ps.ref != "" {
-			out = append(out, ps)
-		}
-	}
-	return out
-}
-
-// bestLeader picks from a scan the ref of the highest-epoch leader at
-// or past minEpoch. A member reporting itself leader is direct
-// evidence; a follower's hint counts only at an epoch strictly past
-// minEpoch (second-hand news of a newer leader), so a follower merely
-// echoing the current leader cannot satisfy a deposed-leader scan.
-func bestLeader(peers []peerStatus, minEpoch uint64, selfRef string) (string, uint64) {
-	ref, epoch := "", uint64(0)
-	for _, p := range peers {
-		switch {
-		case p.st.Role == RoleLeader && p.st.Epoch >= minEpoch && p.st.Epoch >= epoch && p.ref != selfRef:
-			ref, epoch = p.ref, p.st.Epoch
-		case p.st.Role == RoleFollower && p.st.Epoch > minEpoch && p.st.Epoch > epoch &&
-			p.st.Leader != "" && p.st.Leader != selfRef:
-			ref, epoch = p.st.Leader, p.st.Epoch
-		}
-	}
-	return ref, epoch
-}
-
-// leaderScan (leader side) looks for a higher epoch in the cluster: a
-// leader that was deposed while down discovers the winner here and
-// rejoins as its follower instead of staying fenced.
-func (m *Monitor) leaderScan(ctx context.Context) {
-	cur := m.t.Epoch()
-	ref, epoch := bestLeader(m.scanPeers(ctx), cur+1, m.cfg.SelfRef)
-	if ref == "" {
-		return
-	}
-	m.t.metrics.elections.With("deposed").Inc()
-	m.t.event("deposed", "winner", ref, "epoch", strconv.FormatUint(epoch, 10))
-	m.t.log.Log(ctx, "election_deposed", "winner", ref, "epoch", epoch, "own_epoch", cur)
-	m.t.DemoteRejoin(ref)
-	if m.f != nil {
-		m.f.Retarget(ref)
-	}
-	m.resetHealth()
-}
-
-// relocate (follower side) checks whether a live leader is reachable
-// before holding an election: the suspect leader itself answering the
-// scan, or another member knowing of a newer one, just re-points the
-// pull loop.
-func (m *Monitor) relocate(ctx context.Context) bool {
-	ref, _ := bestLeader(m.scanPeers(ctx), m.t.Epoch(), m.cfg.SelfRef)
-	if ref == "" {
-		return false
-	}
-	m.t.metrics.elections.With("relocated").Inc()
-	m.t.event("relocate", "leader", ref)
-	m.t.log.Log(ctx, "election_relocate", "leader", ref)
-	m.t.repl.leaderHint.Store(ref)
-	if m.f != nil {
-		m.f.Retarget(ref)
-	}
-	m.resetHealth()
-	return true
-}
-
-// electionRound runs one candidacy: vote for self at epoch+1, fan a
-// RequestVote out to every peer, and promote on a strict majority of
-// the configured cluster. Losing is cheap — the loop paces with jitter
-// and retries while the leader stays dead.
-func (m *Monitor) electionRound(ctx context.Context) {
-	cur, applied := m.t.Epoch(), m.t.ReplApplied()
-	target := m.t.electionTarget()
-	if !m.t.tryVote(m.cfg.SelfID, target) {
-		// A rival's concurrent RequestVote pledged our vote between
-		// picking the target and locking it; the next round moves past.
-		return
-	}
-	m.t.event("candidacy", "candidate", m.cfg.SelfID,
-		"epoch", strconv.FormatUint(target, 10),
-		"applied", strconv.FormatUint(applied, 10))
-	rctx, cancel := context.WithTimeout(ctx, m.cfg.ElectionTimeout)
-	defer cancel()
-	type reply struct {
-		ref string
-		v   Vote
-		err error
-	}
-	ch := make(chan reply, len(m.cfg.PeerRefs))
-	for _, ref := range m.cfg.PeerRefs {
-		go func(ref string) {
-			p, err := m.peer(rctx, ref)
-			if err != nil {
-				ch <- reply{ref: ref, err: err}
-				return
-			}
-			v, err := p.RequestVote(rctx, m.cfg.SelfID, target, applied)
-			ch <- reply{ref: ref, v: v, err: err}
-		}(ref)
-	}
-	votes := 1 // our own
-	leaderRef := ""
-	maxPledge := uint64(0)
-	for range m.cfg.PeerRefs {
-		r := <-ch
-		if r.err != nil {
-			continue
-		}
-		if r.v.Granted {
-			votes++
-		}
-		if r.v.VoteEpoch > maxPledge {
-			maxPledge = r.v.VoteEpoch
-		}
-		if r.v.Role == RoleLeader && r.v.Epoch >= cur {
-			leaderRef = r.ref
-		}
-	}
-	quorum := (len(m.cfg.PeerRefs)+1)/2 + 1
-	switch {
-	case leaderRef != "":
-		// A live leader answered the vote round: the outage was on our
-		// side (or already healed). Re-point instead of promoting.
-		m.t.metrics.elections.With("relocated").Inc()
-		m.t.event("relocate", "leader", leaderRef)
-		m.t.log.Log(ctx, "election_relocate", "leader", leaderRef)
-		m.t.repl.leaderHint.Store(leaderRef)
-		if m.f != nil {
-			m.f.Retarget(leaderRef)
-		}
-		m.resetHealth()
-	case votes >= quorum:
-		if err := m.t.Promote(target); err != nil {
-			m.t.log.Log(ctx, "election_promote_failed", "epoch", target, "err", err.Error())
-			return
-		}
-		m.t.metrics.elections.With("won").Inc()
-		m.t.event("election_won", "epoch", strconv.FormatUint(target, 10),
-			"votes", strconv.Itoa(votes), "quorum", strconv.Itoa(quorum))
-		m.t.log.Log(ctx, "election_won", "epoch", target, "votes", votes, "quorum", quorum)
-		m.resetHealth()
-		if m.cfg.OnPromote != nil {
-			m.cfg.OnPromote(target)
-		}
-	default:
-		// Adopt the round's highest observed vote pledge, so the next
-		// candidacy stands past it instead of losing to the same lock
-		// one epoch higher each round.
-		m.t.adoptVoteEpoch(maxPledge)
-		m.t.metrics.elections.With("lost").Inc()
-		m.t.event("election_lost", "epoch", strconv.FormatUint(target, 10),
-			"votes", strconv.Itoa(votes), "quorum", strconv.Itoa(quorum))
-		m.t.log.Log(ctx, "election_lost", "epoch", target, "votes", votes, "quorum", quorum)
-	}
-}
-
-// peer resolves (and caches) one ElectionPeer. Entries survive broken
-// connections — Client calls ride a pool that re-dials — so eviction
-// is unnecessary.
-func (m *Monitor) peer(ctx context.Context, ref string) (ElectionPeer, error) {
-	m.peerMu.Lock()
-	p := m.peers[ref]
-	m.peerMu.Unlock()
-	if p != nil {
-		return p, nil
-	}
-	p, err := m.cfg.Dial(ctx, ref)
-	if err != nil {
-		return nil, err
-	}
-	m.peerMu.Lock()
-	m.peers[ref] = p
-	m.peerMu.Unlock()
-	return p, nil
 }

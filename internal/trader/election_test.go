@@ -14,7 +14,16 @@ import (
 	"cosm/internal/sidl"
 )
 
-// peerDirectory wires Monitors to in-process traders: each ref resolves
+// inProc makes a *Trader a CellPeer without a wire in between.
+type inProc struct{ *Trader }
+
+func (p inProc) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error) {
+	return p.PullBatch(ctx, followerID, epoch, afterSeq, max, wait)
+}
+
+func (p inProc) ReplStatus(context.Context) (ReplStatus, error) { return p.Status(), nil }
+
+// peerDirectory wires cells to in-process traders: each ref resolves
 // to a *Trader unless marked down, which models a crashed node.
 type peerDirectory struct {
 	mu      sync.Mutex
@@ -41,7 +50,7 @@ func (d *peerDirectory) setDown(ref string, down bool) {
 // dial resolves one peer. The returned proxy re-checks liveness per
 // call, so a node going down mid-election looks like a broken wire, not
 // a stale cached client.
-func (d *peerDirectory) dial(_ context.Context, ref string) (ElectionPeer, error) {
+func (d *peerDirectory) dial(_ context.Context, ref string) (CellPeer, error) {
 	return &peerProxy{d: d, ref: ref}, nil
 }
 
@@ -50,17 +59,25 @@ type peerProxy struct {
 	ref string
 }
 
-func (p *peerProxy) target() (*Trader, error) {
+func (p *peerProxy) target() (inProc, error) {
 	p.d.mu.Lock()
 	defer p.d.mu.Unlock()
 	if p.d.down[p.ref] {
-		return nil, fmt.Errorf("dial %s: connection refused", p.ref)
+		return inProc{}, fmt.Errorf("dial %s: connection refused", p.ref)
 	}
 	t := p.d.traders[p.ref]
 	if t == nil {
-		return nil, fmt.Errorf("dial %s: unknown peer", p.ref)
+		return inProc{}, fmt.Errorf("dial %s: unknown peer", p.ref)
 	}
-	return t, nil
+	return inProc{t}, nil
+}
+
+func (p *peerProxy) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error) {
+	t, err := p.target()
+	if err != nil {
+		return nil, err
+	}
+	return t.ReplPull(ctx, followerID, epoch, afterSeq, max, wait)
 }
 
 func (p *peerProxy) RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error) {
@@ -76,18 +93,22 @@ func (p *peerProxy) ReplStatus(ctx context.Context) (ReplStatus, error) {
 	if err != nil {
 		return ReplStatus{}, err
 	}
-	return t.Status(), nil
+	return t.ReplStatus(ctx)
 }
 
-func testMonitor(t *testing.T, tr *Trader, d *peerDirectory, selfID, selfRef string, peers ...string) *Monitor {
+// testMonitor assembles a cell member without starting its loops; the
+// tests drive its election steps by hand. These tests name every trader
+// "L", so the member ID is set apart from the FederationID.
+func testMonitor(t *testing.T, tr *Trader, d *peerDirectory, selfID, selfRef string, peers ...string) *Cell {
 	t.Helper()
-	return NewMonitor(tr, nil, MonitorConfig{
-		SelfID:          selfID,
+	c := newCell(tr, CellConfig{
 		SelfRef:         selfRef,
-		PeerRefs:        peers,
+		Peers:           peers,
 		Dial:            d.dial,
 		ElectionTimeout: 200 * time.Millisecond,
 	})
+	c.id = selfID
+	return c
 }
 
 // TestRequestVoteFencing exercises every deny rule of the vote
@@ -339,22 +360,18 @@ func TestFollowerRetargetsOnLeaderHint(t *testing.T) {
 	defer fj.Close()
 	follower.SetFollower("cosm://demoted")
 
-	sources := map[string]ReplSource{
+	sources := map[string]*Trader{
 		"cosm://demoted":     demoted,
 		"cosm://real-leader": leader,
 	}
-	f := NewFollower(follower, nil, "f1")
-	f.SetResolver(func(_ context.Context, leaderRef string) (ReplSource, error) {
+	results := make(chan error, 64)
+	f := follower.JoinCell(CellConfig{Dial: func(_ context.Context, leaderRef string) (CellPeer, error) {
 		src, ok := sources[leaderRef]
 		if !ok {
 			return nil, fmt.Errorf("unknown leader %q", leaderRef)
 		}
-		return src, nil
-	})
-	f.Retarget("cosm://demoted")
-	results := make(chan error, 64)
-	f.OnResult(func(err error) { results <- err })
-	f.Start()
+		return pullTap{inProc{src}, results}, nil
+	}})
 	defer f.Close()
 
 	deadline := time.After(5 * time.Second)
@@ -375,9 +392,21 @@ func TestFollowerRetargetsOnLeaderHint(t *testing.T) {
 	if !sawReject {
 		t.Fatal("pull loop never hit the demoted source")
 	}
-	if got := f.currentTarget(); got != "cosm://real-leader" {
+	if got := follower.LeaderHint(); got != "cosm://real-leader" {
 		t.Fatalf("pull loop targets %q, want the hinted leader", got)
 	}
+}
+
+// pullTap reports the outcome of every pull through it.
+type pullTap struct {
+	inProc
+	results chan<- error
+}
+
+func (p pullTap) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error) {
+	b, err := p.inProc.ReplPull(ctx, followerID, epoch, afterSeq, max, wait)
+	p.results <- err
+	return b, err
 }
 
 func containsLeaderAt(err error) bool {

@@ -213,7 +213,7 @@ func TestImportCacheInvalidation(t *testing.T) {
 	clock := time.Unix(1_000_000, 0)
 	reg := obs.NewRegistry()
 	tr := New("T", newCarRepo(t),
-		WithClock(func() time.Time { return clock }),
+		withClock(func() time.Time { return clock }),
 		WithImportCacheTTL(time.Second),
 		WithMetrics(reg))
 
@@ -297,7 +297,7 @@ func TestImportCacheRespectsLeaseExpiry(t *testing.T) {
 	ctx := context.Background()
 	clock := time.Unix(1_000_000, 0)
 	tr := New("T", newCarRepo(t),
-		WithClock(func() time.Time { return clock }),
+		withClock(func() time.Time { return clock }),
 		WithImportCacheTTL(time.Hour)) // TTL far beyond the lease
 
 	if _, err := tr.ExportLease("CarRentalService", carRef(1), carProps("FIAT_Uno", 80, "USD"), 10*time.Second); err != nil {

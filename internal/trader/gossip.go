@@ -166,8 +166,7 @@ type Gossiper struct {
 	t        *Trader
 	interval time.Duration
 	timeout  time.Duration
-	stop     chan struct{}
-	done     chan struct{}
+	loop     loop
 }
 
 // NewGossiper returns a gossiper pushing every interval, bounding each
@@ -176,36 +175,29 @@ func NewGossiper(t *Trader, interval, timeout time.Duration) *Gossiper {
 	if timeout <= 0 {
 		timeout = interval
 	}
-	return &Gossiper{
-		t:        t,
-		interval: interval,
-		timeout:  timeout,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	return &Gossiper{t: t, interval: interval, timeout: timeout}
 }
 
 // Start launches the gossip loop.
 func (g *Gossiper) Start() {
-	go func() {
-		defer close(g.done)
+	g.loop.start(func(ctx context.Context) {
 		ticker := time.NewTicker(g.interval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ticker.C:
-				ctx, cancel := context.WithTimeout(context.Background(), g.interval)
-				g.t.GossipRound(ctx, g.timeout)
+				// Not derived from ctx: a round cut short by Close would
+				// count its pushes as failures against live links.
+				rctx, cancel := context.WithTimeout(context.Background(), g.interval)
+				g.t.GossipRound(rctx, g.timeout)
 				cancel()
-			case <-g.stop:
+			case <-ctx.Done():
 				return
 			}
 		}
-	}()
+	})
 }
 
-// Close stops the gossip loop and waits for it to exit.
-func (g *Gossiper) Close() {
-	close(g.stop)
-	<-g.done
-}
+// Close stops the gossip loop and waits for a round in flight. Safe to
+// call more than once, and before Start.
+func (g *Gossiper) Close() { g.loop.stop() }

@@ -144,7 +144,7 @@ func TestSummaryTTLFallsBackToFullFanOut(t *testing.T) {
 		mu.Unlock()
 	}
 
-	hub := New("hub", newCarRepo(t), WithClock(clock))
+	hub := New("hub", newCarRepo(t), withClock(clock))
 	p1 := New("P1", newCarRepo(t))
 	p2 := New("P2", newCarRepo(t))
 	if _, err := p1.Export("CarRentalService", carRef(1), carProps("AUDI", 50, "USD")); err != nil {

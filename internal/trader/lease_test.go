@@ -16,7 +16,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestLeaseExpiryStopsMatching(t *testing.T) {
 	clock := &fakeClock{t: time.Date(1994, 6, 21, 12, 0, 0, 0, time.UTC)}
-	tr := New("T", newCarRepo(t), WithClock(clock.now))
+	tr := New("T", newCarRepo(t), withClock(clock.now))
 	ctx := context.Background()
 
 	leased, err := tr.ExportLease("CarRentalService", carRef(1), carProps("AUDI", 80, "USD"), time.Hour)
@@ -67,7 +67,7 @@ func TestLeaseRenewalByReexport(t *testing.T) {
 	// A provider keeps its offer alive by re-exporting before expiry —
 	// the lease idiom. (The old offer is withdrawn by the provider.)
 	clock := &fakeClock{t: time.Unix(0, 0)}
-	tr := New("T", newCarRepo(t), WithClock(clock.now))
+	tr := New("T", newCarRepo(t), withClock(clock.now))
 	ctx := context.Background()
 
 	id1, err := tr.ExportLease("CarRentalService", carRef(1), carProps("AUDI", 80, "USD"), time.Minute)
@@ -122,7 +122,7 @@ func TestRemoteExportLease(t *testing.T) {
 
 func TestOffersSnapshot(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	tr := New("T", newCarRepo(t), WithClock(clock.now))
+	tr := New("T", newCarRepo(t), withClock(clock.now))
 	if _, err := tr.Export("CarRentalService", carRef(2), carProps("AUDI", 90, "USD")); err != nil {
 		t.Fatal(err)
 	}

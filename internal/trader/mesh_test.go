@@ -244,7 +244,7 @@ func TestMeshHedgePromotesSpare(t *testing.T) {
 // Breaker-open links are skipped by the scatter plan until cooldown.
 func TestMeshBreakerSkipsDeadLink(t *testing.T) {
 	hub := New("hub", newCarRepo(t),
-		WithLinkPolicy(wire.BreakerPolicy{Threshold: 3, Cooldown: time.Minute}))
+		withLinkPolicy(wire.BreakerPolicy{Threshold: 3, Cooldown: time.Minute}))
 	live := New("LIVE", newCarRepo(t))
 	if _, err := live.Export("CarRentalService", carRef(5), carProps("AUDI", 44, "USD")); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func propTypeSIDL(name string, attrs ...string) string {
 // a second journal over it.
 func recoverTrader(t *testing.T, id, dir string, clock func() time.Time) *Trader {
 	t.Helper()
-	tr := New(id, typemgr.NewRepo(), WithClock(clock))
+	tr := New(id, typemgr.NewRepo(), withClock(clock))
 	j, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +108,9 @@ func mutationPathsAgree(t *testing.T, seed int64) {
 
 	leaderDir, followerDir := t.TempDir(), t.TempDir()
 	leaderReg, followerReg := obs.NewRegistry(), obs.NewRegistry()
-	leader, lj := newDurableTrader(t, "M", leaderDir, opts, WithClock(clock), WithMetrics(leaderReg))
+	leader, lj := newDurableTrader(t, "M", leaderDir, opts, withClock(clock), WithMetrics(leaderReg))
 	defer lj.Close()
-	follower, fj := newDurableTrader(t, "M", followerDir, opts, WithClock(clock), WithMetrics(followerReg))
+	follower, fj := newDurableTrader(t, "M", followerDir, opts, withClock(clock), WithMetrics(followerReg))
 	defer fj.Close()
 	follower.SetFollower("cosm://leader")
 
@@ -321,7 +321,7 @@ var parentJournal = []struct {
 func TestJournalFormatPinned(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	clock := func() time.Time { return now }
-	live := New("J", newCarRepo(t), WithClock(clock))
+	live := New("J", newCarRepo(t), withClock(clock))
 	j, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestJournalFormatPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	live.SetJournal(j)
-	replayed := New("J", newCarRepo(t), WithClock(clock))
+	replayed := New("J", newCarRepo(t), withClock(clock))
 
 	reqs := []ImportRequest{NewImport("CarRentalService", OrderBy("min:ChargePerDay"))}
 	for i, row := range parentJournal {

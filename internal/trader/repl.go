@@ -17,7 +17,7 @@ package trader
 //
 // The stream itself is pull-based: a follower asks for records after
 // its last applied sequence number (ReplPull on the wire, PullBatch
-// here). A pull doubles as an acknowledgement — the leader counts a
+// here; the loop that asks is the Cell's, in cell.go). A pull doubles as an acknowledgement — the leader counts a
 // follower as having replicated seq once it asks for records after
 // seq. When the follower has fallen behind the leader's compaction
 // watermark, the leader ships a full state snapshot instead and the
@@ -27,8 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,7 +68,7 @@ type replState struct {
 	// holds this trader's vote for a given epoch, which is what makes a
 	// majority quorum exclusive. lastPullOK is the UnixNano of the last
 	// successful pull (the voter health veto); voteHealthWindow > 0
-	// enables that veto. rejoining marks a deposed leader resyncing
+	// enables that veto (JoinCell arms it with the election timeout). rejoining marks a deposed leader resyncing
 	// wholesale: its next snapshot install may rewind the local journal.
 	voteEpoch        uint64
 	votedFor         string
@@ -101,9 +99,48 @@ type ReplStatus struct {
 	Leader  string // follower: the leader hint; leader: empty
 }
 
+// The methods below are all a Cell (cell.go) touches of the replication
+// state: the role, the leader hint, and the pull health that both the
+// failure monitor and the voter's health veto read.
+
+func (r *replState) isFollower() bool { return r.follower.Load() }
+
+// setLeaderHint re-points a follower at another leader; the role does
+// not change (SetFollower is the call that demotes).
+func (r *replState) setLeaderHint(leaderRef string) { r.leaderHint.Store(leaderRef) }
+
+// armVeto enables the voter health veto: a vote is refused while this
+// follower's own last good pull is younger than window.
+func (r *replState) armVeto(window time.Duration) { r.voteHealthWindow.Store(int64(window)) }
+
+// notePullOK records a successful pull (or a fresh leader link, which
+// earns the same grace) at now.
+func (r *replState) notePullOK(now time.Time) { r.lastPullOK.Store(now.UnixNano()) }
+
+// startGrace is notePullOK for a member that has never pulled.
+func (r *replState) startGrace(now time.Time) { r.lastPullOK.CompareAndSwap(0, now.UnixNano()) }
+
+// sincePullOK reports how long ago the last good pull was; ever is false
+// when there has been none.
+func (r *replState) sincePullOK(now time.Time) (age time.Duration, ever bool) {
+	last := r.lastPullOK.Load()
+	return time.Duration(now.UnixNano() - last), last != 0
+}
+
+// pullHealthy reports whether this follower's own pulls succeeded
+// within the vote health-veto window (never, while the veto is unarmed).
+func (r *replState) pullHealthy(now time.Time) bool {
+	w := time.Duration(r.voteHealthWindow.Load())
+	if w <= 0 || !r.isFollower() {
+		return false
+	}
+	age, ever := r.sincePullOK(now)
+	return ever && age < w
+}
+
 // Role reports "leader" or "follower".
 func (t *Trader) Role() string {
-	if t.repl.follower.Load() {
+	if t.repl.isFollower() {
 		return RoleFollower
 	}
 	return RoleLeader
@@ -350,7 +387,7 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 		t.metrics.replRecords.With("applied").Add(uint64(n))
 	}
 	t.repl.leaderSeq.Store(b.LastSeq)
-	t.repl.lastPullOK.Store(t.now().UnixNano())
+	t.repl.notePullOK(t.now())
 	if t.repl.applied.Load() >= b.LastSeq {
 		t.repl.caughtUpAt.Store(t.now().UnixNano())
 	}
@@ -445,191 +482,4 @@ func (t *Trader) replLagSeconds() float64 {
 		return 0 // never caught up yet: lag in records tells the story
 	}
 	return time.Duration(t.now().UnixNano() - at).Seconds()
-}
-
-// ReplSource is where a follower pulls replication batches from —
-// implemented by *Client (over the wire) and by *Trader directly
-// (in-process tests).
-type ReplSource interface {
-	ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error)
-}
-
-// ReplPull lets a *Trader serve as an in-process ReplSource.
-func (t *Trader) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error) {
-	return t.PullBatch(ctx, followerID, epoch, afterSeq, max, wait)
-}
-
-// Follower runs the pull loop of a follower trader: repeatedly pull
-// from the source, apply, and back off on errors with seeded jitter
-// (base/2 extra, capped at 2s — decorrelating retry stampedes when a
-// leader dies under several followers at once). A pull rejected with a
-// not-leader hint re-resolves the new leader through the resolver
-// instead of hammering the deposed node, and the loop idles while the
-// trader itself leads, so it survives promotion and a later
-// demote-rejoin without restarting. Close stops the loop.
-type Follower struct {
-	t  *Trader
-	id string
-
-	// resolve turns a leader ref into a pull source (SetResolver);
-	// onResult observes every pull outcome (OnResult — the failure
-	// monitor's suspicion counter). Both are set before Start.
-	resolve  func(ctx context.Context, leaderRef string) (ReplSource, error)
-	onResult func(err error)
-
-	mu     sync.Mutex
-	src    ReplSource
-	srcRef string       // ref src was resolved from ("" for a fixed source)
-	target atomic.Value // string: leader ref the loop should be pulling from
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-const (
-	followerBaseBackoff = 50 * time.Millisecond
-	followerMaxBackoff  = 2 * time.Second
-	followerIdlePoll    = 250 * time.Millisecond
-)
-
-// NewFollower wires follower t to pull from src, identifying itself as
-// id in acknowledgements. src may be nil when a resolver and a later
-// Retarget will supply the source (a node booting as leader under
-// auto-failover). Call Start to begin pulling.
-func NewFollower(t *Trader, src ReplSource, id string) *Follower {
-	return &Follower{t: t, src: src, id: id, rng: rand.New(rand.NewSource(seedFrom(id)))}
-}
-
-// SetResolver installs the dialer used to re-resolve the leader: when a
-// pull is rejected with a not-leader hint, or the failover monitor
-// retargets the loop after an election, the resolver turns the new
-// leader's ref into a pull source. Set before Start.
-func (f *Follower) SetResolver(fn func(ctx context.Context, leaderRef string) (ReplSource, error)) {
-	f.resolve = fn
-}
-
-// OnResult installs a hook observing the outcome of every pull attempt
-// (nil on success) — the failure monitor counts consecutive misses
-// here. Set before Start.
-func (f *Follower) OnResult(fn func(err error)) {
-	f.onResult = fn
-}
-
-// Retarget points the pull loop at a new leader ref; the loop
-// re-resolves it on its next iteration. Safe from any goroutine.
-func (f *Follower) Retarget(leaderRef string) {
-	f.target.Store(leaderRef)
-}
-
-// Start launches the pull loop.
-func (f *Follower) Start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	f.cancel = cancel
-	f.done = make(chan struct{})
-	go f.run(ctx)
-}
-
-// Close stops the pull loop and waits for it to exit.
-func (f *Follower) Close() {
-	if f.cancel == nil {
-		return
-	}
-	f.cancel()
-	<-f.done
-}
-
-func (f *Follower) run(ctx context.Context) {
-	defer close(f.done)
-	backoff := followerBaseBackoff
-	for ctx.Err() == nil {
-		if !f.t.repl.follower.Load() {
-			// Leading: idle until a demotion makes this node a follower
-			// again (the loop is reused across promote/demote cycles).
-			f.sleep(ctx, followerIdlePoll)
-			continue
-		}
-		src := f.currentSource(ctx)
-		if src == nil {
-			f.sleep(ctx, backoff)
-			continue
-		}
-		b, err := src.ReplPull(ctx, f.id, f.t.Epoch(), f.t.ReplApplied(), 512, 2*time.Second)
-		if err == nil {
-			_, err = f.t.ApplyBatch(b)
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if f.onResult != nil {
-			f.onResult(err)
-		}
-		if err != nil {
-			f.t.log.Log(ctx, "repl_pull_error", "err", err.Error())
-			if hint, ok := LeaderHintFromError(err); ok && hint != f.currentTarget() {
-				// The rejection names the real leader: chase the hint
-				// instead of hammering the deposed node.
-				f.Retarget(hint)
-				f.t.repl.leaderHint.Store(hint)
-			}
-			f.sleep(ctx, backoff)
-			if backoff *= 2; backoff > followerMaxBackoff {
-				backoff = followerMaxBackoff
-			}
-			continue
-		}
-		backoff = followerBaseBackoff
-	}
-}
-
-// currentTarget reports the ref the loop was last pointed at.
-func (f *Follower) currentTarget() string {
-	s, _ := f.target.Load().(string)
-	return s
-}
-
-// currentSource returns the pull source, re-resolving it first when a
-// Retarget changed the desired leader. A failed resolve keeps the old
-// source (pulling a dead ref errors harmlessly) and retries next round.
-func (f *Follower) currentSource(ctx context.Context) ReplSource {
-	want := f.currentTarget()
-	f.mu.Lock()
-	src, have := f.src, f.srcRef
-	f.mu.Unlock()
-	if want == "" || want == have || f.resolve == nil {
-		return src
-	}
-	fresh, err := f.resolve(ctx, want)
-	if err != nil {
-		f.t.log.Log(ctx, "repl_retarget_error", "leader", want, "err", err.Error())
-		return src
-	}
-	f.mu.Lock()
-	f.src, f.srcRef = fresh, want
-	f.mu.Unlock()
-	f.t.log.Log(ctx, "repl_retarget", "leader", want)
-	return fresh
-}
-
-// sleep waits for d plus up to d/2 of seeded jitter, returning early on
-// cancellation.
-func (f *Follower) sleep(ctx context.Context, d time.Duration) {
-	f.rngMu.Lock()
-	j := time.Duration(f.rng.Int63n(int64(d)/2 + 1))
-	f.rngMu.Unlock()
-	select {
-	case <-time.After(d + j):
-	case <-ctx.Done():
-	}
-}
-
-// seedFrom derives a deterministic RNG seed from an ID, so jitter
-// streams differ per node but reproduce across runs (the soak
-// harness's determinism contract).
-func seedFrom(id string) int64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
-	return int64(h.Sum64())
 }

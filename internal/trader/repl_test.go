@@ -248,8 +248,9 @@ func TestReplSyncAck(t *testing.T) {
 	follower, fjr := newDurableTrader(t, "L", t.TempDir(), journal.Options{Fsync: journal.FsyncAlways})
 	defer fjr.Close()
 	follower.SetFollower("cosm://leader")
-	fl := NewFollower(follower, leader, "f1")
-	fl.Start()
+	fl := follower.JoinCell(CellConfig{Dial: func(context.Context, string) (CellPeer, error) {
+		return inProc{leader}, nil
+	}})
 
 	if err := leader.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
 		t.Fatal(err)

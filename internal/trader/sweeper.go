@@ -10,27 +10,29 @@ import (
 	"cosm/internal/wire"
 )
 
-// PingFunc probes one provider for liveness. The default pings the
+// pingFunc probes one provider for liveness. The default pings the
 // service behind the offer's reference with cosm.Ping over a Pool
 // (which already retries connection-class failures), so an error means
 // the provider stayed unreachable across the pool's attempts.
-type PingFunc func(ctx context.Context, target ref.ServiceRef) error
+type pingFunc func(ctx context.Context, target ref.ServiceRef) error
 
 // Sweeper is the trader's offer liveness monitor — the facility
 // 1994-era traders lack (clients had to work around stale offers by
 // hand; see failure_test.go). It periodically probes every stored
 // offer's provider: a provider that fails a probe has its offers
 // marked suspect (deprioritised by Import); a provider that stays dead
-// for FailThreshold consecutive sweeps has its offers withdrawn. Each
-// sweep also reclaims expired leases (PurgeExpired).
+// for the fail threshold of consecutive sweeps has its offers
+// withdrawn. Each sweep also reclaims expired leases (PurgeExpired).
+// Only a leader sweeps: a follower's offers are its leader's to mark,
+// withdraw and expire, and arrive here by replication.
 //
 // Create with NewSweeper, then either run it in the background with
 // Start/Close or drive it deterministically with SweepOnce (tests use
-// a tick channel via WithSweepTick, reusing the trader's WithClock
+// a tick channel via withSweepTick, reusing the trader's withClock
 // fake-clock style).
 type Sweeper struct {
 	t            *Trader
-	ping         PingFunc
+	ping         pingFunc
 	probeTimeout time.Duration
 	thresh       int
 	tick         <-chan time.Time
@@ -38,29 +40,23 @@ type Sweeper struct {
 	mu    sync.Mutex
 	fails map[string]int // offer ID -> consecutive failed probes
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-	done      chan struct{}
-	stopped   chan struct{}
+	loop loop
 }
 
 // The background loop sweeps every sweepInterval and bounds one whole
 // sweep, probes included, by sweepTimeout; providers not yet probed when
 // that budget runs out are skipped, not failed — see SweepOnce.
+// sweepProbeTimeout bounds each individual probe, so one black-holed
+// provider cannot eat the whole sweep budget and starve — or worse,
+// falsely condemn — the providers probed after it.
 const (
-	sweepInterval = 30 * time.Second
-	sweepTimeout  = 10 * time.Second
+	sweepInterval     = 30 * time.Second
+	sweepTimeout      = 10 * time.Second
+	sweepProbeTimeout = 2 * time.Second
 )
 
 // SweeperOption configures a Sweeper.
 type SweeperOption func(*Sweeper)
-
-// WithProbeTimeout bounds each individual provider probe (default 2s),
-// so one black-holed provider cannot eat the whole sweep budget and
-// starve — or worse, falsely condemn — the providers probed after it.
-func WithProbeTimeout(d time.Duration) SweeperOption {
-	return func(sw *Sweeper) { sw.probeTimeout = d }
-}
 
 // WithFailThreshold sets how many consecutive failed probes withdraw
 // an offer (default 2: one sweep marks suspect, the next withdraws).
@@ -69,15 +65,21 @@ func WithFailThreshold(n int) SweeperOption {
 	return func(sw *Sweeper) { sw.thresh = n }
 }
 
-// WithPingFunc substitutes the liveness probe (tests inject failures
+// withProbeTimeout shortens the per-probe bound (tests black-hole a
+// provider without waiting two seconds for it).
+func withProbeTimeout(d time.Duration) SweeperOption {
+	return func(sw *Sweeper) { sw.probeTimeout = d }
+}
+
+// withPingFunc substitutes the liveness probe (tests inject failures
 // without a network).
-func WithPingFunc(ping PingFunc) SweeperOption {
+func withPingFunc(ping pingFunc) SweeperOption {
 	return func(sw *Sweeper) { sw.ping = ping }
 }
 
-// WithSweepTick substitutes the background timer with an external tick
+// withSweepTick substitutes the background timer with an external tick
 // channel, so tests drive sweeps with a fake clock.
-func WithSweepTick(tick <-chan time.Time) SweeperOption {
+func withSweepTick(tick <-chan time.Time) SweeperOption {
 	return func(sw *Sweeper) { sw.tick = tick }
 }
 
@@ -89,11 +91,9 @@ func NewSweeper(t *Trader, pool *wire.Pool, opts ...SweeperOption) *Sweeper {
 		ping: func(ctx context.Context, target ref.ServiceRef) error {
 			return cosm.Ping(ctx, pool, target)
 		},
-		probeTimeout: 2 * time.Second,
+		probeTimeout: sweepProbeTimeout,
 		thresh:       2,
 		fails:        map[string]int{},
-		done:         make(chan struct{}),
-		stopped:      make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(sw)
@@ -104,40 +104,40 @@ func NewSweeper(t *Trader, pool *wire.Pool, opts ...SweeperOption) *Sweeper {
 	return sw
 }
 
-// Start launches the background sweep loop. Safe to call once; use
-// Close to stop it.
+// Start launches the background sweep loop; use Close to stop it. A
+// sweep that found something to do logs one "sweep" line through the
+// trader's logger.
 func (sw *Sweeper) Start() {
-	sw.startOnce.Do(func() {
-		go sw.loop()
-	})
-}
-
-func (sw *Sweeper) loop() {
-	defer close(sw.stopped)
-	tick := sw.tick
-	if tick == nil {
-		ticker := time.NewTicker(sweepInterval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	for {
-		select {
-		case <-sw.done:
-			return
-		case <-tick:
-			ctx, cancel := context.WithTimeout(context.Background(), sweepTimeout)
-			sw.SweepOnce(ctx)
-			cancel()
+	sw.loop.start(func(ctx context.Context) {
+		tick := sw.tick
+		if tick == nil {
+			ticker := time.NewTicker(sweepInterval)
+			defer ticker.Stop()
+			tick = ticker.C
 		}
-	}
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick:
+				// Not derived from ctx: a probe cut short by Close would
+				// read as a dead provider.
+				sctx, cancel := context.WithTimeout(context.Background(), sweepTimeout)
+				rep := sw.SweepOnce(sctx)
+				cancel()
+				if rep.Suspected+rep.Withdrawn+rep.Expired+rep.Skipped > 0 {
+					sw.t.log.Log(ctx, "sweep", "checked", rep.Checked, "suspected", rep.Suspected,
+						"withdrawn", rep.Withdrawn, "expired", rep.Expired, "skipped", rep.Skipped)
+				}
+			}
+		}
+	})
 }
 
 // Close stops the background loop and waits for an in-flight sweep to
 // finish. Safe to call multiple times, and before Start.
 func (sw *Sweeper) Close() error {
-	sw.stopOnce.Do(func() { close(sw.done) })
-	sw.startOnce.Do(func() { close(sw.stopped) }) // never started: nothing to wait for
-	<-sw.stopped
+	sw.loop.stop()
 	return nil
 }
 
@@ -160,7 +160,8 @@ type SweepReport struct {
 
 // SweepOnce performs one synchronous sweep: reclaim expired leases,
 // probe every offer's provider once (one probe per distinct provider
-// service, shared by all its offers), then mark or withdraw.
+// service, shared by all its offers), then mark or withdraw. On a
+// follower it does nothing.
 //
 // Each probe runs under its own probe timeout, so one black-holed
 // provider costs at most that much of the sweep budget. If the sweep
@@ -171,6 +172,9 @@ type SweepReport struct {
 // cascade into market-wide withdrawals of healthy offers.
 func (sw *Sweeper) SweepOnce(ctx context.Context) SweepReport {
 	var rep SweepReport
+	if sw.t.Role() == RoleFollower {
+		return rep // every verdict below is a mutation: the leader's to make
+	}
 	rep.Expired = sw.t.PurgeExpired()
 
 	// Shared immutable snapshots — the sweeper only reads Ref/ID/Suspect,

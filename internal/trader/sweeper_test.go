@@ -13,7 +13,7 @@ import (
 	"cosm/internal/wire"
 )
 
-// fakePinger is a controllable PingFunc: refs in the dead set fail.
+// fakePinger is a controllable pingFunc: refs in the dead set fail.
 type fakePinger struct {
 	mu   sync.Mutex
 	dead map[ref.ServiceRef]bool
@@ -43,7 +43,7 @@ func newSweeperFixture(t *testing.T, opts ...SweeperOption) (*Trader, *fakePinge
 	t.Helper()
 	tr := New("sweep", newCarRepo(t))
 	fp := &fakePinger{}
-	opts = append([]SweeperOption{WithPingFunc(fp.ping)}, opts...)
+	opts = append([]SweeperOption{withPingFunc(fp.ping)}, opts...)
 	sw := NewSweeper(tr, nil, opts...)
 	t.Cleanup(func() { _ = sw.Close() })
 	return tr, fp, sw
@@ -155,7 +155,7 @@ func TestSweeperBlackholedProviderDoesNotPoisonOthers(t *testing.T) {
 		}
 		return nil
 	}
-	sw := NewSweeper(tr, nil, WithPingFunc(ping), WithProbeTimeout(20*time.Millisecond))
+	sw := NewSweeper(tr, nil, withPingFunc(ping), withProbeTimeout(20*time.Millisecond))
 	t.Cleanup(func() { _ = sw.Close() })
 	if _, err := tr.Export("CarRentalService", blackholed, carProps("FIAT_Uno", 70, "USD")); err != nil {
 		t.Fatal(err)
@@ -233,9 +233,9 @@ func TestSweeperReclaimsExpiredLeases(t *testing.T) {
 	now := time.Unix(5000, 0)
 	var mu sync.Mutex
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	tr := New("sweep-lease", newCarRepo(t), WithClock(clock))
+	tr := New("sweep-lease", newCarRepo(t), withClock(clock))
 	fp := &fakePinger{}
-	sw := NewSweeper(tr, nil, WithPingFunc(fp.ping))
+	sw := NewSweeper(tr, nil, withPingFunc(fp.ping))
 	defer sw.Close()
 
 	if _, err := tr.ExportLease("CarRentalService", carRef(1), carProps("FIAT_Uno", 70, "USD"), time.Minute); err != nil {
@@ -254,6 +254,33 @@ func TestSweeperReclaimsExpiredLeases(t *testing.T) {
 	}
 }
 
+// TestSweeperIdleOnFollower: a follower's sweep probes nobody and
+// passes no verdict — marking, withdrawing and expiring are mutations,
+// the leader's to make — and resumes once the trader leads.
+func TestSweeperIdleOnFollower(t *testing.T) {
+	tr, fp, sw := newSweeperFixture(t, WithFailThreshold(1))
+	if _, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 70, "USD")); err != nil {
+		t.Fatal(err)
+	}
+	fp.setDead(carRef(1), true)
+	tr.SetFollower("cosm://leader")
+	if rep := sw.SweepOnce(context.Background()); rep != (SweepReport{}) {
+		t.Fatalf("follower sweep reported %+v, want nothing", rep)
+	}
+	if fp.hits != 0 {
+		t.Fatalf("follower sweep sent %d probes, want 0", fp.hits)
+	}
+	if tr.OfferCount() != 1 {
+		t.Fatal("follower sweep touched the store")
+	}
+	if err := tr.Promote(1); err != nil {
+		t.Fatal(err)
+	}
+	if rep := sw.SweepOnce(context.Background()); rep.Withdrawn != 1 || fp.hits != 1 {
+		t.Fatalf("leader sweep = %+v after %d probes, want the dead offer withdrawn by one", rep, fp.hits)
+	}
+}
+
 // TestSweeperBackgroundLoop drives the background goroutine through an
 // injected tick channel — the fake-clock pattern for the sweep timer.
 func TestSweeperBackgroundLoop(t *testing.T) {
@@ -265,8 +292,8 @@ func TestSweeperBackgroundLoop(t *testing.T) {
 	tick := make(chan time.Time)
 	sw := NewSweeper(tr, nil,
 		WithFailThreshold(1),
-		WithSweepTick(tick),
-		WithPingFunc(func(_ context.Context, r ref.ServiceRef) error {
+		withSweepTick(tick),
+		withPingFunc(func(_ context.Context, r ref.ServiceRef) error {
 			swept <- r
 			return errors.New("unreachable")
 		}))

@@ -247,9 +247,9 @@ func WithImportCacheTTL(d time.Duration) Option {
 	return func(t *Trader) { t.coreOpts.ImportCacheTTL = d }
 }
 
-// WithClock injects a time source for lease handling (tests use a fake
+// withClock injects a time source for lease handling (tests use a fake
 // clock).
-func WithClock(now func() time.Time) Option {
+func withClock(now func() time.Time) Option {
 	return func(t *Trader) { t.now = now }
 }
 
@@ -283,10 +283,11 @@ func WithMetrics(reg *obs.Registry) Option {
 	}
 }
 
-// WithLinkPolicy configures the per-link circuit breakers of the
-// federation link registry (default: the pool's DefaultBreakerPolicy).
-// A policy with Threshold < 1 disables per-link breaking.
-func WithLinkPolicy(policy wire.BreakerPolicy) Option {
+// withLinkPolicy configures the per-link circuit breakers of the
+// federation link registry (default: the pool's DefaultBreakerPolicy;
+// only tests set another). A policy with Threshold < 1 disables
+// per-link breaking.
+func withLinkPolicy(policy wire.BreakerPolicy) Option {
 	return func(t *Trader) { t.linkPolicy = policy }
 }
 

@@ -48,7 +48,7 @@ func TestTraderWireFormatPinned(t *testing.T) {
 	if err := repo.Define(&typemgr.ServiceType{Name: "Bare"}); err != nil {
 		t.Fatal(err)
 	}
-	tr := New("T", repo, WithClock(func() time.Time { return now }))
+	tr := New("T", repo, withClock(func() time.Time { return now }))
 	j, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestTraderWireFormatPinned(t *testing.T) {
 	if err := peerRepo.Define(&typemgr.ServiceType{Name: "Bare"}); err != nil {
 		t.Fatal(err)
 	}
-	peer := New("P", peerRepo, WithClock(func() time.Time { return time.Unix(2_000_000, 0) }))
+	peer := New("P", peerRepo, withClock(func() time.Time { return time.Unix(2_000_000, 0) }))
 	if _, err := peer.Export("Bare", ref.New("tcp:10.0.0.9:7000", "bare"), nil); err != nil {
 		t.Fatal(err)
 	}
