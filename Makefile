@@ -58,8 +58,13 @@ surface:
 test:
 	$(GO) test ./...
 
+# Writes derive the store's type snapshots under the shard lock while
+# imports read them lock-free, and the idle-cell test is timing-bound:
+# those run twenty times over, so a rare interleaving gets its chance.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 $(CORE)
+	$(GO) test -race -count=20 -run '^(TestIndexedMatchesLinearProperty|TestIdleCellNeverRelocates)$$' ./internal/trader
 
 # Every native fuzz target of the module for 30 s each, beyond its
 # checked-in corpus. The targets are discovered, not listed, so a new

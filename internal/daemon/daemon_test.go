@@ -16,9 +16,12 @@ import (
 
 	"cosm/internal/cosm"
 	"cosm/internal/journal"
+	"cosm/internal/match"
 	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
+	"cosm/internal/typemgr"
 	"cosm/internal/wire"
 )
 
@@ -284,9 +287,10 @@ func TestServeDrainsOnce(t *testing.T) {
 
 // metricsGolden is every cosm_client_*, cosm_server_* and cosm_journal_*
 // family as "name type label help" ("-" for an unlabelled family),
-// recorded at the commit before PR 23 rebound them: a rename, a retyped
-// family or a reworded help string breaks dashboards and `cosmcli
-// stats` greps, so it has to show up here first.
+// recorded at the commit before PR 23 rebound them, plus the
+// cosm_trader_* families the market state (core.New) registers: a
+// rename, a retyped family or a reworded help string breaks dashboards
+// and `cosmcli stats` greps, so it has to show up here first.
 var metricsGolden = []string{
 	"cosm_client_breaker_transitions_total counter to Circuit breaker state transitions by new state.",
 	"cosm_client_breakers_open gauge - Endpoints whose circuit breaker is currently open.",
@@ -316,6 +320,16 @@ var metricsGolden = []string{
 	"cosm_server_responses_total counter status Responses sent by status.",
 	"cosm_server_sheds_total counter - Requests shed with StatusOverloaded.",
 	"cosm_server_slow_requests_total counter - Requests exceeding the slow-request watchdog threshold.",
+	"cosm_trader_constraint_cache_evicted_total counter - Compiled constraints evicted from the full constraint cache by newer ones.",
+	"cosm_trader_constraint_cache_retained gauge - Compiled constraints the constraint cache currently holds.",
+	"cosm_trader_constraint_cache_total counter outcome Compiled-constraint cache lookups by outcome.",
+	"cosm_trader_import_cache_evicted_total counter - Import results evicted from the full import cache by newer ones.",
+	"cosm_trader_import_cache_retained gauge - Import results the import cache currently holds.",
+	"cosm_trader_import_cache_total counter outcome Import-result cache lookups by outcome.",
+	"cosm_trader_index_lookups_total counter kind Type-bucket match passes by index kind (eq, range, scan, linear).",
+	"cosm_trader_index_snapshot_rebuilds_total counter - Type snapshots built from scratch, on a type's first read; writes derive them.",
+	"cosm_trader_resolution_cache_evicted_total counter - Request-type resolutions evicted from the full resolution cache by newer ones.",
+	"cosm_trader_resolution_cache_retained gauge - Request-type resolutions the resolution cache currently holds.",
 }
 
 func TestMetricsFamiliesGolden(t *testing.T) {
@@ -368,6 +382,18 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 		if _, err := node.Pool().Get(ctx, "loop:daemon-golden-dead"); err == nil {
 			t.Fatal("dial to an endpoint nobody listens on succeeded")
 		}
+	}
+
+	// traderd hands the same registry to its market state, whose index
+	// and cache families one import brings out, labels included.
+	st := core.New(typemgr.NewRepo(), core.Options{Metrics: f.Registry, ConstraintCacheSize: 4, ImportCacheTTL: time.Second})
+	st.Apply(&core.Mutation{Op: core.OpExport, Offers: []*core.Offer{{ID: "o1", Type: "Tiny", Ref: ref.New(endpoint, "Tiny")}}})
+	q, err := st.Prepare("Tiny", "", "", 0, match.GradeNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := st.Import(q, nil, time.Now()); len(ms) != 1 {
+		t.Fatalf("import matched %d offers, want 1", len(ms))
 	}
 
 	intro, err := f.Introspection(nil)

@@ -171,7 +171,12 @@ func (c *Cell) runPull(ctx context.Context) {
 			c.sleep(ctx, backoff)
 			continue
 		}
-		b, err := src.ReplPull(ctx, c.id, c.t.Epoch(), c.t.ReplApplied(), 512, 2*time.Second)
+		// Long-poll an idle leader for at most one election timeout: a
+		// healthy link must report a good pull well inside the two that
+		// suspectNow allows, or it reads as a wedged loop and the member
+		// relocates to its own leader.
+		wait := min(2*time.Second, c.cfg.ElectionTimeout)
+		b, err := src.ReplPull(ctx, c.id, c.t.Epoch(), c.t.ReplApplied(), 512, wait)
 		if err == nil {
 			_, err = c.t.ApplyBatch(b)
 		}

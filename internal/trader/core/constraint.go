@@ -316,17 +316,12 @@ func flipCmp(op string) string {
 	return op
 }
 
-// key renders a value as an equality-index key. Kinds are tagged so a
-// string "80" never collides with the number 80 (mixed kinds never
+// key renders a non-numeric value as an equality-index key (numbers are
+// indexed by value, see numIndex). Kinds are tagged so a string never
+// collides with an enum symbol of the same spelling (mixed kinds never
 // compare equal at eval time either).
 func (v cval) key() (string, bool) {
 	switch v.kind {
-	case cvNum:
-		n := v.num
-		if n == 0 {
-			n = 0 // fold -0 and +0 into one key; they compare equal
-		}
-		return "n:" + strconv.FormatFloat(n, 'g', -1, 64), true
 	case cvStr:
 		return "s:" + v.str, true
 	case cvBool:

@@ -124,21 +124,28 @@ func (s *State) Import(q Query, remote []Match, now time.Time) []Match {
 	}
 	matches = unique
 
-	s.rngMu.Lock()
-	q.policy.apply(matches, s.rng)
-	s.rngMu.Unlock()
+	if q.max > 0 && len(matches) > q.max && q.policy.kind != policyRandom && !s.linear {
+		// Only the first Max are wanted: select them with a bounded heap
+		// in the order the full sort below would give (the linear oracle
+		// keeps the full sort, so the equivalence tests compare the two).
+		matches = q.policy.top(matches, q.max)
+	} else {
+		s.rngMu.Lock()
+		q.policy.apply(matches, s.rng)
+		s.rngMu.Unlock()
 
-	// Stable partition: healthy offers precede suspect ones, each class
-	// keeping its policy order. A suspect provider may be fine (the
-	// probe failure could be transient), but importers walking the list
-	// front-to-back — in particular the bind failover path — should
-	// reach live providers first.
-	sort.SliceStable(matches, func(i, j int) bool {
-		return !matches[i].Suspect && matches[j].Suspect
-	})
+		// Stable partition: healthy offers precede suspect ones, each
+		// class keeping its policy order. A suspect provider may be fine
+		// (the probe failure could be transient), but importers walking
+		// the list front-to-back — in particular the bind failover path —
+		// should reach live providers first.
+		sort.SliceStable(matches, func(i, j int) bool {
+			return !matches[i].Suspect && matches[j].Suspect
+		})
 
-	if q.max > 0 && len(matches) > q.max {
-		matches = matches[:q.max]
+		if q.max > 0 && len(matches) > q.max {
+			matches = matches[:q.max]
+		}
 	}
 
 	if cacheable {

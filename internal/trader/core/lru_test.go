@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"cosm/internal/obs"
+	"cosm/internal/typemgr"
 )
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := newLRU[int](3)
+	c := newLRU[int](3, cacheMetrics{})
 	c.add("a", 1)
 	c.add("b", 2)
 	c.add("c", 3)
@@ -30,7 +34,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestLRUGetRefreshesRecency(t *testing.T) {
-	c := newLRU[int](2)
+	c := newLRU[int](2, cacheMetrics{})
 	c.add("a", 1)
 	c.add("b", 2)
 	// Touch a: b becomes the eviction victim.
@@ -47,7 +51,7 @@ func TestLRUGetRefreshesRecency(t *testing.T) {
 }
 
 func TestLRUAddRefreshesRecencyAndValue(t *testing.T) {
-	c := newLRU[int](2)
+	c := newLRU[int](2, cacheMetrics{})
 	c.add("a", 1)
 	c.add("b", 2)
 	// Re-adding a updates its value and makes b the victim.
@@ -62,7 +66,7 @@ func TestLRUAddRefreshesRecencyAndValue(t *testing.T) {
 }
 
 func TestLRUCapacityOne(t *testing.T) {
-	c := newLRU[string](1)
+	c := newLRU[string](1, cacheMetrics{})
 	c.add("a", "x")
 	c.add("b", "y")
 	if n := c.len(); n != 1 {
@@ -80,7 +84,7 @@ func TestLRUCapacityOne(t *testing.T) {
 // safe for every method and caches nothing.
 func TestLRUNilDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
-		c := newLRU[int](capacity)
+		c := newLRU[int](capacity, cacheMetrics{})
 		if c != nil {
 			t.Fatalf("newLRU(%d) != nil", capacity)
 		}
@@ -94,11 +98,46 @@ func TestLRUNilDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheMetricsReportOccupancyAndEvictions: each of the state's
+// three LRUs reports what it holds and what it dropped, and an
+// import-cache miss that evicts allocates nothing for the reporting.
+func TestCacheMetricsReportOccupancyAndEvictions(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(typemgr.NewRepo(), Options{Metrics: reg, ConstraintCacheSize: 4, ImportCacheTTL: time.Hour})
+	s.Apply(&Mutation{Op: OpExport, Offers: []*Offer{offer("o1", "A", 1, 10, 0)}})
+	for i := 0; i < importCacheSize+10; i++ {
+		mustImport(t, s, "A", fmt.Sprintf("Price < %d", i), "", nil, t0)
+	}
+	for cache, want := range map[string][2]int64{
+		"resolution": {1, 0},
+		"constraint": {4, importCacheSize + 10 - 4},
+		"import":     {importCacheSize, 10},
+	} {
+		retained := reg.Gauge("cosm_trader_"+cache+"_cache_retained", "").Value()
+		evicted := reg.Counter("cosm_trader_"+cache+"_cache_evicted_total", "").Value()
+		if retained != want[0] || int64(evicted) != want[1] {
+			t.Errorf("%s cache: retained %d, evicted %d; want %d and %d", cache, retained, evicted, want[0], want[1])
+		}
+	}
+
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	evictingAdds := func(m cacheMetrics) float64 {
+		c, i := newLRU[int](2, m), 0
+		return testing.AllocsPerRun(200, func() { c.add(keys[i%len(keys)], i); i++ })
+	}
+	if bare, reported := evictingAdds(cacheMetrics{}), evictingAdds(newCacheMetrics(reg, "test", "Entries")); reported != bare {
+		t.Fatalf("an evicting add allocates %.1f times reporting, %.1f without", reported, bare)
+	}
+}
+
 // Concurrent gets and adds must be race-free (run under -race) and
 // never grow the cache beyond capacity.
 func TestLRUConcurrent(t *testing.T) {
 	const capacity = 8
-	c := newLRU[int](capacity)
+	c := newLRU[int](capacity, cacheMetrics{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -49,10 +49,10 @@ type Options struct {
 // shard's write lock and swap offers copy-on-write: a stored *Offer is
 // immutable from the moment it enters the store, so readers may hold it
 // without locks or clones. Reads go through per-type immutable
-// snapshots (see typeSnapshot) that are rebuilt lazily after a write to
-// that type — imports therefore never block exports of other types, pay
-// no per-request index build for read-mostly workloads, and take no
-// state-wide lock.
+// snapshots (see typeSnapshot), built on a type's first read and from
+// then on derived by each write from the one before — imports therefore
+// never block exports of other types, never pay an index build for a
+// write, and take no state-wide lock.
 type State struct {
 	repo   *typemgr.Repo
 	shards [storeShards]storeShard
@@ -79,7 +79,7 @@ type State struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	rebuilds        *obs.Counter    // snapshot rebuilds
+	rebuilds        *obs.Counter    // snapshot builds (first reads)
 	indexLookups    *obs.CounterVec // by index kind: eq, range, scan, linear
 	importOutcomes  *obs.CounterVec // by outcome: hit, miss
 	compileOutcomes *obs.CounterVec // by outcome: hit, miss
@@ -91,19 +91,20 @@ func New(repo *typemgr.Repo, opts Options) *State {
 	s := &State{
 		repo:        repo,
 		linear:      opts.Linear,
-		resolutions: newLRU[*resolution](256),
-		constraints: newLRU[*Constraint](opts.ConstraintCacheSize),
+		resolutions: newLRU[*resolution](256, newCacheMetrics(reg, "resolution", "Request-type resolutions")),
+		constraints: newLRU[*Constraint](opts.ConstraintCacheSize, newCacheMetrics(reg, "constraint", "Compiled constraints")),
 		importTTL:   opts.ImportCacheTTL,
 		rng:         rand.New(rand.NewSource(1)),
 
-		rebuilds:        reg.Counter("cosm_trader_index_snapshot_rebuilds_total", "Type snapshots rebuilt after writes."),
+		rebuilds:        reg.Counter("cosm_trader_index_snapshot_rebuilds_total", "Type snapshots built from scratch, on a type's first read; writes derive them."),
 		indexLookups:    reg.CounterVec("cosm_trader_index_lookups_total", "Type-bucket match passes by index kind (eq, range, scan, linear).", "kind"),
 		importOutcomes:  reg.CounterVec("cosm_trader_import_cache_total", "Import-result cache lookups by outcome.", "outcome"),
 		compileOutcomes: reg.CounterVec("cosm_trader_constraint_cache_total", "Compiled-constraint cache lookups by outcome.", "outcome"),
 	}
 	s.Clear() // allocates the shard maps
+	imports := newCacheMetrics(reg, "import", "Import results")
 	if s.importTTL > 0 {
-		s.importCache = newLRU[*importCacheEntry](importCacheSize)
+		s.importCache = newLRU[*importCacheEntry](importCacheSize, imports)
 	}
 	return s
 }

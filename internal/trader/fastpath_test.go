@@ -88,9 +88,14 @@ func fpExpr(r *rand.Rand, depth int) string {
 
 // TestIndexedMatchesLinearProperty drives an indexed core.State and a
 // linear-scan one through identical randomized export/withdraw/
-// replace/suspect/lease histories — no Trader, no clock: mutations are
-// applied directly and every import names its instant — and asserts
-// every import returns exactly the same offers in the same order.
+// withdraw_all/replace/suspect/purge/lease histories — no Trader, no
+// clock: mutations are applied directly and every import names its
+// instant — and asserts every import returns exactly the same offers in
+// the same order. The indexed side reads before every round's writes,
+// so they derive its snapshots; a bounded Max takes its top-k heap, the
+// linear side the full sort. Some constraints ask a numeric property
+// for equality with a stored value, written as an int and as a float,
+// which the indexed side answers from the range index.
 func TestIndexedMatchesLinearProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	clock := time.Unix(1_000_000, 0)
@@ -107,7 +112,8 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 	}
 
 	var ids []string
-	export := func() {
+	var milages []int64 // AverageMilage of every offer exported, for equality leaves
+	newOffer := func() *Offer {
 		o := &Offer{
 			ID:    fmt.Sprintf("T/o%d", len(ids)+1),
 			Type:  "CarRentalService",
@@ -117,16 +123,34 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 		if r.Intn(4) == 0 {
 			o.Expires = clock.Add(time.Duration(1+r.Intn(120)) * time.Second)
 		}
-		apply(&core.Mutation{Op: core.OpExport, Offers: []*Offer{o}})
 		ids = append(ids, o.ID)
+		milages = append(milages, o.Props["AverageMilage"].Int)
+		return o
+	}
+	export := func(n int) {
+		m := &core.Mutation{Op: core.OpExport}
+		for i := 0; i < n; i++ {
+			m.Offers = append(m.Offers, newOffer())
+		}
+		apply(m)
+	}
+	constraint := func() string {
+		n := milages[r.Intn(len(milages))]
+		switch r.Intn(6) {
+		case 0:
+			return fmt.Sprintf("AverageMilage == %d", n)
+		case 1:
+			return fmt.Sprintf("AverageMilage == %d.0 && (%s)", n, fpExpr(r, 1))
+		}
+		return fpExpr(r, 2)
 	}
 
-	policies := []string{"", "first", "min:ChargePerDay", "max:AverageMilage"}
+	policies := []string{"", "first", "min:ChargePerDay", "max:AverageMilage", "score"}
 	check := func(round int) {
 		for k := 0; k < 8; k++ {
 			req := ImportRequest{
 				Type:       "CarRentalService",
-				Constraint: fpExpr(r, 2),
+				Constraint: constraint(),
 				Policy:     policies[r.Intn(len(policies))],
 				Max:        r.Intn(5), // 0 = all
 			}
@@ -152,15 +176,22 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 
 	for round := 0; round < 30; round++ {
 		for i := 0; i < 10; i++ {
-			export()
+			export(1)
 		}
+		export(2 + r.Intn(5)) // one multi-offer batch
 		// Mutate identically on both sides.
 		if r.Intn(2) == 0 {
 			apply(&core.Mutation{Op: core.OpWithdraw, IDs: []string{ids[r.Intn(len(ids))]}})
 		}
+		if r.Intn(3) == 0 {
+			apply(&core.Mutation{Op: core.OpWithdrawAll, IDs: []string{ids[r.Intn(len(ids))], ids[r.Intn(len(ids))], "T/o0"}})
+		}
 		apply(&core.Mutation{Op: core.OpReplace, IDs: []string{ids[r.Intn(len(ids))]}, Props: propMap(fpOfferProps(r))})
 		apply(&core.Mutation{Op: core.OpSuspect, IDs: []string{ids[r.Intn(len(ids))]}, Suspect: r.Intn(2) == 0})
 		clock = clock.Add(time.Duration(r.Intn(30)) * time.Second) // expire some leases
+		if r.Intn(3) == 0 {
+			apply(&core.Mutation{Op: core.OpPurge, At: clock})
+		}
 		check(round)
 	}
 	if indexed.Count(clock) != linear.Count(clock) {
