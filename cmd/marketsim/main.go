@@ -9,7 +9,6 @@
 //	marketsim -days 730 -delay 120    # two years, slower standardisation
 //	marketsim -timeline               # also dump the cumulative series
 //	marketsim -chaos                  # live market under fault injection
-//	marketsim -soak -seed 7           # replicated-cluster chaos soak
 //	marketsim -mesh -mesh-traders 20  # federated trader mesh, routed vs full scatter
 //
 // With -chaos the command instead stands up a real market (trader,
@@ -17,11 +16,8 @@
 // the client side, crashes the cheapest provider mid-run, and reports
 // how retries, bind failover and the trader's liveness sweeper cope.
 //
-// With -soak it stands up a replicated trader cluster with automatic
-// failover and drives it through a seeded schedule of leader crashes,
-// partitions, disk faults and follower churn, continuously checking the
-// HA invariants (one leader per epoch, monotonic epochs, zero lost
-// acknowledged exports, byte-identical convergence); see soak.go.
+// The replicated trader cell's invariants are checked by a seeded
+// simulation, not here: go test -run TestCellSim ./internal/trader.
 package main
 
 import (
@@ -51,10 +47,8 @@ func run(args []string) error {
 	fs.Float64Var(&p.CostGenericUseOverhead, "overhead", p.CostGenericUseOverhead, "per-use generic-client overhead")
 	timeline := fs.Bool("timeline", false, "print the per-day cumulative series")
 	chaos := fs.Bool("chaos", false, "run the live fault-injection market instead of the discrete-event simulation")
-	soak := fs.Bool("soak", false, "run the replicated-cluster chaos soak (self-healing HA under a seeded fault schedule)")
 	mesh := fs.Bool("mesh", false, "run the federated trader mesh demo (summary-routed vs full scatter)")
 	cc := registerChaosFlags(fs)
-	sc := registerSoakFlags(fs)
 	mc := registerMeshFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,10 +57,6 @@ func run(args []string) error {
 	if *chaos {
 		cc.seed = p.Seed
 		return runChaos(os.Stdout, *cc)
-	}
-	if *soak {
-		sc.seed = p.Seed
-		return runSoak(os.Stdout, *sc)
 	}
 	if *mesh {
 		mc.seed = p.Seed

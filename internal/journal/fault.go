@@ -12,7 +12,7 @@ import (
 // operation names below; a non-nil return is treated as that operation
 // failing. FaultInjector is the stock deterministic schedule — fail the
 // Kth fsync, tear the Kth record write, run out of space from write K
-// onward — used by the fail-stop tests and the marketsim soak harness.
+// onward — used by the fail-stop tests and the trader's cell simulation.
 
 // Fault hook operation names.
 const (
@@ -76,7 +76,8 @@ func (fi *FaultInjector) FailFrom(op string, k uint64, err error) *FaultInjector
 }
 
 // FailNow arms the injector to fail every occurrence of op from this
-// moment on — the soak harness's "the leader's disk just died" trigger.
+// moment on — the "this disk just died" trigger of the fail-stop tests
+// and the cell simulation.
 func (fi *FaultInjector) FailNow(op string, err error) *FaultInjector {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()

@@ -131,7 +131,7 @@ type Options struct {
 	// FaultHook, when set, is consulted before each disk operation
 	// (FaultFsync, FaultWrite, FaultSnapshot) and a non-nil return is
 	// treated as that operation failing — the disk-fault injection seam
-	// used by the fail-stop tests and the chaos soak harness (see
+	// used by the fail-stop tests and the trader's cell simulation (see
 	// FaultInjector). Production journals leave it nil.
 	FaultHook func(op string) error
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -905,4 +906,60 @@ func TestRecoverOrder(t *testing.T) {
 	if got := strings.Join(third.calls, " "); got != "restore:state attach snapshot" {
 		t.Fatalf("third boot: calls = %q (the second boot's compaction should have folded the records)", got)
 	}
+}
+
+// FuzzJournalOpen: a segment holds whatever a crash left on disk — the
+// market journal's, the browser's or the vote ledger's — so Open and
+// Replay must survive any bytes behind the magic, and the journal they
+// recover must keep both what it replayed and what it appends next:
+// Open → Replay → Start → Append(x) → Close → Open → Replay yields the
+// first replay followed by x. (A pledge appended after a torn tail is
+// exactly that x.) The seeds are real segments: whole, torn mid-frame,
+// and with a bit flipped.
+func FuzzJournalOpen(f *testing.F) {
+	dir := f.TempDir()
+	j, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Start(nil); err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range []string{`{"op":"vote","name":"X","epoch":5}`, `{"op":"vote","epoch":6}`, "three"} {
+		if _, err := j.Append([]byte(p)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	j.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, 1, segSuffix)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seg := raw[len(segMagic):]
+	flipped := append([]byte(nil), seg...)
+	flipped[len(flipped)/2] ^= 0x10
+	pledge := []byte(`{"op":"vote","name":"Y","epoch":7}`)
+	f.Add(seg, pledge)
+	f.Add(seg[:len(seg)-5], pledge)
+	f.Add(flipped, []byte{})
+
+	f.Fuzz(func(t *testing.T, segment, x []byte) {
+		dir := t.TempDir()
+		name := filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, 1, segSuffix))
+		if err := os.WriteFile(name, append([]byte(segMagic), segment...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, first := openStarted(t, dir, Options{Fsync: FsyncNever})
+		if _, err := j.Append(x); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, second := openStarted(t, dir, Options{Fsync: FsyncNever})
+		defer j.Close()
+		if want := append(first, x); !slices.EqualFunc(second, want, bytes.Equal) {
+			t.Fatalf("recovered %q, then appended %q: reopened to %q", first, x, second)
+		}
+	})
 }

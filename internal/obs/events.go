@@ -142,7 +142,7 @@ func (l *EventLog) Len() int {
 // MergeEvents folds several nodes' event slices into one timeline
 // ordered by time (breaking ties by node then per-log sequence) — the
 // cluster-wide post-mortem view assembled by `cosmcli events` and the
-// soak harness's invariant-violation report.
+// trader's cell simulation when a seed fails.
 func MergeEvents(logs ...[]Event) []Event {
 	var out []Event
 	for _, l := range logs {

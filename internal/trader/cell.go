@@ -41,7 +41,7 @@ import (
 // the wire; tests substitute in-process peers.
 type CellPeer interface {
 	ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error)
-	RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error)
+	RequestVote(ctx context.Context, candidateID string, newEpoch, applied, tailEpoch uint64) (Vote, error)
 	ReplStatus(ctx context.Context) (ReplStatus, error)
 }
 
@@ -176,7 +176,7 @@ func (c *Cell) runPull(ctx context.Context) {
 		// suspectNow allows, or it reads as a wedged loop and the member
 		// relocates to its own leader.
 		wait := min(2*time.Second, c.cfg.ElectionTimeout)
-		b, err := src.ReplPull(ctx, c.id, c.t.Epoch(), c.t.ReplApplied(), 512, wait)
+		b, err := src.ReplPull(ctx, c.id, c.repl.fenced(), c.t.ReplApplied(), 512, wait)
 		if err == nil {
 			_, err = c.t.ApplyBatch(b)
 		}
@@ -186,9 +186,10 @@ func (c *Cell) runPull(ctx context.Context) {
 		c.observePull(err)
 		if err != nil {
 			c.t.log.Log(ctx, "repl_pull_error", "err", err.Error())
-			if hint, ok := LeaderHintFromError(err); ok {
+			if hint, ok := LeaderHintFromError(err); ok && hint != c.cfg.SelfRef {
 				// The rejection names the real leader: chase the hint
-				// instead of hammering the deposed node.
+				// instead of hammering the deposed node (a hint naming
+				// this member is stale news of its own reign).
 				c.repl.setLeaderHint(hint)
 			}
 			c.sleep(ctx, backoff)
@@ -223,7 +224,7 @@ func (c *Cell) source(ctx context.Context) CellPeer {
 // sleep waits for d plus up to d/2 of seeded jitter, returning early on
 // cancellation.
 func (c *Cell) sleep(ctx context.Context, d time.Duration) {
-	pause(ctx, d+upTo(c.pullJitter, d/2), nil)
+	c.t.pause(ctx, d+upTo(c.pullJitter, d/2), nil)
 }
 
 // observePull counts consecutive misses and wakes the monitor once the
@@ -247,7 +248,7 @@ func (c *Cell) runMonitor(ctx context.Context) {
 		// Pace: about half an election timeout (with seeded jitter, so
 		// rival candidates decorrelate), or earlier on suspicion.
 		base := c.cfg.ElectionTimeout / 2
-		pause(ctx, base+upTo(c.paceJitter, base), c.suspect)
+		c.t.pause(ctx, base+upTo(c.paceJitter, base), c.suspect)
 		if ctx.Err() != nil {
 			return
 		}
@@ -268,7 +269,7 @@ func (c *Cell) runMonitor(ctx context.Context) {
 			// locks. A random pre-candidacy delay lets one stand first
 			// — the other finds the winner in its relocate scan. Same
 			// trick as Raft's randomized election timeout.
-			pause(ctx, upTo(c.paceJitter, c.cfg.ElectionTimeout/2), nil)
+			c.t.pause(ctx, upTo(c.paceJitter, c.cfg.ElectionTimeout/2), nil)
 			if ctx.Err() != nil {
 				return
 			}
@@ -315,34 +316,40 @@ type peerStatus struct {
 	st  ReplStatus
 }
 
-// scanPeers polls every configured peer's replication status
-// concurrently, dropping unreachable ones.
+// scanPeers polls every configured peer's replication status, dropping
+// unreachable ones.
 func (c *Cell) scanPeers(ctx context.Context) []peerStatus {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ElectionTimeout)
-	defer cancel()
-	ch := make(chan peerStatus, len(c.cfg.Peers))
-	for _, ref := range c.cfg.Peers {
-		go func() {
-			p, err := c.peer(ctx, ref)
-			if err != nil {
-				ch <- peerStatus{}
-				return
-			}
-			st, err := p.ReplStatus(ctx)
-			if err != nil {
-				ch <- peerStatus{}
-				return
-			}
-			ch <- peerStatus{ref: ref, st: st}
-		}()
-	}
+	sts, errs := ask(ctx, c, CellPeer.ReplStatus)
 	var out []peerStatus
-	for range c.cfg.Peers {
-		if ps := <-ch; ps.ref != "" {
-			out = append(out, ps)
+	for i, err := range errs {
+		if err == nil {
+			out = append(out, peerStatus{ref: c.cfg.Peers[i], st: sts[i]})
 		}
 	}
 	return out
+}
+
+// ask calls every configured peer at once, bounded by one election
+// timeout, and returns the replies and errors by peer position: what a
+// round decides never depends on the order the replies arrived in.
+func ask[R any](ctx context.Context, c *Cell, call func(CellPeer, context.Context) (R, error)) ([]R, []error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ElectionTimeout)
+	defer cancel()
+	replies, errs := make([]R, len(c.cfg.Peers)), make([]error, len(c.cfg.Peers))
+	var wg sync.WaitGroup
+	for i, ref := range c.cfg.Peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := c.peer(ctx, ref)
+			if err == nil {
+				replies[i], err = call(p, ctx)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	return replies, errs
 }
 
 // bestLeader picks from a scan the ref of the highest-epoch leader at
@@ -398,51 +405,38 @@ func (c *Cell) relocate(ctx context.Context) bool {
 // the configured cell. Losing is cheap — the loop paces with jitter
 // and retries while the leader stays dead.
 func (c *Cell) electionRound(ctx context.Context) {
-	cur, applied := c.t.Epoch(), c.t.ReplApplied()
-	target := c.t.electionTarget()
-	if !c.t.tryVote(c.id, target) {
+	cur := c.t.Epoch()
+	tail, applied := c.t.logEnd()
+	target := c.repl.electionTarget()
+	if ok, err := c.repl.tryVote(c.id, target); !ok {
 		// A rival's concurrent RequestVote pledged our vote between
-		// picking the target and locking it; the next round moves past.
+		// picking the target and locking it, or the pledge could not be
+		// persisted; the next round moves past.
+		c.t.logVotePersist(ctx, target, err)
 		return
 	}
 	c.t.event("candidacy", "candidate", c.id,
 		"epoch", strconv.FormatUint(target, 10),
-		"applied", strconv.FormatUint(applied, 10))
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.ElectionTimeout)
-	defer cancel()
-	type reply struct {
-		ref string
-		v   Vote
-		err error
-	}
-	ch := make(chan reply, len(c.cfg.Peers))
-	for _, ref := range c.cfg.Peers {
-		go func() {
-			p, err := c.peer(rctx, ref)
-			if err != nil {
-				ch <- reply{ref: ref, err: err}
-				return
-			}
-			v, err := p.RequestVote(rctx, c.id, target, applied)
-			ch <- reply{ref: ref, v: v, err: err}
-		}()
-	}
+		"applied", strconv.FormatUint(applied, 10),
+		"tail_epoch", strconv.FormatUint(tail, 10))
+	replies, errs := ask(ctx, c, func(p CellPeer, ctx context.Context) (Vote, error) {
+		return p.RequestVote(ctx, c.id, target, applied, tail)
+	})
 	votes := 1 // our own
 	leaderRef := ""
 	maxPledge := uint64(0)
-	for range c.cfg.Peers {
-		r := <-ch
-		if r.err != nil {
+	for i, v := range replies {
+		if errs[i] != nil {
 			continue
 		}
-		if r.v.Granted {
+		if v.Granted {
 			votes++
 		}
-		if r.v.VoteEpoch > maxPledge {
-			maxPledge = r.v.VoteEpoch
+		if v.VoteEpoch > maxPledge {
+			maxPledge = v.VoteEpoch
 		}
-		if r.v.Role == RoleLeader && r.v.Epoch >= cur {
-			leaderRef = r.ref
+		if v.Role == RoleLeader && v.Epoch >= cur {
+			leaderRef = c.cfg.Peers[i]
 		}
 	}
 	quorum := (len(c.cfg.Peers)+1)/2 + 1
@@ -468,7 +462,7 @@ func (c *Cell) electionRound(ctx context.Context) {
 		// Adopt the round's highest observed vote pledge, so the next
 		// candidacy stands past it instead of losing to the same lock
 		// one epoch higher each round.
-		c.t.adoptVoteEpoch(maxPledge)
+		c.t.logVotePersist(ctx, maxPledge, c.repl.adoptVoteEpoch(maxPledge))
 		c.t.metrics.elections.With("lost").Inc()
 		c.t.event("election_lost", "epoch", strconv.FormatUint(target, 10),
 			"votes", strconv.Itoa(votes), "quorum", strconv.Itoa(quorum))
@@ -534,21 +528,22 @@ func (l *loop) stop() {
 	}
 }
 
-// pause blocks for d, or until ctx is cancelled or early delivers (early
-// may be nil).
-func pause(ctx context.Context, d time.Duration, early <-chan struct{}) {
+// wallPause is a trader's pause on the wall clock: it blocks for d, or
+// until ctx is cancelled or wake delivers (wake may be nil).
+func wallPause(ctx context.Context, d time.Duration, wake <-chan struct{}) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
-	case <-early:
+	case <-wake:
 	case <-ctx.Done():
 	}
 }
 
 // newJitter seeds a delay source from an ID, so jitter streams differ
-// per member but reproduce across runs (the soak harness's determinism
-// contract). Each loop draws from its own, so none needs a lock.
+// per member but reproduce across runs (the cell simulation's
+// determinism contract). Each loop draws from its own, so none needs a
+// lock.
 func newJitter(id string) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(id))

@@ -7,9 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cosm/internal/journal"
-	"cosm/internal/obs"
-	"cosm/internal/sidl"
 	"cosm/internal/typemgr"
 )
 
@@ -95,77 +92,4 @@ func TestLoopStopWaitsForRun(t *testing.T) {
 	}
 	l.start(func(context.Context) { t.Error("started after stop") })
 	l.stop()
-}
-
-// TestCellRetargetsAtRecoveredHint: a member assembled after
-// SetFollower(ref) pulls from ref with no further step — the leader
-// hint is the one place the pull loop's target lives.
-func TestCellRetargetsAtRecoveredHint(t *testing.T) {
-	leader, lj := newDurableTrader(t, "L", t.TempDir(), journal.Options{Fsync: journal.FsyncAlways})
-	defer lj.Close()
-	if err := leader.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leader.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 50, "USD")); err != nil {
-		t.Fatal(err)
-	}
-	follower, fj := newDurableTrader(t, "F", t.TempDir(), journal.Options{Fsync: journal.FsyncAlways})
-	defer fj.Close()
-	follower.SetFollower("cosm://leader")
-
-	dialled := make(chan string, 16)
-	c := follower.JoinCell(CellConfig{Dial: func(_ context.Context, memberRef string) (CellPeer, error) {
-		dialled <- memberRef
-		return inProc{leader}, nil
-	}})
-	defer c.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for follower.ReplApplied() < leader.Status().LastSeq {
-		if time.Now().After(deadline) {
-			t.Fatal("member never pulled from its recovered leader hint")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := <-dialled; got != "cosm://leader" {
-		t.Fatalf("pull loop dialled %q, want the hint SetFollower left", got)
-	}
-	if follower.OfferCount() != 1 {
-		t.Fatalf("follower holds %d offers, want the leader's 1", follower.OfferCount())
-	}
-}
-
-// TestIdleCellNeverRelocates: a healthy three-member cell with a short
-// election timeout, left idle, stays put. An idle pull long-polls the
-// leader; were the poll longer than two election timeouts, suspectNow
-// would read the quiet link as a wedged loop and each follower would
-// "relocate" to its own leader about once a second.
-func TestIdleCellNeverRelocates(t *testing.T) {
-	d := newPeerDirectory()
-	refs := []string{"cosm://A", "cosm://B", "cosm://C"}
-	var members []*Trader
-	for i, ref := range refs {
-		tr, j := newDurableTrader(t, ref[len("cosm://"):], t.TempDir(), journal.Options{Fsync: journal.FsyncAlways},
-			WithMetrics(obs.NewRegistry()))
-		defer j.Close()
-		if i > 0 {
-			tr.SetFollower(refs[0])
-		}
-		d.add(ref, tr)
-		members = append(members, tr)
-	}
-	for i, tr := range members {
-		peers := append(append([]string(nil), refs[:i]...), refs[i+1:]...)
-		c := tr.JoinCell(CellConfig{SelfRef: refs[i], Peers: peers, Dial: d.dial, ElectionTimeout: 300 * time.Millisecond})
-		defer c.Close()
-	}
-	time.Sleep(3 * time.Second)
-	for i, tr := range members {
-		if n := tr.metrics.elections.With("relocated").Value(); n != 0 {
-			t.Errorf("%s relocated %d times in an idle, healthy cell", refs[i], n)
-		}
-		if want := i > 0; tr.repl.isFollower() != want || tr.Epoch() != members[0].Epoch() {
-			t.Errorf("%s: follower %v at epoch %d; the cell must not have changed leaders", refs[i], tr.repl.isFollower(), tr.Epoch())
-		}
-	}
 }

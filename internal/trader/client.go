@@ -356,10 +356,11 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 }
 
 // RequestVote asks the remote trader for its vote in an election for
-// newEpoch, declaring the candidate's applied position.
-func (c *Client) RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error) {
+// newEpoch, declaring where the candidate's log ends (see RequestVote
+// on Trader).
+func (c *Client) RequestVote(ctx context.Context, candidateID string, newEpoch, applied, tailEpoch uint64) (Vote, error) {
 	var v Vote
-	if err := c.call(ctx, "RequestVote", &v, candidateID, newEpoch, applied); err != nil {
+	if err := c.call(ctx, "RequestVote", &v, candidateID, newEpoch, applied, tailEpoch); err != nil {
 		return Vote{}, fmt.Errorf("trader: remote request vote: %w", err)
 	}
 	return v, nil

@@ -42,10 +42,9 @@ const (
 	opDefineType = "deftype"
 	opRemoveType = "removetype"
 	opEpoch      = "epoch"
-	// opVote records an election vote pledge. It lives in the per-node
-	// vote ledger (votelog.go), never in the replicated journal — votes
-	// are per-node facts — but ReplayRecord still understands it, and
-	// adopts it conservatively (denying extra votes is always safe).
+	// opVote records an election vote pledge. It lives only in the
+	// per-node vote ledger (votelog.go), never in the replicated journal:
+	// votes are per-node facts.
 	opVote = "vote"
 )
 
@@ -124,6 +123,7 @@ func (t *Trader) commit(m *core.Mutation) ([]*Offer, error) {
 	if t.journal == nil {
 		return t.core.Apply(m), nil
 	}
+	epoch := t.Epoch()
 	t.applyMu.RLock()
 	seq, err := t.journal.AppendJSON(recordOf(m))
 	if err != nil {
@@ -132,7 +132,7 @@ func (t *Trader) commit(m *core.Mutation) ([]*Offer, error) {
 	}
 	applied := t.core.Apply(m)
 	t.applyMu.RUnlock()
-	return applied, t.waitReplicated(seq)
+	return applied, t.waitReplicated(seq, epoch)
 }
 
 // journalRecord appends a record whose effect is already in place — a
@@ -142,13 +142,14 @@ func (t *Trader) journalRecord(r *walRecord) error {
 	if t.journal == nil {
 		return nil
 	}
+	epoch := t.Epoch()
 	t.applyMu.RLock()
 	seq, err := t.journal.AppendJSON(r)
 	t.applyMu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("%w: %w", errJournalAppend, err)
 	}
-	return t.waitReplicated(seq)
+	return t.waitReplicated(seq, epoch)
 }
 
 // traderSnapshot is the compaction snapshot: the full offer store, the
@@ -170,7 +171,9 @@ func (t *Trader) SetJournal(j *journal.Journal) {
 	if j != nil {
 		// The replication position starts at the recovered log tail: on a
 		// follower this is where pulling resumes, on a leader it is inert.
+		// The tail came from the leader of the recovered epoch.
 		t.repl.applied.Store(j.Stats().LastSeq)
+		t.repl.srcEpoch.Store(t.repl.epoch.Load())
 		// Disk-fault demotion: a journal that latches fail-stop can no
 		// longer persist acknowledged writes, so the trader immediately
 		// stops leading and sheds mutations (keeping whatever leader
@@ -214,6 +217,20 @@ func (t *Trader) JournalSnapshot() ([]byte, error) {
 		snap.Offers = append(snap.Offers, o.Record())
 	}
 	return json.Marshal(snap)
+}
+
+// clearState empties the market a snapshot install is about to replace
+// wholesale: the offers, the offer ID counter, and every type a record
+// or snapshot defined, so a discarded journal tail leaves nothing
+// behind. Types with no retained source were never journalled and stay.
+func (t *Trader) clearState() {
+	t.core.Clear()
+	t.seq.Store(0)
+	for name := range t.types.Sources() {
+		// Journalled types come from SIDL, which names no supertype; only
+		// an unjournalled subtype can keep one (ErrTypeInUse).
+		_ = t.types.Remove(name)
+	}
 }
 
 // RestoreSnapshot loads a compaction snapshot produced by
@@ -276,15 +293,6 @@ func (t *Trader) ReplayRecord(seq uint64, payload []byte) error {
 		}
 	case opEpoch:
 		t.raiseEpoch(r.Epoch)
-	case opVote:
-		// Adopt the pledge: only ever raises the vote lock, so a stray
-		// vote record can deny votes but never double one.
-		t.repl.mu.Lock()
-		if r.Epoch > t.repl.voteEpoch ||
-			(r.Epoch == t.repl.voteEpoch && r.Name != "") {
-			t.repl.voteEpoch, t.repl.votedFor = r.Epoch, r.Name
-		}
-		t.repl.mu.Unlock()
 	default:
 		m, err := r.mutation()
 		if err != nil {

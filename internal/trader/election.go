@@ -6,8 +6,8 @@ package trader
 // stands for election is the Cell's monitor, in cell.go.
 //
 // Vote pledges are durable when a vote ledger is attached (SetVoteLog):
-// the (epoch, candidate) pair is fsynced into a per-node sidecar file
-// before the grant leaves this node, and replayed on restart — so a
+// the (epoch, candidate) pair is fsynced into a per-node journal before
+// the grant leaves this node, and replayed on restart — so a
 // voter that restarts inside one election round re-adopts its pledge
 // instead of handing a second vote to a rival at the same epoch.
 // Without a ledger the pledge is memory-only (in-process tests), and
@@ -37,11 +37,12 @@ type Vote struct {
 }
 
 // RequestVote serves one vote request: candidateID asks to lead at
-// newEpoch with the given applied position. The reply always carries
-// this member's own view; Granted is true only when every fencing rule
-// passes.
-func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error) {
-	v := Vote{Role: t.Role(), Epoch: t.Epoch(), Applied: t.electionApplied(), Leader: t.LeaderHint()}
+// newEpoch, its log ending at applied with a tail from the leader of
+// tailEpoch (logEnd). The reply always carries this member's own view;
+// Granted is true only when every fencing rule passes.
+func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, applied, tailEpoch uint64) (Vote, error) {
+	tail, seq := t.logEnd()
+	v := Vote{Role: t.Role(), Epoch: t.Epoch(), Applied: seq, Leader: t.LeaderHint()}
 	var deny string
 	switch {
 	case v.Role == RoleLeader && !t.journalFailed():
@@ -51,9 +52,9 @@ func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, 
 	case newEpoch <= v.Epoch:
 		// Stale candidacy: the group already moved past that epoch.
 		deny = "stale_epoch"
-	case applied < v.Applied:
-		// Max-applied wins: granting would let a candidate missing
-		// acknowledged records take over and lose them.
+	case tailEpoch < tail || tailEpoch == tail && applied < seq:
+		// Most-advanced log wins (see logEnd): granting would let a
+		// candidate missing acknowledged records take over and lose them.
 		deny = "behind_applied"
 	case t.repl.pullHealthy(t.now()):
 		// Our own pulls from the leader succeeded within the veto
@@ -61,17 +62,19 @@ func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, 
 		// the candidate. Denying here stops a flapping minority link
 		// from deposing a healthy leader.
 		deny = "healthy_leader_link"
-	case !t.tryVote(candidateID, newEpoch):
-		// Vote lock: this epoch's vote already went to someone else —
-		// or the durable pledge could not be persisted (fail-safe:
-		// denying an extra vote never violates quorum safety).
-		deny = "vote_locked"
 	default:
-		v.Granted = true
+		// Vote lock: this epoch's vote may already have gone to someone
+		// else — or the durable pledge could not be persisted (fail-safe:
+		// denying an extra vote never violates quorum safety).
+		ok, err := t.repl.tryVote(candidateID, newEpoch)
+		t.logVotePersist(ctx, newEpoch, err)
+		if v.Granted = ok; ok {
+			t.repl.raiseFence(newEpoch)
+		} else {
+			deny = "vote_locked"
+		}
 	}
-	t.repl.mu.Lock()
-	v.VoteEpoch = t.repl.voteEpoch
-	t.repl.mu.Unlock()
+	v.VoteEpoch = t.repl.pledged()
 	if v.Granted {
 		t.event("vote_granted", "candidate", candidateID, "epoch", strconv.FormatUint(newEpoch, 10))
 	} else {
@@ -84,42 +87,44 @@ func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, 
 // adoptVoteEpoch raises this node's vote pledge to e (clearing the
 // pledged candidate, since no vote was actually granted at e). A
 // candidate calls it with the maximum VoteEpoch seen in a lost round.
-// The raise is persisted best-effort: losing it to a crash only costs
-// one re-fought round, it cannot double a vote.
-func (t *Trader) adoptVoteEpoch(e uint64) {
-	t.repl.mu.Lock()
-	if e > t.repl.voteEpoch {
-		t.repl.voteEpoch, t.repl.votedFor = e, ""
-		if t.votes != nil {
-			if err := t.votes.Append(e, ""); err != nil {
-				t.log.Log(nil, "vote_persist_failed", "epoch", e, "err", err.Error())
-			}
-		}
+// The raise is persisted best-effort — the ledger's error is returned
+// for the log: losing it to a crash only costs one re-fought round, it
+// cannot double a vote.
+func (r *replState) adoptVoteEpoch(e uint64) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e <= r.voteEpoch {
+		return nil
 	}
-	t.repl.mu.Unlock()
+	r.voteEpoch, r.votedFor = e, ""
+	return r.votes.pledge(e, "")
 }
 
 // tryVote takes the per-epoch vote lock: true when candidateID holds
 // this trader's vote for epoch e (idempotent for the same candidate).
-// With a vote ledger attached the pledge is fsynced before the lock is
-// considered taken; a persist failure denies the vote (fail-safe).
-func (t *Trader) tryVote(candidateID string, e uint64) bool {
-	t.repl.mu.Lock()
-	defer t.repl.mu.Unlock()
-	if e < t.repl.voteEpoch {
-		return false
+// With a vote ledger attached the pledge is persisted before the lock
+// is considered taken; a persist failure denies the vote (fail-safe)
+// and is returned.
+func (r *replState) tryVote(candidateID string, e uint64) (bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e < r.voteEpoch || e == r.voteEpoch && r.votedFor != "" && r.votedFor != candidateID {
+		return false, nil
 	}
-	if e == t.repl.voteEpoch && t.repl.votedFor != "" && t.repl.votedFor != candidateID {
-		return false
-	}
-	if t.votes != nil && (e != t.repl.voteEpoch || t.repl.votedFor != candidateID) {
-		if err := t.votes.Append(e, candidateID); err != nil {
-			t.log.Log(nil, "vote_persist_failed", "epoch", e, "candidate", candidateID, "err", err.Error())
-			return false
+	if e != r.voteEpoch || r.votedFor != candidateID {
+		if err := r.votes.pledge(e, candidateID); err != nil {
+			return false, err
 		}
 	}
-	t.repl.voteEpoch, t.repl.votedFor = e, candidateID
-	return true
+	r.voteEpoch, r.votedFor = e, candidateID
+	return true, nil
+}
+
+// pledged reports the highest epoch this node's vote is pledged at.
+func (r *replState) pledged() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.voteEpoch
 }
 
 // electionTarget picks the epoch to stand for: past both the current
@@ -127,23 +132,31 @@ func (t *Trader) tryVote(candidateID string, e uint64) bool {
 // Standing again at a pledged epoch would deadlock rival candidacies —
 // every vote lock held, no quorum ever assembled — so each fresh
 // candidacy moves to a fresh epoch, exactly as Raft mints a fresh term.
-func (t *Trader) electionTarget() uint64 {
-	target := t.repl.epoch.Load() + 1
-	t.repl.mu.Lock()
-	if t.repl.voteEpoch >= target {
-		target = t.repl.voteEpoch + 1
-	}
-	t.repl.mu.Unlock()
-	return target
+func (r *replState) electionTarget() uint64 {
+	return max(r.epoch.Load(), r.pledged()) + 1
 }
 
-// electionApplied is the position votes compare: the applied pull
-// position on a follower, the journal tail on a leader.
-func (t *Trader) electionApplied() uint64 {
-	if !t.repl.isFollower() && t.journal != nil {
-		return t.journal.Stats().LastSeq
+// logVotePersist logs a pledge the vote ledger could not persist.
+func (t *Trader) logVotePersist(ctx context.Context, epoch uint64, err error) {
+	if err != nil {
+		t.log.Log(ctx, "vote_persist_failed", "epoch", epoch, "err", err.Error())
 	}
-	return t.repl.applied.Load()
+}
+
+// logEnd is where this member's log ends, as votes compare logs —
+// Raft's (last term, last index): the epoch of the leader its journal
+// tail came from (srcEpoch), then the tail's sequence number. A longer
+// tail from an older epoch, whose records a later leader may never have
+// had, ranks below the later leader's log. The tail is the journal's
+// (the applied pull position without one): a member resyncing from a
+// snapshot still holds, and votes on, its records until the install
+// rewinds them.
+func (t *Trader) logEnd() (tailEpoch, seq uint64) {
+	seq = t.repl.applied.Load()
+	if t.journal != nil {
+		seq = t.journal.Stats().LastSeq
+	}
+	return t.repl.srcEpoch.Load(), seq
 }
 
 // journalFailed reports whether the attached journal latched fail-stop.

@@ -80,12 +80,12 @@ func (p *peerProxy) ReplPull(ctx context.Context, followerID string, epoch, afte
 	return t.ReplPull(ctx, followerID, epoch, afterSeq, max, wait)
 }
 
-func (p *peerProxy) RequestVote(ctx context.Context, candidateID string, newEpoch, applied uint64) (Vote, error) {
+func (p *peerProxy) RequestVote(ctx context.Context, candidateID string, newEpoch, applied, tailEpoch uint64) (Vote, error) {
 	t, err := p.target()
 	if err != nil {
 		return Vote{}, err
 	}
-	return t.RequestVote(ctx, candidateID, newEpoch, applied)
+	return t.RequestVote(ctx, candidateID, newEpoch, applied, tailEpoch)
 }
 
 func (p *peerProxy) ReplStatus(ctx context.Context) (ReplStatus, error) {
@@ -128,7 +128,7 @@ func TestRequestVoteFencing(t *testing.T) {
 	}
 
 	// A healthy leader denies any candidacy, and reports itself.
-	v, err := leader.RequestVote(ctx, "X", leader.Epoch()+5, 1<<30)
+	v, err := leader.RequestVote(ctx, "X", leader.Epoch()+5, 1<<30, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,37 +140,37 @@ func TestRequestVoteFencing(t *testing.T) {
 	defer fj.Close()
 	follower.SetFollower("cosm://leader")
 	syncUp(t, leader, follower, "f1")
-	applied := follower.ReplApplied()
+	tail, applied := follower.logEnd()
 
 	// Stale epoch: the group is already at or past it.
-	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch(), applied); v.Granted {
+	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch(), applied, tail); v.Granted {
 		t.Fatal("granted a vote at a stale epoch")
 	}
 	// Max-applied: a candidate missing acknowledged records is denied.
-	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied-1); v.Granted {
+	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied-1, tail); v.Granted {
 		t.Fatal("granted a vote to a candidate behind our applied position")
 	}
 	// Health veto: our own pulls still succeed, so the leader is alive.
 	follower.repl.voteHealthWindow.Store(int64(time.Hour))
 	follower.repl.lastPullOK.Store(follower.now().UnixNano())
-	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied); v.Granted {
+	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied, tail); v.Granted {
 		t.Fatal("granted a vote while our own leader link is healthy")
 	}
 	follower.repl.voteHealthWindow.Store(0)
 
 	// Grant, then the vote lock: one vote per epoch, idempotent for the
 	// same candidate, denied to a rival.
-	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied); !v.Granted {
+	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied, tail); !v.Granted {
 		t.Fatalf("expected a grant: %+v", v)
 	}
-	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied); !v.Granted {
+	if v, _ = follower.RequestVote(ctx, "X", follower.Epoch()+1, applied, tail); !v.Granted {
 		t.Fatal("re-request by the same candidate must stay granted")
 	}
-	if v, _ = follower.RequestVote(ctx, "Y", follower.Epoch()+1, applied); v.Granted {
+	if v, _ = follower.RequestVote(ctx, "Y", follower.Epoch()+1, applied, tail); v.Granted {
 		t.Fatal("epoch's vote already pledged to X, rival Y must be denied")
 	}
 	// A higher epoch re-opens the lock.
-	if v, _ = follower.RequestVote(ctx, "Y", follower.Epoch()+2, applied); !v.Granted {
+	if v, _ = follower.RequestVote(ctx, "Y", follower.Epoch()+2, applied, tail); !v.Granted {
 		t.Fatal("fresh epoch must accept a new candidate")
 	}
 }

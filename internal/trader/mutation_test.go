@@ -100,8 +100,157 @@ func TestMutationPathsAgreeProperty(t *testing.T) {
 	}
 }
 
+// mutationGen draws random histories over the whole mutation surface:
+// types defined and removed, leased, lease-free and batch exports,
+// withdrawals of issued and never-issued IDs, replacements, suspicion
+// flags, time passing before a lease purge, compactions. It remembers
+// what it issued and which IDs a withdrawal named, so a checker knows
+// which acknowledged exports must survive.
+type mutationGen struct {
+	r       *rand.Rand
+	minute  time.Duration // the lease unit: a TTL is 0–3 of it
+	defined map[string]bool
+	ids     []string // every ID ever issued; withdrawn ones stay in the pool
+	typeOf  map[string]string
+	leased  map[string]bool // issued with a lease
+	named   map[string]bool // named by an attempted withdrawal
+}
+
+var (
+	genAttrs = map[string][]string{"P0": {"x"}, "P1": {"x", "y"}, "P2": {"x", "y", "z"}}
+	genNames = []string{"P0", "P1", "P2"}
+	// genImports observe the generated market from every angle the
+	// matcher has: plain, constrained and ordered, partial, exact.
+	genImports = []ImportRequest{
+		NewImport("P0"),
+		NewImport("P0", Where("x >= 2"), OrderBy("min:x")),
+		NewImport("P1", Where("x == 1 && y == 2"), MinGrade(match.GradePartial), OrderBy("score")),
+		NewImport("P2", MinGrade(match.GradeExact)),
+	}
+)
+
+func newMutationGen(seed int64, minute time.Duration) *mutationGen {
+	return &mutationGen{r: rand.New(rand.NewSource(seed)), minute: minute,
+		defined: map[string]bool{}, typeOf: map[string]string{}, leased: map[string]bool{}, named: map[string]bool{}}
+}
+
+func (g *mutationGen) props(typ string) []sidl.Property {
+	var kv []any
+	for _, a := range genAttrs[typ] {
+		kv = append(kv, a, g.r.Intn(4))
+	}
+	return intProps(kv...)
+}
+
+func (g *mutationGen) ttl() time.Duration { return time.Duration(g.r.Intn(4)) * g.minute } // 0 = no lease
+
+func (g *mutationGen) definedType() (string, bool) {
+	for _, i := range g.r.Perm(len(genNames)) {
+		if g.defined[genNames[i]] {
+			return genNames[i], true
+		}
+	}
+	return "", false
+}
+
+// someID names an issued ID, or now and then one never issued, which
+// must be refused and leave no record.
+func (g *mutationGen) someID() string {
+	if len(g.ids) == 0 || g.r.Intn(10) == 0 {
+		return "M/o9999"
+	}
+	return g.ids[g.r.Intn(len(g.ids))]
+}
+
+func (g *mutationGen) issued(typ string, ttls []time.Duration, fresh ...string) {
+	for i, id := range fresh {
+		g.ids = append(g.ids, id)
+		g.typeOf[id], g.leased[id] = typ, ttls[i] > 0
+	}
+}
+
+// step applies one random mutation at tr and describes it; "" means the
+// draw had nothing to act on. first forces a type definition, advance
+// lets time pass before a purge, and compact compacts tr's journal. Only
+// the errors of exports, batch withdrawals and compactions are
+// returned: every other refusal is part of the mix.
+func (g *mutationGen) step(tr *Trader, first bool, advance func(time.Duration), compact func() error) (string, error) {
+	switch op := g.r.Intn(12); {
+	case first || op == 0: // define a type
+		name := genNames[g.r.Intn(len(genNames))]
+		if err := tr.DefineTypeSIDL(propTypeSIDL(name, genAttrs[name]...)); err == nil {
+			g.defined[name] = true
+		}
+		return "define " + name, nil
+	case op == 1: // remove a type (its offers stay, reachable by literal name)
+		name := genNames[g.r.Intn(len(genNames))]
+		if err := tr.RemoveType(name); err == nil {
+			g.defined[name] = false
+		}
+		return "remove " + name, nil
+	case op <= 4: // export, leased or not
+		typ, ok := g.definedType()
+		if !ok {
+			return "", nil
+		}
+		props := g.props(typ)
+		ttl := g.ttl()
+		id, err := tr.ExportLease(typ, hierRef(len(g.ids)+1), props, ttl)
+		if err == nil {
+			g.issued(typ, []time.Duration{ttl}, id)
+		}
+		return "export " + typ + " " + id, err
+	case op == 5: // batch export
+		typ, ok := g.definedType()
+		if !ok {
+			return "", nil
+		}
+		items := make([]ExportItem, 1+g.r.Intn(3))
+		ttls := make([]time.Duration, len(items))
+		for i := range items {
+			items[i] = ExportItem{Type: typ, Ref: hierRef(len(g.ids) + 1 + i), Props: g.props(typ), TTL: g.ttl()}
+			ttls[i] = items[i].TTL
+		}
+		fresh, err := tr.ExportAll(items)
+		if err == nil {
+			g.issued(typ, ttls, fresh...)
+		}
+		return fmt.Sprintf("export-all %s %v", typ, fresh), err
+	case op == 6:
+		id := g.someID()
+		g.named[id] = true
+		_ = tr.Withdraw(id) // unknown and already-withdrawn IDs are part of the mix
+		return "withdraw " + id, nil
+	case op == 7:
+		batch := []string{g.someID(), g.someID(), g.someID()}
+		for _, id := range batch {
+			g.named[id] = true
+		}
+		_, err := tr.WithdrawAll(batch)
+		return fmt.Sprintf("withdraw-all %v", batch), err
+	case op == 8:
+		id := g.someID()
+		if typ, ok := g.typeOf[id]; ok && g.defined[typ] {
+			_ = tr.Replace(id, g.props(typ))
+		} else {
+			_ = tr.Replace(id, nil)
+		}
+		return "replace " + id, nil
+	case op == 9:
+		id := g.someID()
+		_ = tr.MarkSuspect(id, g.r.Intn(2) == 0)
+		return "suspect " + id, nil
+	case op == 10: // time passes, leases run out, the sweeper purges
+		d := time.Duration(1+g.r.Intn(120)) * g.minute / 60
+		advance(d)
+		tr.PurgeExpired()
+		return fmt.Sprintf("purge after %v", d), nil
+	default: // compaction: recovery now starts from a snapshot
+		return "compact", compact()
+	}
+}
+
 func mutationPathsAgree(t *testing.T, seed int64) {
-	r := rand.New(rand.NewSource(seed))
 	now := time.Unix(1_000_000, 0)
 	clock := func() time.Time { return now }
 	opts := journal.Options{Fsync: journal.FsyncNever, SegmentSize: 2048}
@@ -114,120 +263,16 @@ func mutationPathsAgree(t *testing.T, seed int64) {
 	defer fj.Close()
 	follower.SetFollower("cosm://leader")
 
-	attrs := map[string][]string{"P0": {"x"}, "P1": {"x", "y"}, "P2": {"x", "y", "z"}}
-	names := []string{"P0", "P1", "P2"}
-	defined := map[string]bool{}
-	reqs := []ImportRequest{
-		NewImport("P0"),
-		NewImport("P0", Where("x >= 2"), OrderBy("min:x")),
-		NewImport("P1", Where("x == 1 && y == 2"), MinGrade(match.GradePartial), OrderBy("score")),
-		NewImport("P2", MinGrade(match.GradeExact)),
-	}
-
-	var ids []string // every ID ever issued; withdrawn ones stay in the pool
-	typeOf := map[string]string{}
-	randProps := func(typ string) []sidl.Property {
-		var kv []any
-		for _, a := range attrs[typ] {
-			kv = append(kv, a, r.Intn(4))
-		}
-		return intProps(kv...)
-	}
-	randTTL := func() time.Duration { return time.Duration(r.Intn(4)) * time.Minute } // 0 = no lease
-	definedType := func() (string, bool) {
-		for _, i := range r.Perm(len(names)) {
-			if defined[names[i]] {
-				return names[i], true
-			}
-		}
-		return "", false
-	}
-	someID := func() string {
-		if len(ids) == 0 || r.Intn(10) == 0 {
-			return "M/o9999" // never issued: must be refused and leave no record
-		}
-		return ids[r.Intn(len(ids))]
-	}
-	issued := func(typ string, fresh ...string) {
-		for _, id := range fresh {
-			ids = append(ids, id)
-			typeOf[id] = typ
-		}
-	}
-
+	g := newMutationGen(seed, time.Minute)
+	reqs := genImports
 	const steps = 30
 	for step := 0; step < steps; step++ {
-		var desc string
-		switch op := r.Intn(12); {
-		case step == 0 || op == 0: // define a type
-			name := names[r.Intn(len(names))]
-			desc = "define " + name
-			if err := leader.DefineTypeSIDL(propTypeSIDL(name, attrs[name]...)); err == nil {
-				defined[name] = true
-			}
-		case op == 1: // remove a type (its offers stay, reachable by literal name)
-			name := names[r.Intn(len(names))]
-			desc = "remove " + name
-			if err := leader.RemoveType(name); err == nil {
-				defined[name] = false
-			}
-		case op <= 4: // export, leased or not
-			typ, ok := definedType()
-			if !ok {
-				continue
-			}
-			desc = "export " + typ
-			id, err := leader.ExportLease(typ, hierRef(len(ids)+1), randProps(typ), randTTL())
-			if err != nil {
-				t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
-			}
-			issued(typ, id)
-		case op == 5: // batch export
-			typ, ok := definedType()
-			if !ok {
-				continue
-			}
-			desc = "export-all " + typ
-			items := make([]ExportItem, 1+r.Intn(3))
-			for i := range items {
-				items[i] = ExportItem{Type: typ, Ref: hierRef(len(ids) + 1 + i), Props: randProps(typ), TTL: randTTL()}
-			}
-			fresh, err := leader.ExportAll(items)
-			if err != nil {
-				t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
-			}
-			issued(typ, fresh...)
-		case op == 6:
-			id := someID()
-			desc = "withdraw " + id
-			_ = leader.Withdraw(id) // unknown and already-withdrawn IDs are part of the mix
-		case op == 7:
-			batch := []string{someID(), someID(), someID()}
-			desc = fmt.Sprintf("withdraw-all %v", batch)
-			if _, err := leader.WithdrawAll(batch); err != nil {
-				t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
-			}
-		case op == 8:
-			id := someID()
-			desc = "replace " + id
-			if typ, ok := typeOf[id]; ok && defined[typ] {
-				_ = leader.Replace(id, randProps(typ))
-			} else {
-				_ = leader.Replace(id, nil)
-			}
-		case op == 9:
-			id := someID()
-			desc = "suspect " + id
-			_ = leader.MarkSuspect(id, r.Intn(2) == 0)
-		case op == 10: // time passes, leases run out, the sweeper purges
-			now = now.Add(time.Duration(1+r.Intn(120)) * time.Second)
-			desc = fmt.Sprintf("purge at +%v", now.Sub(time.Unix(1_000_000, 0)))
-			leader.PurgeExpired()
-		default: // compaction: recovery now starts from a snapshot
-			desc = "compact"
-			if err := lj.Compact(); err != nil {
-				t.Fatalf("seed %d step %d compact: %v", seed, step, err)
-			}
+		desc, err := g.step(leader, step == 0, func(d time.Duration) { now = now.Add(d) }, lj.Compact)
+		if err != nil {
+			t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
+		}
+		if desc == "" {
+			continue
 		}
 
 		syncUp(t, leader, follower, "f")
@@ -252,8 +297,8 @@ func mutationPathsAgree(t *testing.T, seed int64) {
 	// nothing.
 	exported := func(reg *obs.Registry) uint64 { return reg.Counter("cosm_trader_exports_total", "").Value() }
 	withdrawn := func(reg *obs.Registry) uint64 { return reg.Counter("cosm_trader_withdrawals_total", "").Value() }
-	if got := exported(leaderReg); got != uint64(len(ids)) {
-		t.Fatalf("seed %d: leader counted %d exports, issued %d", seed, got, len(ids))
+	if got := exported(leaderReg); got != uint64(len(g.ids)) {
+		t.Fatalf("seed %d: leader counted %d exports, issued %d", seed, got, len(g.ids))
 	}
 	if e, w := exported(followerReg), withdrawn(followerReg); e != 0 || w != 0 {
 		t.Fatalf("seed %d: follower counted replicated mutations as its own: %d exports, %d withdrawals", seed, e, w)

@@ -66,15 +66,30 @@ type replState struct {
 	// Election state (see election.go). voteEpoch/votedFor are the
 	// per-epoch vote lock, guarded by mu: at most one candidate ever
 	// holds this trader's vote for a given epoch, which is what makes a
-	// majority quorum exclusive. lastPullOK is the UnixNano of the last
-	// successful pull (the voter health veto); voteHealthWindow > 0
-	// enables that veto (JoinCell arms it with the election timeout). rejoining marks a deposed leader resyncing
-	// wholesale: its next snapshot install may rewind the local journal.
+	// majority quorum exclusive. votes, when attached via SetVoteLog,
+	// persists every pledge before the lock is taken (votelog.go).
+	// lastPullOK is the UnixNano of the last successful pull (the voter
+	// health veto); voteHealthWindow > 0 enables that veto (JoinCell
+	// arms it with the election timeout). rejoining marks a member
+	// resyncing wholesale (resync): its next snapshot install may rewind
+	// the local journal.
 	voteEpoch        uint64
 	votedFor         string
+	votes            *VoteLog
 	lastPullOK       atomic.Int64
 	voteHealthWindow atomic.Int64 // nanoseconds
 	rejoining        atomic.Bool
+
+	// fence is the highest epoch this member granted a vote at: it takes
+	// no replication from below it, and its pulls carry it, so an older
+	// leader steps down on contact instead of collecting acknowledgements
+	// for records the winner may lack.
+	fence atomic.Uint64
+	// srcEpoch is the epoch of the leader the follower's journal tail
+	// came from. A leader of another epoch may hold another history past
+	// a common prefix the follower cannot locate, so its first batch
+	// sends the follower back to a snapshot.
+	srcEpoch atomic.Uint64
 }
 
 // ReplBatch is one replication exchange from leader to follower:
@@ -99,9 +114,10 @@ type ReplStatus struct {
 	Leader  string // follower: the leader hint; leader: empty
 }
 
-// The methods below are all a Cell (cell.go) touches of the replication
-// state: the role, the leader hint, and the pull health that both the
-// failure monitor and the voter's health veto read.
+// The methods below, fenced and the vote lock's (election.go) are all a
+// Cell (cell.go) touches of the replication state: the role, the leader
+// hint, the pull health that both the failure monitor and the voter's
+// health veto read, the epoch a pull carries, and the candidate's vote.
 
 func (r *replState) isFollower() bool { return r.follower.Load() }
 
@@ -178,13 +194,19 @@ func (t *Trader) SetFollower(leaderRef string) {
 // journal (a divergent tail this node acknowledged to no one must not
 // survive the rejoin).
 func (t *Trader) DemoteRejoin(leaderRef string) {
+	t.resync()
+	t.SetFollower(leaderRef)
+	t.event("demote_rejoin", "leader", leaderRef, "epoch", strconv.FormatUint(t.Epoch(), 10))
+	t.log.Log(nil, "demote_rejoin", "leader", leaderRef, "epoch", t.Epoch())
+}
+
+// resync resets the pull position to zero, so the next pull bootstraps
+// from the leader's snapshot, and lets that install rewind the journal.
+func (t *Trader) resync() {
 	t.repl.rejoining.Store(true)
 	t.repl.applied.Store(0)
 	t.repl.leaderSeq.Store(0)
 	t.repl.caughtUpAt.Store(0)
-	t.SetFollower(leaderRef)
-	t.event("demote_rejoin", "leader", leaderRef, "epoch", strconv.FormatUint(t.Epoch(), 10))
-	t.log.Log(nil, "demote_rejoin", "leader", leaderRef, "epoch", t.Epoch())
 }
 
 // leaderCheck gates mutations: nil on a leader, ErrNotLeader (with the
@@ -200,12 +222,17 @@ func (t *Trader) leaderCheck() error {
 }
 
 // raiseEpoch lifts the fencing epoch to at least e (it never lowers).
-func (t *Trader) raiseEpoch(e uint64) {
-	for {
-		cur := t.repl.epoch.Load()
-		if cur >= e || t.repl.epoch.CompareAndSwap(cur, e) {
-			return
-		}
+func (t *Trader) raiseEpoch(e uint64) { raise(&t.repl.epoch, e) }
+
+// raiseFence lifts the vote fence to at least e.
+func (r *replState) raiseFence(e uint64) { raise(&r.fence, e) }
+
+// fenced is the epoch this member holds replication to: its own, or the
+// highest it granted a vote at.
+func (r *replState) fenced() uint64 { return max(r.epoch.Load(), r.fence.Load()) }
+
+func raise(a *atomic.Uint64, e uint64) {
+	for cur := a.Load(); cur < e && !a.CompareAndSwap(cur, e); cur = a.Load() {
 	}
 }
 
@@ -234,6 +261,10 @@ func (t *Trader) Promote(epoch uint64) error {
 		t.applyMu.RUnlock()
 	}
 	t.raiseEpoch(epoch)
+	t.repl.srcEpoch.Store(epoch) // this leader's records extend its own log
+	t.repl.mu.Lock()
+	t.repl.acks = nil // acks vouch within one reign: a rewind reissues seqs
+	t.repl.mu.Unlock()
 	t.repl.follower.Store(false)
 	t.repl.leaderHint.Store("")
 	t.event("promote", "epoch", strconv.FormatUint(epoch, 10))
@@ -263,9 +294,9 @@ func (t *Trader) PullBatch(ctx context.Context, followerID string, followerEpoch
 		return nil, err
 	}
 	if cur := t.repl.epoch.Load(); followerEpoch > cur {
-		// Someone was promoted past us: we are deposed. Stop accepting
-		// mutations; the operator re-points us (or clients re-bind via
-		// the hint-less ErrNotLeader).
+		// Someone was promoted past us, or a follower voted past us: we
+		// are deposed. Stop accepting mutations; the monitor finds the
+		// winner, whose first batch resyncs us (srcEpoch).
 		t.metrics.fencingRejections.Inc()
 		t.repl.follower.Store(true)
 		t.event("deposed", "epoch", strconv.FormatUint(cur, 10),
@@ -326,13 +357,23 @@ func (t *Trader) PullBatch(ctx context.Context, followerID string, followerEpoch
 // to the follower's own journal at the leader's sequence number before
 // it is replayed, so a follower restart recovers to its pull position.
 func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
-	if cur := t.repl.epoch.Load(); b.Epoch < cur {
+	if cur := t.repl.fenced(); b.Epoch < cur {
 		t.metrics.fencingRejections.Inc()
 		t.event("fencing_rejection", "batch_epoch", strconv.FormatUint(b.Epoch, 10),
 			"epoch", strconv.FormatUint(cur, 10))
 		return 0, fmt.Errorf("trader: fenced: batch epoch %d below local %d", b.Epoch, cur)
 	}
 	t.raiseEpoch(b.Epoch)
+	if b.Epoch != t.repl.srcEpoch.Load() && t.repl.applied.Load() > 0 {
+		// A leader of another epoch: take its snapshot, which may rewind
+		// the journal, and not its records (see srcEpoch).
+		t.resync()
+		if b.Snapshot == nil {
+			t.event("resync", "epoch", strconv.FormatUint(b.Epoch, 10))
+			return 0, nil
+		}
+	}
+	t.repl.srcEpoch.Store(b.Epoch)
 
 	// The follower's own journal compacts too: each append+replay pair
 	// holds the apply lock so a local snapshot never captures state
@@ -353,7 +394,7 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 				return 0, fmt.Errorf("trader: install snapshot: %w", err)
 			}
 		}
-		t.core.Clear()
+		t.clearState()
 		if err := t.RestoreSnapshot(b.Snapshot); err != nil {
 			t.applyMu.RUnlock()
 			return 0, err
@@ -425,15 +466,21 @@ func (t *Trader) noteFollower(id string, seq uint64) {
 }
 
 // waitReplicated blocks until syncN followers have pulled past seq, or
-// syncWait expires. No-op in asynchronous mode (syncN <= 0).
-func (t *Trader) waitReplicated(seq uint64) error {
+// syncWait expires. No-op in asynchronous mode (syncN <= 0). epoch is
+// the fencing epoch the record was appended under: once it moved, this
+// trader was deposed meanwhile — a rejoin may have rewound its journal
+// and reissued seq to another record — so an ack for seq no longer
+// vouches for this one, and the wait fails.
+func (t *Trader) waitReplicated(seq, epoch uint64) error {
 	n := t.repl.syncN
 	if n <= 0 {
 		return nil
 	}
-	deadline := time.NewTimer(t.repl.syncWait)
-	defer deadline.Stop()
+	deadline := t.now().Add(t.repl.syncWait)
 	for {
+		if cur := t.Epoch(); cur != epoch {
+			return fmt.Errorf("trader: replication: epoch moved %d -> %d before seq %d was acked", epoch, cur, seq)
+		}
 		t.repl.mu.Lock()
 		cnt := 0
 		for _, acked := range t.repl.acks {
@@ -450,11 +497,11 @@ func (t *Trader) waitReplicated(seq uint64) error {
 		}
 		ch := t.repl.ackCh
 		t.repl.mu.Unlock()
-		select {
-		case <-ch:
-		case <-deadline.C:
+		left := deadline.Sub(t.now())
+		if left <= 0 {
 			return fmt.Errorf("trader: replication: %d/%d followers acked seq %d within %v", cnt, n, seq, t.repl.syncWait)
 		}
+		t.pause(context.Background(), left, ch)
 	}
 }
 

@@ -166,10 +166,12 @@ module CosmTrader {
         void Promote(in long long epoch);
         // Replication role and position of this trader.
         ReplStatus_t ReplStatus();
-        // Election: candidateId asks to lead at newEpoch, carrying its
-        // applied position. At most one vote is granted per epoch, and
-        // only to candidates at least as advanced as the voter.
-        Vote_t RequestVote(in string candidateId, in long long newEpoch, in long long applied);
+        // Election: candidateId asks to lead at newEpoch, carrying where
+        // its log ends: the applied position and the epoch of the leader
+        // that tail came from. At most one vote is granted per epoch, and
+        // only to candidates whose log is at least as advanced as the
+        // voter's: the later tail epoch, then the longer tail.
+        Vote_t RequestVote(in string candidateId, in long long newEpoch, in long long applied, in long long tailEpoch);
         // Link management: register a named federation link to the
         // trader behind peer, remove one, list them with their state.
         void LinkAdd(in string name, in Object peer);
@@ -553,11 +555,11 @@ func NewService(t *Trader) (*cosm.Service, error) {
 	})
 	svc.MustHandle("RequestVote", func(call *cosm.Call) error {
 		var candidateID string
-		var newEpoch, applied uint64
-		if err := call.Args(&candidateID, &newEpoch, &applied); err != nil {
+		var newEpoch, applied, tailEpoch uint64
+		if err := call.Args(&candidateID, &newEpoch, &applied, &tailEpoch); err != nil {
 			return err
 		}
-		v, err := t.RequestVote(call.Ctx, candidateID, newEpoch, applied)
+		v, err := t.RequestVote(call.Ctx, candidateID, newEpoch, applied, tailEpoch)
 		if err != nil {
 			return err
 		}

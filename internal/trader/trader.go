@@ -142,7 +142,12 @@ type Trader struct {
 	fedFull    atomic.Uint64
 	fedHedged  atomic.Uint64
 
-	now func() time.Time
+	// now and pause are the trader's one seam onto time: every clock
+	// read, and every wait of the cell loops and of synchronous
+	// replication — for d, until ctx ends, or until wake delivers (nil
+	// never does). The cell simulation swaps both for a virtual clock.
+	now   func() time.Time
+	pause func(ctx context.Context, d time.Duration, wake <-chan struct{})
 
 	// journal, when attached via SetJournal, receives a logical record
 	// for every offer and type mutation (see durable.go).
@@ -166,11 +171,6 @@ type Trader struct {
 	// grants/denials, promotions, demotions, fencing rejections,
 	// snapshot installs and journal fail-stop latches. Nil-safe.
 	events *obs.EventLog
-
-	// votes, when attached via SetVoteLog, persists per-epoch vote
-	// pledges so a restarted voter cannot grant two votes in one epoch
-	// (see votelog.go).
-	votes *VoteLog
 }
 
 // Defaults of the core's bounded caches.
@@ -324,6 +324,7 @@ func New(id string, types *typemgr.Repo, opts ...Option) *Trader {
 		id:         id,
 		types:      types,
 		now:        time.Now,
+		pause:      wallPause,
 		linkPolicy: wire.DefaultBreakerPolicy(),
 		coreOpts:   core.Options{ConstraintCacheSize: defaultConstraintCacheSize, ImportCacheTTL: defaultImportCacheTTL},
 	}

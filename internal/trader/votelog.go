@@ -1,8 +1,8 @@
 package trader
 
-// Durable vote ledger: a per-node sidecar file recording every election
-// vote pledge this node makes, so a voter that crashes and restarts
-// inside one election round cannot grant two votes at the same epoch.
+// Durable vote ledger: a per-node journal recording every election vote
+// pledge this node makes, so a voter that crashes and restarts inside
+// one election round cannot grant two votes at the same epoch.
 //
 // The ledger is deliberately NOT part of the replicated journal. The
 // journal's sequence space is owned by the leader — followers mirror
@@ -12,132 +12,108 @@ package trader
 // every follower's *own* vote state. Votes are per-node facts, not
 // market state; they live next to the journal, not inside it.
 //
-// Format: one JSON walRecord per line (Op: "vote", Epoch, Name =
-// candidate, "" for a bare epoch adoption). Append-only, fsynced per
-// record — a vote round is rare and slow (network RTTs), one fsync is
-// noise. Recovery replays every line and keeps the highest pledge; a
-// torn final line (crash mid-append) is skipped, which is safe: the
-// pledge it recorded was never acknowledged to any candidate.
+// It is a journal of its own in <data-dir>/votes, so it inherits the
+// journal's framing: one CRC-checked walRecord (Op "vote", Epoch, Name
+// = candidate, "" for a bare epoch adoption) per pledge, fsynced before
+// the grant leaves this node, never compacted — a vote round is rare
+// and slow, one fsync per pledge is noise. Open seals a torn tail (a
+// crash mid-append, whose pledge was never acknowledged to anyone), so
+// the next pledge lands on a clean frame boundary.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+
+	"cosm/internal/journal"
 )
 
-// voteLogName is the ledger's file name inside a trader's data dir.
-const voteLogName = "votes.wal"
-
-// VotePledge is one recovered ledger entry: this node's vote at Epoch
-// went to Candidate ("" for an epoch adopted without granting).
-type VotePledge struct {
-	Epoch     uint64
-	Candidate string
-}
-
-// VoteLog is the durable per-node vote ledger. Safe for concurrent use;
-// in practice appends are serialised under the trader's repl lock.
+// VoteLog is the durable per-node vote ledger. Appends are serialised
+// under the trader's repl lock.
 type VoteLog struct {
-	mu sync.Mutex
-	f  *os.File
+	j *journal.Journal
 
-	pledges []VotePledge // entries read at open, consumed by SetVoteLog
+	// epoch and candidate are the highest pledge recovered at open,
+	// which SetVoteLog adopts into the vote lock.
+	epoch     uint64
+	candidate string
 }
 
-// OpenVoteLog opens (creating if absent) the vote ledger in dir,
-// reading any pledges recorded by a previous incarnation. A torn final
-// line is tolerated and dropped; corruption earlier in the file is an
-// error (the ledger is tiny — refusing to guess is cheap).
+// OpenVoteLog opens (creating if absent) the vote ledger in dir/votes,
+// reading the pledges a previous incarnation recorded. A ledger in the
+// line format of earlier versions (dir/votes.wal) is refused rather than
+// ignored: its pledges would be lost.
 func OpenVoteLog(dir string) (*VoteLog, error) {
-	path := filepath.Join(dir, voteLogName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	legacy := filepath.Join(dir, "votes.wal")
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("trader: vote log: %s is a legacy ledger this version does not read; remove it once no election is in flight", legacy)
+	}
+	j, err := journal.Open(filepath.Join(dir, "votes"), journal.Options{Fsync: journal.FsyncAlways})
 	if err != nil {
 		return nil, fmt.Errorf("trader: vote log: %w", err)
 	}
-	l := &VoteLog{f: f}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	l := &VoteLog{j: j}
+	err = j.Replay(func(seq uint64, payload []byte) error {
 		var r walRecord
-		if err := json.Unmarshal(line, &r); err != nil || r.Op != opVote {
-			// A torn tail from a crash mid-append parses as neither;
-			// the pledge it held was never acknowledged, so dropping it
-			// here (and every line after it) is safe.
-			break
+		if err := json.Unmarshal(payload, &r); err != nil || r.Op != opVote {
+			return fmt.Errorf("trader: vote log record %d is not a vote pledge", seq)
 		}
-		l.pledges = append(l.pledges, VotePledge{Epoch: r.Epoch, Candidate: r.Name})
+		raisePledge(&l.epoch, &l.candidate, r.Epoch, r.Name)
+		return nil
+	})
+	if err == nil {
+		err = j.Start(nil)
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trader: vote log %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trader: vote log %s: %w", path, err)
+	if err != nil {
+		j.Close()
+		return nil, err
 	}
 	return l, nil
 }
 
-// Pledges returns the entries recovered at open (oldest first).
-func (l *VoteLog) Pledges() []VotePledge {
-	if l == nil {
-		return nil
+// raisePledge moves a vote lock to the pledge (e, candidate) when it is
+// higher: a later epoch, or a granted vote at the adopted epoch.
+func raisePledge(epoch *uint64, votedFor *string, e uint64, candidate string) {
+	if e > *epoch || e == *epoch && candidate != "" {
+		*epoch, *votedFor = e, candidate
 	}
-	return l.pledges
 }
 
-// Append durably records one pledge: the line is written and fsynced
-// before Append returns, so a grant built on it survives a crash.
-func (l *VoteLog) Append(epoch uint64, candidate string) error {
+// pledge durably records one pledge before it returns, so a grant built
+// on it survives a crash. A nil ledger records nothing.
+func (l *VoteLog) pledge(epoch uint64, candidate string) error {
 	if l == nil {
 		return nil
 	}
-	payload, err := json.Marshal(walRecord{Op: opVote, Epoch: epoch, Name: candidate})
-	if err != nil {
-		return fmt.Errorf("trader: vote log: %w", err)
-	}
-	payload = append(payload, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(payload); err != nil {
-		return fmt.Errorf("trader: vote log: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
+	if _, err := l.j.AppendJSON(walRecord{Op: opVote, Epoch: epoch, Name: candidate}); err != nil {
 		return fmt.Errorf("trader: vote log: %w", err)
 	}
 	return nil
 }
 
-// Close closes the ledger file.
+// Close closes the ledger.
 func (l *VoteLog) Close() error {
-	if l == nil || l.f == nil {
+	if l == nil {
 		return nil
 	}
-	return l.f.Close()
+	return l.j.Close()
 }
 
-// SetVoteLog attaches an opened vote ledger: recovered pledges are
-// re-adopted into the vote lock (highest epoch wins; the candidate is
-// kept so a restarted voter answers the same candidate's retry
-// idempotently), and future pledges persist through it. Call before
-// serving, alongside SetJournal.
+// SetVoteLog attaches an opened vote ledger: the recovered pledge is
+// re-adopted into the vote lock (the candidate is kept so a restarted
+// voter answers the same candidate's retry idempotently), a vote fences
+// the epochs below it again as a granted one did (RequestVote), and
+// future pledges persist through it. Call before serving, after
+// recovery.
 func (t *Trader) SetVoteLog(l *VoteLog) {
-	t.votes = l
-	if l == nil {
-		return
-	}
 	t.repl.mu.Lock()
-	for _, p := range l.Pledges() {
-		if p.Epoch > t.repl.voteEpoch ||
-			(p.Epoch == t.repl.voteEpoch && p.Candidate != "") {
-			t.repl.voteEpoch, t.repl.votedFor = p.Epoch, p.Candidate
+	defer t.repl.mu.Unlock()
+	t.repl.votes = l
+	if l != nil {
+		raisePledge(&t.repl.voteEpoch, &t.repl.votedFor, l.epoch, l.candidate)
+		if l.candidate != "" {
+			t.repl.raiseFence(l.epoch)
 		}
 	}
-	t.repl.mu.Unlock()
 }

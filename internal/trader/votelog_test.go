@@ -2,6 +2,7 @@ package trader
 
 import (
 	"context"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,70 +10,77 @@ import (
 	"cosm/internal/typemgr"
 )
 
+// openVoter boots a follower over the vote ledger in dir, as a restart
+// would.
+func openVoter(t *testing.T, dir string) (*Trader, *VoteLog) {
+	t.Helper()
+	tr := New("V", typemgr.NewRepo())
+	tr.SetFollower("cosm://leader")
+	vl, err := OpenVoteLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetVoteLog(vl)
+	return tr, vl
+}
+
+func granted(tr *Trader, candidate string, epoch uint64) bool {
+	v, _ := tr.RequestVote(context.Background(), candidate, epoch, 0, 0)
+	return v.Granted
+}
+
 // TestVoteLogSurvivesRestart closes the double-vote window: a voter
 // that granted a vote, crashed, and restarted within the same election
 // round must deny a rival at the same epoch.
 func TestVoteLogSurvivesRestart(t *testing.T) {
-	ctx := context.Background()
 	dir := t.TempDir()
-
-	v1 := New("V", typemgr.NewRepo())
-	v1.SetFollower("cosm://leader")
-	vl, err := OpenVoteLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1.SetVoteLog(vl)
-
-	vote, err := v1.RequestVote(ctx, "X", 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vote.Granted {
-		t.Fatalf("fresh voter denied X: %+v", vote)
+	v1, vl := openVoter(t, dir)
+	if !granted(v1, "X", 3) {
+		t.Fatal("fresh voter denied X")
 	}
 	vl.Close() // crash
 
-	// Restart: a fresh trader over the same data dir.
-	v2 := New("V", typemgr.NewRepo())
-	v2.SetFollower("cosm://leader")
-	vl2, err := OpenVoteLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2, vl2 := openVoter(t, dir)
 	defer vl2.Close()
-	v2.SetVoteLog(vl2)
-
-	if vote, _ = v2.RequestVote(ctx, "Y", 3, 0); vote.Granted {
+	if granted(v2, "Y", 3) {
 		t.Fatal("restarted voter handed epoch 3's vote to rival Y")
 	}
-	if vote.VoteEpoch != 3 {
-		t.Fatalf("recovered pledge epoch = %d, want 3", vote.VoteEpoch)
+	if got := v2.repl.pledged(); got != 3 {
+		t.Fatalf("recovered pledge epoch = %d, want 3", got)
 	}
 	// The original candidate's retry stays granted (idempotent pledge).
-	if vote, _ = v2.RequestVote(ctx, "X", 3, 0); !vote.Granted {
+	if !granted(v2, "X", 3) {
 		t.Fatal("restarted voter denied the candidate it already pledged to")
 	}
 	// A higher epoch re-opens the lock as before.
-	if vote, _ = v2.RequestVote(ctx, "Y", 4, 0); !vote.Granted {
+	if !granted(v2, "Y", 4) {
 		t.Fatal("fresh epoch must accept a new candidate after restart")
 	}
 }
 
-// TestVoteLogToleratesTornTail drops a half-written final line instead
-// of refusing to start: the pledge it held was never acknowledged.
+// TestVoteLogToleratesTornTail: a crash mid-append leaves half a record
+// behind. The restart must drop it — the pledge it held was never
+// acknowledged — and must keep the pledge written after it across the
+// next restart too: a ledger that appended onto the fragment would lose
+// it there, reopening the double-vote window.
 func TestVoteLogToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	vl, err := OpenVoteLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vl.Append(5, "X"); err != nil {
-		t.Fatal(err)
+	v1, vl := openVoter(t, dir)
+	if !granted(v1, "X", 5) {
+		t.Fatal("fresh voter denied X")
 	}
 	vl.Close()
-
-	f, err := os.OpenFile(filepath.Join(dir, voteLogName), os.O_APPEND|os.O_WRONLY, 0)
+	var ledger []string
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			ledger = append(ledger, path)
+		}
+		return err
+	})
+	if len(ledger) != 1 {
+		t.Fatalf("ledger files %v, want one", ledger)
+	}
+	f, err := os.OpenFile(ledger[0], os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +89,19 @@ func TestVoteLogToleratesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	vl2, err := OpenVoteLog(dir)
-	if err != nil {
-		t.Fatalf("torn tail rejected: %v", err)
+	v2, vl2 := openVoter(t, dir)
+	if granted(v2, "Y", 5) {
+		t.Fatal("the pledge before the torn tail was lost")
 	}
-	defer vl2.Close()
-	got := vl2.Pledges()
-	if len(got) != 1 || got[0].Epoch != 5 || got[0].Candidate != "X" {
-		t.Fatalf("pledges after torn tail = %+v", got)
+	if !granted(v2, "Y", 7) {
+		t.Fatal("fresh epoch must accept a new candidate")
+	}
+	vl2.Close()
+
+	v3, vl3 := openVoter(t, dir)
+	defer vl3.Close()
+	if granted(v3, "Z", 7) {
+		t.Fatal("the pledge written after a torn tail was lost: epoch 7's vote went to Y and Z")
 	}
 }
 
@@ -96,17 +109,23 @@ func TestVoteLogToleratesTornTail(t *testing.T) {
 // the pledge refuses the vote (fail-safe) instead of granting on
 // memory alone.
 func TestVoteLogPersistFailureDenies(t *testing.T) {
+	tr, vl := openVoter(t, t.TempDir())
+	vl.j.Close() // a dead disk under the ledger
+	if granted(tr, "X", 2) {
+		t.Fatal("vote granted without a durable pledge")
+	}
+}
+
+// TestVoteLogRefusesLegacyLedger: a data dir still holding the line
+// format of earlier versions fails loudly instead of starting with its
+// pledges forgotten.
+func TestVoteLogRefusesLegacyLedger(t *testing.T) {
 	dir := t.TempDir()
-	vl, err := OpenVoteLog(dir)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "votes.wal"), []byte(`{"op":"vote","name":"X","epoch":5}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr := New("V", typemgr.NewRepo())
-	tr.SetFollower("cosm://leader")
-	tr.SetVoteLog(vl)
-	vl.f.Close() // simulate a dead disk under the ledger
-
-	if vote, _ := tr.RequestVote(context.Background(), "X", 2, 0); vote.Granted {
-		t.Fatal("vote granted without a durable pledge")
+	if vl, err := OpenVoteLog(dir); err == nil {
+		vl.Close()
+		t.Fatal("a legacy votes.wal was silently ignored")
 	}
 }

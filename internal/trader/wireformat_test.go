@@ -38,7 +38,9 @@ module PinService {
 // argument and result bodies of all 19 operations, driven through the
 // typed client and the hosted service, must be the bytes the parent
 // commit's hand-written conversion tables produced (the goldens below
-// were recorded there), and a client and server with no Go types at all
+// were recorded there; RequestVote's since gained the candidate's tail
+// epoch, and a follower's reply its journal tail as the applied
+// position), and a client and server with no Go types at all
 // — hand-built values through Conn.Invoke and Call.Result — must put
 // the very same bytes on the wire.
 func TestTraderWireFormatPinned(t *testing.T) {
@@ -202,10 +204,10 @@ func TestTraderWireFormatPinned(t *testing.T) {
 			Result:   map[string]any{"role": "leader", "epoch": 5, "lastSeq": 12, "applied": 12},
 			WantArgs: "", WantResult: "20066c65616465720000000000000005000000000000000c000000000000000c00",
 			Call: func() error { _, err := c.ReplStatus(ctx); return err }},
-		{Name: "RequestVote", Op: "RequestVote", Args: []any{"cand", 9, 100},
+		{Name: "RequestVote", Op: "RequestVote", Args: []any{"cand", 9, 100, 5},
 			Result:   map[string]any{"role": "leader", "epoch": 5, "applied": 12},
-			WantArgs: "050463616e64080000000000000009080000000000000064", WantResult: "2100066c65616465720000000000000005000000000000000c000000000000000000",
-			Call: func() error { _, err := c.RequestVote(ctx, "cand", 9, 100); return err }},
+			WantArgs: "050463616e64080000000000000009080000000000000064080000000000000005", WantResult: "2100066c65616465720000000000000005000000000000000c000000000000000000",
+			Call: func() error { _, err := c.RequestVote(ctx, "cand", 9, 100, 5); return err }},
 		{Name: "LinkAdd", Op: "LinkAdd", Args: []any{"munich", target(7)},
 			WantArgs: "07066d756e6963681d1c636f736d3a2f2f7463703a31302e302e302e373a373030302f70696e", WantResult: "",
 			Call: func() error { return c.LinkAdd(ctx, "munich", target(7)) }},
@@ -248,10 +250,10 @@ func TestTraderWireFormatPinned(t *testing.T) {
 			WantArgs: "", WantResult: "4608666f6c6c6f7765720000000000000005000000000000000c000000000000000024636f736d3a2f2f7463703a31302e302e302e383a373030302f636f736d2e747261646572",
 			Before: func() { tr.SetFollower(leaderHint) },
 			Call:   func() error { _, err := c.ReplStatus(ctx); return err }},
-		{Name: "RequestVote/granted", Op: "RequestVote", Args: []any{"cand", 9, 100},
-			Result:   map[string]any{"granted": true, "role": "follower", "epoch": 5, "leader": leaderHint, "voteEpoch": 9},
-			WantArgs: "050463616e64080000000000000009080000000000000064", WantResult: "470108666f6c6c6f7765720000000000000005000000000000000024636f736d3a2f2f7463703a31302e302e302e383a373030302f636f736d2e7472616465720000000000000009",
-			Call: func() error { _, err := c.RequestVote(ctx, "cand", 9, 100); return err }},
+		{Name: "RequestVote/granted", Op: "RequestVote", Args: []any{"cand", 9, 100, 5},
+			Result:   map[string]any{"granted": true, "role": "follower", "epoch": 5, "applied": 12, "leader": leaderHint, "voteEpoch": 9},
+			WantArgs: "050463616e64080000000000000009080000000000000064080000000000000005", WantResult: "470108666f6c6c6f7765720000000000000005000000000000000c24636f736d3a2f2f7463703a31302e302e302e383a373030302f636f736d2e7472616465720000000000000009",
+			Call: func() error { _, err := c.RequestVote(ctx, "cand", 9, 100, 5); return err }},
 	}
 
 	if got := len(svc.SID().Ops); got != 19 {

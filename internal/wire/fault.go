@@ -94,9 +94,8 @@ func NewFaultNet(cfg FaultConfig, next func(ctx context.Context, endpoint string
 // Block partitions this side of the network from the given endpoints:
 // new dials to them fail with ErrInjectedFault and every live
 // connection to them is severed immediately. Blocking is deterministic
-// (no probability roll) — it is the soak harness's partition primitive;
-// one-sided blocks model asymmetric partitions, since each node carries
-// its own FaultNet for outbound traffic.
+// (no probability roll); one-sided blocks model asymmetric partitions,
+// since each node carries its own FaultNet for outbound traffic.
 func (f *FaultNet) Block(endpoints ...string) {
 	f.mu.Lock()
 	var cut []*faultConn
