@@ -109,13 +109,18 @@ func NewDirectory(opts ...DirectoryOption) *Directory {
 
 // Register records a SID and its reference under the SID's service name
 // (step 1 of Fig. 4). The SID must validate; no service type is needed —
-// that is the point of mediation.
+// that is the point of mediation. The reference must survive its
+// textual form (ref.ServiceRef.Check), the form the journal and every
+// listing carry it in.
 func (d *Directory) Register(sid *sidl.SID, r ref.ServiceRef) error {
 	if sid == nil {
 		return fmt.Errorf("%w: nil", ErrBadSID)
 	}
 	if err := sid.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSID, err)
+	}
+	if err := r.Check(); err != nil {
+		return fmt.Errorf("browser: register %s: %w", sid.ServiceName, err)
 	}
 	if d.journal != nil {
 		// WAL-first, after validation: the log carries no rejected

@@ -263,6 +263,21 @@ func TestBrowserRejectsBadSIDText(t *testing.T) {
 	}
 }
 
+// TestDirectoryRefusesRefWithoutText: the journal and every listing
+// carry a registration's reference as text, so a reference whose text
+// does not parse back to it is refused before anything is journalled.
+func TestDirectoryRefusesRefWithoutText(t *testing.T) {
+	d := NewDirectory()
+	for _, r := range []ref.ServiceRef{{}, {Endpoint: "tcp:h:1"}, ref.New("tcp:h:1", "a/b")} {
+		if err := d.Register(sidl.CarRentalSID(), r); !errors.Is(err, ref.ErrBadRef) {
+			t.Errorf("Register(%+v) = %v, want ref.ErrBadRef", r, err)
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatalf("%d registrations accepted", d.Len())
+	}
+}
+
 func TestDirectoryConcurrent(t *testing.T) {
 	d := NewDirectory()
 	done := make(chan error, 16)

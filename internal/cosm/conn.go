@@ -140,15 +140,34 @@ func (c *Conn) Invoke(ctx context.Context, opName string, args ...*xcode.Value) 
 	if err != nil {
 		return nil, err
 	}
-	return c.roundTrip(ctx, op, body)
+	reply, err := c.send(ctx, op, body)
+	if err != nil {
+		return nil, err
+	}
+	res := new(Result)
+	err = decodeCallResult(op, reply, func(t *sidl.Type, chunk []byte, out int) error {
+		v, err := xcode.Unmarshal(t, chunk)
+		if out < 0 {
+			res.Value = v
+		} else {
+			res.Outs = append(res.Outs, v)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Call is Invoke for a caller that has Go types for the operation: args
 // are encoded as the in/inout parameter types the bound SID declares —
 // the peer's, so what an older peer does not declare is left out — and
 // the operation result is decoded into what result points to (see
-// xcode.Encode and Decode). A nil result discards it; out/inout results
-// are not bound, use Invoke for operations that have them.
+// xcode.AppendEncode and DecodeInto), straight between Go values and
+// bytes. A nil result discards it; out/inout results are not bound, use
+// Invoke for operations that have them. Whatever is not bound is still
+// validated.
 func (c *Conn) Call(ctx context.Context, opName string, result any, args ...any) error {
 	op, ok := c.sid.Op(opName)
 	if !ok {
@@ -157,34 +176,39 @@ func (c *Conn) Call(ctx context.Context, opName string, result any, args ...any)
 	if want := inCount(op); len(args) != want {
 		return fmt.Errorf("%w: op %s takes %d in-arguments, got %d", ErrBadArgs, opName, want, len(args))
 	}
-	body := appendChunk(nil, []byte(c.session))
+	if result != nil && op.Result.Kind == sidl.Void {
+		return fmt.Errorf("%w: op %s returns nothing to decode", ErrBadResult, opName)
+	}
+	body := appendChunk(make([]byte, 0, bodyCap), []byte(c.session))
 	i := 0
 	for _, p := range op.Params {
 		if p.Dir == sidl.Out {
 			continue
 		}
-		v, err := xcode.Encode(p.Type, args[i])
-		if err != nil {
+		var err error
+		if body, err = appendEncoded(body, p.Type, args[i]); err != nil {
 			return fmt.Errorf("%w: argument %q of op %s: %v", ErrBadArgs, p.Name, opName, err)
 		}
-		body = appendChunk(body, xcode.Marshal(v))
 		i++
 	}
-	res, err := c.roundTrip(ctx, op, body)
-	if err != nil || result == nil {
+	reply, err := c.send(ctx, op, body)
+	if err != nil {
 		return err
 	}
-	if res.Value == nil {
-		return fmt.Errorf("%w: op %s returns nothing to decode", ErrBadResult, opName)
-	}
-	if err := xcode.Decode(res.Value, result); err != nil {
-		return fmt.Errorf("%w: result of op %s: %v", ErrBadResult, opName, err)
+	err = decodeCallResult(op, reply, func(t *sidl.Type, chunk []byte, out int) error {
+		if out >= 0 {
+			return xcode.DecodeInto(t, chunk, nil)
+		}
+		return xcode.DecodeInto(t, chunk, result)
+	})
+	if err != nil {
+		return fmt.Errorf("%w: op %s: %v", ErrBadResult, opName, err)
 	}
 	return nil
 }
 
-// roundTrip sends one encoded call body and decodes the reply.
-func (c *Conn) roundTrip(ctx context.Context, op sidl.Op, body []byte) (*Result, error) {
+// send sends one encoded call body and returns the reply body.
+func (c *Conn) send(ctx context.Context, op sidl.Op, body []byte) ([]byte, error) {
 	// One dial, one send, no transparent retry: the operation may not
 	// be idempotent, and replaying it could execute it twice. Callers
 	// that want recovery re-run their protocol from the top.
@@ -192,13 +216,5 @@ func (c *Conn) roundTrip(ctx context.Context, op sidl.Op, body []byte) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	respBody, err := client.Call(ctx, &wire.Request{Service: c.ref.Service, Op: op.Name, Body: body})
-	if err != nil {
-		return nil, err
-	}
-	result, outs, err := decodeCallResult(op, respBody)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Value: result, Outs: outs}, nil
+	return client.Call(ctx, &wire.Request{Service: c.ref.Service, Op: op.Name, Body: body})
 }

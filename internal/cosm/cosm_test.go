@@ -295,6 +295,79 @@ func TestServiceFSMEnforcement(t *testing.T) {
 	}
 }
 
+// TestMalformedArgumentsRefusedBeforeFSM: dispatch validates every
+// argument chunk against its parameter type before anything else, so a
+// malformed body answers StatusBadRequest with the FSM not stepped and
+// no handler run, typed or dynamic.
+func TestMalformedArgumentsRefusedBeforeFSM(t *testing.T) {
+	sid := sidl.CarRentalSID()
+	svc, err := NewService(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran int
+	svc.MustHandle("SelectCar", func(call *Call) error {
+		ran++
+		return call.Return(struct{ Available bool }{true})
+	})
+	svc.MustHandle("Commit", func(call *Call) error {
+		ran++
+		call.Result = xcode.Zero(sid.Type("BookCarReturn_t"))
+		return nil
+	})
+	node := NewNode(WithNodeLog(func(string, ...any) {}))
+	defer node.Close()
+	if err := node.Host("CarRentalService", svc); err != nil {
+		t.Fatal(err)
+	}
+	bound, err := node.ListenAndServe("loop:fsm-malformed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	call := func(op string, args ...[]byte) error {
+		body := appendChunk(nil, []byte("s1"))
+		for _, a := range args {
+			body = appendChunk(body, a)
+		}
+		_, err := node.Pool().Call(ctx, bound, &wire.Request{Service: "CarRentalService", Op: op, Body: body})
+		return err
+	}
+	selectCar, err := xcode.AppendEncode(nil, sid.Type("SelectCar_t"), struct {
+		Model, BookingDate string
+		Days               int
+	}{"FIAT_Uno", "1994-06-21", 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][][]byte{
+		"truncated argument":    {selectCar[:len(selectCar)-1]},
+		"argument with a tail":  {append(selectCar[:len(selectCar):len(selectCar)], 0)},
+		"missing argument":      nil,
+		"one argument too many": {selectCar, selectCar},
+		"string past its bytes": {{0x7f, 'x'}},
+	} {
+		var re *wire.RemoteError
+		if err := call("SelectCar", args...); !errors.As(err, &re) || re.Status != wire.StatusBadRequest {
+			t.Errorf("%s: err = %v, want bad request", name, err)
+		}
+	}
+	if ran != 0 {
+		t.Fatalf("handlers ran %d times on malformed bodies", ran)
+	}
+	// Had a refused SelectCar stepped the session, Commit would be legal.
+	var re *wire.RemoteError
+	if err := call("Commit"); !errors.As(err, &re) || re.Status != wire.StatusProtocol {
+		t.Fatalf("Commit after refused SelectCars = %v, want protocol violation", err)
+	}
+	if err := call("SelectCar", selectCar); err != nil {
+		t.Fatal(err)
+	}
+	if err := call("Commit"); err != nil || ran != 2 {
+		t.Fatalf("Commit after a valid SelectCar = %v (handlers ran %d times)", err, ran)
+	}
+}
+
 func TestWithoutFSMEnforcement(t *testing.T) {
 	sid := sidl.CarRentalSID()
 	svc, err := NewService(sid, WithoutFSMEnforcement())

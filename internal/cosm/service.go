@@ -45,10 +45,12 @@ var (
 	ErrNilService = errors.New("cosm: nil service")
 )
 
-// Call carries one invocation through a handler. In holds one value per
-// in/inout parameter, positionally. The handler sets Result (for
-// non-void operations) and fills Out (one slot per out/inout parameter,
-// pre-populated with zero values).
+// Call carries one invocation through a handler. A handler with Go
+// types for the operation binds its in/inout arguments with Args and its
+// result with Return. One without reads each argument with Arg, sets
+// Result (for non-void operations) and fills Out (one slot per
+// out/inout parameter, pre-populated with zero values), all dynamic
+// values.
 type Call struct {
 	// Ctx carries the caller's propagated deadline and cancellation (see
 	// wire.Handler); long-running handlers should honour it.
@@ -59,29 +61,42 @@ type Call struct {
 	Session string
 	// Op is the operation signature being invoked.
 	Op sidl.Op
-	// In holds the decoded in/inout arguments.
-	In []*xcode.Value
-	// Result receives the operation result.
+	// Result receives the operation result as a dynamic value. Setting it
+	// overrides an earlier Return.
 	Result *xcode.Value
 	// Out holds out/inout results, pre-populated with zero values.
 	Out []*xcode.Value
 
-	// returned is what Return encoded: a value of exactly the declared
-	// result type, which needs no projection on the way out.
-	returned *xcode.Value
+	// args holds the in/inout argument chunks, which dispatch validated
+	// against Op before the FSM stepped.
+	args []byte
+	// reply is the result chunk Return encoded.
+	reply []byte
 }
 
-// Arg returns the in/inout argument by parameter name.
+// nextArg splits the next argument chunk off the validated args.
+func nextArg(args []byte) (chunk, rest []byte) {
+	chunk, rest, _ = consumeChunk(args) // framing checked at dispatch
+	return chunk, rest
+}
+
+// Arg returns the in/inout argument by parameter name, decoded as a
+// dynamic value.
 func (c *Call) Arg(name string) (*xcode.Value, error) {
-	i := 0
+	rest := c.args
 	for _, p := range c.Op.Params {
 		if p.Dir == sidl.Out {
 			continue
 		}
+		var chunk []byte
+		chunk, rest = nextArg(rest)
 		if p.Name == name {
-			return c.In[i], nil
+			v, err := xcode.Unmarshal(p.Type, chunk)
+			if err != nil {
+				return nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, name, err)
+			}
+			return v, nil
 		}
-		i++
 	}
 	return nil, fmt.Errorf("%w: no in-parameter %q in op %s", ErrBadArgs, name, c.Op.Name)
 }
@@ -106,28 +121,46 @@ func (c *Call) SetOut(name string, v *xcode.Value) error {
 }
 
 // Args decodes the in/inout arguments, in parameter order, into what the
-// dst pointers point to (see xcode.Decode) — the typed counterpart of
-// Arg for a handler that has Go types for its parameters.
+// dst pointers point to (see xcode.DecodeInto) — the typed counterpart
+// of Arg for a handler that has Go types for its parameters.
 func (c *Call) Args(dst ...any) error {
-	if len(dst) != len(c.In) {
-		return fmt.Errorf("%w: op %s takes %d in-arguments, handler binds %d", ErrBadArgs, c.Op.Name, len(c.In), len(dst))
+	if len(dst) != inCount(c.Op) {
+		return c.badArgCount(len(dst))
 	}
-	for i, d := range dst {
-		if err := xcode.Decode(c.In[i], d); err != nil {
-			return fmt.Errorf("%w: argument %d of op %s: %v", ErrBadArgs, i+1, c.Op.Name, err)
+	rest, i := c.args, 0
+	for _, p := range c.Op.Params {
+		if p.Dir == sidl.Out {
+			continue
 		}
+		var chunk []byte
+		chunk, rest = nextArg(rest)
+		if err := xcode.DecodeInto(p.Type, chunk, dst[i]); err != nil {
+			return c.badArg(i, err)
+		}
+		i++
 	}
 	return nil
 }
 
-// Return sets Result from a Go value, encoded as the result type the
-// operation's signature declares (see xcode.Encode).
+// badArgCount and badArg are out of line, like the binder's errors:
+// Args runs on a fresh handler goroutine, whose stack grows by copying.
+
+func (c *Call) badArgCount(got int) error {
+	return fmt.Errorf("%w: op %s takes %d in-arguments, handler binds %d", ErrBadArgs, c.Op.Name, inCount(c.Op), got)
+}
+
+func (c *Call) badArg(i int, err error) error {
+	return fmt.Errorf("%w: argument %d of op %s: %v", ErrBadArgs, i+1, c.Op.Name, err)
+}
+
+// Return encodes a Go value as the result type the operation's signature
+// declares (see xcode.AppendEncode) straight into the reply body.
 func (c *Call) Return(src any) error {
-	v, err := xcode.Encode(c.Op.Result, src)
+	reply, err := appendEncoded(make([]byte, 0, bodyCap), c.Op.Result, src)
 	if err != nil {
 		return fmt.Errorf("%w: result of op %s: %v", ErrBadResult, c.Op.Name, err)
 	}
-	c.Result, c.returned = v, v
+	c.Result, c.reply = nil, reply
 	return nil
 }
 
@@ -222,7 +255,7 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 		return &wire.Response{Status: wire.StatusAppError, ErrMsg: "operation not implemented: " + req.Op}
 	}
 
-	session, in, err := decodeCallBody(op, req.Body)
+	session, args, err := decodeCallBody(op, req.Body)
 	if err != nil {
 		return &wire.Response{Status: wire.StatusBadRequest, ErrMsg: err.Error()}
 	}
@@ -236,7 +269,7 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 		}
 	}
 
-	call := &Call{Ctx: ctx, Remote: remote, Session: session, Op: op, In: in}
+	call := &Call{Ctx: ctx, Remote: remote, Session: session, Op: op, args: args}
 	for _, p := range op.Params {
 		if p.Dir != sidl.In {
 			call.Out = append(call.Out, xcode.Zero(p.Type))
@@ -260,9 +293,28 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 // Result layout (response): result value (absent for void), then each
 // out/inout value in parameter order, all length-prefixed.
 
+// bodyCap is the capacity a typed call or reply body starts with. Most
+// fit in it; growing one happens deep in the encoder's recursion, and
+// on a fresh handler goroutine that can cost a stack copy as well.
+const bodyCap = 256
+
 func appendChunk(dst []byte, chunk []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(chunk)))
 	return append(dst, chunk...)
+}
+
+// appendEncoded appends src, encoded as t, as one chunk. It encodes in
+// place: it reserves the longest length prefix, encodes after it, then
+// closes the gap.
+func appendEncoded(dst []byte, t *sidl.Type, src any) ([]byte, error) {
+	start := len(dst)
+	body := start + binary.MaxVarintLen64
+	dst, err := xcode.AppendEncode(append(dst, make([]byte, binary.MaxVarintLen64)...), t, src)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.PutUvarint(dst[start:], uint64(len(dst)-body))
+	return append(dst[:start+n], dst[body:]...), nil
 }
 
 func consumeChunk(data []byte) ([]byte, []byte, error) {
@@ -308,46 +360,49 @@ func encodeCallBody(op sidl.Op, session string, args []*xcode.Value) ([]byte, er
 	return body, nil
 }
 
-func decodeCallBody(op sidl.Op, body []byte) (session string, in []*xcode.Value, err error) {
-	chunk, rest, err := consumeChunk(body)
+// decodeCallBody splits a request body into the session and the
+// argument chunks, and validates every argument against its parameter
+// type without building anything: a malformed body is refused here,
+// before the FSM steps or a handler runs.
+func decodeCallBody(op sidl.Op, body []byte) (session string, args []byte, err error) {
+	chunk, args, err := consumeChunk(body)
 	if err != nil {
 		return "", nil, err
 	}
-	session = string(chunk)
+	rest := args
 	for _, p := range op.Params {
 		if p.Dir == sidl.Out {
 			continue
 		}
-		chunk, rest, err = consumeChunk(rest)
-		if err != nil {
+		var arg []byte
+		if arg, rest, err = consumeChunk(rest); err != nil {
 			return "", nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
 		}
-		v, err := xcode.Unmarshal(p.Type, chunk)
-		if err != nil {
+		if err := xcode.DecodeInto(p.Type, arg, nil); err != nil {
 			return "", nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
 		}
-		in = append(in, v)
 	}
 	if len(rest) != 0 {
 		return "", nil, fmt.Errorf("%w: %d trailing bytes", ErrBadArgs, len(rest))
 	}
-	return session, in, nil
+	return string(chunk), args, nil
 }
 
 func encodeCallResult(op sidl.Op, call *Call) ([]byte, error) {
 	var body []byte
 	if op.Result.Kind != sidl.Void {
-		if call.Result == nil {
-			return nil, fmt.Errorf("%w: op %s returned no result", ErrBadResult, op.Name)
-		}
-		projected := call.Result
-		if projected != call.returned {
-			var err error
-			if projected, err = call.Result.Project(op.Result); err != nil {
+		switch {
+		case call.Result != nil:
+			projected, err := call.Result.Project(op.Result)
+			if err != nil {
 				return nil, fmt.Errorf("%w: result: %v", ErrBadResult, err)
 			}
+			body = appendChunk(nil, xcode.Marshal(projected))
+		case call.reply != nil:
+			body = call.reply
+		default:
+			return nil, fmt.Errorf("%w: op %s returned no result", ErrBadResult, op.Name)
 		}
-		body = appendChunk(body, xcode.Marshal(projected))
 	}
 	i := 0
 	for _, p := range op.Params {
@@ -365,38 +420,40 @@ func encodeCallResult(op sidl.Op, call *Call) ([]byte, error) {
 	return body, nil
 }
 
-func decodeCallResult(op sidl.Op, body []byte) (result *xcode.Value, outs []*xcode.Value, err error) {
+// decodeCallResult walks a reply body: decode gets the result chunk (of
+// a non-void operation; out is -1) and then each out/inout chunk (out
+// counts them), each with the type the signature declares.
+func decodeCallResult(op sidl.Op, body []byte, decode func(t *sidl.Type, chunk []byte, out int) error) error {
 	rest := body
 	if op.Result.Kind != sidl.Void {
-		var chunk []byte
-		chunk, rest, err = consumeChunk(rest)
+		chunk, r, err := consumeChunk(rest)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		result, err = xcode.Unmarshal(op.Result, chunk)
-		if err != nil {
-			return nil, nil, fmt.Errorf("result: %w", err)
+		if err := decode(op.Result, chunk, -1); err != nil {
+			return fmt.Errorf("result: %w", err)
 		}
+		rest = r
 	}
+	out := 0
 	for _, p := range op.Params {
 		if p.Dir == sidl.In {
 			continue
 		}
-		var chunk []byte
-		chunk, rest, err = consumeChunk(rest)
+		chunk, r, err := consumeChunk(rest)
 		if err != nil {
-			return nil, nil, fmt.Errorf("out %q: %w", p.Name, err)
+			return fmt.Errorf("out %q: %w", p.Name, err)
 		}
-		v, err := xcode.Unmarshal(p.Type, chunk)
-		if err != nil {
-			return nil, nil, fmt.Errorf("out %q: %w", p.Name, err)
+		if err := decode(p.Type, chunk, out); err != nil {
+			return fmt.Errorf("out %q: %w", p.Name, err)
 		}
-		outs = append(outs, v)
+		rest = r
+		out++
 	}
 	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes in result", ErrBadResult, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes in result", ErrBadResult, len(rest))
 	}
-	return result, outs, nil
+	return nil
 }
 
 // sessionTable tracks FSM sessions per (remote, session) pair with a

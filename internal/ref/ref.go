@@ -43,6 +43,17 @@ func (r ServiceRef) String() string {
 	return "cosm://" + r.Endpoint + "/" + r.Service
 }
 
+// Check reports whether Parse reads String's form of r back as r, the
+// exact inverse of what Parse accepts: a non-empty endpoint and a
+// non-empty service name without a '/'. The nil reference fails it too;
+// a caller that allows nil tests IsZero first.
+func (r ServiceRef) Check() error {
+	if r.Endpoint == "" || r.Service == "" || strings.IndexByte(r.Service, '/') >= 0 {
+		return fmt.Errorf("%w: endpoint %q, service %q has no textual form", ErrBadRef, r.Endpoint, r.Service)
+	}
+	return nil
+}
+
 // Parse parses the canonical textual form produced by String.
 func Parse(s string) (ServiceRef, error) {
 	const scheme = "cosm://"

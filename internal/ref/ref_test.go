@@ -48,6 +48,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestCheckIsParseInverse: Check accepts exactly the refs whose textual
+// form Parse reads back unchanged.
+func TestCheckIsParseInverse(t *testing.T) {
+	for _, r := range []ServiceRef{
+		{}, {Endpoint: "tcp:10.0.0.1:7000"}, {Service: "svc"}, {Endpoint: "tcp:10.0.0.1:7000", Service: "a/b"},
+		{Endpoint: "tcp:10.0.0.1:7000", Service: "/"}, New("tcp:10.0.0.1:7000", "svc"), New("unix:/run/cosm.sock", "svc"),
+	} {
+		back, err := Parse(r.String())
+		roundTrips := err == nil && back == r
+		if err := r.Check(); (err == nil) != roundTrips || err != nil && !errors.Is(err, ErrBadRef) {
+			t.Errorf("%+v: Check = %v, but the round trip gives %+v", r, err, back)
+		}
+	}
+	f := func(endpoint, service string) bool {
+		r := New(endpoint, service)
+		back, err := Parse(r.String())
+		return (r.Check() == nil) == (err == nil && back == r)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIsZero(t *testing.T) {
 	var z ServiceRef
 	if !z.IsZero() {

@@ -2,6 +2,7 @@ package sidl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -82,8 +83,14 @@ func (lx *lexer) next() (token, error) {
 			}
 			body := lx.src[lx.off+2 : lx.off+2+end]
 			lx.line += strings.Count(body, "\n")
+			// Trimmed line by line, as // comments are: docs print as
+			// those, and must read back the same.
+			lines := strings.Split(strings.TrimSpace(body), "\n")
+			for i := range lines {
+				lines[i] = strings.TrimSpace(lines[i])
+			}
 			doc.Reset()
-			doc.WriteString(strings.TrimSpace(body))
+			doc.WriteString(strings.Join(lines, "\n"))
 			docLine = lx.line
 			lx.off += 2 + end + 2
 			continue
@@ -128,21 +135,18 @@ func (lx *lexer) next() (token, error) {
 				return token{}, lx.errorf(startLine, "newline in string literal")
 			}
 			if r == '\\' {
-				if lx.off >= len(lx.src) {
-					return token{}, lx.errorf(startLine, "unterminated escape")
+				// Go's escapes, which strconv.Quote — how a string literal
+				// prints — writes.
+				v, multibyte, tail, err := strconv.UnquoteChar(lx.src[lx.off-n:], '"')
+				if err != nil {
+					return token{}, lx.errorf(startLine, "bad escape in string literal")
 				}
-				e, m := utf8.DecodeRuneInString(lx.src[lx.off:])
-				lx.off += m
-				switch e {
-				case 'n':
-					b.WriteByte('\n')
-				case 't':
-					b.WriteByte('\t')
-				case '\\', '"':
-					b.WriteRune(e)
-				default:
-					return token{}, lx.errorf(startLine, "unknown escape \\%c", e)
+				if multibyte {
+					b.WriteRune(v)
+				} else {
+					b.WriteByte(byte(v))
 				}
+				lx.off = len(lx.src) - len(tail)
 				continue
 			}
 			b.WriteRune(r)

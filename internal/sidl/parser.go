@@ -618,6 +618,11 @@ func (p *parser) parseTraderExport(sid *SID, scope map[string]*Type) error {
 			}
 			te.TypeOfService = c.Value.Str
 		default:
+			// A property keeps its literal, not its type: an enum
+			// literal prints with the declared enum that holds it.
+			if c.Value.Kind == LitEnum && c.Type.Name == "" {
+				return p.errorf("property %s of %s needs a declared enum type", c.Name, ModTraderExport)
+			}
 			te.Properties = append(te.Properties, Property{Name: c.Name, Value: c.Value})
 		}
 	}

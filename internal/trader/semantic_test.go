@@ -568,9 +568,9 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	}
 	offerT := newSid.Type("Offer_t")
 	// What the client's import does with each element of a reply.
-	matchFromValue := func(v *xcode.Value) (Match, error) {
+	matchFromBytes := func(t *sidl.Type, data []byte) (Match, error) {
 		var w offerWire
-		if err := xcode.Decode(v, &w); err != nil {
+		if err := xcode.DecodeInto(t, data, &w); err != nil {
 			return Match{}, err
 		}
 		return w.match()
@@ -586,20 +586,16 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	}
 
 	// Request direction: encode as the old peer's type (which is the
-	// projection), marshal, unmarshal, decode.
-	projected, err := xcode.Encode(oldReqT, wireImportReq(ImportRequest{
+	// projection), decode.
+	wireReq, err := xcode.AppendEncode(nil, oldReqT, wireImportReq(ImportRequest{
 		Type: "A", Constraint: "x == 1", Policy: "score",
 		Max: 3, MinGrade: match.GradeExact,
 	}))
 	if err != nil {
 		t.Fatalf("new import request does not project onto the old protocol: %v", err)
 	}
-	wireReq, err := xcode.Unmarshal(oldReqT, xcode.Marshal(projected))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var reqW importReqWire
-	if err := xcode.Decode(wireReq, &reqW); err != nil {
+	if err := xcode.DecodeInto(oldReqT, wireReq, &reqW); err != nil {
 		t.Fatalf("old trader cannot decode the projected request: %v", err)
 	}
 	decodedReq := reqW.request()
@@ -632,11 +628,7 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireOffer, err := xcode.Unmarshal(oldOfferT, xcode.Marshal(oldOffer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := matchFromValue(wireOffer)
+	m, err := matchFromBytes(oldOfferT, xcode.Marshal(oldOffer))
 	if err != nil {
 		t.Fatalf("old trader's offer does not decode as a match: %v", err)
 	}
@@ -648,17 +640,13 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	}
 
 	// A graded response round-trips grade and score through the codec.
-	gradedV, err := xcode.Encode(offerT, wireMatch(Match{
+	back, err := xcode.AppendEncode(nil, offerT, wireMatch(Match{
 		Offer: m.Offer, Grade: match.GradeSubtype, Score: 0.85,
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := xcode.Unmarshal(offerT, xcode.Marshal(gradedV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := matchFromValue(back)
+	m2, err := matchFromBytes(offerT, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +663,7 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 		ExpiresUnix int64
 		Suspect     bool
 	}
-	if err := xcode.Decode(back, &o); err != nil || o.ID != "OLD/o1" {
+	if err := xcode.DecodeInto(offerT, back, &o); err != nil || o.ID != "OLD/o1" {
 		t.Fatalf("old-style decode of graded offer = %+v, %v", o, err)
 	}
 }
@@ -711,9 +699,10 @@ func TestOptionalWireMembersAbsent(t *testing.T) {
 		}
 		return v
 	}
+	decode := func(v *xcode.Value, dst any) error { return xcode.DecodeInto(v.Type, xcode.Marshal(v), dst) }
 
 	var req importReqWire
-	if err := xcode.Decode(without("ImportReq_t", "maxPeers", "hedgeMs", "minGrade"), &req); err != nil {
+	if err := decode(without("ImportReq_t", "maxPeers", "hedgeMs", "minGrade"), &req); err != nil {
 		t.Fatal(err)
 	}
 	if r := req.request(); r.MaxPeers != 0 || r.Hedge != 0 || r.MinGrade != match.GradeNone || r.Type != "closed" {
@@ -721,7 +710,7 @@ func TestOptionalWireMembersAbsent(t *testing.T) {
 	}
 
 	var offer offerWire
-	if err := xcode.Decode(without("Offer_t", "expiresUnix", "suspect", "grade", "score"), &offer); err != nil {
+	if err := decode(without("Offer_t", "expiresUnix", "suspect", "grade", "score"), &offer); err != nil {
 		t.Fatal(err)
 	}
 	m, err := offer.match()
@@ -733,7 +722,7 @@ func TestOptionalWireMembersAbsent(t *testing.T) {
 	}
 
 	links := make([]linkInfoWire, 1)
-	if err := xcode.Decode(without("LinkInfo_t", "lastSeenUnixMs", "hops", "summaryTypes", "summaryGen", "summaryAgeMs"), &links[0]); err != nil {
+	if err := decode(without("LinkInfo_t", "lastSeenUnixMs", "hops", "summaryTypes", "summaryGen", "summaryAgeMs"), &links[0]); err != nil {
 		t.Fatal(err)
 	}
 	want := LinkInfo{Name: "closed", PeerID: "closed", State: "closed", SummaryAge: -1}
@@ -743,7 +732,7 @@ func TestOptionalWireMembersAbsent(t *testing.T) {
 
 	for name, dst := range map[string]any{"ImportReq_t": &req, "Offer_t": &offer, "LinkInfo_t": &links[0]} {
 		required := sid.Type(name).Fields[0].Name
-		if err := xcode.Decode(without(name, required), dst); !errors.Is(err, xcode.ErrNoSuchField) {
+		if err := decode(without(name, required), dst); !errors.Is(err, xcode.ErrNoSuchField) {
 			t.Errorf("%s without %s: err = %v, want ErrNoSuchField", name, required, err)
 		}
 	}

@@ -185,7 +185,7 @@ module CosmTrader {
 `
 
 // Wire forms. What the IDL above declares binds to Go types through
-// xcode.Encode and Decode, with the types taken from the operation
+// xcode.AppendEncode and DecodeInto, with the types taken from the operation
 // signatures (cosm.Call.Args/Return here, cosm.Conn.Call in client.go).
 // Vote, ReplStatus, OfferSummary and core.PropRecord have the shape of
 // their SIDL structs and bind as they are. The five kinds of value below
@@ -411,14 +411,15 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		return nil, err
 	}
 
-	// Export is ExportLease without its trailing argument.
+	// Export is ExportLease without its trailing argument (both take only
+	// in-parameters).
 	export := func(call *cosm.Call) error {
 		var serviceType string
 		var target ref.ServiceRef
 		var recs []PropRecord
 		var ttlSeconds int64
 		dst := []any{&serviceType, &target, &recs, &ttlSeconds}
-		if err := call.Args(dst[:len(call.In)]...); err != nil {
+		if err := call.Args(dst[:len(call.Op.Params)]...); err != nil {
 			return err
 		}
 		props, err := propsFromWire(recs)

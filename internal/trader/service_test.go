@@ -43,6 +43,62 @@ func startTraderNode(t *testing.T, loopName, traderID string) (*cosm.Node, *Trad
 	return node, tr, node.MustRefFor(ServiceName)
 }
 
+// TestRemoteImportAllocs pins what one typed Client.ImportGraded of the
+// canonical reply — five car offers of four properties each, the import
+// cache answering — allocates over loop:, client and server together.
+// The typed path goes straight between Go values and bytes; a change
+// that builds an xcode.Value tree on it again fails here (with one at
+// each end of each direction, the same import allocated 423).
+func TestRemoteImportAllocs(t *testing.T) {
+	node, tr, traderRef := startTraderNode(t, "trd-allocs", "T")
+	for i := 1; i <= 8; i++ {
+		if _, err := tr.Export("CarRentalService", carRef(i), carProps("FIAT_Uno", float64(40+10*i), "USD")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	tc, err := DialTrader(ctx, node.Pool(), traderRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := NewImport("CarRentalService", Where("ChargePerDay < 100"), OrderBy("min:ChargePerDay"), Limit(5))
+	call := func() {
+		if ms, err := tc.ImportGraded(ctx, req); err != nil || len(ms) != 5 {
+			t.Fatalf("ImportGraded = %d matches, %v", len(ms), err)
+		}
+	}
+	call() // bind, dial and fill the caches outside the measurement
+	if got := testing.AllocsPerRun(200, call); got != 173 {
+		t.Fatalf("one remote import allocates %v, want 173", got)
+	}
+}
+
+// TestRemoteCallRefusesWhatCannotTravel: a typed call encodes nothing
+// its receiver would read differently. An import limit of 2^32+5 once
+// reached the trader as max 5, and an offer target with no textual form
+// was exported and then failed every import of its type; both are
+// refused at the caller now, and the trader is untouched.
+func TestRemoteCallRefusesWhatCannotTravel(t *testing.T) {
+	node, tr, traderRef := startTraderNode(t, "trd-refuse", "T")
+	ctx := context.Background()
+	tc, err := DialTrader(ctx, node.Pool(), traderRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.Export(ctx, "CarRentalService", carRef(1), carProps("FIAT_Uno", 80, "USD")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.Import(ctx, NewImport("CarRentalService", Limit(1<<32+5))); !errors.Is(err, cosm.ErrBadArgs) {
+		t.Errorf("import with limit 2^32+5 = %v, want cosm.ErrBadArgs", err)
+	}
+	if _, err := tc.Export(ctx, "CarRentalService", ref.ServiceRef{Endpoint: "tcp:10.0.0.2:7000"}, carProps("AUDI", 90, "USD")); !errors.Is(err, cosm.ErrBadArgs) {
+		t.Errorf("export of an endpoint-only target = %v, want cosm.ErrBadArgs", err)
+	}
+	if offers, err := tc.Import(ctx, NewImport("CarRentalService")); err != nil || len(offers) != 1 || tr.OfferCount() != 1 {
+		t.Fatalf("import after the refusals = %+v, %v", offers, err)
+	}
+}
+
 func TestRemoteExportImportLifecycle(t *testing.T) {
 	node, _, traderRef := startTraderNode(t, "trd-lifecycle", "T1")
 	ctx := context.Background()

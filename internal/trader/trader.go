@@ -357,7 +357,7 @@ func (t *Trader) ExportLease(serviceType string, r ref.ServiceRef, props []sidl.
 	if err := t.leaderCheck(); err != nil {
 		return "", err
 	}
-	if err := checkExport(t.types, serviceType, ttl, props); err != nil {
+	if err := checkExport(t.types, serviceType, r, ttl, props); err != nil {
 		return "", err
 	}
 	offer := t.makeOffer(serviceType, r, props, ttl)
@@ -373,9 +373,16 @@ func (t *Trader) ExportLease(serviceType string, r ref.ServiceRef, props []sidl.
 	return offer.ID, nil
 }
 
-func checkExport(types *typemgr.Repo, serviceType string, ttl time.Duration, props []sidl.Property) error {
+// checkExport validates one offer before anything is journalled. Its
+// ref must survive its textual form: the journal records it as text and
+// every import carries it as text, so a ref that does not would break
+// recovery, or every import of its type, long after it was accepted.
+func checkExport(types *typemgr.Repo, serviceType string, r ref.ServiceRef, ttl time.Duration, props []sidl.Property) error {
 	if ttl < 0 {
 		return fmt.Errorf("trader: negative lease %v", ttl)
+	}
+	if err := r.Check(); err != nil {
+		return fmt.Errorf("trader: offer target: %w", err)
 	}
 	return types.CheckOffer(serviceType, props)
 }
@@ -433,7 +440,7 @@ func (t *Trader) ExportAll(items []ExportItem) ([]string, error) {
 		return nil, err
 	}
 	for i := range items {
-		if err := checkExport(t.types, items[i].Type, items[i].TTL, items[i].Props); err != nil {
+		if err := checkExport(t.types, items[i].Type, items[i].Ref, items[i].TTL, items[i].Props); err != nil {
 			return nil, fmt.Errorf("trader: batch item %d: %w", i, err)
 		}
 	}

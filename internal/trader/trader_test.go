@@ -38,6 +38,36 @@ func carRef(i int) ref.ServiceRef {
 	return ref.New(fmt.Sprintf("tcp:10.0.0.%d:7000", i), "CarRentalService")
 }
 
+// TestExportRefusesRefWithoutText: the journal and every import carry an
+// offer's ref as text, so every export path refuses a ref whose text
+// does not parse back to it, before anything is journalled. Accepted,
+// the nil ref failed the next recovery, an endpoint-only ref failed
+// every wire import of its type, and a slash in the service name moved
+// the split between endpoint and service.
+func TestExportRefusesRefWithoutText(t *testing.T) {
+	tr := New("T1", newCarRepo(t))
+	props := carProps("FIAT_Uno", 80, "USD")
+	for _, r := range []ref.ServiceRef{{}, {Endpoint: "tcp:10.0.0.1:7000"}, ref.New("tcp:10.0.0.1:7000", "a/b")} {
+		for name, export := range map[string]func() error{
+			"Export":      func() error { _, err := tr.Export("CarRentalService", r, props); return err },
+			"ExportLease": func() error { _, err := tr.ExportLease("CarRentalService", r, props, time.Minute); return err },
+			"ExportSID":   func() error { _, err := tr.ExportSID(sidl.CarRentalSID(), r); return err },
+			"ExportAll": func() error {
+				_, err := tr.ExportAll([]ExportItem{{Type: "CarRentalService", Ref: carRef(1), Props: props},
+					{Type: "CarRentalService", Ref: r, Props: props}})
+				return err
+			},
+		} {
+			if err := export(); !errors.Is(err, ref.ErrBadRef) {
+				t.Errorf("%s with %+v = %v, want ref.ErrBadRef", name, r, err)
+			}
+		}
+	}
+	if n := tr.OfferCount(); n != 0 {
+		t.Fatalf("%d offers accepted", n)
+	}
+}
+
 func TestExportImportWithdraw(t *testing.T) {
 	tr := New("T1", newCarRepo(t))
 	ctx := context.Background()

@@ -1,6 +1,7 @@
 package xcode
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -10,213 +11,336 @@ import (
 	"cosm/internal/sidl"
 )
 
-// Encode and Decode are the one binding between Go types and SIDL
-// types: what code that does have Go types for a SID uses in place of a
-// hand-written conversion per struct. DESIGN.md ("Binding") has the
-// mapping and the compatibility policy; in short, a struct member binds
-// to the exported Go field tagged `sidl:"name"`, else to the one whose
-// Go name equals it case-insensitively; Encode fills exactly the members
-// of t (Go fields t lacks are dropped, members no field binds to are
-// zero); Decode demands a member for every Go field (ErrNoSuchField)
-// unless the field is tagged `sidl:",optional"`, and ignores the rest; a
-// Go/SIDL kind mismatch is ErrTypeMismatch either way.
+// AppendEncode and DecodeInto are the one binding between Go types and
+// SIDL types: what code that does have Go types for a SID uses in place
+// of a hand-written conversion per struct. They go straight between Go
+// values and the bytes Marshal and Unmarshal define, building no Value.
+// DESIGN.md ("Binding") has the mapping and the compatibility policy;
+// in short, a struct member binds to the exported Go field tagged
+// `sidl:"name"`, else to the one whose Go name equals it
+// case-insensitively; AppendEncode writes exactly the members of t (Go
+// fields t lacks are dropped, members no field binds to are zero);
+// DecodeInto demands a member for every Go field (ErrNoSuchField) unless
+// the field is tagged `sidl:",optional"`, and skips the rest; a Go/SIDL
+// kind mismatch, or a Go integer that does not fit the integer it binds
+// to, is ErrTypeMismatch either way.
 
-// Encode builds the dynamic value of type t from the Go value src (or
-// what src points to).
-func Encode(t *sidl.Type, src any) (*Value, error) {
+// AppendEncode appends the encoding, as SIDL type t, of the Go value src
+// (or what src points to) to dst. It refuses what DecodeInto would: a
+// non-nil Object that does not survive its textual form
+// (ref.ServiceRef.Check), an integer outside the kind's range.
+func AppendEncode(dst []byte, t *sidl.Type, src any) ([]byte, error) {
 	rv := reflect.ValueOf(src)
 	for rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		rv = rv.Elem()
 	}
-	v := new(Value)
-	if err := encode(v, t, rv); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return encode(dst, t, rv)
 }
 
-// Decode stores the dynamic value v into what dst points to, first
-// resetting it to its zero value.
-func Decode(v *Value, dst any) error {
-	rv := reflect.ValueOf(dst)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("%w: Decode into %T, want a non-nil pointer", ErrTypeMismatch, dst)
+// DecodeInto decodes data, which must hold exactly one encoded value of
+// type t, into what dst points to, first resetting it to its zero value.
+// A nil dst decodes into nothing: the bytes are validated exactly as
+// Unmarshal would, and no Go value is built.
+func DecodeInto(t *sidl.Type, data []byte, dst any) error {
+	var rv reflect.Value // invalid: discard
+	if dst != nil {
+		rv = reflect.ValueOf(dst)
+		if rv.Kind() != reflect.Pointer || rv.IsNil() {
+			return notPointer(dst)
+		}
+		rv = rv.Elem()
+		rv.SetZero()
 	}
-	rv.Elem().SetZero()
-	return store(v, rv.Elem())
+	rest, err := decodeGo(t, data, rv)
+	if err != nil {
+		return err
+	}
+	return checkTrailing(rest)
 }
 
 var refType = reflect.TypeFor[ref.ServiceRef]()
 
-// goInt reads any Go integer as an int64 and setGoInt stores one; the
-// casts between signed and unsigned keep every bit, as the casts of the
-// conversions this replaces did (uint64 epochs travel as long long).
-func goInt(rv reflect.Value) (int64, bool) {
+// The errors are built out of line, keeping the walkers' frames small.
+
+func notPointer(dst any) error {
+	return fmt.Errorf("%w: DecodeInto %T, want a non-nil pointer", ErrTypeMismatch, dst)
+}
+
+func unknownKind(t *sidl.Type) error { return fmt.Errorf("%w: unknown kind %s", ErrBadData, t.Kind) }
+
+func outOfRange(t *sidl.Type, rv reflect.Value) error {
+	return fmt.Errorf("%w: SIDL %s value out of range for Go %s", ErrTypeMismatch, t, rv.Type())
+}
+
+func mismatch(rv reflect.Value, t *sidl.Type) error {
+	if !rv.IsValid() {
+		return fmt.Errorf("%w: nil for SIDL %s", ErrTypeMismatch, t)
+	}
+	return fmt.Errorf("%w: Go %s for SIDL %s", ErrTypeMismatch, rv.Type(), t)
+}
+
+// encode is the recursion of AppendEncode. It and decodeGo hold only
+// the constructed kinds and leave each scalar to a leaf function: their
+// frames stack up once per level of nesting, on a handler goroutine
+// whose stack starts small and grows by copying.
+func encode(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
+	var err error
+	switch t.Kind {
+	case sidl.Sequence:
+		if rv.Kind() != reflect.Slice {
+			return nil, mismatch(rv, t)
+		}
+		n := rv.Len()
+		dst = binary.AppendUvarint(dst, uint64(n))
+		for i := 0; i < n; i++ {
+			if dst, err = encode(dst, t.Elem, rv.Index(i)); err != nil {
+				return nil, inElement(i, err)
+			}
+		}
+		return dst, nil
+	case sidl.Struct:
+		if rv.Kind() != reflect.Struct {
+			return nil, mismatch(rv, t)
+		}
+		plan := planOf(rv.Type())
+		for i, f := range t.Fields {
+			if pf := plan.field(f.Name, i); pf == nil {
+				dst = appendZero(dst, f.Type)
+			} else if dst, err = encode(dst, f.Type, rv.Field(pf.index)); err != nil {
+				return nil, inField(f.Name, err)
+			}
+		}
+		return dst, nil
+	}
+	return encodeScalar(dst, t, rv)
+}
+
+func inElement(i int, err error) error { return fmt.Errorf("element %d: %w", i, err) }
+
+func inField(name string, err error) error { return fmt.Errorf("field %q: %w", name, err) }
+
+func encodeScalar(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
+	switch k := t.Kind; k {
+	case sidl.Void:
+		if !rv.IsValid() { // nothing binds to nothing
+			return dst, nil
+		}
+	case sidl.Bool:
+		if rv.Kind() == reflect.Bool {
+			return appendBool(dst, rv.Bool()), nil
+		}
+	case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64, sidl.UInt32, sidl.UInt64:
+		if bits, ok := intBits(k, rv); ok {
+			return appendFixed(dst, k, bits), nil
+		}
+		if rv.CanInt() || rv.CanUint() {
+			return nil, fmt.Errorf("%w: %s %v out of range for SIDL %s", ErrTypeMismatch, rv.Type(), rv, t)
+		}
+	case sidl.Float32, sidl.Float64:
+		if rv.CanFloat() {
+			return appendFixed(dst, k, floatBits(k, rv.Float())), nil
+		}
+	case sidl.String:
+		if rv.Kind() == reflect.String {
+			return appendString(dst, rv.String()), nil
+		}
+	case sidl.Enum:
+		var ord int
+		switch {
+		case rv.Kind() == reflect.String:
+			var ok bool
+			if ord, ok = t.Ordinal(rv.String()); !ok {
+				return nil, fmt.Errorf("%w: %q is not a literal of %s", ErrBadLiteral, rv.String(), t)
+			}
+		case rv.CanInt() && rv.Int() >= 0 && rv.Int() < int64(len(t.Literals)):
+			ord = int(rv.Int())
+		case rv.CanUint() && rv.Uint() < uint64(len(t.Literals)):
+			ord = int(rv.Uint())
+		case rv.CanInt() || rv.CanUint():
+			return nil, fmt.Errorf("%w: ordinal %v out of range for %s", ErrBadLiteral, rv, t)
+		default:
+			return nil, mismatch(rv, t)
+		}
+		return binary.AppendUvarint(dst, uint64(ord)), nil
+	case sidl.SvcRef:
+		if rv.IsValid() && rv.Type() == refType {
+			r := ref.ServiceRef{Endpoint: rv.Field(0).String(), Service: rv.Field(1).String()}
+			if !r.IsZero() {
+				if err := r.Check(); err != nil {
+					return nil, fmt.Errorf("%w: %w", ErrBadLiteral, err)
+				}
+			}
+			return appendRef(dst, r), nil
+		}
+	}
+	return nil, mismatch(rv, t)
+}
+
+// intBits returns the bits integer kind k carries for the Go integer rv,
+// and false if rv is no Go integer or its value is outside k's range. A
+// Go integer exactly as wide as k crosses signedness as a bit cast: that
+// is how a uint64 epoch travels as long long.
+func intBits(k sidl.Kind, rv reflect.Value) (uint64, bool) {
+	w, signed := intRange(k)
 	switch {
 	case rv.CanInt():
-		return rv.Int(), true
+		n := rv.Int()
+		switch {
+		case signed:
+			return uint64(n), w == 64 || n >= -1<<(w-1) && n < 1<<(w-1)
+		case rv.Type().Bits() == w:
+			return uint64(n), true
+		}
+		return uint64(n), n >= 0 && (w == 64 || n < 1<<w)
 	case rv.CanUint():
-		return int64(rv.Uint()), true
+		u := rv.Uint()
+		switch {
+		case !signed:
+			return u, w == 64 || u < 1<<w
+		case rv.Type().Bits() == w:
+			return u, true
+		}
+		return u, u < 1<<(w-1)
 	}
 	return 0, false
 }
 
-func setGoInt(rv reflect.Value, n int64) bool {
+// setInt stores the zero-extended bits of integer kind k into the Go
+// integer rv, under intBits' rule read backwards: a value rv cannot hold
+// is refused, a same-width crossing is a bit cast.
+func setInt(rv reflect.Value, k sidl.Kind, bits uint64) bool {
+	w, signed := intRange(k)
+	n := signedOf(k, bits) // for an unsigned kind, negative past MaxInt64
 	switch {
 	case rv.CanInt():
+		if !signed && rv.Type().Bits() == w {
+			n = signExtend(bits, w)
+		} else if !signed && n < 0 || rv.OverflowInt(n) {
+			return false
+		}
 		rv.SetInt(n)
 	case rv.CanUint():
-		rv.SetUint(uint64(n))
+		cast := signed && rv.Type().Bits() == w
+		if !cast && (signed && n < 0 || rv.OverflowUint(bits)) {
+			return false
+		}
+		rv.SetUint(bits)
 	default:
 		return false
 	}
 	return true
 }
 
-// encode fills v, which the caller allocated, so that the members of a
-// struct and the elements of a sequence come out of one allocation.
-func encode(v *Value, t *sidl.Type, rv reflect.Value) error {
-	v.Type = t
-	ok := false
+// decodeGo is the recursion of DecodeInto; an invalid rv discards.
+func decodeGo(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
+	discard := !rv.IsValid()
+	var err error
 	switch t.Kind {
-	case sidl.Void:
-		ok = !rv.IsValid() // nothing binds to nothing
-	case sidl.Bool:
-		if ok = rv.Kind() == reflect.Bool; ok {
-			v.Bool = rv.Bool()
-		}
-	case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64:
-		v.Int, ok = goInt(rv)
-	case sidl.UInt32, sidl.UInt64:
-		var n int64
-		n, ok = goInt(rv)
-		v.Uint = uint64(n)
-	case sidl.Float32, sidl.Float64:
-		if ok = rv.CanFloat(); ok {
-			v.Float = rv.Float()
-		}
-	case sidl.String:
-		if ok = rv.Kind() == reflect.String; ok {
-			v.Str = rv.String()
-		}
-	case sidl.Enum:
-		if rv.Kind() == reflect.String {
-			if v.Ord, ok = t.Ordinal(rv.String()); !ok {
-				return fmt.Errorf("%w: %q is not a literal of %s", ErrBadLiteral, rv.String(), t)
-			}
-		} else if n, isInt := goInt(rv); isInt {
-			if n < 0 || n >= int64(len(t.Literals)) {
-				return fmt.Errorf("%w: ordinal %d out of range for %s", ErrBadLiteral, n, t)
-			}
-			v.Ord, ok = int(n), true
-		}
-	case sidl.SvcRef:
-		if ok = rv.IsValid() && rv.Type() == refType; ok {
-			v.Ref = ref.ServiceRef{Endpoint: rv.Field(0).String(), Service: rv.Field(1).String()}
-		}
 	case sidl.Sequence:
-		if ok = rv.Kind() == reflect.Slice; !ok || rv.Len() == 0 {
-			break
+		if !discard && rv.Kind() != reflect.Slice {
+			return nil, mismatch(rv, t)
 		}
-		elems := make([]Value, rv.Len())
-		v.Elems = make([]*Value, len(elems))
-		for i := range elems {
-			v.Elems[i] = &elems[i]
-			if err := encode(&elems[i], t.Elem, rv.Index(i)); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
+		var n int
+		if n, data, err = decodeSeqLen(t, data); err != nil {
+			return nil, err
+		}
+		if !discard && n > 0 {
+			rv.Grow(n)
+			rv.SetLen(n)
+		}
+		var elem reflect.Value
+		for i := 0; i < n; i++ {
+			if !discard {
+				elem = rv.Index(i)
+			}
+			if data, err = decodeGo(t.Elem, data, elem); err != nil {
+				return nil, inElement(i, err)
 			}
 		}
+		return data, nil
 	case sidl.Struct:
-		if ok = rv.Kind() == reflect.Struct; !ok {
-			break
-		}
-		plan := planOf(rv.Type())
-		members := make([]Value, len(t.Fields))
-		v.Fields = make([]*Value, len(members))
-		for i, f := range t.Fields {
-			v.Fields[i] = &members[i]
-			if pf := plan.field(f.Name, i); pf == nil {
-				members[i] = *Zero(f.Type)
-			} else if err := encode(&members[i], f.Type, rv.Field(pf.index)); err != nil {
-				return fmt.Errorf("field %q: %w", f.Name, err)
+		var plan structPlan
+		if !discard {
+			if rv.Kind() != reflect.Struct {
+				return nil, mismatch(rv, t)
+			}
+			plan = planOf(rv.Type())
+			if err := plan.covers(t); err != nil {
+				return nil, err
 			}
 		}
-	}
-	if !ok {
-		if !rv.IsValid() {
-			return fmt.Errorf("%w: nil for SIDL %s", ErrTypeMismatch, t)
+		for i, f := range t.Fields {
+			var field reflect.Value
+			if pf := plan.field(f.Name, i); pf != nil {
+				field = rv.Field(pf.index)
+			}
+			if data, err = decodeGo(f.Type, data, field); err != nil {
+				return nil, inField(f.Name, err)
+			}
 		}
-		return fmt.Errorf("%w: Go %s for SIDL %s", ErrTypeMismatch, rv.Type(), t)
+		return data, nil
 	}
-	return nil
+	return decodeScalar(t, data, rv)
 }
 
-// store is the recursion of Decode.
-func store(v *Value, rv reflect.Value) error {
-	t := v.Type
-	ok := false
-	switch t.Kind {
+func decodeScalar(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
+	discard := !rv.IsValid()
+	ok := discard
+	var err error
+	switch k := t.Kind; k {
+	case sidl.Void:
+		// nothing to read, and no Go value binds to it
 	case sidl.Bool:
-		if ok = rv.Kind() == reflect.Bool; ok {
-			rv.SetBool(v.Bool)
+		var b bool
+		if b, data, err = decodeBool(data); err == nil && rv.Kind() == reflect.Bool {
+			rv.SetBool(b)
+			ok = true
 		}
-	case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64:
-		ok = setGoInt(rv, v.Int)
-	case sidl.UInt32, sidl.UInt64:
-		ok = setGoInt(rv, int64(v.Uint))
+	case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64, sidl.UInt32, sidl.UInt64:
+		var bits uint64
+		if bits, data, err = decodeFixed(data, fixedSize(k)); err == nil && !discard {
+			if ok = setInt(rv, k, bits); !ok && (rv.CanInt() || rv.CanUint()) {
+				return nil, outOfRange(t, rv)
+			}
+		}
 	case sidl.Float32, sidl.Float64:
-		if ok = rv.CanFloat(); ok {
-			rv.SetFloat(v.Float)
+		var bits uint64
+		if bits, data, err = decodeFixed(data, fixedSize(k)); err == nil && rv.CanFloat() {
+			rv.SetFloat(floatOf(k, bits))
+			ok = true
 		}
 	case sidl.String:
-		if ok = rv.Kind() == reflect.String; ok {
-			rv.SetString(v.Str)
+		var s []byte
+		if s, data, err = decodeBytes(data, MaxStringLen); err == nil && rv.Kind() == reflect.String {
+			rv.SetString(string(s))
+			ok = true
 		}
 	case sidl.Enum:
-		if ok = rv.Kind() == reflect.String; ok {
-			rv.SetString(v.EnumLiteral())
-		} else {
-			ok = setGoInt(rv, int64(v.Ord))
+		var ord int
+		if ord, data, err = decodeEnum(t, data); err == nil && !discard {
+			if ok = rv.Kind() == reflect.String; ok {
+				rv.SetString(t.Literals[ord])
+			} else {
+				ok = setInt(rv, sidl.Int64, uint64(ord))
+			}
 		}
 	case sidl.SvcRef:
-		if ok = rv.Type() == refType; ok {
-			rv.Field(0).SetString(v.Ref.Endpoint)
-			rv.Field(1).SetString(v.Ref.Service)
+		var r ref.ServiceRef
+		if r, data, err = decodeRef(data); err == nil && !discard && rv.Type() == refType {
+			rv.Field(0).SetString(r.Endpoint)
+			rv.Field(1).SetString(r.Service)
+			ok = true
 		}
-	case sidl.Sequence:
-		if ok = rv.Kind() == reflect.Slice; !ok {
-			break
-		}
-		rv.Grow(len(v.Elems))
-		rv.SetLen(len(v.Elems))
-		for i, e := range v.Elems {
-			if err := store(e, rv.Index(i)); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-	case sidl.Struct:
-		if ok = rv.Kind() == reflect.Struct; !ok {
-			break
-		}
-		plan := planOf(rv.Type())
-		for i := range plan {
-			pf := &plan[i]
-			m := member(t, pf, i)
-			if m < 0 && !pf.optional {
-				return fmt.Errorf("%w: %q in %s", ErrNoSuchField, pf.name, t)
-			}
-			if m < 0 {
-				continue
-			}
-			if err := store(v.Fields[m], rv.Field(pf.index)); err != nil {
-				return fmt.Errorf("field %q: %w", pf.name, err)
-			}
-		}
+	default:
+		return nil, unknownKind(t)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if !ok {
-		return fmt.Errorf("%w: Go %s for SIDL %s", ErrTypeMismatch, rv.Type(), t)
+		return nil, mismatch(rv, t)
 	}
-	return nil
+	return data, nil
 }
 
 // structPlan is the binding of one Go struct type: its exported fields
@@ -275,6 +399,16 @@ func (p structPlan) field(member string, hint int) *planField {
 	for i := range p {
 		if p[i].matches(member) {
 			return &p[i]
+		}
+	}
+	return nil
+}
+
+// covers demands a member of t for each Go field not tagged optional.
+func (p structPlan) covers(t *sidl.Type) error {
+	for i := range p {
+		if pf := &p[i]; !pf.optional && member(t, pf, i) < 0 {
+			return fmt.Errorf("%w: %q in %s", ErrNoSuchField, pf.name, t)
 		}
 	}
 	return nil

@@ -2,8 +2,10 @@ package xcode_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -138,31 +140,47 @@ func mirrors(t testing.TB) []mirror {
 	return out
 }
 
-// Property: a random value of a mirrored type decodes into its mirror
-// and encodes back to an equal value and the same bytes — the binder
+// Property: the encoding of a random value of a mirrored type decodes
+// into its mirror and encodes back to the same bytes — the binder
 // neither loses nor invents anything the type declares.
 func TestBindRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, m := range mirrors(t) {
 		for i := 0; i < 200; i++ {
 			v := Random(rng, m.typ)
+			data := Marshal(v)
 			dst := m.new()
-			if err := Decode(v, dst); err != nil {
-				t.Fatalf("%s: Decode(%s): %v", m.typ, v, err)
+			if err := DecodeInto(m.typ, data, dst); err != nil {
+				t.Fatalf("%s: DecodeInto(%s): %v", m.typ, v, err)
 			}
-			back, err := Encode(m.typ, dst)
+			back, err := AppendEncode(nil, m.typ, dst)
 			if err != nil {
-				t.Fatalf("%s: Encode(%+v): %v", m.typ, dst, err)
+				t.Fatalf("%s: AppendEncode(%+v): %v", m.typ, dst, err)
 			}
-			if !back.Equal(v) {
-				t.Fatalf("%s: round trip\n got %s\nwant %s", m.typ, back, v)
-			}
-			if !bytes.Equal(Marshal(back), Marshal(v)) {
+			if !bytes.Equal(back, data) {
 				t.Fatalf("%s: round trip changed the encoding of %s", m.typ, v)
 			}
 		}
 	}
 }
+
+// encodeValue is AppendEncode composed with Unmarshal: the dynamic value
+// a typed encoder puts on the wire.
+func encodeValue(t *testing.T, typ *sidl.Type, src any) *Value {
+	t.Helper()
+	data, err := AppendEncode(nil, typ, src)
+	if err != nil {
+		t.Fatalf("AppendEncode(%+v) as %s: %v", src, typ, err)
+	}
+	v, err := Unmarshal(typ, data)
+	if err != nil {
+		t.Fatalf("Unmarshal of AppendEncode(%+v) as %s: %v", src, typ, err)
+	}
+	return v
+}
+
+// decodeValue is DecodeInto of a dynamic value's encoding.
+func decodeValue(v *Value, dst any) error { return DecodeInto(v.Type, Marshal(v), dst) }
 
 func TestBindStructFields(t *testing.T) {
 	strT, int32T := sidl.Basic(sidl.String), sidl.Basic(sidl.Int32)
@@ -179,52 +197,40 @@ func TestBindStructFields(t *testing.T) {
 	}
 	full := current{Name: "n", Count: 3, PeerID: "p", Grade: "exact", hidden: 9}
 
-	// Encode towards an older peer drops what its type does not declare.
-	v, err := Encode(oldT, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Encoding towards an older peer drops what its type does not declare.
+	v := encodeValue(t, oldT, full)
 	if len(v.Fields) != 2 || v.Fields[0].Str != "n" || v.Fields[1].Int != 3 {
-		t.Fatalf("Encode onto the old type = %s", v)
+		t.Fatalf("AppendEncode onto the old type = %s", v)
 	}
-	// Encode towards a type with members no Go field binds to zeroes them.
+	// Encoding towards a type with members no Go field binds to zeroes them.
 	type older struct{ Name string }
-	v, err = Encode(newT, older{Name: "n"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v = encodeValue(t, newT, older{Name: "n"})
 	if want := Zero(newT); v.Fields[0].Str != "n" || !v.Fields[1].Equal(want.Fields[1]) || !v.Fields[3].Equal(want.Fields[3]) {
-		t.Fatalf("Encode with missing Go fields = %s", v)
+		t.Fatalf("AppendEncode with missing Go fields = %s", v)
 	}
 
-	// Decode ignores members no Go field binds to...
-	newV, err := Encode(newT, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// DecodeInto skips members no Go field binds to...
+	newV := encodeValue(t, newT, full)
 	var o older
-	if err := Decode(newV, &o); err != nil || o.Name != "n" {
-		t.Fatalf("Decode into fewer fields = %+v, %v", o, err)
+	if err := decodeValue(newV, &o); err != nil || o.Name != "n" {
+		t.Fatalf("DecodeInto fewer fields = %+v, %v", o, err)
 	}
 	// ...resets what it decodes into, and leaves unexported fields alone...
 	got := current{Name: "stale", Grade: "stale", hidden: 4}
-	if err := Decode(newV, &got); err != nil {
+	if err := decodeValue(newV, &got); err != nil {
 		t.Fatal(err)
 	}
 	if want := (current{Name: "n", Count: 3, PeerID: "p", Grade: "exact"}); got != want {
-		t.Fatalf("Decode = %+v, want %+v", got, want)
+		t.Fatalf("DecodeInto = %+v, want %+v", got, want)
 	}
 	// ...demands a member for every Go field...
 	type wantsPeer struct {
 		Name   string
 		PeerID string
 	}
-	oldV, err := Encode(oldT, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Decode(oldV, new(wantsPeer)); !errors.Is(err, ErrNoSuchField) {
-		t.Fatalf("Decode of a required field the peer lacks = %v, want ErrNoSuchField", err)
+	oldV := encodeValue(t, oldT, full)
+	if err := decodeValue(oldV, new(wantsPeer)); !errors.Is(err, ErrNoSuchField) {
+		t.Fatalf("DecodeInto a required field the peer lacks = %v, want ErrNoSuchField", err)
 	}
 	// ...except the ones tagged optional, which stay zero.
 	type optionalGrade struct {
@@ -232,8 +238,8 @@ func TestBindStructFields(t *testing.T) {
 		Grade string `sidl:",optional"`
 	}
 	og := optionalGrade{Grade: "stale"}
-	if err := Decode(oldV, &og); err != nil || og != (optionalGrade{Name: "n"}) {
-		t.Fatalf("Decode of an optional field the peer lacks = %+v, %v", og, err)
+	if err := decodeValue(oldV, &og); err != nil || og != (optionalGrade{Name: "n"}) {
+		t.Fatalf("DecodeInto an optional field the peer lacks = %+v, %v", og, err)
 	}
 
 	// A tag names the member exactly; a Go name matches any case.
@@ -242,13 +248,13 @@ func TestBindStructFields(t *testing.T) {
 		COUNT int
 	}
 	var tg tagged
-	if err := Decode(oldV, &tg); err != nil || tg != (tagged{Label: "n", COUNT: 3}) {
-		t.Fatalf("Decode by tag = %+v, %v", tg, err)
+	if err := decodeValue(oldV, &tg); err != nil || tg != (tagged{Label: "n", COUNT: 3}) {
+		t.Fatalf("DecodeInto by tag = %+v, %v", tg, err)
 	}
 	type wrongCaseTag struct {
 		Label string `sidl:"NAME"`
 	}
-	if err := Decode(oldV, new(wrongCaseTag)); !errors.Is(err, ErrNoSuchField) {
+	if err := decodeValue(oldV, new(wrongCaseTag)); !errors.Is(err, ErrNoSuchField) {
 		t.Fatalf("a tag must match exactly, got %v", err)
 	}
 }
@@ -280,12 +286,12 @@ func TestBindKindMismatch(t *testing.T) {
 		"array-less byte payload": {strT, []byte("raw")},
 		"a value for void":        {sidl.Basic(sidl.Void), 1},
 	} {
-		if _, err := Encode(c.t, c.src); !errors.Is(err, ErrTypeMismatch) {
-			t.Errorf("Encode %s = %v, want ErrTypeMismatch", name, err)
+		if _, err := AppendEncode(nil, c.t, c.src); !errors.Is(err, ErrTypeMismatch) {
+			t.Errorf("AppendEncode %s = %v, want ErrTypeMismatch", name, err)
 		}
 	}
-	if _, err := Encode(sidl.Basic(sidl.Void), nil); err != nil {
-		t.Errorf("Encode(nil) as void = %v", err)
+	if data, err := AppendEncode(nil, sidl.Basic(sidl.Void), nil); err != nil || len(data) != 0 {
+		t.Errorf("AppendEncode(nil) as void = %x, %v", data, err)
 	}
 	// The same from the other side: a peer's SID declaring another kind
 	// than the Go field has is an error, never a panic.
@@ -299,34 +305,155 @@ func TestBindKindMismatch(t *testing.T) {
 	for _, typ := range []*sidl.Type{strT, int64T, sidl.Basic(sidl.Float64), sidl.Basic(sidl.Bool), sidl.Basic(sidl.SvcRef), seqT, recT} {
 		v := Random(rng, typ)
 		for i, dst := range dsts {
-			err := Decode(v, dst())
+			err := decodeValue(v, dst())
 			// (A struct does bind to the Go struct ref.ServiceRef is, and
 			// then lacks its fields.)
 			mismatch := errors.Is(err, ErrTypeMismatch) || typ.Kind == sidl.Struct && errors.Is(err, ErrNoSuchField)
 			if want := accepts[typ.Kind] == i; want != (err == nil) || (err != nil && !mismatch) {
-				t.Errorf("Decode of %s into %T = %v", typ, dst(), err)
+				t.Errorf("DecodeInto of %s into %T = %v", typ, dst(), err)
 			}
 		}
 	}
+	if err := DecodeInto(sidl.Basic(sidl.Void), nil, new(int)); !errors.Is(err, ErrTypeMismatch) {
+		t.Errorf("DecodeInto of void into a Go value = %v, want ErrTypeMismatch", err)
+	}
 	// Enums take a literal or an ordinal and refuse what is neither.
 	for _, bad := range []any{"C", 2, -1, uint8(9)} {
-		if _, err := Encode(enumT, bad); !errors.Is(err, ErrBadLiteral) {
-			t.Errorf("Encode(%v) as enum = %v, want ErrBadLiteral", bad, err)
+		if _, err := AppendEncode(nil, enumT, bad); !errors.Is(err, ErrBadLiteral) {
+			t.Errorf("AppendEncode(%v) as enum = %v, want ErrBadLiteral", bad, err)
 		}
 	}
 	for _, good := range []any{"B", 1, uint8(1)} {
-		if v, err := Encode(enumT, good); err != nil || v.Ord != 1 {
-			t.Errorf("Encode(%v) as enum = %v, %v", good, v, err)
+		if data, err := AppendEncode(nil, enumT, good); err != nil || !bytes.Equal(data, []byte{1}) {
+			t.Errorf("AppendEncode(%v) as enum = %x, %v", good, data, err)
 		}
 	}
 	var lit string
 	var ord uint8
-	b, _ := NewEnum(enumT, "B")
-	if err := Decode(b, &lit); err != nil || lit != "B" {
-		t.Errorf("Decode enum as literal = %q, %v", lit, err)
+	if err := DecodeInto(enumT, []byte{1}, &lit); err != nil || lit != "B" {
+		t.Errorf("DecodeInto enum as literal = %q, %v", lit, err)
 	}
-	if err := Decode(b, &ord); err != nil || ord != 1 {
-		t.Errorf("Decode enum as ordinal = %d, %v", ord, err)
+	if err := DecodeInto(enumT, []byte{1}, &ord); err != nil || ord != 1 {
+		t.Errorf("DecodeInto enum as ordinal = %d, %v", ord, err)
+	}
+}
+
+// TestBindIntegerRange: a Go integer binds to a SIDL integer only where
+// it fits, in either direction — no silent narrowing — except that a Go
+// integer exactly as wide as the SIDL kind crosses signedness as a bit
+// cast, the way uint64 epochs travel as long long.
+func TestBindIntegerRange(t *testing.T) {
+	octetT, shortT, longT := sidl.Basic(sidl.Octet), sidl.Basic(sidl.Int16), sidl.Basic(sidl.Int32)
+	llT, ulT, ullT := sidl.Basic(sidl.Int64), sidl.Basic(sidl.UInt32), sidl.Basic(sidl.UInt64)
+	for _, c := range []struct {
+		t    *sidl.Type
+		src  any
+		want string // the encoding in hex, "" for ErrTypeMismatch
+	}{
+		{octetT, int64(1<<32 + 5), ""}, {shortT, int64(1<<32 + 5), ""}, {longT, int64(1<<32 + 5), ""},
+		{octetT, 255, "ff"}, {octetT, 256, ""}, {octetT, -1, ""}, {octetT, int8(-1), "ff"}, {octetT, uint16(255), "ff"},
+		{shortT, int16(-1 << 15), "8000"}, {shortT, int32(1 << 15), ""}, {shortT, uint16(1 << 15), "8000"}, {shortT, uint32(1 << 15), ""},
+		{longT, -1 << 31, "80000000"}, {longT, 1 << 31, ""}, {longT, uint32(1<<32 - 1), "ffffffff"}, {longT, uint64(1 << 31), ""},
+		{llT, uint64(1<<63 + 5), "8000000000000005"}, {llT, -1, "ffffffffffffffff"}, {llT, uint32(1<<32 - 1), "00000000ffffffff"},
+		{ulT, -1, ""}, {ulT, int32(-1), "ffffffff"}, {ulT, uint(1 << 32), ""}, {ulT, 1<<32 - 1, "ffffffff"},
+		{ullT, int64(-1), "ffffffffffffffff"}, {ullT, int32(-1), ""}, {ullT, uint64(1 << 63), "8000000000000000"},
+	} {
+		data, err := AppendEncode(nil, c.t, c.src)
+		if c.want == "" {
+			if !errors.Is(err, ErrTypeMismatch) {
+				t.Errorf("AppendEncode(%T %v) as %s = %x, %v; want ErrTypeMismatch", c.src, c.src, c.t, data, err)
+			}
+		} else if err != nil || hex.EncodeToString(data) != c.want {
+			t.Errorf("AppendEncode(%T %v) as %s = %x, %v; want %s", c.src, c.src, c.t, data, err, c.want)
+		}
+	}
+
+	// The other direction: the wire value, as its kind means it, must fit
+	// the Go field.
+	for _, c := range []struct {
+		t    *sidl.Type
+		data string
+		dst  any
+		want any // nil for ErrTypeMismatch
+	}{
+		{llT, "0000010000000000", new(int32), nil}, {llT, "0000010000000000", new(int), 1 << 40},
+		{llT, "ffffffffffffffff", new(uint32), nil}, {llT, "ffffffffffffffff", new(uint64), uint64(1<<64 - 1)},
+		{llT, "8000000000000005", new(uint64), uint64(1<<63 + 5)},
+		{longT, "ffffffff", new(uint32), uint32(1<<32 - 1)}, {longT, "ffffffff", new(uint16), nil}, {longT, "ffffffff", new(int8), int8(-1)},
+		{longT, "ffffffff", new(uint64), nil}, {longT, "80000000", new(int16), nil},
+		{ullT, "8000000000000000", new(int64), int64(-1 << 63)}, {ullT, "8000000000000000", new(int32), nil},
+		{ullT, "00000000ffffffff", new(uint32), uint32(1<<32 - 1)},
+		{ulT, "ffffffff", new(int32), int32(-1)}, {ulT, "ffffffff", new(int64), int64(1<<32 - 1)}, {ulT, "ffffffff", new(int16), nil},
+		{octetT, "ff", new(int8), int8(-1)}, {octetT, "ff", new(uint8), uint8(255)}, {octetT, "ff", new(int16), int16(255)},
+		{shortT, "012c", new(uint8), nil}, {shortT, "012c", new(int8), nil}, {shortT, "ff38", new(int8), nil}, {shortT, "ff38", new(uint16), uint16(0xff38)},
+	} {
+		data, _ := hex.DecodeString(c.data)
+		err := DecodeInto(c.t, data, c.dst)
+		got := reflect.ValueOf(c.dst).Elem().Interface()
+		if c.want == nil {
+			if !errors.Is(err, ErrTypeMismatch) {
+				t.Errorf("DecodeInto(%s %s) into %T = %v, %v; want ErrTypeMismatch", c.t, c.data, c.dst, got, err)
+			}
+		} else if err != nil || got != reflect.ValueOf(c.want).Convert(reflect.TypeOf(got)).Interface() {
+			t.Errorf("DecodeInto(%s %s) into %T = %v, %v; want %v", c.t, c.data, c.dst, got, err, c.want)
+		}
+	}
+
+	// What reaches a remote trader is what the caller asked for, or an
+	// error: a limit of 2^32+5 once arrived as max 5.
+	traderSID, err := sidl.Parse(trader.IDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AppendEncode(nil, traderSID.Type("ImportReq_t"), importReq{Max: 1<<32 + 5}); !errors.Is(err, ErrTypeMismatch) {
+		t.Errorf("an import limit of 2^32+5 encodes as long: %v", err)
+	}
+}
+
+// TestBindRefWithoutTextRefused: an Object travels as its textual form,
+// so a non-nil reference that form cannot carry is refused where it is
+// encoded — the sender sees the error, not every receiver of the value.
+func TestBindRefWithoutTextRefused(t *testing.T) {
+	refT := sidl.Basic(sidl.SvcRef)
+	for _, r := range []ref.ServiceRef{{Endpoint: "tcp:10.0.0.1:7000"}, {Service: "svc"}, ref.New("tcp:10.0.0.1:7000", "a/b")} {
+		if _, err := AppendEncode(nil, refT, r); !errors.Is(err, ErrBadLiteral) || !errors.Is(err, ref.ErrBadRef) {
+			t.Errorf("AppendEncode(%+v) = %v, want ErrBadLiteral and ref.ErrBadRef", r, err)
+		}
+		if _, err := AppendEncode(nil, sidl.SequenceOf(refT), []ref.ServiceRef{r}); !errors.Is(err, ref.ErrBadRef) {
+			t.Errorf("AppendEncode of %+v as an element = %v, want ref.ErrBadRef", r, err)
+		}
+	}
+	if data, err := AppendEncode(nil, refT, ref.ServiceRef{}); err != nil || !bytes.Equal(data, []byte{0}) {
+		t.Errorf("the nil reference encodes as %x, %v", data, err)
+	}
+}
+
+// TestDecodeSequenceClaimBeforeGrow: a sequence length the remaining
+// bytes cannot hold is refused before a Go slice is grown for it, at the
+// top and nested.
+func TestDecodeSequenceClaimBeforeGrow(t *testing.T) {
+	traderSID, err := sidl.Parse(trader.IDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offersT := traderSID.Type("Offers_t")
+	top := []byte{0xff, 0xff, 0x0f, 0} // 262143 offers in one byte
+	var got []offer
+	if err := DecodeInto(offersT, top, &got); !errors.Is(err, ErrBadData) || cap(got) != 0 {
+		t.Fatalf("DecodeInto of a %d-byte claim = cap %d, %v", len(top), cap(got), err)
+	}
+	// One offer whose props claim 262143 records.
+	one, err := AppendEncode(nil, offersT, []offer{{ID: "o", Target: ref.New("tcp:10.0.0.1:7000", "s")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	props := bytes.Index(one, []byte("/s")) + 2
+	nested := append(append(one[:props:props], 0xff, 0xff, 0x0f), make([]byte, 24)...)
+	if err := DecodeInto(offersT, nested, &got); !errors.Is(err, ErrBadData) || len(got) != 1 || cap(got[0].Props) != 0 {
+		t.Fatalf("DecodeInto of a nested claim = %+v, %v", got, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = DecodeInto(offersT, top, &got) }); allocs > 8 {
+		t.Fatalf("refusing a %d-byte claim allocates %v times", len(top), allocs)
 	}
 }
 
@@ -334,39 +461,47 @@ func TestBindKindMismatch(t *testing.T) {
 // and references handed over by value — unaddressable as far as reflect
 // is concerned.
 func TestBindTopLevelValues(t *testing.T) {
+	refT, strT := sidl.Basic(sidl.SvcRef), sidl.Basic(sidl.String)
 	target := ref.New("tcp:10.0.0.1:7000", "svc")
-	v, err := Encode(sidl.Basic(sidl.SvcRef), target)
-	if err != nil || v.Ref != target {
-		t.Fatalf("Encode(ref) = %v, %v", v, err)
-	}
-	if v, err = Encode(sidl.Basic(sidl.SvcRef), &target); err != nil || v.Ref != target {
-		t.Fatalf("Encode(&ref) = %v, %v", v, err)
+	for _, src := range []any{target, &target} {
+		if v := encodeValue(t, refT, src); v.Ref != target {
+			t.Fatalf("AppendEncode(%T) = %v", src, v)
+		}
 	}
 	var back ref.ServiceRef
-	if err := Decode(v, &back); err != nil || back != target {
-		t.Fatalf("Decode(ref) = %v, %v", back, err)
+	if err := DecodeInto(refT, Marshal(NewRef(refT, target)), &back); err != nil || back != target {
+		t.Fatalf("DecodeInto(ref) = %v, %v", back, err)
 	}
 	// uint64 travels as long long and comes back whole.
 	const epoch = uint64(1)<<63 + 5
-	if v, err = Encode(sidl.Basic(sidl.Int64), epoch); err != nil || v.Int != int64(-1<<63+5) {
-		t.Fatalf("Encode(uint64) as long long = %v, %v", v, err)
+	int64T := sidl.Basic(sidl.Int64)
+	if v := encodeValue(t, int64T, epoch); v.Int != int64(-1<<63+5) {
+		t.Fatalf("AppendEncode(uint64) as long long = %v", v)
 	}
 	var e uint64
-	if err := Decode(v, &e); err != nil || e != epoch {
-		t.Fatalf("Decode(long long) as uint64 = %d, %v", e, err)
+	if err := DecodeInto(int64T, Marshal(NewInt(int64T, -1<<63+5)), &e); err != nil || e != epoch {
+		t.Fatalf("DecodeInto(long long) as uint64 = %d, %v", e, err)
 	}
 	type named string
-	if v, err = Encode(sidl.Basic(sidl.String), named("closed")); err != nil || v.Str != "closed" {
-		t.Fatalf("Encode(named string) = %v, %v", v, err)
+	if v := encodeValue(t, strT, named("closed")); v.Str != "closed" {
+		t.Fatalf("AppendEncode(named string) = %v", v)
 	}
-	if v, err = Encode(sidl.SequenceOf(sidl.Basic(sidl.String)), []string(nil)); err != nil || len(v.Elems) != 0 {
-		t.Fatalf("Encode(nil slice) = %v, %v", v, err)
+	if v := encodeValue(t, sidl.SequenceOf(strT), []string(nil)); len(v.Elems) != 0 {
+		t.Fatalf("AppendEncode(nil slice) = %v", v)
 	}
-	// Decode needs somewhere to store.
-	for _, dst := range []any{"", 7, target, nil, (*string)(nil)} {
-		if err := Decode(NewString(sidl.Basic(sidl.String), "x"), dst); !errors.Is(err, ErrTypeMismatch) {
-			t.Errorf("Decode into %T = %v, want ErrTypeMismatch", dst, err)
+	// DecodeInto needs somewhere to store, or nothing at all: a nil dst
+	// only validates.
+	x := Marshal(NewString(strT, "x"))
+	for _, dst := range []any{"", 7, target, (*string)(nil)} {
+		if err := DecodeInto(strT, x, dst); !errors.Is(err, ErrTypeMismatch) {
+			t.Errorf("DecodeInto into %T = %v, want ErrTypeMismatch", dst, err)
 		}
+	}
+	if err := DecodeInto(strT, x, nil); err != nil {
+		t.Errorf("DecodeInto discarding = %v", err)
+	}
+	if err := DecodeInto(strT, append(x, 0), nil); !errors.Is(err, ErrBadData) {
+		t.Errorf("DecodeInto discarding a trailing byte = %v, want ErrBadData", err)
 	}
 }
 
@@ -380,11 +515,11 @@ func TestBindCacheBoundedByGoTypes(t *testing.T) {
 			t.Fatal(err)
 		}
 		typ := sid.Type("Offers_t")
-		v, err := Encode(typ, []offer{{ID: "o", Props: []prop{{Name: "n"}}}})
+		data, err := AppendEncode(nil, typ, []offer{{ID: "o", Props: []prop{{Name: "n"}}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Decode(v, new([]offer)); err != nil {
+		if err := DecodeInto(typ, data, new([]offer)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,42 +37,23 @@ func Marshal(v *Value) []byte {
 // AppendMarshal appends the encoding of v to dst and returns the
 // extended slice.
 func AppendMarshal(dst []byte, v *Value) []byte {
-	switch v.Type.Kind {
+	switch k := v.Type.Kind; k {
 	case sidl.Void:
 		return dst
 	case sidl.Bool:
-		if v.Bool {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	case sidl.Octet:
-		return append(dst, byte(v.Int))
-	case sidl.Int16:
-		return binary.BigEndian.AppendUint16(dst, uint16(v.Int))
-	case sidl.Int32:
-		return binary.BigEndian.AppendUint32(dst, uint32(v.Int))
-	case sidl.Int64:
-		return binary.BigEndian.AppendUint64(dst, uint64(v.Int))
-	case sidl.UInt32:
-		return binary.BigEndian.AppendUint32(dst, uint32(v.Uint))
-	case sidl.UInt64:
-		return binary.BigEndian.AppendUint64(dst, v.Uint)
-	case sidl.Float32:
-		return binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(v.Float)))
-	case sidl.Float64:
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float))
+		return appendBool(dst, v.Bool)
+	case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64:
+		return appendFixed(dst, k, uint64(v.Int))
+	case sidl.UInt32, sidl.UInt64:
+		return appendFixed(dst, k, v.Uint)
+	case sidl.Float32, sidl.Float64:
+		return appendFixed(dst, k, floatBits(k, v.Float))
 	case sidl.String:
-		dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
-		return append(dst, v.Str...)
+		return appendString(dst, v.Str)
 	case sidl.Enum:
 		return binary.AppendUvarint(dst, uint64(v.Ord))
 	case sidl.SvcRef:
-		s := v.Ref.String()
-		if v.Ref.IsZero() {
-			s = ""
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		return append(dst, s...)
+		return appendRef(dst, v.Ref)
 	case sidl.Sequence:
 		dst = binary.AppendUvarint(dst, uint64(len(v.Elems)))
 		for _, e := range v.Elems {
@@ -95,159 +76,75 @@ func Unmarshal(t *sidl.Type, data []byte) (*Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadData, len(rest))
+	if err := checkTrailing(rest); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
 
 func decode(t *sidl.Type, data []byte) (*Value, []byte, error) {
 	v := &Value{Type: t}
-	switch t.Kind {
+	var err error
+	switch k := t.Kind; k {
 	case sidl.Void:
 		return v, data, nil
 	case sidl.Bool:
-		if len(data) < 1 {
-			return nil, nil, ErrTruncated
-		}
-		switch data[0] {
-		case 0:
-			v.Bool = false
-		case 1:
-			v.Bool = true
-		default:
-			return nil, nil, fmt.Errorf("%w: boolean byte %d", ErrBadData, data[0])
-		}
-		return v, data[1:], nil
-	case sidl.Octet:
-		if len(data) < 1 {
-			return nil, nil, ErrTruncated
-		}
-		v.Int = int64(data[0])
-		return v, data[1:], nil
-	case sidl.Int16:
-		if len(data) < 2 {
-			return nil, nil, ErrTruncated
-		}
-		v.Int = int64(int16(binary.BigEndian.Uint16(data)))
-		return v, data[2:], nil
-	case sidl.Int32:
-		if len(data) < 4 {
-			return nil, nil, ErrTruncated
-		}
-		v.Int = int64(int32(binary.BigEndian.Uint32(data)))
-		return v, data[4:], nil
-	case sidl.Int64:
-		if len(data) < 8 {
-			return nil, nil, ErrTruncated
-		}
-		v.Int = int64(binary.BigEndian.Uint64(data))
-		return v, data[8:], nil
-	case sidl.UInt32:
-		if len(data) < 4 {
-			return nil, nil, ErrTruncated
-		}
-		v.Uint = uint64(binary.BigEndian.Uint32(data))
-		return v, data[4:], nil
-	case sidl.UInt64:
-		if len(data) < 8 {
-			return nil, nil, ErrTruncated
-		}
-		v.Uint = binary.BigEndian.Uint64(data)
-		return v, data[8:], nil
-	case sidl.Float32:
-		if len(data) < 4 {
-			return nil, nil, ErrTruncated
-		}
-		v.Float = float64(math.Float32frombits(binary.BigEndian.Uint32(data)))
-		return v, data[4:], nil
-	case sidl.Float64:
-		if len(data) < 8 {
-			return nil, nil, ErrTruncated
-		}
-		v.Float = math.Float64frombits(binary.BigEndian.Uint64(data))
-		return v, data[8:], nil
+		v.Bool, data, err = decodeBool(data)
+	case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64:
+		var bits uint64
+		bits, data, err = decodeFixed(data, fixedSize(k))
+		v.Int = signedOf(k, bits)
+	case sidl.UInt32, sidl.UInt64:
+		v.Uint, data, err = decodeFixed(data, fixedSize(k))
+	case sidl.Float32, sidl.Float64:
+		var bits uint64
+		bits, data, err = decodeFixed(data, fixedSize(k))
+		v.Float = floatOf(k, bits)
 	case sidl.String:
-		s, rest, err := decodeBytes(data, MaxStringLen)
-		if err != nil {
-			return nil, nil, err
-		}
+		var s []byte
+		s, data, err = decodeBytes(data, MaxStringLen)
 		v.Str = string(s)
-		return v, rest, nil
 	case sidl.Enum:
-		n, rest, err := decodeUvarint(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if n >= uint64(len(t.Literals)) {
-			return nil, nil, fmt.Errorf("%w: enum ordinal %d out of range for %s", ErrBadData, n, t)
-		}
-		v.Ord = int(n)
-		return v, rest, nil
+		v.Ord, data, err = decodeEnum(t, data)
 	case sidl.SvcRef:
-		s, rest, err := decodeBytes(data, MaxStringLen)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(s) > 0 {
-			r, err := ref.Parse(string(s))
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrBadData, err)
-			}
-			v.Ref = r
-		}
-		return v, rest, nil
+		v.Ref, data, err = decodeRef(data)
 	case sidl.Sequence:
-		n, rest, err := decodeUvarint(data)
-		if err != nil {
+		var n int
+		if n, data, err = decodeSeqLen(t, data); err != nil {
 			return nil, nil, err
-		}
-		if n > MaxSequenceLen {
-			return nil, nil, fmt.Errorf("%w: sequence length %d", ErrOversize, n)
-		}
-		// Guard against tiny payloads claiming huge lengths: every
-		// element must cost input. An element type that can encode to
-		// nothing (void, which no valid SID nests) would let a few bytes
-		// claim any number of elements, so it is refused outright.
-		min := minEncodedSize(t.Elem)
-		if min == 0 {
-			return nil, nil, fmt.Errorf("%w: sequence of zero-size %s", ErrBadData, t.Elem)
-		}
-		if n*uint64(min) > uint64(len(rest)) {
-			return nil, nil, fmt.Errorf("%w: sequence claims %d elements in %d bytes", ErrBadData, n, len(rest))
 		}
 		v.Elems = make([]*Value, n)
 		for i := range v.Elems {
-			e, r, err := decode(t.Elem, rest)
-			if err != nil {
+			if v.Elems[i], data, err = decode(t.Elem, data); err != nil {
 				return nil, nil, fmt.Errorf("element %d: %w", i, err)
 			}
-			v.Elems[i] = e
-			rest = r
 		}
-		return v, rest, nil
 	case sidl.Struct:
 		v.Fields = make([]*Value, len(t.Fields))
-		rest := data
 		for i, f := range t.Fields {
-			fv, r, err := decode(f.Type, rest)
-			if err != nil {
+			if v.Fields[i], data, err = decode(f.Type, data); err != nil {
 				return nil, nil, fmt.Errorf("field %q: %w", f.Name, err)
 			}
-			v.Fields[i] = fv
-			rest = r
 		}
-		return v, rest, nil
+	default:
+		return nil, nil, fmt.Errorf("%w: unknown kind %s", ErrBadData, t.Kind)
 	}
-	return nil, nil, fmt.Errorf("%w: unknown kind %s", ErrBadData, t.Kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, data, nil
 }
 
-// minEncodedSize returns a lower bound on the encoded size of a value of
-// t, used to reject absurd sequence length claims early.
-func minEncodedSize(t *sidl.Type) int {
-	switch t.Kind {
-	case sidl.Void:
-		return 0
+// The primitives below are the one definition of each scalar's bytes
+// and of every limit, shared by the Value codec above and the binder
+// (bind.go). A fixed-size kind travels big-endian in fixedSize bytes
+// (octet unsigned, the others two's complement or IEEE 754); a string,
+// an Object and an enum ordinal or sequence length lead with a uvarint.
+
+// fixedSize returns the encoded size of a fixed-size kind, 0 for the
+// others.
+func fixedSize(k sidl.Kind) int {
+	switch k {
 	case sidl.Bool, sidl.Octet:
 		return 1
 	case sidl.Int16:
@@ -256,6 +153,190 @@ func minEncodedSize(t *sidl.Type) int {
 		return 4
 	case sidl.Int64, sidl.UInt64, sidl.Float64:
 		return 8
+	}
+	return 0
+}
+
+// appendFixed appends the low fixedSize(k) bytes of bits.
+func appendFixed(dst []byte, k sidl.Kind, bits uint64) []byte {
+	switch fixedSize(k) {
+	case 1:
+		return append(dst, byte(bits))
+	case 2:
+		return binary.BigEndian.AppendUint16(dst, uint16(bits))
+	case 4:
+		return binary.BigEndian.AppendUint32(dst, uint32(bits))
+	}
+	return binary.BigEndian.AppendUint64(dst, bits)
+}
+
+// decodeFixed reads the n = fixedSize(k) bytes of a fixed-size kind,
+// zero-extended. It takes n, not k, to stay small enough to inline.
+func decodeFixed(data []byte, n int) (uint64, []byte, error) {
+	if len(data) < n {
+		return 0, nil, ErrTruncated
+	}
+	var bits uint64
+	switch n {
+	case 1:
+		bits = uint64(data[0])
+	case 2:
+		bits = uint64(binary.BigEndian.Uint16(data))
+	case 4:
+		bits = uint64(binary.BigEndian.Uint32(data))
+	default:
+		bits = binary.BigEndian.Uint64(data)
+	}
+	return bits, data[n:], nil
+}
+
+// intRange returns an integer kind's width in bits and signedness.
+func intRange(k sidl.Kind) (bits int, signed bool) {
+	return 8 * fixedSize(k), k != sidl.Octet && k != sidl.UInt32 && k != sidl.UInt64
+}
+
+// signedOf reads the zero-extended bits of integer kind k as the int64
+// the kind means: sign-extended for a signed kind.
+func signedOf(k sidl.Kind, bits uint64) int64 {
+	switch k {
+	case sidl.Int16:
+		return int64(int16(bits))
+	case sidl.Int32:
+		return int64(int32(bits))
+	}
+	return int64(bits)
+}
+
+// signExtend reads the low w bits of bits as two's complement.
+func signExtend(bits uint64, w int) int64 {
+	return int64(bits<<(64-w)) >> (64 - w)
+}
+
+func floatBits(k sidl.Kind, f float64) uint64 {
+	if k == sidl.Float32 {
+		return uint64(math.Float32bits(float32(f)))
+	}
+	return math.Float64bits(f)
+}
+
+func floatOf(k sidl.Kind, bits uint64) float64 {
+	if k == sidl.Float32 {
+		return float64(math.Float32frombits(uint32(bits)))
+	}
+	return math.Float64frombits(bits)
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func decodeBool(data []byte) (bool, []byte, error) {
+	if len(data) < 1 {
+		return false, nil, ErrTruncated
+	}
+	if data[0] > 1 {
+		return false, nil, badBool(data[0])
+	}
+	return data[0] == 1, data[1:], nil
+}
+
+func badBool(b byte) error { return fmt.Errorf("%w: boolean byte %d", ErrBadData, b) }
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendRef appends r's textual form (ref.ServiceRef.String) as a
+// string, the nil reference as the empty one.
+func appendRef(dst []byte, r ref.ServiceRef) []byte {
+	if r.IsZero() {
+		return append(dst, 0)
+	}
+	const scheme = "cosm://"
+	dst = binary.AppendUvarint(dst, uint64(len(scheme)+len(r.Endpoint)+1+len(r.Service)))
+	dst = append(dst, scheme...)
+	dst = append(dst, r.Endpoint...)
+	dst = append(dst, '/')
+	return append(dst, r.Service...)
+}
+
+func decodeRef(data []byte) (ref.ServiceRef, []byte, error) {
+	s, rest, err := decodeBytes(data, MaxStringLen)
+	if err != nil || len(s) == 0 {
+		return ref.ServiceRef{}, rest, err
+	}
+	r, err := ref.Parse(string(s))
+	if err != nil {
+		return ref.ServiceRef{}, nil, fmt.Errorf("%w: %v", ErrBadData, err)
+	}
+	return r, rest, nil
+}
+
+func decodeEnum(t *sidl.Type, data []byte) (int, []byte, error) {
+	n, rest, err := decodeUvarint(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n >= uint64(len(t.Literals)) {
+		return 0, nil, fmt.Errorf("%w: enum ordinal %d out of range for %s", ErrBadData, n, t)
+	}
+	return int(n), rest, nil
+}
+
+// decodeSeqLen reads a sequence length and refuses it unless the rest
+// of the input can hold that many elements — before any decoder
+// allocates for them.
+func decodeSeqLen(t *sidl.Type, data []byte) (int, []byte, error) {
+	n, rest, err := decodeUvarint(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > MaxSequenceLen {
+		return 0, nil, fmt.Errorf("%w: sequence length %d", ErrOversize, n)
+	}
+	// Guard against tiny payloads claiming huge lengths: every element
+	// must cost input. An element type that can encode to nothing (void,
+	// which no valid SID nests) would let a few bytes claim any number
+	// of elements, so it is refused outright.
+	min := minEncodedSize(t.Elem)
+	if min == 0 {
+		return 0, nil, fmt.Errorf("%w: sequence of zero-size %s", ErrBadData, t.Elem)
+	}
+	if n*uint64(min) > uint64(len(rest)) {
+		return 0, nil, fmt.Errorf("%w: sequence claims %d elements in %d bytes", ErrBadData, n, len(rest))
+	}
+	return int(n), rest, nil
+}
+
+// appendZero appends the encoding of t's zero value (see Zero).
+func appendZero(dst []byte, t *sidl.Type) []byte {
+	switch t.Kind {
+	case sidl.Struct:
+		for _, f := range t.Fields {
+			dst = appendZero(dst, f.Type)
+		}
+		return dst
+	case sidl.String, sidl.Enum, sidl.SvcRef, sidl.Sequence:
+		return append(dst, 0)
+	}
+	return append(dst, make([]byte, fixedSize(t.Kind))...)
+}
+
+func checkTrailing(rest []byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadData, len(rest))
+	}
+	return nil
+}
+
+// minEncodedSize returns a lower bound on the encoded size of a value of
+// t, used to reject absurd sequence length claims early.
+func minEncodedSize(t *sidl.Type) int {
+	switch t.Kind {
 	case sidl.String, sidl.Enum, sidl.SvcRef, sidl.Sequence:
 		return 1 // the length/ordinal varint
 	case sidl.Struct:
@@ -265,7 +346,7 @@ func minEncodedSize(t *sidl.Type) int {
 		}
 		return sum
 	}
-	return 0
+	return fixedSize(t.Kind)
 }
 
 func decodeUvarint(data []byte) (uint64, []byte, error) {

@@ -11,11 +11,13 @@ import (
 // by a SID that came off the network too, so decoding must refuse damage
 // with an error — never a panic, never memory out of proportion to the
 // input (a sequence of void once turned 602 bytes into 7.6 GB) — and
-// whatever does decode must survive its own encoding and bind to Go
-// types without a panic. The first argument picks the type from
+// whatever does decode must survive its own encoding. It is also
+// differential: the binder, which decodes the same bytes straight into
+// Go values, must accept exactly what Unmarshal accepts, with a Go
+// destination and without one, and what it built must encode back to a
+// value equal to Unmarshal's. The first argument picks the type from
 // mirrors(); the corpus under testdata/fuzz/FuzzUnmarshal holds the
-// pinned bodies of the trader's and the car rental server's wire-format
-// tests, one chunk each.
+// pinned bodies of the wire-format tests, one chunk each.
 func FuzzUnmarshal(f *testing.F) {
 	ms := mirrors(f)
 	f.Add(uint8(5), []byte{2, 1, 'a', 0})                       // Names_t: ["a", ""]
@@ -24,25 +26,16 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(1), []byte{1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 9}) // NaN charge, ordinal out of range
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		m := ms[int(which)%len(ms)]
-		// A decoded node costs under 200 bytes and at least one of input;
-		// the constant covers what the runtime itself allocates meanwhile.
-		// TotalAlloc counts the whole process, so a breach has to
-		// reproduce: a decode that really is out of proportion is so every
-		// time, what another goroutine allocated meanwhile is not.
 		var v *Value
-		var err error
-		for try, limit := 0, 1<<16+512*uint64(len(data)); ; try++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+		err := proportionate(t, len(data), m.typ.String(), func() (err error) {
 			v, err = Unmarshal(m.typ, data)
-			runtime.ReadMemStats(&after)
-			grew := after.TotalAlloc - before.TotalAlloc
-			if grew <= limit {
-				break
-			}
-			if try == 2 {
-				t.Fatalf("decoding %d bytes as %s allocated %d, three times over", len(data), m.typ, grew)
-			}
+			return err
+		})
+		dst := m.new()
+		bindErr := proportionate(t, len(data), m.typ.String(), func() error { return DecodeInto(m.typ, data, dst) })
+		discardErr := DecodeInto(m.typ, data, nil)
+		if (err == nil) != (bindErr == nil) || (err == nil) != (discardErr == nil) {
+			t.Fatalf("%s: Unmarshal says %v, DecodeInto %v, discarding %v", m.typ, err, bindErr, discardErr)
 		}
 		if err != nil {
 			return
@@ -53,12 +46,34 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil || !back.Equal(v) {
 			t.Fatalf("%s: %s re-encoded and decoded as %s, %v", m.typ, v, back, err)
 		}
-		dst := m.new()
-		if err := Decode(v, dst); err != nil {
-			t.Fatalf("%s: Decode(%s): %v", m.typ, v, err)
+		enc, err := AppendEncode(nil, m.typ, dst)
+		if err != nil {
+			t.Fatalf("%s: AppendEncode(%+v): %v", m.typ, dst, err)
 		}
-		if bound, err := Encode(m.typ, dst); err != nil || !bound.Equal(v) {
+		if bound, err := Unmarshal(m.typ, enc); err != nil || !bound.Equal(v) {
 			t.Fatalf("%s: %s bound to Go and back is %s, %v", m.typ, v, bound, err)
 		}
 	})
+}
+
+// proportionate runs decode and fails the test if it allocated out of
+// proportion to n bytes of input. A decoded node costs under 200 bytes
+// and at least one of input; the constant covers what the runtime itself
+// allocates meanwhile. TotalAlloc counts the whole process, so a breach
+// has to reproduce: a decode that really is out of proportion is so
+// every time, what another goroutine allocated meanwhile is not.
+func proportionate(t *testing.T, n int, what string, decode func() error) error {
+	for try, limit := 0, 1<<16+512*uint64(n); ; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		grew := after.TotalAlloc - before.TotalAlloc
+		if grew <= limit {
+			return err
+		}
+		if try == 2 {
+			t.Fatalf("decoding %d bytes as %s allocated %d, three times over", n, what, grew)
+		}
+	}
 }
