@@ -24,6 +24,13 @@ vet:
 # fmt alone pulls os into every closure.
 CORE := ./internal/trader/core
 
+# What crosses a component boundary — RPC arguments and results, journal
+# records and snapshots, replication payloads — has one codec, SIDL
+# through xcode's binder (DESIGN.md §8). So no non-test file of the
+# packages below imports encoding/json; cosmcli's dump format, which is
+# for people, stays JSON outside them.
+ONE_CODEC := journal trader trader/core browser xcode wire cosm
+
 layers:
 	@bad=$$($(GO) list -deps $(CORE) | grep '^cosm/' | \
 		grep -vxE 'cosm/internal/(sidl|fsm|ref|xcode|typemgr|match|obs|trader/core)'); \
@@ -32,6 +39,9 @@ layers:
 	if [ -n "$$bad" ]; then echo "layers: $(CORE) must not import:" $$bad; exit 1; fi
 	@if grep -nE 'time\.Now|^[[:space:]]*go ' $$(ls $(CORE)/*.go | grep -v _test.go); then \
 		echo "layers: $(CORE) reads a clock or starts a goroutine"; exit 1; fi
+	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "encoding/json"}}{{$$.ImportPath}}{{end}}{{end}}' \
+		$(addprefix ./internal/,$(ONE_CODEC))); \
+	if [ -n "$$bad" ]; then echo "layers: one record codec (SIDL through xcode), but JSON is imported by:" $$bad; exit 1; fi
 
 # Every knob of the plumbing around the market has to earn its keep:
 # DESIGN.md §12 "Options" names, for each exported With* function and

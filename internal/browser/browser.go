@@ -52,8 +52,10 @@ type Directory struct {
 	entries map[string]*dirEntry
 
 	// journal, when attached via SetJournal, receives a logical record
-	// for every registration and withdrawal (see durable.go).
+	// for every registration and withdrawal (see durable.go). applyMu is
+	// held across each append and its apply, and by JournalSnapshot.
 	journal *journal.Journal
+	applyMu sync.Mutex
 
 	log     *obs.Logger
 	metrics dirMetrics
@@ -122,6 +124,8 @@ func (d *Directory) Register(sid *sidl.SID, r ref.ServiceRef) error {
 	if err := r.Check(); err != nil {
 		return fmt.Errorf("browser: register %s: %w", sid.ServiceName, err)
 	}
+	d.applyMu.Lock()
+	defer d.applyMu.Unlock()
 	if d.journal != nil {
 		// WAL-first, after validation: the log carries no rejected
 		// registrations, and a crash after the append replays the upsert.
@@ -134,11 +138,11 @@ func (d *Directory) Register(sid *sidl.SID, r ref.ServiceRef) error {
 		}
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.entries[sid.ServiceName] = &dirEntry{
 		entry:    Entry{Name: sid.ServiceName, SID: sid, Ref: r},
 		keywords: sid.Keywords(),
 	}
+	d.mu.Unlock()
 	d.metrics.registrations.Inc()
 	d.log.Log(nil, "register", "service", sid.ServiceName, "ref", r.String())
 	return nil
@@ -146,25 +150,21 @@ func (d *Directory) Register(sid *sidl.SID, r ref.ServiceRef) error {
 
 // Withdraw removes a registration.
 func (d *Directory) Withdraw(name string) error {
-	if d.journal != nil {
-		// WAL-first for known names only; a concurrent withdrawal may
-		// still win the race below — the duplicate record is idempotent.
-		d.mu.RLock()
-		_, ok := d.entries[name]
-		d.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNotRegistered, name)
-		}
-		if err := d.journalAppend(&dirRecord{Op: opWithdraw, Name: name}); err != nil {
-			return err
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.entries[name]; !ok {
+	d.applyMu.Lock()
+	defer d.applyMu.Unlock()
+	d.mu.RLock()
+	_, ok := d.entries[name]
+	d.mu.RUnlock()
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotRegistered, name)
 	}
+	// WAL-first, for known names only.
+	if err := d.journalAppend(&dirRecord{Op: opWithdraw, Name: name}); err != nil {
+		return err
+	}
+	d.mu.Lock()
 	delete(d.entries, name)
+	d.mu.Unlock()
 	d.metrics.withdrawals.Inc()
 	d.log.Log(nil, "withdraw", "service", name)
 	return nil

@@ -1,19 +1,26 @@
 package browser
 
 // Durable directory state: like the trader (see trader/durable.go) the
-// browser journals every registration and withdrawal as a logical JSON
-// record and rebuilds from snapshot + replay on boot. SIDs persist as
-// canonical SIDL text — the communicable form of section 4.1 — so a
-// recovered entry is the re-parsed canonical description (comments in
-// the provider's original source are not retained).
+// browser journals every registration and withdrawal as a logical
+// record and rebuilds from snapshot + replay on boot. Records and
+// snapshots are the browser IDL's DirRecord_t and DirSnapshot_t,
+// encoded by the binder every RPC uses. SIDs persist as canonical SIDL
+// text — the communicable form of section 4.1 — so a recovered entry is
+// the re-parsed canonical description (comments in the provider's
+// original source are not retained). Append and apply share one lock,
+// applyMu, which JournalSnapshot takes too: a snapshot never misses a
+// record its watermark covers, and the directory applies records in
+// log order.
 
 import (
-	"encoding/json"
 	"fmt"
+	"sort"
+	"sync"
 
 	"cosm/internal/journal"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/xcode"
 )
 
 const (
@@ -21,29 +28,48 @@ const (
 	opWithdraw = "withdraw"
 )
 
-// dirRecord is one logical journal record of the directory.
+// journalTypes holds the IDL's DirRecord_t and DirSnapshot_t, which
+// dirRecord and dirSnapshot bind to; the IDL is parsed on first use.
+var journalTypes = sync.OnceValue(func() struct{ record, snapshot *sidl.Type } {
+	sid, err := sidl.Parse(IDL)
+	if err != nil {
+		panic(fmt.Sprintf("browser: internal IDL: %v", err)) // a constant: only a bug fails it
+	}
+	return struct{ record, snapshot *sidl.Type }{sid.Type("DirRecord_t"), sid.Type("DirSnapshot_t")}
+})
+
+// dirRecord is one logical journal record of the directory, DirRecord_t:
+// op register (name, the SID's canonical SIDL text, the reference as
+// text) or withdraw (name).
 type dirRecord struct {
-	Op   string `json:"op"`
-	Name string `json:"name,omitempty"`
-	SIDL string `json:"sidl,omitempty"`
-	Ref  string `json:"ref,omitempty"`
+	Op   string
+	Name string
+	SIDL string
+	Ref  string
 }
 
-// dirSnapshot is the compaction snapshot: every registration, sorted by
-// name for byte-stable output.
+// dirSnapshot is the compaction snapshot, DirSnapshot_t: every
+// registration as a register record without its op, sorted by name for
+// byte-stable output.
 type dirSnapshot struct {
-	Entries []dirRecord `json:"entries,omitempty"`
+	Entries []dirRecord
 }
 
 // SetJournal attaches a started journal; call after recovery and before
 // serving.
 func (d *Directory) SetJournal(j *journal.Journal) { d.journal = j }
 
+// journalAppend appends r, if a journal is attached; the caller holds
+// applyMu and applies r after it.
 func (d *Directory) journalAppend(r *dirRecord) error {
 	if d.journal == nil {
 		return nil
 	}
-	if _, err := d.journal.AppendJSON(r); err != nil {
+	payload, err := xcode.AppendEncode(nil, journalTypes().record, r)
+	if err == nil {
+		_, err = d.journal.Append(payload)
+	}
+	if err != nil {
 		return fmt.Errorf("browser: journal: %w", err)
 	}
 	return nil
@@ -51,26 +77,27 @@ func (d *Directory) journalAppend(r *dirRecord) error {
 
 // JournalSnapshot serialises the directory for journal compaction.
 func (d *Directory) JournalSnapshot() ([]byte, error) {
+	d.applyMu.Lock()
+	defer d.applyMu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	var snap dirSnapshot
-	for _, name := range d.Names() {
-		e, err := d.Get(name)
-		if err != nil {
-			continue // withdrawn between Names and Get
-		}
-		text, err := e.SID.MarshalText()
+	for name, e := range d.entries {
+		text, err := e.entry.SID.MarshalText()
 		if err != nil {
 			return nil, fmt.Errorf("browser: snapshot %q: %w", name, err)
 		}
-		snap.Entries = append(snap.Entries, dirRecord{Name: name, SIDL: string(text), Ref: e.Ref.String()})
+		snap.Entries = append(snap.Entries, dirRecord{Name: name, SIDL: string(text), Ref: e.entry.Ref.String()})
 	}
-	return json.Marshal(&snap)
+	sort.Slice(snap.Entries, func(i, j int) bool { return snap.Entries[i].Name < snap.Entries[j].Name })
+	return xcode.AppendEncode(nil, journalTypes().snapshot, &snap)
 }
 
 // RestoreSnapshot loads a compaction snapshot into an empty directory.
 // Call before Replay.
 func (d *Directory) RestoreSnapshot(payload []byte) error {
 	var snap dirSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
+	if err := xcode.DecodeInto(journalTypes().snapshot, payload, &snap); err != nil {
 		return fmt.Errorf("browser: snapshot: %w", err)
 	}
 	for _, rec := range snap.Entries {
@@ -87,7 +114,7 @@ func (d *Directory) RestoreSnapshot(payload []byte) error {
 // snapshot newer than its watermark is harmless.
 func (d *Directory) ReplayRecord(seq uint64, payload []byte) error {
 	var rec dirRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	if err := xcode.DecodeInto(journalTypes().record, payload, &rec); err != nil {
 		return fmt.Errorf("browser: journal record %d: %w", seq, err)
 	}
 	switch rec.Op {

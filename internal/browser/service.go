@@ -22,6 +22,17 @@ module CosmBrowser {
     };
     typedef sequence<Entry_t> Entries_t;
     typedef sequence<string> Names_t;
+    // The directory journal's record and snapshot (see durable.go).
+    struct DirRecord_t {
+        string op;
+        string name;
+        string sidl;
+        string ref;
+    };
+    typedef sequence<DirRecord_t> DirRecords_t;
+    struct DirSnapshot_t {
+        DirRecords_t entries;
+    };
     interface COSM_Operations {
         // Register a SID together with its service reference.
         void RegisterSID(in string sidlText, in Object target);

@@ -36,7 +36,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -70,6 +69,11 @@ var (
 	// rather than acknowledge records it cannot keep. The latched cause
 	// is available from Failed; reads and recovery keep working.
 	ErrFailStop = errors.New("journal: fail-stop (disk fault latched)")
+	// ErrVersion reports a segment or snapshot written in another format
+	// version. Open refuses the directory and leaves every file as it
+	// found it: there is no reader for another version, and repairing
+	// such a file as a torn write would drop every record it holds.
+	ErrVersion = errors.New("journal: written in another format version")
 )
 
 // FsyncPolicy selects when appended records are forced to stable
@@ -150,10 +154,12 @@ const (
 	snapName     = "SNAPSHOT"
 	snapTempName = "SNAPSHOT.tmp"
 
-	// segMagic/snapMagic head every segment and snapshot file, versioned
-	// so a future format change can coexist with old data directories.
-	segMagic  = "COSMWAL1"
-	snapMagic = "COSMSNP1"
+	// segMagic/snapMagic head every segment and snapshot file. The last
+	// byte is the format version: 2 since the trader and the browser
+	// write SIDL-encoded records. A complete header carrying another
+	// digit is refused (ErrVersion), never read and never repaired.
+	segMagic  = "COSMWAL2"
+	snapMagic = "COSMSNP2"
 
 	// recordOverhead is the framing around one payload: u32 length,
 	// u64 sequence number, u32 CRC32C.
@@ -184,7 +190,8 @@ type Journal struct {
 	seq     uint64 // last assigned sequence number
 	seg     *os.File
 	segSize int64
-	dirty   bool // records appended since the last sync
+	dirty   bool   // records appended since the last sync
+	frame   []byte // append's frame buffer, reused under mu
 
 	// failed latches the first unrecoverable disk error (fail-stop);
 	// faultPending marks an OnFault notification not yet delivered, and
@@ -299,6 +306,9 @@ func (j *Journal) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
+	if otherVersion(raw, snapMagic) {
+		return fmt.Errorf("%w: %s", ErrVersion, filepath.Join(j.dir, snapName))
+	}
 	payload, seq, err := decodeSnapshot(raw)
 	if err != nil {
 		j.m.snapshotsDiscarded.Inc()
@@ -351,6 +361,12 @@ func (j *Journal) scanSegments() error {
 		j.segments = append(j.segments, segmentInfo{path: filepath.Join(j.dir, name), startSeq: start})
 	}
 	sort.Slice(j.segments, func(a, b int) bool { return j.segments[a].startSeq < j.segments[b].startSeq })
+	// Refuse another version before sealing repairs anything.
+	for _, seg := range j.segments {
+		if err := checkVersion(seg.path); err != nil {
+			return err
+		}
+	}
 
 	// Every segment is sealed, not just the last: a crash during
 	// compaction or rotation can leave a torn record mid-chain, and
@@ -387,6 +403,32 @@ func (j *Journal) scanSegments() error {
 		}
 	}
 	j.m.recordsTruncated.Add(uint64(truncated))
+	return nil
+}
+
+// otherVersion reports whether head is a complete header of magic's
+// kind naming another version. A shorter or different head names none:
+// it is a torn or garbage file, which recovery repairs.
+func otherVersion(head []byte, magic string) bool {
+	n := len(magic)
+	if len(head) < n || string(head[:n-1]) != magic[:n-1] {
+		return false
+	}
+	v := head[n-1]
+	return v >= '0' && v <= '9' && v != magic[n-1]
+}
+
+// checkVersion refuses a segment whose header names another version.
+func checkVersion(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	defer f.Close()
+	head := make([]byte, len(segMagic))
+	if n, _ := io.ReadFull(f, head); otherVersion(head[:n], segMagic) {
+		return fmt.Errorf("%w: %s", ErrVersion, path)
+	}
 	return nil
 }
 
@@ -513,21 +555,14 @@ func readRecord(r io.Reader) (seq uint64, payload []byte, err error) {
 	return seq, payload, nil
 }
 
-// frameRecord builds the on-disk frame for one record.
-func frameRecord(seq uint64, payload []byte) []byte {
-	buf := make([]byte, 0, recordOverhead+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = append(buf, payload...)
-	crc := crc32.Checksum(buf[4:12], castagnoli)
+// appendFrame appends the on-disk frame of one record to dst.
+func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	crc := crc32.Checksum(dst[len(dst)-8:], castagnoli)
+	dst = append(dst, payload...)
 	crc = crc32.Update(crc, castagnoli, payload)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf
-}
-
-// appendRecord frames and writes one record to w.
-func appendRecord(w io.Writer, seq uint64, payload []byte) (int, error) {
-	return w.Write(frameRecord(seq, payload))
+	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // Snapshot returns the recovered snapshot payload, if one was
@@ -755,7 +790,8 @@ func (j *Journal) append(at uint64, payload []byte) (uint64, error) {
 		}
 	}
 	j.seq = seq
-	frame := frameRecord(seq, payload)
+	j.frame = appendFrame(j.frame[:0], seq, payload)
+	frame := j.frame
 	var n int
 	err := j.fault(FaultWrite)
 	switch {
@@ -1295,14 +1331,4 @@ func (j *Journal) Close() error {
 		return fmt.Errorf("journal: close: %w", err)
 	}
 	return nil
-}
-
-// AppendJSON marshals v and appends it — the convenience every logical-
-// record producer in the repo uses.
-func (j *Journal) AppendJSON(v any) (uint64, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("journal: encode record: %w", err)
-	}
-	return j.Append(payload)
 }

@@ -475,23 +475,68 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestAppendJSON(t *testing.T) {
+// TestOpenRefusesOtherVersion: testdata/v1 is a trader's data
+// directory as the format-1 journal wrote it — one snapshot, one
+// segment, JSON records. Open refuses it by name and leaves every file
+// byte for byte as it was, where sealing it as a torn write would have
+// emptied the segment and a discarded snapshot would have booted the
+// trader empty. A header too short to name a version is still a torn
+// write.
+func TestOpenRefusesOtherVersion(t *testing.T) {
+	src := filepath.Join("testdata", "v1")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
 	dir := t.TempDir()
-	j, _ := openStarted(t, dir, Options{})
-	type rec struct {
-		Op string `json:"op"`
-		N  int    `json:"n"`
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e.Name()] = raw
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := j.AppendJSON(rec{Op: "export", N: 7}); err != nil {
+	if len(want) != 2 {
+		t.Fatalf("testdata/v1 holds %d files, want a snapshot and a segment", len(want))
+	}
+	check := func(dir string, want map[string][]byte) {
+		t.Helper()
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrVersion) {
+			t.Fatalf("Open of a format-1 directory = %v, want ErrVersion", err)
+		}
+		got, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Open left %d files, want %d", len(got), len(want))
+		}
+		for name, raw := range want {
+			if now, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(now, raw) {
+				t.Fatalf("Open changed %s (%v)", name, err)
+			}
+		}
+	}
+	check(dir, want)
+	// Either file alone is refused too: the segment is not sealed.
+	if err := os.Remove(filepath.Join(dir, snapName)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	delete(want, snapName)
+	check(dir, want)
+
+	torn := t.TempDir()
+	if err := os.WriteFile(filepath.Join(torn, segPrefix+"0000000000000001"+segSuffix), []byte(segMagic[:7]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, replayed := openStarted(t, dir, Options{})
-	defer j2.Close()
-	if len(replayed) != 1 || string(replayed[0]) != `{"op":"export","n":7}` {
-		t.Fatalf("AppendJSON round trip = %q", replayed)
+	j, replayed := openStarted(t, torn, Options{})
+	defer j.Close()
+	if len(replayed) != 0 {
+		t.Fatalf("a 7-byte header replayed %d records", len(replayed))
 	}
 }
 

@@ -329,11 +329,11 @@ func (c *Client) ExchangeSummary(ctx context.Context, s OfferSummary) (OfferSumm
 // max journal records after afterSeq, long-polling up to wait for new
 // ones. With RequestVote and ReplStatus it makes the client a CellPeer.
 func (c *Client) ReplPull(ctx context.Context, followerID string, epoch, afterSeq uint64, max int, wait time.Duration) (*ReplBatch, error) {
-	var w replBatchWire
-	if err := c.call(ctx, "ReplPull", &w, followerID, epoch, afterSeq, max, int64(wait/time.Millisecond)); err != nil {
+	var b ReplBatch
+	if err := c.call(ctx, "ReplPull", &b, followerID, epoch, afterSeq, max, int64(wait/time.Millisecond)); err != nil {
 		return nil, fmt.Errorf("trader: remote repl pull: %w", err)
 	}
-	return w.batch(), nil
+	return &b, nil
 }
 
 // Promote asks the remote trader to take leadership at the given

@@ -79,10 +79,11 @@ type PropRecord struct {
 	Text string `json:"text"`
 }
 
-// OfferRecord is the journal form of one stored offer. Unlike the wire
-// form (whole Unix seconds), expiry is kept at nanosecond precision so
-// a recovered trader purges leases at exactly the instants the original
-// would have.
+// OfferRecord is the journal form of one stored offer, the trader IDL's
+// OfferRecord_t. Unlike the wire form (whole Unix seconds), expiry is
+// kept at nanosecond precision so a recovered trader purges leases at
+// exactly the instants the original would have. The JSON tags are
+// cosmcli's dump format, which is for people.
 type OfferRecord struct {
 	ID      string       `json:"id"`
 	Type    string       `json:"type"`

@@ -1,9 +1,12 @@
 package trader
 
 // Durable market state: the trader journals every offer-store and
-// type-repo mutation as a logical JSON record into an attached
-// write-ahead journal (internal/journal) and can rebuild itself from a
-// snapshot plus a record replay.
+// type-repo mutation as a logical record into an attached write-ahead
+// journal (internal/journal) and can rebuild itself from a snapshot
+// plus a record replay. Records and snapshots are the trader IDL's
+// Record_t and Snapshot_t, encoded by the binder every RPC uses
+// (xcode.AppendEncode/DecodeInto): one codec for the wire, the disk and
+// replication, whose ReplRecord_t carries the encoded record verbatim.
 //
 // One mutation path: every offer-store change is a core.Mutation — the
 // decoded form of a walRecord — and ends in core.State.Apply. A live
@@ -14,7 +17,8 @@ package trader
 // Ordering discipline: offer mutations are journalled before they are
 // applied (classic WAL — a crash may lose the in-memory effect but
 // never the record), after validation has passed so the log carries no
-// rejected operations. Type mutations validate-and-apply inside the
+// rejected operations, and under one lock with the apply, so the log's
+// order is the store's. Type mutations validate-and-apply inside the
 // repo, then journal; a lease purge applies first and is journalled
 // only when it reclaimed something. All records are idempotent state
 // setters: a compaction snapshot may be slightly newer than its
@@ -22,18 +26,19 @@ package trader
 // state that already contains them.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cosm/internal/journal"
 	"cosm/internal/sidl"
 	"cosm/internal/trader/core"
 	"cosm/internal/typemgr"
+	"cosm/internal/xcode"
 )
 
 // Journal record operations beside the core's offer mutations
@@ -48,22 +53,33 @@ const (
 	opVote = "vote"
 )
 
-// walRecord is one logical journal record.
+// journalTypes holds the IDL's Record_t and Snapshot_t, which walRecord
+// and traderSnapshot bind to. The IDL is parsed on first use, so a
+// trader that never journals keeps no second copy of its SID.
+var journalTypes = sync.OnceValue(func() struct{ record, snapshot *sidl.Type } {
+	sid, err := sidl.Parse(IDL)
+	if err != nil {
+		panic(fmt.Sprintf("trader: internal IDL: %v", err)) // a constant: only a bug fails it
+	}
+	return struct{ record, snapshot *sidl.Type }{sid.Type("Record_t"), sid.Type("Snapshot_t")}
+})
+
+// walRecord is one logical journal record, Record_t.
 type walRecord struct {
-	Op      string        `json:"op"`
-	Offers  []OfferRecord `json:"offers,omitempty"` // export
-	IDs     []string      `json:"ids,omitempty"`    // withdraw(_all), replace, suspect
-	Props   []PropRecord  `json:"props,omitempty"`  // replace
-	Suspect bool          `json:"suspect,omitempty"`
-	At      int64         `json:"at,omitempty"`    // purge instant, UnixNano
-	SIDL    string        `json:"sidl,omitempty"`  // deftype source text
-	Name    string        `json:"name,omitempty"`  // removetype
-	Epoch   uint64        `json:"epoch,omitempty"` // epoch (fencing term)
+	Op      string
+	Offers  []OfferRecord // export
+	IDs     []string      // withdraw(_all), replace, suspect
+	Props   []PropRecord  // replace
+	Suspect bool
+	At      int64  // purge instant, UnixNano
+	SIDL    string // deftype source text
+	Name    string // removetype; a vote's candidate
+	Epoch   uint64 // epoch (fencing term); a vote's epoch
 }
 
 // recordOf renders a mutation in journal form.
 func recordOf(m *core.Mutation) *walRecord {
-	// Fields an op does not use stay empty and are omitted from the JSON.
+	// Fields an op does not use stay empty and encode as zero.
 	r := &walRecord{Op: m.Op, IDs: m.IDs, Suspect: m.Suspect, Props: core.PropsToRecords(m.Props)}
 	r.Offers = make([]OfferRecord, len(m.Offers))
 	for i, o := range m.Offers {
@@ -111,10 +127,12 @@ var errJournalAppend = errors.New("trader: journal")
 // record to the attached journal, apply it, and — when synchronous
 // replication is configured — block until enough followers
 // acknowledged the record's sequence number. Append and apply run
-// under the apply lock so a concurrent snapshot can never capture a
-// state that is missing a journalled record: the snapshot contract
-// allows state ahead of the watermark (replay is idempotent), never
-// behind it. The replication wait happens after the lock is released —
+// under the apply lock, exclusively: a concurrent snapshot can never
+// capture a state that is missing a journalled record (the snapshot
+// contract allows state ahead of the watermark — replay is idempotent
+// — never behind it), and two mutations apply in the order they were
+// journalled, which is the order recovery and every follower replay
+// them in. The replication wait happens after the lock is released —
 // it can take seconds, and a snapshot (or a bootstrapping follower's
 // pull, whose ack is what the wait is for) must not block on it. The
 // applied offers are returned even when the wait fails: the mutation
@@ -124,14 +142,14 @@ func (t *Trader) commit(m *core.Mutation) ([]*Offer, error) {
 		return t.core.Apply(m), nil
 	}
 	epoch := t.Epoch()
-	t.applyMu.RLock()
-	seq, err := t.journal.AppendJSON(recordOf(m))
+	t.applyMu.Lock()
+	seq, err := t.appendLocked(recordOf(m))
 	if err != nil {
-		t.applyMu.RUnlock()
-		return nil, fmt.Errorf("%w: %w", errJournalAppend, err)
+		t.applyMu.Unlock()
+		return nil, err
 	}
 	applied := t.core.Apply(m)
-	t.applyMu.RUnlock()
+	t.applyMu.Unlock()
 	return applied, t.waitReplicated(seq, epoch)
 }
 
@@ -143,23 +161,39 @@ func (t *Trader) journalRecord(r *walRecord) error {
 		return nil
 	}
 	epoch := t.Epoch()
-	t.applyMu.RLock()
-	seq, err := t.journal.AppendJSON(r)
-	t.applyMu.RUnlock()
+	t.applyMu.Lock()
+	seq, err := t.appendLocked(r)
+	t.applyMu.Unlock()
 	if err != nil {
-		return fmt.Errorf("%w: %w", errJournalAppend, err)
+		return err
 	}
 	return t.waitReplicated(seq, epoch)
 }
 
-// traderSnapshot is the compaction snapshot: the full offer store, the
-// retained SIDL sources of journalled type definitions, and the offer
-// ID counter.
+// appendLocked encodes r into the record buffer, which the journal does
+// not keep, and appends it. The caller holds applyMu, which the buffer
+// is reused under.
+func (t *Trader) appendLocked(r *walRecord) (uint64, error) {
+	buf, err := xcode.AppendEncode(t.recordBuf[:0], journalTypes().record, r)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", errJournalAppend, err)
+	}
+	t.recordBuf = buf
+	seq, err := t.journal.Append(buf)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", errJournalAppend, err)
+	}
+	return seq, nil
+}
+
+// traderSnapshot is the compaction snapshot, Snapshot_t: the full offer
+// store, the retained SIDL sources of journalled type definitions, the
+// offer ID counter and the fencing epoch.
 type traderSnapshot struct {
-	Seq    uint64        `json:"seq"`
-	Epoch  uint64        `json:"epoch,omitempty"`
-	Types  []string      `json:"types,omitempty"`
-	Offers []OfferRecord `json:"offers,omitempty"`
+	Seq    uint64
+	Epoch  uint64
+	Types  []string
+	Offers []OfferRecord
 }
 
 // SetJournal attaches a started journal: from now on every offer and
@@ -216,7 +250,7 @@ func (t *Trader) JournalSnapshot() ([]byte, error) {
 	for _, o := range offers {
 		snap.Offers = append(snap.Offers, o.Record())
 	}
-	return json.Marshal(snap)
+	return xcode.AppendEncode(nil, journalTypes().snapshot, &snap)
 }
 
 // clearState empties the market a snapshot install is about to replace
@@ -237,7 +271,7 @@ func (t *Trader) clearState() {
 // JournalSnapshot into an empty trader. Call before Replay.
 func (t *Trader) RestoreSnapshot(payload []byte) error {
 	var snap traderSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
+	if err := xcode.DecodeInto(journalTypes().snapshot, payload, &snap); err != nil {
 		return fmt.Errorf("trader: snapshot: %w", err)
 	}
 	// Types may reference each other as supertypes; define in passes
@@ -277,7 +311,7 @@ func (t *Trader) RestoreSnapshot(payload []byte) error {
 // that already contains their effect is harmless.
 func (t *Trader) ReplayRecord(seq uint64, payload []byte) error {
 	var r walRecord
-	if err := json.Unmarshal(payload, &r); err != nil {
+	if err := xcode.DecodeInto(journalTypes().record, payload, &r); err != nil {
 		return fmt.Errorf("trader: journal record %d: %w", seq, err)
 	}
 	switch r.Op {

@@ -27,8 +27,9 @@ func newDurableTrader(t *testing.T, id, dir string, opts journal.Options, topts 
 	return tr, j
 }
 
-// offersJSON renders import results in canonical journal form; byte
-// equality of two renderings is the recovery acceptance criterion.
+// offersJSON renders offers in their canonical record form, as cosmcli
+// dump does; byte equality of two renderings is the recovery acceptance
+// criterion.
 func offersJSON(t *testing.T, offers []*Offer) []byte {
 	t.Helper()
 	recs := make([]OfferRecord, len(offers))
@@ -253,5 +254,34 @@ func TestUnjournalledTraderUnaffected(t *testing.T) {
 	}
 	if err := tr.Withdraw(id); err == nil {
 		t.Fatal("second withdraw should fail")
+	}
+}
+
+// TestJournalledWriteAllocs pins what one journalled Export and one
+// Withdraw of the offer allocate together, the record's encoding and
+// framing included (FsyncNever: the append is one write). A record
+// encoded into a fresh buffer, or a frame built per append, shows here
+// first; lower the pin when the count falls, raise it only on purpose.
+func TestJournalledWriteAllocs(t *testing.T) {
+	tr, j := newDurableTrader(t, "A", t.TempDir(), journal.Options{Fsync: journal.FsyncNever})
+	defer j.Close()
+	if err := tr.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
+		t.Fatal(err)
+	}
+	props := carProps("FIAT_Uno", 50, "USD")
+	target := carRef(1)
+	write := func() {
+		id, err := tr.Export("CarRentalService", target, props)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Withdraw(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()           // the first write sizes the buffers
+	const pinned = 29 // 33 when each record was JSON in fresh buffers
+	if got := testing.AllocsPerRun(100, write); got != pinned {
+		t.Fatalf("one journalled Export and Withdraw allocate %v times, pinned at %d", got, pinned)
 	}
 }

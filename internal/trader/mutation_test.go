@@ -2,8 +2,8 @@ package trader
 
 // Tests pinning the single mutation path: live, recovered and
 // replicated traders must hold identical state after every step of a
-// random mutation history, and the journal records the parent commit
-// wrote must keep replaying — and keep being written — byte for byte.
+// random mutation history, and the pinned journal records and snapshot
+// must keep replaying — and keep being written — byte for byte.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"cosm/internal/obs"
 	"cosm/internal/sidl"
 	"cosm/internal/typemgr"
+	"cosm/internal/xcode"
 )
 
 // propTypeSIDL renders a minimal SIDL module exporting service type
@@ -305,27 +307,88 @@ func mutationPathsAgree(t *testing.T, seed int64) {
 	}
 }
 
-// parentJournal is the on-disk format, pinned: one record per journal
-// op, copied byte for byte from a journal written by the commit before
-// the mutation paths were collapsed (7c34761), each beside the live
-// call that produced it there — trader "J" over the car rental type, on
-// a clock that starts at Unix second 1 000 000.
-var parentJournal = []struct {
+// TestConcurrentWritesApplyInJournalOrder: writes to one offer race,
+// round after round — two Replaces, and a MarkSuspect(true) against a
+// MarkSuspect(false), as the sweeper and an operator would send them.
+// Neither pair commutes, so the live trader must apply them in the
+// order its journal holds them: after each round it must equal a
+// shadow that replays the journal the way recovery and every follower
+// do, and at the end a trader recovered from the directory.
+func TestConcurrentWritesApplyInJournalOrder(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	clock := func() time.Time { return now }
+	dir := t.TempDir()
+	live, j := newDurableTrader(t, "C", dir, journal.Options{Fsync: journal.FsyncNever}, withClock(clock))
+	defer j.Close()
+	if err := live.DefineTypeSIDL(propTypeSIDL("P0", "x")); err != nil {
+		t.Fatal(err)
+	}
+	id, err := live.Export("P0", hierRef(1), intProps("x", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := New("C", typemgr.NewRepo(), withClock(clock))
+	var replayed uint64
+	reqs := []ImportRequest{NewImport("P0")}
+	for round := 1; round <= 100; round++ {
+		var wg sync.WaitGroup
+		for _, write := range []func() error{
+			func() error { return live.Replace(id, intProps("x", 2*round)) },
+			func() error { return live.Replace(id, intProps("x", 2*round+1)) },
+			func() error { return live.MarkSuspect(id, true) },
+			func() error { return live.MarkSuspect(id, false) },
+		} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := write(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		recs, err := j.ReadFrom(replayed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := shadow.ReplayRecord(rec.Seq, rec.Payload); err != nil {
+				t.Fatal(err)
+			}
+			replayed = rec.Seq
+		}
+		if want, got := marketState(t, live, reqs), marketState(t, shadow, reqs); got != want {
+			t.Fatalf("round %d: the journal replays to another state than the live one\n got %s\nwant %s", round, got, want)
+		}
+	}
+	if want, got := marketState(t, live, reqs), marketState(t, recoverTrader(t, "C", dir, clock), reqs); got != want {
+		t.Fatalf("recovered state differs\n got %s\nwant %s", got, want)
+	}
+}
+
+// pinnedJournal is the on-disk format, pinned: one record per journal
+// op, an encoded Record_t, recorded from a journal the live call beside
+// it wrote when the records became SIDL — trader "J" over the car
+// rental type, on a clock that starts at Unix second 1 000 000. Each
+// record lists the members of Record_t in order (op, offers, ids,
+// props, suspect, at, sidl, name, epoch), the ones its op leaves unset
+// as zero bytes.
+var pinnedJournal = []struct {
 	live   func(tr *Trader, clock *time.Time) error
 	record string
 }{
 	{func(tr *Trader, _ *time.Time) error { return tr.DefineTypeSIDL(propTypeSIDL("P1", "x", "y")) },
-		`{"op":"deftype","sidl":"module P1 {\n    interface COSM_Operations {\n        long Ping();\n    };\n    module COSM_TraderExport {\n        const string TOD = \"P1\";\n        const long long x = 0;\n        const long long y = 0;\n    };\n};\n"}`},
+		"\adeftype\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xd0\x01module P1 {\n    interface COSM_Operations {\n        long Ping();\n    };\n    module COSM_TraderExport {\n        const string TOD = \"P1\";\n        const long long x = 0;\n        const long long y = 0;\n    };\n};\n\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error {
 		_, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 50, "USD"))
 		return err
 	},
-		`{"op":"export","offers":[{"id":"J/o1","type":"CarRentalService","ref":"cosm://tcp:10.0.0.1:7000/CarRentalService","props":[{"name":"AverageMilage","kind":"int","text":"38000"},{"name":"CarModel","kind":"enum","text":"FIAT_Uno"},{"name":"ChargeCurrency","kind":"enum","text":"USD"},{"name":"ChargePerDay","kind":"float","text":"50"}]}]}`},
+		"\x06export\x01\x04J/o1\x10CarRentalService)cosm://tcp:10.0.0.1:7000/CarRentalService\x04\rAverageMilage\x03int\x0538000\bCarModel\x04enum\bFIAT_Uno\x0eChargeCurrency\x04enum\x03USD\fChargePerDay\x05float\x0250\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error {
 		_, err := tr.ExportLease("CarRentalService", carRef(2), carProps("AUDI", 120.5, "DEM"), time.Minute)
 		return err
 	},
-		`{"op":"export","offers":[{"id":"J/o2","type":"CarRentalService","ref":"cosm://tcp:10.0.0.2:7000/CarRentalService","props":[{"name":"AverageMilage","kind":"int","text":"38000"},{"name":"CarModel","kind":"enum","text":"AUDI"},{"name":"ChargeCurrency","kind":"enum","text":"DEM"},{"name":"ChargePerDay","kind":"float","text":"120.5"}],"expires":1000060000000000}]}`},
+		"\x06export\x01\x04J/o2\x10CarRentalService)cosm://tcp:10.0.0.2:7000/CarRentalService\x04\rAverageMilage\x03int\x0538000\bCarModel\x04enum\x04AUDI\x0eChargeCurrency\x04enum\x03DEM\fChargePerDay\x05float\x05120.5\x00\x03\x8d\x8c\x9d\r\xd8\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error {
 		_, err := tr.ExportAll([]ExportItem{
 			{Type: "CarRentalService", Ref: carRef(3), Props: carProps("VW_Golf", 66, "USD")},
@@ -333,13 +396,13 @@ var parentJournal = []struct {
 		})
 		return err
 	},
-		`{"op":"export","offers":[{"id":"J/o3","type":"CarRentalService","ref":"cosm://tcp:10.0.0.3:7000/CarRentalService","props":[{"name":"AverageMilage","kind":"int","text":"38000"},{"name":"CarModel","kind":"enum","text":"VW_Golf"},{"name":"ChargeCurrency","kind":"enum","text":"USD"},{"name":"ChargePerDay","kind":"float","text":"66"}]},{"id":"J/o4","type":"CarRentalService","ref":"cosm://tcp:10.0.0.4:7000/CarRentalService","props":[{"name":"AverageMilage","kind":"int","text":"38000"},{"name":"CarModel","kind":"enum","text":"VW_Golf"},{"name":"ChargeCurrency","kind":"enum","text":"GBP"},{"name":"ChargePerDay","kind":"float","text":"77"}],"expires":1003600000000000}]}`},
+		"\x06export\x02\x04J/o3\x10CarRentalService)cosm://tcp:10.0.0.3:7000/CarRentalService\x04\rAverageMilage\x03int\x0538000\bCarModel\x04enum\aVW_Golf\x0eChargeCurrency\x04enum\x03USD\fChargePerDay\x05float\x0266\x00\x00\x00\x00\x00\x00\x00\x00\x00\x04J/o4\x10CarRentalService)cosm://tcp:10.0.0.4:7000/CarRentalService\x04\rAverageMilage\x03int\x0538000\bCarModel\x04enum\aVW_Golf\x0eChargeCurrency\x04enum\x03GBP\fChargePerDay\x05float\x0277\x00\x03\x90\xc4\xd5\x7f \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error { return tr.Replace("J/o1", carProps("AUDI", 200, "GBP")) },
-		`{"op":"replace","ids":["J/o1"],"props":[{"name":"AverageMilage","kind":"int","text":"38000"},{"name":"CarModel","kind":"enum","text":"AUDI"},{"name":"ChargeCurrency","kind":"enum","text":"GBP"},{"name":"ChargePerDay","kind":"float","text":"200"}]}`},
+		"\areplace\x00\x01\x04J/o1\x04\rAverageMilage\x03int\x0538000\bCarModel\x04enum\x04AUDI\x0eChargeCurrency\x04enum\x03GBP\fChargePerDay\x05float\x03200\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error { return tr.MarkSuspect("J/o1", true) },
-		`{"op":"suspect","ids":["J/o1"],"suspect":true}`},
+		"\asuspect\x00\x01\x04J/o1\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error { return tr.Withdraw("J/o3") },
-		`{"op":"withdraw","ids":["J/o3"]}`},
+		"\bwithdraw\x00\x01\x04J/o3\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, clock *time.Time) error {
 		*clock = clock.Add(2 * time.Minute) // J/o2's one-minute lease runs out
 		if n := tr.PurgeExpired(); n != 1 {
@@ -347,22 +410,29 @@ var parentJournal = []struct {
 		}
 		return nil
 	},
-		`{"op":"purge","at":1000120000000000}`},
+		"\x05purge\x00\x00\x00\x00\x00\x03\x8d\x9a\x95U0\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error {
 		_, err := tr.WithdrawAll([]string{"J/o4", "J/o999"})
 		return err
 	},
-		`{"op":"withdraw_all","ids":["J/o4","J/o999"]}`},
+		"\fwithdraw_all\x00\x02\x04J/o4\x06J/o999\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
 	{func(tr *Trader, _ *time.Time) error { return tr.Promote(3) },
-		`{"op":"epoch","epoch":3}`},
+		"\x05epoch\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x03"},
 	{func(tr *Trader, _ *time.Time) error { return tr.RemoveType("P1") },
-		`{"op":"removetype","name":"P1"}`},
+		"\nremovetype\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02P1\x00\x00\x00\x00\x00\x00\x00\x00"},
 }
 
+// pinnedSnapshot is the Snapshot_t the live trader of
+// TestJournalFormatPinned compacts to after the last record: the offer
+// ID counter, the epoch, no journalled type (P1 was removed), and the
+// one offer left.
+const pinnedSnapshot = "\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x03\x00\x01\x04J/o1\x10CarRentalService)cosm://tcp:10.0.0.1:7000/CarRentalService\x04\rAverageMilage\x03int\x0538000\bCarModel\x04enum\x04AUDI\x0eChargeCurrency\x04enum\x03GBP\fChargePerDay\x05float\x03200\x00\x00\x00\x00\x00\x00\x00\x00\x01"
+
 // TestJournalFormatPinned holds the journal format still in both
-// directions: the live calls must append exactly the parent commit's
-// bytes, and a trader replaying the parent's literal records must land
-// in the state the live trader is in.
+// directions: the live calls must append exactly the pinned bytes, a
+// trader replaying the literal records must land in the state the live
+// trader is in, and the same holds for the snapshot the live trader
+// then compacts to.
 func TestJournalFormatPinned(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	clock := func() time.Time { return now }
@@ -379,7 +449,7 @@ func TestJournalFormatPinned(t *testing.T) {
 	replayed := New("J", newCarRepo(t), withClock(clock))
 
 	reqs := []ImportRequest{NewImport("CarRentalService", OrderBy("min:ChargePerDay"))}
-	for i, row := range parentJournal {
+	for i, row := range pinnedJournal {
 		seq := uint64(i + 1)
 		if err := row.live(live, &now); err != nil {
 			t.Fatalf("record %d: live call: %v", seq, err)
@@ -389,7 +459,7 @@ func TestJournalFormatPinned(t *testing.T) {
 			t.Fatalf("record %d: read back %d records, %v", seq, len(recs), err)
 		}
 		if got := string(recs[0].Payload); got != row.record {
-			t.Fatalf("record %d: journal format changed\n got %s\nwant %s", seq, got, row.record)
+			t.Fatalf("record %d: journal format changed\n got %q\nwant %q", seq, got, row.record)
 		}
 		if err := replayed.ReplayRecord(seq, []byte(row.record)); err != nil {
 			t.Fatalf("record %d: replay: %v", seq, err)
@@ -402,28 +472,74 @@ func TestJournalFormatPinned(t *testing.T) {
 			t.Fatalf("record %d: epoch %d replayed as %d", seq, live.Epoch(), replayed.Epoch())
 		}
 	}
-	if n := j.Stats().LastSeq; n != uint64(len(parentJournal)) {
-		t.Fatalf("journal holds %d records, want one per row (%d)", n, len(parentJournal))
+	if n := j.Stats().LastSeq; n != uint64(len(pinnedJournal)) {
+		t.Fatalf("journal holds %d records, want one per row (%d)", n, len(pinnedJournal))
 	}
 	if live.Epoch() != 3 || live.OfferCount() != 1 {
 		t.Fatalf("end state: epoch %d, %d offers; want epoch 3 and J/o1 alone", live.Epoch(), live.OfferCount())
+	}
+
+	snap, err := live.JournalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(snap) != pinnedSnapshot {
+		t.Fatalf("snapshot format changed\n got %q\nwant %q", snap, pinnedSnapshot)
+	}
+	restored := New("J", newCarRepo(t), withClock(clock))
+	if err := restored.RestoreSnapshot([]byte(pinnedSnapshot)); err != nil {
+		t.Fatal(err)
+	}
+	if want, got := marketState(t, live, reqs), marketState(t, restored, reqs); got != want || restored.Epoch() != 3 {
+		t.Fatalf("restored state differs (epoch %d)\n got %s\nwant %s", restored.Epoch(), got, want)
 	}
 }
 
 // FuzzReplayRecord: journal payloads come off a disk or from a
 // replication peer, so replay must refuse damage with an error, never a
-// panic. Seeds are the pinned records above plus, under
+// panic, and a second replay of the same record leaves the state the
+// first left. Seeds are the pinned records above plus, under
 // testdata/fuzz/FuzzReplayRecord, the shapes they do not cover: a vote
-// pledge, an unknown op, offers that do not decode, truncated JSON.
+// pledge, an unknown op, offers and properties that do not decode, a
+// truncated record, bytes that are no record.
 func FuzzReplayRecord(f *testing.F) {
-	for _, row := range parentJournal {
+	for _, row := range pinnedJournal {
 		f.Add([]byte(row.record))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tr := New("J", typemgr.NewRepo(), WithConstraintCacheSize(0), WithImportCacheTTL(0))
-		for seq := uint64(1); seq <= 2; seq++ { // twice: records are idempotent
-			_ = tr.ReplayRecord(seq, payload)
+		_ = tr.ReplayRecord(1, payload)
+		first, err1 := tr.JournalSnapshot()
+		_ = tr.ReplayRecord(2, payload) // records are idempotent
+		second, err2 := tr.JournalSnapshot()
+		if !bytes.Equal(first, second) || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("replaying the record again moved the state:\n%q (%v)\nto\n%q (%v)", first, err1, second, err2)
 		}
-		tr.OfferCount() // whatever was applied, the store still walks
+	})
+}
+
+// FuzzRestoreSnapshot: a snapshot comes off a disk or from a peer's
+// ReplPull, so restoring one must refuse damage with an error, never a
+// panic, and restoring the same bytes again must leave the state the
+// first restore left. Seeds are the pinned snapshot and one carrying a
+// journalled type.
+func FuzzRestoreSnapshot(f *testing.F) {
+	f.Add([]byte(pinnedSnapshot))
+	typed, err := xcode.AppendEncode(nil, journalTypes().snapshot, traderSnapshot{Seq: 7, Epoch: 2,
+		Types:  []string{propTypeSIDL("P1", "x", "y")},
+		Offers: []OfferRecord{{ID: "J/o7", Type: "P1", Ref: "cosm://tcp:10.0.0.1:7000/P1", Props: []PropRecord{{Name: "x", Kind: "int", Text: "1"}}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(typed)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		tr := New("J", typemgr.NewRepo(), WithConstraintCacheSize(0), WithImportCacheTTL(0))
+		_ = tr.RestoreSnapshot(payload)
+		first, err1 := tr.JournalSnapshot()
+		_ = tr.RestoreSnapshot(payload)
+		second, err2 := tr.JournalSnapshot()
+		if !bytes.Equal(first, second) || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("a second restore moved the state:\n%q (%v)\nto\n%q (%v)", first, err1, second, err2)
+		}
 	})
 }

@@ -252,13 +252,15 @@ func (t *Trader) Promote(epoch uint64) error {
 		// Append and the epoch raise share the apply lock so a snapshot
 		// whose watermark covers the epoch record always carries the new
 		// epoch.
-		t.applyMu.RLock()
-		if _, err := t.journal.AppendJSON(&walRecord{Op: opEpoch, Epoch: epoch}); err != nil {
-			t.applyMu.RUnlock()
-			return fmt.Errorf("trader: journal: %w", err)
+		t.applyMu.Lock()
+		_, err := t.appendLocked(&walRecord{Op: opEpoch, Epoch: epoch})
+		if err == nil {
+			t.raiseEpoch(epoch)
 		}
-		t.raiseEpoch(epoch)
-		t.applyMu.RUnlock()
+		t.applyMu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	t.raiseEpoch(epoch)
 	t.repl.srcEpoch.Store(epoch) // this leader's records extend its own log
@@ -380,7 +382,7 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 	// missing a record its watermark covers.
 	n := 0
 	if b.Snapshot != nil {
-		t.applyMu.RLock()
+		t.applyMu.Lock()
 		if t.journal != nil {
 			// A rejoining deposed leader may hold a divergent unacked
 			// tail past the shipped watermark; its log is replaced
@@ -390,18 +392,18 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 				install = t.journal.RewindToSnapshot
 			}
 			if err := install(b.Snapshot, b.SnapshotSeq); err != nil {
-				t.applyMu.RUnlock()
+				t.applyMu.Unlock()
 				return 0, fmt.Errorf("trader: install snapshot: %w", err)
 			}
 		}
 		t.clearState()
 		if err := t.RestoreSnapshot(b.Snapshot); err != nil {
-			t.applyMu.RUnlock()
+			t.applyMu.Unlock()
 			return 0, err
 		}
 		t.repl.applied.Store(b.SnapshotSeq)
 		rejoined := t.repl.rejoining.Swap(false)
-		t.applyMu.RUnlock()
+		t.applyMu.Unlock()
 		t.event("snapshot_install", "seq", strconv.FormatUint(b.SnapshotSeq, 10),
 			"rejoin", strconv.FormatBool(rejoined))
 	}
@@ -409,19 +411,19 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 		if rec.Seq <= t.repl.applied.Load() {
 			continue // duplicate delivery; records are idempotent anyway
 		}
-		t.applyMu.RLock()
+		t.applyMu.Lock()
 		if t.journal != nil {
 			if err := t.journal.AppendAt(rec.Seq, rec.Payload); err != nil {
-				t.applyMu.RUnlock()
+				t.applyMu.Unlock()
 				return n, fmt.Errorf("trader: journal: %w", err)
 			}
 		}
 		if err := t.ReplayRecord(rec.Seq, rec.Payload); err != nil {
-			t.applyMu.RUnlock()
+			t.applyMu.Unlock()
 			return n, err
 		}
 		t.repl.applied.Store(rec.Seq)
-		t.applyMu.RUnlock()
+		t.applyMu.Unlock()
 		n++
 	}
 	if n > 0 {

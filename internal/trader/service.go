@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cosm/internal/cosm"
-	"cosm/internal/journal"
 	"cosm/internal/match"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
@@ -98,8 +97,35 @@ module CosmTrader {
         long long gen;
         SummaryEntries_t entries;
     };
+    // The journal's offer, record and snapshot (see durable.go).
+    struct OfferRecord_t {
+        string id;
+        string type;
+        string ref;
+        Props_t props;
+        long long expires;
+        boolean suspect;
+    };
+    typedef sequence<OfferRecord_t> OfferRecords_t;
+    struct Record_t {
+        string op;
+        OfferRecords_t offers;
+        Names_t ids;
+        Props_t props;
+        boolean suspect;
+        long long at;
+        string sidl;
+        string name;
+        long long epoch;
+    };
+    struct Snapshot_t {
+        long long seq;
+        long long epoch;
+        Names_t types;
+        OfferRecords_t offers;
+    };
     // One replicated journal record: the leader's sequence number and
-    // the logical JSON payload, verbatim.
+    // the encoded Record_t, verbatim.
     struct ReplRecord_t {
         long long seq;
         string payload;
@@ -109,7 +135,7 @@ module CosmTrader {
         long long epoch;
         long long lastSeq;
         // When the follower is behind the compaction watermark the
-        // batch carries a full state snapshot instead of records.
+        // batch carries an encoded Snapshot_t instead of records.
         long long snapshotSeq;
         string snapshot;
         ReplRecords_t records;
@@ -187,11 +213,12 @@ module CosmTrader {
 // Wire forms. What the IDL above declares binds to Go types through
 // xcode.AppendEncode and DecodeInto, with the types taken from the operation
 // signatures (cosm.Call.Args/Return here, cosm.Conn.Call in client.go).
-// Vote, ReplStatus, OfferSummary and core.PropRecord have the shape of
-// their SIDL structs and bind as they are. The five kinds of value below
-// do not — instants and durations travel as integers, grades and
-// payloads as strings, and visited is unexported — so each has a
-// wire-shaped struct and a conversion either way. The members tagged
+// Vote, ReplStatus, ReplBatch, OfferSummary and core.PropRecord have the
+// shape of their SIDL structs and bind as they are (a []byte payload
+// binds to a string). The four kinds of value below do not — instants
+// and durations travel as integers, grades as strings, and visited is
+// unexported — so each has a wire-shaped struct and a conversion either
+// way. The members tagged
 // optional arrived after a struct's first revision: an older peer's SID
 // lacks them and they decode as zero (DESIGN.md §12).
 
@@ -365,41 +392,6 @@ func linkInfosFromWire(ws []linkInfoWire) []LinkInfo {
 	return links
 }
 
-// replBatchWire is ReplBatch_t: record payloads and snapshots are
-// logical JSON, carried verbatim in string members.
-type replBatchWire struct {
-	Epoch       uint64
-	LastSeq     uint64
-	SnapshotSeq uint64
-	Snapshot    string
-	Records     []replRecordWire
-}
-
-type replRecordWire struct {
-	Seq     uint64
-	Payload string
-}
-
-func wireReplBatch(b *ReplBatch) replBatchWire {
-	w := replBatchWire{Epoch: b.Epoch, LastSeq: b.LastSeq, SnapshotSeq: b.SnapshotSeq,
-		Snapshot: string(b.Snapshot), Records: make([]replRecordWire, len(b.Records))}
-	for i, r := range b.Records {
-		w.Records[i] = replRecordWire{Seq: r.Seq, Payload: string(r.Payload)}
-	}
-	return w
-}
-
-func (w *replBatchWire) batch() *ReplBatch {
-	b := &ReplBatch{Epoch: w.Epoch, LastSeq: w.LastSeq, SnapshotSeq: w.SnapshotSeq}
-	if w.Snapshot != "" {
-		b.Snapshot = []byte(w.Snapshot)
-	}
-	for _, r := range w.Records {
-		b.Records = append(b.Records, journal.Record{Seq: r.Seq, Payload: []byte(r.Payload)})
-	}
-	return b
-}
-
 // NewService wraps a Trader as a hosted COSM service.
 func NewService(t *Trader) (*cosm.Service, error) {
 	sid, err := sidl.Parse(IDL)
@@ -542,7 +534,7 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err != nil {
 			return err
 		}
-		return call.Return(wireReplBatch(b))
+		return call.Return(b)
 	})
 	svc.MustHandle("Promote", func(call *cosm.Call) error {
 		var epoch uint64

@@ -153,11 +153,13 @@ type Trader struct {
 	// for every offer and type mutation (see durable.go).
 	journal *journal.Journal
 
-	// applyMu orders journalled mutations against snapshot capture:
-	// mutations hold it shared across append+apply, JournalSnapshot
-	// holds it exclusively, so a snapshot never misses a journalled
-	// record (see commit in durable.go).
-	applyMu sync.RWMutex
+	// applyMu makes append+apply one step: every journalled mutation
+	// and JournalSnapshot hold it, so a snapshot never misses a
+	// journalled record and the store applies records in log order (see
+	// commit in durable.go). It also guards recordBuf, the buffer every
+	// record is encoded into.
+	applyMu   sync.Mutex
+	recordBuf []byte
 
 	// repl carries the replication role, fencing epoch and follower
 	// bookkeeping (see repl.go).

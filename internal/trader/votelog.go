@@ -13,20 +13,21 @@ package trader
 // market state; they live next to the journal, not inside it.
 //
 // It is a journal of its own in <data-dir>/votes, so it inherits the
-// journal's framing: one CRC-checked walRecord (Op "vote", Epoch, Name
-// = candidate, "" for a bare epoch adoption) per pledge, fsynced before
+// journal's framing: one CRC-checked record — the market journal's
+// Record_t, Op "vote", Epoch, Name = candidate ("" for a bare epoch
+// adoption) — per pledge, fsynced before
 // the grant leaves this node, never compacted — a vote round is rare
 // and slow, one fsync per pledge is noise. Open seals a torn tail (a
 // crash mid-append, whose pledge was never acknowledged to anyone), so
 // the next pledge lands on a clean frame boundary.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"cosm/internal/journal"
+	"cosm/internal/xcode"
 )
 
 // VoteLog is the durable per-node vote ledger. Appends are serialised
@@ -56,7 +57,7 @@ func OpenVoteLog(dir string) (*VoteLog, error) {
 	l := &VoteLog{j: j}
 	err = j.Replay(func(seq uint64, payload []byte) error {
 		var r walRecord
-		if err := json.Unmarshal(payload, &r); err != nil || r.Op != opVote {
+		if err := xcode.DecodeInto(journalTypes().record, payload, &r); err != nil || r.Op != opVote {
 			return fmt.Errorf("trader: vote log record %d is not a vote pledge", seq)
 		}
 		raisePledge(&l.epoch, &l.candidate, r.Epoch, r.Name)
@@ -86,7 +87,11 @@ func (l *VoteLog) pledge(epoch uint64, candidate string) error {
 	if l == nil {
 		return nil
 	}
-	if _, err := l.j.AppendJSON(walRecord{Op: opVote, Epoch: epoch, Name: candidate}); err != nil {
+	payload, err := xcode.AppendEncode(nil, journalTypes().record, walRecord{Op: opVote, Epoch: epoch, Name: candidate})
+	if err == nil {
+		_, err = l.j.Append(payload)
+	}
+	if err != nil {
 		return fmt.Errorf("trader: vote log: %w", err)
 	}
 	return nil

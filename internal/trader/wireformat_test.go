@@ -12,7 +12,9 @@ import (
 	"cosm/internal/match"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
+	"cosm/internal/trader/core"
 	"cosm/internal/typemgr"
+	"cosm/internal/xcode"
 )
 
 // pinIDL is a service type carrying one characterising attribute of each
@@ -39,8 +41,9 @@ module PinService {
 // typed client and the hosted service, must be the bytes the parent
 // commit's hand-written conversion tables produced (the goldens below
 // were recorded there; RequestVote's since gained the candidate's tail
-// epoch, and a follower's reply its journal tail as the applied
-// position), and a client and server with no Go types at all
+// epoch, a follower's reply its journal tail as the applied position,
+// and ReplPull's records and snapshot are encoded Record_t and
+// Snapshot_t values, no longer JSON), and a client and server with no Go types at all
 // — hand-built values through Conn.Invoke and Call.Result — must put
 // the very same bytes on the wire.
 func TestTraderWireFormatPinned(t *testing.T) {
@@ -119,6 +122,14 @@ func TestTraderWireFormatPinned(t *testing.T) {
 	importReq.visited = []string{"U", "V"}
 	const leaderHint = "cosm://tcp:10.0.0.8:7000/cosm.trader"
 	summary := OfferSummary{From: "P", Gen: 77, Entries: []SummaryEntry{{Type: "Bare", Count: 3, Hops: 0}, {Type: "PinService", Count: 1, Hops: 1}}}
+	// ReplPull ships journal records and snapshots as they are on disk.
+	encoded := func(typ *sidl.Type, v any) string {
+		b, err := xcode.AppendEncode(nil, typ, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 
 	steps := []cosmtest.Case{
 		{Name: "TypeNames/one", Op: "TypeNames", Result: []any{"Bare"},
@@ -129,8 +140,10 @@ func TestTraderWireFormatPinned(t *testing.T) {
 			Call: func() error { _, err := c.Export(ctx, "Bare", target(1), nil); return err }},
 		{Name: "ReplPull/snapshot", Op: "ReplPull", Args: []any{"F", 0, 0, 16, 0},
 			Result: map[string]any{"lastSeq": 1, "snapshotSeq": 1,
-				"snapshot": `{"seq":1,"offers":[{"id":"T/o1","type":"Bare","ref":"cosm://tcp:10.0.0.1:7000/pin"}]}`, "records": []any{}},
-			WantArgs: "0201460800000000000000000800000000000000000400000010080000000000000000", WantResult: "6f000000000000000000000000000000010000000000000001557b22736571223a312c226f6666657273223a5b7b226964223a22542f6f31222c2274797065223a2242617265222c22726566223a22636f736d3a2f2f7463703a31302e302e302e313a373030302f70696e227d5d7d00",
+				"snapshot": encoded(journalTypes().snapshot, traderSnapshot{Seq: 1,
+					Offers: []OfferRecord{{ID: "T/o1", Type: "Bare", Ref: "cosm://tcp:10.0.0.1:7000/pin"}}}),
+				"records": []any{}},
+			WantArgs: "0201460800000000000000000800000000000000000400000010080000000000000000", WantResult: "5d0000000000000000000000000000000100000000000000014300000000000000010000000000000000000104542f6f3104426172651c636f736d3a2f2f7463703a31302e302e302e313a373030302f70696e0000000000000000000000",
 			Call: func() error { _, err := c.ReplPull(ctx, "F", 0, 0, 16, 0); return err }},
 		{Name: "DefineTypeFromSID", Op: "DefineTypeFromSID", Args: []any{string(pinText)},
 			WantArgs: "940392036d6f64756c652050696e53657276696365207b0a20202020656e756d204d6f64656c5f74207b20412c2042207d3b0a20202020696e7465726661636520434f534d5f4f7065726174696f6e73207b0a2020202020202020766f69642050696e6728293b0a202020207d3b0a202020206d6f64756c6520434f534d5f5472616465724578706f7274207b0a2020202020202020636f6e737420756e7369676e6564206c6f6e6720536572766963654944203d20303b0a2020202020202020636f6e737420737472696e6720544f44203d202250696e53657276696365223b0a2020202020202020636f6e737420626f6f6c65616e204f70656e203d20545255453b0a2020202020202020636f6e7374206c6f6e67206c6f6e67205365617473203d20343b0a2020202020202020636f6e737420646f75626c652052617465203d20322e353b0a2020202020202020636f6e737420737472696e672043697479203d20224848223b0a2020202020202020636f6e7374204d6f64656c5f74204d6f64656c203d20423b0a202020207d3b0a7d3b0a", WantResult: "",
@@ -193,9 +206,9 @@ func TestTraderWireFormatPinned(t *testing.T) {
 			Call: func() error { return c.RemoveType(ctx, "Bare") }},
 		{Name: "ReplPull/records", Op: "ReplPull", Args: []any{"F", 0, 9, 2, 0},
 			Result: map[string]any{"lastSeq": 11, "records": []any{
-				map[string]any{"seq": 10, "payload": `{"op":"withdraw_all","ids":["T/o9","T/o1","T/o5"]}`},
-				map[string]any{"seq": 11, "payload": `{"op":"removetype","name":"Bare"}`}}},
-			WantArgs: "0201460800000000000000000800000000000000090400000002080000000000000000", WantResult: "7f0000000000000000000000000000000b00000000000000000002000000000000000a327b226f70223a2277697468647261775f616c6c222c22696473223a5b22542f6f39222c22542f6f31222c22542f6f35225d7d000000000000000b217b226f70223a2272656d6f766574797065222c226e616d65223a2242617265227d",
+				map[string]any{"seq": 10, "payload": encoded(journalTypes().record, walRecord{Op: core.OpWithdrawAll, IDs: []string{"T/o9", "T/o1", "T/o5"}})},
+				map[string]any{"seq": 11, "payload": encoded(journalTypes().record, walRecord{Op: opRemoveType, Name: "Bare"})}}},
+			WantArgs: "0201460800000000000000000800000000000000090400000002080000000000000000", WantResult: "83010000000000000000000000000000000b00000000000000000002000000000000000a320c77697468647261775f616c6c000304542f6f3904542f6f3104542f6f350000000000000000000000000000000000000000000000000000000b250a72656d6f7665747970650000000000000000000000000004426172650000000000000000",
 			Call: func() error { _, err := c.ReplPull(ctx, "F", 0, 9, 2, 0); return err }},
 		{Name: "Promote", Op: "Promote", Args: []any{5},
 			WantArgs: "080000000000000005", WantResult: "",

@@ -1,6 +1,7 @@
 package xcode
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -28,7 +29,8 @@ import (
 // AppendEncode appends the encoding, as SIDL type t, of the Go value src
 // (or what src points to) to dst. It refuses what DecodeInto would: a
 // non-nil Object that does not survive its textual form
-// (ref.ServiceRef.Check), an integer outside the kind's range.
+// (ref.ServiceRef.Check), an integer outside the kind's range, a string
+// or sequence longer than MaxStringLen or MaxSequenceLen.
 func AppendEncode(dst []byte, t *sidl.Type, src any) ([]byte, error) {
 	rv := reflect.ValueOf(src)
 	for rv.Kind() == reflect.Pointer && !rv.IsNil() {
@@ -59,6 +61,12 @@ func DecodeInto(t *sidl.Type, data []byte, dst any) error {
 }
 
 var refType = reflect.TypeFor[ref.ServiceRef]()
+
+// isBytes reports whether rv is a Go byte slice, which binds to a SIDL
+// string: how the journal's encoded records travel inside replication.
+func isBytes(rv reflect.Value) bool {
+	return rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() == reflect.Uint8
+}
 
 // The errors are built out of line, keeping the walkers' frames small.
 
@@ -91,6 +99,9 @@ func encode(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
 			return nil, mismatch(rv, t)
 		}
 		n := rv.Len()
+		if n > MaxSequenceLen {
+			return nil, tooLong(n)
+		}
 		dst = binary.AppendUvarint(dst, uint64(n))
 		for i := 0; i < n; i++ {
 			if dst, err = encode(dst, t.Elem, rv.Index(i)); err != nil {
@@ -114,6 +125,8 @@ func encode(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
 	}
 	return encodeScalar(dst, t, rv)
 }
+
+func tooLong(n int) error { return fmt.Errorf("%w: length %d", ErrOversize, n) }
 
 func inElement(i int, err error) error { return fmt.Errorf("element %d: %w", i, err) }
 
@@ -141,8 +154,15 @@ func encodeScalar(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
 			return appendFixed(dst, k, floatBits(k, rv.Float())), nil
 		}
 	case sidl.String:
-		if rv.Kind() == reflect.String {
+		switch {
+		case rv.Kind() != reflect.String && !isBytes(rv):
+		case rv.Len() > MaxStringLen:
+			return nil, tooLong(rv.Len())
+		case rv.Kind() == reflect.String:
 			return appendString(dst, rv.String()), nil
+		default:
+			b := rv.Bytes()
+			return append(binary.AppendUvarint(dst, uint64(len(b))), b...), nil
 		}
 	case sidl.Enum:
 		var ord int
@@ -311,9 +331,17 @@ func decodeScalar(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 		}
 	case sidl.String:
 		var s []byte
-		if s, data, err = decodeBytes(data, MaxStringLen); err == nil && rv.Kind() == reflect.String {
-			rv.SetString(string(s))
-			ok = true
+		if s, data, err = decodeBytes(data, MaxStringLen); err == nil && !discard {
+			switch {
+			case rv.Kind() == reflect.String:
+				rv.SetString(string(s))
+				ok = true
+			case isBytes(rv):
+				if len(s) > 0 { // empty decodes as nil, like a sequence
+					rv.SetBytes(bytes.Clone(s))
+				}
+				ok = true
+			}
 		}
 	case sidl.Enum:
 		var ord int

@@ -2,6 +2,7 @@ package xcode_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/rand"
@@ -268,23 +269,23 @@ func TestBindKindMismatch(t *testing.T) {
 		t   *sidl.Type
 		src any
 	}{
-		"string for long long":    {int64T, "7"},
-		"integer for string":      {strT, 7},
-		"float for long long":     {int64T, 7.5},
-		"struct for sequence":     {seqT, struct{ A int }{1}},
-		"slice for struct":        {recT, []int{1}},
-		"wrong member kind":       {recT, struct{ A string }{"x"}},
-		"wrong element kind":      {seqT, []int{1}},
-		"string for Object":       {sidl.Basic(sidl.SvcRef), "cosm://x/y"},
-		"nil for string":          {strT, nil},
-		"nil pointer for struct":  {recT, (*struct{ A int })(nil)},
-		"bool for enum":           {enumT, true},
-		"map for struct":          {recT, map[string]int{"a": 1}},
-		"reference for boolean":   {sidl.Basic(sidl.Bool), ref.New("tcp:x:1", "s")},
-		"integer for double":      {sidl.Basic(sidl.Float64), 7},
-		"string for unsigned":     {sidl.Basic(sidl.UInt32), "7"},
-		"array-less byte payload": {strT, []byte("raw")},
-		"a value for void":        {sidl.Basic(sidl.Void), 1},
+		"string for long long":   {int64T, "7"},
+		"integer for string":     {strT, 7},
+		"float for long long":    {int64T, 7.5},
+		"struct for sequence":    {seqT, struct{ A int }{1}},
+		"slice for struct":       {recT, []int{1}},
+		"wrong member kind":      {recT, struct{ A string }{"x"}},
+		"wrong element kind":     {seqT, []int{1}},
+		"string for Object":      {sidl.Basic(sidl.SvcRef), "cosm://x/y"},
+		"nil for string":         {strT, nil},
+		"nil pointer for struct": {recT, (*struct{ A int })(nil)},
+		"bool for enum":          {enumT, true},
+		"map for struct":         {recT, map[string]int{"a": 1}},
+		"reference for boolean":  {sidl.Basic(sidl.Bool), ref.New("tcp:x:1", "s")},
+		"integer for double":     {sidl.Basic(sidl.Float64), 7},
+		"string for unsigned":    {sidl.Basic(sidl.UInt32), "7"},
+		"rune slice for string":  {strT, []rune("raw")},
+		"a value for void":       {sidl.Basic(sidl.Void), 1},
 	} {
 		if _, err := AppendEncode(nil, c.t, c.src); !errors.Is(err, ErrTypeMismatch) {
 			t.Errorf("AppendEncode %s = %v, want ErrTypeMismatch", name, err)
@@ -407,6 +408,66 @@ func TestBindIntegerRange(t *testing.T) {
 	}
 	if _, err := AppendEncode(nil, traderSID.Type("ImportReq_t"), importReq{Max: 1<<32 + 5}); !errors.Is(err, ErrTypeMismatch) {
 		t.Errorf("an import limit of 2^32+5 encodes as long: %v", err)
+	}
+}
+
+// TestBindBytesAsString: a Go byte slice binds to a SIDL string both
+// ways, to the bytes a Go string of the same content has, under the
+// same length limit; the empty string decodes as nil.
+func TestBindBytesAsString(t *testing.T) {
+	strT := sidl.Basic(sidl.String)
+	recT := sidl.StructOf("R", sidl.Field{Name: "seq", Type: sidl.Basic(sidl.Int64)}, sidl.Field{Name: "payload", Type: strT})
+	type rec struct {
+		Seq     uint64
+		Payload []byte
+	}
+	type text struct {
+		Seq     uint64
+		Payload string
+	}
+	data, err := AppendEncode(nil, recT, rec{Seq: 7, Payload: []byte("raw\x00")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := AppendEncode(nil, recT, text{Seq: 7, Payload: "raw\x00"}); !bytes.Equal(data, want) {
+		t.Fatalf("[]byte encodes as %x, string as %x", data, want)
+	}
+	var got rec
+	if err := DecodeInto(recT, data, &got); err != nil || got.Seq != 7 || string(got.Payload) != "raw\x00" {
+		t.Fatalf("DecodeInto = %+v, %v", got, err)
+	}
+	data[len(data)-1] = 'x' // the decoded bytes are a copy
+	if string(got.Payload) != "raw\x00" {
+		t.Fatalf("DecodeInto aliased its input: %q", got.Payload)
+	}
+	empty, err := AppendEncode(nil, recT, rec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Payload = []byte("stale")
+	if err := DecodeInto(recT, empty, &got); err != nil || got.Payload != nil {
+		t.Fatalf("the empty string decodes as %#v, %v; want nil", got.Payload, err)
+	}
+	long := binary.AppendUvarint(nil, MaxStringLen+1)
+	long = append(long, make([]byte, MaxStringLen+1)...)
+	var b []byte
+	if err := DecodeInto(strT, long, &b); !errors.Is(err, ErrOversize) || b != nil {
+		t.Fatalf("DecodeInto of an oversize string = %d bytes, %v; want ErrOversize", len(b), err)
+	}
+	// The encoder refuses what the decoder would, for strings and
+	// sequences alike: a journal snapshot too large to read back is
+	// never written.
+	for name, c := range map[string]struct {
+		t   *sidl.Type
+		src any
+	}{
+		"[]byte":   {strT, long[3:]},
+		"string":   {strT, string(long[3:])},
+		"sequence": {sidl.SequenceOf(sidl.Basic(sidl.Bool)), make([]bool, MaxSequenceLen+1)},
+	} {
+		if _, err := AppendEncode(nil, c.t, c.src); !errors.Is(err, ErrOversize) {
+			t.Errorf("AppendEncode of an oversize %s = %v, want ErrOversize", name, err)
+		}
 	}
 }
 
