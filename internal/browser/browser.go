@@ -52,10 +52,9 @@ type Directory struct {
 	entries map[string]*dirEntry
 
 	// journal, when attached via SetJournal, receives a logical record
-	// for every registration and withdrawal (see durable.go). applyMu is
-	// held across each append and its apply, and by JournalSnapshot.
+	// for every registration and withdrawal and orders each with its
+	// apply (see durable.go).
 	journal *journal.Journal
-	applyMu sync.Mutex
 
 	log     *obs.Logger
 	metrics dirMetrics
@@ -124,47 +123,50 @@ func (d *Directory) Register(sid *sidl.SID, r ref.ServiceRef) error {
 	if err := r.Check(); err != nil {
 		return fmt.Errorf("browser: register %s: %w", sid.ServiceName, err)
 	}
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
-	if d.journal != nil {
-		// WAL-first, after validation: the log carries no rejected
-		// registrations, and a crash after the append replays the upsert.
+	// WAL-first, after validation: the log carries no rejected
+	// registrations, and a crash after the append replays the upsert.
+	if _, err := d.journal.Commit(func(dst []byte) ([]byte, error) {
 		text, err := sid.MarshalText()
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadSID, err)
+			return nil, fmt.Errorf("%w: %v", ErrBadSID, err)
 		}
-		if err := d.journalAppend(&dirRecord{Op: opRegister, Name: sid.ServiceName, SIDL: string(text), Ref: r.String()}); err != nil {
-			return err
-		}
+		return appendRecord(dst, &dirRecord{Op: opRegister, Name: sid.ServiceName, SIDL: string(text), Ref: r.String()})
+	}, func() error {
+		d.put(sid, r)
+		return nil
+	}); err != nil {
+		return err
 	}
-	d.mu.Lock()
-	d.entries[sid.ServiceName] = &dirEntry{
-		entry:    Entry{Name: sid.ServiceName, SID: sid, Ref: r},
-		keywords: sid.Keywords(),
-	}
-	d.mu.Unlock()
 	d.metrics.registrations.Inc()
 	d.log.Log(nil, "register", "service", sid.ServiceName, "ref", r.String())
 	return nil
 }
 
-// Withdraw removes a registration.
+// Withdraw removes a registration. Of concurrent withdrawals of one
+// name exactly one succeeds, and only a registered name's withdrawal is
+// journalled: with a journal the check, the append and the removal are
+// one write-ahead step, so the check before the append holds; without
+// one the removal checks again under the directory's lock.
 func (d *Directory) Withdraw(name string) error {
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
-	d.mu.RLock()
-	_, ok := d.entries[name]
-	d.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotRegistered, name)
-	}
-	// WAL-first, for known names only.
-	if err := d.journalAppend(&dirRecord{Op: opWithdraw, Name: name}); err != nil {
+	if _, err := d.journal.Commit(func(dst []byte) ([]byte, error) {
+		d.mu.RLock()
+		_, ok := d.entries[name]
+		d.mu.RUnlock()
+		if !ok {
+			return nil, notRegistered(name)
+		}
+		return appendRecord(dst, &dirRecord{Op: opWithdraw, Name: name})
+	}, func() error {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if _, ok := d.entries[name]; !ok {
+			return notRegistered(name)
+		}
+		delete(d.entries, name)
+		return nil
+	}); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	delete(d.entries, name)
-	d.mu.Unlock()
 	d.metrics.withdrawals.Inc()
 	d.log.Log(nil, "withdraw", "service", name)
 	return nil
@@ -177,10 +179,12 @@ func (d *Directory) Get(name string) (Entry, error) {
 	defer d.mu.RUnlock()
 	e, ok := d.entries[name]
 	if !ok {
-		return Entry{}, fmt.Errorf("%w: %q", ErrNotRegistered, name)
+		return Entry{}, notRegistered(name)
 	}
 	return e.entry, nil
 }
+
+func notRegistered(name string) error { return fmt.Errorf("%w: %q", ErrNotRegistered, name) }
 
 // Names returns all registered service names, sorted.
 func (d *Directory) Names() []string {

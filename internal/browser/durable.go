@@ -7,10 +7,12 @@ package browser
 // encoded by the binder every RPC uses. SIDs persist as canonical SIDL
 // text — the communicable form of section 4.1 — so a recovered entry is
 // the re-parsed canonical description (comments in the provider's
-// original source are not retained). Append and apply share one lock,
-// applyMu, which JournalSnapshot takes too: a snapshot never misses a
-// record its watermark covers, and the directory applies records in
-// log order.
+// original source are not retained). The journal orders the writes
+// (see internal/journal): a registration or withdrawal is one
+// journal.Commit — encode, append, apply — and JournalSnapshot runs
+// under the same write lock, so a snapshot never misses a record its
+// watermark covers and the directory applies records in log order. The
+// directory holds no lock of its own across a journal call.
 
 import (
 	"fmt"
@@ -59,26 +61,14 @@ type dirSnapshot struct {
 // serving.
 func (d *Directory) SetJournal(j *journal.Journal) { d.journal = j }
 
-// journalAppend appends r, if a journal is attached; the caller holds
-// applyMu and applies r after it.
-func (d *Directory) journalAppend(r *dirRecord) error {
-	if d.journal == nil {
-		return nil
-	}
-	payload, err := xcode.AppendEncode(nil, journalTypes().record, r)
-	if err == nil {
-		_, err = d.journal.Append(payload)
-	}
-	if err != nil {
-		return fmt.Errorf("browser: journal: %w", err)
-	}
-	return nil
+// appendRecord is a journal.Commit encode step: r, appended to dst.
+func appendRecord(dst []byte, r *dirRecord) ([]byte, error) {
+	return xcode.AppendEncode(dst, journalTypes().record, r)
 }
 
-// JournalSnapshot serialises the directory for journal compaction.
+// JournalSnapshot serialises the directory for journal compaction; the
+// attached journal calls it under its write lock.
 func (d *Directory) JournalSnapshot() ([]byte, error) {
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var snap dirSnapshot
@@ -143,11 +133,16 @@ func (d *Directory) applyRegister(sidlText, refText string) error {
 	if err != nil {
 		return err
 	}
+	d.put(sid, r)
+	return nil
+}
+
+// put upserts a registration: the effect of a register record.
+func (d *Directory) put(sid *sidl.SID, r ref.ServiceRef) {
 	d.mu.Lock()
 	d.entries[sid.ServiceName] = &dirEntry{
 		entry:    Entry{Name: sid.ServiceName, SID: sid, Ref: r},
 		keywords: sid.Keywords(),
 	}
 	d.mu.Unlock()
-	return nil
 }

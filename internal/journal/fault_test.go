@@ -129,14 +129,23 @@ func TestRewindToSnapshotReplacesDivergentTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A plain install refuses to rewind below the local tail...
-	if err := j.InstallSnapshot([]byte("SNAP"), 3); err == nil {
-		t.Fatal("InstallSnapshot rewound the log")
+	// A plain install refuses to rewind below the local tail, and
+	// leaves the state alone...
+	restored := 0
+	restore := func() error { restored++; return nil }
+	if err := j.Install([]byte("SNAP"), 3, false, restore); err == nil {
+		t.Fatal("Install rewound the log unasked")
+	}
+	if restored != 0 {
+		t.Fatal("a refused install restored the state")
 	}
 	// ...the rejoin path replaces the log wholesale, divergent tail and
 	// all, snapping the sequence back to the snapshot watermark.
-	if err := j.RewindToSnapshot([]byte("SNAP"), 3); err != nil {
+	if err := j.Install([]byte("SNAP"), 3, true, restore); err != nil {
 		t.Fatal(err)
+	}
+	if restored != 1 {
+		t.Fatalf("install restored the state %d times, want 1", restored)
 	}
 	if seq, err := j.Append([]byte("x")); err != nil || seq != 4 {
 		t.Fatalf("append after rewind = %d, %v", seq, err)

@@ -11,22 +11,34 @@
 // snapshot payload (supplied by the caller, installed atomically via
 // rename) and deletes the covered segments.
 //
+// The journal owns the write-ahead order of the state it keeps durable:
+// one write lock makes each of these a step nothing interleaves with —
+// a record's encode, append and apply (Commit; CommitAt on a follower),
+// the state fold of a cut (Compact; Cut, for shipping to a follower),
+// and a snapshot install with the state restore (Install). So the state
+// applies records in log order, and a snapshot is the state at exactly
+// its watermark. Lock order: compactMu (one
+// snapshot-file writer: Compact, Install) → the write lock → mu (the
+// log's bookkeeping). The caller's functions run under the write lock
+// and must not call back into the journal; a caller holds no lock of
+// its own across a journal call.
+//
 // Recovery is the reverse path: Open loads the latest valid snapshot,
 // streams every record past its watermark to the caller's replay
 // function, and truncates the log at the first torn or corrupt record —
 // a crash mid-append loses at most the unsynced tail, never the
 // records before it. Replayed records must be idempotent state setters
 // (a re-inserted offer overwrites itself, a withdraw of an absent ID is
-// a no-op): compaction snapshots may be slightly newer than their
-// watermark, so a handful of records spanning the snapshot instant are
-// replayed over state that already includes them.
+// a no-op): a caller may apply an effect before it journals it (the
+// trader's type definitions and lease purges do), which leaves a
+// snapshot cut in between ahead of its watermark.
 //
 // Lifecycle:
 //
 //	j, err := journal.Open(dir, opts)      // scan, pick snapshot, seal tail
 //	err = j.Recover(store)                 // restore, replay, start, attach, compact
 //	...
-//	seq, err := j.Append(payload)
+//	seq, err := j.Commit(encode, apply)
 //	...
 //	j.Close()                              // final flush + fsync
 //
@@ -172,9 +184,9 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Journal is a single-writer write-ahead log over one directory. Append
-// and Sync are safe for concurrent use; Open/Replay/Start follow the
-// lifecycle documented on the package.
+// Journal is a write-ahead log over one directory. Commit, Append,
+// CommitAt, Install, Compact, Cut and Sync are safe for concurrent use;
+// Open/Replay/Start follow the lifecycle documented on the package.
 type Journal struct {
 	dir      string
 	opts     Options
@@ -217,10 +229,13 @@ type Journal struct {
 	hasSnap     bool
 	segments    []segmentInfo // sorted by start sequence
 
-	// compactMu serializes whole compaction passes (the background
-	// compactor and manual Compact calls must not race on the snapshot
-	// temp file).
+	// compactMu serializes the passes that write the snapshot file
+	// (Compact, Install); writeMu orders the write-ahead steps (see the
+	// package doc) and guards rec, Commit's record buffer. Lock order:
+	// compactMu → writeMu → mu.
 	compactMu sync.Mutex
+	writeMu   sync.Mutex
+	rec       []byte
 
 	// notify is closed (and reset to nil) whenever the sequence advances
 	// or the journal closes, waking WaitFor blockers; lazily allocated by
@@ -632,7 +647,8 @@ type Store interface {
 	RestoreSnapshot(payload []byte) error
 	// ReplayRecord applies one logged record; it must be idempotent.
 	ReplayRecord(seq uint64, payload []byte) error
-	// JournalSnapshot folds the current state into a snapshot payload.
+	// JournalSnapshot folds the current state into a snapshot payload;
+	// the journal calls it under its write lock (Compact, Cut).
 	JournalSnapshot() ([]byte, error)
 	// SetJournal attaches the started journal: mutations append from
 	// here on.
@@ -740,37 +756,65 @@ func (j *Journal) openSegmentLocked(startSeq uint64) error {
 	return nil
 }
 
-// Append writes one logical record and returns its sequence number.
-// Under FsyncAlways the record is on stable storage when Append
-// returns; under the other policies it is durable after the next sync.
-func (j *Journal) Append(payload []byte) (uint64, error) {
-	return j.append(0, payload)
+// Commit is one step of the write-ahead order: encode appends a record
+// to dst (a buffer the journal reuses), the journal appends it under
+// the next sequence number — on stable storage first under FsyncAlways
+// — then apply runs its effect (nil: one already in place). An encode
+// or append failure leaves apply unrun. On a nil journal Commit runs
+// apply alone and never calls encode.
+func (j *Journal) Commit(encode func(dst []byte) ([]byte, error), apply func() error) (uint64, error) {
+	if j == nil {
+		return 0, run(apply)
+	}
+	j.writeMu.Lock()
+	defer j.writeMu.Unlock()
+	rec, err := encode(j.rec[:0])
+	if err != nil {
+		return 0, err
+	}
+	j.rec = rec
+	seq, err := j.append(0, rec)
+	if err != nil {
+		return 0, err
+	}
+	return seq, run(apply)
 }
 
-// AppendAt writes one record under an explicit sequence number — the
+// CommitAt is Commit under an explicit sequence number — the
 // replication apply path, where a follower persists records with the
 // sequence numbers the leader assigned. seq must exceed the journal's
 // last sequence number; gaps are allowed (a snapshot install leaps the
 // sequence forward past compacted history).
-func (j *Journal) AppendAt(seq uint64, payload []byte) error {
-	_, err := j.append(seq, payload)
-	return err
+func (j *Journal) CommitAt(seq uint64, payload []byte, apply func() error) error {
+	if j == nil {
+		return run(apply)
+	}
+	j.writeMu.Lock()
+	defer j.writeMu.Unlock()
+	if _, err := j.append(seq, payload); err != nil {
+		return err
+	}
+	return run(apply)
 }
 
-// append is the shared core of Append (at==0: assign the next sequence
-// number) and AppendAt (at>0: use the caller's).
+// Append is Commit without an effect.
+func (j *Journal) Append(payload []byte) (uint64, error) {
+	return j.Commit(func(dst []byte) ([]byte, error) { return append(dst, payload...), nil }, nil)
+}
+
+// run calls f, a caller's effect; nil is none.
+func run(f func() error) error {
+	if f == nil {
+		return nil
+	}
+	return f()
+}
+
+// append writes one framed record under the next sequence number
+// (at==0) or the caller's (at>0); the caller holds writeMu.
 func (j *Journal) append(at uint64, payload []byte) (uint64, error) {
 	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if !j.started {
-		j.mu.Unlock()
-		return 0, ErrNotStarted
-	}
-	if j.failed != nil {
-		err := fmt.Errorf("%w: %v", ErrFailStop, j.failed)
+	if err := j.writableLocked(); err != nil {
 		j.mu.Unlock()
 		return 0, err
 	}
@@ -778,7 +822,7 @@ func (j *Journal) append(at uint64, payload []byte) (uint64, error) {
 	if at > 0 {
 		if at <= j.seq {
 			j.mu.Unlock()
-			return 0, fmt.Errorf("journal: AppendAt seq %d not past last seq %d", at, j.seq)
+			return 0, fmt.Errorf("journal: CommitAt seq %d not past last seq %d", at, j.seq)
 		}
 		seq = at
 	}
@@ -961,68 +1005,37 @@ func readSegmentFrom(path string, afterSeq uint64, max int, out *[]Record) (done
 	}
 }
 
-// InstallSnapshot replaces the journal's history with a snapshot
-// received from a replication leader: the payload becomes the local
-// compaction snapshot with watermark seq, the sequence number leaps
-// forward to seq, and every existing segment (all of whose records the
-// snapshot now covers) is deleted. seq must be at or past the last
-// local sequence number — a follower only installs snapshots to jump
-// *over* compacted history, never to rewind. The caller is the single
-// writer (the follower apply loop), per the journal's contract.
-func (j *Journal) InstallSnapshot(payload []byte, seq uint64) error {
-	return j.installSnapshot(payload, seq, false)
-}
-
-// RewindToSnapshot installs a leader snapshot that is allowed to land
-// *behind* the local tail — the rejoin path of a deposed leader, whose
-// journal may hold a divergent suffix of records it acknowledged to no
-// one and that the elected leader's history does not contain. The local
-// log is replaced wholesale: the divergent tail is discarded with the
-// rest of the covered history, and the sequence number snaps to the
-// snapshot watermark.
-func (j *Journal) RewindToSnapshot(payload []byte, seq uint64) error {
-	return j.installSnapshot(payload, seq, true)
-}
-
-func (j *Journal) installSnapshot(payload []byte, seq uint64, allowRewind bool) error {
+// Install replaces the log and the state with a replication leader's
+// snapshot, as one step of the write-ahead order: the payload becomes
+// the snapshot at watermark seq, every segment is deleted, the sequence
+// number moves to seq, and restore replaces the state. seq must not be
+// behind the local tail unless rewind is set — the rejoin of a deposed
+// leader, whose divergent tail, acknowledged to no one, goes with the
+// rest. On a nil journal Install runs restore alone.
+func (j *Journal) Install(payload []byte, seq uint64, rewind bool, restore func() error) error {
 	if j == nil {
-		return nil
+		return run(restore)
 	}
 	j.compactMu.Lock()
 	defer j.compactMu.Unlock()
+	j.writeMu.Lock()
+	defer j.writeMu.Unlock()
 	j.mu.Lock()
-	if j.closed || !j.started {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	if j.failed != nil {
-		err := fmt.Errorf("%w: %v", ErrFailStop, j.failed)
-		j.mu.Unlock()
-		return err
-	}
-	if seq < j.seq && !allowRewind {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: snapshot watermark %d behind last seq %d", seq, j.seq)
+	err := j.writableLocked()
+	if err == nil && seq < j.seq && !rewind {
+		err = fmt.Errorf("journal: snapshot watermark %d behind last seq %d", seq, j.seq)
 	}
 	j.mu.Unlock()
-
-	if err := j.fault(FaultSnapshot); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	tmp := filepath.Join(j.dir, snapTempName)
-	if err := os.WriteFile(tmp, encodeSnapshot(payload, seq), 0o644); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	if err := syncFile(tmp); err != nil {
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
-		return fmt.Errorf("journal: install snapshot: %w", err)
+	if err := j.writeSnapshot(payload, seq); err != nil {
+		return err
 	}
 
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
+		j.mu.Unlock()
 		return ErrClosed
 	}
 	old := j.segments
@@ -1041,10 +1054,26 @@ func (j *Journal) installSnapshot(payload []byte, seq uint64, allowRewind bool) 
 	j.snapSeq, j.seq = seq, seq
 	j.snapLive = true
 	j.sinceSnap = 0
-	if err := j.openSegmentLocked(seq + 1); err != nil {
+	err = j.openSegmentLocked(seq + 1)
+	j.notifyLocked()
+	j.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	j.notifyLocked()
+	return run(restore)
+}
+
+// writableLocked reports why the log takes no write now; the caller
+// holds j.mu.
+func (j *Journal) writableLocked() error {
+	switch {
+	case j.closed:
+		return ErrClosed
+	case !j.started:
+		return ErrNotStarted
+	case j.failed != nil:
+		return fmt.Errorf("%w: %v", ErrFailStop, j.failed)
+	}
 	return nil
 }
 
@@ -1156,7 +1185,7 @@ func (j *Journal) Failed() error {
 // syncLoop is the FsyncInterval background ticker. A failed background
 // sync is never discarded: syncLocked bumps
 // cosm_journal_fsync_errors_total and latches the journal fail-stop,
-// and Sync delivers the OnFault notification — the next Append returns
+// and Sync delivers the OnFault notification — the next Commit returns
 // ErrFailStop instead of acknowledging a record the disk may not hold.
 func (j *Journal) syncLoop() {
 	defer j.bg.Done()
@@ -1188,65 +1217,21 @@ func (j *Journal) compactLoop() {
 	}
 }
 
-// Compact folds the log into a snapshot: it rotates to a fresh
-// segment, records the watermark, asks the snapshot function for the
-// current state, installs the snapshot atomically (write temp, fsync,
-// rename), and deletes every segment fully covered by the watermark.
-// The snapshot may include mutations newer than the watermark; replay
-// over it is idempotent by the package contract.
+// Compact folds the log into a snapshot: it syncs and rotates to a
+// fresh segment, folds the state at exactly that watermark (the cut),
+// installs the snapshot atomically, and deletes every segment fully
+// covered by the watermark.
 func (j *Journal) Compact() error {
 	j.compactMu.Lock()
 	defer j.compactMu.Unlock()
-	j.mu.Lock()
-	if j.closed || !j.started {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	fn := j.snapshotFn
-	if fn == nil {
-		j.mu.Unlock()
-		return errors.New("journal: no snapshot function")
-	}
-	// Seal the watermark: everything ≤ seq will be covered. Rotate so
-	// later appends land in a segment the cleanup below keeps, and sync
-	// the sealed segment — the snapshot must never be the only copy of
-	// records the log acknowledged but left in the page cache.
-	if err := j.syncLocked(); err != nil {
-		j.mu.Unlock()
-		j.flushFaultNotify()
+	payload, watermark, err := j.cut(true)
+	if err != nil {
 		return err
 	}
-	watermark := j.seq
-	// An empty append segment needs no rotation (and rotating would
-	// recreate its own name): it already holds no record ≤ watermark.
-	if j.segSize > int64(len(segMagic)) {
-		if err := j.openSegmentLocked(j.seq + 1); err != nil {
-			j.mu.Unlock()
-			return err
-		}
-	}
-	j.sinceSnap = 0
-	j.mu.Unlock()
-
-	payload, err := fn()
-	if err != nil {
-		return fmt.Errorf("journal: snapshot state: %w", err)
-	}
-
 	// A failed snapshot write does not latch: the log remains the
 	// authoritative copy and compaction is simply retried later.
-	if err := j.fault(FaultSnapshot); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	tmp := filepath.Join(j.dir, snapTempName)
-	if err := os.WriteFile(tmp, encodeSnapshot(payload, watermark), 0o644); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	if err := syncFile(tmp); err != nil {
+	if err := j.writeSnapshot(payload, watermark); err != nil {
 		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
-		return fmt.Errorf("journal: install snapshot: %w", err)
 	}
 	j.m.compactions.Inc()
 
@@ -1270,6 +1255,77 @@ func (j *Journal) Compact() error {
 	return nil
 }
 
+// Cut folds the state into a snapshot payload for a replication
+// follower and returns it with its watermark: the state at exactly that
+// sequence number. A nil journal has none (ErrNotStarted).
+func (j *Journal) Cut() ([]byte, uint64, error) {
+	if j == nil {
+		return nil, 0, ErrNotStarted
+	}
+	return j.cut(false)
+}
+
+// cut reads the watermark and folds the state under the write lock.
+// seal (compaction) first syncs the log — the snapshot must never be
+// the only copy of records left in the page cache — and rotates, so
+// later appends land in a segment the cleanup keeps.
+func (j *Journal) cut(seal bool) ([]byte, uint64, error) {
+	j.writeMu.Lock()
+	defer j.writeMu.Unlock()
+	j.mu.Lock()
+	if j.closed || !j.started {
+		j.mu.Unlock()
+		return nil, 0, ErrClosed
+	}
+	fn := j.snapshotFn
+	if fn == nil {
+		j.mu.Unlock()
+		return nil, 0, errors.New("journal: no snapshot function")
+	}
+	if seal {
+		if err := j.syncLocked(); err != nil {
+			j.mu.Unlock()
+			j.flushFaultNotify()
+			return nil, 0, err
+		}
+		// An empty append segment needs no rotation (and rotating would
+		// recreate its own name): it already holds no record ≤ watermark.
+		if j.segSize > int64(len(segMagic)) {
+			if err := j.openSegmentLocked(j.seq + 1); err != nil {
+				j.mu.Unlock()
+				return nil, 0, err
+			}
+		}
+		j.sinceSnap = 0
+	}
+	watermark := j.seq
+	j.mu.Unlock()
+	payload, err := fn()
+	if err != nil {
+		return nil, 0, fmt.Errorf("journal: snapshot state: %w", err)
+	}
+	return payload, watermark, nil
+}
+
+// writeSnapshot installs payload at watermark seq as the snapshot file
+// (write temp, fsync, rename); the caller holds compactMu.
+func (j *Journal) writeSnapshot(payload []byte, seq uint64) error {
+	if err := j.fault(FaultSnapshot); err != nil {
+		return fmt.Errorf("journal: snapshot: %w", err)
+	}
+	tmp := filepath.Join(j.dir, snapTempName)
+	if err := os.WriteFile(tmp, encodeSnapshot(payload, seq), 0o644); err != nil {
+		return fmt.Errorf("journal: snapshot: %w", err)
+	}
+	if err := syncFile(tmp); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
+		return fmt.Errorf("journal: install snapshot: %w", err)
+	}
+	return nil
+}
+
 func syncFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1282,8 +1338,12 @@ func syncFile(path string) error {
 	return nil
 }
 
-// Stats returns a snapshot of the journal's bookkeeping.
+// Stats returns a snapshot of the journal's bookkeeping (zero for a nil
+// journal).
 func (j *Journal) Stats() Stats {
+	if j == nil {
+		return Stats{}
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Stats{

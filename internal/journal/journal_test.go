@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -809,19 +810,27 @@ func TestWaitFor(t *testing.T) {
 	}
 }
 
-// TestAppendAt covers the follower apply path: explicit sequence
-// numbers, gap tolerance, and the monotonicity guard.
+// TestAppendAt covers the follower apply path, CommitAt: explicit
+// sequence numbers, gap tolerance, and the monotonicity guard — a
+// refused record is not applied either.
 func TestAppendAt(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openStarted(t, dir, Options{Fsync: FsyncAlways})
-	if err := j.AppendAt(5, []byte("five")); err != nil {
+	var applied []string
+	commitAt := func(seq uint64, p string) error {
+		return j.CommitAt(seq, []byte(p), func() error { applied = append(applied, p); return nil })
+	}
+	if err := commitAt(5, "five"); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendAt(3, []byte("stale")); err == nil {
-		t.Fatal("AppendAt must reject non-monotonic sequence numbers")
+	if err := commitAt(3, "stale"); err == nil {
+		t.Fatal("CommitAt must reject non-monotonic sequence numbers")
 	}
-	if err := j.AppendAt(9, []byte("nine")); err != nil {
+	if err := commitAt(9, "nine"); err != nil {
 		t.Fatal(err)
+	}
+	if got := strings.Join(applied, " "); got != "five nine" {
+		t.Fatalf("applied %q, want the two accepted records", got)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -850,17 +859,17 @@ func TestInstallSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.InstallSnapshot([]byte("leader-state"), 2); err == nil {
-		t.Fatal("InstallSnapshot must reject a watermark behind the local log")
+	if err := j.Install([]byte("leader-state"), 2, false, nil); err == nil {
+		t.Fatal("Install must reject a watermark behind the local log")
 	}
-	if err := j.InstallSnapshot([]byte("leader-state"), 100); err != nil {
+	if err := j.Install([]byte("leader-state"), 100, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := j.Stats()
 	if st.LastSeq != 100 || st.SnapshotSeq != 100 {
 		t.Fatalf("Stats after install = %+v", st)
 	}
-	if err := j.AppendAt(101, []byte("tail")); err != nil {
+	if err := j.CommitAt(101, []byte("tail"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -1007,4 +1016,158 @@ func FuzzJournalOpen(f *testing.F) {
 			t.Fatalf("recovered %q, then appended %q: reopened to %q", first, x, second)
 		}
 	})
+}
+
+// counterStore is a fake state for the write-ahead order: a counter
+// that every committed record increments, folded into snapshots as its
+// decimal text. It takes no lock of its own — the journal's write lock
+// is the only thing ordering its applies and folds, so the race
+// detector sees any step the journal fails to order.
+type counterStore struct {
+	n       int
+	journal *Journal
+}
+
+func (s *counterStore) RestoreSnapshot(p []byte) error {
+	n, err := strconv.Atoi(string(p))
+	s.n = n
+	return err
+}
+func (s *counterStore) ReplayRecord(uint64, []byte) error { s.n++; return nil }
+func (s *counterStore) JournalSnapshot() ([]byte, error)  { return []byte(strconv.Itoa(s.n)), nil }
+func (s *counterStore) SetJournal(j *Journal)             { s.journal = j }
+
+// TestCommitOrdersWithCuts: writers Commit records whose apply bumps a
+// counter while compactions and cuts run. Each record applies in log
+// order (the counter after its apply is its sequence number), and each
+// snapshot — the one Cut returns and the one Compact installs — holds
+// the counter at exactly its watermark. A second boot recovers every
+// committed record.
+func TestCommitOrdersWithCuts(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{Fsync: FsyncNever, SegmentSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &counterStore{}
+	if err := j.Recover(s); err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 200
+	checkSnap := func(payload []byte, watermark uint64) {
+		if got := string(payload); got != strconv.FormatUint(watermark, 10) {
+			t.Errorf("snapshot at watermark %d holds counter %s", watermark, got)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				var after int
+				seq, err := j.Commit(
+					func(dst []byte) ([]byte, error) { return append(dst, "inc"...), nil },
+					func() error { s.n++; after = s.n; return nil })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if uint64(after) != seq {
+					t.Errorf("record %d applied as the counter's step %d", seq, after)
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var cutters sync.WaitGroup
+	cutters.Add(2)
+	go func() {
+		defer cutters.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := j.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+			// Only this goroutine writes the snapshot file.
+			raw, err := os.ReadFile(filepath.Join(dir, snapName))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			payload, watermark, err := decodeSnapshot(raw)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			checkSnap(payload, watermark)
+		}
+	}()
+	go func() {
+		defer cutters.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			payload, watermark, err := j.Cut()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			checkSnap(payload, watermark)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	cutters.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	s2 := &counterStore{}
+	if err := j2.Recover(s2); err != nil {
+		t.Fatal(err)
+	}
+	if s2.n != writers*perWriter {
+		t.Fatalf("recovered counter %d, committed %d records", s2.n, writers*perWriter)
+	}
+}
+
+// TestNilJournalRunsEffectsOnly: a store without a journal goes through
+// the same calls, which apply and restore without encoding anything.
+func TestNilJournalRunsEffectsOnly(t *testing.T) {
+	var j *Journal
+	encode := func([]byte) ([]byte, error) {
+		t.Fatal("a nil journal encoded a record")
+		return nil, nil
+	}
+	ran := 0
+	effect := func() error { ran++; return nil }
+	if seq, err := j.Commit(encode, effect); seq != 0 || err != nil {
+		t.Fatalf("Commit = %d, %v", seq, err)
+	}
+	if err := j.CommitAt(7, []byte("x"), effect); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Install([]byte("snap"), 7, false, effect); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 3 {
+		t.Fatalf("effects ran %d times, want 3", ran)
+	}
+	if _, _, err := j.Cut(); err == nil {
+		t.Fatal("a nil journal cut a snapshot")
+	}
 }

@@ -252,7 +252,7 @@ func (c *Cell) runMonitor(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		if c.t.journalFailed() {
+		if c.t.journal.Failed() != nil {
 			// Fail-stopped disk: this node can neither lead nor vote
 			// itself forward; it sheds until an operator replaces it.
 			continue
@@ -262,7 +262,7 @@ func (c *Cell) runMonitor(ctx context.Context) {
 			continue
 		}
 		if c.suspectNow() {
-			c.t.event("suspect", "node", c.id, "misses", strconv.Itoa(int(c.misses.Load())))
+			c.t.event(ctx, "suspect", "node", c.id, "misses", strconv.Itoa(int(c.misses.Load())))
 			// Decorrelate rival candidacies: followers detect a dead
 			// leader together (their pulls fail together), and rivals
 			// standing together split every vote round on the per-epoch
@@ -297,8 +297,7 @@ func (c *Cell) suspectNow() bool {
 // vote round, granting the new link a fresh grace period.
 func (c *Cell) follow(ctx context.Context, leaderRef string) {
 	c.t.metrics.elections.With("relocated").Inc()
-	c.t.event("relocate", "leader", leaderRef)
-	c.t.log.Log(ctx, "election_relocate", "leader", leaderRef)
+	c.t.event(ctx, "relocate", "leader", leaderRef)
 	c.repl.setLeaderHint(leaderRef)
 	c.resetHealth()
 }
@@ -381,8 +380,8 @@ func (c *Cell) leaderScan(ctx context.Context) {
 		return
 	}
 	c.t.metrics.elections.With("deposed").Inc()
-	c.t.event("deposed", "winner", ref, "epoch", strconv.FormatUint(epoch, 10))
-	c.t.log.Log(ctx, "election_deposed", "winner", ref, "epoch", epoch, "own_epoch", cur)
+	c.t.event(ctx, "deposed", "winner", ref, "epoch", strconv.FormatUint(epoch, 10),
+		"own_epoch", strconv.FormatUint(cur, 10))
 	c.t.DemoteRejoin(ref)
 	c.resetHealth()
 }
@@ -415,7 +414,7 @@ func (c *Cell) electionRound(ctx context.Context) {
 		c.t.logVotePersist(ctx, target, err)
 		return
 	}
-	c.t.event("candidacy", "candidate", c.id,
+	c.t.event(ctx, "candidacy", "candidate", c.id,
 		"epoch", strconv.FormatUint(target, 10),
 		"applied", strconv.FormatUint(applied, 10),
 		"tail_epoch", strconv.FormatUint(tail, 10))
@@ -451,9 +450,8 @@ func (c *Cell) electionRound(ctx context.Context) {
 			return
 		}
 		c.t.metrics.elections.With("won").Inc()
-		c.t.event("election_won", "epoch", strconv.FormatUint(target, 10),
+		c.t.event(ctx, "election_won", "epoch", strconv.FormatUint(target, 10),
 			"votes", strconv.Itoa(votes), "quorum", strconv.Itoa(quorum))
-		c.t.log.Log(ctx, "election_won", "epoch", target, "votes", votes, "quorum", quorum)
 		c.resetHealth()
 		if c.cfg.OnPromote != nil {
 			c.cfg.OnPromote(target)
@@ -464,9 +462,8 @@ func (c *Cell) electionRound(ctx context.Context) {
 		// one epoch higher each round.
 		c.t.logVotePersist(ctx, maxPledge, c.repl.adoptVoteEpoch(maxPledge))
 		c.t.metrics.elections.With("lost").Inc()
-		c.t.event("election_lost", "epoch", strconv.FormatUint(target, 10),
+		c.t.event(ctx, "election_lost", "epoch", strconv.FormatUint(target, 10),
 			"votes", strconv.Itoa(votes), "quorum", strconv.Itoa(quorum))
-		c.t.log.Log(ctx, "election_lost", "epoch", target, "votes", votes, "quorum", quorum)
 	}
 }
 

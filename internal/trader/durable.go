@@ -14,16 +14,16 @@ package trader
 // (ReplayRecord) and replication (ApplyBatch) decode a record and apply
 // it. Live, recovered and replicated state agree by construction.
 //
-// Ordering discipline: offer mutations are journalled before they are
-// applied (classic WAL — a crash may lose the in-memory effect but
-// never the record), after validation has passed so the log carries no
-// rejected operations, and under one lock with the apply, so the log's
-// order is the store's. Type mutations validate-and-apply inside the
-// repo, then journal; a lease purge applies first and is journalled
-// only when it reclaimed something. All records are idempotent state
-// setters: a compaction snapshot may be slightly newer than its
-// watermark, so the records spanning the snapshot instant replay over
-// state that already contains them.
+// Ordering discipline: the journal owns it (see internal/journal). An
+// offer mutation is one journal.Commit — encode its record, append,
+// apply — after validation has passed, so the log carries no rejected
+// operations and the store applies records in log order; a follower's
+// record is one CommitAt and its snapshot install one Install. The
+// trader holds no lock of its own across a journal call. Type
+// mutations validate-and-apply inside the repo, then journal; a lease
+// purge applies first and is journalled only when it reclaimed
+// something. Those two can leave a snapshot ahead of its watermark, so
+// every record is an idempotent state setter.
 
 import (
 	"errors"
@@ -123,67 +123,44 @@ func (r *walRecord) mutation() (*core.Mutation, error) {
 // journal, so the mutation was not applied either.
 var errJournalAppend = errors.New("trader: journal")
 
-// commit makes one validated mutation durable and visible: append its
-// record to the attached journal, apply it, and — when synchronous
-// replication is configured — block until enough followers
-// acknowledged the record's sequence number. Append and apply run
-// under the apply lock, exclusively: a concurrent snapshot can never
-// capture a state that is missing a journalled record (the snapshot
-// contract allows state ahead of the watermark — replay is idempotent
-// — never behind it), and two mutations apply in the order they were
-// journalled, which is the order recovery and every follower replay
-// them in. The replication wait happens after the lock is released —
-// it can take seconds, and a snapshot (or a bootstrapping follower's
-// pull, whose ack is what the wait is for) must not block on it. The
-// applied offers are returned even when the wait fails: the mutation
-// is in the log and in the store by then.
+// commit makes one validated mutation durable and visible: one
+// journal.Commit encodes its record (only when a journal is attached),
+// appends it and applies the mutation. The replication wait comes after
+// the commit: it can take seconds, and a snapshot (or a bootstrapping
+// follower's pull, whose ack is what the wait is for) must not block on
+// it. The applied offers are returned even when the wait fails: the
+// mutation is in the log and in the store by then.
 func (t *Trader) commit(m *core.Mutation) ([]*Offer, error) {
-	if t.journal == nil {
-		return t.core.Apply(m), nil
-	}
-	epoch := t.Epoch()
-	t.applyMu.Lock()
-	seq, err := t.appendLocked(recordOf(m))
-	if err != nil {
-		t.applyMu.Unlock()
-		return nil, err
-	}
-	applied := t.core.Apply(m)
-	t.applyMu.Unlock()
-	return applied, t.waitReplicated(seq, epoch)
+	var applied []*Offer
+	err := t.record(func() *walRecord { return recordOf(m) },
+		func() error { applied = t.core.Apply(m); return nil }, true)
+	return applied, err
 }
 
-// journalRecord appends a record whose effect is already in place — a
+// journalRecord journals a record whose effect is already in place — a
 // type definition or removal the repo validated and applied, a purge
 // that reclaimed something — and waits for replication like commit.
 func (t *Trader) journalRecord(r *walRecord) error {
-	if t.journal == nil {
-		return nil
-	}
-	epoch := t.Epoch()
-	t.applyMu.Lock()
-	seq, err := t.appendLocked(r)
-	t.applyMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return t.waitReplicated(seq, epoch)
+	return t.record(func() *walRecord { return r }, nil, true)
 }
 
-// appendLocked encodes r into the record buffer, which the journal does
-// not keep, and appends it. The caller holds applyMu, which the buffer
-// is reused under.
-func (t *Trader) appendLocked(r *walRecord) (uint64, error) {
-	buf, err := xcode.AppendEncode(t.recordBuf[:0], journalTypes().record, r)
+// record commits the record rec builds, then apply, through the
+// attached journal (without one, apply alone, and rec is never called);
+// with wait set it then blocks, when synchronous replication is
+// configured, until enough followers acknowledged the record under the
+// epoch it was committed in.
+func (t *Trader) record(rec func() *walRecord, apply func() error, wait bool) error {
+	epoch := t.Epoch()
+	seq, err := t.journal.Commit(func(dst []byte) ([]byte, error) {
+		return xcode.AppendEncode(dst, journalTypes().record, rec())
+	}, apply)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %w", errJournalAppend, err)
+		return fmt.Errorf("%w: %w", errJournalAppend, err)
 	}
-	t.recordBuf = buf
-	seq, err := t.journal.Append(buf)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", errJournalAppend, err)
+	if !wait {
+		return nil
 	}
-	return seq, nil
+	return t.waitReplicated(seq, epoch)
 }
 
 // traderSnapshot is the compaction snapshot, Snapshot_t: the full offer
@@ -216,8 +193,7 @@ func (t *Trader) SetJournal(j *journal.Journal) {
 		// promotes a healthy replica.
 		j.SetOnFault(func(err error) {
 			t.repl.follower.Store(true)
-			t.event("journal_failstop", "err", err.Error())
-			t.log.Log(nil, "journal_failstop", "err", err.Error())
+			t.event(nil, "journal_failstop", "err", err.Error())
 		})
 	}
 }
@@ -226,15 +202,10 @@ func (t *Trader) SetJournal(j *journal.Journal) {
 // compaction: every stored offer (expired ones included — replayed
 // purge records re-reclaim them deterministically), the retained SIDL
 // sources of type definitions, and the offer ID counter. Output is
-// sorted for byte-stable snapshots.
+// sorted for byte-stable snapshots. The attached journal calls it under
+// its write lock (Compact, Cut), so no committed record is missing from
+// a snapshot whose watermark covers it.
 func (t *Trader) JournalSnapshot() ([]byte, error) {
-	// Exclude in-flight mutations: a record that is already in the
-	// journal but not yet applied to the store would otherwise be
-	// missing from a snapshot whose watermark covers it — and lost when
-	// compaction deletes its segment, or when a follower bootstraps
-	// from the snapshot.
-	t.applyMu.Lock()
-	defer t.applyMu.Unlock()
 	snap := traderSnapshot{Seq: t.seq.Load(), Epoch: t.repl.epoch.Load()}
 	sources := t.types.Sources()
 	names := make([]string, 0, len(sources))

@@ -45,7 +45,7 @@ func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, 
 	v := Vote{Role: t.Role(), Epoch: t.Epoch(), Applied: seq, Leader: t.LeaderHint()}
 	var deny string
 	switch {
-	case v.Role == RoleLeader && !t.journalFailed():
+	case v.Role == RoleLeader && t.journal.Failed() == nil:
 		// A live healthy leader denies: the candidate learns we exist
 		// (and at what epoch) from the reply and stands down.
 		deny = "live_leader"
@@ -76,11 +76,10 @@ func (t *Trader) RequestVote(ctx context.Context, candidateID string, newEpoch, 
 	}
 	v.VoteEpoch = t.repl.pledged()
 	if v.Granted {
-		t.event("vote_granted", "candidate", candidateID, "epoch", strconv.FormatUint(newEpoch, 10))
+		t.event(ctx, "vote_granted", "candidate", candidateID, "epoch", strconv.FormatUint(newEpoch, 10))
 	} else {
-		t.event("vote_denied", "candidate", candidateID, "epoch", strconv.FormatUint(newEpoch, 10), "reason", deny)
+		t.event(ctx, "vote_denied", "candidate", candidateID, "epoch", strconv.FormatUint(newEpoch, 10), "reason", deny)
 	}
-	t.log.Log(ctx, "election_vote", "candidate", candidateID, "epoch", newEpoch, "granted", v.Granted, "deny", deny)
 	return v, nil
 }
 
@@ -157,11 +156,6 @@ func (t *Trader) logEnd() (tailEpoch, seq uint64) {
 		seq = t.journal.Stats().LastSeq
 	}
 	return t.repl.srcEpoch.Load(), seq
-}
-
-// journalFailed reports whether the attached journal latched fail-stop.
-func (t *Trader) journalFailed() bool {
-	return t.journal != nil && t.journal.Failed() != nil
 }
 
 // LeaderHintFromError extracts the leader ref from a not-leader

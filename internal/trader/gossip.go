@@ -144,7 +144,7 @@ func (t *Trader) GossipRound(ctx context.Context, timeout time.Duration) (pushed
 			failed++
 			t.metrics.gossip.With("push_error").Inc()
 			if l.br.Failure(t.now()) {
-				t.event("link_down", "link", l.name, "err", err.Error())
+				t.event(ctx, "link_down", "link", l.name, "err", err.Error())
 			}
 			continue
 		}

@@ -224,8 +224,7 @@ func (t *Trader) AddLink(name string, peer Federate) error {
 	if err != nil {
 		return err
 	}
-	t.event("link_add", "link", name, "peer", peer.FederationID())
-	t.log.Log(nil, "link_add", "link", name, "peer", peer.FederationID())
+	t.event(nil, "link_add", "link", name, "peer", peer.FederationID())
 	return nil
 }
 
@@ -234,8 +233,7 @@ func (t *Trader) RemoveLink(name string) error {
 	if _, ok := t.mesh.remove(name); !ok {
 		return fmt.Errorf("%w: %q", ErrLinkUnknown, name)
 	}
-	t.event("link_remove", "link", name)
-	t.log.Log(nil, "link_remove", "link", name)
+	t.event(nil, "link_remove", "link", name)
 	return nil
 }
 
@@ -507,7 +505,7 @@ func (t *Trader) federatedMatches(ctx context.Context, req ImportRequest) []Matc
 			}
 			if r.err != nil {
 				if r.link.br.Failure(now()) {
-					t.event("link_down", "link", r.link.name, "err", r.err.Error())
+					t.event(ctx, "link_down", "link", r.link.name, "err", r.err.Error())
 				}
 				continue
 			}

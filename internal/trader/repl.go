@@ -196,8 +196,7 @@ func (t *Trader) SetFollower(leaderRef string) {
 func (t *Trader) DemoteRejoin(leaderRef string) {
 	t.resync()
 	t.SetFollower(leaderRef)
-	t.event("demote_rejoin", "leader", leaderRef, "epoch", strconv.FormatUint(t.Epoch(), 10))
-	t.log.Log(nil, "demote_rejoin", "leader", leaderRef, "epoch", t.Epoch())
+	t.event(nil, "demote_rejoin", "leader", leaderRef, "epoch", strconv.FormatUint(t.Epoch(), 10))
 }
 
 // resync resets the pull position to zero, so the next pull bootstraps
@@ -238,39 +237,28 @@ func raise(a *atomic.Uint64, e uint64) {
 
 // Promote makes a follower the leader of its group at the given
 // fencing epoch, which must be strictly greater than any epoch this
-// trader has seen. The new epoch is journalled first, so it survives a
-// restart and replicates to the rest of the group, fencing the old
-// leader out.
+// trader has seen. The new epoch is committed first — its record, then
+// the raise — so it survives a restart and replicates to the rest of
+// the group, fencing the old leader out, and a snapshot whose watermark
+// covers the record carries the epoch.
 func (t *Trader) Promote(epoch uint64) error {
 	if cur := t.repl.epoch.Load(); epoch <= cur {
 		t.metrics.fencingRejections.Inc()
 		return fmt.Errorf("trader: stale promotion epoch %d (current %d)", epoch, cur)
 	}
-	if t.journal != nil {
-		// Journal directly: waitReplicated would deadlock here when the
-		// group's other followers are still pointed at the old leader.
-		// Append and the epoch raise share the apply lock so a snapshot
-		// whose watermark covers the epoch record always carries the new
-		// epoch.
-		t.applyMu.Lock()
-		_, err := t.appendLocked(&walRecord{Op: opEpoch, Epoch: epoch})
-		if err == nil {
-			t.raiseEpoch(epoch)
-		}
-		t.applyMu.Unlock()
-		if err != nil {
-			return err
-		}
+	// No waitReplicated: it would deadlock here while the group's other
+	// followers still point at the old leader.
+	if err := t.record(func() *walRecord { return &walRecord{Op: opEpoch, Epoch: epoch} },
+		func() error { t.raiseEpoch(epoch); return nil }, false); err != nil {
+		return err
 	}
-	t.raiseEpoch(epoch)
 	t.repl.srcEpoch.Store(epoch) // this leader's records extend its own log
 	t.repl.mu.Lock()
 	t.repl.acks = nil // acks vouch within one reign: a rewind reissues seqs
 	t.repl.mu.Unlock()
 	t.repl.follower.Store(false)
 	t.repl.leaderHint.Store("")
-	t.event("promote", "epoch", strconv.FormatUint(epoch, 10))
-	t.log.Log(nil, "promoted", "epoch", epoch)
+	t.event(nil, "promote", "epoch", strconv.FormatUint(epoch, 10))
 	return nil
 }
 
@@ -301,9 +289,8 @@ func (t *Trader) PullBatch(ctx context.Context, followerID string, followerEpoch
 		// winner, whose first batch resyncs us (srcEpoch).
 		t.metrics.fencingRejections.Inc()
 		t.repl.follower.Store(true)
-		t.event("deposed", "epoch", strconv.FormatUint(cur, 10),
+		t.event(ctx, "deposed", "epoch", strconv.FormatUint(cur, 10),
 			"seen_epoch", strconv.FormatUint(followerEpoch, 10))
-		t.log.Log(ctx, "deposed", "epoch", cur, "seen_epoch", followerEpoch)
 		return nil, fmt.Errorf("trader: fenced: follower epoch %d past local %d", followerEpoch, cur)
 	}
 	t.noteFollower(followerID, afterSeq)
@@ -336,11 +323,8 @@ func (t *Trader) PullBatch(ctx context.Context, followerID string, followerEpoch
 	switch {
 	case needSnap:
 		// The follower is behind the compaction watermark: ship full
-		// state. The watermark is captured before serialising, so the
-		// snapshot is at-least-as-new as it (the journal's usual
-		// snapshot-newer-than-watermark contract).
-		watermark := t.journal.Stats().LastSeq
-		snap, err := t.JournalSnapshot()
+		// state, cut at exactly its watermark.
+		snap, watermark, err := t.journal.Cut()
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +345,7 @@ func (t *Trader) PullBatch(ctx context.Context, followerID string, followerEpoch
 func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 	if cur := t.repl.fenced(); b.Epoch < cur {
 		t.metrics.fencingRejections.Inc()
-		t.event("fencing_rejection", "batch_epoch", strconv.FormatUint(b.Epoch, 10),
+		t.event(nil, "fencing_rejection", "batch_epoch", strconv.FormatUint(b.Epoch, 10),
 			"epoch", strconv.FormatUint(cur, 10))
 		return 0, fmt.Errorf("trader: fenced: batch epoch %d below local %d", b.Epoch, cur)
 	}
@@ -371,59 +355,51 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 		// the journal, and not its records (see srcEpoch).
 		t.resync()
 		if b.Snapshot == nil {
-			t.event("resync", "epoch", strconv.FormatUint(b.Epoch, 10))
+			t.event(nil, "resync", "epoch", strconv.FormatUint(b.Epoch, 10))
 			return 0, nil
 		}
 	}
 	t.repl.srcEpoch.Store(b.Epoch)
 
-	// The follower's own journal compacts too: each append+replay pair
-	// holds the apply lock so a local snapshot never captures state
+	// The follower's own journal compacts too: the install and each
+	// record are one write-ahead step with their effect (journal.Install,
+	// journal.CommitAt), so a local snapshot never captures state
 	// missing a record its watermark covers.
 	n := 0
 	if b.Snapshot != nil {
-		t.applyMu.Lock()
-		if t.journal != nil {
-			// A rejoining deposed leader may hold a divergent unacked
-			// tail past the shipped watermark; its log is replaced
-			// wholesale. Everyone else only ever jumps forward.
-			install := t.journal.InstallSnapshot
-			if t.repl.rejoining.Load() {
-				install = t.journal.RewindToSnapshot
+		// A rejoining deposed leader may hold a divergent unacked tail
+		// past the shipped watermark; its log is replaced wholesale.
+		// Everyone else only ever jumps forward.
+		rejoin := t.repl.rejoining.Load()
+		if err := t.journal.Install(b.Snapshot, b.SnapshotSeq, rejoin, func() error {
+			t.clearState()
+			if err := t.RestoreSnapshot(b.Snapshot); err != nil {
+				return err
 			}
-			if err := install(b.Snapshot, b.SnapshotSeq); err != nil {
-				t.applyMu.Unlock()
-				return 0, fmt.Errorf("trader: install snapshot: %w", err)
-			}
+			t.repl.applied.Store(b.SnapshotSeq)
+			return nil
+		}); err != nil {
+			return 0, fmt.Errorf("trader: install snapshot: %w", err)
 		}
-		t.clearState()
-		if err := t.RestoreSnapshot(b.Snapshot); err != nil {
-			t.applyMu.Unlock()
-			return 0, err
+		if rejoin {
+			t.repl.rejoining.Store(false)
 		}
-		t.repl.applied.Store(b.SnapshotSeq)
-		rejoined := t.repl.rejoining.Swap(false)
-		t.applyMu.Unlock()
-		t.event("snapshot_install", "seq", strconv.FormatUint(b.SnapshotSeq, 10),
-			"rejoin", strconv.FormatBool(rejoined))
+		t.event(nil, "snapshot_install", "seq", strconv.FormatUint(b.SnapshotSeq, 10),
+			"rejoin", strconv.FormatBool(rejoin))
 	}
 	for _, rec := range b.Records {
 		if rec.Seq <= t.repl.applied.Load() {
 			continue // duplicate delivery; records are idempotent anyway
 		}
-		t.applyMu.Lock()
-		if t.journal != nil {
-			if err := t.journal.AppendAt(rec.Seq, rec.Payload); err != nil {
-				t.applyMu.Unlock()
-				return n, fmt.Errorf("trader: journal: %w", err)
+		if err := t.journal.CommitAt(rec.Seq, rec.Payload, func() error {
+			if err := t.ReplayRecord(rec.Seq, rec.Payload); err != nil {
+				return err
 			}
-		}
-		if err := t.ReplayRecord(rec.Seq, rec.Payload); err != nil {
-			t.applyMu.Unlock()
+			t.repl.applied.Store(rec.Seq)
+			return nil
+		}); err != nil {
 			return n, err
 		}
-		t.repl.applied.Store(rec.Seq)
-		t.applyMu.Unlock()
 		n++
 	}
 	if n > 0 {
@@ -439,10 +415,8 @@ func (t *Trader) ApplyBatch(b *ReplBatch) (int, error) {
 
 // Status reports the trader's replication position.
 func (t *Trader) Status() ReplStatus {
-	st := ReplStatus{Role: t.Role(), Epoch: t.Epoch(), Applied: t.repl.applied.Load(), Leader: t.LeaderHint()}
-	if t.journal != nil {
-		st.LastSeq = t.journal.Stats().LastSeq
-	}
+	st := ReplStatus{Role: t.Role(), Epoch: t.Epoch(), Applied: t.repl.applied.Load(), Leader: t.LeaderHint(),
+		LastSeq: t.journal.Stats().LastSeq}
 	if st.Role == RoleLeader {
 		st.Applied = st.LastSeq
 		st.Leader = ""
@@ -468,14 +442,15 @@ func (t *Trader) noteFollower(id string, seq uint64) {
 }
 
 // waitReplicated blocks until syncN followers have pulled past seq, or
-// syncWait expires. No-op in asynchronous mode (syncN <= 0). epoch is
+// syncWait expires. No-op in asynchronous mode (syncN <= 0) and for
+// seq 0, which no record carries (nothing was journalled). epoch is
 // the fencing epoch the record was appended under: once it moved, this
 // trader was deposed meanwhile — a rejoin may have rewound its journal
 // and reissued seq to another record — so an ack for seq no longer
 // vouches for this one, and the wait fails.
 func (t *Trader) waitReplicated(seq, epoch uint64) error {
 	n := t.repl.syncN
-	if n <= 0 {
+	if n <= 0 || seq == 0 {
 		return nil
 	}
 	deadline := t.now().Add(t.repl.syncWait)

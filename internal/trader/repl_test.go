@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -441,5 +443,78 @@ func TestReplSnapshotSeesUnackedWrites(t *testing.T) {
 	offers, err := follower.Import(ctx, ImportRequest{Type: "CarRentalService"})
 	if err != nil || len(offers) != 1 {
 		t.Fatalf("follower import = %d offers, %v: snapshot missed an unacked write", len(offers), err)
+	}
+}
+
+// TestSnapshotInstallRacesCompaction: a journalled follower installs a
+// leader snapshot again and again while its own journal compacts. The
+// install and the compaction's state fold are both steps of the
+// journal's write-ahead order, so they must take their locks in the
+// journal's one order: a lock of the trader's held across the install
+// and taken again by the fold deadlocks here within a few rounds.
+func TestSnapshotInstallRacesCompaction(t *testing.T) {
+	leader, lj := newDurableTrader(t, "L", t.TempDir(), journal.Options{Fsync: journal.FsyncNever})
+	defer lj.Close()
+	if err := leader.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := leader.Export("CarRentalService", carRef(i), carProps("AUDI", float64(100+i), "USD")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := leader.PullBatch(context.Background(), "f1", 0, 0, 512, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Snapshot == nil {
+		t.Fatal("bootstrap pull did not ship a snapshot")
+	}
+	follower, fj := newDurableTrader(t, "F", t.TempDir(), journal.Options{Fsync: journal.FsyncNever})
+	defer fj.Close()
+	follower.SetFollower("cosm://leader")
+
+	const rounds = 200
+	var round atomic.Int64
+	stop := make(chan struct{})
+	var compactions sync.WaitGroup
+	compactions.Add(1)
+	go func() {
+		defer compactions.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := fj.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= rounds; i++ {
+			round.Store(int64(i))
+			if _, err := follower.ApplyBatch(b); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		close(stop)
+		compactions.Wait()
+		if err != nil {
+			t.Fatalf("round %d: %v", round.Load(), err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("snapshot install and compaction deadlocked in round %d of %d", round.Load(), rounds)
+	}
+	if got := follower.OfferCount(); got != 50 {
+		t.Fatalf("follower holds %d offers after the installs, want 50", got)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -152,14 +151,6 @@ type Trader struct {
 	// journal, when attached via SetJournal, receives a logical record
 	// for every offer and type mutation (see durable.go).
 	journal *journal.Journal
-
-	// applyMu makes append+apply one step: every journalled mutation
-	// and JournalSnapshot hold it, so a snapshot never misses a
-	// journalled record and the store applies records in log order (see
-	// commit in durable.go). It also guards recordBuf, the buffer every
-	// record is encoded into.
-	applyMu   sync.Mutex
-	recordBuf []byte
 
 	// repl carries the replication role, fencing epoch and follower
 	// bookkeeping (see repl.go).
@@ -300,9 +291,16 @@ func WithEvents(ev *obs.EventLog) Option {
 	return func(t *Trader) { t.events = ev }
 }
 
-// event appends one timeline event; safe on a trader with no event log.
-func (t *Trader) event(kind string, kv ...string) {
+// event records one cluster event twice over: in the timeline, and as
+// the log line of the same kind and attributes, tagged with the trace
+// ctx carries. Safe on a trader with no event log or logger.
+func (t *Trader) event(ctx context.Context, kind string, kv ...string) {
 	t.events.Record(kind, kv...)
+	args := make([]any, len(kv))
+	for i, v := range kv {
+		args[i] = v
+	}
+	t.log.Log(ctx, kind, args...)
 }
 
 // WithReplSync makes mutations block until n followers have pulled the

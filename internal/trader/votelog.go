@@ -6,7 +6,7 @@ package trader
 //
 // The ledger is deliberately NOT part of the replicated journal. The
 // journal's sequence space is owned by the leader — followers mirror
-// leader-assigned seqs via ApplyBatch/AppendAt — so a follower
+// leader-assigned seqs via ApplyBatch/CommitAt — so a follower
 // appending a local vote record would collide with the next replicated
 // record, and a leader's vote record would replicate and overwrite
 // every follower's *own* vote state. Votes are per-node facts, not

@@ -406,9 +406,7 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 	if ctx.Err() != nil || f.ttl == 1 {
 		// A 1µs TTL is the stamp of a caller at (or past) its deadline.
 		cancel()
-		s.expired.Add(1)
-		s.m.expired.Inc()
-		s.respond(cs, f.id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
+		s.expiredResponse(cs, f.id, req, echo)
 		return
 	}
 	if draining {
@@ -461,9 +459,7 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 			case <-ctx.Done():
 				wait.Stop()
 				s.queued.Add(-1)
-				s.expired.Add(1)
-				s.m.expired.Inc()
-				s.respond(cs, id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
+				s.expiredResponse(cs, id, req, echo)
 				return
 			}
 			s.queued.Add(-1)
@@ -474,9 +470,7 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 		// Re-check after queueing: the deadline may have expired while
 		// waiting for a slot.
 		if ctx.Err() != nil {
-			s.expired.Add(1)
-			s.m.expired.Inc()
-			s.respond(cs, id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
+			s.expiredResponse(cs, id, req, echo)
 			return
 		}
 		s.respond(cs, id, s.serveRequest(ctx, h, remote, req))
@@ -565,6 +559,15 @@ func (s *Server) shedResponse(cs *connState, id uint64, why string) {
 		ErrMsg:     why,
 		RetryAfter: s.admission.queueWait(),
 	})
+}
+
+// expiredResponse rejects one request with StatusDeadlineExpired: its
+// deadline passed before its handler could run. echo is the request's
+// trace suffix (traceEcho).
+func (s *Server) expiredResponse(cs *connState, id uint64, req *Request, echo string) {
+	s.expired.Add(1)
+	s.m.expired.Inc()
+	s.respond(cs, id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
 }
 
 func (s *Server) respond(cs *connState, id uint64, resp *Response) {
