@@ -69,8 +69,9 @@ test:
 	$(GO) test ./...
 
 # Writes derive the store's type snapshots under the shard lock while
-# imports read them lock-free, and the journal orders every write with
-# its apply, its snapshot cuts and its installs: those tests run twenty
+# imports read them lock-free, the journal orders every write with its
+# apply, its snapshot cuts and its installs, and a replication read
+# tails segments that compaction deletes: those tests run twenty
 # times over, so a rare interleaving gets its chance. (The cell's
 # interleavings are the cell simulation's: TestCellSim sweeps seeds
 # inside the first line.)
@@ -79,7 +80,7 @@ race:
 	$(GO) test -race -count=20 $(CORE)
 	$(GO) test -race -count=20 -run '^(TestIndexedMatchesLinearProperty|TestConcurrentWritesApplyInJournalOrder|TestSnapshotInstallRacesCompaction)$$' ./internal/trader
 	$(GO) test -race -count=20 -run '^TestConcurrentRegistrationsSurviveCompaction$$' ./internal/browser
-	$(GO) test -race -count=20 -run '^TestCommitOrdersWithCuts$$' ./internal/journal
+	$(GO) test -race -count=20 -run '^(TestCommitOrdersWithCuts|TestReadFromTailsCompactingLog)$$' ./internal/journal
 
 # Every native fuzz target of the module for 30 s each, beyond its
 # checked-in corpus. The targets are discovered, not listed, so a new

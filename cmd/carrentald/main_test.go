@@ -65,38 +65,53 @@ func TestDaemonPublishesAndBooks(t *testing.T) {
 			"-trader", traderRef.String(),
 		}, sig)
 	}()
+	// A failed test stops its daemon too, so no later run finds the
+	// endpoint taken.
+	stopped := false
+	t.Cleanup(func() {
+		if !stopped {
+			close(sig)
+			<-done
+		}
+	})
 
 	pool := wire.NewPool()
 	defer pool.Close()
 	ctx := context.Background()
 	carRef := ref.New("loop:carrentald-test", "CarRentalService")
 
-	// Wait for the daemon, then verify both publication paths.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := cosm.Ping(ctx, pool, carRef); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never came up")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
 	bc, err := browser.DialBrowser(ctx, pool, browserRef)
 	if err != nil {
 		t.Fatal(err)
-	}
-	entries, err := bc.Search(ctx, "car")
-	if err != nil || len(entries) != 1 || entries[0].Ref != carRef {
-		t.Fatalf("browser entries = %v, %v", entries, err)
 	}
 	tc, err := trader.DialTrader(ctx, pool, traderRef)
 	if err != nil {
 		t.Fatal(err)
 	}
-	offer, err := trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService"))
-	if err != nil || offer.Ref != carRef {
+	// The daemon serves before it publishes, so that its offer never
+	// names an endpoint that is not up yet: wait for the publication on
+	// both paths, then verify it.
+	var (
+		entries []browser.Entry
+		offer   *trader.Offer
+	)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		entries, err = bc.Search(ctx, "car")
+		if err == nil && len(entries) > 0 {
+			if offer, err = trader.ImportOne(ctx, tc, trader.NewImport("CarRentalService")); err == nil {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never published: browser entries = %v, trader offer = %+v, last error %v", entries, offer, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if len(entries) != 1 || entries[0].Ref != carRef {
+		t.Fatalf("browser entries = %v, %v", entries, err)
+	}
+	if offer.Ref != carRef {
 		t.Fatalf("trader offer = %+v, %v", offer, err)
 	}
 
@@ -117,6 +132,7 @@ func TestDaemonPublishesAndBooks(t *testing.T) {
 	}
 
 	close(sig)
+	stopped = true
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

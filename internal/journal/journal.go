@@ -23,11 +23,15 @@
 // and must not call back into the journal; a caller holds no lock of
 // its own across a journal call.
 //
-// Recovery is the reverse path: Open loads the latest valid snapshot,
-// streams every record past its watermark to the caller's replay
-// function, and truncates the log at the first torn or corrupt record —
-// a crash mid-append loses at most the unsynced tail, never the
-// records before it. Replayed records must be idempotent state setters
+// Recovery is the reverse path. Open loads the latest valid snapshot
+// and reads each segment once, streaming nothing: it refuses another
+// format version before it repairs anything, then truncates the log at
+// the first torn or corrupt record — a crash mid-append loses at most
+// the unsynced tail, never the records before it. Replay then streams
+// every record past the snapshot's watermark to the caller's replay
+// function. Every read of a segment — Open's, Replay's and ReadFrom's —
+// is one buffered frame scan; each caller decides only what a torn tail
+// means to it. Replayed records must be idempotent state setters
 // (a re-inserted offer overwrites itself, a withdraw of an absent ID is
 // a no-op): a caller may apply an effect before it journals it (the
 // trader's type definitions and lease purges do), which leaves a
@@ -47,6 +51,7 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -356,9 +361,13 @@ func encodeSnapshot(payload []byte, seq uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// scanSegments indexes the segment files and seals the newest one:
-// records are validated front to back and the file is truncated at the
-// first torn or corrupt record, so appends resume on a clean tail.
+// scanSegments indexes the segment files and seals the log. Every
+// segment is read once, and all of them are read before any is
+// repaired: another version is refused with every file as Open found
+// it. Then the log is cut at the first torn or corrupt record —
+// wherever in the chain it lies, since a crash during compaction or
+// rotation can leave one mid-chain — so appends resume on a clean
+// tail.
 func (j *Journal) scanSegments() error {
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
@@ -376,48 +385,44 @@ func (j *Journal) scanSegments() error {
 		j.segments = append(j.segments, segmentInfo{path: filepath.Join(j.dir, name), startSeq: start})
 	}
 	sort.Slice(j.segments, func(a, b int) bool { return j.segments[a].startSeq < j.segments[b].startSeq })
-	// Refuse another version before sealing repairs anything.
-	for _, seg := range j.segments {
-		if err := checkVersion(seg.path); err != nil {
+	scans := make([]segScan, len(j.segments))
+	for i, seg := range j.segments {
+		if scans[i], err = scanSegment(seg.path, nil); err != nil {
 			return err
 		}
 	}
 
-	// Every segment is sealed, not just the last: a crash during
-	// compaction or rotation can leave a torn record mid-chain, and
-	// everything after a torn record is unreachable anyway (sequence
-	// numbers past a truncation are reissued). Sealing from the first
-	// torn record onward drops later segments entirely.
-	truncated := 0
-	for i, seg := range j.segments {
-		lastSeq, validLen, tail, err := sealSegment(seg.path)
-		if err != nil {
-			return err
+	for i, s := range scans {
+		j.seq = max(j.seq, s.lastSeq)
+		if !s.torn {
+			continue
 		}
-		truncated += tail
-		if lastSeq > j.seq {
-			j.seq = lastSeq
-		}
-		if tail > 0 {
-			// Torn chain: drop every later segment (their records would
-			// reuse sequence numbers the truncation freed).
-			for _, later := range j.segments[i+1:] {
-				n, cerr := countRecords(later.path)
-				if cerr == nil {
-					truncated += n
-				}
-				_ = os.Remove(later.path)
+		// Everything past the first bad frame is unreachable (frame
+		// boundaries are lost), so it counts as one truncated record.
+		// Every later segment goes whole: its records would reuse
+		// sequence numbers the cut frees.
+		truncated := 1
+		for k := i + 1; k < len(scans); k++ {
+			truncated += scans[k].records
+			if scans[k].torn {
+				truncated++
 			}
-			j.segments = j.segments[:i+1]
-			if validLen <= int64(len(segMagic)) {
-				// Nothing valid left in the torn segment either.
-				_ = os.Remove(seg.path)
-				j.segments = j.segments[:i]
-			}
-			break
+			_ = os.Remove(j.segments[k].path)
 		}
+		j.m.recordsTruncated.Add(uint64(truncated))
+		path := j.segments[i].path
+		if s.records == 0 {
+			// Nothing valid left in the torn segment either.
+			j.segments = j.segments[:i]
+			_ = os.Remove(path)
+			return nil
+		}
+		j.segments = j.segments[:i+1]
+		if err := os.Truncate(path, s.valid); err != nil {
+			return fmt.Errorf("journal: truncate %s: %w", path, err)
+		}
+		return nil
 	}
-	j.m.recordsTruncated.Add(uint64(truncated))
 	return nil
 }
 
@@ -433,108 +438,59 @@ func otherVersion(head []byte, magic string) bool {
 	return v >= '0' && v <= '9' && v != magic[n-1]
 }
 
-// checkVersion refuses a segment whose header names another version.
-func checkVersion(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer f.Close()
-	head := make([]byte, len(segMagic))
-	if n, _ := io.ReadFull(f, head); otherVersion(head[:n], segMagic) {
-		return fmt.Errorf("%w: %s", ErrVersion, path)
-	}
-	return nil
+// scanBufSize is the read buffer of a segment scan: one read(2) brings
+// in many frames.
+const scanBufSize = 64 << 10
+
+// segScan is what one pass over a segment found.
+type segScan struct {
+	lastSeq uint64 // sequence number of the last valid frame (0: none)
+	valid   int64  // byte length of the header and the valid frames
+	records int    // valid frames
+	// torn reports that the file runs on past its valid prefix: a torn
+	// or corrupt frame, or a header that names no version (a file torn
+	// before its magic landed, which has no valid prefix).
+	torn bool
 }
 
-// sealSegment walks one segment, returning the last valid sequence
-// number, the byte length of the valid prefix, and how many records
-// were cut when the file had to be truncated at a torn/corrupt record.
-func sealSegment(path string) (lastSeq uint64, validLen int64, truncated int, err error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	size := info.Size()
-
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		// Unrecognised file: treat the whole content as one torn record.
-		if terr := f.Truncate(0); terr != nil {
-			return 0, 0, 0, fmt.Errorf("journal: truncate %s: %w", path, terr)
-		}
-		return 0, 0, 1, nil
-	}
-
-	r := &countingReader{r: f, off: int64(len(segMagic))}
-	validLen = r.off
-	for {
-		seq, _, rerr := readRecord(r)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			// Torn or corrupt: truncate here. Everything after the first
-			// bad frame is unreachable (frame boundaries are lost), so it
-			// counts as one truncated record.
-			if terr := f.Truncate(validLen); terr != nil {
-				return 0, 0, 0, fmt.Errorf("journal: truncate %s: %w", path, terr)
-			}
-			return lastSeq, validLen, 1, nil
-		}
-		lastSeq = seq
-		validLen = r.off
-	}
-	if validLen != size {
-		if terr := f.Truncate(validLen); terr != nil {
-			return 0, 0, 0, fmt.Errorf("journal: truncate %s: %w", path, terr)
-		}
-	}
-	return lastSeq, validLen, 0, nil
-}
-
-// countRecords returns the number of valid records in a segment
-// (best-effort, for truncation accounting).
-func countRecords(path string) (int, error) {
+// scanSegment is the one reader of a segment file: it checks the
+// header and hands each valid frame, in order, to fn (nil: none) until
+// fn returns false. A header naming another version is ErrVersion; a
+// torn or corrupt frame ends the scan, and what the torn rest means is
+// the caller's policy. With fn stopping early, the scan covers the
+// frames up to there.
+func scanSegment(path string, fn func(seq uint64, payload []byte) bool) (segScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return segScan{}, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		return 1, nil
+	r := bufio.NewReaderSize(f, scanBufSize)
+	var head [len(segMagic)]byte
+	n, _ := io.ReadFull(r, head[:])
+	if otherVersion(head[:n], segMagic) {
+		return segScan{}, fmt.Errorf("%w: %s", ErrVersion, path)
 	}
-	n := 0
-	r := &countingReader{r: f, off: int64(len(segMagic))}
+	if string(head[:n]) != segMagic {
+		return segScan{torn: true}, nil
+	}
+	s := segScan{valid: int64(len(segMagic))}
 	for {
-		_, _, err := readRecord(r)
+		seq, payload, err := readRecord(r)
 		if err == io.EOF {
-			return n, nil
+			return s, nil
 		}
 		if err != nil {
-			return n + 1, nil
+			s.torn = true
+			return s, nil
 		}
-		n++
+		s.lastSeq = seq
+		s.valid += int64(recordOverhead + len(payload))
+		s.records++
+		if fn != nil && !fn(seq, payload) {
+			return s, nil
+		}
 	}
-}
-
-// countingReader tracks the byte offset of a sequential reader so
-// sealSegment knows where the valid prefix ends.
-type countingReader struct {
-	r   io.Reader
-	off int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.off += int64(n)
-	return n, err
 }
 
 // readRecord decodes one framed record: u32 payload length, u64
@@ -603,37 +559,26 @@ func (j *Journal) Replay(fn func(seq uint64, payload []byte) error) error {
 
 	recovered := uint64(0)
 	for _, seg := range segments {
-		err := func() error {
-			f, err := os.Open(seg.path)
-			if err != nil {
-				return fmt.Errorf("journal: %w", err)
+		var ferr error
+		scan, err := scanSegment(seg.path, func(seq uint64, payload []byte) bool {
+			if seq <= snapSeq {
+				return true // folded into the snapshot already
 			}
-			defer f.Close()
-			magic := make([]byte, len(segMagic))
-			if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-				return fmt.Errorf("%w: segment header %s", ErrCorrupt, seg.path)
+			if ferr = fn(seq, payload); ferr != nil {
+				return false
 			}
-			for {
-				seq, payload, err := readRecord(f)
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					// The sealed prefix re-read corrupt: disk went bad
-					// between Open and Replay. Surface it.
-					return fmt.Errorf("journal: replay %s: %w", seg.path, err)
-				}
-				if seq <= snapSeq {
-					continue // folded into the snapshot already
-				}
-				if err := fn(seq, payload); err != nil {
-					return err
-				}
-				recovered++
-			}
-		}()
-		if err != nil {
+			recovered++
+			return true
+		})
+		switch {
+		case err != nil:
 			return err
+		case ferr != nil:
+			return ferr
+		case scan.torn:
+			// The sealed prefix re-read corrupt: disk went bad between
+			// Open and Replay. Surface it.
+			return fmt.Errorf("%w: replay %s: torn or corrupt at byte %d", ErrCorrupt, seg.path, scan.valid)
 		}
 	}
 	j.m.recordsRecovered.Add(recovered)
@@ -933,8 +878,9 @@ func (j *Journal) WaitFor(afterSeq uint64, timeout time.Duration) bool {
 // read path. It returns ErrCompacted when afterSeq lies below the
 // compaction watermark: those records were folded into the snapshot, so
 // the caller must ship the snapshot instead. Reading is safe
-// concurrently with appends and compaction; a partially written or
-// concurrently deleted tail is treated as end-of-log, never an error.
+// concurrently with appends and compaction: a partially written tail
+// is end-of-log, never an error, and so is a segment that compaction
+// deletes under the read — or ErrCompacted, when nothing was read.
 func (j *Journal) ReadFrom(afterSeq uint64, max int) ([]Record, error) {
 	j.mu.Lock()
 	if j.closed {
@@ -952,57 +898,39 @@ func (j *Journal) ReadFrom(afterSeq uint64, max int) ([]Record, error) {
 		return nil, nil
 	}
 	var out []Record
+	full := func() bool { return max > 0 && len(out) >= max }
 	for i, seg := range segments {
 		// A segment is skippable when its successor starts at or below
 		// the first wanted sequence number.
 		if i+1 < len(segments) && segments[i+1].startSeq <= afterSeq+1 {
 			continue
 		}
-		done, err := readSegmentFrom(seg.path, afterSeq, max, &out)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// Compaction deleted the segment between the snapshot of
-				// the list above and the open: every record it held is at
-				// or below the (new) watermark, hence ≤ afterSeq or
-				// retrievable from a later surviving segment.
-				continue
+		scan, err := scanSegment(seg.path, func(seq uint64, payload []byte) bool {
+			if seq > afterSeq {
+				out = append(out, Record{Seq: seq, Payload: payload})
 			}
+			return !full()
+		})
+		if errors.Is(err, os.ErrNotExist) {
+			// Compaction deleted the segment after the list above was
+			// taken. Its records are at or below the new watermark, which
+			// passed afterSeq (afterSeq < last ≤ watermark): what was read
+			// is a gap-free prefix, and with none read the caller must
+			// ship the snapshot.
+			if len(out) == 0 {
+				return nil, ErrCompacted
+			}
+			break
+		}
+		if err != nil {
 			return nil, err
 		}
-		if done {
+		// A torn tail is an append in flight, not corruption.
+		if scan.torn || full() {
 			break
 		}
 	}
 	return out, nil
-}
-
-// readSegmentFrom appends the records of one segment past afterSeq to
-// out, honouring max; done reports that max was reached. Torn or
-// corrupt frames end the scan cleanly — on the live tail they are an
-// in-flight append, not corruption.
-func readSegmentFrom(path string, afterSeq uint64, max int, out *[]Record) (done bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		return false, nil
-	}
-	for {
-		seq, payload, err := readRecord(f)
-		if err != nil {
-			return false, nil // io.EOF or an in-flight tail write
-		}
-		if seq <= afterSeq {
-			continue
-		}
-		*out = append(*out, Record{Seq: seq, Payload: payload})
-		if max > 0 && len(*out) >= max {
-			return true, nil
-		}
-	}
 }
 
 // Install replaces the log and the state with a replication leader's

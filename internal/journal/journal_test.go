@@ -218,6 +218,62 @@ func TestBitFlipCutsFromCorruptRecordOn(t *testing.T) {
 	}
 }
 
+// TestTornRecordMidChainDropsLaterSegments: a bit flipped inside the
+// last record of the first of several segments cuts the log there.
+// The records before it replay, every later segment is removed, the
+// truncated count is the bad frame plus every record of the dropped
+// segments, and appends resume at the first reissued sequence number.
+func TestTornRecordMidChainDropsLaterSegments(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openStarted(t, dir, Options{Fsync: FsyncNever, SegmentSize: 64})
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, err := j.Append([]byte(fmt.Sprintf("record-number-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segFiles(t, dir)
+	if len(segs) < 3 {
+		t.Fatalf("expected at least three segments, got %d", len(segs))
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := int64(recordOverhead + len("record-number-00"))
+	first := int((int64(len(raw)) - int64(len(segMagic))) / frame) // records in the first segment
+	if first < 2 {
+		t.Fatalf("first segment holds %d records, want at least 2", first)
+	}
+	raw[len(raw)-int(frame)/2] ^= 0x08
+	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, replayed := openStarted(t, dir, Options{Metrics: obs.NewRegistry()})
+	defer j2.Close()
+	if len(replayed) != first-1 {
+		t.Fatalf("replayed %d records, want the %d before the flip", len(replayed), first-1)
+	}
+	for i, rec := range replayed {
+		if want := fmt.Sprintf("record-number-%02d", i); string(rec) != want {
+			t.Fatalf("record %d = %q, want %q", i, rec, want)
+		}
+	}
+	if got := segFiles(t, dir); !slices.Equal(got, segs[:1]) {
+		t.Fatalf("segments after recovery = %v, want only %s", got, segs[0])
+	}
+	if got, want := j2.m.recordsTruncated.Value(), uint64(1+n-first); got != want {
+		t.Fatalf("records_truncated = %d, want %d (the bad frame and %d records of dropped segments)", got, want, n-first)
+	}
+	if seq, err := j2.Append([]byte("fresh")); err != nil || seq != uint64(first) {
+		t.Fatalf("Append after the cut = %d, %v, want seq %d", seq, err, first)
+	}
+}
+
 func TestSegmentRotationAndRecoveryAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every couple of records.
@@ -538,6 +594,30 @@ func TestOpenRefusesOtherVersion(t *testing.T) {
 	defer j.Close()
 	if len(replayed) != 0 {
 		t.Fatalf("a 7-byte header replayed %d records", len(replayed))
+	}
+}
+
+// TestOpenRefusesOtherVersionBeforeRepair: every segment is read
+// before any is repaired, so a torn first segment is left as it is when
+// a later one names another version.
+func TestOpenRefusesOtherVersionBeforeRepair(t *testing.T) {
+	dir := t.TempDir()
+	want := map[string][]byte{
+		fmt.Sprintf("%s%016x%s", segPrefix, 1, segSuffix): append(appendFrame([]byte(segMagic), 1, []byte("one")), 9, 0, 0),
+		fmt.Sprintf("%s%016x%s", segPrefix, 2, segSuffix): append([]byte("COSMWAL1"), appendFrame(nil, 2, []byte("two"))...),
+	}
+	for name, raw := range want {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Open = %v, want ErrVersion", err)
+	}
+	for name, raw := range want {
+		if now, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(now, raw) {
+			t.Fatalf("Open changed %s (%v)", name, err)
+		}
 	}
 }
 
@@ -967,8 +1047,8 @@ func TestRecoverOrder(t *testing.T) {
 // Replay must survive any bytes behind the magic, and the journal they
 // recover must keep both what it replayed and what it appends next:
 // Open → Replay → Start → Append(x) → Close → Open → Replay yields the
-// first replay followed by x. (A pledge appended after a torn tail is
-// exactly that x.) The seeds are real segments: whole, torn mid-frame,
+// first replay followed by x, and ReadFrom reads just what Replay
+// streamed. (A pledge appended after a torn tail is exactly that x.) The seeds are real segments: whole, torn mid-frame,
 // and with a bit flipped.
 func FuzzJournalOpen(f *testing.F) {
 	dir := f.TempDir()
@@ -1004,6 +1084,17 @@ func FuzzJournalOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		j, first := openStarted(t, dir, Options{Fsync: FsyncNever})
+		recs, err := j.ReadFrom(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := make([][]byte, len(recs))
+		for i, r := range recs {
+			read[i] = r.Payload
+		}
+		if !slices.EqualFunc(read, first, bytes.Equal) {
+			t.Fatalf("Replay streamed %q, ReadFrom read %q", first, read)
+		}
 		if _, err := j.Append(x); err != nil {
 			t.Fatal(err)
 		}
@@ -1142,6 +1233,90 @@ func TestCommitOrdersWithCuts(t *testing.T) {
 	}
 	if s2.n != writers*perWriter {
 		t.Fatalf("recovered counter %d, committed %d records", s2.n, writers*perWriter)
+	}
+}
+
+// TestReadFromTailsCompactingLog: a replication reader tails the log
+// while writers commit under small segments, so segments rotate, and a
+// loop compacts, so segments are deleted under the reader. Every batch
+// is ascending and gap-free from the reader's position, and
+// ErrCompacted moves the reader to the snapshot's watermark.
+func TestReadFromTailsCompactingLog(t *testing.T) {
+	j, err := Open(t.TempDir(), Options{Fsync: FsyncNever, SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s := &counterStore{}
+	if err := j.Recover(s); err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 150
+	var writing, compacting sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := j.Commit(
+					func(dst []byte) ([]byte, error) { return append(dst, "inc"...), nil },
+					func() error { s.n++; return nil }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	compacting.Add(1)
+	go func() {
+		defer compacting.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := j.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		writing.Wait()
+		close(stop)
+		compacting.Wait()
+	}()
+
+	// Once the writers are done, the next compaction moves the watermark
+	// to the last record, so the reader gets there either way.
+	deadline := time.Now().Add(30 * time.Second)
+	for after := uint64(0); after < writers*perWriter; {
+		if time.Now().After(deadline) {
+			t.Fatalf("reader stuck at %d", after)
+		}
+		recs, err := j.ReadFrom(after, 32)
+		if errors.Is(err, ErrCompacted) {
+			next := j.Stats().SnapshotSeq
+			if next <= after {
+				t.Fatalf("ErrCompacted at %d, but the watermark is %d", after, next)
+			}
+			after = next
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) > 32 {
+			t.Fatalf("ReadFrom(%d, 32) returned %d records", after, len(recs))
+		}
+		for i, r := range recs {
+			if r.Seq != after+1+uint64(i) || string(r.Payload) != "inc" {
+				t.Fatalf("ReadFrom(%d): record %d is seq %d %q, want seq %d", after, i, r.Seq, r.Payload, after+1+uint64(i))
+			}
+		}
+		after += uint64(len(recs))
 	}
 }
 

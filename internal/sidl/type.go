@@ -103,13 +103,24 @@ type Field struct {
 	Type *Type
 }
 
-// Basic returns the unnamed type of a scalar kind. It panics on
-// constructed kinds, which require their shape.
+// basics holds the one unnamed type of each scalar kind. Such a type
+// has no parts, so every occurrence in every SID shares it: nothing
+// writes to a type once it is built, and Clone, whose result a caller
+// may name (a typedef does), always copies.
+var basics = func() (b [SvcRef + 1]Type) {
+	for k := range b {
+		b[k].Kind = Kind(k)
+	}
+	return b
+}()
+
+// Basic returns the unnamed type of a scalar kind, shared and
+// immutable. It panics on constructed kinds, which require their shape.
 func Basic(k Kind) *Type {
 	if !k.Scalar() {
 		panic("sidl: Basic called with constructed kind " + k.String())
 	}
-	return &Type{Kind: k}
+	return &basics[k]
 }
 
 // EnumOf returns an enum type with the given name and literals.

@@ -188,6 +188,66 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestBasicTypesShared: the unnamed scalar members of every parsed SID
+// are one shared value per kind, and Clone, whose result a typedef
+// names, never returns a shared one.
+func TestBasicTypesShared(t *testing.T) {
+	// scalars gathers every unnamed scalar type reachable from sid.
+	scalars := func(sid *SID) []*Type {
+		var out []*Type
+		var walk func(*Type)
+		walk = func(t *Type) {
+			if t == nil {
+				return
+			}
+			if t.Kind.Scalar() && t.Name == "" {
+				out = append(out, t)
+			}
+			for _, f := range t.Fields {
+				walk(f.Type)
+			}
+			walk(t.Elem)
+		}
+		for _, ty := range sid.Types {
+			walk(ty)
+		}
+		for _, op := range sid.Ops {
+			walk(op.Result)
+			for _, p := range op.Params {
+				walk(p.Type)
+			}
+		}
+		return out
+	}
+	a, b := CarRentalSID(), CarRentalSID()
+	got := append(scalars(a), scalars(b)...)
+	if len(got) == 0 {
+		t.Fatal("the car rental SID has no scalar member")
+	}
+	for _, ty := range got {
+		if ty != Basic(ty.Kind) {
+			t.Fatalf("a parsed %s member is not the shared basic type", ty.Kind)
+		}
+	}
+	for _, ty := range scalars(a.Clone()) {
+		if ty == Basic(ty.Kind) {
+			t.Fatalf("a cloned SID shares the basic %s type", ty.Kind)
+		}
+	}
+	for k := Void; k <= SvcRef; k++ {
+		if k.Scalar() && Basic(k).Clone() == Basic(k) {
+			t.Fatalf("Clone of the basic %s type returned it", k)
+		}
+	}
+	miles, err := Parse("module M { typedef long Miles; interface COSM_Operations { Miles trip(in long km); }; };")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ty := miles.Type("Miles"); ty == nil || ty.Kind != Int32 || Basic(Int32).Name != "" {
+		t.Fatalf("typedef Miles = %+v; the basic long is named %q", ty, Basic(Int32).Name)
+	}
+}
+
 // randomType builds a random type tree of bounded depth for properties.
 func randomType(rng *rand.Rand, depth int) *Type {
 	if depth <= 0 {
