@@ -326,7 +326,7 @@ var metricsGolden = []string{
 	"cosm_trader_import_cache_evicted_total counter - Import results evicted from the full import cache by newer ones.",
 	"cosm_trader_import_cache_retained gauge - Import results the import cache currently holds.",
 	"cosm_trader_import_cache_total counter outcome Import-result cache lookups by outcome.",
-	"cosm_trader_index_lookups_total counter kind Type-bucket match passes by index kind (eq, range, scan, linear).",
+	"cosm_trader_index_lookups_total counter kind Type-bucket match passes by index kind (eq, range, scan, ordered, linear).",
 	"cosm_trader_index_snapshot_rebuilds_total counter - Type snapshots built from scratch, on a type's first read; writes derive them.",
 	"cosm_trader_resolution_cache_evicted_total counter - Request-type resolutions evicted from the full resolution cache by newer ones.",
 	"cosm_trader_resolution_cache_retained gauge - Request-type resolutions the resolution cache currently holds.",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -67,8 +68,10 @@ func (s *State) compile(src string) (*Constraint, error) {
 // importCacheEntry is one cached import result plus everything needed
 // to prove it still describes the store: the generation pair pins the
 // set of matching types, the consulted bucket versions pin their
-// contents, and expires bounds staleness by the caller's clock (and by
-// the earliest lease expiry among the cached offers).
+// contents, and expires bounds staleness by the caller's clock, by the
+// earliest lease among the cached offers, and by the earliest lease
+// among the offers that hid a sibling (whose expiry lets the sibling
+// back in).
 type importCacheEntry struct {
 	expires   time.Time
 	storeGen  uint64
@@ -106,55 +109,22 @@ func (s *State) Import(q Query, remote []Match, now time.Time) []Match {
 		storeGen, repoGen = s.gens()
 	}
 
-	matches, consulted := s.localMatches(q, now)
-	matches = append(matches, remote...)
-
-	// Deduplicate by target reference: the same service exported at two
-	// federated traders is still one service. First occurrence wins, so
-	// a local (already grade-ordered-by-bucket) match shadows a remote
-	// duplicate of the same service.
-	seen := make(map[ref.ServiceRef]bool, len(matches))
-	unique := matches[:0]
-	for _, m := range matches {
-		if seen[m.Ref] {
-			continue
-		}
-		seen[m.Ref] = true
-		unique = append(unique, m)
-	}
-	matches = unique
-
-	if q.max > 0 && len(matches) > q.max && q.policy.kind != policyRandom && !s.linear {
-		// Only the first Max are wanted: select them with a bounded heap
-		// in the order the full sort below would give (the linear oracle
-		// keeps the full sort, so the equivalence tests compare the two).
-		matches = q.policy.top(matches, q.max)
-	} else {
-		s.rngMu.Lock()
-		q.policy.apply(matches, s.rng)
-		s.rngMu.Unlock()
-
-		// Stable partition: healthy offers precede suspect ones, each
-		// class keeping its policy order. A suspect provider may be fine
-		// (the probe failure could be transient), but importers walking
-		// the list front-to-back — in particular the bind failover path —
-		// should reach live providers first.
-		sort.SliceStable(matches, func(i, j int) bool {
-			return !matches[i].Suspect && matches[j].Suspect
-		})
-
-		if q.max > 0 && len(matches) > q.max {
-			matches = matches[:q.max]
-		}
+	bs := s.consult(q)
+	matches, shadow, ok := s.walkRanked(bs, q, remote, now)
+	if !ok {
+		matches, shadow = s.order(q, append(s.localMatches(bs, q, now), remote...))
 	}
 
 	if cacheable {
-		expires := now.Add(s.importTTL)
+		// A cached result must not outlive its shortest lease, nor the
+		// lease of an offer that hid a sibling.
+		expires := earlier(now.Add(s.importTTL), shadow)
 		for _, m := range matches {
-			// A cached result must not outlive its shortest lease.
-			if !m.Expires.IsZero() && m.Expires.Before(expires) {
-				expires = m.Expires
-			}
+			expires = earlier(expires, m.Expires)
+		}
+		consulted := make([]bucketVersion, len(bs))
+		for i, b := range bs {
+			consulted[i] = bucketVersion{name: b.tm.Name, version: b.snap.version}
 		}
 		s.importCache.add(key, &importCacheEntry{
 			expires:   expires,
@@ -167,21 +137,79 @@ func (s *State) Import(q Query, remote []Match, now time.Time) []Match {
 	return matches
 }
 
-// localMatches is the matcher over the store. Phase 1 resolves the
-// requested type to the stored buckets of its graded conformant
-// closure; phases 2 and 3 filter each bucket through the compiled
-// constraint (index-narrowed when only full matches are wanted) and
-// grade the survivors. A bucket whose type grade is below the floor is
-// skipped outright unless the floor admits partial-attribute matches,
-// which any conformant offer may still yield. The result is sorted by
-// offer ID; the bucket versions consulted feed the import-result cache.
-// Offers are shared immutable snapshots.
-func (s *State) localMatches(q Query, now time.Time) ([]Match, []bucketVersion) {
-	if s.linear {
-		return s.linearMatches(q, now), nil
+// earlier returns the earlier of two instants, the zero one meaning
+// never.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
 	}
-	var matches []Match
-	var consulted []bucketVersion
+	return a
+}
+
+// order deduplicates matches by service reference and puts them in the
+// query's order, truncated to its bound. It returns the earliest lease
+// among the kept offers that hid a sibling (zero: none).
+func (s *State) order(q Query, matches []Match) ([]Match, time.Time) {
+	// Deduplicate by target reference: the same service exported at two
+	// federated traders is still one service. First occurrence wins, so
+	// a local (ID-ordered) match shadows a remote duplicate of the same
+	// service, and of two local offers of one service the lower ID wins.
+	var shadow time.Time
+	seen := make(map[ref.ServiceRef]int, len(matches))
+	unique := matches[:0]
+	for _, m := range matches {
+		if i, dup := seen[m.Ref]; dup {
+			shadow = earlier(shadow, unique[i].Expires)
+			continue
+		}
+		seen[m.Ref] = len(unique)
+		unique = append(unique, m)
+	}
+	matches = unique
+
+	if q.max > 0 && len(matches) > q.max && q.policy.kind != policyRandom && !s.linear {
+		// Only the first Max are wanted: select them with a bounded heap
+		// in the order the full sort below would give (the linear oracle
+		// keeps the full sort, so the equivalence tests compare the two).
+		return q.policy.top(matches, q.max), shadow
+	}
+	s.rngMu.Lock()
+	q.policy.apply(matches, s.rng)
+	s.rngMu.Unlock()
+
+	// Stable partition: healthy offers precede suspect ones, each class
+	// keeping its policy order. A suspect provider may be fine (the
+	// probe failure could be transient), but importers walking the list
+	// front-to-back — in particular the bind failover path — should
+	// reach live providers first.
+	sort.SliceStable(matches, func(i, j int) bool {
+		return !matches[i].Suspect && matches[j].Suspect
+	})
+
+	if q.max > 0 && len(matches) > q.max {
+		matches = matches[:q.max]
+	}
+	return matches, shadow
+}
+
+// consultedBucket is one stored type bucket an import reads: its
+// snapshot, and the type grade and score its full matches inherit.
+type consultedBucket struct {
+	snap *typeSnapshot
+	tm   match.TypeMatch
+}
+
+// consult is phase 1 of the matcher: it resolves the requested type to
+// the stored buckets of its graded conformant closure and pins each
+// one's snapshot. A bucket whose type grade is below the floor is
+// skipped outright unless the floor admits partial-attribute matches,
+// which any conformant offer may still yield. The linear oracle
+// consults no bucket.
+func (s *State) consult(q Query) []consultedBucket {
+	if s.linear {
+		return nil
+	}
+	var bs []consultedBucket
 	for _, tm := range s.resolve(q.typ) {
 		if q.minGrade > match.GradePartial && !tm.Grade.AtLeast(q.minGrade) {
 			continue
@@ -190,11 +218,177 @@ func (s *State) localMatches(q Query, now time.Time) ([]Match, []bucketVersion) 
 		if !ok {
 			continue // withdrawn since resolve; the gens catch it
 		}
-		consulted = append(consulted, bucketVersion{name: tm.Name, version: snap.version})
-		matches = s.appendBucket(matches, snap, tm, q, now)
+		bs = append(bs, consultedBucket{snap: snap, tm: tm})
+	}
+	return bs
+}
+
+// localMatches is phases 2 and 3 of the matcher over the consulted
+// buckets: each is filtered through the compiled constraint
+// (index-narrowed when only full matches are wanted) and its survivors
+// graded. The result is sorted by offer ID. Offers are shared immutable
+// snapshots.
+func (s *State) localMatches(bs []consultedBucket, q Query, now time.Time) []Match {
+	if s.linear {
+		return s.linearMatches(q, now)
+	}
+	var matches []Match
+	for _, b := range bs {
+		matches = s.appendBucket(matches, b.snap, b.tm, q, now)
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
-	return matches, consulted
+	return matches
+}
+
+// walkCursor walks the entries [lo, hi) of one consulted bucket's
+// numeric index in policy order: ascending for min:, and for max:
+// descending by value with each run of equal values [g, e) in ascending
+// ID order — ties come out in ID order either way, as Policy.top breaks
+// them.
+type walkCursor struct {
+	tm     match.TypeMatch
+	ni     *numIndex
+	desc   bool // max: values walk downward
+	lo, hi int
+	g, e   int
+}
+
+// head returns the index of the cursor's next entry, false when it has
+// none left.
+func (c *walkCursor) head() (int, bool) {
+	if !c.desc {
+		return c.lo, c.lo < c.hi
+	}
+	if c.g == c.e {
+		if c.lo == c.hi {
+			return 0, false
+		}
+		v := c.ni.vals[c.hi-1]
+		c.g = c.lo + sort.Search(c.hi-c.lo, func(i int) bool { return c.ni.vals[c.lo+i] >= v })
+		c.e, c.hi = c.hi, c.g
+	}
+	return c.g, true
+}
+
+// pop consumes the cursor's head.
+func (c *walkCursor) pop() {
+	if c.desc {
+		c.g++
+	} else {
+		c.lo++
+	}
+}
+
+// walkRanked answers a bounded min:/max: import of full matches without
+// remote matches by a k-way merge, in policy order, over each consulted
+// bucket's numeric index of the ranked property, restricted to the
+// constraint's numeric hints on it (every match lies there, so none is
+// unranked). It stops at Max healthy results, so it costs O(Max) rather
+// than O(matches) when the best offers match. A walked offer is kept
+// when it is unexpired, matches, and no lower-ID sibling in a consulted
+// bucket does too — exactly the offer order's first-occurrence dedup
+// keeps; suspects wait in a side list capped at Max, which gives
+// order's healthy-before-suspect result. It returns the earliest lease
+// among the siblings that hid a walked offer, and false — it declines
+// — when the query is not of that shape, the constraint has no numeric
+// hint on the ranked property, or some bucket's walk range is longer
+// than the candidate list appendBucket would evaluate there.
+func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now time.Time) ([]Match, time.Time, bool) {
+	p := q.policy
+	if s.linear || len(remote) > 0 || q.max <= 0 || q.minGrade <= match.GradePartial ||
+		p.kind != policyMin && p.kind != policyMax {
+		return nil, time.Time{}, false
+	}
+	ranks := func(h indexHint) bool { return h.prop == p.prop && h.val.kind == cvNum }
+	if !slices.ContainsFunc(q.constraint.hints(), ranks) {
+		return nil, time.Time{}, false
+	}
+	desc := p.kind == policyMax
+	var buf [8]walkCursor
+	cs, total := buf[:0], 0
+	for _, b := range bs {
+		ni := b.snap.num[p.prop]
+		if ni == nil {
+			continue // no ranked offer: nothing there can match
+		}
+		lo, hi := 0, len(ni.vals)
+		for _, h := range q.constraint.hints() {
+			if ranks(h) {
+				l, u := ni.bounds(h.op, h.val.num)
+				lo, hi = max(lo, l), min(hi, u)
+			}
+		}
+		hi = max(lo, hi)
+		if cand, _ := b.snap.candidates(q.constraint); hi-lo > len(cand) {
+			return nil, time.Time{}, false
+		}
+		cs = append(cs, walkCursor{tm: b.tm, ni: ni, desc: desc, lo: lo, hi: hi})
+		total += hi - lo
+	}
+	s.indexLookups.With("ordered").Add(uint64(len(bs)))
+
+	out := make([]Match, 0, min(q.max, total))
+	var suspects []Match
+	var shadow time.Time
+	for len(out) < q.max {
+		best, bi := -1, 0
+		for i := range cs {
+			j, ok := cs[i].head()
+			if !ok {
+				continue
+			}
+			if best < 0 || walksBefore(cs[i].ni, j, cs[best].ni, bi, desc) {
+				best, bi = i, j
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c := &cs[best]
+		c.pop()
+		o := c.ni.offers[bi]
+		if o.Expired(now) || !q.constraint.Match(o.Props) {
+			continue
+		}
+		if sib := shadowedBy(bs, o, q.constraint, now); sib != nil {
+			shadow = earlier(shadow, sib.Expires)
+			continue
+		}
+		m := Match{Offer: o, Grade: c.tm.Grade, Score: c.tm.Score}
+		switch {
+		case !o.Suspect:
+			out = append(out, m)
+		case len(suspects) < q.max:
+			suspects = append(suspects, m)
+		}
+	}
+	return append(out, suspects[:min(len(suspects), q.max-len(out))]...), shadow, true
+}
+
+// walksBefore reports whether entry i of a precedes entry j of b in the
+// walk: by value in policy order, then by ID.
+func walksBefore(a *numIndex, i int, b *numIndex, j int, desc bool) bool {
+	if va, vb := a.vals[i], b.vals[j]; va != vb {
+		return va < vb != desc
+	}
+	return a.offers[i].ID < b.offers[j].ID
+}
+
+// shadowedBy returns a sibling of o — a stored offer of the same
+// service with a lower ID — that is unexpired and matches in some
+// consulted bucket, or nil. Such a sibling, not o, is the one Import
+// keeps.
+func shadowedBy(bs []consultedBucket, o *Offer, c *Constraint, now time.Time) *Offer {
+	for i := range bs {
+		offers := bs[i].snap.offers
+		j, _ := slices.BinarySearchFunc(offers, o.Ref, func(e *Offer, r ref.ServiceRef) int { return compareRef(e.Ref, r) })
+		for ; j < len(offers) && offers[j].Ref == o.Ref && offers[j].ID < o.ID; j++ {
+			if sib := offers[j]; !sib.Expired(now) && c.Match(sib.Props) {
+				return sib
+			}
+		}
+	}
+	return nil
 }
 
 // appendBucket is phase 2+3 for one conformant type bucket: candidate

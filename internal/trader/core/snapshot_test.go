@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -18,8 +17,8 @@ import (
 // sameSnapshot fails unless derived — a snapshot some chain of writes
 // derived — holds what a fresh build of the bucket holds: the same
 // version, offers, property counts and posting lists, and each numeric
-// index as the same multiset of (value, offer) pairs in ascending value
-// order (equal values keep no particular order).
+// index entry for entry, since its (value, ID) order is part of the
+// contract (a walk in policy order breaks ties by it).
 func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	t.Helper()
 	if derived.version != built.version {
@@ -42,18 +41,15 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	if len(derived.num) != len(built.num) {
 		t.Fatalf("%s: %d numeric indexes, built %d", step, len(derived.num), len(built.num))
 	}
-	pairs := func(ni *numIndex) []string {
-		var out []string
-		for i, x := range ni.vals {
-			out = append(out, fmt.Sprintf("%v@%p", x, ni.offers[i]))
-		}
-		sort.Strings(out)
-		return out
-	}
 	for name, ni := range built.num {
 		d := derived.num[name]
-		if d == nil || !sort.Float64sAreSorted(d.vals) || !slices.Equal(pairs(d), pairs(ni)) {
+		if d == nil || !slices.Equal(d.vals, ni.vals) || !slices.Equal(d.offers, ni.offers) {
 			t.Fatalf("%s: numeric index %q differs from the built one", step, name)
+		}
+		for i := 1; i < len(ni.vals); i++ {
+			if ni.Less(i, i-1) || !ni.Less(i-1, i) {
+				t.Fatalf("%s: numeric index %q is not in (value, ID) order at %d", step, name, i)
+			}
 		}
 	}
 }

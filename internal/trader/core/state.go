@@ -80,7 +80,7 @@ type State struct {
 	rng   *rand.Rand
 
 	rebuilds        *obs.Counter    // snapshot builds (first reads)
-	indexLookups    *obs.CounterVec // by index kind: eq, range, scan, linear
+	indexLookups    *obs.CounterVec // by index kind: eq, range, scan, ordered, linear
 	importOutcomes  *obs.CounterVec // by outcome: hit, miss
 	compileOutcomes *obs.CounterVec // by outcome: hit, miss
 }
@@ -97,7 +97,7 @@ func New(repo *typemgr.Repo, opts Options) *State {
 		rng:         rand.New(rand.NewSource(1)),
 
 		rebuilds:        reg.Counter("cosm_trader_index_snapshot_rebuilds_total", "Type snapshots built from scratch, on a type's first read; writes derive them."),
-		indexLookups:    reg.CounterVec("cosm_trader_index_lookups_total", "Type-bucket match passes by index kind (eq, range, scan, linear).", "kind"),
+		indexLookups:    reg.CounterVec("cosm_trader_index_lookups_total", "Type-bucket match passes by index kind (eq, range, scan, ordered, linear).", "kind"),
 		importOutcomes:  reg.CounterVec("cosm_trader_import_cache_total", "Import-result cache lookups by outcome.", "outcome"),
 		compileOutcomes: reg.CounterVec("cosm_trader_constraint_cache_total", "Compiled-constraint cache lookups by outcome.", "outcome"),
 	}

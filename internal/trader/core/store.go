@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cosm/internal/match"
+	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/typemgr"
 )
@@ -322,23 +323,30 @@ func gradedClosure(repo *typemgr.Repo, reqType string) []match.TypeMatch {
 // equality too. Imports narrow their candidate set through the indexes
 // (see Constraint.hints) and never lock the store. The first read of a
 // type builds its snapshot; every later write derives the next one.
+//
+// The offer list and every posting list are in (Ref, ID) order, so the
+// stored offers of one service — siblings, which an import deduplicates
+// — sit together in ID order and are found by one binary search (see
+// shadowedBy).
 type typeSnapshot struct {
 	version uint64
-	offers  []*Offer // sorted by ID
+	offers  []*Offer // in (Ref, ID) order
 	// props counts the offers carrying each property name; an equality
 	// hint whose right-hand side is syntactically an identifier is only
 	// index-resolvable when that identifier names no stored property
 	// (see indexHint.rhsProp).
 	props map[string]int
-	// eq maps an eqKey to the ID-sorted posting list of offers carrying
-	// exactly that value.
+	// eq maps an eqKey to the (Ref, ID)-ordered posting list of offers
+	// carrying exactly that value.
 	eq map[string][]*Offer
 	// num maps property name to its offers sorted by numeric value.
 	num map[string]*numIndex
 }
 
-// numIndex holds one property's numerically valued offers sorted
-// ascending by value; vals[i] is the value of offers[i].
+// numIndex holds one property's numerically valued offers in (value,
+// ID) order — equal values, -0 and +0 among them, in ID order, the way
+// Policy.top breaks ties — so a walk in policy order (see walkRanked)
+// needs no sort; vals[i] is the value of offers[i].
 type numIndex struct {
 	vals   []float64
 	offers []*Offer
@@ -355,8 +363,8 @@ func buildSnapshot(b *typeBucket) *typeSnapshot {
 	for _, o := range b.offers {
 		snap.offers = append(snap.offers, o)
 	}
-	sort.Slice(snap.offers, func(i, j int) bool { return snap.offers[i].ID < snap.offers[j].ID })
-	for _, o := range snap.offers { // ID order keeps posting lists sorted
+	slices.SortFunc(snap.offers, byRefID)
+	for _, o := range snap.offers { // (Ref, ID) order keeps posting lists sorted
 		for name, lit := range o.Props {
 			snap.props[name]++
 			if k, ok := eqKey(name, litVal(lit)); ok {
@@ -395,7 +403,7 @@ func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapsho
 	}
 	next := &typeSnapshot{
 		version: version,
-		offers:  spliceID(snap.offers, id, fresh),
+		offers:  splice(snap.offers, old, fresh),
 		props:   maps.Clone(snap.props),
 		eq:      maps.Clone(snap.eq),
 		num:     maps.Clone(snap.num),
@@ -412,11 +420,11 @@ func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapsho
 	freshKeys := eqKeys(freshProps)
 	for _, k := range eqKeys(oldProps) {
 		if !slices.Contains(freshKeys, k) {
-			next.setEq(k, spliceID(next.eq[k], id, nil))
+			next.setEq(k, splice(next.eq[k], old, nil))
 		}
 	}
 	for _, k := range freshKeys {
-		next.setEq(k, spliceID(next.eq[k], id, fresh))
+		next.setEq(k, splice(next.eq[k], old, fresh))
 	}
 
 	renum := func(name string) {
@@ -452,7 +460,7 @@ func (snap *typeSnapshot) setEq(k string, list []*Offer) {
 }
 
 // eqKey returns the equality-index key of one property value. Numbers
-// have none: the numeric index answers "prop == x" (see rangeOf).
+// have none: the numeric index answers "prop == x" (see bounds).
 func eqKey(name string, v cval) (string, bool) {
 	key, ok := v.key()
 	if !ok {
@@ -472,76 +480,101 @@ func eqKeys(props map[string]sidl.Lit) []string {
 	return keys
 }
 
-// spliceID returns a copy of the ID-sorted list without the entry for
-// id and, when o (whose ID is id) is not nil, with o in its place.
-func spliceID(list []*Offer, id string, o *Offer) []*Offer {
-	i, found := slices.BinarySearchFunc(list, id, func(e *Offer, id string) int { return strings.Compare(e.ID, id) })
+// byRefID is the order of a snapshot's offer and posting lists.
+func byRefID(a, b *Offer) int {
+	if c := compareRef(a.Ref, b.Ref); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
+}
+
+func compareRef(a, b ref.ServiceRef) int {
+	if c := strings.Compare(a.Endpoint, b.Endpoint); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Service, b.Service)
+}
+
+// splice returns a copy of the (Ref, ID)-ordered list without old and
+// with fresh; either may be nil.
+func splice(list []*Offer, old, fresh *Offer) []*Offer {
 	out := make([]*Offer, 0, len(list)+1)
-	out = append(out, list[:i]...)
-	if o != nil {
-		out = append(out, o)
+	r := len(list)
+	if old != nil {
+		if i, found := slices.BinarySearchFunc(list, old, byRefID); found {
+			r = i
+		}
 	}
-	if found {
-		i++
+	out = append(append(out, list[:r]...), list[min(r+1, len(list)):]...)
+	if fresh != nil {
+		i, _ := slices.BinarySearchFunc(out, fresh, byRefID)
+		out = slices.Insert(out, i, fresh)
 	}
-	return append(out, list[i:]...)
+	return out
 }
 
 // splice returns a copy of ni (nil: empty) without the entry of offer
 // id at value del when hasDel, and with o inserted at value add when
-// hasAdd. Entries of equal value keep no particular order.
+// hasAdd.
 func (ni *numIndex) splice(id string, del float64, hasDel bool, add float64, hasAdd bool, o *Offer) *numIndex {
-	var vals []float64
-	var offers []*Offer
+	var cur numIndex
 	if ni != nil {
-		vals, offers = ni.vals, ni.offers
+		cur = *ni
 	}
+	vals, offers := cur.vals, cur.offers
 	out := &numIndex{vals: make([]float64, 0, len(vals)+1), offers: make([]*Offer, 0, len(vals)+1)}
 	r := len(vals)
 	if hasDel {
-		for i := sort.SearchFloat64s(vals, del); i < len(vals) && vals[i] == del; i++ {
-			if offers[i].ID == id {
-				r = i
-				break
-			}
+		if i := cur.search(del, id); i < len(vals) && vals[i] == del && offers[i].ID == id {
+			r = i
 		}
 	}
 	out.vals = append(append(out.vals, vals[:r]...), vals[min(r+1, len(vals)):]...)
 	out.offers = append(append(out.offers, offers[:r]...), offers[min(r+1, len(offers)):]...)
 	if hasAdd {
-		p := sort.Search(len(out.vals), func(i int) bool { return out.vals[i] > add })
+		p := out.search(add, id)
 		out.vals = slices.Insert(out.vals, p, add)
 		out.offers = slices.Insert(out.offers, p, o)
 	}
 	return out
 }
 
-func (ni *numIndex) Len() int           { return len(ni.vals) }
-func (ni *numIndex) Less(i, j int) bool { return ni.vals[i] < ni.vals[j] }
+// search returns the position of the first entry at or after (x, id).
+func (ni *numIndex) search(x float64, id string) int {
+	return sort.Search(len(ni.vals), func(i int) bool {
+		return ni.vals[i] > x || ni.vals[i] == x && ni.offers[i].ID >= id
+	})
+}
+
+func (ni *numIndex) Len() int { return len(ni.vals) }
+func (ni *numIndex) Less(i, j int) bool {
+	return ni.vals[i] < ni.vals[j] || ni.vals[i] == ni.vals[j] && ni.offers[i].ID < ni.offers[j].ID
+}
 func (ni *numIndex) Swap(i, j int) {
 	ni.vals[i], ni.vals[j] = ni.vals[j], ni.vals[i]
 	ni.offers[i], ni.offers[j] = ni.offers[j], ni.offers[i]
 }
 
-// rangeOf returns the slice of offers satisfying "value op x". Equality
-// is the range [first >= x, first > x): -0 and +0 fall in one range, as
-// they compare equal, and NaN is never stored, as it equals nothing.
-func (ni *numIndex) rangeOf(op string, x float64) []*Offer {
+// bounds returns the index range [lo, hi) of the entries satisfying
+// "value op x". Equality is the range [first >= x, first > x): -0 and
+// +0 fall in one range, as they compare equal, and NaN is never stored,
+// as it equals nothing.
+func (ni *numIndex) bounds(op string, x float64) (lo, hi int) {
 	geq := sort.SearchFloat64s(ni.vals, x) // first index with val >= x
 	gt := sort.Search(len(ni.vals), func(i int) bool { return ni.vals[i] > x })
 	switch op {
 	case "==":
-		return ni.offers[geq:gt]
+		return geq, gt
 	case "<":
-		return ni.offers[:geq]
+		return 0, geq
 	case "<=":
-		return ni.offers[:gt]
+		return 0, gt
 	case ">":
-		return ni.offers[gt:]
+		return gt, len(ni.vals)
 	case ">=":
-		return ni.offers[geq:]
+		return geq, len(ni.vals)
 	}
-	return nil
+	return 0, 0
 }
 
 // candidates narrows the snapshot to offers that can possibly satisfy
@@ -568,7 +601,8 @@ func (snap *typeSnapshot) candidates(c *Constraint) ([]*Offer, string) {
 			if ni == nil {
 				return nil, "range" // no numeric values: nothing can match
 			}
-			cand, k = ni.rangeOf(h.op, h.val.num), "range"
+			lo, hi := ni.bounds(h.op, h.val.num)
+			cand, k = ni.offers[lo:hi], "range"
 		case h.op == "==":
 			key, ok := eqKey(h.prop, h.val)
 			if !ok {
