@@ -316,25 +316,6 @@ func flipCmp(op string) string {
 	return op
 }
 
-// key renders a non-numeric value as an equality-index key (numbers are
-// indexed by value, see numIndex). Kinds are tagged so a string never
-// collides with an enum symbol of the same spelling (mixed kinds never
-// compare equal at eval time either).
-func (v cval) key() (string, bool) {
-	switch v.kind {
-	case cvStr:
-		return "s:" + v.str, true
-	case cvBool:
-		if v.b {
-			return "b:1", true
-		}
-		return "b:0", true
-	case cvSym:
-		return "y:" + v.str, true
-	}
-	return "", false
-}
-
 // maxConstraintDepth bounds expression nesting so adversarial
 // constraints cannot exhaust the parser's stack.
 const maxConstraintDepth = 64

@@ -244,30 +244,40 @@ func (s *State) localMatches(bs []consultedBucket, q Query, now time.Time) []Mat
 // numeric index in policy order: ascending for min:, and for max:
 // descending by value with each run of equal values [g, e) in ascending
 // ID order — ties come out in ID order either way, as Policy.top breaks
-// them.
+// them. It remembers the run of its last access, so a step costs O(1)
+// and not a search of the spine.
 type walkCursor struct {
 	tm     match.TypeMatch
-	ni     *numIndex
+	idx    runs[numEntry]
 	desc   bool // max: values walk downward
 	lo, hi int
 	g, e   int
+	k      int // run of the last access
 }
 
-// head returns the index of the cursor's next entry, false when it has
-// none left.
-func (c *walkCursor) head() (int, bool) {
+// head returns the cursor's next entry, false when it has none left.
+func (c *walkCursor) head() (numEntry, bool) {
 	if !c.desc {
-		return c.lo, c.lo < c.hi
+		if c.lo == c.hi {
+			return numEntry{}, false
+		}
+		return c.at(c.lo), true
 	}
 	if c.g == c.e {
 		if c.lo == c.hi {
-			return 0, false
+			return numEntry{}, false
 		}
-		v := c.ni.vals[c.hi-1]
-		c.g = c.lo + sort.Search(c.hi-c.lo, func(i int) bool { return c.ni.vals[c.lo+i] >= v })
+		v := c.at(c.hi - 1).val
+		c.g = max(c.lo, c.idx.search(func(e numEntry) bool { return e.val >= v }))
 		c.e, c.hi = c.hi, c.g
 	}
-	return c.g, true
+	return c.at(c.g), true
+}
+
+func (c *walkCursor) at(i int) numEntry {
+	e, k := c.idx.atFrom(c.k, i)
+	c.k = k
+	return e
 }
 
 // pop consumes the cursor's head.
@@ -307,22 +317,27 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 	var buf [8]walkCursor
 	cs, total := buf[:0], 0
 	for _, b := range bs {
-		ni := b.snap.num[p.prop]
-		if ni == nil {
+		idx, ok := b.snap.num[p.prop]
+		if !ok {
 			continue // no ranked offer: nothing there can match
 		}
-		lo, hi := 0, len(ni.vals)
+		// Each hint's span once: the ranked ones bound the walk, and the
+		// shortest of all is the candidate list appendBucket would take.
+		lo, hi, least := 0, idx.Len(), b.snap.offers.Len()
 		for _, h := range q.constraint.hints() {
+			sp, _, ok := b.snap.hintSpan(h)
+			if !ok {
+				continue
+			}
+			least = min(least, sp.Len())
 			if ranks(h) {
-				l, u := ni.bounds(h.op, h.val.num)
-				lo, hi = max(lo, l), min(hi, u)
+				lo, hi = max(lo, sp.lo), min(hi, sp.hi)
 			}
 		}
-		hi = max(lo, hi)
-		if cand, _ := b.snap.candidates(q.constraint); hi-lo > len(cand) {
+		if hi = max(lo, hi); hi-lo > least {
 			return nil, time.Time{}, false
 		}
-		cs = append(cs, walkCursor{tm: b.tm, ni: ni, desc: desc, lo: lo, hi: hi})
+		cs = append(cs, walkCursor{tm: b.tm, idx: idx, desc: desc, lo: lo, hi: hi})
 		total += hi - lo
 	}
 	s.indexLookups.With("ordered").Add(uint64(len(bs)))
@@ -331,14 +346,12 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 	var suspects []Match
 	var shadow time.Time
 	for len(out) < q.max {
-		best, bi := -1, 0
+		best := -1
+		var be numEntry
 		for i := range cs {
-			j, ok := cs[i].head()
-			if !ok {
-				continue
-			}
-			if best < 0 || walksBefore(cs[i].ni, j, cs[best].ni, bi, desc) {
-				best, bi = i, j
+			e, ok := cs[i].head()
+			if ok && (best < 0 || walksBefore(e, be, desc)) {
+				best, be = i, e
 			}
 		}
 		if best < 0 {
@@ -346,7 +359,7 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 		}
 		c := &cs[best]
 		c.pop()
-		o := c.ni.offers[bi]
+		o := be.o
 		if o.Expired(now) || !q.constraint.Match(o.Props) {
 			continue
 		}
@@ -365,13 +378,13 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 	return append(out, suspects[:min(len(suspects), q.max-len(out))]...), shadow, true
 }
 
-// walksBefore reports whether entry i of a precedes entry j of b in the
-// walk: by value in policy order, then by ID.
-func walksBefore(a *numIndex, i int, b *numIndex, j int, desc bool) bool {
-	if va, vb := a.vals[i], b.vals[j]; va != vb {
-		return va < vb != desc
+// walksBefore reports whether entry a precedes entry b in the walk: by
+// value in policy order, then by ID.
+func walksBefore(a, b numEntry, desc bool) bool {
+	if a.val != b.val {
+		return a.val < b.val != desc
 	}
-	return a.offers[i].ID < b.offers[j].ID
+	return a.o.ID < b.o.ID
 }
 
 // shadowedBy returns a sibling of o — a stored offer of the same
@@ -379,13 +392,21 @@ func walksBefore(a *numIndex, i int, b *numIndex, j int, desc bool) bool {
 // consulted bucket, or nil. Such a sibling, not o, is the one Import
 // keeps.
 func shadowedBy(bs []consultedBucket, o *Offer, c *Constraint, now time.Time) *Offer {
+	var sib *Offer
 	for i := range bs {
 		offers := bs[i].snap.offers
-		j, _ := slices.BinarySearchFunc(offers, o.Ref, func(e *Offer, r ref.ServiceRef) int { return compareRef(e.Ref, r) })
-		for ; j < len(offers) && offers[j].Ref == o.Ref && offers[j].ID < o.ID; j++ {
-			if sib := offers[j]; !sib.Expired(now) && c.Match(sib.Props) {
-				return sib
+		j := offers.search(func(e *Offer) bool { return compareRef(e.Ref, o.Ref) >= 0 })
+		offers.each(j, offers.Len(), func(e *Offer) bool {
+			if e.Ref != o.Ref || e.ID >= o.ID {
+				return false
 			}
+			if !e.Expired(now) && c.Match(e.Props) {
+				sib = e
+			}
+			return sib == nil
+		})
+		if sib != nil {
+			return sib
 		}
 	}
 	return nil
@@ -402,19 +423,21 @@ func (s *State) appendBucket(out []Match, snap *typeSnapshot, tm match.TypeMatch
 	if q.minGrade > match.GradePartial {
 		candidates, kind := snap.candidates(q.constraint)
 		s.indexLookups.With(kind).Inc()
-		for _, o := range candidates {
+		candidates.each(func(o *Offer) bool {
 			if !o.Expired(now) && q.constraint.Match(o.Props) {
 				out = append(out, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
 			}
-		}
+			return true
+		})
 		return out
 	}
 	s.indexLookups.With("scan").Inc()
-	for _, o := range snap.offers {
+	snap.offers.each(0, snap.offers.Len(), func(o *Offer) bool {
 		if !o.Expired(now) {
 			out = appendGraded(out, o, tm, q.constraint)
 		}
-	}
+		return true
+	})
 	return out
 }
 

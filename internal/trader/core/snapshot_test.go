@@ -16,16 +16,29 @@ import (
 
 // sameSnapshot fails unless derived — a snapshot some chain of writes
 // derived — holds what a fresh build of the bucket holds: the same
-// version, offers, property counts and posting lists, and each numeric
-// index entry for entry, since its (value, ID) order is part of the
-// contract (a walk in policy order breaks ties by it).
+// version and property counts, and the offer list, each posting list and
+// each numeric index entry for entry, since their (Ref, ID) and (value,
+// ID) orders are part of the contract (a walk in policy order breaks
+// ties by the latter). The lists are compared flattened: where a chain
+// of writes split and merged runs legitimately differs from a build,
+// which packs them full. Every list of either snapshot must keep the run
+// invariants (see checkRuns).
 func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	t.Helper()
 	if derived.version != built.version {
 		t.Fatalf("%s: version %d, built %d", step, derived.version, built.version)
 	}
-	if !slices.Equal(derived.offers, built.offers) {
-		t.Fatalf("%s: offers %q, built %q", step, ids(derived.offers), ids(built.offers))
+	for _, snap := range []*typeSnapshot{derived, built} {
+		checkRuns(t, step+": offers", snap.offers)
+		for k, list := range snap.eq {
+			checkRuns(t, fmt.Sprintf("%s: posting list %v", step, k), list)
+		}
+		for name, idx := range snap.num {
+			checkRuns(t, fmt.Sprintf("%s: numeric index %q", step, name), idx)
+		}
+	}
+	if d, b := derived.offers.all(), built.offers.all(); !slices.Equal(d, b) {
+		t.Fatalf("%s: offers %q, built %q", step, ids(d), ids(b))
 	}
 	if fmt.Sprint(derived.props) != fmt.Sprint(built.props) {
 		t.Fatalf("%s: props %v, built %v", step, derived.props, built.props)
@@ -34,20 +47,20 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 		t.Fatalf("%s: %d posting lists, built %d", step, len(derived.eq), len(built.eq))
 	}
 	for k, list := range built.eq {
-		if !slices.Equal(derived.eq[k], list) {
-			t.Fatalf("%s: posting list %q = %q, built %q", step, k, ids(derived.eq[k]), ids(list))
+		if d, b := derived.eq[k].all(), list.all(); !slices.Equal(d, b) {
+			t.Fatalf("%s: posting list %v = %q, built %q", step, k, ids(d), ids(b))
 		}
 	}
 	if len(derived.num) != len(built.num) {
 		t.Fatalf("%s: %d numeric indexes, built %d", step, len(derived.num), len(built.num))
 	}
-	for name, ni := range built.num {
-		d := derived.num[name]
-		if d == nil || !slices.Equal(d.vals, ni.vals) || !slices.Equal(d.offers, ni.offers) {
+	for name, idx := range built.num {
+		d, b := derived.num[name].all(), idx.all()
+		if !slices.Equal(d, b) {
 			t.Fatalf("%s: numeric index %q differs from the built one", step, name)
 		}
-		for i := 1; i < len(ni.vals); i++ {
-			if ni.Less(i, i-1) || !ni.Less(i-1, i) {
+		for i := 1; i < len(b); i++ {
+			if byValID(b[i-1], b[i]) >= 0 {
 				t.Fatalf("%s: numeric index %q is not in (value, ID) order at %d", step, name, i)
 			}
 		}
@@ -61,8 +74,28 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 // each step every derived snapshot must equal a fresh build of its
 // bucket; after Clear nothing is left to read.
 func TestDerivedSnapshotEqualsRebuilt(t *testing.T) {
+	derivedEqualsRebuilt(t, 40, 60, 0)
+}
+
+// TestDerivedLargeSnapshotEqualsRebuilt is TestDerivedSnapshotEqualsRebuilt
+// over a type preloaded with 6×runCap offers, a quarter of them leased,
+// so its lists span several runs: exports split them, withdrawals and
+// purges empty and merge them, and every derived snapshot must still
+// equal a fresh build entry for entry.
+func TestDerivedLargeSnapshotEqualsRebuilt(t *testing.T) {
+	if spine := derivedEqualsRebuilt(t, 4, 300, 6*runCap); spine < 4 {
+		t.Fatalf("the offer list spanned at most %d runs; want at least 4", spine)
+	}
+}
+
+// derivedEqualsRebuilt runs the Apply sequences of the two tests above
+// after preloading type A with the given number of offers, and returns
+// the most runs any derived offer list spanned.
+func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
+	t.Helper()
 	types := []string{"A", "B"}
-	for seed := int64(0); seed < 40; seed++ {
+	widest := 0
+	for seed := int64(0); seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := New(typemgr.NewRepo(), Options{})
 		var stored []*Offer // every offer ever exported, by ordinal
@@ -86,7 +119,23 @@ func TestDerivedSnapshotEqualsRebuilt(t *testing.T) {
 			}
 			return out
 		}
-		for step := 0; step < 60; step++ {
+		newOffer := func(typ string) *Offer {
+			o := &Offer{ID: fmt.Sprintf("o%d", len(stored)), Type: typ, Props: props(),
+				Ref: ref.New(fmt.Sprintf("tcp:10.0.0.%d:7000", len(stored)), "A")}
+			if r.Intn(4) == 0 {
+				o.Expires = t0.Add(time.Duration(r.Intn(60)) * time.Second)
+			}
+			stored = append(stored, o)
+			return o
+		}
+		if preload > 0 {
+			m := &Mutation{Op: OpExport}
+			for range preload {
+				m.Offers = append(m.Offers, newOffer("A"))
+			}
+			s.Apply(m)
+		}
+		for step := 0; step < steps; step++ {
 			read := map[string]bool{}
 			for _, typ := range types {
 				_, read[typ] = s.snapshot(typ)
@@ -96,13 +145,7 @@ func TestDerivedSnapshotEqualsRebuilt(t *testing.T) {
 			case k < 3 || len(stored) == 0:
 				m = &Mutation{Op: OpExport}
 				for i := 1 + r.Intn(4); i > 0; i-- {
-					o := &Offer{ID: fmt.Sprintf("o%d", len(stored)), Type: types[r.Intn(2)], Props: props(),
-						Ref: ref.New(fmt.Sprintf("tcp:10.0.0.%d:7000", len(stored)), "A")}
-					if r.Intn(4) == 0 {
-						o.Expires = t0.Add(time.Duration(r.Intn(60)) * time.Second)
-					}
-					stored = append(stored, o)
-					m.Offers = append(m.Offers, o)
+					m.Offers = append(m.Offers, newOffer(types[r.Intn(2)]))
 				}
 			case k == 3:
 				m = &Mutation{Op: []string{OpWithdraw, OpWithdrawAll}[r.Intn(2)], IDs: someIDs()}
@@ -131,6 +174,7 @@ func TestDerivedSnapshotEqualsRebuilt(t *testing.T) {
 					continue // stored by this step: nobody has read it yet
 				}
 				sameSnapshot(t, fmt.Sprintf("seed %d step %d %s type %s", seed, step, m.Op, typ), derived, buildSnapshot(b))
+				widest = max(widest, len(derived.offers.spine))
 			}
 		}
 		s.Clear()
@@ -140,6 +184,7 @@ func TestDerivedSnapshotEqualsRebuilt(t *testing.T) {
 			}
 		}
 	}
+	return widest
 }
 
 // TestSnapshotsBuildOnlyOnRead: a store nobody reads — journal recovery,
@@ -214,9 +259,45 @@ func TestNumericEqualityFromRangeIndex(t *testing.T) {
 		t.Fatalf("numeric equality answered by %q, want the range index", kind)
 	}
 	for k := range snap.eq {
-		if k == "ChargePerDay\x00s:0" {
+		if k == (eqK{prop: "ChargePerDay", kind: cvStr, str: "0"}) {
 			continue
 		}
-		t.Fatalf("numeric value in the equality index: %q", k)
+		t.Fatalf("numeric value in the equality index: %v", k)
+	}
+}
+
+// TestDerivedWriteBytes pins what one Export and one Withdraw of an
+// offer cost together in a read 10 000-offer bucket, whose offers all
+// sit in the Price index and in one Colour posting list: each write
+// copies the spine and one run of the offer list and of both of those.
+// Copying the three whole lists per write allocates ≈660 KB here.
+func TestDerivedWriteBytes(t *testing.T) {
+	s := New(typemgr.NewRepo(), Options{})
+	r := rand.New(rand.NewSource(1))
+	var offers []*Offer
+	for i, p := range r.Perm(10000) {
+		offers = append(offers, offer(fmt.Sprintf("o%05d", i), "B", i, float64(p), 0))
+	}
+	s.Apply(&Mutation{Op: OpExport, Offers: offers})
+	if ms := mustImport(t, s, "B", "Price < 10 && Colour == RED", "", nil, t0); len(ms) != 10 {
+		t.Fatalf("import = %q, want 10 offers", matchIDs(ms))
+	}
+	export := &Mutation{Op: OpExport, Offers: []*Offer{offer("o04999x", "B", 4999, 4999.5, 0)}}
+	withdraw := &Mutation{Op: OpWithdraw, IDs: []string{"o04999x"}}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.Apply(export)
+			s.Apply(withdraw)
+		}
+	})
+	t.Logf("%d B, %d allocs per Export and Withdraw", res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if got := res.AllocedBytesPerOp(); got > 128<<10 {
+		t.Fatalf("one Export and Withdraw allocate %d B, want at most %d", got, 128<<10)
+	}
+	if got := res.AllocsPerOp(); got > 29 { // 29 when each write copied the lists
+		t.Fatalf("one Export and Withdraw allocate %d times, want at most 29", got)
+	}
+	if b := s.shardFor("B").types["B"]; b.snap.Load() == nil || b.snap.Load().offers.Len() != 10000 {
+		t.Fatal("the bucket's snapshot was not derived")
 	}
 }

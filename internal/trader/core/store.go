@@ -3,7 +3,6 @@ package core
 import (
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -324,74 +323,87 @@ func gradedClosure(repo *typemgr.Repo, reqType string) []match.TypeMatch {
 // (see Constraint.hints) and never lock the store. The first read of a
 // type builds its snapshot; every later write derives the next one.
 //
-// The offer list and every posting list are in (Ref, ID) order, so the
-// stored offers of one service — siblings, which an import deduplicates
-// — sit together in ID order and are found by one binary search (see
-// shadowedBy).
+// Every list is runs, so a derived snapshot shares all but the one run
+// per list its write touched. The offer list and every posting list are
+// in (Ref, ID) order, so the stored offers of one service — siblings,
+// which an import deduplicates — sit together in ID order and are found
+// by one binary search (see shadowedBy).
 type typeSnapshot struct {
 	version uint64
-	offers  []*Offer // in (Ref, ID) order
+	offers  runs[*Offer] // in (Ref, ID) order
 	// props counts the offers carrying each property name; an equality
 	// hint whose right-hand side is syntactically an identifier is only
 	// index-resolvable when that identifier names no stored property
 	// (see indexHint.rhsProp).
 	props map[string]int
-	// eq maps an eqKey to the (Ref, ID)-ordered posting list of offers
-	// carrying exactly that value.
-	eq map[string][]*Offer
-	// num maps property name to its offers sorted by numeric value.
-	num map[string]*numIndex
+	// eq maps a (property, value) pair to the (Ref, ID)-ordered posting
+	// list of offers carrying exactly that value.
+	eq map[eqK]runs[*Offer]
+	// num maps a property name to its numerically valued offers in
+	// (value, ID) order — equal values, -0 and +0 among them, in ID
+	// order, the way Policy.top breaks ties — so a walk in policy order
+	// (see walkRanked) needs no sort.
+	num map[string]runs[numEntry]
 }
 
-// numIndex holds one property's numerically valued offers in (value,
-// ID) order — equal values, -0 and +0 among them, in ID order, the way
-// Policy.top breaks ties — so a walk in policy order (see walkRanked)
-// needs no sort; vals[i] is the value of offers[i].
-type numIndex struct {
-	vals   []float64
-	offers []*Offer
+// numEntry is one offer of a numeric index and its value there.
+type numEntry struct {
+	val float64
+	o   *Offer
+}
+
+// eqK is the key of an equality posting list: a property and one
+// non-numeric value of it. The kind is part of the key, so a string
+// never collides with an enum symbol of the same spelling (mixed kinds
+// never compare equal at eval time either).
+type eqK struct {
+	prop string
+	kind cvalKind
+	str  string
+	b    bool
 }
 
 func buildSnapshot(b *typeBucket) *typeSnapshot {
+	offers := make([]*Offer, 0, len(b.offers))
+	for _, o := range b.offers {
+		offers = append(offers, o)
+	}
+	slices.SortFunc(offers, byRefID)
 	snap := &typeSnapshot{
 		version: b.version,
-		offers:  make([]*Offer, 0, len(b.offers)),
+		offers:  runsOf(offers),
 		props:   map[string]int{},
-		eq:      map[string][]*Offer{},
-		num:     map[string]*numIndex{},
+		eq:      map[eqK]runs[*Offer]{},
+		num:     map[string]runs[numEntry]{},
 	}
-	for _, o := range b.offers {
-		snap.offers = append(snap.offers, o)
-	}
-	slices.SortFunc(snap.offers, byRefID)
-	for _, o := range snap.offers { // (Ref, ID) order keeps posting lists sorted
+	eq := map[eqK][]*Offer{}
+	num := map[string][]numEntry{}
+	for _, o := range offers { // (Ref, ID) order keeps posting lists sorted
 		for name, lit := range o.Props {
 			snap.props[name]++
 			if k, ok := eqKey(name, litVal(lit)); ok {
-				snap.eq[k] = append(snap.eq[k], o)
+				eq[k] = append(eq[k], o)
 			} else if x, ok := number(o.Props, name); ok {
-				ni := snap.num[name]
-				if ni == nil {
-					ni = &numIndex{}
-					snap.num[name] = ni
-				}
-				ni.vals = append(ni.vals, x)
-				ni.offers = append(ni.offers, o)
+				num[name] = append(num[name], numEntry{x, o})
 			}
 		}
 	}
-	for _, ni := range snap.num {
-		sort.Sort(ni)
+	for k, list := range eq {
+		snap.eq[k] = runsOf(list)
+	}
+	for name, list := range num {
+		slices.SortFunc(list, byValID)
+		snap.num[name] = runsOf(list)
 	}
 	return snap
 }
 
 // derive returns the snapshot that replacing old by fresh (see
 // typeBucket.write) makes of snap, at the given version. The offer list
-// and each posting list and numeric index holding old or fresh are
-// copied with one sorted delete and/or insert; every other list and
-// index is shared with snap, which stays valid for the readers holding
-// it.
+// and each posting list and numeric index holding old or fresh get one
+// sorted delete and/or insert, which copies their spine and the run it
+// touches; every other run, list and index is shared with snap, which
+// stays valid for the readers holding it.
 func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapshot {
 	var id string
 	var oldProps, freshProps map[string]sidl.Lit
@@ -403,7 +415,7 @@ func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapsho
 	}
 	next := &typeSnapshot{
 		version: version,
-		offers:  splice(snap.offers, old, fresh),
+		offers:  spliceOffers(snap.offers, old, fresh),
 		props:   maps.Clone(snap.props),
 		eq:      maps.Clone(snap.eq),
 		num:     maps.Clone(snap.num),
@@ -417,14 +429,17 @@ func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapsho
 		next.props[name]++
 	}
 
-	freshKeys := eqKeys(freshProps)
-	for _, k := range eqKeys(oldProps) {
-		if !slices.Contains(freshKeys, k) {
-			next.setEq(k, splice(next.eq[k], old, nil))
+	for name, lit := range oldProps {
+		if k, ok := eqKey(name, litVal(lit)); ok {
+			if l, kept := freshProps[name]; !kept || litVal(l) != litVal(lit) {
+				next.setEq(k, spliceOffers(next.eq[k], old, nil))
+			}
 		}
 	}
-	for _, k := range freshKeys {
-		next.setEq(k, splice(next.eq[k], old, fresh))
+	for name, lit := range freshProps {
+		if k, ok := eqKey(name, litVal(lit)); ok {
+			next.setEq(k, spliceOffers(next.eq[k], old, fresh))
+		}
 	}
 
 	renum := func(name string) {
@@ -433,11 +448,11 @@ func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapsho
 		if !oh && !nh {
 			return
 		}
-		ni := next.num[name].splice(id, ov, oh, nv, nh, fresh)
-		if len(ni.vals) == 0 {
+		idx := spliceNum(next.num[name], id, ov, oh, nv, nh, fresh)
+		if idx.Len() == 0 {
 			delete(next.num, name)
 		} else {
-			next.num[name] = ni
+			next.num[name] = idx
 		}
 	}
 	for name := range oldProps {
@@ -451,8 +466,8 @@ func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapsho
 	return next
 }
 
-func (snap *typeSnapshot) setEq(k string, list []*Offer) {
-	if len(list) == 0 {
+func (snap *typeSnapshot) setEq(k eqK, list runs[*Offer]) {
+	if list.Len() == 0 {
 		delete(snap.eq, k)
 	} else {
 		snap.eq[k] = list
@@ -461,23 +476,14 @@ func (snap *typeSnapshot) setEq(k string, list []*Offer) {
 
 // eqKey returns the equality-index key of one property value. Numbers
 // have none: the numeric index answers "prop == x" (see bounds).
-func eqKey(name string, v cval) (string, bool) {
-	key, ok := v.key()
-	if !ok {
-		return "", false
+func eqKey(name string, v cval) (eqK, bool) {
+	switch v.kind {
+	case cvStr, cvSym:
+		return eqK{prop: name, kind: v.kind, str: v.str}, true
+	case cvBool:
+		return eqK{prop: name, kind: cvBool, b: v.b}, true
 	}
-	return name + "\x00" + key, true
-}
-
-// eqKeys returns the equality-index keys of a property set.
-func eqKeys(props map[string]sidl.Lit) []string {
-	var keys []string
-	for name, lit := range props {
-		if k, ok := eqKey(name, litVal(lit)); ok {
-			keys = append(keys, k)
-		}
-	}
-	return keys
+	return eqK{}, false
 }
 
 // byRefID is the order of a snapshot's offer and posting lists.
@@ -495,86 +501,123 @@ func compareRef(a, b ref.ServiceRef) int {
 	return strings.Compare(a.Service, b.Service)
 }
 
-// splice returns a copy of the (Ref, ID)-ordered list without old and
-// with fresh; either may be nil.
-func splice(list []*Offer, old, fresh *Offer) []*Offer {
-	out := make([]*Offer, 0, len(list)+1)
-	r := len(list)
+// byValID is the order of a numeric index.
+func byValID(a, b numEntry) int {
+	switch {
+	case a.val < b.val:
+		return -1
+	case a.val > b.val:
+		return 1
+	}
+	return strings.Compare(a.o.ID, b.o.ID)
+}
+
+// spliceOffers returns the (Ref, ID)-ordered list without old and with
+// fresh; either may be nil.
+func spliceOffers(list runs[*Offer], old, fresh *Offer) runs[*Offer] {
+	del, ins := -1, -1
 	if old != nil {
-		if i, found := slices.BinarySearchFunc(list, old, byRefID); found {
-			r = i
+		i := list.search(func(e *Offer) bool { return byRefID(e, old) >= 0 })
+		if i < list.Len() && byRefID(list.At(i), old) == 0 {
+			del = i
 		}
 	}
-	out = append(append(out, list[:r]...), list[min(r+1, len(list)):]...)
 	if fresh != nil {
-		i, _ := slices.BinarySearchFunc(out, fresh, byRefID)
-		out = slices.Insert(out, i, fresh)
-	}
-	return out
-}
-
-// splice returns a copy of ni (nil: empty) without the entry of offer
-// id at value del when hasDel, and with o inserted at value add when
-// hasAdd.
-func (ni *numIndex) splice(id string, del float64, hasDel bool, add float64, hasAdd bool, o *Offer) *numIndex {
-	var cur numIndex
-	if ni != nil {
-		cur = *ni
-	}
-	vals, offers := cur.vals, cur.offers
-	out := &numIndex{vals: make([]float64, 0, len(vals)+1), offers: make([]*Offer, 0, len(vals)+1)}
-	r := len(vals)
-	if hasDel {
-		if i := cur.search(del, id); i < len(vals) && vals[i] == del && offers[i].ID == id {
-			r = i
+		ins = list.search(func(e *Offer) bool { return byRefID(e, fresh) >= 0 })
+		if del >= 0 && ins > del {
+			ins--
 		}
 	}
-	out.vals = append(append(out.vals, vals[:r]...), vals[min(r+1, len(vals)):]...)
-	out.offers = append(append(out.offers, offers[:r]...), offers[min(r+1, len(offers)):]...)
-	if hasAdd {
-		p := out.search(add, id)
-		out.vals = slices.Insert(out.vals, p, add)
-		out.offers = slices.Insert(out.offers, p, o)
+	return list.splice(del, ins, fresh)
+}
+
+// spliceNum returns the numeric index idx without the entry of offer id
+// at value del when hasDel, and with o inserted at value add when
+// hasAdd.
+func spliceNum(idx runs[numEntry], id string, del float64, hasDel bool, add float64, hasAdd bool, o *Offer) runs[numEntry] {
+	at := func(x float64) int {
+		return idx.search(func(e numEntry) bool { return e.val > x || e.val == x && e.o.ID >= id })
 	}
-	return out
+	d, ins := -1, -1
+	if hasDel {
+		if i := at(del); i < idx.Len() {
+			if e := idx.At(i); e.val == del && e.o.ID == id {
+				d = i
+			}
+		}
+	}
+	if hasAdd {
+		if ins = at(add); d >= 0 && ins > d {
+			ins--
+		}
+	}
+	return idx.splice(d, ins, numEntry{add, o})
 }
 
-// search returns the position of the first entry at or after (x, id).
-func (ni *numIndex) search(x float64, id string) int {
-	return sort.Search(len(ni.vals), func(i int) bool {
-		return ni.vals[i] > x || ni.vals[i] == x && ni.offers[i].ID >= id
-	})
-}
-
-func (ni *numIndex) Len() int { return len(ni.vals) }
-func (ni *numIndex) Less(i, j int) bool {
-	return ni.vals[i] < ni.vals[j] || ni.vals[i] == ni.vals[j] && ni.offers[i].ID < ni.offers[j].ID
-}
-func (ni *numIndex) Swap(i, j int) {
-	ni.vals[i], ni.vals[j] = ni.vals[j], ni.vals[i]
-	ni.offers[i], ni.offers[j] = ni.offers[j], ni.offers[i]
-}
-
-// bounds returns the index range [lo, hi) of the entries satisfying
-// "value op x". Equality is the range [first >= x, first > x): -0 and
-// +0 fall in one range, as they compare equal, and NaN is never stored,
-// as it equals nothing.
-func (ni *numIndex) bounds(op string, x float64) (lo, hi int) {
-	geq := sort.SearchFloat64s(ni.vals, x) // first index with val >= x
-	gt := sort.Search(len(ni.vals), func(i int) bool { return ni.vals[i] > x })
+// bounds returns the index range [lo, hi) of the entries of idx
+// satisfying "value op x". Equality is the range [first >= x, first >
+// x): -0 and +0 fall in one range, as they compare equal, and NaN is
+// never stored, as it equals nothing.
+func bounds(idx runs[numEntry], op string, x float64) (lo, hi int) {
+	geq := func() int { return idx.search(func(e numEntry) bool { return e.val >= x }) }
+	gt := func() int { return idx.search(func(e numEntry) bool { return e.val > x }) }
 	switch op {
 	case "==":
-		return geq, gt
+		return geq(), gt()
 	case "<":
-		return 0, geq
+		return 0, geq()
 	case "<=":
-		return 0, gt
+		return 0, gt()
 	case ">":
-		return gt, len(ni.vals)
+		return gt(), idx.Len()
 	case ">=":
-		return geq, len(ni.vals)
+		return geq(), idx.Len()
 	}
 	return 0, 0
+}
+
+// span is the positions [lo, hi) of one snapshot list: of an offer list,
+// or, when num is set, of a numeric index.
+type span struct {
+	offers runs[*Offer]
+	idx    runs[numEntry]
+	num    bool
+	lo, hi int
+}
+
+func (s span) Len() int { return s.hi - s.lo }
+
+// each calls fn on the span's offers in order until fn returns false.
+func (s span) each(fn func(*Offer) bool) {
+	if s.num {
+		s.idx.each(s.lo, s.hi, func(e numEntry) bool { return fn(e.o) })
+		return
+	}
+	s.offers.each(s.lo, s.hi, fn)
+}
+
+// hintSpan returns the offers one index hint narrows the snapshot to and
+// which index kind answered ("eq" or "range"), or false when no index
+// answers the hint.
+func (snap *typeSnapshot) hintSpan(h indexHint) (span, string, bool) {
+	if h.rhsProp != "" && snap.props[h.rhsProp] > 0 {
+		// The "literal" side names a real property of some offer in
+		// this snapshot, so it does not uniformly resolve to an enum
+		// symbol; the posting list would not be a superset.
+		return span{}, "", false
+	}
+	switch {
+	case h.val.kind == cvNum:
+		idx := snap.num[h.prop]
+		lo, hi := bounds(idx, h.op, h.val.num)
+		return span{idx: idx, num: true, lo: lo, hi: hi}, "range", true
+	case h.op == "==":
+		if k, ok := eqKey(h.prop, h.val); ok {
+			list := snap.eq[k]
+			return span{offers: list, hi: list.Len()}, "eq", true
+		}
+	}
+	return span{}, "", false
 }
 
 // candidates narrows the snapshot to offers that can possibly satisfy
@@ -583,36 +626,15 @@ func (ni *numIndex) bounds(op string, x float64) (lo, hi int) {
 // result is a superset of the matching offers — every hint is a
 // necessary condition — so the caller still evaluates the full
 // constraint on each candidate.
-func (snap *typeSnapshot) candidates(c *Constraint) ([]*Offer, string) {
-	best := snap.offers
-	kind := "scan"
+func (snap *typeSnapshot) candidates(c *Constraint) (span, string) {
+	best, kind := span{offers: snap.offers, hi: snap.offers.Len()}, "scan"
 	for _, h := range c.hints() {
-		if h.rhsProp != "" && snap.props[h.rhsProp] > 0 {
-			// The "literal" side names a real property of some offer in
-			// this snapshot, so it does not uniformly resolve to an enum
-			// symbol; the posting list would not be a superset.
-			continue
-		}
-		var cand []*Offer
-		var k string
+		cand, k, ok := snap.hintSpan(h)
 		switch {
-		case h.val.kind == cvNum:
-			ni := snap.num[h.prop]
-			if ni == nil {
-				return nil, "range" // no numeric values: nothing can match
-			}
-			lo, hi := ni.bounds(h.op, h.val.num)
-			cand, k = ni.offers[lo:hi], "range"
-		case h.op == "==":
-			key, ok := eqKey(h.prop, h.val)
-			if !ok {
-				continue
-			}
-			cand, k = snap.eq[key], "eq"
-		default:
-			continue
-		}
-		if len(cand) < len(best) || kind == "scan" {
+		case !ok:
+		case cand.num && cand.idx.Len() == 0:
+			return cand, k // no numeric values: nothing can match
+		case cand.Len() < best.Len() || kind == "scan":
 			best, kind = cand, k
 		}
 	}
