@@ -244,15 +244,13 @@ func (s *State) localMatches(bs []consultedBucket, q Query, now time.Time) []Mat
 // numeric index in policy order: ascending for min:, and for max:
 // descending by value with each run of equal values [g, e) in ascending
 // ID order — ties come out in ID order either way, as Policy.top breaks
-// them. It remembers the run of its last access, so a step costs O(1)
-// and not a search of the spine.
+// them.
 type walkCursor struct {
 	tm     match.TypeMatch
 	idx    runs[numEntry]
 	desc   bool // max: values walk downward
 	lo, hi int
 	g, e   int
-	k      int // run of the last access
 }
 
 // head returns the cursor's next entry, false when it has none left.
@@ -261,23 +259,17 @@ func (c *walkCursor) head() (numEntry, bool) {
 		if c.lo == c.hi {
 			return numEntry{}, false
 		}
-		return c.at(c.lo), true
+		return c.idx.At(c.lo), true
 	}
 	if c.g == c.e {
 		if c.lo == c.hi {
 			return numEntry{}, false
 		}
-		v := c.at(c.hi - 1).val
+		v := c.idx.At(c.hi - 1).val
 		c.g = max(c.lo, c.idx.search(func(e numEntry) bool { return e.val >= v }))
 		c.e, c.hi = c.hi, c.g
 	}
-	return c.at(c.g), true
-}
-
-func (c *walkCursor) at(i int) numEntry {
-	e, k := c.idx.atFrom(c.k, i)
-	c.k = k
-	return e
+	return c.idx.At(c.g), true
 }
 
 // pop consumes the cursor's head.

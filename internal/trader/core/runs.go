@@ -76,6 +76,14 @@ func (r runs[E]) At(i int) E {
 // if none does; pred must be false up to some position and true from
 // there on, as for sort.Search.
 func (r runs[E]) search(pred func(E) bool) int {
+	i, _, _ := r.find(pred)
+	return i
+}
+
+// find is search that also returns the entry at the position found,
+// false when it is Len, so a caller that checks it pays no second
+// search of the spine.
+func (r runs[E]) find(pred func(E) bool) (int, E, bool) {
 	lo, hi := 0, len(r.spine) // first run whose last entry satisfies pred
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -86,7 +94,8 @@ func (r runs[E]) search(pred func(E) bool) int {
 		}
 	}
 	if lo == len(r.spine) {
-		return r.Len()
+		var zero E
+		return r.Len(), zero, false
 	}
 	rn := &r.spine[lo]
 	i, j := 0, len(rn.items)
@@ -98,7 +107,7 @@ func (r runs[E]) search(pred func(E) bool) int {
 			i = m + 1
 		}
 	}
-	return rn.start() + i
+	return rn.start() + i, rn.items[i], true
 }
 
 // each calls fn on the entries at positions [lo, hi) in order until fn
@@ -136,18 +145,6 @@ func (r runs[E]) splice(del, ins int, e E) runs[E] {
 	}
 	out := runs[E]{spine: make([]run[E], len(r.spine), len(r.spine)+2)}
 	copy(out.spine, r.spine)
-	if del >= 0 && ins >= 0 {
-		// A replace within one run, the common case (a suspect mark, a
-		// value kept), copies that run once and keeps every end.
-		rn := &out.spine[out.runOf(del)]
-		if s := rn.start(); ins >= s && ins < rn.end {
-			items := make([]E, 0, len(rn.items))
-			items = append(items, rn.items[:del-s]...)
-			items = append(items, rn.items[del-s+1:]...)
-			rn.items = slices.Insert(items, ins-s, e)
-			return out
-		}
-	}
 	if del >= 0 {
 		out.remove(del)
 	}
@@ -223,15 +220,4 @@ func (r *runs[E]) insert(i int, e E) {
 	r.spine = append(r.spine, run[E]{})
 	copy(r.spine[k+2:], r.spine[k+1:])
 	r.spine[k+1] = run[E]{items: items[h:], end: end}
-}
-
-// atFrom returns the entry at position i, 0 <= i < Len, and its run,
-// looking in run k first: a reader stepping through nearby positions
-// searches the spine once per run, not once per entry.
-func (r runs[E]) atFrom(k, i int) (E, int) {
-	if k >= len(r.spine) || i >= r.spine[k].end || i < r.spine[k].start() {
-		k = r.runOf(i)
-	}
-	rn := &r.spine[k]
-	return rn.items[i-rn.start()], k
 }

@@ -35,9 +35,9 @@ func checkRuns[E any](t *testing.T, what string, r runs[E]) {
 // anywhere — against a flat slice. Each sequence grows the list past
 // 10×runCap and shrinks it again, from an empty list or from one
 // built by runsOf, so runs split, empty and merge. After every step
-// At, search, each and all must agree with the slice, the invariants
-// must hold, and the list of the step before and of a random one of
-// the 32 before that must still hold what it held.
+// At, search, find, each and all must agree with the slice, the
+// invariants must hold, and the list of the step before and of a
+// random one of the 32 before that must still hold what it held.
 func TestRunsMatchSliceProperty(t *testing.T) {
 	var splits, merges, emptied int
 	for seed := int64(0); seed < 4; seed++ {
@@ -137,6 +137,10 @@ func TestRunsMatchSliceProperty(t *testing.T) {
 			for _, p := range []int{0, len(want), r.Intn(len(want) + 1)} {
 				if got := list.search(func(x int) bool { return at[x] >= p }); got != p {
 					t.Fatalf("%s: search for position %d = %d", what, p, got)
+				}
+				i, x, ok := list.find(func(x int) bool { return at[x] >= p })
+				if i != p || ok != (p < len(want)) || ok && x != want[p] {
+					t.Fatalf("%s: find for position %d = %d, %d, %v", what, p, i, x, ok)
 				}
 			}
 			lo := pos(len(want))

@@ -517,8 +517,8 @@ func byValID(a, b numEntry) int {
 func spliceOffers(list runs[*Offer], old, fresh *Offer) runs[*Offer] {
 	del, ins := -1, -1
 	if old != nil {
-		i := list.search(func(e *Offer) bool { return byRefID(e, old) >= 0 })
-		if i < list.Len() && byRefID(list.At(i), old) == 0 {
+		i, e, ok := list.find(func(e *Offer) bool { return byRefID(e, old) >= 0 })
+		if ok && byRefID(e, old) == 0 {
 			del = i
 		}
 	}
@@ -535,19 +535,17 @@ func spliceOffers(list runs[*Offer], old, fresh *Offer) runs[*Offer] {
 // at value del when hasDel, and with o inserted at value add when
 // hasAdd.
 func spliceNum(idx runs[numEntry], id string, del float64, hasDel bool, add float64, hasAdd bool, o *Offer) runs[numEntry] {
-	at := func(x float64) int {
-		return idx.search(func(e numEntry) bool { return e.val > x || e.val == x && e.o.ID >= id })
+	at := func(x float64) (int, numEntry, bool) {
+		return idx.find(func(e numEntry) bool { return e.val > x || e.val == x && e.o.ID >= id })
 	}
 	d, ins := -1, -1
 	if hasDel {
-		if i := at(del); i < idx.Len() {
-			if e := idx.At(i); e.val == del && e.o.ID == id {
-				d = i
-			}
+		if i, e, ok := at(del); ok && e.val == del && e.o.ID == id {
+			d = i
 		}
 	}
 	if hasAdd {
-		if ins = at(add); d >= 0 && ins > d {
+		if ins, _, _ = at(add); d >= 0 && ins > d {
 			ins--
 		}
 	}
