@@ -99,7 +99,7 @@ type OfferRecord struct {
 // representation, so a dump of a recovered trader is comparable
 // byte-for-byte with a dump of the original.
 func (o *Offer) Record() OfferRecord {
-	rec := OfferRecord{ID: o.ID, Type: o.Type, Ref: o.Ref.String(), Props: PropsToRecords(o.Props), Suspect: o.Suspect}
+	rec := OfferRecord{ID: o.ID, Type: o.Type, Ref: o.Ref.String(), Props: PropsToRecords(make([]PropRecord, 0, len(o.Props)), o.Props), Suspect: o.Suspect}
 	if !o.Expires.IsZero() {
 		rec.Expires = o.Expires.UnixNano()
 	}
@@ -123,14 +123,22 @@ func OfferFromRecord(rec OfferRecord) (*Offer, error) {
 	return o, nil
 }
 
-// PropsToRecords renders a property set in record form, sorted by name.
-func PropsToRecords(props map[string]sidl.Lit) []PropRecord {
-	out := make([]PropRecord, 0, len(props))
-	for _, name := range SortedPropNames(props) {
-		kind, text := EncodeLit(props[name])
-		out = append(out, PropRecord{Name: name, Kind: kind, Text: text})
+// PropsToRecords appends a property set to dst in record form, sorted
+// by name — the order every encoded form of an offer lists them in —
+// and returns the extended slice.
+func PropsToRecords(dst []PropRecord, props map[string]sidl.Lit) []PropRecord {
+	start := len(dst)
+	for name, l := range props {
+		kind, text := EncodeLit(l)
+		dst = append(dst, PropRecord{Name: name, Kind: kind, Text: text})
 	}
-	return out
+	recs := dst[start:]
+	for i := 1; i < len(recs); i++ { // insertion sort: tiny inputs
+		for j := i; j > 0 && recs[j].Name < recs[j-1].Name; j-- {
+			recs[j], recs[j-1] = recs[j-1], recs[j]
+		}
+	}
+	return dst
 }
 
 // PropsFromRecords reverses PropsToRecords.
@@ -144,21 +152,6 @@ func PropsFromRecords(recs []PropRecord) (map[string]sidl.Lit, error) {
 		props[p.Name] = lit
 	}
 	return props, nil
-}
-
-// SortedPropNames returns the property names in ascending order — the
-// order every encoded form of an offer lists them in.
-func SortedPropNames(props map[string]sidl.Lit) []string {
-	names := make([]string, 0, len(props))
-	for n := range props {
-		names = append(names, n)
-	}
-	for i := 1; i < len(names); i++ { // insertion sort: tiny inputs
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }
 
 // EncodeLit renders a property literal as the kind/text pair the

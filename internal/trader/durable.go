@@ -80,7 +80,7 @@ type walRecord struct {
 // recordOf renders a mutation in journal form.
 func recordOf(m *core.Mutation) *walRecord {
 	// Fields an op does not use stay empty and encode as zero.
-	r := &walRecord{Op: m.Op, IDs: m.IDs, Suspect: m.Suspect, Props: core.PropsToRecords(m.Props)}
+	r := &walRecord{Op: m.Op, IDs: m.IDs, Suspect: m.Suspect, Props: core.PropsToRecords(make([]PropRecord, 0, len(m.Props)), m.Props)}
 	r.Offers = make([]OfferRecord, len(m.Offers))
 	for i, o := range m.Offers {
 		r.Offers[i] = o.Record()

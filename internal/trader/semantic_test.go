@@ -642,7 +642,7 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 	// A graded response round-trips grade and score through the codec.
 	back, err := xcode.AppendEncode(nil, offerT, wireMatch(Match{
 		Offer: m.Offer, Grade: match.GradeSubtype, Score: 0.85,
-	}))
+	}, core.PropsToRecords(nil, m.Props)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,8 +234,9 @@ type offerWire struct {
 	Score       float64 `sidl:",optional"`
 }
 
-func wireMatch(m Match) offerWire {
-	w := offerWire{ID: m.ID, ServiceType: m.Type, Target: m.Ref, Props: core.PropsToRecords(m.Props),
+// wireMatch renders m with props, m.Props in record form.
+func wireMatch(m Match, props []PropRecord) offerWire {
+	w := offerWire{ID: m.ID, ServiceType: m.Type, Target: m.Ref, Props: props,
 		Suspect: m.Suspect, Grade: m.Grade.String(), Score: m.Score}
 	if !m.Expires.IsZero() {
 		w.ExpiresUnix = m.Expires.Unix()
@@ -499,9 +500,18 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err != nil {
 			return err
 		}
+		// One record array holds every offer's properties, so a reply
+		// allocates it once; each offer takes a capped window of it.
+		n := 0
+		for _, m := range ms {
+			n += len(m.Props)
+		}
 		ws := make([]offerWire, len(ms))
+		recs := make([]PropRecord, 0, n)
 		for i, m := range ms {
-			ws[i] = wireMatch(m)
+			start := len(recs)
+			recs = core.PropsToRecords(recs, m.Props)
+			ws[i] = wireMatch(m, recs[start:len(recs):len(recs)])
 		}
 		return call.Return(ws)
 	})

@@ -48,8 +48,14 @@ func startTraderNode(t *testing.T, loopName, traderID string) (*cosm.Node, *Trad
 // cache answering — allocates over loop:, client and server together.
 // The typed path goes straight between Go values and bytes; a change
 // that builds an xcode.Value tree on it again fails here (with one at
-// each end of each direction, the same import allocated 423).
+// each end of each direction, the same import allocated 423). Frames
+// are read through a buffer and written from pooled buffers, and the
+// reply's property records share one array: with a fresh frame copy
+// per write and a record slice per offer, it allocated 173.
 func TestRemoteImportAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
 	node, tr, traderRef := startTraderNode(t, "trd-allocs", "T")
 	for i := 1; i <= 8; i++ {
 		if _, err := tr.Export("CarRentalService", carRef(i), carProps("FIAT_Uno", float64(40+10*i), "USD")); err != nil {
@@ -68,8 +74,8 @@ func TestRemoteImportAllocs(t *testing.T) {
 		}
 	}
 	call() // bind, dial and fill the caches outside the measurement
-	if got := testing.AllocsPerRun(200, call); got != 173 {
-		t.Fatalf("one remote import allocates %v, want 173", got)
+	if got := testing.AllocsPerRun(200, call); got != 153 {
+		t.Fatalf("one remote import allocates %v, want 153", got)
 	}
 }
 

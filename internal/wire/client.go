@@ -50,6 +50,10 @@ func (e *RemoteError) Unwrap() error { return ErrRemote }
 // frame may be half-sent and the stream is unusable anyway.
 const defaultWriteStall = 30 * time.Second
 
+// replyChans holds the one-slot channels a Call waits on for its reply,
+// shared by every client of the process.
+var replyChans = sync.Pool{New: func() any { return make(chan *Response, 1) }}
+
 // Client is a multiplexing RPC client for one endpoint. Concurrent Call
 // invocations share the connection; responses are correlated by frame
 // id. Clients are safe for concurrent use.
@@ -98,8 +102,9 @@ func (c *Client) Endpoint() string { return c.endpoint }
 
 func (c *Client) readLoop() {
 	defer close(c.readDone)
+	frames := newFrameReader(c.conn)
 	for {
-		f, err := readFrame(c.conn)
+		f, err := frames.next()
 		if err != nil {
 			c.failAll(err)
 			return
@@ -184,11 +189,12 @@ func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error
 		}
 		ttl = ttlOf(d, time.Now())
 	}
-	ch := make(chan *Response, 1)
+	ch := replyChans.Get().(chan *Response)
 	c.mu.Lock()
 	if c.closed {
 		err := c.readErr
 		c.mu.Unlock()
+		replyChans.Put(ch)
 		return nil, closeErr(err)
 	}
 	c.nextID++
@@ -206,13 +212,13 @@ func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error
 	}
 	c.writeMu.Lock()
 	_ = c.conn.SetWriteDeadline(deadline)
-	werr := writeFrame(c.conn, frame{
+	werr := sendFrame(c.conn, &frame{
 		ftype:    frameRequest,
 		id:       id,
 		ttl:      ttl,
 		traceID:  trace.ID,
 		parentID: trace.Span,
-		payload:  encodeRequest(req),
+		req:      req,
 	})
 	_ = c.conn.SetWriteDeadline(time.Time{})
 	c.writeMu.Unlock()
@@ -234,6 +240,11 @@ func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error
 			c.mu.Unlock()
 			return nil, closeErr(err)
 		}
+		// The reply arrived, so the read loop is done with ch: nothing
+		// else can send on it or close it. A channel whose call was
+		// cancelled or whose connection broke is never reused — a late
+		// reply or the close may still be on its way.
+		replyChans.Put(ch)
 		if resp.Status != StatusOK {
 			return nil, &RemoteError{Status: resp.Status, Msg: resp.ErrMsg, RetryAfter: resp.RetryAfter}
 		}
@@ -258,7 +269,7 @@ func (c *Client) sendCancel(id uint64) {
 	}
 	c.writeMu.Lock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(defaultWriteStall))
-	err := writeFrame(c.conn, frame{ftype: frameCancel, id: id})
+	err := sendFrame(c.conn, &frame{ftype: frameCancel, id: id})
 	_ = c.conn.SetWriteDeadline(time.Time{})
 	c.writeMu.Unlock()
 	if err != nil {

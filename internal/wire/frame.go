@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -33,7 +35,7 @@ import (
 //   - a cancel frame (no payload) tells the server the caller of the
 //     identified request has given up, so server-side work can be
 //     cancelled;
-//   - response payloads carry a retry-after hint (see encodeResponse).
+//   - response payloads carry a retry-after hint (see appendFrame).
 const (
 	frameHeaderLen = 16
 	frameTTLLen    = 8
@@ -63,6 +65,21 @@ var (
 
 var frameMagic = [2]byte{'C', 'W'}
 
+const (
+	// frameReadBuf sizes the buffered reader of each connection. Every
+	// frame's header, a request's TTL and its whole trace-metadata
+	// section are parsed in place out of that buffer, so it must hold
+	// the longest request prefix; the constant below fails to compile
+	// when it does not.
+	frameReadBuf = 512
+	// frameBufMax caps the frame buffers frameBufs keeps: a larger frame
+	// is assembled in a buffer the pool lets go, so one large reply does
+	// not pin its size for the life of the process.
+	frameBufMax = 64 << 10
+)
+
+const _ = uint(frameReadBuf - (frameHeaderLen + frameTTLLen + 1 + frameMaxMeta))
+
 type frame struct {
 	ftype byte
 	id    uint64
@@ -76,28 +93,91 @@ type frame struct {
 	// side's span.
 	traceID  string
 	parentID string
-	payload  []byte
+	// payload is the frame's body as read. On write, a frame carrying
+	// req or resp has that encoded as its payload instead (see
+	// appendFrame); payload is written as it is otherwise.
+	payload []byte
+	req     *Request
+	resp    *Response
 }
 
-// encodeFrameMeta renders the trace-metadata section: a single length
+// frameBufs holds the buffers frames are assembled in. It is shared by
+// every connection of the process rather than kept per connection, so
+// idle connections hold no write buffer.
+var frameBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, frameReadBuf)
+	return &b
+}}
+
+// sendFrame writes f with a single Write, which keeps frames atomic
+// with respect to the connection-level write mutex held by the caller.
+// The frame is assembled in a buffer from frameBufs that goes back to
+// the pool once Write returns (an io.Writer may not retain it).
+func sendFrame(w io.Writer, f *frame) error {
+	bp := frameBufs.Get().(*[]byte)
+	buf, err := appendFrame((*bp)[:0], f)
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	if cap(buf) <= frameBufMax {
+		*bp = buf[:0]
+		frameBufs.Put(bp)
+	}
+	return err
+}
+
+// appendFrame renders f onto dst: the header, for a request its TTL
+// and trace-metadata section, then the payload. A request payload is
+// the service and operation names, each uvarint-length-prefixed,
+// followed by the body; a response payload is the status, the
+// retry-after hint (uvarint milliseconds), the error message
+// (length-prefixed) and the body.
+func appendFrame(dst []byte, f *frame) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, frameMagic[0], frameMagic[1], protoVersion, f.ftype)
+	dst = binary.BigEndian.AppendUint64(dst, f.id)
+	dst = append(dst, 0, 0, 0, 0) // payload length, patched below
+	if f.ftype == frameRequest {
+		dst = binary.BigEndian.AppendUint64(dst, f.ttl)
+		dst = appendFrameMeta(dst, f.traceID, f.parentID)
+	}
+	body := len(dst)
+	switch {
+	case f.req != nil:
+		dst = appendString(dst, f.req.Service)
+		dst = appendString(dst, f.req.Op)
+		dst = append(dst, f.req.Body...)
+	case f.resp != nil:
+		dst = append(dst, byte(f.resp.Status))
+		dst = binary.AppendUvarint(dst, uint64(f.resp.RetryAfter/time.Millisecond))
+		dst = appendString(dst, f.resp.ErrMsg)
+		dst = append(dst, f.resp.Body...)
+	default:
+		dst = append(dst, f.payload...)
+	}
+	n := len(dst) - body
+	if n > MaxFramePayload {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(dst[start+12:], uint32(n))
+	return dst, nil
+}
+
+// appendFrameMeta renders the trace-metadata section: a single length
 // byte, then — when there is anything to carry — the two IDs, each
 // length-prefixed by one byte. Oversized IDs are dropped rather than
 // corrupting the frame: tracing is best-effort metadata.
-func encodeFrameMeta(traceID, parentID string) []byte {
+func appendFrameMeta(dst []byte, traceID, parentID string) []byte {
 	if len(traceID) > frameMaxMeta/2-1 || len(parentID) > frameMaxMeta/2-1 {
 		traceID, parentID = "", ""
 	}
 	if traceID == "" && parentID == "" {
-		return []byte{0}
+		return append(dst, 0)
 	}
-	meta := make([]byte, 0, 3+len(traceID)+len(parentID))
-	meta = append(meta, 0) // section length, patched below
-	meta = append(meta, byte(len(traceID)))
-	meta = append(meta, traceID...)
-	meta = append(meta, byte(len(parentID)))
-	meta = append(meta, parentID...)
-	meta[0] = byte(len(meta) - 1)
-	return meta
+	dst = append(dst, byte(2+len(traceID)+len(parentID)), byte(len(traceID)))
+	dst = append(dst, traceID...)
+	dst = append(dst, byte(len(parentID)))
+	return append(dst, parentID...)
 }
 
 // decodeFrameMeta parses the body of a trace-metadata section (the
@@ -128,33 +208,27 @@ func decodeFrameMeta(meta []byte) (traceID, parentID string, err error) {
 	return traceID, parentID, nil
 }
 
-func writeFrame(w io.Writer, f frame) error {
-	if len(f.payload) > MaxFramePayload {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
-	}
-	var ext []byte
-	if f.ftype == frameRequest {
-		var ttl [frameTTLLen]byte
-		binary.BigEndian.PutUint64(ttl[:], f.ttl)
-		ext = append(ttl[:], encodeFrameMeta(f.traceID, f.parentID)...)
-	}
-	hdr := make([]byte, frameHeaderLen, frameHeaderLen+len(ext)+len(f.payload))
-	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = protoVersion
-	hdr[3] = f.ftype
-	binary.BigEndian.PutUint64(hdr[4:], f.id)
-	binary.BigEndian.PutUint32(hdr[12:], uint32(len(f.payload)))
-	// One Write call per frame keeps frames atomic with respect to the
-	// connection-level write mutex held by the caller.
-	buf := append(hdr, ext...)
-	buf = append(buf, f.payload...)
-	_, err := w.Write(buf)
-	return err
+// frameReader reads the frames of one connection through a buffer of
+// frameReadBuf bytes. The header, TTL and trace metadata are parsed in
+// place; only the payload, which its reader owns, and non-empty trace
+// IDs are allocated.
+type frameReader struct {
+	buf *bufio.Reader
 }
 
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{buf: bufio.NewReaderSize(r, frameReadBuf)}
+}
+
+// next reads one frame. A stream that ends cleanly between frames
+// returns io.EOF; one that ends inside a header returns
+// io.ErrUnexpectedEOF.
+func (r *frameReader) next() (frame, error) {
+	hdr, err := r.buf.Peek(frameHeaderLen)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return frame{}, err
 	}
 	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] {
@@ -168,37 +242,38 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, fmt.Errorf("%w: frame type %d", ErrBadFrame, ftype)
 	}
 	f := frame{ftype: ftype, id: binary.BigEndian.Uint64(hdr[4:])}
+	n := binary.BigEndian.Uint32(hdr[12:])
+	prefix := frameHeaderLen
 	if ftype == frameRequest {
-		var ttl [frameTTLLen]byte
-		if _, err := io.ReadFull(r, ttl[:]); err != nil {
+		// Peeking further may move the buffered bytes: hdr is stale
+		// from here on.
+		ext, err := r.buf.Peek(frameHeaderLen + frameTTLLen)
+		if err != nil {
 			return frame{}, fmt.Errorf("%w: truncated deadline: %v", ErrBadFrame, err)
 		}
-		f.ttl = binary.BigEndian.Uint64(ttl[:])
-		var metaLen [1]byte
-		if _, err := io.ReadFull(r, metaLen[:]); err != nil {
+		f.ttl = binary.BigEndian.Uint64(ext[frameHeaderLen:])
+		prefix = frameHeaderLen + frameTTLLen + 1
+		if ext, err = r.buf.Peek(prefix); err != nil {
 			return frame{}, fmt.Errorf("%w: truncated trace metadata: %v", ErrBadFrame, err)
 		}
-		if n := int(metaLen[0]); n > 0 {
-			meta := make([]byte, n)
-			if _, err := io.ReadFull(r, meta); err != nil {
+		if m := int(ext[prefix-1]); m > 0 {
+			if ext, err = r.buf.Peek(prefix + m); err != nil {
 				return frame{}, fmt.Errorf("%w: truncated trace metadata: %v", ErrBadFrame, err)
 			}
-			traceID, parentID, err := decodeFrameMeta(meta)
-			if err != nil {
+			if f.traceID, f.parentID, err = decodeFrameMeta(ext[prefix:]); err != nil {
 				return frame{}, err
 			}
-			f.traceID, f.parentID = traceID, parentID
+			prefix += m
 		}
 	}
-	n := binary.BigEndian.Uint32(hdr[12:])
+	r.buf.Discard(prefix) // peeked, so buffered: it cannot fail
 	if n > MaxFramePayload {
 		return frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	f.payload = make([]byte, n)
+	if _, err := io.ReadFull(r.buf, f.payload); err != nil {
 		return frame{}, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
-	f.payload = payload
 	return f, nil
 }
 
@@ -307,13 +382,6 @@ func consumeString(data []byte, limit int) (string, []byte, error) {
 
 const maxNameLen = 4096
 
-func encodeRequest(r *Request) []byte {
-	buf := make([]byte, 0, len(r.Service)+len(r.Op)+len(r.Body)+16)
-	buf = appendString(buf, r.Service)
-	buf = appendString(buf, r.Op)
-	return append(buf, r.Body...)
-}
-
 func decodeRequest(payload []byte) (*Request, error) {
 	service, rest, err := consumeString(payload, maxNameLen)
 	if err != nil {
@@ -324,17 +392,6 @@ func decodeRequest(payload []byte) (*Request, error) {
 		return nil, err
 	}
 	return &Request{Service: service, Op: op, Body: rest}, nil
-}
-
-// Response payload layout: status, retry-after (uvarint ms), errmsg,
-// body.
-
-func encodeResponse(r *Response) []byte {
-	buf := make([]byte, 0, len(r.ErrMsg)+len(r.Body)+24)
-	buf = append(buf, byte(r.Status))
-	buf = binary.AppendUvarint(buf, uint64(r.RetryAfter/time.Millisecond))
-	buf = appendString(buf, r.ErrMsg)
-	return append(buf, r.Body...)
 }
 
 func decodeResponse(payload []byte) (*Response, error) {

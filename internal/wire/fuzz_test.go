@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzReadFrame: frames come off connections anyone can open, so the
-// frame reader and the request and response payload decoders behind it
+// frame reader — the buffered one every connection reads through — and
+// the request and response payload decoders behind it
 // must refuse damage with an error — never a panic, never an allocation
 // past MaxFramePayload however large a length the header claims — and
 // whatever does decode must survive its own encoding. The corpus under
@@ -26,7 +27,7 @@ func FuzzReadFrame(f *testing.F) {
 		for try, limit := 0, uint64(MaxFramePayload+1<<16+4*len(data)); ; try++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			fr, err = readFrame(bytes.NewReader(data))
+			fr, err = newFrameReader(bytes.NewReader(data)).next()
 			runtime.ReadMemStats(&after)
 			grew := after.TotalAlloc - before.TotalAlloc
 			if grew <= limit {
@@ -50,14 +51,8 @@ func FuzzReadFrame(f *testing.F) {
 		if len(fr.traceID) > frameMaxMeta/2-1 || len(fr.parentID) > frameMaxMeta/2-1 {
 			want.traceID, want.parentID = "", ""
 		}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, fr); err != nil {
-			t.Fatalf("re-encoding %+v: %v", fr, err)
-		}
-		back, err := readFrame(&buf)
-		if err != nil || back.ftype != want.ftype || back.id != want.id || back.ttl != want.ttl ||
-			back.traceID != want.traceID || back.parentID != want.parentID || !bytes.Equal(back.payload, want.payload) {
-			t.Fatalf("frame %+v re-encoded and read as %+v, %v", want, back, err)
+		if back := roundTrip(t, &fr); !sameFrame(back, want) {
+			t.Fatalf("frame %+v re-encoded and read as %+v", want, back)
 		}
 
 		switch fr.ftype {
@@ -66,7 +61,7 @@ func FuzzReadFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			again, err := decodeRequest(encodeRequest(req))
+			again, err := decodeRequest(requestPayload(t, req))
 			if err != nil || again.Service != req.Service || again.Op != req.Op || !bytes.Equal(again.Body, req.Body) {
 				t.Fatalf("request %+v re-encoded and decoded as %+v, %v", req, again, err)
 			}
@@ -75,7 +70,7 @@ func FuzzReadFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			again, err := decodeResponse(encodeResponse(resp))
+			again, err := decodeResponse(responsePayload(t, resp))
 			if err != nil || again.Status != resp.Status || again.ErrMsg != resp.ErrMsg ||
 				again.RetryAfter != resp.RetryAfter || !bytes.Equal(again.Body, resp.Body) {
 				t.Fatalf("response %+v re-encoded and decoded as %+v, %v", resp, again, err)

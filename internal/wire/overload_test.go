@@ -99,11 +99,10 @@ func TestExpiredRequestNeverDispatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req := encodeRequest(&Request{Service: "svc", Op: "X"})
-	if err := writeFrame(conn, frame{ftype: frameRequest, id: 7, ttl: 1, payload: req}); err != nil {
+	if err := sendFrame(conn, &frame{ftype: frameRequest, id: 7, ttl: 1, req: &Request{Service: "svc", Op: "X"}}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(conn)
+	f, err := newFrameReader(conn).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,34 +506,20 @@ func TestBreakerShedSemantics(t *testing.T) {
 
 // Request frames round-trip their TTL through the framing layer.
 func TestFrameTTLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	want := frame{ftype: frameRequest, id: 9, ttl: 123456, payload: []byte("p")}
-	if err := writeFrame(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, &want)
 	if got.ttl != want.ttl || got.id != want.id || !bytes.Equal(got.payload, want.payload) {
 		t.Fatalf("round trip = %+v", got)
 	}
 
 	// Cancel frames carry no payload and no TTL.
-	buf.Reset()
-	if err := writeFrame(&buf, frame{ftype: frameCancel, id: 9}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = roundTrip(t, &frame{ftype: frameCancel, id: 9})
 	if got.ftype != frameCancel || got.id != 9 || len(got.payload) != 0 {
 		t.Fatalf("cancel round trip = %+v", got)
 	}
 	// A truncated TTL extension is a framing error, not a hang.
 	raw := []byte{'C', 'W', 2, frameRequest, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 2}
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadFrame) && !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := newFrameReader(bytes.NewReader(raw)).next(); !errors.Is(err, ErrBadFrame) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated TTL err = %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -526,6 +527,93 @@ func TestWriteDeadlineUnwedgesStuckPeer(t *testing.T) {
 		t.Fatal("second call on the poisoned connection must fail")
 	} else if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("second call waited out its own deadline (%v): writeMu was wedged", err)
+	}
+}
+
+// partialWriteConn fails its first write part-way, the way a write
+// deadline expiring mid-frame does: it passes the first cut bytes on
+// and reports an error. It counts the bytes passed on after that.
+type partialWriteConn struct {
+	net.Conn
+	cut    int
+	failed chan struct{} // closed by the failing write
+
+	mu    sync.Mutex
+	after int
+}
+
+func (c *partialWriteConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.failed:
+		n, err := c.Conn.Write(p)
+		c.after += n
+		return n, err
+	default:
+	}
+	n, _ := c.Conn.Write(p[:c.cut])
+	close(c.failed)
+	return n, os.ErrDeadlineExceeded
+}
+
+// TestFailedResponseWriteClosesConn: a response write that fails
+// part-way leaves half a frame on the stream, so the server must close
+// the connection rather than write the next response behind it, where
+// the client would read it misaligned — as part of the broken reply, or
+// as a reply to the wrong call. The call still pending when the
+// connection breaks ends with ErrClientClosed.
+func TestFailedResponseWriteClosesConn(t *testing.T) {
+	clientEnd, serverEnd := net.Pipe()
+	defer clientEnd.Close()
+	defer serverEnd.Close()
+	conn := &partialWriteConn{Conn: serverEnd, cut: frameHeaderLen + 2, failed: make(chan struct{})}
+
+	pendingStarted := make(chan struct{})
+	s := quietServer()
+	defer s.Close()
+	if err := s.Register("svc", HandlerFunc(func(_ context.Context, _ string, req *Request) *Response {
+		if req.Op == "Pending" {
+			// Answer only after the other reply's write has failed.
+			close(pendingStarted)
+			<-conn.failed
+		}
+		return &Response{Status: StatusOK, Body: []byte(req.Op)}
+	})); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	s.wg.Add(1)
+	go func() {
+		s.serveConn(conn)
+		close(served)
+	}()
+
+	c := newClientConn("pipe:partial-write", clientEnd)
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	pending := make(chan error, 1)
+	go func() {
+		_, err := c.Call(ctx, &Request{Service: "svc", Op: "Pending"})
+		pending <- err
+	}()
+	<-pendingStarted
+	if _, err := c.Call(ctx, &Request{Service: "svc", Op: "Broken"}); !errors.Is(err, ErrClientClosed) {
+		t.Errorf("call whose reply broke off = %v, want ErrClientClosed", err)
+	}
+	if err := <-pending; !errors.Is(err, ErrClientClosed) {
+		t.Errorf("pending call = %v, want ErrClientClosed", err)
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server kept serving the connection")
+	}
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if conn.after != 0 {
+		t.Fatalf("%d bytes were written behind the half-written frame", conn.after)
 	}
 }
 

@@ -339,8 +339,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 
+	frames := newFrameReader(conn)
 	for {
-		f, err := readFrame(conn)
+		f, err := frames.next()
 		if err != nil {
 			// EOF and closed-connection errors are normal client
 			// departures; framing errors are worth a log line.
@@ -579,11 +580,16 @@ func (s *Server) respond(cs *connState, id uint64, resp *Response) {
 	// Bound the write so one wedged client socket cannot hold writeMu
 	// and stall every concurrent handler response on this connection.
 	_ = cs.conn.SetWriteDeadline(time.Now().Add(defaultWriteStall))
-	err := writeFrame(cs.conn, frame{ftype: frameResponse, id: id, payload: encodeResponse(resp)})
+	err := sendFrame(cs.conn, &frame{ftype: frameResponse, id: id, resp: resp})
 	_ = cs.conn.SetWriteDeadline(time.Time{})
 	if err != nil {
-		// The read side will observe the broken connection and clean up.
+		// A write that failed may have left part of a frame on the
+		// stream, and a response written behind it would reach the
+		// client misaligned. Close the connection, as the client does
+		// (failAll): the client fails its pending calls, the read loop
+		// here ends and cancels this connection's handlers.
 		s.logf("wire: write response: %v", err)
+		_ = cs.conn.Close()
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 )
@@ -160,6 +162,70 @@ func TestCallContextCancel(t *testing.T) {
 	}
 }
 
+// TestReplyChannelsSurviveCancellation: reply channels are pooled and
+// reused, but never one whose call was cancelled — its late reply may
+// still arrive. Many callers share one client; replies come after
+// random delays and callers give up at random, so late replies race
+// cancellations. Every call that succeeds returns its own body.
+func TestReplyChannelsSurviveCancellation(t *testing.T) {
+	h := HandlerFunc(func(ctx context.Context, _ string, req *Request) *Response {
+		delay := time.Duration(req.Body[0]) * 4 * time.Microsecond
+		select {
+		case <-time.After(delay):
+		case <-ctx.Done():
+		}
+		return &Response{Status: StatusOK, Body: append([]byte(nil), req.Body...)}
+	})
+	_, bound := startServer(t, "loop:reply-chans", map[string]Handler{"svc": h})
+	c, err := Dial(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const callers, calls = 16, 150
+	var ok, cancelled atomic.Int64
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < calls; i++ {
+				// The first byte sets the handler's delay.
+				body := fmt.Appendf([]byte{byte(rng.Intn(256))}, "caller %d call %d", g, i)
+				// A cancel, not a deadline: a deadline also bounds the
+				// request's write, and a write cut short breaks the
+				// connection for every caller.
+				ctx, cancel := context.WithCancel(context.Background())
+				stop := time.AfterFunc(time.Duration(rng.Intn(1000))*time.Microsecond, cancel)
+				got, err := c.Call(ctx, &Request{Service: "svc", Op: "Echo", Body: body})
+				stop.Stop()
+				cancel()
+				switch {
+				case err == nil && !bytes.Equal(got, body):
+					errs <- fmt.Errorf("call %q returned %q", body, got)
+					return
+				case err == nil:
+					ok.Add(1)
+				case errors.Is(err, context.Canceled):
+					cancelled.Add(1)
+				default:
+					errs <- fmt.Errorf("call %q: %v", body, err)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok.Load() == 0 || cancelled.Load() == 0 {
+		t.Fatalf("%d calls succeeded and %d were cancelled: the race between them was not run", ok.Load(), cancelled.Load())
+	}
+}
+
 func TestServerCloseFailsInFlightCalls(t *testing.T) {
 	started := make(chan struct{}, 1)
 	block := make(chan struct{})
@@ -267,25 +333,135 @@ func TestBadEndpoints(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
+// roundTrip writes f as a connection does and reads it back through a
+// connection's frame reader.
+func roundTrip(t testing.TB, f *frame) frame {
+	t.Helper()
 	var buf bytes.Buffer
-	in := frame{ftype: frameRequest, id: 42, payload: []byte("payload")}
-	if err := writeFrame(&buf, in); err != nil {
-		t.Fatal(err)
+	if err := sendFrame(&buf, f); err != nil {
+		t.Fatalf("writing %+v: %v", f, err)
 	}
-	out, err := readFrame(&buf)
+	frames := newFrameReader(&buf)
+	got, err := frames.next()
+	if err != nil {
+		t.Fatalf("reading %+v back: %v", f, err)
+	}
+	if n := buf.Len() + frames.buf.Buffered(); n != 0 {
+		t.Fatalf("%d bytes left unread", n)
+	}
+	return got
+}
+
+// requestPayload and responsePayload are the payloads a request or a
+// response frame carries.
+func requestPayload(t testing.TB, req *Request) []byte {
+	t.Helper()
+	return roundTrip(t, &frame{ftype: frameRequest, req: req}).payload
+}
+
+func responsePayload(t testing.TB, resp *Response) []byte {
+	t.Helper()
+	return roundTrip(t, &frame{ftype: frameResponse, resp: resp}).payload
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	in := frame{ftype: frameRequest, id: 42, payload: []byte("payload")}
+	out := roundTrip(t, &in)
+	if out.ftype != in.ftype || out.id != in.id || !bytes.Equal(out.payload, in.payload) {
+		t.Fatalf("round trip: %+v vs %+v", out, in)
+	}
+}
+
+// sameFrame reports whether two frames read off a stream are equal.
+func sameFrame(a, b frame) bool {
+	return a.ftype == b.ftype && a.id == b.id && a.ttl == b.ttl &&
+		a.traceID == b.traceID && a.parentID == b.parentID && bytes.Equal(a.payload, b.payload)
+}
+
+// readAll reads frames off r through a connection's frame reader until
+// the stream ends.
+func readAll(t *testing.T, r io.Reader) []frame {
+	t.Helper()
+	frames := newFrameReader(r)
+	var got []frame
+	for {
+		f, err := frames.next()
+		if err == io.EOF {
+			return got
+		}
+		if err != nil {
+			t.Fatalf("after %d frames: %v", len(got), err)
+		}
+		got = append(got, f)
+	}
+}
+
+// TestFrameReaderShortReads: a connection hands the frame reader its
+// bytes in pieces of any size, down to one byte a read. Every frame
+// shape reads the same from one whole buffer and one byte at a time.
+func TestFrameReaderShortReads(t *testing.T) {
+	trace, parent := strings.Repeat("t", frameMaxMeta/2-1), strings.Repeat("p", frameMaxMeta/2-1)
+	// The longest metadata section: both IDs at their limit and one
+	// trailing byte, which readers skip.
+	longMeta, err := appendFrame(nil, &frame{ftype: frameRequest, id: 3, ttl: 7, payload: []byte("m")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ftype != in.ftype || out.id != in.id || !bytes.Equal(out.payload, in.payload) {
-		t.Fatalf("round trip: %+v vs %+v", out, in)
+	metaAt := frameHeaderLen + frameTTLLen
+	section := appendFrameMeta(nil, trace, parent)
+	section = append(section, 0xAA)
+	section[0]++
+	if section[0] != frameMaxMeta {
+		t.Fatalf("metadata section of %d bytes, want %d", section[0], frameMaxMeta)
+	}
+	longMeta = append(append(longMeta[:metaAt:metaAt], section...), longMeta[metaAt+1:]...)
+
+	big := bytes.Repeat([]byte("0123456789abcdef"), 4*frameReadBuf/16+1)
+	resp := &Response{Status: StatusOK, ErrMsg: "", Body: []byte("ok")}
+	cases := []struct {
+		name string
+		raw  []byte  // when set, the stream; else want written back to back
+		want []frame // the frames read back
+	}{
+		{name: "traced request", want: []frame{{ftype: frameRequest, id: 1, ttl: 50, traceID: "t1", parentID: "s1", payload: []byte("p")}}},
+		{name: "untraced request", want: []frame{{ftype: frameRequest, id: 2, ttl: 0, payload: []byte("p")}}},
+		{name: "255-byte metadata", raw: longMeta, want: []frame{{ftype: frameRequest, id: 3, ttl: 7, traceID: trace, parentID: parent, payload: []byte("m")}}},
+		{name: "response", want: []frame{{ftype: frameResponse, id: 4, payload: responsePayload(t, resp)}}},
+		{name: "cancel", want: []frame{{ftype: frameCancel, id: 5}}},
+		{name: "payload beyond the read buffer", want: []frame{{ftype: frameRequest, id: 6, traceID: "t6", payload: big}}},
+		{name: "back to back", want: []frame{
+			{ftype: frameRequest, id: 7, ttl: 9, traceID: "t7", parentID: "s7", payload: big},
+			{ftype: frameResponse, id: 7, payload: []byte("r")},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw := c.raw
+			if raw == nil {
+				for i := range c.want {
+					if raw, err = appendFrame(raw, &c.want[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			whole := readAll(t, bytes.NewReader(raw))
+			bytewise := readAll(t, iotest.OneByteReader(bytes.NewReader(raw)))
+			if len(whole) != len(c.want) || len(bytewise) != len(c.want) {
+				t.Fatalf("read %d frames whole and %d bytewise, want %d", len(whole), len(bytewise), len(c.want))
+			}
+			for i, want := range c.want {
+				if !sameFrame(whole[i], want) || !sameFrame(bytewise[i], want) {
+					t.Fatalf("frame %d read as %+v whole and %+v bytewise, want %+v", i, whole[i], bytewise[i], want)
+				}
+			}
+		})
 	}
 }
 
 func TestFrameErrors(t *testing.T) {
 	t.Run("oversize write", func(t *testing.T) {
 		var buf bytes.Buffer
-		err := writeFrame(&buf, frame{ftype: frameRequest, payload: make([]byte, MaxFramePayload+1)})
+		err := sendFrame(&buf, &frame{ftype: frameRequest, payload: make([]byte, MaxFramePayload+1)})
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("err = %v", err)
 		}
@@ -293,7 +469,7 @@ func TestFrameErrors(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		data := make([]byte, frameHeaderLen)
 		copy(data, "XX")
-		if _, err := readFrame(bytes.NewReader(data)); !errors.Is(err, ErrBadFrame) {
+		if _, err := newFrameReader(bytes.NewReader(data)).next(); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -304,7 +480,7 @@ func TestFrameErrors(t *testing.T) {
 			copy(data, "CW")
 			data[2] = v
 			data[3] = frameRequest
-			if _, err := readFrame(bytes.NewReader(data)); !errors.Is(err, ErrBadFrame) {
+			if _, err := newFrameReader(bytes.NewReader(data)).next(); !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("version %d: err = %v", v, err)
 			}
 		}
@@ -314,17 +490,17 @@ func TestFrameErrors(t *testing.T) {
 		copy(data, "CW")
 		data[2] = protoVersion
 		data[3] = 7
-		if _, err := readFrame(bytes.NewReader(data)); !errors.Is(err, ErrBadFrame) {
+		if _, err := newFrameReader(bytes.NewReader(data)).next(); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, frame{ftype: frameRequest, id: 1, payload: []byte("abcdef")}); err != nil {
+		data, err := appendFrame(nil, &frame{ftype: frameRequest, id: 1, payload: []byte("abcdef")})
+		if err != nil {
 			t.Fatal(err)
 		}
-		data := buf.Bytes()[:buf.Len()-2]
-		if _, err := readFrame(bytes.NewReader(data)); !errors.Is(err, ErrBadFrame) {
+		data = data[:len(data)-2]
+		if _, err := newFrameReader(bytes.NewReader(data)).next(); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -332,7 +508,7 @@ func TestFrameErrors(t *testing.T) {
 
 func TestRequestResponseCodecs(t *testing.T) {
 	req := &Request{Service: "CarRentalService", Op: "SelectCar", Body: []byte{1, 2, 3}}
-	got, err := decodeRequest(encodeRequest(req))
+	got, err := decodeRequest(requestPayload(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +516,7 @@ func TestRequestResponseCodecs(t *testing.T) {
 		t.Fatalf("request round trip: %+v", got)
 	}
 	resp := &Response{Status: StatusProtocol, ErrMsg: "illegal op", Body: []byte("x"), RetryAfter: 40 * time.Millisecond}
-	gotR, err := decodeResponse(encodeResponse(resp))
+	gotR, err := decodeResponse(responsePayload(t, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +694,7 @@ func TestRequestCodecProperty(t *testing.T) {
 			return true
 		}
 		req := &Request{Service: service, Op: op, Body: body}
-		got, err := decodeRequest(encodeRequest(req))
+		got, err := decodeRequest(requestPayload(t, req))
 		if err != nil {
 			return false
 		}
@@ -533,7 +709,7 @@ func TestResponseCodecProperty(t *testing.T) {
 	f := func(status uint8, msg string, body []byte, retryMillis uint16) bool {
 		s := Status(status%8) + StatusOK
 		resp := &Response{Status: s, ErrMsg: msg, Body: body, RetryAfter: time.Duration(retryMillis) * time.Millisecond}
-		got, err := decodeResponse(encodeResponse(resp))
+		got, err := decodeResponse(responsePayload(t, resp))
 		if err != nil {
 			return false
 		}
@@ -552,14 +728,7 @@ func TestFrameCodecProperty(t *testing.T) {
 		if ftype {
 			ft = frameResponse
 		}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, frame{ftype: ft, id: id, payload: payload}); err != nil {
-			return false
-		}
-		got, err := readFrame(&buf)
-		if err != nil {
-			return false
-		}
+		got := roundTrip(t, &frame{ftype: ft, id: id, payload: payload})
 		return got.ftype == ft && got.id == id && bytes.Equal(got.payload, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
