@@ -1,13 +1,17 @@
 # COSM build/verification entry points. `make check` is the gate every
-# change must pass: build, vet, the layering rule, the option census,
-# full tests, and the race detector over the whole tree (the resilience
-# layer is concurrency-heavy).
+# change must pass: formatting, build, vet, the layering rule, the
+# option census, full tests, and the race detector over the whole tree
+# (the resilience layer is concurrency-heavy).
 
 GO ?= go
 
-.PHONY: check build vet layers surface test race fuzz bench chaos
+.PHONY: check fmt build vet layers surface test race fuzz bench chaos
 
-check: build vet layers surface test race
+check: fmt build vet layers surface test race
+
+# The files gofmt would rewrite; any at all fails, as CI's gofmt step does.
+fmt:
+	@bad=$$(gofmt -l .); if [ -n "$$bad" ]; then echo "fmt: gofmt -l lists:" $$bad; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -67,7 +67,7 @@ func TestParseCarRental(t *testing.T) {
 	if sid.Trader.ServiceID != 4711 || sid.Trader.TypeOfService != "CarRentalService" {
 		t.Fatalf("Trader = %+v", sid.Trader)
 	}
-	if v, ok := sid.Trader.Property("CarModel"); !ok || v.Kind != LitEnum || v.Enum != "FIAT_Uno" {
+	if v, ok := sid.Trader.Property("CarModel"); !ok || v.Kind != LitEnum || v.Str != "FIAT_Uno" {
 		t.Fatalf("CarModel property = %+v, %v", v, ok)
 	}
 	if v, ok := sid.Trader.Property("ChargePerDay"); !ok || v.Kind != LitFloat || v.Float != 80 {

@@ -163,7 +163,7 @@ func litTypeRef(s *SID, l Lit) string {
 	case LitEnum:
 		for _, t := range s.Types {
 			if t.Kind == Enum {
-				if _, ok := t.Ordinal(l.Enum); ok {
+				if _, ok := t.Ordinal(l.Str); ok {
 					return t.Name
 				}
 			}

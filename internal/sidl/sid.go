@@ -88,14 +88,21 @@ const (
 
 // Lit is a literal constant value: the value of a "const" declaration or
 // of a trader-export service property.
+//
+// Every stored offer holds one Lit per property, so the layout is part
+// of the trader's memory budget: at 40 bytes a map of up to eight
+// properties is one 480-byte group (640 at 56 bytes, with the enum
+// identifier in a field of its own), and import_match's live heap reads
+// ≈24 MB, not ≈29. TestLitLayout pins the size, so a new field is added
+// on purpose.
 type Lit struct {
 	Kind  LitKind
 	Bool  bool
 	Int   int64
 	Float float64
-	Str   string
-	// Enum is the literal identifier for LitEnum values.
-	Enum string
+	// Str holds the text of a LitString and the identifier of a
+	// LitEnum; Kind tells them apart.
+	Str string
 }
 
 // BoolLit, IntLit, FloatLit, StringLit and EnumLit construct literals.
@@ -103,7 +110,7 @@ func BoolLit(v bool) Lit     { return Lit{Kind: LitBool, Bool: v} }
 func IntLit(v int64) Lit     { return Lit{Kind: LitInt, Int: v} }
 func FloatLit(v float64) Lit { return Lit{Kind: LitFloat, Float: v} }
 func StringLit(v string) Lit { return Lit{Kind: LitString, Str: v} }
-func EnumLit(lit string) Lit { return Lit{Kind: LitEnum, Enum: lit} }
+func EnumLit(lit string) Lit { return Lit{Kind: LitEnum, Str: lit} }
 
 // String renders the literal in IDL syntax.
 func (l Lit) String() string {
@@ -125,7 +132,7 @@ func (l Lit) String() string {
 	case LitString:
 		return strconv.Quote(l.Str)
 	case LitEnum:
-		return l.Enum
+		return l.Str
 	}
 	return fmt.Sprintf("Lit(%d)", uint8(l.Kind))
 }

@@ -10,8 +10,24 @@ import (
 	"cosm/internal/sidl"
 )
 
-// ErrConstraint is wrapped by all constraint parse errors.
+// ErrConstraint is wrapped by all constraint parse errors, each a
+// *SyntaxError.
 var ErrConstraint = errors.New("trader: constraint syntax error")
+
+// SyntaxError is a constraint the parser refused: Offset is the byte
+// offset into the expression where parsing stopped (0 ≤ Offset ≤ its
+// length), and Msg says what it found there.
+type SyntaxError struct {
+	Offset int
+	Msg    string
+}
+
+func (e *SyntaxError) Error() string {
+	return fmt.Sprintf("%v: at %d: %s", ErrConstraint, e.Offset, e.Msg)
+}
+
+// Unwrap makes every syntax error match ErrConstraint under errors.Is.
+func (e *SyntaxError) Unwrap() error { return ErrConstraint }
 
 // Constraint is a compiled matching predicate over offer properties,
 // e.g.:
@@ -40,18 +56,19 @@ type Constraint struct {
 // Compile parses a constraint expression. Compiling once and reusing the
 // result is the fast path measured by the constraint-compile ablation.
 func Compile(src string) (*Constraint, error) {
-	trimmed := strings.TrimSpace(src)
+	body := strings.TrimLeftFunc(src, unicode.IsSpace)
+	trimmed := strings.TrimRightFunc(body, unicode.IsSpace)
 	if trimmed == "" {
 		return &Constraint{src: src}, nil
 	}
-	p := &cparser{src: trimmed}
+	p := &cparser{src: trimmed, off: len(src) - len(body)}
 	root, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
 	p.skipSpace()
 	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("%w: trailing input %q", ErrConstraint, p.src[p.pos:])
+		return nil, p.errorf("trailing input %q", p.src[p.pos:])
 	}
 	return &Constraint{
 		src:  src,
@@ -111,7 +128,7 @@ func litVal(l sidl.Lit) cval {
 	case sidl.LitString:
 		return cval{kind: cvStr, str: l.Str}
 	case sidl.LitEnum:
-		return cval{kind: cvSym, str: l.Enum}
+		return cval{kind: cvSym, str: l.Str}
 	}
 	return cval{}
 }
@@ -323,12 +340,13 @@ const maxConstraintDepth = 64
 // cparser is a recursive-descent parser for the constraint grammar.
 type cparser struct {
 	src   string
+	off   int // src's offset in the expression: the leading space Compile trimmed
 	pos   int
 	depth int
 }
 
 func (p *cparser) errorf(format string, args ...any) error {
-	return fmt.Errorf("%w: at %d: %s", ErrConstraint, p.pos, fmt.Sprintf(format, args...))
+	return &SyntaxError{Offset: p.off + p.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *cparser) skipSpace() {

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"cosm/internal/sidl"
 )
 
 // FuzzCompile: the constraint parser faces the network, so it must
-// refuse garbage with an error, never a panic; whatever it accepts must
-// evaluate on the paper's section 4.1 offer without panicking either,
-// and count its conjuncts consistently with Match. The seed corpus
+// refuse garbage with an error, never a panic, and that error is a
+// *SyntaxError whose offset lies inside the input; whatever it accepts
+// must evaluate on the paper's section 4.1 offer without panicking
+// either, and count its conjuncts consistently with Match. The seed corpus
 // under testdata/fuzz/FuzzCompile is the accept and reject tables of
 // the constraint tests.
 func FuzzCompile(f *testing.F) {
@@ -24,6 +26,13 @@ func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Compile(src)
 		if err != nil {
+			var se *SyntaxError
+			if !errors.As(err, &se) || !errors.Is(err, ErrConstraint) {
+				t.Fatalf("Compile(%q): %v is not a *SyntaxError matching ErrConstraint", src, err)
+			}
+			if se.Offset < 0 || se.Offset > len(src) {
+				t.Fatalf("Compile(%q): offset %d outside [0, %d]", src, se.Offset, len(src))
+			}
 			return
 		}
 		full := c.Match(props)

@@ -125,14 +125,40 @@ func OfferFromRecord(rec OfferRecord) (*Offer, error) {
 
 // PropsToRecords appends a property set to dst in record form, sorted
 // by name — the order every encoded form of an offer lists them in —
-// and returns the extended slice.
+// and returns the extended slice. The texts of all numbers are rendered
+// into one string, each record taking a window of it, so an offer's
+// records cost one string however many numbers it holds; each text is
+// byte-identical to EncodeLit's.
 func PropsToRecords(dst []PropRecord, props map[string]sidl.Lit) []PropRecord {
 	start := len(dst)
+	var scratch [256]byte
+	var endsArr [16]int
+	buf, ends := scratch[:0], endsArr[:0] // ends[i]: end of the i-th number's text in buf
 	for name, l := range props {
-		kind, text := EncodeLit(l)
+		var kind, text string
+		switch l.Kind {
+		case sidl.LitInt:
+			kind, buf = "int", strconv.AppendInt(buf, l.Int, 10)
+			ends = append(ends, len(buf))
+		case sidl.LitFloat:
+			kind, buf = "float", strconv.AppendFloat(buf, l.Float, 'g', -1, 64)
+			ends = append(ends, len(buf))
+		default:
+			kind, text = EncodeLit(l)
+		}
 		dst = append(dst, PropRecord{Name: name, Kind: kind, Text: text})
 	}
 	recs := dst[start:]
+	if len(ends) > 0 {
+		texts, n, from := string(buf), 0, 0
+		for i := range recs {
+			if k := recs[i].Kind; k == "int" || k == "float" {
+				recs[i].Text = texts[from:ends[n]]
+				from = ends[n]
+				n++
+			}
+		}
+	}
 	for i := 1; i < len(recs); i++ { // insertion sort: tiny inputs
 		for j := i; j > 0 && recs[j].Name < recs[j-1].Name; j-- {
 			recs[j], recs[j-1] = recs[j-1], recs[j]
@@ -167,7 +193,7 @@ func EncodeLit(l sidl.Lit) (kind, text string) {
 	case sidl.LitString:
 		return "string", l.Str
 	case sidl.LitEnum:
-		return "enum", l.Enum
+		return "enum", l.Str
 	}
 	return "", ""
 }

@@ -166,12 +166,12 @@ func litAttrType(sid *sidl.SID, l sidl.Lit) (*sidl.Type, error) {
 	case sidl.LitEnum:
 		for _, t := range sid.Types {
 			if t.Kind == sidl.Enum {
-				if _, ok := t.Ordinal(l.Enum); ok {
+				if _, ok := t.Ordinal(l.Str); ok {
 					return t, nil
 				}
 			}
 		}
-		return nil, fmt.Errorf("%w: enum literal %q not declared in SID", ErrBadType, l.Enum)
+		return nil, fmt.Errorf("%w: enum literal %q not declared in SID", ErrBadType, l.Str)
 	}
 	return nil, fmt.Errorf("%w: literal kind %d", ErrBadType, l.Kind)
 }

@@ -176,7 +176,7 @@ func FromLit(t *sidl.Type, l sidl.Lit) (*Value, error) {
 		if t.Kind != sidl.Enum {
 			return nil, fmt.Errorf("%w: enum literal for %s", ErrBadLiteral, t)
 		}
-		return NewEnum(t, l.Enum)
+		return NewEnum(t, l.Str)
 	}
 	return nil, fmt.Errorf("%w: unknown literal kind %d", ErrBadLiteral, l.Kind)
 }
