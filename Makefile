@@ -52,6 +52,9 @@ layers:
 # each exported field of a *Policy/*Options/*Config struct in the
 # audited packages, who sets it and what fails without it. This fails
 # when the code has one the table lacks, or the table one the code lost.
+# It also fails when a Go file outside bench/ calls the no-op
+# trader.WithImportCacheTTL, which stays only until bench/ stops passing
+# it.
 AUDITED := wire journal obs cosm daemon browser naming trader
 
 surface:
@@ -68,6 +71,8 @@ surface:
 	bad=$$(for o in $$have; do echo "$$want" | grep -qxF "$$o" || echo "  not in the table: $$o"; done; \
 		for o in $$want; do echo "$$have" | grep -qxF "$$o" || echo "  not in the code: $$o"; done); \
 	if [ -n "$$bad" ]; then echo "surface: DESIGN.md section 12 \"Options\" and the code disagree:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rnE --include='*.go' 'WithImportCacheTTL\(' . | grep -vE '^\./(bench|\.bench_build)/|func WithImportCacheTTL\('); \
+	if [ -n "$$bad" ]; then echo "surface: only bench/ may call the no-op trader.WithImportCacheTTL:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...

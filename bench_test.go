@@ -1272,7 +1272,7 @@ func buildMesh(b *testing.B, n, offers int) []*trader.Trader {
 		if err := repo.Define(&st); err != nil {
 			b.Fatal(err)
 		}
-		traders[i] = trader.New(fmt.Sprintf("mesh-%02d", i), repo, trader.WithImportCacheTTL(0))
+		traders[i] = trader.New(fmt.Sprintf("mesh-%02d", i), repo)
 		for k := 0; k < offers; k++ {
 			r := ref.New(fmt.Sprintf("tcp:10.42.%d.%d:7000", i, k+1), meshType(i))
 			props := []sidl.Property{{Name: "Price", Value: sidl.FloatLit(float64(10 + (i+k)%90))}}

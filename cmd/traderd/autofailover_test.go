@@ -181,7 +181,5 @@ func TestAutoFailoverElectsAndRejoins(t *testing.T) {
 		ref.New("tcp:10.3.1.1:7000", "CarRentalService"), crashProps("AUDI", 150)); err != nil {
 		t.Fatalf("redirected export failed: %v", err)
 	}
-	// waitForOffers, not a one-shot import: the leader's import cache
-	// (250ms TTL) may still hold the pre-export result.
 	waitForOffers(t, tw, acked+1)
 }

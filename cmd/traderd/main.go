@@ -55,7 +55,6 @@ func run(args []string, sig <-chan os.Signal) error {
 	var (
 		listen    = fs.String("listen", "tcp:127.0.0.1:7001", "endpoint to serve on (tcp:host:port or loop:name)")
 		id        = fs.String("id", "trader-1", "federation identity (unique per federation)")
-		cacheTTL  = fs.Duration("import-cache-ttl", 250*time.Millisecond, "import result cache TTL (0 disables the cache)")
 		ccSize    = fs.Int("constraint-cache", 256, "compiled-constraint cache capacity (0 disables the cache)")
 		follow    = fs.String("follow", "", "leader trader reference to follow as a read replica (cosm://endpoint/service)")
 		promote   = fs.Bool("promote", false, "take leadership at boot, fencing the previous leader (see -epoch)")
@@ -115,7 +114,6 @@ func run(args []string, sig <-chan os.Signal) error {
 		trader.WithLogger(logger.With("trader")),
 		trader.WithMetrics(df.Registry),
 		trader.WithEvents(df.Events()),
-		trader.WithImportCacheTTL(*cacheTTL),
 		trader.WithConstraintCacheSize(*ccSize),
 	}
 	if *replSync > 0 {

@@ -323,9 +323,6 @@ var metricsGolden = []string{
 	"cosm_trader_constraint_cache_evicted_total counter - Compiled constraints evicted from the full constraint cache by newer ones.",
 	"cosm_trader_constraint_cache_retained gauge - Compiled constraints the constraint cache currently holds.",
 	"cosm_trader_constraint_cache_total counter outcome Compiled-constraint cache lookups by outcome.",
-	"cosm_trader_import_cache_evicted_total counter - Import results evicted from the full import cache by newer ones.",
-	"cosm_trader_import_cache_retained gauge - Import results the import cache currently holds.",
-	"cosm_trader_import_cache_total counter outcome Import-result cache lookups by outcome.",
 	"cosm_trader_index_lookups_total counter kind Type-bucket match passes by index kind (eq, range, scan, ordered, linear).",
 	"cosm_trader_index_snapshot_rebuilds_total counter - Type snapshots built from scratch, on a type's first read; writes derive them.",
 	"cosm_trader_resolution_cache_evicted_total counter - Request-type resolutions evicted from the full resolution cache by newer ones.",
@@ -386,7 +383,7 @@ func TestMetricsFamiliesGolden(t *testing.T) {
 
 	// traderd hands the same registry to its market state, whose index
 	// and cache families one import brings out, labels included.
-	st := core.New(typemgr.NewRepo(), core.Options{Metrics: f.Registry, ConstraintCacheSize: 4, ImportCacheTTL: time.Second})
+	st := core.New(typemgr.NewRepo(), core.Options{Metrics: f.Registry, ConstraintCacheSize: 4})
 	st.Apply(&core.Mutation{Op: core.OpExport, Offers: []*core.Offer{{ID: "o1", Type: "Tiny", Ref: ref.New(endpoint, "Tiny")}}})
 	q, err := st.Prepare("Tiny", "", "", 0, match.GradeNone)
 	if err != nil {

@@ -2,6 +2,8 @@ package sidl_test
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"cosm/internal/sidl"
@@ -13,14 +15,27 @@ import (
 // listing, so Parse must refuse damage with an error, never a panic.
 // And since text is how a SID travels, what Parse accepts must print
 // (MarshalText) to text that parses back to a SID printing the very
-// same. The corpus under testdata/fuzz/FuzzParse holds the examples'
-// IDLs beside the two seeded here.
+// same. A syntax error is a *sidl.SyntaxError whose position lies
+// inside the input: on one of its lines, at most one byte past that
+// line's end. The corpus under testdata/fuzz/FuzzParse holds the
+// examples' IDLs beside the two seeded here.
 func FuzzParse(f *testing.F) {
 	f.Add(sidl.CarRentalIDL)
 	f.Add(trader.IDL)
 	f.Fuzz(func(t *testing.T, src string) {
 		sid, err := sidl.Parse(src)
 		if err != nil {
+			var se *sidl.SyntaxError
+			if errors.As(err, &se) != errors.Is(err, sidl.ErrSyntax) {
+				t.Fatalf("%q: a syntax error that is no *SyntaxError, or the reverse: %v", src, err)
+			}
+			if se == nil {
+				return
+			}
+			lines := strings.Split(src, "\n")
+			if se.Line < 1 || se.Line > len(lines) || se.Col < 1 || se.Col > len(lines[se.Line-1])+1 {
+				t.Fatalf("%q: error at line %d, col %d lies outside the input", src, se.Line, se.Col)
+			}
 			return
 		}
 		text, err := sid.MarshalText()

@@ -1,7 +1,6 @@
 package sidl
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"unicode"
@@ -28,7 +27,6 @@ type token struct {
 	str  string // decoded value for tokString
 	pos  int    // byte offset of the token start
 	end  int    // byte offset just past the token
-	line int    // 1-based line of the token start
 	// doc holds the comment block immediately preceding the token, with
 	// comment markers stripped; used to attach documentation.
 	doc string
@@ -44,8 +42,9 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
-func (lx *lexer) errorf(line int, format string, args ...any) error {
-	return fmt.Errorf("sidl: line %d: %s", line, fmt.Sprintf(format, args...))
+// errorf reports a syntax error at byte offset off.
+func (lx *lexer) errorf(off int, format string, args ...any) error {
+	return syntaxError(lx.src, off, format, args...)
 }
 
 // next returns the next token, or an error on malformed input.
@@ -55,7 +54,7 @@ func (lx *lexer) next() (token, error) {
 	for {
 		lx.skipSpace()
 		if lx.off >= len(lx.src) {
-			return token{kind: tokEOF, pos: lx.off, end: lx.off, line: lx.line}, nil
+			return token{kind: tokEOF, pos: lx.off, end: lx.off}, nil
 		}
 		// Comments.
 		if strings.HasPrefix(lx.src[lx.off:], "//") {
@@ -79,7 +78,7 @@ func (lx *lexer) next() (token, error) {
 		if strings.HasPrefix(lx.src[lx.off:], "/*") {
 			end := strings.Index(lx.src[lx.off+2:], "*/")
 			if end < 0 {
-				return token{}, lx.errorf(lx.line, "unterminated block comment")
+				return token{}, lx.errorf(lx.off, "unterminated block comment")
 			}
 			body := lx.src[lx.off+2 : lx.off+2+end]
 			lx.line += strings.Count(body, "\n")
@@ -103,7 +102,7 @@ func (lx *lexer) next() (token, error) {
 		docText = doc.String()
 	}
 
-	start, startLine := lx.off, lx.line
+	start := lx.off
 	c, size := utf8.DecodeRuneInString(lx.src[lx.off:])
 	switch {
 	case isIdentStart(c):
@@ -114,17 +113,17 @@ func (lx *lexer) next() (token, error) {
 			}
 			lx.off += n
 		}
-		return token{kind: tokIdent, text: lx.src[start:lx.off], pos: start, end: lx.off, line: startLine, doc: docText}, nil
+		return token{kind: tokIdent, text: lx.src[start:lx.off], pos: start, end: lx.off, doc: docText}, nil
 
 	case c >= '0' && c <= '9', c == '-' && lx.peekDigit(1), c == '+' && lx.peekDigit(1):
-		return lx.lexNumber(start, startLine, docText)
+		return lx.lexNumber(start, docText)
 
 	case c == '"':
 		lx.off += size
 		var b strings.Builder
 		for {
 			if lx.off >= len(lx.src) {
-				return token{}, lx.errorf(startLine, "unterminated string literal")
+				return token{}, lx.errorf(start, "unterminated string literal")
 			}
 			r, n := utf8.DecodeRuneInString(lx.src[lx.off:])
 			lx.off += n
@@ -132,14 +131,14 @@ func (lx *lexer) next() (token, error) {
 				break
 			}
 			if r == '\n' {
-				return token{}, lx.errorf(startLine, "newline in string literal")
+				return token{}, lx.errorf(lx.off-n, "newline in string literal")
 			}
 			if r == '\\' {
 				// Go's escapes, which strconv.Quote — how a string literal
 				// prints — writes.
 				v, multibyte, tail, err := strconv.UnquoteChar(lx.src[lx.off-n:], '"')
 				if err != nil {
-					return token{}, lx.errorf(startLine, "bad escape in string literal")
+					return token{}, lx.errorf(lx.off-n, "bad escape in string literal")
 				}
 				if multibyte {
 					b.WriteRune(v)
@@ -151,16 +150,16 @@ func (lx *lexer) next() (token, error) {
 			}
 			b.WriteRune(r)
 		}
-		return token{kind: tokString, text: lx.src[start:lx.off], str: b.String(), pos: start, end: lx.off, line: startLine, doc: docText}, nil
+		return token{kind: tokString, text: lx.src[start:lx.off], str: b.String(), pos: start, end: lx.off, doc: docText}, nil
 
 	case strings.ContainsRune(";,{}()<>=.", c):
 		lx.off += size
-		return token{kind: tokPunct, text: string(c), pos: start, end: lx.off, line: startLine, doc: docText}, nil
+		return token{kind: tokPunct, text: string(c), pos: start, end: lx.off, doc: docText}, nil
 	}
-	return token{}, lx.errorf(startLine, "unexpected character %q", c)
+	return token{}, lx.errorf(start, "unexpected character %q", c)
 }
 
-func (lx *lexer) lexNumber(start, startLine int, docText string) (token, error) {
+func (lx *lexer) lexNumber(start int, docText string) (token, error) {
 	if lx.src[lx.off] == '-' || lx.src[lx.off] == '+' {
 		lx.off++
 	}
@@ -172,7 +171,7 @@ func (lx *lexer) lexNumber(start, startLine int, docText string) (token, error) 
 			lx.off++
 		case c == '.':
 			if isFloat {
-				return token{}, lx.errorf(startLine, "malformed number %q", lx.src[start:lx.off+1])
+				return token{}, lx.errorf(start, "malformed number %q", lx.src[start:lx.off+1])
 			}
 			isFloat = true
 			lx.off++
@@ -191,7 +190,7 @@ done:
 	if isFloat {
 		kind = tokFloat
 	}
-	return token{kind: kind, text: lx.src[start:lx.off], pos: start, end: lx.off, line: startLine, doc: docText}, nil
+	return token{kind: kind, text: lx.src[start:lx.off], pos: start, end: lx.off, doc: docText}, nil
 }
 
 func (lx *lexer) peekDigit(ahead int) bool {

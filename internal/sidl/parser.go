@@ -9,8 +9,33 @@ import (
 	"cosm/internal/fsm"
 )
 
-// ErrSyntax is wrapped by all parse errors.
+// ErrSyntax is matched by every parse error, each a *SyntaxError.
 var ErrSyntax = errors.New("sidl: syntax error")
+
+// SyntaxError is SIDL text Parse refused: Line and Col (both from 1; Col
+// counts bytes) locate where parsing stopped, at most one past the
+// input's last byte, and Msg says what it found there.
+type SyntaxError struct {
+	Line, Col int
+	Msg       string
+}
+
+func (e *SyntaxError) Error() string {
+	return fmt.Sprintf("%v: line %d, col %d: %s", ErrSyntax, e.Line, e.Col, e.Msg)
+}
+
+// Unwrap makes every syntax error match ErrSyntax under errors.Is.
+func (e *SyntaxError) Unwrap() error { return ErrSyntax }
+
+// syntaxError is the *SyntaxError at byte offset off of src.
+func syntaxError(src string, off int, format string, args ...any) *SyntaxError {
+	before := src[:off]
+	return &SyntaxError{
+		Line: 1 + strings.Count(before, "\n"),
+		Col:  off - strings.LastIndexByte(before, '\n'),
+		Msg:  fmt.Sprintf(format, args...),
+	}
+}
 
 // Names of the distinguished COSM extension modules embedded in the IDL
 // module structure (section 4.1).
@@ -57,14 +82,15 @@ type parser struct {
 func (p *parser) advance() error {
 	t, err := p.lx.next()
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrSyntax, err)
+		return err
 	}
 	p.tok = t
 	return nil
 }
 
+// errorf reports a syntax error at the current token.
 func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("%w: line %d: %s", ErrSyntax, p.tok.line, fmt.Sprintf(format, args...))
+	return syntaxError(p.src, p.tok.pos, format, args...)
 }
 
 func (p *parser) expectIdent(what string) (token, error) {

@@ -236,6 +236,31 @@ func TestParseErrorMentionsLine(t *testing.T) {
 	}
 }
 
+// TestParseSyntaxErrorPosition: the parser and the lexer both refuse
+// with a *SyntaxError at the line and byte column where they stopped.
+func TestParseSyntaxErrorPosition(t *testing.T) {
+	for _, c := range []struct {
+		src       string
+		line, col int
+	}{
+		{"module X {\n  typedef long T;\n  bogus decl;\n};", 3, 3}, // parser: the unexpected keyword
+		{"module X {\n  const string S = \"a\\qb\";\n};", 2, 22},   // lexer: the bad escape
+		{"module X {\n  typedef long T; $\n};", 2, 19},             // lexer: the stray character
+		{"module X {\n  typedef long T;\n  /* open", 3, 3},         // lexer: the unclosed comment
+		{"module X {\n  typedef long T;\n", 3, 1},                  // parser: end of input
+	} {
+		_, err := Parse(c.src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !errors.Is(err, ErrSyntax) {
+			t.Errorf("Parse(%q) = %v, want a *SyntaxError matching ErrSyntax", c.src, err)
+			continue
+		}
+		if se.Line != c.line || se.Col != c.col {
+			t.Errorf("Parse(%q) stopped at line %d, col %d (%v), want line %d, col %d", c.src, se.Line, se.Col, err, c.line, c.col)
+		}
+	}
+}
+
 func TestDocCommentAttachment(t *testing.T) {
 	src := `
 // Module doc line one.

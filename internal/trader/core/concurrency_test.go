@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cosm/internal/match"
 	"cosm/internal/sidl"
@@ -22,7 +21,7 @@ import (
 // healthy before suspect, ascending Price within each — and the final
 // store must answer exactly like a linear oracle fed the same writes.
 func TestSameTypeReadWriteConcurrency(t *testing.T) {
-	s := New(typemgr.NewRepo(), Options{ConstraintCacheSize: 16, ImportCacheTTL: time.Hour})
+	s := New(typemgr.NewRepo(), Options{ConstraintCacheSize: 16})
 	oracle := New(typemgr.NewRepo(), Options{Linear: true})
 	apply := func(m *Mutation) {
 		s.Apply(m)
@@ -139,7 +138,7 @@ func checkOrdered(ms []Match, max int) error {
 // — withdrawals of a contiguous band of prices, which sits in adjacent
 // runs of the Price index. The contract checked is the one above.
 func TestLargeBucketReadWriteConcurrency(t *testing.T) {
-	s := New(typemgr.NewRepo(), Options{ConstraintCacheSize: 16, ImportCacheTTL: time.Hour})
+	s := New(typemgr.NewRepo(), Options{ConstraintCacheSize: 16})
 	oracle := New(typemgr.NewRepo(), Options{Linear: true})
 	apply := func(m *Mutation) {
 		s.Apply(m)

@@ -2,8 +2,7 @@ package core
 
 import (
 	"slices"
-	"sort"
-	"strconv"
+	"strings"
 	"time"
 
 	"cosm/internal/match"
@@ -65,21 +64,6 @@ func (s *State) compile(src string) (*Constraint, error) {
 	return c, nil
 }
 
-// importCacheEntry is one cached import result plus everything needed
-// to prove it still describes the store: the generation pair pins the
-// set of matching types, the consulted bucket versions pin their
-// contents, and expires bounds staleness by the caller's clock, by the
-// earliest lease among the cached offers, and by the earliest lease
-// among the offers that hid a sibling (whose expiry lets the sibling
-// back in).
-type importCacheEntry struct {
-	expires   time.Time
-	storeGen  uint64
-	repoGen   uint64
-	consulted []bucketVersion
-	matches   []Match
-}
-
 // Import matches a query against the store at time now (step 2/3 of
 // Fig. 1) and merges in the matches partner traders returned for the
 // same request, if any. Results are constraint-filtered, deduplicated
@@ -89,81 +73,28 @@ type importCacheEntry struct {
 // The returned offers are shared immutable snapshots; callers must not
 // modify them.
 func (s *State) Import(q Query, remote []Match, now time.Time) []Match {
-	// Purely local, deterministically ordered imports can be answered
-	// from the result cache: entries are invalidated by any store or
-	// type-repo change that could alter the result, so the TTL only
-	// bounds reuse, it never hides a change.
-	cacheable := s.importCache != nil && !s.linear && len(remote) == 0 && q.policy.cacheable()
-	var key string
-	var storeGen, repoGen uint64
-	if cacheable {
-		key = q.typ + "\x1f" + q.constraint.src + "\x1f" + q.policy.src + "\x1f" +
-			strconv.Itoa(q.max) + "\x1f" + strconv.Itoa(int(q.minGrade))
-		if e, ok := s.importCache.get(key); ok && !now.After(e.expires) && s.validate(e) {
-			s.importOutcomes.With("hit").Inc()
-			return append([]Match(nil), e.matches...)
-		}
-		s.importOutcomes.With("miss").Inc()
-		// Capture the generations before reading any snapshot: a write
-		// racing with the match pass then fails the entry's validation.
-		storeGen, repoGen = s.gens()
+	var buf [4]consultedBucket // most requests consult a few buckets
+	bs := s.consult(q, buf[:0])
+	if matches, ok := s.walkRanked(bs, q, remote, now); ok {
+		return matches
 	}
-
-	bs := s.consult(q)
-	matches, shadow, ok := s.walkRanked(bs, q, remote, now)
-	if !ok {
-		matches, shadow = s.order(q, append(s.localMatches(bs, q, now), remote...))
-	}
-
-	if cacheable {
-		// A cached result must not outlive its shortest lease, nor the
-		// lease of an offer that hid a sibling.
-		expires := earlier(now.Add(s.importTTL), shadow)
-		for _, m := range matches {
-			expires = earlier(expires, m.Expires)
-		}
-		consulted := make([]bucketVersion, len(bs))
-		for i, b := range bs {
-			consulted[i] = bucketVersion{name: b.tm.Name, version: b.snap.version}
-		}
-		s.importCache.add(key, &importCacheEntry{
-			expires:   expires,
-			storeGen:  storeGen,
-			repoGen:   repoGen,
-			consulted: consulted,
-			matches:   append([]Match(nil), matches...),
-		})
-	}
-	return matches
-}
-
-// earlier returns the earlier of two instants, the zero one meaning
-// never.
-func earlier(a, b time.Time) time.Time {
-	if a.IsZero() || !b.IsZero() && b.Before(a) {
-		return b
-	}
-	return a
+	return s.order(q, append(s.localMatches(bs, q, now), remote...))
 }
 
 // order deduplicates matches by service reference and puts them in the
-// query's order, truncated to its bound. It returns the earliest lease
-// among the kept offers that hid a sibling (zero: none).
-func (s *State) order(q Query, matches []Match) ([]Match, time.Time) {
+// query's order, truncated to its bound.
+func (s *State) order(q Query, matches []Match) []Match {
 	// Deduplicate by target reference: the same service exported at two
 	// federated traders is still one service. First occurrence wins, so
 	// a local (ID-ordered) match shadows a remote duplicate of the same
 	// service, and of two local offers of one service the lower ID wins.
-	var shadow time.Time
-	seen := make(map[ref.ServiceRef]int, len(matches))
+	seen := make(map[ref.ServiceRef]struct{}, len(matches))
 	unique := matches[:0]
 	for _, m := range matches {
-		if i, dup := seen[m.Ref]; dup {
-			shadow = earlier(shadow, unique[i].Expires)
-			continue
+		if _, dup := seen[m.Ref]; !dup {
+			seen[m.Ref] = struct{}{}
+			unique = append(unique, m)
 		}
-		seen[m.Ref] = len(unique)
-		unique = append(unique, m)
 	}
 	matches = unique
 
@@ -171,7 +102,7 @@ func (s *State) order(q Query, matches []Match) ([]Match, time.Time) {
 		// Only the first Max are wanted: select them with a bounded heap
 		// in the order the full sort below would give (the linear oracle
 		// keeps the full sort, so the equivalence tests compare the two).
-		return q.policy.top(matches, q.max), shadow
+		return q.policy.top(matches, q.max)
 	}
 	s.rngMu.Lock()
 	q.policy.apply(matches, s.rng)
@@ -182,14 +113,20 @@ func (s *State) order(q Query, matches []Match) ([]Match, time.Time) {
 	// probe failure could be transient), but importers walking the list
 	// front-to-back — in particular the bind failover path — should
 	// reach live providers first.
-	sort.SliceStable(matches, func(i, j int) bool {
-		return !matches[i].Suspect && matches[j].Suspect
+	slices.SortStableFunc(matches, func(a, b Match) int {
+		switch {
+		case a.Suspect == b.Suspect:
+			return 0
+		case b.Suspect:
+			return -1
+		}
+		return 1
 	})
 
 	if q.max > 0 && len(matches) > q.max {
 		matches = matches[:q.max]
 	}
-	return matches, shadow
+	return matches
 }
 
 // consultedBucket is one stored type bucket an import reads: its
@@ -200,16 +137,15 @@ type consultedBucket struct {
 }
 
 // consult is phase 1 of the matcher: it resolves the requested type to
-// the stored buckets of its graded conformant closure and pins each
-// one's snapshot. A bucket whose type grade is below the floor is
-// skipped outright unless the floor admits partial-attribute matches,
-// which any conformant offer may still yield. The linear oracle
-// consults no bucket.
-func (s *State) consult(q Query) []consultedBucket {
+// the stored buckets of its graded conformant closure and appends each
+// one, its snapshot pinned, to bs. A bucket whose type grade is below
+// the floor is skipped outright unless the floor admits
+// partial-attribute matches, which any conformant offer may still
+// yield. The linear oracle consults no bucket.
+func (s *State) consult(q Query, bs []consultedBucket) []consultedBucket {
 	if s.linear {
 		return nil
 	}
-	var bs []consultedBucket
 	for _, tm := range s.resolve(q.typ) {
 		if q.minGrade > match.GradePartial && !tm.Grade.AtLeast(q.minGrade) {
 			continue
@@ -236,7 +172,7 @@ func (s *State) localMatches(bs []consultedBucket, q Query, now time.Time) []Mat
 	for _, b := range bs {
 		matches = s.appendBucket(matches, b.snap, b.tm, q, now)
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
+	slices.SortFunc(matches, byID)
 	return matches
 }
 
@@ -290,20 +226,19 @@ func (c *walkCursor) pop() {
 // when it is unexpired, matches, and no lower-ID sibling in a consulted
 // bucket does too — exactly the offer order's first-occurrence dedup
 // keeps; suspects wait in a side list capped at Max, which gives
-// order's healthy-before-suspect result. It returns the earliest lease
-// among the siblings that hid a walked offer, and false — it declines
-// — when the query is not of that shape, the constraint has no numeric
-// hint on the ranked property, or some bucket's walk range is longer
-// than the candidate list appendBucket would evaluate there.
-func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now time.Time) ([]Match, time.Time, bool) {
+// order's healthy-before-suspect result. It returns false — it
+// declines — when the query is not of that shape, the constraint has
+// no numeric hint on the ranked property, or some bucket's walk range
+// is longer than the candidate list appendBucket would evaluate there.
+func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now time.Time) ([]Match, bool) {
 	p := q.policy
 	if s.linear || len(remote) > 0 || q.max <= 0 || q.minGrade <= match.GradePartial ||
 		p.kind != policyMin && p.kind != policyMax {
-		return nil, time.Time{}, false
+		return nil, false
 	}
 	ranks := func(h indexHint) bool { return h.prop == p.prop && h.val.kind == cvNum }
 	if !slices.ContainsFunc(q.constraint.hints(), ranks) {
-		return nil, time.Time{}, false
+		return nil, false
 	}
 	desc := p.kind == policyMax
 	var buf [8]walkCursor
@@ -327,7 +262,7 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 			}
 		}
 		if hi = max(lo, hi); hi-lo > least {
-			return nil, time.Time{}, false
+			return nil, false
 		}
 		cs = append(cs, walkCursor{tm: b.tm, idx: idx, desc: desc, lo: lo, hi: hi})
 		total += hi - lo
@@ -336,7 +271,6 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 
 	out := make([]Match, 0, min(q.max, total))
 	var suspects []Match
-	var shadow time.Time
 	for len(out) < q.max {
 		best := -1
 		var be numEntry
@@ -355,8 +289,7 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 		if o.Expired(now) || !q.constraint.Match(o.Props) {
 			continue
 		}
-		if sib := shadowedBy(bs, o, q.constraint, now); sib != nil {
-			shadow = earlier(shadow, sib.Expires)
+		if shadowedBy(bs, o, q.constraint, now) != nil {
 			continue
 		}
 		m := Match{Offer: o, Grade: c.tm.Grade, Score: c.tm.Score}
@@ -367,7 +300,7 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 			suspects = append(suspects, m)
 		}
 	}
-	return append(out, suspects[:min(len(suspects), q.max-len(out))]...), shadow, true
+	return append(out, suspects[:min(len(suspects), q.max-len(out))]...), true
 }
 
 // walksBefore reports whether entry a precedes entry b in the walk: by
@@ -408,13 +341,15 @@ func shadowedBy(bs []consultedBucket, o *Offer, c *Constraint, now time.Time) *O
 // selection, constraint filtering and grading. When the grade floor
 // excludes partial-attribute matches the candidate set is narrowed
 // through the snapshot's attribute indexes (every index hint is a
-// necessary condition of a *full* match); with a partial floor the
-// whole bucket must be scanned, because an offer failing every hint may
-// still satisfy some conjuncts.
+// necessary condition of a *full* match), and out grows once to hold
+// every candidate; with a partial floor the whole bucket must be
+// scanned, because an offer failing every hint may still satisfy some
+// conjuncts.
 func (s *State) appendBucket(out []Match, snap *typeSnapshot, tm match.TypeMatch, q Query, now time.Time) []Match {
 	if q.minGrade > match.GradePartial {
 		candidates, kind := snap.candidates(q.constraint)
 		s.indexLookups.With(kind).Inc()
+		out = slices.Grow(out, candidates.Len())
 		candidates.each(func(o *Offer) bool {
 			if !o.Expired(now) && q.constraint.Match(o.Props) {
 				out = append(out, Match{Offer: o, Grade: tm.Grade, Score: tm.Score})
@@ -472,6 +407,9 @@ func (s *State) linearMatches(q Query, now time.Time) []Match {
 		}
 		matches = appendGraded(matches, o, tm, q.constraint)
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
+	slices.SortFunc(matches, byID)
 	return matches
 }
+
+// byID orders matches by offer ID.
+func byID(a, b Match) int { return strings.Compare(a.ID, b.ID) }

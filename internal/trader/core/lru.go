@@ -8,10 +8,10 @@ import (
 )
 
 // lruCache is a bounded, mutex-guarded LRU map from string keys to
-// values. It backs the compiled-constraint cache and the import-result
-// cache: both are fed by remote callers, so without a bound a hostile
-// importer could grow them without limit (one fresh constraint string
-// per request).
+// values. It backs the request-type resolution cache and the
+// compiled-constraint cache: both are fed by remote callers, so without
+// a bound a hostile importer could grow them without limit (one fresh
+// constraint string per request).
 type lruCache[V any] struct {
 	mu      sync.Mutex
 	cap     int

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"cosm/internal/obs"
 	"cosm/internal/typemgr"
@@ -99,19 +98,19 @@ func TestLRUNilDisabled(t *testing.T) {
 }
 
 // TestCacheMetricsReportOccupancyAndEvictions: each of the state's
-// three LRUs reports what it holds and what it dropped, and an
-// import-cache miss that evicts allocates nothing for the reporting.
+// two LRUs reports what it holds and what it dropped, and an add that
+// evicts allocates nothing for the reporting.
 func TestCacheMetricsReportOccupancyAndEvictions(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(typemgr.NewRepo(), Options{Metrics: reg, ConstraintCacheSize: 4, ImportCacheTTL: time.Hour})
+	s := New(typemgr.NewRepo(), Options{Metrics: reg, ConstraintCacheSize: 4})
 	s.Apply(&Mutation{Op: OpExport, Offers: []*Offer{offer("o1", "A", 1, 10, 0)}})
-	for i := 0; i < importCacheSize+10; i++ {
+	const imports = 30
+	for i := 0; i < imports; i++ {
 		mustImport(t, s, "A", fmt.Sprintf("Price < %d", i), "", nil, t0)
 	}
 	for cache, want := range map[string][2]int64{
 		"resolution": {1, 0},
-		"constraint": {4, importCacheSize + 10 - 4},
-		"import":     {importCacheSize, 10},
+		"constraint": {4, imports - 4},
 	} {
 		retained := reg.Gauge("cosm_trader_"+cache+"_cache_retained", "").Value()
 		evicted := reg.Counter("cosm_trader_"+cache+"_cache_evicted_total", "").Value()

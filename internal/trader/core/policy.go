@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"cosm/internal/sidl"
@@ -73,11 +74,6 @@ func parseRankPolicy(s string, kind policyKind) (Policy, error) {
 // String returns the policy source text.
 func (p Policy) String() string { return p.src }
 
-// cacheable reports whether the policy orders deterministically, so an
-// import result under it may be served from the result cache. "random"
-// must re-shuffle on every call.
-func (p Policy) cacheable() bool { return p.kind != policyRandom }
-
 // apply orders graded matches in place according to the policy. rng
 // drives the "random" policy and must be non-nil for it.
 func (p Policy) apply(ms []Match, rng *rand.Rand) {
@@ -87,34 +83,41 @@ func (p Policy) apply(ms []Match, rng *rand.Rand) {
 		})
 		return
 	}
-	sort.SliceStable(ms, func(i, j int) bool { return p.less(&ms[i], &ms[j]) })
+	slices.SortStableFunc(ms, func(a, b Match) int { return p.compare(&a, &b) })
 }
 
-// less reports whether a ranks strictly before b by the policy's key
-// alone; matches it does not tell apart are equivalent, and keep their
-// input order. Meaningless for "random".
-func (p Policy) less(a, b *Match) bool {
+// compare orders a against b by the policy's key alone: negative when a
+// ranks first, positive when b does, and zero for matches it does not
+// tell apart, which keep their input order. Meaningless for "random".
+func (p Policy) compare(a, b *Match) int {
 	switch p.kind {
 	case policyMin, policyMax:
 		va, oka := number(a.Props, p.prop)
 		vb, okb := number(b.Props, p.prop)
-		if oka && okb {
-			if p.kind == policyMin {
-				return va < vb
+		switch {
+		case oka && okb:
+			if p.kind == policyMax {
+				va, vb = vb, va
 			}
-			return va > vb
+			return cmp.Compare(va, vb)
+		case oka != okb: // ranked offers before unranked ones
+			if oka {
+				return -1
+			}
+			return 1
 		}
-		return oka && !okb // ranked offers before unranked ones
+		return 0
 	case policyScore:
-		if a.Score != b.Score {
-			return a.Score > b.Score
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		case a.Grade != b.Grade:
+			return cmp.Compare(b.Grade, a.Grade)
 		}
-		if a.Grade != b.Grade {
-			return a.Grade > b.Grade
-		}
-		return a.ID < b.ID
 	}
-	return a.ID < b.ID
+	return strings.Compare(a.ID, b.ID)
 }
 
 // top returns the k best of ms (0 < k < len(ms)), best first, in
@@ -131,13 +134,11 @@ func (p Policy) top(ms []Match, k int) []Match {
 	// worse reports whether a ranks after b; the heap keeps its worst
 	// entry at the root, to be displaced by any better match.
 	worse := func(a, b *entry) bool {
-		switch {
-		case a.Suspect != b.Suspect:
+		if a.Suspect != b.Suspect {
 			return a.Suspect
-		case p.less(&b.Match, &a.Match):
-			return true
-		case p.less(&a.Match, &b.Match):
-			return false
+		}
+		if c := p.compare(&a.Match, &b.Match); c != 0 {
+			return c > 0
 		}
 		return a.pos > b.pos
 	}

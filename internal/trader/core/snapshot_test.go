@@ -16,8 +16,8 @@ import (
 
 // sameSnapshot fails unless derived — a snapshot some chain of writes
 // derived — holds what a fresh build of the bucket holds: the same
-// version and property counts, and the offer list, each posting list and
-// each numeric index entry for entry, since their (Ref, ID) and (value,
+// property counts, and the offer list, each posting list and each
+// numeric index entry for entry, since their (Ref, ID) and (value,
 // ID) orders are part of the contract (a walk in policy order breaks
 // ties by the latter). The lists are compared flattened: where a chain
 // of writes split and merged runs legitimately differs from a build,
@@ -25,9 +25,6 @@ import (
 // invariants (see checkRuns).
 func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	t.Helper()
-	if derived.version != built.version {
-		t.Fatalf("%s: version %d, built %d", step, derived.version, built.version)
-	}
 	for _, snap := range []*typeSnapshot{derived, built} {
 		checkRuns(t, step+": offers", snap.offers)
 		for k, list := range snap.eq {

@@ -23,20 +23,14 @@ import (
 	"cosm/internal/typemgr"
 )
 
-// importCacheSize bounds the import-result cache.
-const importCacheSize = 512
-
 // Options configures a State. The zero value is an indexed store with
-// both caches off and nothing recorded.
+// the constraint cache off and nothing recorded.
 type Options struct {
 	// Linear replaces the indexed snapshots by a scan of every offer:
 	// the oracle the index-equivalence tests and ablation compare with.
 	Linear bool
 	// ConstraintCacheSize bounds the compiled-constraint LRU (<= 0: off).
 	ConstraintCacheSize int
-	// ImportCacheTTL bounds the reuse of a local import result (<= 0:
-	// no result cache); see Import for what else invalidates one.
-	ImportCacheTTL time.Duration
 	// Metrics receives the index, snapshot and cache families.
 	Metrics *obs.Registry
 }
@@ -61,7 +55,7 @@ type State struct {
 	// typeSetGen is bumped whenever a type bucket appears or
 	// disappears. Together with the repo generation it pins the set of
 	// stored types matching a request type, validating the resolution
-	// cache and import-result cache entries.
+	// cache's entries.
 	typeSetGen atomic.Uint64
 
 	// resolutions caches request type -> conforming stored type names
@@ -71,9 +65,6 @@ type State struct {
 	// constraints caches compiled constraint expressions (nil: off).
 	constraints *lruCache[*Constraint]
 
-	importTTL   time.Duration
-	importCache *lruCache[*importCacheEntry] // nil: off
-
 	// rng drives the "random" policy; seeded, so a serialised caller
 	// sees the same permutations run after run.
 	rngMu sync.Mutex
@@ -81,7 +72,6 @@ type State struct {
 
 	rebuilds        *obs.Counter    // snapshot builds (first reads)
 	indexLookups    *obs.CounterVec // by index kind: eq, range, scan, ordered, linear
-	importOutcomes  *obs.CounterVec // by outcome: hit, miss
 	compileOutcomes *obs.CounterVec // by outcome: hit, miss
 }
 
@@ -93,19 +83,13 @@ func New(repo *typemgr.Repo, opts Options) *State {
 		linear:      opts.Linear,
 		resolutions: newLRU[*resolution](256, newCacheMetrics(reg, "resolution", "Request-type resolutions")),
 		constraints: newLRU[*Constraint](opts.ConstraintCacheSize, newCacheMetrics(reg, "constraint", "Compiled constraints")),
-		importTTL:   opts.ImportCacheTTL,
 		rng:         rand.New(rand.NewSource(1)),
 
 		rebuilds:        reg.Counter("cosm_trader_index_snapshot_rebuilds_total", "Type snapshots built from scratch, on a type's first read; writes derive them."),
 		indexLookups:    reg.CounterVec("cosm_trader_index_lookups_total", "Type-bucket match passes by index kind (eq, range, scan, ordered, linear).", "kind"),
-		importOutcomes:  reg.CounterVec("cosm_trader_import_cache_total", "Import-result cache lookups by outcome.", "outcome"),
 		compileOutcomes: reg.CounterVec("cosm_trader_constraint_cache_total", "Compiled-constraint cache lookups by outcome.", "outcome"),
 	}
 	s.Clear() // allocates the shard maps
-	imports := newCacheMetrics(reg, "import", "Import results")
-	if s.importTTL > 0 {
-		s.importCache = newLRU[*importCacheEntry](importCacheSize, imports)
-	}
 	return s
 }
 

@@ -107,7 +107,7 @@ func TestApplyReturnsWhatItTouched(t *testing.T) {
 // TestReadersTakeNowAsAValue: the same state answers differently for
 // different instants, with no mutation and no clock in between.
 func TestReadersTakeNowAsAValue(t *testing.T) {
-	s := New(typemgr.NewRepo(), Options{ImportCacheTTL: time.Hour})
+	s := New(typemgr.NewRepo(), Options{})
 	s.Apply(&Mutation{Op: OpExport, Offers: []*Offer{
 		offer("o2", "A", 2, 20, time.Minute), offer("o1", "A", 1, 10, 0), offer("o3", "B", 3, 30, 0),
 	}})
@@ -131,8 +131,7 @@ func TestReadersTakeNowAsAValue(t *testing.T) {
 	if tc := s.TypeCounts(later); tc["A"] != 1 || tc["B"] != 1 {
 		t.Fatalf("TypeCounts later = %v", tc)
 	}
-	// The import cache bounds an entry by its shortest lease, measured
-	// against the instant each call names.
+	// An import measures each lease against the instant it names.
 	if ms := mustImport(t, s, "A", "", "min:Price", nil, t0); len(ms) != 2 || ms[0].ID != "o1" {
 		t.Fatalf("import now = %+v", ms)
 	}
@@ -145,15 +144,15 @@ func TestReadersTakeNowAsAValue(t *testing.T) {
 		t.Fatal("Clear left offers behind")
 	}
 	if ms := mustImport(t, s, "A", "", "min:Price", nil, t0); len(ms) != 0 {
-		t.Fatalf("import after Clear served %+v from the cache", ms)
+		t.Fatalf("import after Clear = %+v", ms)
 	}
 }
 
 // TestImportMergesRemoteMatches: matches a partner trader returned are
 // ranked with the local ones, a remote duplicate of a local service is
-// shadowed, and a merged result is never cached.
+// shadowed, and a later local import holds none of them.
 func TestImportMergesRemoteMatches(t *testing.T) {
-	s := New(typemgr.NewRepo(), Options{ImportCacheTTL: time.Hour})
+	s := New(typemgr.NewRepo(), Options{})
 	local := offer("o1", "A", 1, 20, 0)
 	s.Apply(&Mutation{Op: OpExport, Offers: []*Offer{local}})
 	remote := []Match{
@@ -187,5 +186,44 @@ func TestCompileCacheBounded(t *testing.T) {
 	}
 	if n := s.constraints.len(); n != 4 {
 		t.Fatalf("constraint cache holds %d entries, want its bound of 4", n)
+	}
+}
+
+// TestUncachedImportAllocs pins what an import that the ordered walk
+// does not answer allocates: an unbounded min:Price import of a
+// range-constrained 18-offer bucket — what a federated peer answers
+// over and over — and an unconstrained first import of it. Every
+// import matches afresh: the consulted buckets sit on the stack, the
+// match list grows once, the sorts run in place, and the rest is the
+// dedup's map. With the bucket list on the heap, a match list that
+// doubled as it grew, and sort.Slice and sort.SliceStable, each of the
+// two imports allocated 19 times.
+func TestUncachedImportAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	s := New(typemgr.NewRepo(), Options{})
+	var offers []*Offer
+	for i := range 18 {
+		offers = append(offers, offer(fmt.Sprintf("o%02d", i), "A", i, float64(40+(i*7)%18), 0))
+	}
+	s.Apply(&Mutation{Op: OpExport, Offers: offers})
+	for _, c := range []struct {
+		constraint, policy string
+		pinned             float64
+	}{
+		{"Price < 1000", "min:Price", 4},
+		{"", "first", 4},
+	} {
+		q, err := s.Prepare("A", c.constraint, c.policy, 0, match.GradeNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms := s.Import(q, nil, t0); len(ms) != len(offers) {
+			t.Fatalf("%s import matched %d offers, want %d", c.policy, len(ms), len(offers))
+		}
+		if got := testing.AllocsPerRun(100, func() { s.Import(q, nil, t0) }); got != c.pinned {
+			t.Errorf("one %s import allocates %v times, pinned at %v", c.policy, got, c.pinned)
+		}
 	}
 }

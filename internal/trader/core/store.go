@@ -26,14 +26,12 @@ type storeShard struct {
 }
 
 // typeBucket holds one stored service type's offers plus its matching
-// snapshot. version counts mutations (guarded by the owning shard's
-// lock); snap is nil until the first read builds it, and from then on
+// snapshot. snap is nil until the first read builds it, and from then on
 // every write derives the next one (see write).
 type typeBucket struct {
-	name    string
-	offers  map[string]*Offer
-	version uint64
-	snap    atomic.Pointer[typeSnapshot]
+	name   string
+	offers map[string]*Offer
+	snap   atomic.Pointer[typeSnapshot]
 }
 
 // write records a mutation of b that replaced old by fresh — the same
@@ -42,9 +40,8 @@ type typeBucket struct {
 // one; a bucket nobody has read yet (recovery, a fresh follower) builds
 // nothing. The caller holds the shard's write lock.
 func (b *typeBucket) write(old, fresh *Offer) {
-	b.version++
 	if snap := b.snap.Load(); snap != nil {
-		b.snap.Store(snap.derive(b.version, old, fresh))
+		b.snap.Store(snap.derive(old, fresh))
 	}
 }
 
@@ -54,13 +51,6 @@ type resolution struct {
 	storeGen uint64
 	repoGen  uint64
 	types    []match.TypeMatch
-}
-
-// bucketVersion records the version of one consulted type bucket, for
-// import-result cache validation.
-type bucketVersion struct {
-	name    string
-	version uint64
 }
 
 // shardFor hashes a service-type name to its shard (FNV-1a).
@@ -73,15 +63,9 @@ func (s *State) shardFor(serviceType string) *storeShard {
 	return &s.shards[h%storeShards]
 }
 
-// gens returns the generation pair import-result cache entries are
-// validated against.
-func (s *State) gens() (storeGen, repoGen uint64) {
-	return s.typeSetGen.Load(), s.repo.Gen()
-}
-
 // Clear empties the store — a follower installing a leader snapshot
 // replaces its contents wholesale. Bumping the type-set generation
-// invalidates cached resolutions and import results implicitly.
+// invalidates cached resolutions implicitly.
 func (s *State) Clear() {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -228,7 +212,7 @@ func (s *State) each(fn func(*Offer)) {
 // revalidated against the store and repo generations, so steady-state
 // imports do no hierarchy work at all.
 func (s *State) resolve(reqType string) []match.TypeMatch {
-	storeGen, repoGen := s.gens()
+	storeGen, repoGen := s.typeSetGen.Load(), s.repo.Gen()
 	if r, ok := s.resolutions.get(reqType); ok && r.storeGen == storeGen && r.repoGen == repoGen {
 		return r.types
 	}
@@ -267,8 +251,8 @@ func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
 		return snap, true
 	}
 	// Build while holding the read lock: writers are excluded, so the
-	// built snapshot is consistent with b.version, and a writer that
-	// runs after we release derives its successor from it. Concurrent
+	// built snapshot is consistent with b.offers, and a writer that runs
+	// after we release derives its successor from it. Concurrent
 	// readers may build duplicates; they are identical, and the
 	// duplicate work is bounded by one build per reader already past the
 	// nil check.
@@ -276,27 +260,6 @@ func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
 	b.snap.Store(snap)
 	s.rebuilds.Inc()
 	return snap, true
-}
-
-// validate reports whether an import-result cache entry still describes
-// the store: same type set, same repo generation, and every consulted
-// bucket unchanged.
-func (s *State) validate(e *importCacheEntry) bool {
-	storeGen, repoGen := s.gens()
-	if e.storeGen != storeGen || e.repoGen != repoGen {
-		return false
-	}
-	for _, bv := range e.consulted {
-		sh := s.shardFor(bv.name)
-		sh.mu.RLock()
-		b := sh.types[bv.name]
-		ok := b != nil && b.version == bv.version
-		sh.mu.RUnlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // gradedClosure is the graded conformant closure of reqType. A type
@@ -329,8 +292,7 @@ func gradedClosure(repo *typemgr.Repo, reqType string) []match.TypeMatch {
 // which an import deduplicates — sit together in ID order and are found
 // by one binary search (see shadowedBy).
 type typeSnapshot struct {
-	version uint64
-	offers  runs[*Offer] // in (Ref, ID) order
+	offers runs[*Offer] // in (Ref, ID) order
 	// props counts the offers carrying each property name; an equality
 	// hint whose right-hand side is syntactically an identifier is only
 	// index-resolvable when that identifier names no stored property
@@ -370,11 +332,10 @@ func buildSnapshot(b *typeBucket) *typeSnapshot {
 	}
 	slices.SortFunc(offers, byRefID)
 	snap := &typeSnapshot{
-		version: b.version,
-		offers:  runsOf(offers),
-		props:   map[string]int{},
-		eq:      map[eqK]runs[*Offer]{},
-		num:     map[string]runs[numEntry]{},
+		offers: runsOf(offers),
+		props:  map[string]int{},
+		eq:     map[eqK]runs[*Offer]{},
+		num:    map[string]runs[numEntry]{},
 	}
 	eq := map[eqK][]*Offer{}
 	num := map[string][]numEntry{}
@@ -399,12 +360,12 @@ func buildSnapshot(b *typeBucket) *typeSnapshot {
 }
 
 // derive returns the snapshot that replacing old by fresh (see
-// typeBucket.write) makes of snap, at the given version. The offer list
+// typeBucket.write) makes of snap. The offer list
 // and each posting list and numeric index holding old or fresh get one
 // sorted delete and/or insert, which copies their spine and the run it
 // touches; every other run, list and index is shared with snap, which
 // stays valid for the readers holding it.
-func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapshot {
+func (snap *typeSnapshot) derive(old, fresh *Offer) *typeSnapshot {
 	var id string
 	var oldProps, freshProps map[string]sidl.Lit
 	if old != nil {
@@ -414,11 +375,10 @@ func (snap *typeSnapshot) derive(version uint64, old, fresh *Offer) *typeSnapsho
 		id, freshProps = fresh.ID, fresh.Props
 	}
 	next := &typeSnapshot{
-		version: version,
-		offers:  spliceOffers(snap.offers, old, fresh),
-		props:   maps.Clone(snap.props),
-		eq:      maps.Clone(snap.eq),
-		num:     maps.Clone(snap.num),
+		offers: spliceOffers(snap.offers, old, fresh),
+		props:  maps.Clone(snap.props),
+		eq:     maps.Clone(snap.eq),
+		num:    maps.Clone(snap.num),
 	}
 	for name := range oldProps {
 		if next.props[name]--; next.props[name] == 0 {

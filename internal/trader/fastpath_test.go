@@ -100,7 +100,7 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	clock := time.Unix(1_000_000, 0)
 
-	caches := core.Options{ConstraintCacheSize: defaultConstraintCacheSize, ImportCacheTTL: defaultImportCacheTTL}
+	caches := core.Options{ConstraintCacheSize: defaultConstraintCacheSize}
 	indexed := core.New(newCarRepo(t), caches)
 	caches.Linear = true
 	linear := core.New(newCarRepo(t), caches)
@@ -233,20 +233,13 @@ func TestIndexGuardPropertyNamedLikeSymbol(t *testing.T) {
 	}
 }
 
-// --- import-result cache: hits, invalidation, TTL, leases ------------
+// --- every import sees the store as it is ---------------------------
 
-func cacheCounters(reg *obs.Registry) map[string]uint64 {
-	return reg.CounterVec("cosm_trader_import_cache_total", "", "outcome").Snapshot()
-}
-
-func TestImportCacheInvalidation(t *testing.T) {
+// TestImportSeesEveryWrite: an import after each kind of write sees it,
+// in policy order with suspects last.
+func TestImportSeesEveryWrite(t *testing.T) {
 	ctx := context.Background()
-	clock := time.Unix(1_000_000, 0)
-	reg := obs.NewRegistry()
-	tr := New("T", newCarRepo(t),
-		withClock(func() time.Time { return clock }),
-		WithImportCacheTTL(time.Second),
-		WithMetrics(reg))
+	tr := New("T", newCarRepo(t))
 
 	id1, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 80, "USD"))
 	if err != nil {
@@ -267,21 +260,16 @@ func TestImportCacheInvalidation(t *testing.T) {
 	}
 
 	mustImport(1)
-	mustImport(1)
-	c := cacheCounters(reg)
-	if c["hit"] != 1 || c["miss"] != 1 {
-		t.Fatalf("after repeat import: %v", c)
-	}
 
-	// Export invalidates: the new offer appears immediately.
+	// Export: the new offer appears immediately.
 	if _, err := tr.Export("CarRentalService", carRef(2), carProps("AUDI", 60, "USD")); err != nil {
 		t.Fatal(err)
 	}
 	if offers := mustImport(2); offers[0].Props["CarModel"] != sidl.EnumLit("AUDI") {
-		t.Fatalf("policy order lost after invalidation: %+v", offers)
+		t.Fatalf("policy order lost after an export: %+v", offers)
 	}
 
-	// Replace invalidates: new properties visible immediately.
+	// Replace: new properties visible immediately.
 	if err := tr.Replace(id1, carProps("FIAT_Uno", 40, "USD")); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +277,7 @@ func TestImportCacheInvalidation(t *testing.T) {
 		t.Fatalf("replace not visible: %+v", offers[0].Props)
 	}
 
-	// MarkSuspect invalidates: the suspect offer drops to the back.
+	// MarkSuspect: the suspect offer drops to the back.
 	if err := tr.MarkSuspect(id1, true); err != nil {
 		t.Fatal(err)
 	}
@@ -297,39 +285,19 @@ func TestImportCacheInvalidation(t *testing.T) {
 		t.Fatalf("suspect partition lost: %+v", offers)
 	}
 
-	// Withdraw invalidates.
+	// Withdraw.
 	if err := tr.Withdraw(id1); err != nil {
 		t.Fatal(err)
 	}
 	mustImport(1)
-
-	// Unchanged store: hits again until the TTL runs out.
-	before := cacheCounters(reg)
-	mustImport(1)
-	clock = clock.Add(2 * time.Second)
-	mustImport(1)
-	after := cacheCounters(reg)
-	if after["hit"] != before["hit"]+1 || after["miss"] != before["miss"]+1 {
-		t.Fatalf("TTL expiry: before %v after %v", before, after)
-	}
-
-	// The random policy must never be served from the cache.
-	before = cacheCounters(reg)
-	if _, err := tr.Import(ctx, ImportRequest{Type: "CarRentalService", Policy: "random"}); err != nil {
-		t.Fatal(err)
-	}
-	after = cacheCounters(reg)
-	if after["hit"] != before["hit"] || after["miss"] != before["miss"] {
-		t.Fatalf("random policy touched the cache: before %v after %v", before, after)
-	}
 }
 
-func TestImportCacheRespectsLeaseExpiry(t *testing.T) {
+// TestImportRespectsLeaseExpiry: with no write in between, an import
+// after an offer's lease ran out no longer returns it.
+func TestImportRespectsLeaseExpiry(t *testing.T) {
 	ctx := context.Background()
 	clock := time.Unix(1_000_000, 0)
-	tr := New("T", newCarRepo(t),
-		withClock(func() time.Time { return clock }),
-		WithImportCacheTTL(time.Hour)) // TTL far beyond the lease
+	tr := New("T", newCarRepo(t), withClock(func() time.Time { return clock }))
 
 	if _, err := tr.ExportLease("CarRentalService", carRef(1), carProps("FIAT_Uno", 80, "USD"), 10*time.Second); err != nil {
 		t.Fatal(err)
@@ -339,10 +307,8 @@ func TestImportCacheRespectsLeaseExpiry(t *testing.T) {
 		t.Fatalf("offers = %v, %v", offers, err)
 	}
 	clock = clock.Add(11 * time.Second)
-	// No store mutation happened, but the cached entry must not outlive
-	// the offer's lease.
 	if offers, err := tr.Import(ctx, req); err != nil || len(offers) != 0 {
-		t.Fatalf("expired offer served from cache: %v, %v", offers, err)
+		t.Fatalf("expired offer served: %v, %v", offers, err)
 	}
 }
 

@@ -507,7 +507,7 @@ func FuzzReplayRecord(f *testing.F) {
 		f.Add([]byte(row.record))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		tr := New("J", typemgr.NewRepo(), WithConstraintCacheSize(0), WithImportCacheTTL(0))
+		tr := New("J", typemgr.NewRepo(), WithConstraintCacheSize(0))
 		_ = tr.ReplayRecord(1, payload)
 		first, err1 := tr.JournalSnapshot()
 		_ = tr.ReplayRecord(2, payload) // records are idempotent
@@ -533,7 +533,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	}
 	f.Add(typed)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		tr := New("J", typemgr.NewRepo(), WithConstraintCacheSize(0), WithImportCacheTTL(0))
+		tr := New("J", typemgr.NewRepo(), WithConstraintCacheSize(0))
 		_ = tr.RestoreSnapshot(payload)
 		first, err1 := tr.JournalSnapshot()
 		_ = tr.RestoreSnapshot(payload)

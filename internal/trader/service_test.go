@@ -44,8 +44,9 @@ func startTraderNode(t *testing.T, loopName, traderID string) (*cosm.Node, *Trad
 }
 
 // TestRemoteImportAllocs pins what one typed Client.ImportGraded of the
-// canonical reply — five car offers of four properties each, the import
-// cache answering — allocates over loop:, client and server together.
+// canonical reply — five car offers of four properties each, the
+// ordered walk answering — allocates over loop:, client and server
+// together.
 // The typed path goes straight between Go values and bytes; a change
 // that builds an xcode.Value tree on it again fails here (with one at
 // each end of each direction, the same import allocated 423). Frames
@@ -53,7 +54,9 @@ func startTraderNode(t *testing.T, loopName, traderID string) (*cosm.Node, *Trad
 // reply's property records share one array: with a fresh frame copy
 // per write and a record slice per offer, it allocated 173. Each
 // offer's numbers render into one string: with a strconv.Format* string
-// per number (two allocations per float), it allocated 153.
+// per number (two allocations per float), it allocated 153; answered
+// from an import-result cache, whose hit built a key string and copied
+// the cached matches, it allocated 143.
 func TestRemoteImportAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are exact only without the race detector")
@@ -76,8 +79,8 @@ func TestRemoteImportAllocs(t *testing.T) {
 		}
 	}
 	call() // bind, dial and fill the caches outside the measurement
-	if got := testing.AllocsPerRun(200, call); got != 143 {
-		t.Fatalf("one remote import allocates %v, want 143", got)
+	if got := testing.AllocsPerRun(200, call); got != 142 {
+		t.Fatalf("one remote import allocates %v, want 142", got)
 	}
 }
 

@@ -274,7 +274,7 @@ func (c *cellSim) start(m *simMember) {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	tr := New(m.id, typemgr.NewRepo(), WithImportCacheTTL(0), WithReplSync(c.quorum-1, simSyncWait), WithEvents(m.events),
+	tr := New(m.id, typemgr.NewRepo(), WithReplSync(c.quorum-1, simSyncWait), WithEvents(m.events),
 		func(t *Trader) {
 			t.now = func() time.Time { return c.s.clock().Add(m.skew) }
 			t.pause = func(ctx context.Context, d time.Duration, wake <-chan struct{}) { c.s.park(ctx, d, chanWake(wake)) }

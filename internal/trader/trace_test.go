@@ -165,7 +165,7 @@ func startRecordedTraderNode(t *testing.T, loopName, traderID string, rec *obs.S
 	if err := repo.Define(st); err != nil {
 		t.Fatal(err)
 	}
-	tr := New(traderID, repo, WithImportCacheTTL(0))
+	tr := New(traderID, repo)
 	svc, err := NewService(tr)
 	if err != nil {
 		t.Fatal(err)

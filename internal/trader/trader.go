@@ -166,11 +166,8 @@ type Trader struct {
 	events *obs.EventLog
 }
 
-// Defaults of the core's bounded caches.
-const (
-	defaultConstraintCacheSize = 256
-	defaultImportCacheTTL      = 250 * time.Millisecond
-)
+// defaultConstraintCacheSize bounds the core's compiled-constraint LRU.
+const defaultConstraintCacheSize = 256
 
 // traderMetrics binds the cosm_trader_* metric families. The zero value
 // (no registry) records nothing: obs instruments are nil-safe.
@@ -230,14 +227,13 @@ func WithConstraintCacheSize(n int) Option {
 	return func(t *Trader) { t.coreOpts.ConstraintCacheSize = n }
 }
 
-// WithImportCacheTTL bounds how long a local import result may be
-// served from the result cache without re-matching (default 250ms).
-// The cache is additionally invalidated by every store or type-repo
-// mutation that could change the result, so the TTL only caps staleness
-// relative to lease expiry of remote clocks. A non-positive d disables
-// the cache.
-func WithImportCacheTTL(d time.Duration) Option {
-	return func(t *Trader) { t.coreOpts.ImportCacheTTL = d }
+// WithImportCacheTTL does nothing: every import matches against the
+// store, and there is no import-result cache to bound.
+//
+// Deprecated: kept only for the benchmark harness, which still passes
+// it; it goes when the harness stops.
+func WithImportCacheTTL(time.Duration) Option {
+	return func(*Trader) {}
 }
 
 // withClock injects a time source for lease handling (tests use a fake
@@ -326,7 +322,7 @@ func New(id string, types *typemgr.Repo, opts ...Option) *Trader {
 		now:        time.Now,
 		pause:      wallPause,
 		linkPolicy: wire.DefaultBreakerPolicy(),
-		coreOpts:   core.Options{ConstraintCacheSize: defaultConstraintCacheSize, ImportCacheTTL: defaultImportCacheTTL},
+		coreOpts:   core.Options{ConstraintCacheSize: defaultConstraintCacheSize},
 	}
 	for _, o := range opts {
 		o(t)
