@@ -35,6 +35,12 @@ CORE := ./internal/trader/core
 # for people, stays JSON outside them.
 ONE_CODEC := journal trader trader/core browser xcode wire cosm
 
+# A client reads each reply into one string and decodes every string of
+# it as a window of that one (DESIGN.md §6): safe because a Go string
+# cannot change, and a pooled buffer is never aliased past its owner.
+# Both hold only while no package of the program reaches for unsafe, so
+# no non-test file under internal/ or cmd/ imports it.
+
 layers:
 	@bad=$$($(GO) list -deps $(CORE) | grep '^cosm/' | \
 		grep -vxE 'cosm/internal/(sidl|fsm|ref|xcode|typemgr|match|obs|trader/core)'); \
@@ -46,6 +52,8 @@ layers:
 	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "encoding/json"}}{{$$.ImportPath}}{{end}}{{end}}' \
 		$(addprefix ./internal/,$(ONE_CODEC))); \
 	if [ -n "$$bad" ]; then echo "layers: one record codec (SIDL through xcode), but JSON is imported by:" $$bad; exit 1; fi
+	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "unsafe"}}{{$$.ImportPath}}{{end}}{{end}}' ./internal/... ./cmd/...); \
+	if [ -n "$$bad" ]; then echo "layers: no program package may import unsafe, but these do:" $$bad; exit 1; fi
 
 # Every knob of the plumbing around the market has to earn its keep:
 # DESIGN.md §12 "Options" names, for each exported With* function and

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -210,6 +211,11 @@ module SlowOp {
 	}
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
+	// A failing check still releases the in-flight call, or nodeA's
+	// deferred Close would wait for it until the test binary times out.
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free()
 	slowSvc.MustHandle("Slow", func(*cosm.Call) error {
 		started <- struct{}{}
 		<-release
@@ -315,7 +321,14 @@ module SlowOp {
 		t.Fatal(err)
 	}
 
-	// A sheds new work while draining instead of accepting it.
+	// A sheds new work while draining instead of accepting it. The
+	// drain starts only after Unpublish has left the browser too, which
+	// the bookings above may outrun: wait for it.
+	for deadline := time.Now().Add(5 * time.Second); !nodeA.Draining(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the retiring provider never started draining")
+		}
+	}
 	_, err = pool.Call(ctx, refA.Endpoint, &wire.Request{Service: "DrainCars", Op: "Describe"})
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) || remote.Status != wire.StatusOverloaded {
@@ -324,7 +337,7 @@ module SlowOp {
 
 	// The in-flight call survives the whole retirement: zero failed
 	// in-flight calls during the drain.
-	close(release)
+	free()
 	if err := <-slowDone; err != nil {
 		t.Fatalf("in-flight call failed during drain: %v", err)
 	}

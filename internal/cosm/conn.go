@@ -23,7 +23,7 @@ func Describe(ctx context.Context, pool *wire.Pool, r ref.ServiceRef) (*sidl.SID
 		return nil, fmt.Errorf("cosm: describe %s: %w", r, err)
 	}
 	var sid sidl.SID
-	if err := sid.UnmarshalText(body); err != nil {
+	if err := sid.UnmarshalText([]byte(body)); err != nil {
 		return nil, fmt.Errorf("cosm: describe %s: %w", r, err)
 	}
 	return &sid, nil
@@ -145,7 +145,7 @@ func (c *Conn) Invoke(ctx context.Context, opName string, args ...*xcode.Value) 
 		return nil, err
 	}
 	res := new(Result)
-	err = decodeCallResult(op, reply, func(t *sidl.Type, chunk []byte, out int) error {
+	err = decodeCallResult(op, reply, func(t *sidl.Type, chunk string, out int) error {
 		v, err := xcode.Unmarshal(t, chunk)
 		if out < 0 {
 			res.Value = v
@@ -195,7 +195,7 @@ func (c *Conn) Call(ctx context.Context, opName string, result any, args ...any)
 	if err != nil {
 		return err
 	}
-	err = decodeCallResult(op, reply, func(t *sidl.Type, chunk []byte, out int) error {
+	err = decodeCallResult(op, reply, func(t *sidl.Type, chunk string, out int) error {
 		if out >= 0 {
 			return xcode.DecodeInto(t, chunk, nil)
 		}
@@ -207,14 +207,15 @@ func (c *Conn) Call(ctx context.Context, opName string, result any, args ...any)
 	return nil
 }
 
-// send sends one encoded call body and returns the reply body.
-func (c *Conn) send(ctx context.Context, op sidl.Op, body []byte) ([]byte, error) {
+// send sends one encoded call body and returns the reply body: one
+// string, which what is decoded from it shares.
+func (c *Conn) send(ctx context.Context, op sidl.Op, body []byte) (string, error) {
 	// One dial, one send, no transparent retry: the operation may not
 	// be idempotent, and replaying it could execute it twice. Callers
 	// that want recovery re-run their protocol from the top.
 	client, err := c.pool.Get(ctx, c.ref.Endpoint)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	return client.Call(ctx, &wire.Request{Service: c.ref.Service, Op: op.Name, Body: body})
 }

@@ -526,7 +526,7 @@ func TestSessionTableEviction(t *testing.T) {
 }
 
 func TestChunkCodecErrors(t *testing.T) {
-	if _, _, err := consumeChunk(nil); !errors.Is(err, ErrBadArgs) {
+	if _, _, err := consumeChunk(""); !errors.Is(err, ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, _, err := consumeChunk([]byte{5, 1}); !errors.Is(err, ErrBadArgs) {

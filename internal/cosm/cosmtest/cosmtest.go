@@ -49,7 +49,7 @@ func NewTap(t testing.TB, upstream ref.ServiceRef) (*Tap, ref.ServiceRef) {
 	t.Cleanup(func() { _ = srv.Close(); _ = pool.Close() })
 	err := srv.Register(upstream.Service, wire.HandlerFunc(func(ctx context.Context, _ string, req *wire.Request) *wire.Response {
 		body, err := pool.Call(ctx, upstream.Endpoint, &wire.Request{Service: upstream.Service, Op: req.Op, Body: req.Body})
-		resp := &wire.Response{Status: wire.StatusOK, Body: body}
+		resp := &wire.Response{Status: wire.StatusOK, Body: []byte(body)}
 		var re *wire.RemoteError
 		switch {
 		case errors.As(err, &re):

@@ -317,16 +317,22 @@ func appendEncoded(dst []byte, t *sidl.Type, src any) ([]byte, error) {
 	return append(dst[:start+n], dst[body:]...), nil
 }
 
-func consumeChunk(data []byte) ([]byte, []byte, error) {
-	n, size := binary.Uvarint(data)
+// consumeChunk splits a length-prefixed chunk off a request body or a
+// reply; of a reply, read as a string, the chunk is a window. Its
+// length is read with binary.Uvarint, and converting a string for that
+// allocates nothing: the bytes do not escape, and they are at most
+// binary.MaxVarintLen64+1, one past the longest uvarint so that an
+// overlong one still reads as overlong.
+func consumeChunk[S ~string | ~[]byte](data S) (chunk, rest S, err error) {
+	n, size := binary.Uvarint([]byte(data[:min(len(data), binary.MaxVarintLen64+1)]))
 	if size <= 0 {
-		return nil, nil, fmt.Errorf("%w: truncated or overlong chunk length", ErrBadArgs)
+		return chunk, rest, fmt.Errorf("%w: truncated or overlong chunk length", ErrBadArgs)
 	}
-	rest := data[size:]
-	if uint64(len(rest)) < n {
-		return nil, nil, fmt.Errorf("%w: truncated chunk", ErrBadArgs)
+	tail := data[size:]
+	if uint64(len(tail)) < n {
+		return chunk, rest, fmt.Errorf("%w: truncated chunk", ErrBadArgs)
 	}
-	return rest[:n], rest[n:], nil
+	return tail[:n], tail[n:], nil
 }
 
 // inCount returns how many arguments an invocation of op carries.
@@ -422,8 +428,9 @@ func encodeCallResult(op sidl.Op, call *Call) ([]byte, error) {
 
 // decodeCallResult walks a reply body: decode gets the result chunk (of
 // a non-void operation; out is -1) and then each out/inout chunk (out
-// counts them), each with the type the signature declares.
-func decodeCallResult(op sidl.Op, body []byte, decode func(t *sidl.Type, chunk []byte, out int) error) error {
+// counts them), each with the type the signature declares. The chunks
+// are windows of body, which decode reads in place.
+func decodeCallResult(op sidl.Op, body string, decode func(t *sidl.Type, chunk string, out int) error) error {
 	rest := body
 	if op.Result.Kind != sidl.Void {
 		chunk, r, err := consumeChunk(rest)

@@ -78,10 +78,20 @@ func appendChunk(dst, chunk []byte) []byte {
 	return append(dst, chunk...)
 }
 
-func consumeChunk(data []byte) (chunk, rest []byte, err error) {
-	n, size := binary.Uvarint(data)
+// uvarint is binary.Uvarint over bytes or a string. Converting a string
+// allocates nothing: the bytes do not escape, and they are at most
+// binary.MaxVarintLen64+1, one past the longest uvarint so that an
+// overlong one still reads as overlong.
+func uvarint[S ~string | ~[]byte](data S) (uint64, int) {
+	return binary.Uvarint([]byte(data[:min(len(data), binary.MaxVarintLen64+1)]))
+}
+
+// consumeChunk splits a length-prefixed chunk off a request body or a
+// reply; of a reply, a string, the chunk is a window.
+func consumeChunk[S ~string | ~[]byte](data S) (chunk, rest S, err error) {
+	n, size := uvarint(data)
 	if size <= 0 || uint64(len(data)-size) < n {
-		return nil, nil, ErrDecode
+		return chunk, rest, ErrDecode
 	}
 	return data[size : size+int(n)], data[size+int(n):], nil
 }
@@ -121,7 +131,7 @@ func encodeSelectReturn(r SelectCarReturn) []byte {
 	return binary.AppendUvarint(body, uint64(r.Currency))
 }
 
-func decodeSelectReturn(data []byte) (SelectCarReturn, error) {
+func decodeSelectReturn(data string) (SelectCarReturn, error) {
 	var r SelectCarReturn
 	if len(data) < 10 {
 		return r, ErrDecode
@@ -133,8 +143,8 @@ func decodeSelectReturn(data []byte) (SelectCarReturn, error) {
 	default:
 		return r, ErrDecode
 	}
-	r.Charge = math.Float64frombits(binary.BigEndian.Uint64(data[1:9]))
-	cur, size := binary.Uvarint(data[9:])
+	r.Charge = math.Float64frombits(binary.BigEndian.Uint64([]byte(data[1:9])))
+	cur, size := uvarint(data[9:])
 	if size <= 0 || len(data[9+size:]) != 0 || cur > uint64(GBP) {
 		return r, ErrDecode
 	}
@@ -149,17 +159,17 @@ func encodeBookReturn(r BookCarReturn) []byte {
 	return append(body, r.Confirmation...)
 }
 
-func decodeBookReturn(data []byte) (BookCarReturn, error) {
+func decodeBookReturn(data string) (BookCarReturn, error) {
 	var r BookCarReturn
 	if len(data) < 2 || data[0] > 1 {
 		return r, ErrDecode
 	}
 	r.OK = data[0] == 1
-	n, size := binary.Uvarint(data[1:])
+	n, size := uvarint(data[1:])
 	if size <= 0 || uint64(len(data)-1-size) != n {
 		return r, ErrDecode
 	}
-	r.Confirmation = string(data[1+size:])
+	r.Confirmation = data[1+size:]
 	return r, nil
 }
 

@@ -163,10 +163,10 @@ func TestCodecRejectsJunk(t *testing.T) {
 	if _, err := decodeSelectCar([]byte{9}); !errors.Is(err, ErrDecode) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := decodeSelectReturn([]byte{2, 0, 0}); !errors.Is(err, ErrDecode) {
+	if _, err := decodeSelectReturn("\x02\x00\x00"); !errors.Is(err, ErrDecode) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := decodeBookReturn([]byte{1, 200, 1}); !errors.Is(err, ErrDecode) {
+	if _, err := decodeBookReturn("\x01\xc8\x01"); !errors.Is(err, ErrDecode) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, _, err := consumeChunk([]byte{200}); !errors.Is(err, ErrDecode) {
@@ -191,7 +191,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		{},
 	}
 	for _, r := range rets {
-		got, err := decodeSelectReturn(encodeSelectReturn(r))
+		got, err := decodeSelectReturn(string(encodeSelectReturn(r)))
 		if err != nil || got != r {
 			t.Fatalf("SelectCarReturn round trip: %+v vs %+v (%v)", got, r, err)
 		}
@@ -201,7 +201,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		{},
 	}
 	for _, r := range books {
-		got, err := decodeBookReturn(encodeBookReturn(r))
+		got, err := decodeBookReturn(string(encodeBookReturn(r)))
 		if err != nil || got != r {
 			t.Fatalf("BookCarReturn round trip: %+v vs %+v (%v)", got, r, err)
 		}

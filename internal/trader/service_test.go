@@ -56,7 +56,10 @@ func startTraderNode(t *testing.T, loopName, traderID string) (*cosm.Node, *Trad
 // offer's numbers render into one string: with a strconv.Format* string
 // per number (two allocations per float), it allocated 153; answered
 // from an import-result cache, whose hit built a key string and copied
-// the cached matches, it allocated 143.
+// the cached matches, it allocated 143; with the reply read into bytes
+// and every string of it (ID, type, ref, grade and each property's
+// name, kind and text) copied out of them, 142. Now the reply is read
+// into one string, and every string decoded from it is a window of it.
 func TestRemoteImportAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are exact only without the race detector")
@@ -79,8 +82,8 @@ func TestRemoteImportAllocs(t *testing.T) {
 		}
 	}
 	call() // bind, dial and fill the caches outside the measurement
-	if got := testing.AllocsPerRun(200, call); got != 142 {
-		t.Fatalf("one remote import allocates %v, want 142", got)
+	if got := testing.AllocsPerRun(200, call); got != 61 {
+		t.Fatalf("one remote import allocates %v, want 61", got)
 	}
 }
 

@@ -52,7 +52,7 @@ const defaultWriteStall = 30 * time.Second
 
 // replyChans holds the one-slot channels a Call waits on for its reply,
 // shared by every client of the process.
-var replyChans = sync.Pool{New: func() any { return make(chan *Response, 1) }}
+var replyChans = sync.Pool{New: func() any { return make(chan reply, 1) }}
 
 // Client is a multiplexing RPC client for one endpoint. Concurrent Call
 // invocations share the connection; responses are correlated by frame
@@ -68,7 +68,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan *Response
+	pending map[uint64]chan reply
 	closed  bool
 	readErr error
 
@@ -90,7 +90,7 @@ func newClientConn(endpoint string, conn net.Conn) *Client {
 	c := &Client{
 		endpoint: endpoint,
 		conn:     conn,
-		pending:  map[uint64]chan *Response{},
+		pending:  map[uint64]chan reply{},
 		readDone: make(chan struct{}),
 	}
 	go c.readLoop()
@@ -104,7 +104,7 @@ func (c *Client) readLoop() {
 	defer close(c.readDone)
 	frames := newFrameReader(c.conn)
 	for {
-		f, err := frames.next()
+		f, n, err := frames.head()
 		if err != nil {
 			c.failAll(err)
 			return
@@ -113,7 +113,12 @@ func (c *Client) readLoop() {
 			c.failAll(fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, f.ftype))
 			return
 		}
-		resp, err := decodeResponse(f.payload)
+		payload, err := frames.text(n)
+		if err != nil {
+			c.failAll(err)
+			return
+		}
+		rep, err := decodeReply(payload)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -123,7 +128,7 @@ func (c *Client) readLoop() {
 		delete(c.pending, f.id)
 		c.mu.Unlock()
 		if ok {
-			ch <- resp // buffered; never blocks
+			ch <- rep // buffered; never blocks
 		}
 	}
 }
@@ -136,7 +141,7 @@ func (c *Client) failAll(err error) {
 		c.readErr = err
 	}
 	pending := c.pending
-	c.pending = map[uint64]chan *Response{}
+	c.pending = map[uint64]chan reply{}
 	c.mu.Unlock()
 	_ = c.conn.Close()
 	for _, ch := range pending {
@@ -162,7 +167,11 @@ func (c *Client) broken() bool {
 // duration. Abandoning the call (ctx cancelled or expired) sends a
 // best-effort cancel frame so server-side work stops too. On a non-OK
 // status it returns a *RemoteError wrapping ErrRemote.
-func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error) {
+//
+// The reply was read into one string, and body is the part of it past
+// the status and message (DESIGN.md section 6): what a caller decodes
+// from body in place shares that string.
+func (c *Client) Call(ctx context.Context, req *Request) (body string, err error) {
 	trace := obs.TraceFrom(ctx)
 	if c.rec.Enabled() && trace.Valid() {
 		trace = trace.Child()
@@ -185,17 +194,17 @@ func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error
 	if d, ok := ctx.Deadline(); ok {
 		// An already-expired budget is not worth a round trip.
 		if !time.Now().Before(d) {
-			return nil, fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, context.DeadlineExceeded)
+			return "", fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, context.DeadlineExceeded)
 		}
 		ttl = ttlOf(d, time.Now())
 	}
-	ch := replyChans.Get().(chan *Response)
+	ch := replyChans.Get().(chan reply)
 	c.mu.Lock()
 	if c.closed {
 		err := c.readErr
 		c.mu.Unlock()
 		replyChans.Put(ch)
-		return nil, closeErr(err)
+		return "", closeErr(err)
 	}
 	c.nextID++
 	id := c.nextID
@@ -229,26 +238,26 @@ func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error
 		// broke (often the read loop saw the peer die first and closed
 		// the socket under the write).
 		c.failAll(werr)
-		return nil, fmt.Errorf("wire: send %s/%s: %w: %w", req.Service, req.Op, ErrClientClosed, werr)
+		return "", fmt.Errorf("wire: send %s/%s: %w: %w", req.Service, req.Op, ErrClientClosed, werr)
 	}
 
 	select {
-	case resp, ok := <-ch:
+	case rep, ok := <-ch:
 		if !ok {
 			c.mu.Lock()
 			err := c.readErr
 			c.mu.Unlock()
-			return nil, closeErr(err)
+			return "", closeErr(err)
 		}
 		// The reply arrived, so the read loop is done with ch: nothing
 		// else can send on it or close it. A channel whose call was
 		// cancelled or whose connection broke is never reused — a late
 		// reply or the close may still be on its way.
 		replyChans.Put(ch)
-		if resp.Status != StatusOK {
-			return nil, &RemoteError{Status: resp.Status, Msg: resp.ErrMsg, RetryAfter: resp.RetryAfter}
+		if rep.status != StatusOK {
+			return "", &RemoteError{Status: rep.status, Msg: rep.msg, RetryAfter: rep.retryAfter}
 		}
-		return resp.Body, nil
+		return rep.body, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -257,7 +266,7 @@ func (c *Client) Call(ctx context.Context, req *Request) (body []byte, err error
 		// request's context. Best-effort: a lost cancel only means the
 		// server finishes work nobody will read.
 		c.sendCancel(id)
-		return nil, fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, ctx.Err())
+		return "", fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, ctx.Err())
 	}
 }
 
@@ -640,12 +649,12 @@ func (p *Pool) Get(ctx context.Context, endpoint string) (*Client, error) {
 // executed server-side (only the response was late), Call must carry
 // idempotent operations only — non-idempotent invocations go through
 // Client.Call directly, exactly once (see cosm.Conn.Invoke).
-func (p *Pool) Call(ctx context.Context, endpoint string, req *Request) ([]byte, error) {
+func (p *Pool) Call(ctx context.Context, endpoint string, req *Request) (string, error) {
 	return p.callWith(ctx, endpoint, req, p.policy)
 }
 
 // callWith is Call under an explicit policy.
-func (p *Pool) callWith(ctx context.Context, endpoint string, req *Request, policy CallPolicy) ([]byte, error) {
+func (p *Pool) callWith(ctx context.Context, endpoint string, req *Request, policy CallPolicy) (string, error) {
 	attempts := policy.attempts()
 	var lastErr error
 	attempt := 1
@@ -655,7 +664,7 @@ func (p *Pool) callWith(ctx context.Context, endpoint string, req *Request, poli
 		actx, cancel := policy.attemptCtx(ctx)
 		c, err := p.Get(actx, endpoint)
 		if err == nil {
-			var body []byte
+			var body string
 			body, err = c.Call(actx, req)
 			if err == nil {
 				cancel()
@@ -670,7 +679,7 @@ func (p *Pool) callWith(ctx context.Context, endpoint string, req *Request, poli
 					// Any remote response proves the endpoint alive.
 					p.noteSuccess(endpoint)
 				}
-				return nil, err
+				return "", err
 			}
 			var remote *RemoteError
 			switch {
@@ -717,13 +726,13 @@ func (p *Pool) callWith(ctx context.Context, endpoint string, req *Request, poli
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return nil, fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, ctx.Err())
+			return "", fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, ctx.Err())
 		case <-t.C:
 		}
 		p.retries.Add(1)
 		p.m.retries.Inc()
 	}
-	return nil, fmt.Errorf("wire: call %s/%s: %d of %d attempt(s) failed: %w", req.Service, req.Op, attempt, attempts, lastErr)
+	return "", fmt.Errorf("wire: call %s/%s: %d of %d attempt(s) failed: %w", req.Service, req.Op, attempt, attempts, lastErr)
 }
 
 // drop removes and closes the cached client for endpoint, if any.

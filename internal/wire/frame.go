@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -220,26 +222,41 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{buf: bufio.NewReaderSize(r, frameReadBuf)}
 }
 
-// next reads one frame. A stream that ends cleanly between frames
-// returns io.EOF; one that ends inside a header returns
-// io.ErrUnexpectedEOF.
+// next reads one frame, its payload into bytes of its own: how a
+// server reads requests.
 func (r *frameReader) next() (frame, error) {
+	f, n, err := r.head()
+	if err != nil {
+		return frame{}, err
+	}
+	f.payload = make([]byte, n)
+	if _, err := io.ReadFull(r.buf, f.payload); err != nil {
+		return frame{}, truncatedPayload(err)
+	}
+	return f, nil
+}
+
+// head reads one frame up to its payload and returns the payload's
+// length, which the caller reads next (next or text). A stream that
+// ends cleanly between frames returns io.EOF; one that ends inside a
+// header returns io.ErrUnexpectedEOF.
+func (r *frameReader) head() (frame, int, error) {
 	hdr, err := r.buf.Peek(frameHeaderLen)
 	if err != nil {
 		if len(hdr) > 0 && err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return frame{}, err
+		return frame{}, 0, err
 	}
 	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] {
-		return frame{}, fmt.Errorf("%w: bad magic %x", ErrBadFrame, hdr[:2])
+		return frame{}, 0, fmt.Errorf("%w: bad magic %x", ErrBadFrame, hdr[:2])
 	}
 	if hdr[2] != protoVersion {
-		return frame{}, fmt.Errorf("%w: version %d", ErrBadFrame, hdr[2])
+		return frame{}, 0, fmt.Errorf("%w: version %d", ErrBadFrame, hdr[2])
 	}
 	ftype := hdr[3]
 	if ftype != frameRequest && ftype != frameResponse && ftype != frameCancel {
-		return frame{}, fmt.Errorf("%w: frame type %d", ErrBadFrame, ftype)
+		return frame{}, 0, fmt.Errorf("%w: frame type %d", ErrBadFrame, ftype)
 	}
 	f := frame{ftype: ftype, id: binary.BigEndian.Uint64(hdr[4:])}
 	n := binary.BigEndian.Uint32(hdr[12:])
@@ -249,32 +266,60 @@ func (r *frameReader) next() (frame, error) {
 		// from here on.
 		ext, err := r.buf.Peek(frameHeaderLen + frameTTLLen)
 		if err != nil {
-			return frame{}, fmt.Errorf("%w: truncated deadline: %v", ErrBadFrame, err)
+			return frame{}, 0, fmt.Errorf("%w: truncated deadline: %v", ErrBadFrame, err)
 		}
 		f.ttl = binary.BigEndian.Uint64(ext[frameHeaderLen:])
 		prefix = frameHeaderLen + frameTTLLen + 1
 		if ext, err = r.buf.Peek(prefix); err != nil {
-			return frame{}, fmt.Errorf("%w: truncated trace metadata: %v", ErrBadFrame, err)
+			return frame{}, 0, fmt.Errorf("%w: truncated trace metadata: %v", ErrBadFrame, err)
 		}
 		if m := int(ext[prefix-1]); m > 0 {
 			if ext, err = r.buf.Peek(prefix + m); err != nil {
-				return frame{}, fmt.Errorf("%w: truncated trace metadata: %v", ErrBadFrame, err)
+				return frame{}, 0, fmt.Errorf("%w: truncated trace metadata: %v", ErrBadFrame, err)
 			}
 			if f.traceID, f.parentID, err = decodeFrameMeta(ext[prefix:]); err != nil {
-				return frame{}, err
+				return frame{}, 0, err
 			}
 			prefix += m
 		}
 	}
 	r.buf.Discard(prefix) // peeked, so buffered: it cannot fail
 	if n > MaxFramePayload {
-		return frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return frame{}, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	f.payload = make([]byte, n)
-	if _, err := io.ReadFull(r.buf, f.payload); err != nil {
-		return frame{}, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+	return f, int(n), nil
+}
+
+// text reads an n-byte payload into one string of exactly n bytes: how
+// a client reads a reply, so that every string decoded from it can be
+// a window of it. The bytes pass through a buffer from frameBufs of at
+// most frameBufMax bytes, which a read larger than the connection's
+// reader buffer fills straight from the connection; the string is
+// allocated once the first of them has arrived, so a header claiming
+// MaxFramePayload with nothing behind it costs no more than that buffer.
+func (r *frameReader) text(n int) (string, error) {
+	bp := frameBufs.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], min(n, frameBufMax))
+	defer func() {
+		*bp = buf[:0]
+		frameBufs.Put(bp)
+	}()
+	var s strings.Builder
+	for s.Len() < n {
+		chunk := buf[:min(n-s.Len(), cap(buf))]
+		if _, err := io.ReadFull(r.buf, chunk); err != nil {
+			return "", truncatedPayload(err)
+		}
+		if s.Cap() == 0 {
+			s.Grow(n)
+		}
+		s.Write(chunk)
 	}
-	return f, nil
+	return s.String(), nil
+}
+
+func truncatedPayload(err error) error {
+	return fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 }
 
 // ttlOf converts a context deadline into the frame TTL field: the
@@ -352,7 +397,9 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
-// Response is the reply to one Request.
+// Response is the reply to one Request, as its handler returns it. The
+// caller reads it back as a reply (see Client.Call), whose body is a
+// string.
 type Response struct {
 	Status Status
 	ErrMsg string
@@ -368,14 +415,24 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func consumeString(data []byte, limit int) (string, []byte, error) {
-	n, size := binary.Uvarint(data)
+// uvarint is binary.Uvarint over bytes or a string. Converting a string
+// allocates nothing: the bytes do not escape, and they are at most
+// binary.MaxVarintLen64+1, one past the longest uvarint so that an
+// overlong one still reads as overlong.
+func uvarint[S ~string | ~[]byte](data S) (uint64, int) {
+	return binary.Uvarint([]byte(data[:min(len(data), binary.MaxVarintLen64+1)]))
+}
+
+// consumeString reads a length-prefixed string: a copy out of bytes, a
+// window of a string.
+func consumeString[S ~string | ~[]byte](data S, limit int) (s string, rest S, err error) {
+	n, size := uvarint(data)
 	if size <= 0 {
-		return "", nil, fmt.Errorf("%w: truncated string length", ErrBadFrame)
+		return "", rest, fmt.Errorf("%w: truncated string length", ErrBadFrame)
 	}
 	data = data[size:]
 	if n > uint64(limit) || uint64(len(data)) < n {
-		return "", nil, fmt.Errorf("%w: string length %d", ErrBadFrame, n)
+		return "", rest, fmt.Errorf("%w: string length %d", ErrBadFrame, n)
 	}
 	return string(data[:n]), data[n:], nil
 }
@@ -394,25 +451,34 @@ func decodeRequest(payload []byte) (*Request, error) {
 	return &Request{Service: service, Op: op, Body: rest}, nil
 }
 
-func decodeResponse(payload []byte) (*Response, error) {
+// reply is a Response as a client reads it: the payload was read into
+// one string (frameReader.text), and msg and body are windows of it.
+type reply struct {
+	status     Status
+	retryAfter time.Duration
+	msg        string
+	body       string
+}
+
+func decodeReply(payload string) (reply, error) {
 	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: empty response", ErrBadFrame)
+		return reply{}, fmt.Errorf("%w: empty response", ErrBadFrame)
 	}
 	status := Status(payload[0])
 	if status < StatusOK || status > StatusDeadlineExpired {
-		return nil, fmt.Errorf("%w: status %d", ErrBadFrame, payload[0])
+		return reply{}, fmt.Errorf("%w: status %d", ErrBadFrame, payload[0])
 	}
-	ms, size := binary.Uvarint(payload[1:])
+	ms, size := uvarint(payload[1:])
 	if size <= 0 {
-		return nil, fmt.Errorf("%w: truncated retry-after", ErrBadFrame)
+		return reply{}, fmt.Errorf("%w: truncated retry-after", ErrBadFrame)
 	}
 	if ms > math.MaxInt64/uint64(time.Millisecond) {
 		// Found by FuzzReadFrame: as a Duration this wraps negative.
-		return nil, fmt.Errorf("%w: retry-after %d ms", ErrBadFrame, ms)
+		return reply{}, fmt.Errorf("%w: retry-after %d ms", ErrBadFrame, ms)
 	}
 	msg, rest, err := consumeString(payload[1+size:], MaxFramePayload)
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
-	return &Response{Status: status, ErrMsg: msg, Body: rest, RetryAfter: time.Duration(ms) * time.Millisecond}, nil
+	return reply{status: status, retryAfter: time.Duration(ms) * time.Millisecond, msg: msg, body: rest}, nil
 }

@@ -11,31 +11,31 @@ import (
 // the request and response payload decoders behind it
 // must refuse damage with an error — never a panic, never an allocation
 // past MaxFramePayload however large a length the header claims — and
-// whatever does decode must survive its own encoding. The corpus under
-// testdata/fuzz/FuzzReadFrame holds the frames the package's codec tests
-// write (round trips, the trace matrix, each TestFrameErrors case, the
-// pinned request and response payloads), one file each.
+// whatever does decode must survive its own encoding. Each input is read
+// twice: as a server reads a frame, its payload into bytes, and as a
+// client reads a reply, its payload into one string; both reads must
+// agree. The corpus under testdata/fuzz/FuzzReadFrame holds the frames
+// the package's codec tests write (round trips, the trace matrix, each
+// TestFrameErrors case, the pinned request and response payloads), one
+// file each.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte("CW\x02\x03\x00\x00\x00\x00\x00\x00\x00\x09\x00\x00\x00\x00"))     // cancel frame, id 9
 	f.Add([]byte("CW\x02\x02\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x00\x00\x01")) // 16 MiB claimed, 1 byte sent
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// TotalAlloc counts the whole process, so a breach has to
-		// reproduce: a read that really is out of bounds is so every time,
-		// what another goroutine allocated meanwhile is not.
 		var fr frame
 		var err error
-		for try, limit := 0, uint64(MaxFramePayload+1<<16+4*len(data)); ; try++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			fr, err = newFrameReader(bytes.NewReader(data)).next()
-			runtime.ReadMemStats(&after)
-			grew := after.TotalAlloc - before.TotalAlloc
-			if grew <= limit {
-				break
+		bounded(t, len(data), func() { fr, err = newFrameReader(bytes.NewReader(data)).next() })
+		var text string
+		var textErr error
+		bounded(t, len(data), func() {
+			frames := newFrameReader(bytes.NewReader(data))
+			var n int
+			if _, n, textErr = frames.head(); textErr == nil {
+				text, textErr = frames.text(n)
 			}
-			if try == 2 {
-				t.Fatalf("reading %d bytes allocated %d, three times over", len(data), grew)
-			}
+		})
+		if (err == nil) != (textErr == nil) || err == nil && text != string(fr.payload) {
+			t.Fatalf("read as bytes: %q, %v; as a string: %q, %v", fr.payload, err, text, textErr)
 		}
 		if err != nil {
 			return
@@ -66,15 +66,35 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("request %+v re-encoded and decoded as %+v, %v", req, again, err)
 			}
 		case frameResponse:
-			resp, err := decodeResponse(fr.payload)
+			rep, err := decodeReply(text)
 			if err != nil {
 				return
 			}
-			again, err := decodeResponse(responsePayload(t, resp))
-			if err != nil || again.Status != resp.Status || again.ErrMsg != resp.ErrMsg ||
-				again.RetryAfter != resp.RetryAfter || !bytes.Equal(again.Body, resp.Body) {
-				t.Fatalf("response %+v re-encoded and decoded as %+v, %v", resp, again, err)
+			resp := &Response{Status: rep.status, ErrMsg: rep.msg, Body: []byte(rep.body), RetryAfter: rep.retryAfter}
+			if again, err := decodeReply(responsePayload(t, resp)); err != nil || again != rep {
+				t.Fatalf("reply %+v re-encoded and decoded as %+v, %v", rep, again, err)
 			}
 		}
 	})
+}
+
+// bounded runs read and fails the test if it allocated more than
+// MaxFramePayload and a frame buffer past what n bytes of input account
+// for. TotalAlloc counts the whole process, so a breach has to
+// reproduce: a read that really is out of bounds is so every time, what
+// another goroutine allocated meanwhile is not.
+func bounded(t *testing.T, n int, read func()) {
+	for try, limit := 0, uint64(MaxFramePayload+frameBufMax+4*n); ; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		grew := after.TotalAlloc - before.TotalAlloc
+		if grew <= limit {
+			return
+		}
+		if try == 2 {
+			t.Fatalf("reading %d bytes allocated %d, three times over", n, grew)
+		}
+	}
 }

@@ -58,7 +58,7 @@ func (g *Group) Size() int {
 // GroupResult is the per-member outcome of a broadcast.
 type GroupResult struct {
 	Endpoint string
-	Body     []byte
+	Body     string
 	Err      error
 }
 
@@ -91,7 +91,7 @@ func (g *Group) Broadcast(ctx context.Context, req *Request) []GroupResult {
 // Anycast tries members in sorted order and returns the first successful
 // response. It returns the last error if every member fails, or
 // ErrClientClosed if the group is empty.
-func (g *Group) Anycast(ctx context.Context, req *Request) ([]byte, error) {
+func (g *Group) Anycast(ctx context.Context, req *Request) (string, error) {
 	var lastErr error = ErrClientClosed
 	for _, m := range g.Members() {
 		client, err := g.pool.Get(ctx, m)
@@ -105,5 +105,5 @@ func (g *Group) Anycast(ctx context.Context, req *Request) ([]byte, error) {
 		}
 		lastErr = err
 	}
-	return nil, lastErr
+	return "", lastErr
 }

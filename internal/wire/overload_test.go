@@ -102,16 +102,8 @@ func TestExpiredRequestNeverDispatched(t *testing.T) {
 	if err := sendFrame(conn, &frame{ftype: frameRequest, id: 7, ttl: 1, req: &Request{Service: "svc", Op: "X"}}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := newFrameReader(conn).next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := decodeResponse(f.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusDeadlineExpired {
-		t.Fatalf("status = %v, want StatusDeadlineExpired", resp.Status)
+	if rep := readReply(t, conn); rep.status != StatusDeadlineExpired {
+		t.Fatalf("status = %v, want StatusDeadlineExpired", rep.status)
 	}
 	if n := executed.Load(); n != 0 {
 		t.Fatalf("handler executed %d times for expired requests", n)
@@ -351,7 +343,7 @@ func TestShutdownDrains(t *testing.T) {
 	defer c.Close()
 
 	inflight := make(chan error, 1)
-	var body []byte
+	var body string
 	go func() {
 		var err error
 		body, err = c.Call(context.Background(), &Request{Service: "svc", Op: "X"})

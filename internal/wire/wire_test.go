@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,8 +129,8 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if !bytes.Equal(got, want) {
-				errs[i] = fmt.Errorf("got %v, want %v", got, want)
+			if got != string(want) {
+				errs[i] = fmt.Errorf("got %v, want %v", []byte(got), want)
 			}
 		}(i)
 	}
@@ -201,7 +203,7 @@ func TestReplyChannelsSurviveCancellation(t *testing.T) {
 				stop.Stop()
 				cancel()
 				switch {
-				case err == nil && !bytes.Equal(got, body):
+				case err == nil && got != string(body):
 					errs <- fmt.Errorf("call %q returned %q", body, got)
 					return
 				case err == nil:
@@ -359,9 +361,43 @@ func requestPayload(t testing.TB, req *Request) []byte {
 	return roundTrip(t, &frame{ftype: frameRequest, req: req}).payload
 }
 
-func responsePayload(t testing.TB, resp *Response) []byte {
+func responsePayload(t testing.TB, resp *Response) string {
 	t.Helper()
-	return roundTrip(t, &frame{ftype: frameResponse, resp: resp}).payload
+	var buf bytes.Buffer
+	if err := sendFrame(&buf, &frame{ftype: frameResponse, resp: resp}); err != nil {
+		t.Fatalf("writing %+v: %v", resp, err)
+	}
+	return readReplyPayload(t, &buf)
+}
+
+// readReplyPayload reads one response frame off r as a client does:
+// its payload into one string.
+func readReplyPayload(t testing.TB, r io.Reader) string {
+	t.Helper()
+	frames := newFrameReader(r)
+	f, n, err := frames.head()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.ftype != frameResponse {
+		t.Fatalf("frame type %d, want a response", f.ftype)
+	}
+	payload, err := frames.text(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// readReply reads one response frame off r and decodes it as a client
+// does.
+func readReply(t testing.TB, r io.Reader) reply {
+	t.Helper()
+	rep, err := decodeReply(readReplyPayload(t, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -379,13 +415,25 @@ func sameFrame(a, b frame) bool {
 }
 
 // readAll reads frames off r through a connection's frame reader until
-// the stream ends.
-func readAll(t *testing.T, r io.Reader) []frame {
+// the stream ends: each payload into bytes as a server does, or with
+// asText into a string as a client does.
+func readAll(t *testing.T, r io.Reader, asText bool) []frame {
 	t.Helper()
 	frames := newFrameReader(r)
 	var got []frame
 	for {
-		f, err := frames.next()
+		var f frame
+		var err error
+		if asText {
+			var n int
+			var text string
+			if f, n, err = frames.head(); err == nil {
+				text, err = frames.text(n)
+				f.payload = []byte(text)
+			}
+		} else {
+			f, err = frames.next()
+		}
 		if err == io.EOF {
 			return got
 		}
@@ -398,7 +446,8 @@ func readAll(t *testing.T, r io.Reader) []frame {
 
 // TestFrameReaderShortReads: a connection hands the frame reader its
 // bytes in pieces of any size, down to one byte a read. Every frame
-// shape reads the same from one whole buffer and one byte at a time.
+// shape reads the same from one whole buffer and one byte at a time,
+// its payload into bytes or into a string.
 func TestFrameReaderShortReads(t *testing.T) {
 	trace, parent := strings.Repeat("t", frameMaxMeta/2-1), strings.Repeat("p", frameMaxMeta/2-1)
 	// The longest metadata section: both IDs at their limit and one
@@ -426,7 +475,7 @@ func TestFrameReaderShortReads(t *testing.T) {
 		{name: "traced request", want: []frame{{ftype: frameRequest, id: 1, ttl: 50, traceID: "t1", parentID: "s1", payload: []byte("p")}}},
 		{name: "untraced request", want: []frame{{ftype: frameRequest, id: 2, ttl: 0, payload: []byte("p")}}},
 		{name: "255-byte metadata", raw: longMeta, want: []frame{{ftype: frameRequest, id: 3, ttl: 7, traceID: trace, parentID: parent, payload: []byte("m")}}},
-		{name: "response", want: []frame{{ftype: frameResponse, id: 4, payload: responsePayload(t, resp)}}},
+		{name: "response", want: []frame{{ftype: frameResponse, id: 4, payload: []byte(responsePayload(t, resp))}}},
 		{name: "cancel", want: []frame{{ftype: frameCancel, id: 5}}},
 		{name: "payload beyond the read buffer", want: []frame{{ftype: frameRequest, id: 6, traceID: "t6", payload: big}}},
 		{name: "back to back", want: []frame{
@@ -444,17 +493,77 @@ func TestFrameReaderShortReads(t *testing.T) {
 					}
 				}
 			}
-			whole := readAll(t, bytes.NewReader(raw))
-			bytewise := readAll(t, iotest.OneByteReader(bytes.NewReader(raw)))
-			if len(whole) != len(c.want) || len(bytewise) != len(c.want) {
-				t.Fatalf("read %d frames whole and %d bytewise, want %d", len(whole), len(bytewise), len(c.want))
-			}
-			for i, want := range c.want {
-				if !sameFrame(whole[i], want) || !sameFrame(bytewise[i], want) {
-					t.Fatalf("frame %d read as %+v whole and %+v bytewise, want %+v", i, whole[i], bytewise[i], want)
+			for _, asText := range []bool{false, true} {
+				whole := readAll(t, bytes.NewReader(raw), asText)
+				bytewise := readAll(t, iotest.OneByteReader(bytes.NewReader(raw)), asText)
+				if len(whole) != len(c.want) || len(bytewise) != len(c.want) {
+					t.Fatalf("text %v: read %d frames whole and %d bytewise, want %d", asText, len(whole), len(bytewise), len(c.want))
+				}
+				for i, want := range c.want {
+					if !sameFrame(whole[i], want) || !sameFrame(bytewise[i], want) {
+						t.Fatalf("text %v: frame %d read as %+v whole and %+v bytewise, want %+v", asText, i, whole[i], bytewise[i], want)
+					}
 				}
 			}
 		})
+	}
+}
+
+// readSizes is a connection that records, for every Read that returned
+// bytes, the size of the buffer it was handed.
+type readSizes struct {
+	net.Conn
+	mu    sync.Mutex
+	sizes []int
+	total int // bytes read
+}
+
+func (c *readSizes) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.mu.Lock()
+		c.sizes = append(c.sizes, len(p))
+		c.total += n
+		c.mu.Unlock()
+	}
+	return n, err
+}
+
+// TestLargeReplyReadInLargeChunks: a client copies a reply's payload
+// into its string through a pooled buffer of up to frameBufMax bytes,
+// which reads straight from the connection. A 1 MiB reply read through
+// the connection's 512-byte reader buffer instead would take some 2 000
+// reads of 512 bytes.
+func TestLargeReplyReadInLargeChunks(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 1<<16)
+	h := HandlerFunc(func(context.Context, string, *Request) *Response {
+		return &Response{Status: StatusOK, Body: big}
+	})
+	_, bound := startServer(t, "loop:large-reply", map[string]Handler{"svc": h})
+	raw, err := DialConnContext(context.Background(), bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &readSizes{Conn: raw}
+	c := newClientConn(bound, conn)
+	defer c.Close()
+	body, err := c.Call(context.Background(), &Request{Service: "svc", Op: "Big"})
+	if err != nil || body != string(big) {
+		t.Fatalf("Call = %d bytes, %v; want the %d sent", len(body), err, len(big))
+	}
+	conn.mu.Lock()
+	sizes, total := slices.Clone(conn.sizes), conn.total
+	conn.mu.Unlock()
+	// Status, retry-after and message take a byte each. The first read
+	// is the header's, the last one's buffer may be as short as what
+	// was left of the payload.
+	if want := frameHeaderLen + 3 + len(big); total != want || len(sizes) < 3 {
+		t.Fatalf("%d reads returned %d bytes, want the %d of the frame: %v", len(sizes), total, want, sizes)
+	}
+	for i, n := range sizes[1 : len(sizes)-1] {
+		if n < 32<<10 {
+			t.Fatalf("read %d of %d was handed %d bytes, want at least 32 KiB: %v", i+2, len(sizes), n, sizes)
+		}
 	}
 }
 
@@ -516,21 +625,21 @@ func TestRequestResponseCodecs(t *testing.T) {
 		t.Fatalf("request round trip: %+v", got)
 	}
 	resp := &Response{Status: StatusProtocol, ErrMsg: "illegal op", Body: []byte("x"), RetryAfter: 40 * time.Millisecond}
-	gotR, err := decodeResponse(responsePayload(t, resp))
+	gotR, err := decodeReply(responsePayload(t, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotR.Status != resp.Status || gotR.ErrMsg != resp.ErrMsg || !bytes.Equal(gotR.Body, resp.Body) || gotR.RetryAfter != resp.RetryAfter {
+	if gotR.status != resp.Status || gotR.msg != resp.ErrMsg || gotR.body != string(resp.Body) || gotR.retryAfter != resp.RetryAfter {
 		t.Fatalf("response round trip: %+v", gotR)
 	}
 	// Malformed inputs.
 	if _, err := decodeRequest(nil); err == nil {
 		t.Fatal("decodeRequest(nil) must fail")
 	}
-	if _, err := decodeResponse(nil); err == nil {
-		t.Fatal("decodeResponse(nil) must fail")
+	if _, err := decodeReply(""); err == nil {
+		t.Fatal(`decodeReply("") must fail`)
 	}
-	if _, err := decodeResponse([]byte{99, 0}); err == nil {
+	if _, err := decodeReply("\x63\x00"); err == nil {
 		t.Fatal("bad status must fail")
 	}
 }
@@ -637,7 +746,7 @@ func TestGroupAnycast(t *testing.T) {
 	g.Join("loop:any-missing") // sorts before any-ok; must be skipped
 	g.Join(bound)
 	body, err := g.Anycast(context.Background(), &Request{Service: "svc", Op: "Ping"})
-	if err != nil || string(body) != "pong" {
+	if err != nil || body != "pong" {
 		t.Fatalf("Anycast = %q, %v", body, err)
 	}
 
@@ -709,11 +818,11 @@ func TestResponseCodecProperty(t *testing.T) {
 	f := func(status uint8, msg string, body []byte, retryMillis uint16) bool {
 		s := Status(status%8) + StatusOK
 		resp := &Response{Status: s, ErrMsg: msg, Body: body, RetryAfter: time.Duration(retryMillis) * time.Millisecond}
-		got, err := decodeResponse(responsePayload(t, resp))
+		got, err := decodeReply(responsePayload(t, resp))
 		if err != nil {
 			return false
 		}
-		return got.Status == s && got.ErrMsg == msg && bytes.Equal(got.Body, body) && got.RetryAfter == resp.RetryAfter
+		return got.status == s && got.msg == msg && got.body == string(body) && got.retryAfter == resp.RetryAfter
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package xcode
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -42,8 +41,10 @@ func AppendEncode(dst []byte, t *sidl.Type, src any) ([]byte, error) {
 // DecodeInto decodes data, which must hold exactly one encoded value of
 // type t, into what dst points to, first resetting it to its zero value.
 // A nil dst decodes into nothing: the bytes are validated exactly as
-// Unmarshal would, and no Go value is built.
-func DecodeInto(t *sidl.Type, data []byte, dst any) error {
+// Unmarshal would, and no Go value is built. Decoded from a string, every
+// Go string dst receives is a window of data (so it keeps data alive);
+// decoded from bytes, each is a copy. A Go byte slice is always a copy.
+func DecodeInto[S ~string | ~[]byte](t *sidl.Type, data S, dst any) error {
 	var rv reflect.Value // invalid: discard
 	if dst != nil {
 		rv = reflect.ValueOf(dst)
@@ -252,17 +253,16 @@ func setInt(rv reflect.Value, k sidl.Kind, bits uint64) bool {
 }
 
 // decodeGo is the recursion of DecodeInto; an invalid rv discards.
-func decodeGo(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
+func decodeGo[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (rest S, err error) {
 	discard := !rv.IsValid()
-	var err error
 	switch t.Kind {
 	case sidl.Sequence:
 		if !discard && rv.Kind() != reflect.Slice {
-			return nil, mismatch(rv, t)
+			return rest, mismatch(rv, t)
 		}
 		var n int
 		if n, data, err = decodeSeqLen(t, data); err != nil {
-			return nil, err
+			return rest, err
 		}
 		if !discard && n > 0 {
 			rv.Grow(n)
@@ -274,7 +274,7 @@ func decodeGo(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 				elem = rv.Index(i)
 			}
 			if data, err = decodeGo(t.Elem, data, elem); err != nil {
-				return nil, inElement(i, err)
+				return rest, inElement(i, err)
 			}
 		}
 		return data, nil
@@ -282,11 +282,11 @@ func decodeGo(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 		var plan structPlan
 		if !discard {
 			if rv.Kind() != reflect.Struct {
-				return nil, mismatch(rv, t)
+				return rest, mismatch(rv, t)
 			}
 			plan = planOf(rv.Type())
 			if err := plan.covers(t); err != nil {
-				return nil, err
+				return rest, err
 			}
 		}
 		for i, f := range t.Fields {
@@ -295,7 +295,7 @@ func decodeGo(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 				field = rv.Field(pf.index)
 			}
 			if data, err = decodeGo(f.Type, data, field); err != nil {
-				return nil, inField(f.Name, err)
+				return rest, inField(f.Name, err)
 			}
 		}
 		return data, nil
@@ -303,10 +303,9 @@ func decodeGo(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 	return decodeScalar(t, data, rv)
 }
 
-func decodeScalar(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
+func decodeScalar[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (rest S, err error) {
 	discard := !rv.IsValid()
 	ok := discard
-	var err error
 	switch k := t.Kind; k {
 	case sidl.Void:
 		// nothing to read, and no Go value binds to it
@@ -320,7 +319,7 @@ func decodeScalar(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 		var bits uint64
 		if bits, data, err = decodeFixed(data, fixedSize(k)); err == nil && !discard {
 			if ok = setInt(rv, k, bits); !ok && (rv.CanInt() || rv.CanUint()) {
-				return nil, outOfRange(t, rv)
+				return rest, outOfRange(t, rv)
 			}
 		}
 	case sidl.Float32, sidl.Float64:
@@ -330,15 +329,17 @@ func decodeScalar(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 			ok = true
 		}
 	case sidl.String:
-		var s []byte
+		var s S
 		if s, data, err = decodeBytes(data, MaxStringLen); err == nil && !discard {
 			switch {
 			case rv.Kind() == reflect.String:
 				rv.SetString(string(s))
 				ok = true
 			case isBytes(rv):
-				if len(s) > 0 { // empty decodes as nil, like a sequence
-					rv.SetBytes(bytes.Clone(s))
+				// A copy: []byte(s) would alias data when S is []byte.
+				// Empty decodes as nil, like a sequence.
+				if len(s) > 0 {
+					rv.SetBytes(append([]byte(nil), s...))
 				}
 				ok = true
 			}
@@ -360,13 +361,13 @@ func decodeScalar(t *sidl.Type, data []byte, rv reflect.Value) ([]byte, error) {
 			ok = true
 		}
 	default:
-		return nil, unknownKind(t)
+		return rest, unknownKind(t)
 	}
 	if err != nil {
-		return nil, err
+		return rest, err
 	}
 	if !ok {
-		return nil, mismatch(rv, t)
+		return rest, mismatch(rv, t)
 	}
 	return data, nil
 }

@@ -315,7 +315,7 @@ func TestBindKindMismatch(t *testing.T) {
 			}
 		}
 	}
-	if err := DecodeInto(sidl.Basic(sidl.Void), nil, new(int)); !errors.Is(err, ErrTypeMismatch) {
+	if err := DecodeInto(sidl.Basic(sidl.Void), "", new(int)); !errors.Is(err, ErrTypeMismatch) {
 		t.Errorf("DecodeInto of void into a Go value = %v, want ErrTypeMismatch", err)
 	}
 	// Enums take a literal or an ordinal and refuse what is neither.
@@ -599,5 +599,87 @@ func TestBindCacheBoundedByGoTypes(t *testing.T) {
 	}
 	if grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); grew > 1<<20 {
 		t.Fatalf("1000 fresh SIDs left %d bytes live", grew)
+	}
+}
+
+// TestDecodeIntoCopiesItsInput: decoded from bytes, nothing DecodeInto
+// builds shares them. A journal record or a snapshot is decoded out of
+// a buffer its reader goes on to reuse, so a string, a byte slice or a
+// reference that aliased it would change under the state built from it.
+func TestDecodeIntoCopiesItsInput(t *testing.T) {
+	strT := sidl.Basic(sidl.String)
+	recT := sidl.StructOf("R",
+		sidl.Field{Name: "name", Type: strT},
+		sidl.Field{Name: "payload", Type: strT},
+		sidl.Field{Name: "target", Type: sidl.Basic(sidl.SvcRef)})
+	type rec struct {
+		Name    string
+		Payload []byte
+		Target  ref.ServiceRef
+	}
+	want := rec{Name: "offer-1", Payload: []byte("raw\x00bytes"), Target: ref.New("tcp:10.0.0.1:7000", "cars")}
+	data, err := AppendEncode(nil, recT, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got rec
+	if err := DecodeInto(recT, data, &got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 'x'
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after its input was overwritten, the decoded value reads %+v, want %+v", got, want)
+	}
+}
+
+// TestDecodeStringAllocs pins what decoding an import reply of five
+// offers of four properties each from a string allocates: the offer
+// slice and each offer's property slice. Every string in it (ID, type,
+// target, grade and each property's name, kind and text) is a window of
+// the reply; decoded from bytes, each of those 80 is a copy of its own.
+func TestDecodeStringAllocs(t *testing.T) {
+	sid, err := sidl.Parse(trader.IDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := sid.Type("Offers_t")
+	offers := make([]offer, 5)
+	for i := range offers {
+		offers[i] = offer{
+			ID: "T/" + string(rune('a'+i)), ServiceType: "CarRentalService",
+			Target: ref.New("tcp:10.0.0.1:7000", "car"+string(rune('a'+i))),
+			Props: []prop{
+				{"CarModel", "enum", "FIAT_Uno"}, {"ChargePerDay", "float", "50"},
+				{"Currency", "enum", "USD"}, {"Mileage", "int", "1200"},
+			},
+			Grade: "exact", Score: 1,
+		}
+	}
+	data, err := AppendEncode(nil, typ, offers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := string(data)
+	var got []offer
+	fromString := testing.AllocsPerRun(100, func() {
+		if err := DecodeInto(typ, reply, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, offers) {
+		t.Fatalf("decoded %+v, want %+v", got, offers)
+	}
+	if fromString != 6 {
+		t.Errorf("decoding five offers from a string allocates %v, want 6", fromString)
+	}
+	fromBytes := testing.AllocsPerRun(100, func() {
+		if err := DecodeInto(typ, data, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if fromBytes != fromString+80 {
+		t.Errorf("decoding them from bytes allocates %v, want %v: one copy per string", fromBytes, fromString+80)
 	}
 }

@@ -70,8 +70,9 @@ func AppendMarshal(dst []byte, v *Value) []byte {
 }
 
 // Unmarshal decodes a value of type t from data, which must contain
-// exactly one encoded value.
-func Unmarshal(t *sidl.Type, data []byte) (*Value, error) {
+// exactly one encoded value. Every string the value holds is a window of
+// data when data is a string, and a copy when it is bytes.
+func Unmarshal[S ~string | ~[]byte](t *sidl.Type, data S) (*Value, error) {
 	v, rest, err := decode(t, data)
 	if err != nil {
 		return nil, err
@@ -82,9 +83,8 @@ func Unmarshal(t *sidl.Type, data []byte) (*Value, error) {
 	return v, nil
 }
 
-func decode(t *sidl.Type, data []byte) (*Value, []byte, error) {
+func decode[S ~string | ~[]byte](t *sidl.Type, data S) (_ *Value, rest S, err error) {
 	v := &Value{Type: t}
-	var err error
 	switch k := t.Kind; k {
 	case sidl.Void:
 		return v, data, nil
@@ -101,7 +101,7 @@ func decode(t *sidl.Type, data []byte) (*Value, []byte, error) {
 		bits, data, err = decodeFixed(data, fixedSize(k))
 		v.Float = floatOf(k, bits)
 	case sidl.String:
-		var s []byte
+		var s S
 		s, data, err = decodeBytes(data, MaxStringLen)
 		v.Str = string(s)
 	case sidl.Enum:
@@ -111,26 +111,26 @@ func decode(t *sidl.Type, data []byte) (*Value, []byte, error) {
 	case sidl.Sequence:
 		var n int
 		if n, data, err = decodeSeqLen(t, data); err != nil {
-			return nil, nil, err
+			return nil, rest, err
 		}
 		v.Elems = make([]*Value, n)
 		for i := range v.Elems {
 			if v.Elems[i], data, err = decode(t.Elem, data); err != nil {
-				return nil, nil, fmt.Errorf("element %d: %w", i, err)
+				return nil, rest, fmt.Errorf("element %d: %w", i, err)
 			}
 		}
 	case sidl.Struct:
 		v.Fields = make([]*Value, len(t.Fields))
 		for i, f := range t.Fields {
 			if v.Fields[i], data, err = decode(f.Type, data); err != nil {
-				return nil, nil, fmt.Errorf("field %q: %w", f.Name, err)
+				return nil, rest, fmt.Errorf("field %q: %w", f.Name, err)
 			}
 		}
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown kind %s", ErrBadData, t.Kind)
+		return nil, rest, fmt.Errorf("%w: unknown kind %s", ErrBadData, t.Kind)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, rest, err
 	}
 	return v, data, nil
 }
@@ -140,6 +140,8 @@ func decode(t *sidl.Type, data []byte) (*Value, []byte, error) {
 // (bind.go). A fixed-size kind travels big-endian in fixedSize bytes
 // (octet unsigned, the others two's complement or IEEE 754); a string,
 // an Object and an enum ordinal or sequence length lead with a uvarint.
+// The decoders read a string or bytes alike, and slice it: what they
+// return of a string is a window of it.
 
 // fixedSize returns the encoded size of a fixed-size kind, 0 for the
 // others.
@@ -172,20 +174,12 @@ func appendFixed(dst []byte, k sidl.Kind, bits uint64) []byte {
 
 // decodeFixed reads the n = fixedSize(k) bytes of a fixed-size kind,
 // zero-extended. It takes n, not k, to stay small enough to inline.
-func decodeFixed(data []byte, n int) (uint64, []byte, error) {
+func decodeFixed[S ~string | ~[]byte](data S, n int) (bits uint64, rest S, err error) {
 	if len(data) < n {
-		return 0, nil, ErrTruncated
+		return 0, rest, ErrTruncated
 	}
-	var bits uint64
-	switch n {
-	case 1:
-		bits = uint64(data[0])
-	case 2:
-		bits = uint64(binary.BigEndian.Uint16(data))
-	case 4:
-		bits = uint64(binary.BigEndian.Uint32(data))
-	default:
-		bits = binary.BigEndian.Uint64(data)
+	for i := 0; i < n; i++ {
+		bits = bits<<8 | uint64(data[i])
 	}
 	return bits, data[n:], nil
 }
@@ -233,12 +227,12 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-func decodeBool(data []byte) (bool, []byte, error) {
+func decodeBool[S ~string | ~[]byte](data S) (b bool, rest S, err error) {
 	if len(data) < 1 {
-		return false, nil, ErrTruncated
+		return false, rest, ErrTruncated
 	}
 	if data[0] > 1 {
-		return false, nil, badBool(data[0])
+		return false, rest, badBool(data[0])
 	}
 	return data[0] == 1, data[1:], nil
 }
@@ -264,39 +258,40 @@ func appendRef(dst []byte, r ref.ServiceRef) []byte {
 	return append(dst, r.Service...)
 }
 
-func decodeRef(data []byte) (ref.ServiceRef, []byte, error) {
-	s, rest, err := decodeBytes(data, MaxStringLen)
+// decodeRef reads an Object; its endpoint and service are windows of
+// data when data is a string.
+func decodeRef[S ~string | ~[]byte](data S) (r ref.ServiceRef, rest S, err error) {
+	s, tail, err := decodeBytes(data, MaxStringLen)
 	if err != nil || len(s) == 0 {
-		return ref.ServiceRef{}, rest, err
+		return r, tail, err
 	}
-	r, err := ref.Parse(string(s))
-	if err != nil {
-		return ref.ServiceRef{}, nil, fmt.Errorf("%w: %v", ErrBadData, err)
+	if r, err = ref.Parse(string(s)); err != nil {
+		return ref.ServiceRef{}, rest, fmt.Errorf("%w: %v", ErrBadData, err)
 	}
-	return r, rest, nil
+	return r, tail, nil
 }
 
-func decodeEnum(t *sidl.Type, data []byte) (int, []byte, error) {
-	n, rest, err := decodeUvarint(data)
+func decodeEnum[S ~string | ~[]byte](t *sidl.Type, data S) (ord int, rest S, err error) {
+	n, tail, err := decodeUvarint(data)
 	if err != nil {
-		return 0, nil, err
+		return 0, rest, err
 	}
 	if n >= uint64(len(t.Literals)) {
-		return 0, nil, fmt.Errorf("%w: enum ordinal %d out of range for %s", ErrBadData, n, t)
+		return 0, rest, fmt.Errorf("%w: enum ordinal %d out of range for %s", ErrBadData, n, t)
 	}
-	return int(n), rest, nil
+	return int(n), tail, nil
 }
 
 // decodeSeqLen reads a sequence length and refuses it unless the rest
 // of the input can hold that many elements — before any decoder
 // allocates for them.
-func decodeSeqLen(t *sidl.Type, data []byte) (int, []byte, error) {
-	n, rest, err := decodeUvarint(data)
+func decodeSeqLen[S ~string | ~[]byte](t *sidl.Type, data S) (length int, rest S, err error) {
+	n, tail, err := decodeUvarint(data)
 	if err != nil {
-		return 0, nil, err
+		return 0, rest, err
 	}
 	if n > MaxSequenceLen {
-		return 0, nil, fmt.Errorf("%w: sequence length %d", ErrOversize, n)
+		return 0, rest, fmt.Errorf("%w: sequence length %d", ErrOversize, n)
 	}
 	// Guard against tiny payloads claiming huge lengths: every element
 	// must cost input. An element type that can encode to nothing (void,
@@ -304,12 +299,12 @@ func decodeSeqLen(t *sidl.Type, data []byte) (int, []byte, error) {
 	// of elements, so it is refused outright.
 	min := minEncodedSize(t.Elem)
 	if min == 0 {
-		return 0, nil, fmt.Errorf("%w: sequence of zero-size %s", ErrBadData, t.Elem)
+		return 0, rest, fmt.Errorf("%w: sequence of zero-size %s", ErrBadData, t.Elem)
 	}
-	if n*uint64(min) > uint64(len(rest)) {
-		return 0, nil, fmt.Errorf("%w: sequence claims %d elements in %d bytes", ErrBadData, n, len(rest))
+	if n*uint64(min) > uint64(len(tail)) {
+		return 0, rest, fmt.Errorf("%w: sequence claims %d elements in %d bytes", ErrBadData, n, len(tail))
 	}
-	return int(n), rest, nil
+	return int(n), tail, nil
 }
 
 // appendZero appends the encoding of t's zero value (see Zero).
@@ -326,7 +321,7 @@ func appendZero(dst []byte, t *sidl.Type) []byte {
 	return append(dst, make([]byte, fixedSize(t.Kind))...)
 }
 
-func checkTrailing(rest []byte) error {
+func checkTrailing[S ~string | ~[]byte](rest S) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadData, len(rest))
 	}
@@ -349,24 +344,28 @@ func minEncodedSize(t *sidl.Type) int {
 	return fixedSize(t.Kind)
 }
 
-func decodeUvarint(data []byte) (uint64, []byte, error) {
-	n, size := binary.Uvarint(data)
+// decodeUvarint is binary.Uvarint over a string or bytes. Converting a
+// string allocates nothing: the bytes do not escape, and they are at
+// most binary.MaxVarintLen64+1, one past the longest uvarint so that an
+// overlong one still reads as overlong.
+func decodeUvarint[S ~string | ~[]byte](data S) (n uint64, rest S, err error) {
+	n, size := binary.Uvarint([]byte(data[:min(len(data), binary.MaxVarintLen64+1)]))
 	if size <= 0 {
-		return 0, nil, ErrTruncated
+		return 0, rest, ErrTruncated
 	}
 	return n, data[size:], nil
 }
 
-func decodeBytes(data []byte, limit uint64) ([]byte, []byte, error) {
-	n, rest, err := decodeUvarint(data)
+func decodeBytes[S ~string | ~[]byte](data S, limit uint64) (s, rest S, err error) {
+	n, tail, err := decodeUvarint(data)
 	if err != nil {
-		return nil, nil, err
+		return s, rest, err
 	}
 	if n > limit {
-		return nil, nil, fmt.Errorf("%w: length %d", ErrOversize, n)
+		return s, rest, fmt.Errorf("%w: length %d", ErrOversize, n)
 	}
-	if uint64(len(rest)) < n {
-		return nil, nil, ErrTruncated
+	if uint64(len(tail)) < n {
+		return s, rest, ErrTruncated
 	}
-	return rest[:n], rest[n:], nil
+	return tail[:n], tail[n:], nil
 }

@@ -1,6 +1,7 @@
 package xcode_test
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -12,11 +13,13 @@ import (
 // with an error — never a panic, never memory out of proportion to the
 // input (a sequence of void once turned 602 bytes into 7.6 GB) — and
 // whatever does decode must survive its own encoding. It is also
-// differential: the binder, which decodes the same bytes straight into
-// Go values, must accept exactly what Unmarshal accepts, with a Go
-// destination and without one, and what it built must encode back to a
-// value equal to Unmarshal's. The first argument picks the type from
-// mirrors(); the corpus under testdata/fuzz/FuzzUnmarshal holds the
+// differential twice over. The binder, which decodes the same bytes
+// straight into Go values, must accept exactly what Unmarshal accepts,
+// with a Go destination and without one, and what it built must encode
+// back to a value equal to Unmarshal's. And each of them reads the input
+// as bytes, as the journal does, and as a string, as a client reads a
+// reply: the two readings must agree. The first argument picks the type
+// from mirrors(); the corpus under testdata/fuzz/FuzzUnmarshal holds the
 // pinned bodies of the wire-format tests, one chunk each.
 func FuzzUnmarshal(f *testing.F) {
 	ms := mirrors(f)
@@ -26,19 +29,32 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(1), []byte{1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 9}) // NaN charge, ordinal out of range
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		m := ms[int(which)%len(ms)]
-		var v *Value
+		text := string(data)
+		var v, vText *Value
 		err := proportionate(t, len(data), m.typ.String(), func() (err error) {
 			v, err = Unmarshal(m.typ, data)
 			return err
 		})
-		dst := m.new()
+		textErr := proportionate(t, len(data), m.typ.String(), func() (err error) {
+			vText, err = Unmarshal(m.typ, text)
+			return err
+		})
+		dst, dstText := m.new(), m.new()
 		bindErr := proportionate(t, len(data), m.typ.String(), func() error { return DecodeInto(m.typ, data, dst) })
+		bindTextErr := proportionate(t, len(data), m.typ.String(), func() error { return DecodeInto(m.typ, text, dstText) })
 		discardErr := DecodeInto(m.typ, data, nil)
-		if (err == nil) != (bindErr == nil) || (err == nil) != (discardErr == nil) {
-			t.Fatalf("%s: Unmarshal says %v, DecodeInto %v, discarding %v", m.typ, err, bindErr, discardErr)
+		discardTextErr := DecodeInto(m.typ, text, nil)
+		for _, other := range []error{textErr, bindErr, bindTextErr, discardErr, discardTextErr} {
+			if (err == nil) != (other == nil) {
+				t.Fatalf("%s: Unmarshal says %v, of a string %v; DecodeInto %v, of a string %v; discarding %v, of a string %v",
+					m.typ, err, textErr, bindErr, bindTextErr, discardErr, discardTextErr)
+			}
 		}
 		if err != nil {
 			return
+		}
+		if !vText.Equal(v) {
+			t.Fatalf("%s: decoded as %s from bytes, as %s from a string", m.typ, v, vText)
 		}
 		// Equal, not the same bytes: a non-minimal varint decodes and
 		// re-encodes shorter.
@@ -52,6 +68,11 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if bound, err := Unmarshal(m.typ, enc); err != nil || !bound.Equal(v) {
 			t.Fatalf("%s: %s bound to Go and back is %s, %v", m.typ, v, bound, err)
+		}
+		// The same bytes, not Equal: both Go values were bound from one
+		// input, so they encode alike down to a NaN's payload.
+		if encText, err := AppendEncode(nil, m.typ, dstText); err != nil || !bytes.Equal(encText, enc) {
+			t.Fatalf("%s: bound from bytes %+v, from a string %+v, %v", m.typ, dst, dstText, err)
 		}
 	})
 }
