@@ -88,16 +88,19 @@ test:
 # Writes derive the store's type snapshots under the shard lock while
 # imports read them lock-free, the journal orders every write with its
 # apply, its snapshot cuts and its installs, a replication read tails
-# segments that compaction deletes, and every connection of the wire
-# layer shares pooled frame buffers and reply channels that a call
-# cancelled at the wrong instant must not hand back early: those tests
-# run twenty times over, so a rare interleaving gets its chance. (The
-# cell's interleavings are the cell simulation's: TestCellSim sweeps
-# seeds inside the first line.)
+# segments that compaction deletes, every connection of the wire layer
+# shares pooled frame buffers and reply channels that a call cancelled
+# at the wrong instant must not hand back early, and cosm encodes every
+# call's request and reply body into one of those buffers, which must
+# go back exactly once and only after its write: those tests run twenty
+# times over, so a rare interleaving gets its chance. (The cell's
+# interleavings are the cell simulation's: TestCellSim sweeps seeds
+# inside the first line.)
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 $(CORE)
 	$(GO) test -race -count=20 ./internal/wire
+	$(GO) test -race -count=20 ./internal/cosm
 	$(GO) test -race -count=20 -run '^(TestIndexedMatchesLinearProperty|TestConcurrentWritesApplyInJournalOrder|TestSnapshotInstallRacesCompaction)$$' ./internal/trader
 	$(GO) test -race -count=20 -run '^TestConcurrentRegistrationsSurviveCompaction$$' ./internal/browser
 	$(GO) test -race -count=20 -run '^(TestCommitOrdersWithCuts|TestReadFromTailsCompactingLog)$$' ./internal/journal

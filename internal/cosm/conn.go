@@ -136,11 +136,7 @@ func (c *Conn) Invoke(ctx context.Context, opName string, args ...*xcode.Value) 
 	if !ok {
 		return nil, fmt.Errorf("%w: %q in %s", ErrUnknownOp, opName, c.sid.ServiceName)
 	}
-	body, err := encodeCallBody(op, c.session, args)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := c.send(ctx, op, body)
+	reply, err := send(ctx, c, op, args, appendValue)
 	if err != nil {
 		return nil, err
 	}
@@ -173,25 +169,10 @@ func (c *Conn) Call(ctx context.Context, opName string, result any, args ...any)
 	if !ok {
 		return fmt.Errorf("%w: %q in %s", ErrUnknownOp, opName, c.sid.ServiceName)
 	}
-	if want := inCount(op); len(args) != want {
-		return fmt.Errorf("%w: op %s takes %d in-arguments, got %d", ErrBadArgs, opName, want, len(args))
-	}
 	if result != nil && op.Result.Kind == sidl.Void {
 		return fmt.Errorf("%w: op %s returns nothing to decode", ErrBadResult, opName)
 	}
-	body := appendChunk(make([]byte, 0, bodyCap), []byte(c.session))
-	i := 0
-	for _, p := range op.Params {
-		if p.Dir == sidl.Out {
-			continue
-		}
-		var err error
-		if body, err = appendEncoded(body, p.Type, args[i]); err != nil {
-			return fmt.Errorf("%w: argument %q of op %s: %v", ErrBadArgs, p.Name, opName, err)
-		}
-		i++
-	}
-	reply, err := c.send(ctx, op, body)
+	reply, err := send(ctx, c, op, args, appendEncoded)
 	if err != nil {
 		return err
 	}
@@ -207,9 +188,19 @@ func (c *Conn) Call(ctx context.Context, opName string, result any, args ...any)
 	return nil
 }
 
-// send sends one encoded call body and returns the reply body: one
-// string, which what is decoded from it shares.
-func (c *Conn) send(ctx context.Context, op sidl.Op, body []byte) (string, error) {
+// send makes one call of op and returns the reply body: one string,
+// which what is decoded from it shares. The request body — the session,
+// then args as encode encodes each — is encoded into a buffer borrowed
+// from the frame pool, and handed back once Client.Call returns: it
+// writes the request before it waits, and keeps nothing of it.
+func send[A any](ctx context.Context, c *Conn, op sidl.Op, args []A, encode func(dst []byte, t *sidl.Type, arg A) ([]byte, error)) (string, error) {
+	body := wire.BorrowBuf()
+	defer wire.ReleaseBuf(body)
+	var err error
+	*body, err = appendCallArgs(appendChunk(*body, []byte(c.session)), op, args, encode)
+	if err != nil {
+		return "", err
+	}
 	// One dial, one send, no transparent retry: the operation may not
 	// be idempotent, and replaying it could execute it twice. Callers
 	// that want recovery re-run their protocol from the top.
@@ -217,5 +208,5 @@ func (c *Conn) send(ctx context.Context, op sidl.Op, body []byte) (string, error
 	if err != nil {
 		return "", err
 	}
-	return client.Call(ctx, &wire.Request{Service: c.ref.Service, Op: op.Name, Body: body})
+	return client.Call(ctx, &wire.Request{Service: c.ref.Service, Op: op.Name, Body: *body})
 }

@@ -654,3 +654,163 @@ func TestTypedCallAndHandler(t *testing.T) {
 		t.Errorf("Return on a void operation = %v", err)
 	}
 }
+
+const mirrorIDL = `
+module Mirror {
+    interface COSM_Operations {
+        string Echo(in string text);
+        string Twice(in string text);
+        string Fail(in string text);
+        string Panic(in string text);
+        string Mixed(in string text, out long n);
+    };
+};
+`
+
+// TestBorrowedBodiesAreNeverShared: every request and reply body is
+// encoded into a buffer borrowed from the wire layer's frame pool and
+// handed back once, after its write. Many callers share one connection,
+// with bodies from a few bytes to past the pool's 64 KiB cap, while
+// handlers fail, panic or return twice after encoding a reply, and
+// every reply is checked byte for byte: a buffer handed back twice, or
+// while its frame is still queued for the write, ends up under two
+// bodies at once, and one of them arrives wrong.
+func TestBorrowedBodiesAreNeverShared(t *testing.T) {
+	sid, err := sidl.Parse(mirrorIDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := func(call *Call) (string, error) {
+		var text string
+		if err := call.Args(&text); err != nil {
+			return "", err
+		}
+		return text, call.Return(text)
+	}
+	svc.MustHandle("Echo", func(call *Call) error {
+		_, err := echo(call)
+		return err
+	})
+	svc.MustHandle("Twice", func(call *Call) error {
+		text, err := echo(call)
+		if err != nil {
+			return err
+		}
+		return call.Return(strings.ToUpper(text))
+	})
+	svc.MustHandle("Fail", func(call *Call) error {
+		if _, err := echo(call); err != nil {
+			return err
+		}
+		return errors.New("failed after Return")
+	})
+	svc.MustHandle("Panic", func(call *Call) error {
+		if _, err := echo(call); err != nil {
+			return err
+		}
+		panic("after Return")
+	})
+	svc.MustHandle("Mixed", func(call *Call) error {
+		text, err := echo(call)
+		if err != nil {
+			return err
+		}
+		call.Result = xcode.NewString(sidl.Basic(sidl.String), strings.ToUpper(text))
+		return call.SetOut("n", xcode.NewInt(sidl.Basic(sidl.Int32), int64(len(text))))
+	})
+	node := NewNode(WithNodeLog(func(string, ...any) {}))
+	defer node.Close()
+	if err := node.Host("Mirror", svc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.ListenAndServe("loop:borrowed-bodies"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	conn, err := Bind(ctx, node.Pool(), node.MustRefFor("Mirror"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sizes := []int{3, 41, 700, 5000, 70 << 10}
+	const callers, calls = 16, 60
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				// A body of its own: the caller and call in front, then
+				// a letter run of a size and offset no other call shares.
+				var b strings.Builder
+				fmt.Fprintf(&b, "%d/%d:", g, i)
+				for k := range sizes[(g+i)%len(sizes)] {
+					b.WriteByte(byte('a' + (g*7+i*3+k)%26))
+				}
+				text := b.String()
+				if err := mirrorCall(ctx, conn, i%5, text); err != nil {
+					errs <- fmt.Errorf("caller %d, call %d (%d bytes): %w", g, i, len(text), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// mirrorCall makes one call of the Mirror service, by kind, and checks
+// its outcome.
+func mirrorCall(ctx context.Context, conn *Conn, kind int, text string) error {
+	var got string
+	var re *wire.RemoteError
+	switch kind {
+	case 0:
+		if err := conn.Call(ctx, "Echo", &got, text); err != nil {
+			return err
+		}
+		return sameText(got, text)
+	case 1:
+		if err := conn.Call(ctx, "Twice", &got, text); err != nil {
+			return err
+		}
+		return sameText(got, strings.ToUpper(text))
+	case 2:
+		if err := conn.Call(ctx, "Fail", &got, text); !errors.As(err, &re) || re.Status != wire.StatusAppError || re.Msg != "failed after Return" {
+			return fmt.Errorf("Fail = %v, want the handler's error", err)
+		}
+	case 3:
+		if err := conn.Call(ctx, "Panic", &got, text); !errors.As(err, &re) || re.Status != wire.StatusAppError || !strings.Contains(re.Msg, "handler panic") {
+			return fmt.Errorf("Panic = %v, want the handler panic", err)
+		}
+	default:
+		res, err := conn.Invoke(ctx, "Mixed", xcode.NewString(sidl.Basic(sidl.String), text))
+		if err != nil {
+			return err
+		}
+		if res.Outs[0].Int != int64(len(text)) {
+			return fmt.Errorf("Mixed: out n = %d, want %d", res.Outs[0].Int, len(text))
+		}
+		return sameText(res.Value.Str, strings.ToUpper(text))
+	}
+	return nil
+}
+
+func sameText(got, want string) error {
+	if got == want {
+		return nil
+	}
+	i := 0
+	for i < min(len(got), len(want)) && got[i] == want[i] {
+		i++
+	}
+	return fmt.Errorf("reply of %d bytes differs from the %d expected at byte %d", len(got), len(want), i)
+}

@@ -70,8 +70,11 @@ type Call struct {
 	// args holds the in/inout argument chunks, which dispatch validated
 	// against Op before the FSM stepped.
 	args []byte
-	// reply is the result chunk Return encoded.
-	reply []byte
+	// body is the buffer the reply is encoded in, borrowed from the
+	// frame pool by the first Return or by dispatch; nil until then.
+	body *[]byte
+	// returned says *body holds the result chunk Return encoded.
+	returned bool
 }
 
 // nextArg splits the next argument chunk off the validated args.
@@ -154,18 +157,39 @@ func (c *Call) badArg(i int, err error) error {
 }
 
 // Return encodes a Go value as the result type the operation's signature
-// declares (see xcode.AppendEncode) straight into the reply body.
+// declares (see xcode.AppendEncode) straight into the reply body,
+// replacing what an earlier Return encoded; a Return that fails undoes
+// an earlier one.
 func (c *Call) Return(src any) error {
-	reply, err := appendEncoded(make([]byte, 0, bodyCap), c.Op.Result, src)
+	reply, err := appendEncoded(c.resetBody(), c.Op.Result, src)
+	*c.body, c.returned = reply, err == nil
 	if err != nil {
 		return fmt.Errorf("%w: result of op %s: %v", ErrBadResult, c.Op.Name, err)
 	}
-	c.Result, c.reply = nil, reply
+	c.Result = nil
 	return nil
 }
 
+// resetBody returns the reply body emptied, borrowing its buffer on
+// first use.
+func (c *Call) resetBody() []byte {
+	if c.body == nil {
+		c.body = wire.BorrowBuf()
+	}
+	return (*c.body)[:0]
+}
+
+// release hands back a reply body no response took: the handler failed
+// or panicked after Return, or the result did not encode.
+func (c *Call) release() {
+	wire.ReleaseBuf(c.body)
+	c.body = nil
+}
+
 // OpHandler implements one operation. It runs concurrently with other
-// calls; shared state must be synchronized by the implementation.
+// calls; shared state must be synchronized by the implementation. The
+// call is the dispatcher's once the handler returns: the body Return
+// encoded goes back to the frame pool after its write.
 type OpHandler func(call *Call) error
 
 // Service is a hosted COSM service: a SID plus an implementation of its
@@ -237,11 +261,9 @@ func (s *Service) MustHandle(opName string, h OpHandler) {
 func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Request) *wire.Response {
 	switch req.Op {
 	case OpDescribe:
-		text, err := s.sid.MarshalText()
-		if err != nil {
-			return &wire.Response{Status: wire.StatusAppError, ErrMsg: err.Error()}
-		}
-		return &wire.Response{Status: wire.StatusOK, Body: text}
+		body := wire.BorrowBuf()
+		*body = append(*body, s.sid.IDL()...)
+		return &wire.Response{Status: wire.StatusOK, Body: *body, Buf: body}
 	case OpPing:
 		return &wire.Response{Status: wire.StatusOK}
 	}
@@ -270,6 +292,7 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 	}
 
 	call := &Call{Ctx: ctx, Remote: remote, Session: session, Op: op, args: args}
+	defer call.release()
 	for _, p := range op.Params {
 		if p.Dir != sidl.In {
 			call.Out = append(call.Out, xcode.Zero(p.Type))
@@ -283,7 +306,9 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 	if err != nil {
 		return &wire.Response{Status: wire.StatusAppError, ErrMsg: err.Error()}
 	}
-	return &wire.Response{Status: wire.StatusOK, Body: body}
+	resp := &wire.Response{Status: wire.StatusOK, Body: body, Buf: call.body}
+	call.body = nil // the server hands it back after the write
+	return resp
 }
 
 // Call body layout (request): session string, then each in/inout
@@ -292,29 +317,49 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 //
 // Result layout (response): result value (absent for void), then each
 // out/inout value in parameter order, all length-prefixed.
-
-// bodyCap is the capacity a typed call or reply body starts with. Most
-// fit in it; growing one happens deep in the encoder's recursion, and
-// on a fresh handler goroutine that can cost a stack copy as well.
-const bodyCap = 256
+//
+// Both bodies are encoded into a buffer borrowed from the wire layer's
+// frame pool (wire.BorrowBuf), one chunk after the other, each value in
+// place: its longest length prefix is reserved, the value encoded after
+// it and the gap closed. A reply's buffer travels in its wire.Response and the
+// server hands it back after the write; a request's goes back once the
+// call is written (send, in conn.go).
 
 func appendChunk(dst []byte, chunk []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(chunk)))
 	return append(dst, chunk...)
 }
 
-// appendEncoded appends src, encoded as t, as one chunk. It encodes in
-// place: it reserves the longest length prefix, encodes after it, then
+// openChunk reserves the longest length prefix of a chunk encoded in
+// place; closeChunk fills it in for the chunk that starts at start, and
 // closes the gap.
-func appendEncoded(dst []byte, t *sidl.Type, src any) ([]byte, error) {
-	start := len(dst)
+func openChunk(dst []byte) []byte {
+	return append(dst, make([]byte, binary.MaxVarintLen64)...)
+}
+
+func closeChunk(dst []byte, start int) []byte {
 	body := start + binary.MaxVarintLen64
-	dst, err := xcode.AppendEncode(append(dst, make([]byte, binary.MaxVarintLen64)...), t, src)
-	if err != nil {
-		return nil, err
-	}
 	n := binary.PutUvarint(dst[start:], uint64(len(dst)-body))
-	return append(dst[:start+n], dst[body:]...), nil
+	return append(dst[:start+n], dst[body:]...)
+}
+
+// appendEncoded appends src, encoded as t, as one chunk. On an error dst
+// is returned as it came.
+func appendEncoded(dst []byte, t *sidl.Type, src any) ([]byte, error) {
+	out, err := xcode.AppendEncode(openChunk(dst), t, src)
+	if err != nil {
+		return dst, err
+	}
+	return closeChunk(out, len(dst)), nil
+}
+
+// appendValue appends the dynamic value v, projected to t, as one chunk.
+func appendValue(dst []byte, t *sidl.Type, v *xcode.Value) ([]byte, error) {
+	projected, err := v.Project(t)
+	if err != nil {
+		return dst, err
+	}
+	return closeChunk(xcode.AppendMarshal(openChunk(dst), projected), len(dst)), nil
 }
 
 // consumeChunk splits a length-prefixed chunk off a request body or a
@@ -346,24 +391,25 @@ func inCount(op sidl.Op) int {
 	return n
 }
 
-func encodeCallBody(op sidl.Op, session string, args []*xcode.Value) ([]byte, error) {
+// appendCallArgs appends the in/inout arguments to a request body: a
+// typed caller's Go values (encode is xcode.AppendEncode's binding) or a
+// dynamic caller's values, one chunk each.
+func appendCallArgs[A any](dst []byte, op sidl.Op, args []A, encode func(dst []byte, t *sidl.Type, arg A) ([]byte, error)) ([]byte, error) {
 	if want := inCount(op); len(args) != want {
-		return nil, fmt.Errorf("%w: op %s takes %d in-arguments, got %d", ErrBadArgs, op.Name, want, len(args))
+		return dst, fmt.Errorf("%w: op %s takes %d in-arguments, got %d", ErrBadArgs, op.Name, want, len(args))
 	}
-	body := appendChunk(nil, []byte(session))
 	i := 0
 	for _, p := range op.Params {
 		if p.Dir == sidl.Out {
 			continue
 		}
-		projected, err := args[i].Project(p.Type)
-		if err != nil {
-			return nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
+		var err error
+		if dst, err = encode(dst, p.Type, args[i]); err != nil {
+			return dst, fmt.Errorf("%w: argument %q of op %s: %v", ErrBadArgs, p.Name, op.Name, err)
 		}
-		body = appendChunk(body, xcode.Marshal(projected))
 		i++
 	}
-	return body, nil
+	return dst, nil
 }
 
 // decodeCallBody splits a request body into the session and the
@@ -394,21 +440,23 @@ func decodeCallBody(op sidl.Op, body []byte) (session string, args []byte, err e
 	return string(chunk), args, nil
 }
 
+// encodeCallResult encodes the reply body into call's borrowed buffer:
+// the result (Result if set, else the chunk Return encoded), then the
+// out/inout values.
 func encodeCallResult(op sidl.Op, call *Call) ([]byte, error) {
 	var body []byte
-	if op.Result.Kind != sidl.Void {
-		switch {
-		case call.Result != nil:
-			projected, err := call.Result.Project(op.Result)
-			if err != nil {
-				return nil, fmt.Errorf("%w: result: %v", ErrBadResult, err)
-			}
-			body = appendChunk(nil, xcode.Marshal(projected))
-		case call.reply != nil:
-			body = call.reply
-		default:
-			return nil, fmt.Errorf("%w: op %s returned no result", ErrBadResult, op.Name)
+	var err error
+	switch {
+	case op.Result.Kind == sidl.Void:
+		body = call.resetBody()
+	case call.Result != nil:
+		if body, err = appendValue(call.resetBody(), op.Result, call.Result); err != nil {
+			return nil, fmt.Errorf("%w: result: %v", ErrBadResult, err)
 		}
+	case call.returned:
+		body = *call.body
+	default:
+		return nil, fmt.Errorf("%w: op %s returned no result", ErrBadResult, op.Name)
 	}
 	i := 0
 	for _, p := range op.Params {
@@ -417,12 +465,11 @@ func encodeCallResult(op sidl.Op, call *Call) ([]byte, error) {
 		}
 		out := call.Out[i]
 		i++
-		projected, err := out.Project(p.Type)
-		if err != nil {
+		if body, err = appendValue(body, p.Type, out); err != nil {
 			return nil, fmt.Errorf("%w: out %q: %v", ErrBadResult, p.Name, err)
 		}
-		body = appendChunk(body, xcode.Marshal(projected))
 	}
+	*call.body = body
 	return body, nil
 }
 

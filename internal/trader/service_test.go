@@ -3,6 +3,7 @@ package trader
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -43,28 +44,14 @@ func startTraderNode(t *testing.T, loopName, traderID string) (*cosm.Node, *Trad
 	return node, tr, node.MustRefFor(ServiceName)
 }
 
-// TestRemoteImportAllocs pins what one typed Client.ImportGraded of the
-// canonical reply — five car offers of four properties each, the
-// ordered walk answering — allocates over loop:, client and server
-// together.
-// The typed path goes straight between Go values and bytes; a change
-// that builds an xcode.Value tree on it again fails here (with one at
-// each end of each direction, the same import allocated 423). Frames
-// are read through a buffer and written from pooled buffers, and the
-// reply's property records share one array: with a fresh frame copy
-// per write and a record slice per offer, it allocated 173. Each
-// offer's numbers render into one string: with a strconv.Format* string
-// per number (two allocations per float), it allocated 153; answered
-// from an import-result cache, whose hit built a key string and copied
-// the cached matches, it allocated 143; with the reply read into bytes
-// and every string of it (ID, type, ref, grade and each property's
-// name, kind and text) copied out of them, 142. Now the reply is read
-// into one string, and every string decoded from it is a window of it.
-func TestRemoteImportAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("allocation counts are exact only without the race detector")
-	}
-	node, tr, traderRef := startTraderNode(t, "trd-allocs", "T")
+// remoteImport stands up a trader of eight car offers on loop:name and
+// returns the canonical remote import against it — a typed
+// Client.ImportGraded whose reply is five offers of four properties
+// each, the ordered walk answering — made once already, so that binding,
+// dialing and the caches are outside any measurement.
+func remoteImport(t *testing.T, name string) func() {
+	t.Helper()
+	node, tr, traderRef := startTraderNode(t, name, "T")
 	for i := 1; i <= 8; i++ {
 		if _, err := tr.Export("CarRentalService", carRef(i), carProps("FIAT_Uno", float64(40+10*i), "USD")); err != nil {
 			t.Fatal(err)
@@ -81,9 +68,60 @@ func TestRemoteImportAllocs(t *testing.T) {
 			t.Fatalf("ImportGraded = %d matches, %v", len(ms), err)
 		}
 	}
-	call() // bind, dial and fill the caches outside the measurement
-	if got := testing.AllocsPerRun(200, call); got != 61 {
-		t.Fatalf("one remote import allocates %v, want 61", got)
+	call()
+	return call
+}
+
+// TestRemoteImportAllocs pins what the canonical remote import
+// (remoteImport) allocates over loop:, client and server together.
+// The typed path goes straight between Go values and bytes; a change
+// that builds an xcode.Value tree on it again fails here (with one at
+// each end of each direction, the same import allocated 423). Frames
+// are read through a buffer and written from pooled buffers, and the
+// reply's property records share one array: with a fresh frame copy
+// per write and a record slice per offer, it allocated 173. Each
+// offer's numbers render into one string: with a strconv.Format* string
+// per number (two allocations per float), it allocated 153; answered
+// from an import-result cache, whose hit built a key string and copied
+// the cached matches, it allocated 143; with the reply read into bytes
+// and every string of it (ID, type, ref, grade and each property's
+// name, kind and text) copied out of them, 142; with the reply read
+// into one string and every string decoded from it a window of it, 61,
+// of which five were the call bodies: a reply body grown from 256 bytes
+// four times, and a request body, each thrown away once copied into a
+// frame. Now both bodies are encoded into buffers borrowed from the
+// frame pool.
+func TestRemoteImportAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	call := remoteImport(t, "trd-allocs")
+	if got := testing.AllocsPerRun(200, call); got != 56 {
+		t.Fatalf("one remote import allocates %v, want 56", got)
+	}
+}
+
+// TestRemoteImportBytes bounds the bytes the canonical remote import
+// (remoteImport) allocates, client and server together. With the call
+// bodies allocated per call and thrown away once copied into a frame
+// (the reply's grown 256 → 512 → 896 → 1408 bytes), it was ≈12.6 KB;
+// borrowed from the frame pool, it is ≈9.4 KB.
+func TestRemoteImportBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	call := remoteImport(t, "trd-bytes")
+	const calls, limit = 500, 10 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("one remote import allocates %d bytes", got)
+	if got > limit {
+		t.Fatalf("one remote import allocates %d bytes, want at most %d", got, limit)
 	}
 }
 

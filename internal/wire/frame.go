@@ -103,28 +103,46 @@ type frame struct {
 	resp    *Response
 }
 
-// frameBufs holds the buffers frames are assembled in. It is shared by
-// every connection of the process rather than kept per connection, so
-// idle connections hold no write buffer.
+// frameBufs holds the buffers frames are assembled in, and the call
+// bodies lent by BorrowBuf. It is shared by every connection of the
+// process rather than kept per connection, so idle connections hold no
+// write buffer.
 var frameBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, frameReadBuf)
 	return &b
 }}
+
+// BorrowBuf lends an empty buffer from the pool frames are assembled
+// in, for a call body to be encoded into. The borrower hands it back
+// exactly once, when nothing reads the body any more: a caller with
+// ReleaseBuf once the call is written, a handler by setting
+// Response.Buf, so that the server hands it back after the write.
+func BorrowBuf() *[]byte {
+	return frameBufs.Get().(*[]byte)
+}
+
+// ReleaseBuf hands back a buffer BorrowBuf lent, with *bp as the
+// borrower last grew it; one that grew past frameBufMax is left to the
+// collector. A nil bp is ignored.
+func ReleaseBuf(bp *[]byte) {
+	if bp != nil && cap(*bp) <= frameBufMax {
+		*bp = (*bp)[:0]
+		frameBufs.Put(bp)
+	}
+}
 
 // sendFrame writes f with a single Write, which keeps frames atomic
 // with respect to the connection-level write mutex held by the caller.
 // The frame is assembled in a buffer from frameBufs that goes back to
 // the pool once Write returns (an io.Writer may not retain it).
 func sendFrame(w io.Writer, f *frame) error {
-	bp := frameBufs.Get().(*[]byte)
-	buf, err := appendFrame((*bp)[:0], f)
+	bp := BorrowBuf()
+	buf, err := appendFrame(*bp, f)
 	if err == nil {
 		_, err = w.Write(buf)
 	}
-	if cap(buf) <= frameBufMax {
-		*bp = buf[:0]
-		frameBufs.Put(bp)
-	}
+	*bp = buf
+	ReleaseBuf(bp)
 	return err
 }
 
@@ -298,11 +316,11 @@ func (r *frameReader) head() (frame, int, error) {
 // allocated once the first of them has arrived, so a header claiming
 // MaxFramePayload with nothing behind it costs no more than that buffer.
 func (r *frameReader) text(n int) (string, error) {
-	bp := frameBufs.Get().(*[]byte)
-	buf := slices.Grow((*bp)[:0], min(n, frameBufMax))
+	bp := BorrowBuf()
+	buf := slices.Grow(*bp, min(n, frameBufMax))
 	defer func() {
-		*bp = buf[:0]
-		frameBufs.Put(bp)
+		*bp = buf
+		ReleaseBuf(bp)
 	}()
 	var s strings.Builder
 	for s.Len() < n {
@@ -404,6 +422,11 @@ type Response struct {
 	Status Status
 	ErrMsg string
 	Body   []byte
+	// Buf, when set, is the buffer Body was encoded in, lent by
+	// BorrowBuf. The server hands it back once the response is written
+	// or dropped, so whoever passes the response on keeps neither Buf
+	// nor Body.
+	Buf *[]byte
 	// RetryAfter is the server's backoff hint on StatusOverloaded:
 	// roughly how long the caller should wait before retrying. Zero
 	// means no hint.

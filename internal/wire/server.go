@@ -19,8 +19,9 @@ import (
 // (if the request frame had one) and is cancelled when the caller
 // abandons the call, the connection breaks, or the server shuts down;
 // long-running handlers should honour it. The returned response's Body
-// is opaque to the wire layer. A Handler must not retain req.Body past
-// its return.
+// is opaque to the wire layer; a Body encoded in a buffer from
+// BorrowBuf names it in Response.Buf, and the server hands it back
+// after the write. A Handler must not retain req.Body past its return.
 type Handler interface {
 	ServeCOSM(ctx context.Context, remote string, req *Request) *Response
 }
@@ -571,6 +572,8 @@ func (s *Server) expiredResponse(cs *connState, id uint64, req *Request, echo st
 	s.respond(cs, id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
 }
 
+// respond writes resp and then hands back the buffer its body was
+// encoded in, whether the write succeeded or not.
 func (s *Server) respond(cs *connState, id uint64, resp *Response) {
 	if s.m.status != nil {
 		s.m.status.With(statusSlug(resp.Status)).Inc()
@@ -582,6 +585,7 @@ func (s *Server) respond(cs *connState, id uint64, resp *Response) {
 	_ = cs.conn.SetWriteDeadline(time.Now().Add(defaultWriteStall))
 	err := sendFrame(cs.conn, &frame{ftype: frameResponse, id: id, resp: resp})
 	_ = cs.conn.SetWriteDeadline(time.Time{})
+	ReleaseBuf(resp.Buf)
 	if err != nil {
 		// A write that failed may have left part of a frame on the
 		// stream, and a response written behind it would reach the
