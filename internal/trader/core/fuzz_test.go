@@ -11,9 +11,11 @@ import (
 // refuse garbage with an error, never a panic, and that error is a
 // *SyntaxError whose offset lies inside the input; whatever it accepts
 // must evaluate on the paper's section 4.1 offer without panicking
-// either, and count its conjuncts consistently with Match. The seed corpus
-// under testdata/fuzz/FuzzCompile is the accept and reject tables of
-// the constraint tests.
+// either, and count its conjuncts consistently with Match. Accepted or
+// refused, it must agree with the reference tree evaluator (see
+// checkAgainstReference) on that offer. The seed corpus under
+// testdata/fuzz/FuzzCompile is the accept and reject tables of the
+// constraint tests, nests at the depth limit, and ! and || under &&.
 func FuzzCompile(f *testing.F) {
 	props := map[string]sidl.Lit{
 		"CarModel":       sidl.EnumLit("FIAT_Uno"),
@@ -24,6 +26,9 @@ func FuzzCompile(f *testing.F) {
 		"City":           sidl.StringLit("Hamburg"),
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if err := checkAgainstReference(src, []map[string]sidl.Lit{props}); err != nil {
+			t.Fatal(err)
+		}
 		c, err := Compile(src)
 		if err != nil {
 			var se *SyntaxError

@@ -73,7 +73,7 @@ func (s *State) compile(src string) (*Constraint, error) {
 // The returned offers are shared immutable snapshots; callers must not
 // modify them.
 func (s *State) Import(q Query, remote []Match, now time.Time) []Match {
-	var buf [4]consultedBucket // most requests consult a few buckets
+	var buf [8]consultedBucket // most requests consult a few buckets
 	bs := s.consult(q, buf[:0])
 	if matches, ok := s.walkRanked(bs, q, remote, now); ok {
 		return matches

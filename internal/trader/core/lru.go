@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"sync"
 
 	"cosm/internal/obs"
@@ -12,11 +11,19 @@ import (
 // compiled-constraint cache: both are fed by remote callers, so without
 // a bound a hostile importer could grow them without limit (one fresh
 // constraint string per request).
+//
+// Its entries sit in one slice, linked into a circular recency list by
+// index, so a hit allocates nothing, and once the cache is full neither
+// does an add: the least recently used entry takes the new key in
+// place. The slice grows by append up to the bound rather than being
+// allocated whole at construction: a trader that sees few constraints,
+// like a federation's peers, keeps a few entries, not the bound's.
 type lruCache[V any] struct {
 	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
+	bound   int
+	ents    []lruEntry[V]    // the entries held, at most bound
+	index   map[string]int32 // key -> its entry
+	head    int32            // the most recently used entry; its prev is the least
 	metrics cacheMetrics
 }
 
@@ -38,8 +45,9 @@ func newCacheMetrics(reg *obs.Registry, cache, what string) cacheMetrics {
 }
 
 type lruEntry[V any] struct {
-	key string
-	val V
+	key        string
+	val        V
+	prev, next int32 // toward more and less recently used; the list is circular
 }
 
 // newLRU returns an LRU holding at most capacity entries and reporting
@@ -49,7 +57,7 @@ func newLRU[V any](capacity int, m cacheMetrics) *lruCache[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &lruCache[V]{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity), metrics: m}
+	return &lruCache[V]{bound: capacity, index: make(map[string]int32, capacity), metrics: m}
 }
 
 // get returns the cached value and marks it most recently used.
@@ -60,12 +68,12 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	i, ok := c.index[key]
 	if !ok {
 		return zero, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
+	c.touch(i)
+	return c.ents[i].val, true
 }
 
 // add inserts or refreshes key, evicting the least recently used entry
@@ -76,19 +84,44 @@ func (c *lruCache[V]) add(key string, val V) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry[V]).val = val
-		c.ll.MoveToFront(el)
+	if i, ok := c.index[key]; ok {
+		c.ents[i].val = val
+		c.touch(i)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*lruEntry[V]).key)
+	if i := int32(len(c.ents)); int(i) < c.bound {
+		c.ents = append(c.ents, lruEntry[V]{key: key, val: val})
+		c.link(i, c.head) // the first entry, 0, links to itself
+		c.head, c.index[key] = i, i
+	} else {
+		// The least recently used entry makes way: it takes the new
+		// key and, one step around the circle, becomes the head.
+		lru := c.ents[c.head].prev
+		e := &c.ents[lru]
+		delete(c.index, e.key)
+		e.key, e.val = key, val
+		c.head, c.index[key] = lru, lru
 		c.metrics.evicted.Inc()
 	}
-	c.metrics.retained.Set(int64(c.ll.Len()))
+	c.metrics.retained.Set(int64(len(c.ents)))
+}
+
+// touch makes entry i the most recently used.
+func (c *lruCache[V]) touch(i int32) {
+	if i == c.head {
+		return
+	}
+	e := &c.ents[i]
+	c.ents[e.prev].next, c.ents[e.next].prev = e.next, e.prev
+	c.link(i, c.head)
+	c.head = i
+}
+
+// link puts the unlinked entry i between entry at and its prev.
+func (c *lruCache[V]) link(i, at int32) {
+	prev := c.ents[at].prev
+	c.ents[i].prev, c.ents[i].next = prev, at
+	c.ents[prev].next, c.ents[at].prev = i, i
 }
 
 // len reports the number of cached entries.
@@ -98,5 +131,5 @@ func (c *lruCache[V]) len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.ents)
 }

@@ -132,6 +132,37 @@ func TestCacheMetricsReportOccupancyAndEvictions(t *testing.T) {
 	}
 }
 
+// TestConstraintCacheAllocs: once the cache is full, a hit and an add
+// that evicts allocate nothing — the entries live in one slice sized at
+// construction. With a list element and an entry per add, an add cost 2.
+func TestConstraintCacheAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	reg := obs.NewRegistry()
+	c := newLRU[*Constraint](4, newCacheMetrics(reg, "constraint", "Compiled constraints"))
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("Price < %d", i)
+	}
+	compiled := MustCompile("Price < 1")
+	i := 0
+	add := func() { c.add(keys[i%len(keys)], compiled); i++ }
+	for range len(keys) {
+		add() // fills the cache and grows its index to the bound
+	}
+	if got := testing.AllocsPerRun(200, add); got != 0 {
+		t.Errorf("an add that evicts allocates %v times, want 0", got)
+	}
+	hit := keys[(i-1)%len(keys)]
+	if got := testing.AllocsPerRun(200, func() { c.get(hit) }); got != 0 {
+		t.Errorf("a hit allocates %v times, want 0", got)
+	}
+	if _, ok := c.get(hit); !ok {
+		t.Fatalf("%q missing right after its add", hit)
+	}
+}
+
 // Concurrent gets and adds must be race-free (run under -race) and
 // never grow the cache beyond capacity.
 func TestLRUConcurrent(t *testing.T) {

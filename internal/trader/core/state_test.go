@@ -227,3 +227,46 @@ func TestUncachedImportAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestConformantRankedImportAllocs pins what one import of the
+// benchmark's import_match shape allocates, its Prepare included: a
+// two-attribute range constraint the constraint cache has not seen
+// (every add evicts), a bounded min:Price import over the conformant
+// closure of a five-level hierarchy, answered by the ordered walk. Of
+// its two allocations, one is the compiled constraint and one the
+// result. It allocated 12 times while the compile built a tree of boxed
+// nodes and grew a hint and a conjunct slice (8), the cache took a list
+// element and an entry per add (2), and five consulted buckets spilled
+// a four-bucket stack array to the heap (1).
+func TestConformantRankedImportAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	s := New(levelRepo(t, 5), Options{ConstraintCacheSize: 4})
+	var offers []*Offer
+	for i := range 200 {
+		o := offer(fmt.Sprintf("o%03d", i), fmt.Sprintf("L%d", i%5), i, float64(40+i%37), 0)
+		o.Props["Rating"] = sidl.IntLit(int64(10000 + 100*(i%61)))
+		offers = append(offers, o)
+	}
+	s.Apply(&Mutation{Op: OpExport, Offers: offers})
+	constraints := make([]string, 64)
+	for i := range constraints {
+		constraints[i] = fmt.Sprintf("Price < %.2f && Rating > %d", 45+0.25*float64(i), 10000+10*i)
+	}
+	i := 0
+	imp := func() {
+		q, err := s.Prepare("L0", constraints[i%len(constraints)], "min:Price", 5, match.GradeNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms := s.Import(q, nil, t0); len(ms) != 5 {
+			t.Fatalf("import of %q matched %d offers, want 5", constraints[i%len(constraints)], len(ms))
+		}
+		i++
+	}
+	imp()
+	if got := testing.AllocsPerRun(200, imp); got != 2 {
+		t.Errorf("one import allocates %v times, pinned at 2", got)
+	}
+}

@@ -296,7 +296,7 @@ type typeSnapshot struct {
 	// props counts the offers carrying each property name; an equality
 	// hint whose right-hand side is syntactically an identifier is only
 	// index-resolvable when that identifier names no stored property
-	// (see indexHint.rhsProp).
+	// (see indexHint).
 	props map[string]int
 	// eq maps a (property, value) pair to the (Ref, ID)-ordered posting
 	// list of offers carrying exactly that value.
@@ -516,19 +516,19 @@ func spliceNum(idx runs[numEntry], id string, del float64, hasDel bool, add floa
 // satisfying "value op x". Equality is the range [first >= x, first >
 // x): -0 and +0 fall in one range, as they compare equal, and NaN is
 // never stored, as it equals nothing.
-func bounds(idx runs[numEntry], op string, x float64) (lo, hi int) {
+func bounds(idx runs[numEntry], op cop, x float64) (lo, hi int) {
 	geq := func() int { return idx.search(func(e numEntry) bool { return e.val >= x }) }
 	gt := func() int { return idx.search(func(e numEntry) bool { return e.val > x }) }
 	switch op {
-	case "==":
+	case opEq:
 		return geq(), gt()
-	case "<":
+	case opLt:
 		return 0, geq()
-	case "<=":
+	case opLe:
 		return 0, gt()
-	case ">":
+	case opGt:
 		return gt(), idx.Len()
-	case ">=":
+	case opGe:
 		return geq(), idx.Len()
 	}
 	return 0, 0
@@ -558,7 +558,7 @@ func (s span) each(fn func(*Offer) bool) {
 // which index kind answered ("eq" or "range"), or false when no index
 // answers the hint.
 func (snap *typeSnapshot) hintSpan(h indexHint) (span, string, bool) {
-	if h.rhsProp != "" && snap.props[h.rhsProp] > 0 {
+	if h.val.kind == cvSym && snap.props[h.val.str] > 0 {
 		// The "literal" side names a real property of some offer in
 		// this snapshot, so it does not uniformly resolve to an enum
 		// symbol; the posting list would not be a superset.
@@ -569,7 +569,7 @@ func (snap *typeSnapshot) hintSpan(h indexHint) (span, string, bool) {
 		idx := snap.num[h.prop]
 		lo, hi := bounds(idx, h.op, h.val.num)
 		return span{idx: idx, num: true, lo: lo, hi: hi}, "range", true
-	case h.op == "==":
+	case h.op == opEq:
 		if k, ok := eqKey(h.prop, h.val); ok {
 			list := snap.eq[k]
 			return span{offers: list, hi: list.Len()}, "eq", true

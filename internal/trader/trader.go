@@ -407,14 +407,18 @@ func (t *Trader) makeOffer(serviceType string, r ref.ServiceRef, props []sidl.Pr
 // it: replayed and replicated exports are not market activity here.
 func (t *Trader) noteExport(o *Offer, ttl time.Duration) {
 	t.metrics.exports.Inc()
-	t.log.Log(nil, "export", "offer", o.ID, "type", o.Type, "ref", o.Ref.String(), "ttl", ttl)
+	if t.log != nil { // its arguments would be boxed, and the ref rendered, for nothing
+		t.log.Log(nil, "export", "offer", o.ID, "type", o.Type, "ref", o.Ref.String(), "ttl", ttl)
+	}
 }
 
 // noteWithdrawals counts and logs live withdrawals.
 func (t *Trader) noteWithdrawals(gone []*Offer) {
 	for _, o := range gone {
 		t.metrics.withdrawals.Inc()
-		t.log.Log(nil, "withdraw", "offer", o.ID, "type", o.Type)
+		if t.log != nil {
+			t.log.Log(nil, "withdraw", "offer", o.ID, "type", o.Type)
+		}
 	}
 }
 
@@ -647,8 +651,10 @@ func (t *Trader) ImportGraded(ctx context.Context, req ImportRequest) ([]Match, 
 	t.recordMatches(matches)
 	// The import line carries the trace from ctx, so a federated import
 	// shows up in each consulted trader's log under one trace ID.
-	t.log.Log(ctx, "import", "type", req.Type, "constraint", req.Constraint,
-		"hoplimit", req.HopLimit, "matches", len(matches))
+	if t.log != nil {
+		t.log.Log(ctx, "import", "type", req.Type, "constraint", req.Constraint,
+			"hoplimit", req.HopLimit, "matches", len(matches))
+	}
 	return matches, nil
 }
 
