@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet layers surface test race fuzz bench chaos
+.PHONY: check fmt build vet layers surface test race fuzz bench census
 
 check: fmt build vet layers surface test race
 
@@ -123,11 +123,14 @@ fuzz:
 	done
 
 # What cosmbench (bench/, see BENCHMARK.json) does not measure: the
-# paper-figure groups, the ablations, and the overload, failover,
-# event-log, gossip-round and read-replica benchmarks. The market's hot
-# paths are cosmbench workloads: `bash bench/run.sh`.
+# paper-figure groups (Fig1-Fig7, Sec22, Sec23), the ablations, and the
+# overload, failover, event-log, gossip-round and read-replica
+# benchmarks. The market's hot paths are cosmbench workloads:
+# `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem .
 
-chaos:
-	$(GO) run ./cmd/marketsim -chaos
+# The non-test Go line count that ROADMAP's census tracks: every *.go
+# file except *_test.go, outside .bench_build/ (cosmbench's build tree).
+census:
+	@find . -path ./.bench_build -prune -o -type f -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"cosm/internal/activity"
 	"cosm/internal/browser"
 	"cosm/internal/carrental"
 	"cosm/internal/cosm"
@@ -876,118 +875,6 @@ func BenchmarkAblation_SIDCache(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExt_TwoPhaseCommit measures the activity-manager extension
-// (Fig. 6 "Activity Management" / "Transactional RPC"): begin, enlist n
-// participants, one reservation each, two-phase commit.
-func BenchmarkExt_TwoPhaseCommit(b *testing.B) {
-	b.ReportAllocs()
-	for _, participants := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("participants=%d", participants), func(b *testing.B) {
-			b.ReportAllocs()
-			node := quietNode()
-			if _, err := node.ListenAndServe(fmt.Sprintf("loop:bench-2pc-%d", participants)); err != nil {
-				b.Fatal(err)
-			}
-			defer node.Close()
-			refs := make([]ref.ServiceRef, participants)
-			for i := range refs {
-				r, err := hostBenchInventory(node, fmt.Sprintf("Inv%d", i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				refs[i] = r
-			}
-			m := activity.NewManager(node.Pool())
-			ctx := context.Background()
-			strT := sidl.Basic(sidl.String)
-			int32T := sidl.Basic(sidl.Int32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := m.Begin()
-				for _, r := range refs {
-					if err := m.Join(id, r); err != nil {
-						b.Fatal(err)
-					}
-					conn, err := cosm.Bind(ctx, node.Pool(), r)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := conn.Invoke(ctx, "Reserve",
-						xcode.NewString(strT, id), xcode.NewInt(int32T, 1)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				committed, err := m.Commit(ctx, id)
-				if err != nil || !committed {
-					b.Fatalf("commit = %v, %v", committed, err)
-				}
-			}
-		})
-	}
-}
-
-// benchInventory is a minimal always-yes transactional resource.
-type benchInventory struct {
-	mu      sync.Mutex
-	pending map[string]int
-	total   int
-}
-
-func (inv *benchInventory) Prepare(string) error { return nil }
-func (inv *benchInventory) Commit(id string) error {
-	inv.mu.Lock()
-	inv.total += inv.pending[id]
-	delete(inv.pending, id)
-	inv.mu.Unlock()
-	return nil
-}
-func (inv *benchInventory) Abort(id string) error {
-	inv.mu.Lock()
-	delete(inv.pending, id)
-	inv.mu.Unlock()
-	return nil
-}
-
-func hostBenchInventory(node *cosm.Node, name string) (ref.ServiceRef, error) {
-	base, err := sidl.Parse(`
-module Inv {
-    interface COSM_Operations {
-        void Reserve(in string activity, in long units);
-    };
-};
-`)
-	if err != nil {
-		return ref.ServiceRef{}, err
-	}
-	base.ServiceName = name
-	svc, err := cosm.NewService(activity.ExtendSID(base))
-	if err != nil {
-		return ref.ServiceRef{}, err
-	}
-	inv := &benchInventory{pending: map[string]int{}}
-	svc.MustHandle("Reserve", func(call *cosm.Call) error {
-		id, err := call.Arg("activity")
-		if err != nil {
-			return err
-		}
-		units, err := call.Arg("units")
-		if err != nil {
-			return err
-		}
-		inv.mu.Lock()
-		inv.pending[id.Str] += int(units.Int)
-		inv.mu.Unlock()
-		return nil
-	})
-	if err := activity.HandleParticipant(svc, inv); err != nil {
-		return ref.ServiceRef{}, err
-	}
-	if err := node.Host(name, svc); err != nil {
-		return ref.ServiceRef{}, err
-	}
-	return node.RefFor(name)
 }
 
 // ---------------------------------------------------------------------

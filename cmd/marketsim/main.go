@@ -8,16 +8,13 @@
 //	marketsim                         # default parameters, summary table
 //	marketsim -days 730 -delay 120    # two years, slower standardisation
 //	marketsim -timeline               # also dump the cumulative series
-//	marketsim -chaos                  # live market under fault injection
-//	marketsim -mesh -mesh-traders 20  # federated trader mesh, routed vs full scatter
 //
-// With -chaos the command instead stands up a real market (trader,
-// browser, three providers) over local TCP, injects transport faults on
-// the client side, crashes the cheapest provider mid-run, and reports
-// how retries, bind failover and the trader's liveness sweeper cope.
-//
-// The replicated trader cell's invariants are checked by a seeded
-// simulation, not here: go test -run TestCellSim ./internal/trader.
+// It simulates; it runs no live market. A live market under failure is
+// checked by TestFailureResilientImportBind (module root), summary
+// routing in the federated mesh by
+// TestMeshSummaryRoutedImportConsultsFewPeers, and the replicated
+// trader cell's invariants by the seeded simulation TestCellSim (both
+// in internal/trader).
 package main
 
 import (
@@ -46,21 +43,8 @@ func run(args []string) error {
 	fs.Float64Var(&p.CostClientDev, "clientdev", p.CostClientDev, "per-client static adaptation cost")
 	fs.Float64Var(&p.CostGenericUseOverhead, "overhead", p.CostGenericUseOverhead, "per-use generic-client overhead")
 	timeline := fs.Bool("timeline", false, "print the per-day cumulative series")
-	chaos := fs.Bool("chaos", false, "run the live fault-injection market instead of the discrete-event simulation")
-	mesh := fs.Bool("mesh", false, "run the federated trader mesh demo (summary-routed vs full scatter)")
-	cc := registerChaosFlags(fs)
-	mc := registerMeshFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *chaos {
-		cc.seed = p.Seed
-		return runChaos(os.Stdout, *cc)
-	}
-	if *mesh {
-		mc.seed = p.Seed
-		return runMesh(os.Stdout, *mc)
 	}
 
 	results, err := market.Compare(p)

@@ -159,13 +159,14 @@ func TestFailureResilientImportBind(t *testing.T) {
 
 	// The sweeper runs on the trader side over its own pool. Sweep 1
 	// suspects the dead offer, sweep 2 withdraws it: deterministic,
-	// driven synchronously — no sweep interval needs to elapse.
-	sweeper := trader.NewSweeper(in.trader, in.node.Pool(), trader.WithFailThreshold(2))
+	// driven synchronously — no sweep interval needs to elapse. The
+	// default fail threshold is 2.
+	sweeper := trader.NewSweeper(in.trader, in.node.Pool())
 	defer sweeper.Close()
-	if rep := sweeper.SweepOnce(ctx); rep.Suspected != 1 || rep.Withdrawn != 0 {
+	if rep := sweeper.SweepOnce(ctx); rep != (trader.SweepReport{Checked: 2, Healthy: 1, Suspected: 1}) {
 		t.Fatalf("sweep 1 = %+v, want the dead offer suspected", rep)
 	}
-	if rep := sweeper.SweepOnce(ctx); rep.Withdrawn != 1 {
+	if rep := sweeper.SweepOnce(ctx); rep != (trader.SweepReport{Checked: 2, Healthy: 1, Withdrawn: 1}) {
 		t.Fatalf("sweep 2 = %+v, want the dead offer withdrawn", rep)
 	}
 	offers, err := in.trd.Import(ctx, trader.NewImport("CarRentalService"))

@@ -255,7 +255,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 }
 
 // HistSnapshot is a point-in-time copy of a histogram, subtractable for
-// interval views (the chaos demo's per-phase p99).
+// interval views.
 type HistSnapshot struct {
 	Bounds []float64
 	Counts []uint64
@@ -295,8 +295,7 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 
 // Merge returns the union of two snapshots taken from histograms with
 // the same bucket layout; an empty snapshot merges as identity. Callers
-// aggregating a HistogramVec (the chaos demo folding per-endpoint
-// latency into one view) merge the children's snapshots.
+// aggregating a HistogramVec merge the children's snapshots.
 func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
 	if len(s.Counts) == 0 {
 		return o

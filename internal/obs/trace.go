@@ -64,8 +64,7 @@ func TraceFrom(ctx context.Context) Trace {
 
 // EnsureTrace returns ctx guaranteed to carry a trace, minting a root
 // trace when none is present. Importer entry points (cosmcli commands,
-// the chaos market's bookings, tests) call this once; every layer below
-// only propagates.
+// tests) call this once; every layer below only propagates.
 func EnsureTrace(ctx context.Context) (context.Context, Trace) {
 	if t := TraceFrom(ctx); t.Valid() {
 		return ctx, t

@@ -170,7 +170,7 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 					}
 					continue // stored by this step: nobody has read it yet
 				}
-				sameSnapshot(t, fmt.Sprintf("seed %d step %d %s type %s", seed, step, m.Op, typ), derived, buildSnapshot(b))
+				sameSnapshot(t, fmt.Sprintf("seed %d step %d %s type %s", seed, step, m.Op, typ), derived, buildSnapshot(s.shardFor(typ), typ))
 				widest = max(widest, len(derived.offers.spine))
 			}
 		}

@@ -25,13 +25,13 @@ type storeShard struct {
 	byID  map[string]*Offer
 }
 
-// typeBucket holds one stored service type's offers plus its matching
-// snapshot. snap is nil until the first read builds it, and from then on
-// every write derives the next one (see write).
+// typeBucket counts one stored service type's offers (they are the
+// shard's byID entries of that type) and holds its matching snapshot.
+// snap is nil until the first read builds it, and from then on every
+// write derives the next one (see write).
 type typeBucket struct {
-	name   string
-	offers map[string]*Offer
-	snap   atomic.Pointer[typeSnapshot]
+	n    int
+	snap atomic.Pointer[typeSnapshot]
 }
 
 // write records a mutation of b that replaced old by fresh — the same
@@ -86,12 +86,14 @@ func (s *State) insert(o *Offer) {
 	defer sh.mu.Unlock()
 	b := sh.types[o.Type]
 	if b == nil {
-		b = &typeBucket{name: o.Type, offers: map[string]*Offer{}}
+		b = &typeBucket{}
 		sh.types[o.Type] = b
 		s.typeSetGen.Add(1)
 	}
-	old := b.offers[o.ID]
-	b.offers[o.ID] = o
+	old := sh.byID[o.ID]
+	if old == nil {
+		b.n++
+	}
 	sh.byID[o.ID] = o
 	b.write(old, o)
 }
@@ -137,8 +139,8 @@ func (s *State) removeFromBucketLocked(sh *storeShard, o *Offer) {
 	if b == nil {
 		return
 	}
-	delete(b.offers, o.ID)
-	if len(b.offers) == 0 {
+	b.n--
+	if b.n == 0 {
 		delete(sh.types, o.Type)
 		s.typeSetGen.Add(1)
 		return
@@ -164,7 +166,6 @@ func (s *State) update(id string, set func(fresh *Offer)) (*Offer, bool) {
 	set(&fresh)
 	sh.byID[id] = &fresh
 	if b := sh.types[o.Type]; b != nil {
-		b.offers[id] = &fresh
 		b.write(o, &fresh)
 	}
 	return &fresh, true
@@ -251,12 +252,12 @@ func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
 		return snap, true
 	}
 	// Build while holding the read lock: writers are excluded, so the
-	// built snapshot is consistent with b.offers, and a writer that runs
+	// built snapshot is consistent with sh.byID, and a writer that runs
 	// after we release derives its successor from it. Concurrent
 	// readers may build duplicates; they are identical, and the
 	// duplicate work is bounded by one build per reader already past the
 	// nil check.
-	snap := buildSnapshot(b)
+	snap := buildSnapshot(sh, serviceType)
 	b.snap.Store(snap)
 	s.rebuilds.Inc()
 	return snap, true
@@ -325,10 +326,14 @@ type eqK struct {
 	b    bool
 }
 
-func buildSnapshot(b *typeBucket) *typeSnapshot {
-	offers := make([]*Offer, 0, len(b.offers))
-	for _, o := range b.offers {
-		offers = append(offers, o)
+// buildSnapshot builds serviceType's snapshot from the shard's offers
+// of that type; the caller holds the shard's lock.
+func buildSnapshot(sh *storeShard, serviceType string) *typeSnapshot {
+	offers := make([]*Offer, 0, sh.types[serviceType].n)
+	for _, o := range sh.byID {
+		if o.Type == serviceType {
+			offers = append(offers, o)
+		}
 	}
 	slices.SortFunc(offers, byRefID)
 	snap := &typeSnapshot{

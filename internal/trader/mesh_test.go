@@ -135,51 +135,55 @@ func TestMeshCycleExactlyOnce(t *testing.T) {
 }
 
 // Summary-routed imports consult only the peers whose gossiped summary
-// covers the requested type: a 10-trader hub-and-spoke mesh where one
-// spoke holds the offers must query 1 peer, not 9. (The CI mesh smoke
-// step runs this test.)
+// covers the requested type: in a hub-and-spoke mesh where one spoke
+// holds the offers, the hub must query 1 peer, not all n-1 (E12).
 func TestMeshSummaryRoutedImportConsultsFewPeers(t *testing.T) {
-	ctx := context.Background()
-	hub := New("hub", newCarRepo(t))
-	for i := 0; i < 9; i++ {
-		peer := New(fmt.Sprintf("peer-%d", i), newCarRepo(t))
-		if i == 4 {
-			if _, err := peer.Export("CarRentalService", carRef(40), carProps("VW_Golf", 61, "DEM")); err != nil {
-				t.Fatal(err)
+	for _, traders := range []int{10, 50} {
+		t.Run(fmt.Sprintf("traders-%d", traders), func(t *testing.T) {
+			ctx := context.Background()
+			spokes := traders - 1
+			hub := New("hub", newCarRepo(t))
+			for i := 0; i < spokes; i++ {
+				peer := New(fmt.Sprintf("peer-%d", i), newCarRepo(t))
+				if i == 4 {
+					if _, err := peer.Export("CarRentalService", carRef(40), carProps("VW_Golf", 61, "DEM")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mustLink(t, hub, fmt.Sprintf("peer-%d", i), peer)
 			}
-		}
-		mustLink(t, hub, fmt.Sprintf("peer-%d", i), peer)
-	}
 
-	// Without summaries every link has unknown coverage: full fan-out.
-	before := hub.FedStats()
-	offers, err := hub.Import(ctx, ImportRequest{Type: "CarRentalService", HopLimit: 1})
-	if err != nil || len(offers) != 1 {
-		t.Fatalf("pre-gossip import = %+v, %v", offers, err)
-	}
-	after := hub.FedStats()
-	if asked := after.PeersAsked - before.PeersAsked; asked != 9 {
-		t.Fatalf("pre-gossip peers asked = %d, want 9 (full fan-out)", asked)
-	}
-	if after.Full != before.Full+1 {
-		t.Fatalf("full fan-outs = %d, want %d", after.Full, before.Full+1)
-	}
+			// Without summaries every link has unknown coverage: full fan-out.
+			before := hub.FedStats()
+			offers, err := hub.Import(ctx, ImportRequest{Type: "CarRentalService", HopLimit: 1})
+			if err != nil || len(offers) != 1 {
+				t.Fatalf("pre-gossip import = %+v, %v", offers, err)
+			}
+			after := hub.FedStats()
+			if asked := after.PeersAsked - before.PeersAsked; asked != uint64(spokes) {
+				t.Fatalf("pre-gossip peers asked = %d, want %d (full fan-out)", asked, spokes)
+			}
+			if after.Full != before.Full+1 {
+				t.Fatalf("full fan-outs = %d, want %d", after.Full, before.Full+1)
+			}
 
-	// One gossip round teaches the hub which peer holds the type.
-	if pushed, failed := hub.GossipRound(ctx, time.Second); pushed != 9 || failed != 0 {
-		t.Fatalf("gossip round pushed %d, failed %d", pushed, failed)
-	}
-	before = hub.FedStats()
-	offers, err = hub.Import(ctx, ImportRequest{Type: "CarRentalService", HopLimit: 1})
-	if err != nil || len(offers) != 1 {
-		t.Fatalf("routed import = %+v, %v", offers, err)
-	}
-	after = hub.FedStats()
-	if asked := after.PeersAsked - before.PeersAsked; asked != 1 {
-		t.Fatalf("routed peers asked = %d, want 1", asked)
-	}
-	if after.Routed != before.Routed+1 {
-		t.Fatalf("routed fan-outs = %d, want %d", after.Routed, before.Routed+1)
+			// One gossip round teaches the hub which peer holds the type.
+			if pushed, failed := hub.GossipRound(ctx, time.Second); pushed != spokes || failed != 0 {
+				t.Fatalf("gossip round pushed %d, failed %d", pushed, failed)
+			}
+			before = hub.FedStats()
+			offers, err = hub.Import(ctx, ImportRequest{Type: "CarRentalService", HopLimit: 1})
+			if err != nil || len(offers) != 1 {
+				t.Fatalf("routed import = %+v, %v", offers, err)
+			}
+			after = hub.FedStats()
+			if asked := after.PeersAsked - before.PeersAsked; asked != 1 {
+				t.Fatalf("routed peers asked = %d, want 1", asked)
+			}
+			if after.Routed != before.Routed+1 {
+				t.Fatalf("routed fan-outs = %d, want %d", after.Routed, before.Routed+1)
+			}
+		})
 	}
 }
 

@@ -58,10 +58,10 @@ const (
 // SweeperOption configures a Sweeper.
 type SweeperOption func(*Sweeper)
 
-// WithFailThreshold sets how many consecutive failed probes withdraw
+// withFailThreshold sets how many consecutive failed probes withdraw
 // an offer (default 2: one sweep marks suspect, the next withdraws).
 // A threshold of 1 withdraws on the first failed probe.
-func WithFailThreshold(n int) SweeperOption {
+func withFailThreshold(n int) SweeperOption {
 	return func(sw *Sweeper) { sw.thresh = n }
 }
 

@@ -50,7 +50,7 @@ func newSweeperFixture(t *testing.T, opts ...SweeperOption) (*Trader, *fakePinge
 }
 
 func TestSweeperSuspectsThenWithdraws(t *testing.T) {
-	tr, fp, sw := newSweeperFixture(t, WithFailThreshold(2))
+	tr, fp, sw := newSweeperFixture(t, withFailThreshold(2))
 	ctx := context.Background()
 	if _, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 70, "USD")); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestSweeperSuspectsThenWithdraws(t *testing.T) {
 }
 
 func TestSweeperWithdrawsWithinOneSweepAtThresholdOne(t *testing.T) {
-	tr, fp, sw := newSweeperFixture(t, WithFailThreshold(1))
+	tr, fp, sw := newSweeperFixture(t, withFailThreshold(1))
 	if _, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 70, "USD")); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSweeperWithdrawsWithinOneSweepAtThresholdOne(t *testing.T) {
 // and its failure streak resets — one new failure only re-suspects, it
 // does not withdraw.
 func TestSweeperRecovery(t *testing.T) {
-	tr, fp, sw := newSweeperFixture(t, WithFailThreshold(2))
+	tr, fp, sw := newSweeperFixture(t, withFailThreshold(2))
 	ctx := context.Background()
 	id, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 70, "USD"))
 	if err != nil {
@@ -182,7 +182,7 @@ func TestSweeperBlackholedProviderDoesNotPoisonOthers(t *testing.T) {
 // failure. Unprobed offers keep their streak: they neither advance
 // toward withdrawal nor lose the failures already observed.
 func TestSweeperBudgetExhaustionSkipsInsteadOfFailing(t *testing.T) {
-	tr, fp, sw := newSweeperFixture(t, WithFailThreshold(2))
+	tr, fp, sw := newSweeperFixture(t, withFailThreshold(2))
 	if _, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 70, "USD")); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestSweeperReclaimsExpiredLeases(t *testing.T) {
 // passes no verdict — marking, withdrawing and expiring are mutations,
 // the leader's to make — and resumes once the trader leads.
 func TestSweeperIdleOnFollower(t *testing.T) {
-	tr, fp, sw := newSweeperFixture(t, WithFailThreshold(1))
+	tr, fp, sw := newSweeperFixture(t, withFailThreshold(1))
 	if _, err := tr.Export("CarRentalService", carRef(1), carProps("FIAT_Uno", 70, "USD")); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSweeperBackgroundLoop(t *testing.T) {
 	swept := make(chan ref.ServiceRef, 4)
 	tick := make(chan time.Time)
 	sw := NewSweeper(tr, nil,
-		WithFailThreshold(1),
+		withFailThreshold(1),
 		withSweepTick(tick),
 		withPingFunc(func(_ context.Context, r ref.ServiceRef) error {
 			swept <- r

@@ -383,9 +383,9 @@ func defaultDial(ctx context.Context, endpoint string) (net.Conn, error) {
 }
 
 // WithDialer substitutes the transport dialer (default: DialConnContext
-// capped at defaultDialTimeout). The fault-injecting FaultNet plugs in
-// here. The dialer must honour ctx: a dial outliving its context defeats
-// Get's and Call's timeout guarantees.
+// capped at defaultDialTimeout). Tests plug a fault-injecting transport
+// in here, cosmbench a counting one. The dialer must honour ctx: a dial
+// outliving its context defeats Get's and Call's timeout guarantees.
 func WithDialer(dial func(ctx context.Context, endpoint string) (net.Conn, error)) PoolOption {
 	return func(p *Pool) { p.dialer = dial }
 }

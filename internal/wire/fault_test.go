@@ -12,7 +12,7 @@ import (
 )
 
 // ErrInjectedFault marks failures manufactured by a FaultNet, so tests
-// and the chaos harness can tell injected damage from real damage.
+// can tell injected damage from real damage.
 var ErrInjectedFault = errors.New("wire: injected fault")
 
 // FaultConfig parameterises a FaultNet. All probabilities are in
