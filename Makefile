@@ -85,9 +85,11 @@ surface:
 test:
 	$(GO) test ./...
 
-# Writes derive the store's type snapshots under the shard lock while
-# imports read them lock-free, the journal orders every write with its
-# apply, its snapshot cuts and its installs, a replication read tails
+# Writes derive the store's type snapshots under the store's one lock
+# while imports pin them under its read lock and match lock-free, a
+# subtype's bucket empties and refills under conformant readers, the
+# journal orders every write with its apply, its snapshot cuts and its
+# installs, a replication read tails
 # segments that compaction deletes, every connection of the wire layer
 # shares pooled frame buffers and reply channels that a call cancelled
 # at the wrong instant must not hand back early, and cosm encodes every

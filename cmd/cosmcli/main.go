@@ -541,27 +541,9 @@ func invokeOne(ctx context.Context, b *genclient.Binding, op string, assignments
 // prints it as a flat, sorted metric listing. addr is the value the
 // daemon was given as -metrics-addr.
 func stats(w io.Writer, addr string, timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	url := "http://" + strings.TrimPrefix(addr, "http://") + "/debug/vars"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %s", url, resp.Status)
-	}
 	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return fmt.Errorf("%s: %w", url, err)
+	if err := fetchJSON(addr, "/debug/vars", timeout, &doc); err != nil {
+		return err
 	}
 
 	if g, ok := doc["goroutines"]; ok {

@@ -325,8 +325,6 @@ var metricsGolden = []string{
 	"cosm_trader_constraint_cache_total counter outcome Compiled-constraint cache lookups by outcome.",
 	"cosm_trader_index_lookups_total counter kind Type-bucket match passes by index kind (eq, range, scan, ordered, linear).",
 	"cosm_trader_index_snapshot_rebuilds_total counter - Type snapshots built from scratch, on a type's first read; writes derive them.",
-	"cosm_trader_resolution_cache_evicted_total counter - Request-type resolutions evicted from the full resolution cache by newer ones.",
-	"cosm_trader_resolution_cache_retained gauge - Request-type resolutions the resolution cache currently holds.",
 }
 
 func TestMetricsFamiliesGolden(t *testing.T) {

@@ -137,15 +137,19 @@ type TypeMatch struct {
 func GradeClosure(cl []typemgr.ConformantType) []TypeMatch {
 	out := make([]TypeMatch, len(cl))
 	for i, c := range cl {
-		tm := TypeMatch{Name: c.Name, Score: TypeScore(c.Depth, c.Structural)}
-		if c.Depth == 0 && !c.Structural {
-			tm.Grade = GradeExact
-		} else {
-			tm.Grade = GradeSubtype
-		}
-		out[i] = tm
+		out[i] = GradeType(c)
 	}
 	return out
+}
+
+// GradeType grades one member of a conformant closure: the base itself
+// is exact, every other member a subtype scored by its distance.
+func GradeType(c typemgr.ConformantType) TypeMatch {
+	tm := TypeMatch{Name: c.Name, Grade: GradeSubtype, Score: TypeScore(c.Depth, c.Structural)}
+	if c.Depth == 0 && !c.Structural {
+		tm.Grade = GradeExact
+	}
+	return tm
 }
 
 // GradeRemote grades an offer that arrived ungraded from a peer that

@@ -254,8 +254,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 	return h.Snapshot().Quantile(p)
 }
 
-// HistSnapshot is a point-in-time copy of a histogram, subtractable for
-// interval views.
+// HistSnapshot is a point-in-time copy of a histogram.
 type HistSnapshot struct {
 	Bounds []float64
 	Counts []uint64
@@ -278,35 +277,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Sub returns the interval histogram s − prev (both must come from the
-// same Histogram).
-func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Bounds: s.Bounds, Counts: make([]uint64, len(s.Counts)), Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i]
-		if i < len(prev.Counts) {
-			out.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return out
-}
-
-// Merge returns the union of two snapshots taken from histograms with
-// the same bucket layout; an empty snapshot merges as identity. Callers
-// aggregating a HistogramVec merge the children's snapshots.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	if len(s.Counts) == 0 {
-		return o
-	}
-	out := HistSnapshot{Bounds: s.Bounds, Counts: append([]uint64(nil), s.Counts...), Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
-	for i := range out.Counts {
-		if i < len(o.Counts) {
-			out.Counts[i] += o.Counts[i]
-		}
-	}
-	return out
 }
 
 // Quantile estimates the p-quantile of the snapshot: the bucket holding

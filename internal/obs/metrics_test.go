@@ -76,33 +76,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistSnapshotSubAndMerge(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "help", []float64{1, 2})
-	h.Observe(0.5)
-	before := h.Snapshot()
-	h.Observe(0.5)
-	h.Observe(1.5)
-	interval := h.Snapshot().Sub(before)
-	if interval.Count != 2 || interval.Sum != 2 {
-		t.Fatalf("interval = %+v", interval)
-	}
-
-	other := r.Histogram("h2", "help", []float64{1, 2})
-	other.Observe(1.5)
-	merged := interval.Merge(other.Snapshot())
-	if merged.Count != 3 {
-		t.Fatalf("merged count = %d", merged.Count)
-	}
-	// Empty snapshot merges as identity from either side.
-	if m := (HistSnapshot{}).Merge(interval); m.Count != 2 {
-		t.Fatalf("identity merge = %+v", m)
-	}
-	if m := interval.Merge(HistSnapshot{}); m.Count != 2 {
-		t.Fatalf("identity merge rhs = %+v", m)
-	}
-}
-
 func TestVecCardinalityBounded(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("v_total", "help", "who")

@@ -81,8 +81,8 @@ func TestSameTypeReadWriteConcurrency(t *testing.T) {
 
 	for _, constraint := range queries {
 		for _, m := range []int{0, max} {
-			a := mustImportMax(t, s, constraint, m)
-			b := mustImportMax(t, oracle, constraint, m)
+			a := mustImportType(t, s, "A", constraint, m)
+			b := mustImportType(t, oracle, "A", constraint, m)
 			if len(a) != len(b) {
 				t.Fatalf("%q max %d: %d matches, oracle %d", constraint, m, len(a), len(b))
 			}
@@ -93,15 +93,6 @@ func TestSameTypeReadWriteConcurrency(t *testing.T) {
 			}
 		}
 	}
-}
-
-func mustImportMax(t *testing.T, s *State, constraint string, max int) []Match {
-	t.Helper()
-	q, err := s.Prepare("A", constraint, "min:Price", max, match.GradeNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s.Import(q, nil, t0)
 }
 
 // checkOrdered checks one "min:Price" result against the import
@@ -202,8 +193,8 @@ func TestLargeBucketReadWriteConcurrency(t *testing.T) {
 
 	for _, constraint := range queries {
 		for _, m := range []int{0, max} {
-			a := mustImportMax(t, s, constraint, m)
-			b := mustImportMax(t, oracle, constraint, m)
+			a := mustImportType(t, s, "A", constraint, m)
+			b := mustImportType(t, oracle, "A", constraint, m)
 			if len(a) != len(b) {
 				t.Fatalf("%q max %d: %d matches, oracle %d", constraint, m, len(a), len(b))
 			}
@@ -214,4 +205,109 @@ func TestLargeBucketReadWriteConcurrency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBucketChurnUnderConformantReaders: readers import the root of a
+// three-level hierarchy while a writer empties a subtype's bucket offer
+// by offer and refills it, so a bucket of the closure disappears and
+// reappears under them (run it under -race; `make race` does, twenty
+// times). The untouched buckets must answer in full every time, every
+// match must carry its type's grade and score, and a bounded import
+// must keep the import contract.
+func TestBucketChurnUnderConformantReaders(t *testing.T) {
+	repo := levelRepo(t, 3)
+	s := New(repo, Options{ConstraintCacheSize: 16})
+	oracle := New(repo, Options{Linear: true})
+	apply := func(m *Mutation) {
+		s.Apply(m)
+		oracle.Apply(m)
+	}
+	churned := make([]*Offer, 12)
+	for i := range churned {
+		churned[i] = offer(fmt.Sprintf("m%02d", i), "L1", 100+i, float64(i%7), 0)
+	}
+	var steady []*Offer
+	for i := 0; i < 24; i++ {
+		steady = append(steady, offer(fmt.Sprintf("s%02d", i), fmt.Sprintf("L%d", 2*(i%2)), i, float64(i%5), 0))
+	}
+	apply(&Mutation{Op: OpExport, Offers: steady})
+
+	want := map[string]match.TypeMatch{
+		"L0": {Grade: match.GradeExact, Score: 1},
+		"L1": {Grade: match.GradeSubtype, Score: 0.9},
+		"L2": {Grade: match.GradeSubtype, Score: 0.85},
+	}
+	var stop atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := checkChurnRead(s, want, len(steady)); err != nil {
+					t.Error(err)
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+
+	for step := 0; step < 40; step++ {
+		for reads.Load() < int64(step) && !t.Failed() {
+			runtime.Gosched() // keep the readers in the thick of it
+		}
+		apply(&Mutation{Op: OpExport, Offers: churned})
+		for _, o := range churned {
+			apply(&Mutation{Op: OpWithdraw, IDs: []string{o.ID}})
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	apply(&Mutation{Op: OpExport, Offers: churned}) // the bucket is back
+	for _, m := range []int{0, 5} {
+		a := mustImportType(t, s, "L0", "", m)
+		b := mustImportType(t, oracle, "L0", "", m)
+		if matchIDs(a) != matchIDs(b) {
+			t.Fatalf("max %d: %s, oracle %s", m, matchIDs(a), matchIDs(b))
+		}
+	}
+}
+
+// checkChurnRead runs the two imports of one reader round: an
+// unbounded one, which must hold every steady offer, and a bounded
+// ranked one, which must keep the import contract.
+func checkChurnRead(s *State, want map[string]match.TypeMatch, steady int) error {
+	q, err := s.Prepare("L0", "", "first", 0, match.GradeNone)
+	if err != nil {
+		return err
+	}
+	n := 0
+	for _, m := range s.Import(q, nil, t0) {
+		if tm := want[m.Type]; m.Grade != tm.Grade || m.Score != tm.Score {
+			return fmt.Errorf("%s of %s graded (%s, %.2f), want (%s, %.2f)", m.ID, m.Type, m.Grade, m.Score, tm.Grade, tm.Score)
+		}
+		if m.Type != "L1" {
+			n++
+		}
+	}
+	if n != steady {
+		return fmt.Errorf("an import saw %d of the %d offers outside the churned bucket", n, steady)
+	}
+	q, err = s.Prepare("L0", "Price < 4", "min:Price", 5, match.GradeNone)
+	if err != nil {
+		return err
+	}
+	return checkOrdered(s.Import(q, nil, t0), 5)
+}
+
+func mustImportType(t *testing.T, s *State, typ, constraint string, max int) []Match {
+	t.Helper()
+	q, err := s.Prepare(typ, constraint, "min:Price", max, match.GradeNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Import(q, nil, t0)
 }

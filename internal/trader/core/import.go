@@ -7,6 +7,7 @@ import (
 
 	"cosm/internal/match"
 	"cosm/internal/ref"
+	"cosm/internal/typemgr"
 )
 
 // Query is one import request in compiled form (see State.Prepare).
@@ -136,27 +137,43 @@ type consultedBucket struct {
 	tm   match.TypeMatch
 }
 
-// consult is phase 1 of the matcher: it resolves the requested type to
-// the stored buckets of its graded conformant closure and appends each
-// one, its snapshot pinned, to bs. A bucket whose type grade is below
-// the floor is skipped outright unless the floor admits
-// partial-attribute matches, which any conformant offer may still
-// yield. The linear oracle consults no bucket.
+// consult is phase 1 of the matcher: it grades each member of the
+// requested type's conformant closure, which the type repository
+// caches, and appends the stored ones to bs, each with its snapshot
+// pinned under one read lock. A member whose type grade is below the
+// floor is skipped outright unless the floor admits partial-attribute
+// matches, which any conformant offer may still yield. The linear
+// oracle consults no bucket.
 func (s *State) consult(q Query, bs []consultedBucket) []consultedBucket {
 	if s.linear {
 		return nil
 	}
-	for _, tm := range s.resolve(q.typ) {
+	cl := closure(s.repo, q.typ)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, c := range cl {
+		b := s.types[c.Name]
+		if b == nil {
+			continue
+		}
+		tm := match.GradeType(c)
 		if q.minGrade > match.GradePartial && !tm.Grade.AtLeast(q.minGrade) {
 			continue
 		}
-		snap, ok := s.snapshot(tm.Name)
-		if !ok {
-			continue // withdrawn since resolve; the gens catch it
-		}
-		bs = append(bs, consultedBucket{snap: snap, tm: tm})
+		bs = append(bs, consultedBucket{snap: s.pin(c.Name, b), tm: tm})
 	}
 	return bs
+}
+
+// closure is the conformant closure of reqType. A type the repository
+// does not know (or whose hierarchy is corrupt) is conformed to by
+// nothing: only offers stored under the literal name match it, exactly.
+func closure(repo *typemgr.Repo, reqType string) []typemgr.ConformantType {
+	cl, err := repo.ConformingTypes(reqType)
+	if err != nil {
+		return []typemgr.ConformantType{{Name: reqType}}
+	}
+	return cl
 }
 
 // localMatches is phases 2 and 3 of the matcher over the consulted
@@ -390,8 +407,8 @@ func appendGraded(out []Match, o *Offer, tm match.TypeMatch, constraint *Constra
 func (s *State) linearMatches(q Query, now time.Time) []Match {
 	s.indexLookups.With("linear").Inc()
 	grades := map[string]match.TypeMatch{}
-	for _, tm := range gradedClosure(s.repo, q.typ) {
-		grades[tm.Name] = tm
+	for _, c := range closure(s.repo, q.typ) {
+		grades[c.Name] = match.GradeType(c)
 	}
 	var matches []Match
 	for _, o := range s.All() {

@@ -7,10 +7,9 @@ import (
 )
 
 // lruCache is a bounded, mutex-guarded LRU map from string keys to
-// values. It backs the request-type resolution cache and the
-// compiled-constraint cache: both are fed by remote callers, so without
-// a bound a hostile importer could grow them without limit (one fresh
-// constraint string per request).
+// values. It backs the compiled-constraint cache, which remote callers
+// feed: without a bound a hostile importer could grow it without limit
+// (one fresh constraint string per request).
 //
 // Its entries sit in one slice, linked into a circular recency list by
 // index, so a hit allocates nothing, and once the cache is full neither

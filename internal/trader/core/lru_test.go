@@ -97,9 +97,9 @@ func TestLRUNilDisabled(t *testing.T) {
 	}
 }
 
-// TestCacheMetricsReportOccupancyAndEvictions: each of the state's
-// two LRUs reports what it holds and what it dropped, and an add that
-// evicts allocates nothing for the reporting.
+// TestCacheMetricsReportOccupancyAndEvictions: the state's constraint
+// LRU reports what it holds and what it dropped, and an add that evicts
+// allocates nothing for the reporting.
 func TestCacheMetricsReportOccupancyAndEvictions(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(typemgr.NewRepo(), Options{Metrics: reg, ConstraintCacheSize: 4})
@@ -108,15 +108,10 @@ func TestCacheMetricsReportOccupancyAndEvictions(t *testing.T) {
 	for i := 0; i < imports; i++ {
 		mustImport(t, s, "A", fmt.Sprintf("Price < %d", i), "", nil, t0)
 	}
-	for cache, want := range map[string][2]int64{
-		"resolution": {1, 0},
-		"constraint": {4, imports - 4},
-	} {
-		retained := reg.Gauge("cosm_trader_"+cache+"_cache_retained", "").Value()
-		evicted := reg.Counter("cosm_trader_"+cache+"_cache_evicted_total", "").Value()
-		if retained != want[0] || int64(evicted) != want[1] {
-			t.Errorf("%s cache: retained %d, evicted %d; want %d and %d", cache, retained, evicted, want[0], want[1])
-		}
+	retained := reg.Gauge("cosm_trader_constraint_cache_retained", "").Value()
+	evicted := reg.Counter("cosm_trader_constraint_cache_evicted_total", "").Value()
+	if retained != 4 || evicted != imports-4 {
+		t.Errorf("constraint cache: retained %d, evicted %d; want 4 and %d", retained, evicted, imports-4)
 	}
 
 	keys := make([]string, 64)

@@ -14,6 +14,18 @@ import (
 	"cosm/internal/typemgr"
 )
 
+// snapshot pins serviceType's snapshot the way an import's phase 1
+// does, false when the type has no stored offer.
+func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	b := s.types[serviceType]
+	if b == nil {
+		return nil, false
+	}
+	return s.pin(serviceType, b), true
+}
+
 // sameSnapshot fails unless derived — a snapshot some chain of writes
 // derived — holds what a fresh build of the bucket holds: the same
 // property counts, and the offer list, each posting list and each
@@ -159,7 +171,7 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 			}
 			s.Apply(m)
 			for _, typ := range types {
-				b := s.shardFor(typ).types[typ]
+				b := s.types[typ]
 				if b == nil {
 					continue
 				}
@@ -170,7 +182,7 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 					}
 					continue // stored by this step: nobody has read it yet
 				}
-				sameSnapshot(t, fmt.Sprintf("seed %d step %d %s type %s", seed, step, m.Op, typ), derived, buildSnapshot(s.shardFor(typ), typ))
+				sameSnapshot(t, fmt.Sprintf("seed %d step %d %s type %s", seed, step, m.Op, typ), derived, s.buildSnapshot(typ))
 				widest = max(widest, len(derived.offers.spine))
 			}
 		}
@@ -195,7 +207,7 @@ func TestSnapshotsBuildOnlyOnRead(t *testing.T) {
 		s.Apply(&Mutation{Op: OpExport, Offers: []*Offer{offer(fmt.Sprintf("o%d", i), "A", i, float64(i), 0)}})
 	}
 	s.Apply(&Mutation{Op: OpWithdraw, IDs: []string{"o3"}})
-	if b := s.shardFor("A").types["A"]; b.snap.Load() != nil || builds.Value() != 0 {
+	if b := s.types["A"]; b.snap.Load() != nil || builds.Value() != 0 {
 		t.Fatalf("unread type: snapshot %v, %d builds", b.snap.Load(), builds.Value())
 	}
 	if ms := mustImport(t, s, "A", "Price < 10", "min:Price", nil, t0); len(ms) != 9 || builds.Value() != 1 {
@@ -294,7 +306,7 @@ func TestDerivedWriteBytes(t *testing.T) {
 	if got := res.AllocsPerOp(); got > 29 { // 29 when each write copied the lists
 		t.Fatalf("one Export and Withdraw allocate %d times, want at most 29", got)
 	}
-	if b := s.shardFor("B").types["B"]; b.snap.Load() == nil || b.snap.Load().offers.Len() != 10000 {
+	if b := s.types["B"]; b.snap.Load() == nil || b.snap.Load().offers.Len() != 10000 {
 		t.Fatal("the bucket's snapshot was not derived")
 	}
 }

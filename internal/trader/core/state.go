@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cosm/internal/obs"
@@ -35,32 +34,25 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// State is the trader's market state: a sharded, snapshot-serving offer
-// store over a service type repository, plus the read path's bounded
-// caches. Safe for concurrent use.
+// State is the trader's market state: a snapshot-serving offer store
+// over a service type repository, plus the read path's bounded
+// constraint cache. Safe for concurrent use.
 //
-// Writes (export, withdraw, replace, suspect-marking, purge) take one
-// shard's write lock and swap offers copy-on-write: a stored *Offer is
-// immutable from the moment it enters the store, so readers may hold it
-// without locks or clones. Reads go through per-type immutable
-// snapshots (see typeSnapshot), built on a type's first read and from
-// then on derived by each write from the one before — imports therefore
-// never block exports of other types, never pay an index build for a
-// write, and take no state-wide lock.
+// One lock guards the store. Writes (export, withdraw, replace,
+// suspect-marking, purge) take it exclusively and swap offers
+// copy-on-write: a stored *Offer is immutable from the moment it enters
+// the store, so readers may hold it without locks or clones. Reads go
+// through per-type immutable snapshots (see typeSnapshot), built on a
+// type's first read and from then on derived by each write from the one
+// before; an import holds the read lock only while it pins the
+// snapshots of its type's closure, and matches after releasing it.
 type State struct {
 	repo   *typemgr.Repo
-	shards [storeShards]storeShard
 	linear bool
 
-	// typeSetGen is bumped whenever a type bucket appears or
-	// disappears. Together with the repo generation it pins the set of
-	// stored types matching a request type, validating the resolution
-	// cache's entries.
-	typeSetGen atomic.Uint64
-
-	// resolutions caches request type -> conforming stored type names
-	// (bounded: request types arrive from the network).
-	resolutions *lruCache[*resolution]
+	mu    sync.RWMutex
+	types map[string]*typeBucket // stored service type -> its bucket
+	byID  map[string]*Offer
 
 	// constraints caches compiled constraint expressions (nil: off).
 	constraints *lruCache[*Constraint]
@@ -78,10 +70,11 @@ type State struct {
 // New returns an empty state over the given type repository.
 func New(repo *typemgr.Repo, opts Options) *State {
 	reg := opts.Metrics
-	s := &State{
+	return &State{
 		repo:        repo,
 		linear:      opts.Linear,
-		resolutions: newLRU[*resolution](256, newCacheMetrics(reg, "resolution", "Request-type resolutions")),
+		types:       map[string]*typeBucket{},
+		byID:        map[string]*Offer{},
 		constraints: newLRU[*Constraint](opts.ConstraintCacheSize, newCacheMetrics(reg, "constraint", "Compiled constraints")),
 		rng:         rand.New(rand.NewSource(1)),
 
@@ -89,8 +82,6 @@ func New(repo *typemgr.Repo, opts Options) *State {
 		indexLookups:    reg.CounterVec("cosm_trader_index_lookups_total", "Type-bucket match passes by index kind (eq, range, scan, ordered, linear).", "kind"),
 		compileOutcomes: reg.CounterVec("cosm_trader_constraint_cache_total", "Compiled-constraint cache lookups by outcome.", "outcome"),
 	}
-	s.Clear() // allocates the shard maps
-	return s
 }
 
 // Mutation operations. The names double as the journal's op strings, so
@@ -158,8 +149,10 @@ func (s *State) Apply(m *Mutation) []*Offer {
 // Lookup returns the stored offer by ID (shared, immutable), expired
 // or not.
 func (s *State) Lookup(id string) (*Offer, bool) {
-	_, o := s.find(id)
-	return o, o != nil
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	o, ok := s.byID[id]
+	return o, ok
 }
 
 // eachLive calls fn for every stored offer unexpired at time now.

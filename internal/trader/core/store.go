@@ -4,29 +4,15 @@ import (
 	"maps"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"cosm/internal/match"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
-	"cosm/internal/typemgr"
 )
 
-// storeShards is the number of offer-store shards. Shard choice hashes
-// the service-type name, so one hot type contends only with types that
-// share its shard and exports of distinct types proceed in parallel.
-const storeShards = 16
-
-type storeShard struct {
-	mu    sync.RWMutex
-	types map[string]*typeBucket
-	byID  map[string]*Offer
-}
-
 // typeBucket counts one stored service type's offers (they are the
-// shard's byID entries of that type) and holds its matching snapshot.
+// store's byID entries of that type) and holds its matching snapshot.
 // snap is nil until the first read builds it, and from then on every
 // write derives the next one (see write).
 type typeBucket struct {
@@ -38,111 +24,60 @@ type typeBucket struct {
 // offer ID; old is nil for an insert, fresh for a removal. A bucket some
 // reader has snapshotted gets the next snapshot derived from the current
 // one; a bucket nobody has read yet (recovery, a fresh follower) builds
-// nothing. The caller holds the shard's write lock.
+// nothing. The caller holds the store's write lock.
 func (b *typeBucket) write(old, fresh *Offer) {
 	if snap := b.snap.Load(); snap != nil {
 		b.snap.Store(snap.derive(old, fresh))
 	}
 }
 
-// resolution pins the graded stored types matching one request type at
-// a (store generation, repo generation) pair.
-type resolution struct {
-	storeGen uint64
-	repoGen  uint64
-	types    []match.TypeMatch
-}
-
-// shardFor hashes a service-type name to its shard (FNV-1a).
-func (s *State) shardFor(serviceType string) *storeShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(serviceType); i++ {
-		h ^= uint32(serviceType[i])
-		h *= 16777619
-	}
-	return &s.shards[h%storeShards]
-}
-
 // Clear empties the store — a follower installing a leader snapshot
-// replaces its contents wholesale. Bumping the type-set generation
-// invalidates cached resolutions implicitly.
+// replaces its contents wholesale.
 func (s *State) Clear() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.types = map[string]*typeBucket{}
-		sh.byID = map[string]*Offer{}
-		sh.mu.Unlock()
-	}
-	s.typeSetGen.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.types = map[string]*typeBucket{}
+	s.byID = map[string]*Offer{}
 }
 
 // insert stores an immutable offer. Re-inserting a stored ID — a
 // replayed export — replaces the stored offer, never duplicates it (an
 // ID names one offer of one type for life).
 func (s *State) insert(o *Offer) {
-	sh := s.shardFor(o.Type)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.types[o.Type]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.types[o.Type]
 	if b == nil {
 		b = &typeBucket{}
-		sh.types[o.Type] = b
-		s.typeSetGen.Add(1)
+		s.types[o.Type] = b
 	}
-	old := sh.byID[o.ID]
+	old := s.byID[o.ID]
 	if old == nil {
 		b.n++
 	}
-	sh.byID[o.ID] = o
+	s.byID[o.ID] = o
 	b.write(old, o)
-}
-
-// find returns the stored offer for id (shared, immutable) and the
-// shard holding it, or nil, nil. An offer never changes shard — its
-// type is fixed for life — so a writer that found one re-checks only
-// its presence after taking the shard's write lock.
-func (s *State) find(id string) (*storeShard, *Offer) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		o, ok := sh.byID[id]
-		sh.mu.RUnlock()
-		if ok {
-			return sh, o
-		}
-	}
-	return nil, nil
 }
 
 // remove withdraws an offer by ID and returns it.
 func (s *State) remove(id string) (*Offer, bool) {
-	sh, _ := s.find(id)
-	if sh == nil {
-		return nil, false
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o, ok := s.byID[id]
+	if ok {
+		s.dropLocked(o)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	o, ok := sh.byID[id]
-	if !ok {
-		return nil, false
-	}
-	delete(sh.byID, id)
-	s.removeFromBucketLocked(sh, o)
-	return o, true
+	return o, ok
 }
 
-// removeFromBucketLocked detaches o from its type bucket; the caller
-// holds the shard's write lock and has already removed it from byID.
-func (s *State) removeFromBucketLocked(sh *storeShard, o *Offer) {
-	b := sh.types[o.Type]
-	if b == nil {
-		return
-	}
-	b.n--
-	if b.n == 0 {
-		delete(sh.types, o.Type)
-		s.typeSetGen.Add(1)
+// dropLocked deletes the stored offer o from byID and from its type
+// bucket, and the bucket once it is empty; the caller holds the write
+// lock.
+func (s *State) dropLocked(o *Offer) {
+	delete(s.byID, o.ID)
+	b := s.types[o.Type]
+	if b.n--; b.n == 0 {
+		delete(s.types, o.Type)
 		return
 	}
 	b.write(o, nil)
@@ -152,127 +87,59 @@ func (s *State) removeFromBucketLocked(sh *storeShard, o *Offer) {
 // on-write: stored offers are immutable, so set only ever sees the
 // fresh copy) and returns that copy.
 func (s *State) update(id string, set func(fresh *Offer)) (*Offer, bool) {
-	sh, _ := s.find(id)
-	if sh == nil {
-		return nil, false
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	o, ok := sh.byID[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o, ok := s.byID[id]
 	if !ok {
 		return nil, false
 	}
 	fresh := *o
 	set(&fresh)
-	sh.byID[id] = &fresh
-	if b := sh.types[o.Type]; b != nil {
-		b.write(o, &fresh)
-	}
+	s.byID[id] = &fresh
+	s.types[o.Type].write(o, &fresh)
 	return &fresh, true
 }
 
 // purgeExpired removes and returns the offers whose lease ran out at
 // time now.
 func (s *State) purgeExpired(now time.Time) []*Offer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var purged []*Offer
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, o := range sh.byID {
-			if !o.Expired(now) {
-				continue
-			}
-			delete(sh.byID, id)
-			s.removeFromBucketLocked(sh, o)
+	for _, o := range s.byID {
+		if o.Expired(now) {
+			s.dropLocked(o)
 			purged = append(purged, o)
 		}
-		sh.mu.Unlock()
 	}
 	return purged
 }
 
-// each calls fn for every stored offer, expired ones included, shard
-// by shard under the shard's read lock.
+// each calls fn for every stored offer, expired ones included, under
+// the store's read lock.
 func (s *State) each(fn func(*Offer)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, o := range sh.byID {
-			fn(o)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, o := range s.byID {
+		fn(o)
 	}
 }
 
-// resolve is phase 1 of the matcher (see localMatches): the graded
-// stored type buckets whose offers satisfy requests for reqType — the
-// type itself (exact) plus every stored type in its conformant closure
-// (subtype, scored by hierarchy distance). The closure comes from the
-// typemgr hierarchy index, so this never walks conformance per stored
-// type; the intersection with the stored bucket set is cached and
-// revalidated against the store and repo generations, so steady-state
-// imports do no hierarchy work at all.
-func (s *State) resolve(reqType string) []match.TypeMatch {
-	storeGen, repoGen := s.typeSetGen.Load(), s.repo.Gen()
-	if r, ok := s.resolutions.get(reqType); ok && r.storeGen == storeGen && r.repoGen == repoGen {
-		return r.types
-	}
-
-	stored := map[string]bool{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for name := range sh.types {
-			stored[name] = true
-		}
-		sh.mu.RUnlock()
-	}
-
-	var types []match.TypeMatch
-	for _, tm := range gradedClosure(s.repo, reqType) {
-		if stored[tm.Name] {
-			types = append(types, tm)
-		}
-	}
-	s.resolutions.add(reqType, &resolution{storeGen: storeGen, repoGen: repoGen, types: types})
-	return types
-}
-
-// snapshot returns the current matching snapshot for a stored type,
-// building it under the shard's read lock on the type's first read.
-func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
-	sh := s.shardFor(serviceType)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	b := sh.types[serviceType]
-	if b == nil {
-		return nil, false
-	}
+// pin returns the current matching snapshot of the stored type bucket
+// b, building it on the type's first read. The caller holds the read
+// lock: writers are excluded, so a built snapshot is consistent with
+// byID, and a writer that runs after the caller releases derives its
+// successor from it. Concurrent readers may build duplicates; they are
+// identical, and the duplicate work is bounded by one build per reader
+// already past the nil check.
+func (s *State) pin(serviceType string, b *typeBucket) *typeSnapshot {
 	if snap := b.snap.Load(); snap != nil {
-		return snap, true
+		return snap
 	}
-	// Build while holding the read lock: writers are excluded, so the
-	// built snapshot is consistent with sh.byID, and a writer that runs
-	// after we release derives its successor from it. Concurrent
-	// readers may build duplicates; they are identical, and the
-	// duplicate work is bounded by one build per reader already past the
-	// nil check.
-	snap := buildSnapshot(sh, serviceType)
+	snap := s.buildSnapshot(serviceType)
 	b.snap.Store(snap)
 	s.rebuilds.Inc()
-	return snap, true
-}
-
-// gradedClosure is the graded conformant closure of reqType. A type
-// the repository does not know (or whose hierarchy is corrupt) is
-// conformed to by nothing: only offers stored under the literal name
-// match it, exactly.
-func gradedClosure(repo *typemgr.Repo, reqType string) []match.TypeMatch {
-	cl, err := repo.ConformingTypes(reqType)
-	if err != nil {
-		return []match.TypeMatch{{Name: reqType, Grade: match.GradeExact, Score: match.ScoreExact}}
-	}
-	return match.GradeClosure(cl)
+	return snap
 }
 
 // ---------------------------------------------------------------------
@@ -326,11 +193,11 @@ type eqK struct {
 	b    bool
 }
 
-// buildSnapshot builds serviceType's snapshot from the shard's offers
-// of that type; the caller holds the shard's lock.
-func buildSnapshot(sh *storeShard, serviceType string) *typeSnapshot {
-	offers := make([]*Offer, 0, sh.types[serviceType].n)
-	for _, o := range sh.byID {
+// buildSnapshot builds serviceType's snapshot from the stored offers of
+// that type; the caller holds the store's lock.
+func (s *State) buildSnapshot(serviceType string) *typeSnapshot {
+	offers := make([]*Offer, 0, s.types[serviceType].n)
+	for _, o := range s.byID {
 		if o.Type == serviceType {
 			offers = append(offers, o)
 		}

@@ -355,11 +355,11 @@ func TestConstraintCacheBounded(t *testing.T) {
 	}
 }
 
-// --- concurrent export/import/withdraw on one shard -------------------
+// --- concurrent export/import/withdraw on one bucket ------------------
 
-// TestShardConcurrency hammers a single service type (one shard, one
-// bucket) with concurrent exporters, importers, withdrawers and
-// mutators. Run under -race it proves the snapshot/COW discipline; the
+// TestShardConcurrency hammers a single service type (one bucket of the
+// one-lock store; the name is from when the store had 16 shards) with
+// concurrent exporters, importers, withdrawers and mutators. Run under -race it proves the snapshot/COW discipline; the
 // final drain proves no offer is leaked or double-freed.
 func TestShardConcurrency(t *testing.T) {
 	ctx := context.Background()

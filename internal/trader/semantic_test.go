@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -328,8 +329,10 @@ func TestFederationRegradesOldPeerMatches(t *testing.T) {
 // structural-only conformance and diamonds included — and asserts every
 // graded import returns byte-identical results (IDs, grades, scores).
 // Replace, MarkSuspect, Withdraw and Export are interleaved between the
-// imports, so every import may find snapshots, indexes and the result
-// cache invalidated by the write just before it.
+// imports, and so are new subtypes (with offers) and the removal of
+// emptied types, so every import may find snapshots and indexes
+// derived by the write just before it, and its type's closure and the
+// stored type set changed since the import before.
 func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(11))
@@ -338,6 +341,7 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 		repo := typemgr.NewRepo()
 		nTypes := 5 + r.Intn(4)
 		attrsOf := map[string][]string{}
+		superOf := map[string]string{}
 		var names []string
 		for i := 0; i < nTypes; i++ {
 			name := fmt.Sprintf("T%d", i)
@@ -364,6 +368,7 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 				}
 			}
 			attrsOf[name] = attrs
+			superOf[name] = super
 			names = append(names, name)
 			if err := repo.Define(hierType(name, super, attrs...)); err != nil {
 				t.Fatalf("trial %d Define(%s): %v", trial, name, err)
@@ -386,8 +391,7 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 			}
 			return props
 		}
-		export := func() {
-			typ := names[r.Intn(len(names))]
+		exportOf := func(typ string) {
 			props := randProps(typ)
 			target := hierRef(len(ids) + 1)
 			var firstID string
@@ -405,6 +409,7 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 			ids = append(ids, firstID)
 			typeOf[firstID] = typ
 		}
+		export := func() { exportOf(names[r.Intn(len(names))]) }
 		// write applies one random mutation to both traders; an ID already
 		// withdrawn must be refused by both alike.
 		write := func() {
@@ -444,6 +449,52 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 				return leaf() + " && (" + leaf() + " || " + leaf() + ")"
 			}
 		}
+		// The stored type set churns between imports: a fresh subtype
+		// arrives with offers, so a bucket appears inside some closure,
+		// and a type that has no subtype is emptied and removed, so its
+		// bucket and its closure member both go.
+		defined := 0
+		defineSubtype := func() {
+			name := fmt.Sprintf("S%d", defined)
+			defined++
+			parent := names[r.Intn(len(names))]
+			attrs := append([]string(nil), attrsOf[parent]...)
+			if r.Intn(2) == 0 {
+				attrs = append(attrs, "x"+name)
+			}
+			if err := repo.Define(hierType(name, parent, attrs...)); err != nil {
+				t.Fatalf("trial %d Define(%s): %v", trial, name, err)
+			}
+			attrsOf[name], superOf[name] = attrs, parent
+			names = append(names, name)
+			for i := 1 + r.Intn(3); i > 0; i-- {
+				exportOf(name)
+			}
+		}
+		removeEmptied := func() {
+			var leaves []string
+			for _, n := range names {
+				if !slices.ContainsFunc(names, func(m string) bool { return superOf[m] == n }) {
+					leaves = append(leaves, n)
+				}
+			}
+			if len(names) <= 3 || len(leaves) == 0 {
+				return
+			}
+			typ := leaves[r.Intn(len(leaves))]
+			for _, id := range ids {
+				if typeOf[id] == typ {
+					for _, tr := range traders {
+						_ = tr.Withdraw(id)
+					}
+				}
+			}
+			if err := repo.Remove(typ); err != nil {
+				t.Fatalf("trial %d Remove(%s): %v", trial, typ, err)
+			}
+			names = slices.DeleteFunc(names, func(n string) bool { return n == typ })
+		}
+
 		floors := []match.Grade{match.GradeNone, match.GradePartial, match.GradeSubtype, match.GradeExact}
 		policies := []string{"", "score", "min:a0"}
 
@@ -451,6 +502,12 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 			for k := 0; k < 12; k++ {
 				if r.Intn(2) == 0 {
 					write()
+				}
+				switch r.Intn(8) {
+				case 0:
+					defineSubtype()
+				case 1:
+					removeEmptied()
 				}
 				reqType := names[r.Intn(len(names))]
 				if r.Intn(8) == 0 {
@@ -500,7 +557,7 @@ func TestConformantIndexedMatchesLinearProperty(t *testing.T) {
 				if err := repo.Define(hierType(name, parent, append([]string(nil), attrsOf[parent]...)...)); err != nil {
 					t.Fatal(err)
 				}
-				attrsOf[name] = attrsOf[parent]
+				attrsOf[name], superOf[name] = attrsOf[parent], parent
 				names = append(names, name)
 			}
 			check(round)

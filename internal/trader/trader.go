@@ -215,8 +215,8 @@ func newTraderMetrics(reg *obs.Registry) traderMetrics {
 type Option func(*Trader)
 
 // WithoutOfferIndex makes imports scan all offers linearly instead of
-// using the sharded type snapshots; only the offer-index ablation
-// benchmark and the index-equivalence property test should want this.
+// using the type snapshots; only the offer-index ablation benchmark and
+// the index-equivalence property test should want this.
 func WithoutOfferIndex() Option {
 	return func(t *Trader) { t.coreOpts.Linear = true }
 }

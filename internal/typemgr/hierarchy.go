@@ -7,8 +7,7 @@
 // declared Super chains and re-running structural conformance for every
 // import would put an O(types) scan with signature comparisons on the
 // hot path, so the closure is computed once per (base, repo generation)
-// and invalidated the same way the trader's resolution cache is: by
-// comparing Gen() snapshots, never by callbacks.
+// and invalidated by comparing generations, never by callbacks.
 package typemgr
 
 import (
@@ -54,8 +53,10 @@ type hierarchyCache struct {
 // itself first (Depth 0), then declared subtypes ordered by ascending
 // Depth, then structural-only conformers; ties sort by name so the
 // result is deterministic. The slice is shared and must not be
-// mutated. Unknown base types return ErrTypeUnknown; a corrupted
-// declared hierarchy returns ErrTypeCycle.
+// mutated. An unknown base returns the bare ErrTypeUnknown and is not
+// cached: importers send whatever type names they like, and a cache
+// entry per name would grow without bound. A corrupted declared
+// hierarchy returns ErrTypeCycle.
 func (r *Repo) ConformingTypes(base string) ([]ConformantType, error) {
 	gen := r.gen.Load()
 	r.hier.mu.Lock()
@@ -65,21 +66,13 @@ func (r *Repo) ConformingTypes(base string) ([]ConformantType, error) {
 	}
 	if cl, ok := r.hier.closures[base]; ok {
 		r.hier.mu.Unlock()
-		if cl == nil {
-			return nil, fmt.Errorf("%w: %q", ErrTypeUnknown, base)
-		}
 		return cl, nil
 	}
 	r.hier.mu.Unlock()
 
 	cl, err := r.buildClosure(base)
 	if err != nil {
-		// Cycles are a repository-corruption error, not a property of
-		// the base type; do not negatively cache them.
-		if errors.Is(err, ErrTypeCycle) {
-			return nil, err
-		}
-		cl = nil
+		return nil, err
 	}
 	r.hier.mu.Lock()
 	// Only publish if the repository has not moved on underneath us.
@@ -87,7 +80,7 @@ func (r *Repo) ConformingTypes(base string) ([]ConformantType, error) {
 		r.hier.closures[base] = cl
 	}
 	r.hier.mu.Unlock()
-	return cl, err
+	return cl, nil
 }
 
 // Covers reports whether an offer of type sub satisfies an import for
@@ -118,7 +111,7 @@ func (r *Repo) buildClosure(base string) ([]ConformantType, error) {
 	defer r.mu.RUnlock()
 	baseT, ok := r.types[base]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrTypeUnknown, base)
+		return nil, ErrTypeUnknown
 	}
 	cl := []ConformantType{{Name: base, Depth: 0}}
 	for name, st := range r.types {

@@ -2,6 +2,7 @@ package typemgr
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cosm/internal/sidl"
@@ -149,9 +150,9 @@ func TestConformingTypesUnknownBase(t *testing.T) {
 	if _, err := r.ConformingTypes("Nope"); !errors.Is(err, ErrTypeUnknown) {
 		t.Fatalf("ConformingTypes(unknown) = %v, want ErrTypeUnknown", err)
 	}
-	// Negative result is cached; a second call must answer the same.
+	// An unknown base is not cached; a second call must answer the same.
 	if _, err := r.ConformingTypes("Nope"); !errors.Is(err, ErrTypeUnknown) {
-		t.Fatalf("cached ConformingTypes(unknown) = %v, want ErrTypeUnknown", err)
+		t.Fatalf("second ConformingTypes(unknown) = %v, want ErrTypeUnknown", err)
 	}
 	if r.Covers("Nope", "A") {
 		t.Fatal("Covers(unknown base) should be false")
@@ -159,6 +160,28 @@ func TestConformingTypesUnknownBase(t *testing.T) {
 	// Unknown sub against a known base: not covered, no panic.
 	if r.Covers("A", "Nope") {
 		t.Fatal("Covers(A, unknown sub) should be false")
+	}
+}
+
+// TestUnknownBasesAreNotCached: importers choose the type names they
+// send, so the closure cache keeps known bases only. With a nil entry
+// cached per unknown name, 10 000 names left 10 000 entries until the
+// next Define or Remove.
+func TestUnknownBasesAreNotCached(t *testing.T) {
+	r := diamondRepo(t)
+	for i := 0; i < 10000; i++ {
+		if _, err := r.ConformingTypes(fmt.Sprintf("Unknown%d", i)); err != ErrTypeUnknown {
+			t.Fatalf("ConformingTypes(Unknown%d) = %v, want the bare ErrTypeUnknown", i, err)
+		}
+	}
+	if n := len(r.hier.closures); n != 0 {
+		t.Fatalf("the closure cache holds %d entries after unknown bases, want 0", n)
+	}
+	if _, err := r.ConformingTypes("A"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.hier.closures); n != 1 {
+		t.Fatalf("the closure cache holds %d entries after one known base, want 1", n)
 	}
 }
 

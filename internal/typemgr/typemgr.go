@@ -252,12 +252,6 @@ func (r *Repo) Sources() map[string]string {
 	return out
 }
 
-// Gen returns a generation counter bumped by every successful Define and
-// Remove. Callers that cache conformance decisions (the trader's
-// matching engine) revalidate against it instead of re-walking the
-// hierarchy on every lookup.
-func (r *Repo) Gen() uint64 { return r.gen.Load() }
-
 // Lookup returns the registered type by name.
 func (r *Repo) Lookup(name string) (*ServiceType, error) {
 	r.mu.RLock()
