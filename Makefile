@@ -94,8 +94,10 @@ test:
 # shares pooled frame buffers and reply channels that a call cancelled
 # at the wrong instant must not hand back early, and cosm encodes every
 # call's request and reply body into one of those buffers, which must
-# go back exactly once and only after its write: those tests run twenty
-# times over, so a rare interleaving gets its chance. (The cell's
+# go back exactly once and only after its write; obs's one ring, one LRU
+# and one label family are shared by concurrent recorders, caches and
+# FSM sessions: those tests run twenty times over, so a rare
+# interleaving gets its chance. (The cell's
 # interleavings are the cell simulation's: TestCellSim sweeps seeds
 # inside the first line.)
 race:
@@ -103,6 +105,7 @@ race:
 	$(GO) test -race -count=20 $(CORE)
 	$(GO) test -race -count=20 ./internal/wire
 	$(GO) test -race -count=20 ./internal/cosm
+	$(GO) test -race -count=20 ./internal/obs
 	$(GO) test -race -count=20 -run '^(TestIndexedMatchesLinearProperty|TestConcurrentWritesApplyInJournalOrder|TestSnapshotInstallRacesCompaction)$$' ./internal/trader
 	$(GO) test -race -count=20 -run '^TestConcurrentRegistrationsSurviveCompaction$$' ./internal/browser
 	$(GO) test -race -count=20 -run '^(TestCommitOrdersWithCuts|TestReadFromTailsCompactingLog)$$' ./internal/journal

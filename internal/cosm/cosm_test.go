@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"cosm/internal/fsm"
+	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/wire"
@@ -499,29 +502,66 @@ func TestConcurrentInvocations(t *testing.T) {
 }
 
 func TestSessionTableEviction(t *testing.T) {
-	spec := sidl.CarRentalSID().FSM
-	table := newSessionTable(spec, 2)
+	svc := &Service{sid: sidl.CarRentalSID(), sessions: obs.NewLRU[*fsm.Session](2, obs.Occupancy{})}
 	// Three distinct sessions with capacity two: the first is evicted.
-	if err := table.step("r1", "s1", "SelectCar"); err != nil {
+	if err := svc.step("r1", "s1", "SelectCar"); err != nil {
 		t.Fatal(err)
 	}
-	if err := table.step("r1", "s2", "SelectCar"); err != nil {
+	if err := svc.step("r1", "s2", "SelectCar"); err != nil {
 		t.Fatal(err)
 	}
-	if err := table.step("r1", "s3", "SelectCar"); err != nil {
+	if err := svc.step("r1", "s3", "SelectCar"); err != nil {
 		t.Fatal(err)
 	}
-	if len(table.table) != 2 {
-		t.Fatalf("table size = %d, want 2", len(table.table))
+	if n := svc.sessions.Len(); n != 2 {
+		t.Fatalf("table size = %d, want 2", n)
 	}
 	// s1 was evicted; a new step for it starts a fresh session in INIT,
 	// so Commit is illegal again.
-	if err := table.step("r1", "s1", "Commit"); err == nil {
+	if err := svc.step("r1", "s1", "Commit"); err == nil {
 		t.Fatal("evicted session must restart at INIT")
 	}
 	// s3 is still live and in SELECTED.
-	if err := table.step("r1", "s3", "Commit"); err != nil {
+	if err := svc.step("r1", "s3", "Commit"); err != nil {
 		t.Fatalf("live session lost state: %v", err)
+	}
+}
+
+// TestConcurrentFirstCallsShareOneSession: callers racing on the first
+// call of one (remote, session) pair step one fsm.Session. Open is legal
+// only in INIT, so exactly one of them takes the transition and every
+// other finds the session already OPEN.
+func TestConcurrentFirstCallsShareOneSession(t *testing.T) {
+	spec := &fsm.Spec{States: []string{"INIT", "OPEN"}, Initial: "INIT", Transitions: []fsm.Transition{{From: "INIT", Op: "Open", To: "OPEN"}}}
+	svc := &Service{sid: &sidl.SID{FSM: spec}, sessions: obs.NewLRU[*fsm.Session](maxSessions, obs.Occupancy{})}
+	const callers = 32
+	var wg sync.WaitGroup
+	var opened atomic.Int32
+	start := make(chan struct{})
+	errs := make(chan error, callers)
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := svc.step("r1", "s1", "Open"); err == nil {
+				opened.Add(1)
+			} else if !errors.Is(err, fsm.ErrIllegalOp) {
+				errs <- err
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("step: %v", err)
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("%d of %d first calls took INIT -> OPEN, want exactly 1", n, callers)
+	}
+	if n := svc.sessions.Len(); n != 1 {
+		t.Fatalf("table holds %d sessions for one pair, want 1", n)
 	}
 }
 

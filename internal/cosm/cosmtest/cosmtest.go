@@ -35,7 +35,6 @@ type Exchange struct {
 type Tap struct {
 	mu    sync.Mutex
 	calls []Exchange
-	mask  string
 }
 
 // NewTap stands a proxy in front of the service behind upstream and
@@ -86,28 +85,12 @@ func (tp *Tap) record(req *wire.Request, resp *wire.Response) {
 	tp.mu.Unlock()
 }
 
-// Mask names a run-specific token (a random activity identifier): Take
-// replaces every occurrence of it in a body by a same-length run of 'x',
-// so the rest of the body can still be pinned.
-func (tp *Tap) Mask(token string) {
-	tp.mu.Lock()
-	tp.mask = token
-	tp.mu.Unlock()
-}
-
 // Take returns the exchanges recorded since the last Take.
 func (tp *Tap) Take() []Exchange {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	out := tp.calls
 	tp.calls = nil
-	if tp.mask != "" {
-		from, to := hex.EncodeToString([]byte(tp.mask)), strings.Repeat("78", len(tp.mask))
-		for i := range out {
-			out[i].Args = strings.ReplaceAll(out[i].Args, from, to)
-			out[i].Result = strings.ReplaceAll(out[i].Result, from, to)
-		}
-	}
 	return out
 }
 

@@ -19,9 +19,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"cosm/internal/fsm"
+	"cosm/internal/obs"
 	"cosm/internal/sidl"
 	"cosm/internal/wire"
 	"cosm/internal/xcode"
@@ -199,7 +199,7 @@ type Service struct {
 	sid      *sidl.SID
 	enforce  bool
 	handlers map[string]OpHandler
-	sessions *sessionTable
+	sessions *obs.LRU[*fsm.Session] // by remote and session; nil if the FSM is unrestricted
 }
 
 // ServiceOption configures a Service.
@@ -221,11 +221,11 @@ func NewService(sid *sidl.SID, opts ...ServiceOption) (*Service, error) {
 	if err := sid.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Service{
-		sid:      sid,
-		enforce:  true,
-		handlers: map[string]OpHandler{},
-		sessions: newSessionTable(sid.FSM, defaultMaxSessions),
+	s := &Service{sid: sid, enforce: true, handlers: map[string]OpHandler{}}
+	if sid.FSM.Restricted() {
+		// The LRU sizes its index for the bound up front (≈218 KB on
+		// amd64), so only a service with a protocol to enforce keeps one.
+		s.sessions = obs.NewLRU[*fsm.Session](maxSessions, obs.Occupancy{})
 	}
 	for _, o := range opts {
 		o(s)
@@ -286,7 +286,7 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 	// section 4.2 (the generic client performs the same check locally to
 	// reject violations before any network traffic).
 	if s.enforce && s.sid.FSM.Restricted() {
-		if err := s.sessions.step(remote, session, req.Op); err != nil {
+		if err := s.step(remote, session, req.Op); err != nil {
 			return &wire.Response{Status: wire.StatusProtocol, ErrMsg: err.Error()}
 		}
 	}
@@ -510,64 +510,16 @@ func decodeCallResult(op sidl.Op, body string, decode func(t *sidl.Type, chunk s
 	return nil
 }
 
-// sessionTable tracks FSM sessions per (remote, session) pair with a
-// bounded size: the least recently used session is evicted when the
-// table is full, so a misbehaving client cannot exhaust server memory.
-type sessionTable struct {
-	spec *fsm.Spec
-	max  int
+// maxSessions bounds a service's FSM sessions, kept per (remote,
+// session) pair: the least recently used is evicted when the table is
+// full, so a misbehaving client cannot exhaust server memory.
+const maxSessions = 4096
 
-	mu    sync.Mutex
-	table map[string]*sessionEntry
-	// ring is a doubly linked LRU list; head.next is most recent.
-	head sessionEntry
-}
-
-type sessionEntry struct {
-	key        string
-	session    *fsm.Session
-	prev, next *sessionEntry
-}
-
-const defaultMaxSessions = 4096
-
-func newSessionTable(spec *fsm.Spec, max int) *sessionTable {
-	t := &sessionTable{spec: spec, max: max, table: map[string]*sessionEntry{}}
-	t.head.prev = &t.head
-	t.head.next = &t.head
-	return t
-}
-
-func (t *sessionTable) step(remote, session, op string) error {
-	key := remote + "\x00" + session
-	t.mu.Lock()
-	e, ok := t.table[key]
-	if !ok {
-		e = &sessionEntry{key: key, session: fsm.NewSession(t.spec)}
-		t.table[key] = e
-		t.insertFront(e)
-		if len(t.table) > t.max {
-			oldest := t.head.prev
-			t.unlink(oldest)
-			delete(t.table, oldest.key)
-		}
-	} else {
-		t.unlink(e)
-		t.insertFront(e)
-	}
-	t.mu.Unlock()
+// step takes op's transition in the session of (remote, session),
+// starting that session at the initial state on its first call.
+// Concurrent first calls share one session.
+func (s *Service) step(remote, session, op string) error {
+	fs := s.sessions.GetOrAdd(remote+"\x00"+session, func() *fsm.Session { return fsm.NewSession(s.sid.FSM) })
 	// Step outside the table lock: the session has its own mutex.
-	return e.session.Step(op)
-}
-
-func (t *sessionTable) insertFront(e *sessionEntry) {
-	e.prev = &t.head
-	e.next = t.head.next
-	t.head.next.prev = e
-	t.head.next = e
-}
-
-func (t *sessionTable) unlink(e *sessionEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
+	return fs.Step(op)
 }

@@ -12,7 +12,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -31,17 +30,7 @@ type Event struct {
 type EventLog struct {
 	node  string
 	clock func() time.Time
-
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-	seq  uint64
-
-	// retained and overwritten report the ring's occupancy and drops;
-	// nil until Instrument binds them.
-	retained    *Gauge
-	overwritten *Counter
+	ring  ring[Event]
 }
 
 // NewEventLog returns a log retaining the last capacity events,
@@ -51,7 +40,7 @@ func NewEventLog(node string, capacity int) *EventLog {
 	if capacity <= 0 {
 		return nil
 	}
-	return &EventLog{node: node, clock: time.Now, buf: make([]Event, capacity)}
+	return &EventLog{node: node, clock: time.Now, ring: ring[Event]{buf: make([]Event, capacity)}}
 }
 
 // Instrument reports the log's occupancy and its overwritten events
@@ -60,8 +49,7 @@ func (l *EventLog) Instrument(reg *Registry) {
 	if l == nil {
 		return
 	}
-	l.retained = reg.Gauge("cosm_obs_events_retained", "Events the cluster timeline currently holds.")
-	l.overwritten = reg.Counter("cosm_obs_events_overwritten_total", "Events evicted from the full cluster timeline by newer ones.")
+	l.ring.occ = reg.Occupancy("cosm_obs_events", "overwritten", "Events", "cluster timeline")
 }
 
 // WithClock substitutes the time source (tests). Returns the log.
@@ -89,20 +77,9 @@ func (l *EventLog) Record(kind string, kv ...string) {
 			attr[kv[i]] = v
 		}
 	}
-	l.mu.Lock()
-	evicting := l.full
-	l.seq++
-	l.buf[l.next] = Event{Seq: l.seq, Time: l.clock(), Node: l.node, Kind: kind, Attr: attr}
-	l.next++
-	if l.next == len(l.buf) {
-		l.next, l.full = 0, true
-	}
-	l.mu.Unlock()
-	if evicting {
-		l.overwritten.Inc()
-	} else {
-		l.retained.Add(1)
-	}
+	l.ring.add(func(e *Event, seq uint64) {
+		*e = Event{Seq: seq, Time: l.clock(), Node: l.node, Kind: kind, Attr: attr}
+	})
 }
 
 // Events copies the retained events, oldest first.
@@ -110,20 +87,7 @@ func (l *EventLog) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.next
-	if l.full {
-		n = len(l.buf)
-	}
-	out := make([]Event, n)
-	if l.full {
-		copy(out, l.buf[l.next:])
-		copy(out[len(l.buf)-l.next:], l.buf[:l.next])
-	} else {
-		copy(out, l.buf[:n])
-	}
-	return out
+	return l.ring.snapshot()
 }
 
 // Len reports how many events are retained.
@@ -131,12 +95,7 @@ func (l *EventLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.full {
-		return len(l.buf)
-	}
-	return l.next
+	return l.ring.len()
 }
 
 // MergeEvents folds several nodes' event slices into one timeline

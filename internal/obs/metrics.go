@@ -1,9 +1,10 @@
 // Package obs is the zero-dependency observability layer of the COSM
 // reproduction: counters, gauges and bounded histograms with quantile
 // estimation (metrics.go), a per-request trace context propagated on
-// the wire (trace.go), a structured key=value logger (log.go), and the
+// the wire (trace.go), a structured key=value logger (log.go), the
 // daemon introspection endpoints /metrics, /debug/vars and /healthz
-// (http.go).
+// (http.go), and the bounded buffers that report what they hold and
+// drop: the flight recorder's ring (ring.go) and the LRU (lru.go).
 //
 // Everything is stdlib-only and nil-safe: a nil *Registry hands out nil
 // instruments whose methods are no-ops, so instrumented code paths need
@@ -353,13 +354,57 @@ func (h *Histogram) promWriteLabeled(w io.Writer, extraLabels string) {
 	fmt.Fprintf(w, "%s_count%s %d\n", h.name, suffix, s.Count)
 }
 
+// labelFamily is the children of a labelled family: one per label value,
+// at most maxLabelCard of them, in registration order. Past the cap,
+// new values share the "_other" child.
+type labelFamily[C any] struct {
+	label    string
+	newChild func() C
+
+	mu     sync.Mutex
+	byName map[string]C
+	order  []string
+}
+
+func newLabelFamily[C any](label string, newChild func() C) labelFamily[C] {
+	return labelFamily[C]{label: label, newChild: newChild, byName: map[string]C{}}
+}
+
+// with returns the child for the label value, creating it on first use.
+func (f *labelFamily[C]) with(value string) C {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.byName[value]; ok {
+		return c
+	}
+	if len(f.byName) >= maxLabelCard {
+		value = otherLabel
+		if c, ok := f.byName[value]; ok {
+			return c
+		}
+	}
+	c := f.newChild()
+	f.byName[value] = c
+	f.order = append(f.order, value)
+	return c
+}
+
+// snapshot returns (label value, child) pairs in registration order.
+func (f *labelFamily[C]) snapshot() ([]string, []C) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	labels := append([]string(nil), f.order...)
+	cs := make([]C, len(labels))
+	for i, l := range labels {
+		cs[i] = f.byName[l]
+	}
+	return labels, cs
+}
+
 // CounterVec is a family of counters partitioned by one label.
 type CounterVec struct {
-	name, help, label string
-
-	mu       sync.Mutex
-	children map[string]*Counter
-	order    []string
+	name, help string
+	labelFamily[*Counter]
 }
 
 // CounterVec returns the named counter family partitioned by label.
@@ -367,7 +412,7 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return r.register(name, &CounterVec{name: name, help: help, label: label, children: map[string]*Counter{}}).(*CounterVec)
+	return r.register(name, &CounterVec{name: name, help: help, labelFamily: newLabelFamily(label, func() *Counter { return &Counter{name: name} })}).(*CounterVec)
 }
 
 // With returns the child counter for the label value, creating it on
@@ -377,21 +422,7 @@ func (v *CounterVec) With(value string) *Counter {
 	if v == nil {
 		return nil
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.children[value]; ok {
-		return c
-	}
-	if len(v.children) >= maxLabelCard {
-		value = otherLabel
-		if c, ok := v.children[value]; ok {
-			return c
-		}
-	}
-	c := &Counter{name: v.name}
-	v.children[value] = c
-	v.order = append(v.order, value)
-	return c
+	return v.with(value)
 }
 
 // Total sums all children.
@@ -399,26 +430,12 @@ func (v *CounterVec) Total() uint64 {
 	if v == nil {
 		return 0
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
+	_, cs := v.snapshot()
 	var n uint64
-	for _, c := range v.children {
+	for _, c := range cs {
 		n += c.Value()
 	}
 	return n
-}
-
-// snapshotChildren returns (label value, child) pairs in registration
-// order.
-func (v *CounterVec) snapshotChildren() ([]string, []*Counter) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	labels := append([]string(nil), v.order...)
-	children := make([]*Counter, len(labels))
-	for i, l := range labels {
-		children[i] = v.children[l]
-	}
-	return labels, children
 }
 
 // Snapshot returns the current value of every child by label (empty on
@@ -427,10 +444,10 @@ func (v *CounterVec) Snapshot() map[string]uint64 {
 	if v == nil {
 		return map[string]uint64{}
 	}
-	labels, children := v.snapshotChildren()
+	labels, cs := v.snapshot()
 	m := make(map[string]uint64, len(labels))
 	for i, l := range labels {
-		m[l] = children[i].Value()
+		m[l] = cs[i].Value()
 	}
 	return m
 }
@@ -438,29 +455,25 @@ func (v *CounterVec) Snapshot() map[string]uint64 {
 func (v *CounterVec) metricName() string { return v.name }
 func (v *CounterVec) typeName() string   { return "countervec" }
 func (v *CounterVec) jsonValue() any {
-	labels, children := v.snapshotChildren()
+	labels, cs := v.snapshot()
 	m := make(map[string]any, len(labels))
 	for i, l := range labels {
-		m[l] = children[i].Value()
+		m[l] = cs[i].Value()
 	}
 	return m
 }
 func (v *CounterVec) promWrite(w io.Writer) {
 	promHeader(w, v.name, v.help, "counter")
-	labels, children := v.snapshotChildren()
+	labels, cs := v.snapshot()
 	for i, l := range labels {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, l, children[i].Value())
+		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, l, cs[i].Value())
 	}
 }
 
 // HistogramVec is a family of histograms partitioned by one label.
 type HistogramVec struct {
-	name, help, label string
-	bounds            []float64
-
-	mu       sync.Mutex
-	children map[string]*Histogram
-	order    []string
+	name, help string
+	labelFamily[*Histogram]
 }
 
 // HistogramVec returns the named histogram family partitioned by label
@@ -472,7 +485,10 @@ func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *His
 	if bounds == nil {
 		bounds = DefBuckets
 	}
-	return r.register(name, &HistogramVec{name: name, help: help, label: label, bounds: bounds, children: map[string]*Histogram{}}).(*HistogramVec)
+	newChild := func() *Histogram {
+		return &Histogram{name: name, bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	}
+	return r.register(name, &HistogramVec{name: name, help: help, labelFamily: newLabelFamily(label, newChild)}).(*HistogramVec)
 }
 
 // With returns the child histogram for the label value, creating it on
@@ -482,32 +498,7 @@ func (v *HistogramVec) With(value string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok := v.children[value]; ok {
-		return h
-	}
-	if len(v.children) >= maxLabelCard {
-		value = otherLabel
-		if h, ok := v.children[value]; ok {
-			return h
-		}
-	}
-	h := &Histogram{name: v.name, bounds: v.bounds, counts: make([]atomic.Uint64, len(v.bounds)+1)}
-	v.children[value] = h
-	v.order = append(v.order, value)
-	return h
-}
-
-func (v *HistogramVec) snapshotChildren() ([]string, []*Histogram) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	labels := append([]string(nil), v.order...)
-	children := make([]*Histogram, len(labels))
-	for i, l := range labels {
-		children[i] = v.children[l]
-	}
-	return labels, children
+	return v.with(value)
 }
 
 // Snapshot returns each child's HistSnapshot by label (empty on nil).
@@ -515,10 +506,10 @@ func (v *HistogramVec) Snapshot() map[string]HistSnapshot {
 	if v == nil {
 		return map[string]HistSnapshot{}
 	}
-	labels, children := v.snapshotChildren()
+	labels, cs := v.snapshot()
 	m := make(map[string]HistSnapshot, len(labels))
 	for i, l := range labels {
-		m[l] = children[i].Snapshot()
+		m[l] = cs[i].Snapshot()
 	}
 	return m
 }
@@ -526,18 +517,18 @@ func (v *HistogramVec) Snapshot() map[string]HistSnapshot {
 func (v *HistogramVec) metricName() string { return v.name }
 func (v *HistogramVec) typeName() string   { return "histogramvec" }
 func (v *HistogramVec) jsonValue() any {
-	labels, children := v.snapshotChildren()
+	labels, cs := v.snapshot()
 	m := make(map[string]any, len(labels))
 	for i, l := range labels {
-		m[l] = children[i].jsonValue()
+		m[l] = cs[i].jsonValue()
 	}
 	return m
 }
 func (v *HistogramVec) promWrite(w io.Writer) {
 	promHeader(w, v.name, v.help, "histogram")
-	labels, children := v.snapshotChildren()
+	labels, cs := v.snapshot()
 	for i, l := range labels {
-		children[i].promWriteLabeled(w, fmt.Sprintf("%s=%q", v.label, l))
+		cs[i].promWriteLabeled(w, fmt.Sprintf("%s=%q", v.label, l))
 	}
 }
 

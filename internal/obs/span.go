@@ -2,7 +2,7 @@ package obs
 
 // Flight recorder, span half: every RPC hop — the client side of a call
 // and the server side of a handler — records one timed Span into a
-// bounded, lock-sharded ring buffer. Spans carry the trace/span/parent
+// bounded ring buffer. Spans carry the trace/span/parent
 // identity the wire layer already propagates (trace.go), so the recent
 // history of a node can be reassembled into per-trace trees after the
 // fact: "what happened, in what order, and where did the time go" for a
@@ -12,7 +12,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -44,43 +43,21 @@ type Span struct {
 // End returns the span's completion instant.
 func (s Span) End() time.Time { return s.Start.Add(s.Duration) }
 
-// spanShards fixes the recorder's lock sharding. Spans shard by trace
-// ID, so one trace's spans land in one shard and a per-trace lookup
-// scans a single ring.
-const spanShards = 8
-
-type spanShard struct {
-	mu   sync.Mutex
-	buf  []Span
-	next int
-	full bool
-}
-
 // SpanRecorder is a bounded in-memory flight recorder of recent spans.
 // A nil *SpanRecorder is a valid "recording off" recorder: Record
 // no-ops and lookups return nothing, so instrumented paths need no
 // branches. All methods are safe for concurrent use.
 type SpanRecorder struct {
-	shards [spanShards]spanShard
-	// retained and overwritten report the rings' occupancy and drops;
-	// nil until Instrument binds them.
-	retained    *Gauge
-	overwritten *Counter
+	ring ring[Span]
 }
 
-// NewSpanRecorder returns a recorder retaining about capacity spans
-// (split across the lock shards; capacity < spanShards is rounded up to
-// one span per shard). A capacity <= 0 returns nil — recording off.
+// NewSpanRecorder returns a recorder retaining the last capacity spans.
+// A capacity <= 0 returns nil — recording off.
 func NewSpanRecorder(capacity int) *SpanRecorder {
 	if capacity <= 0 {
 		return nil
 	}
-	per := (capacity + spanShards - 1) / spanShards
-	r := &SpanRecorder{}
-	for i := range r.shards {
-		r.shards[i].buf = make([]Span, per)
-	}
-	return r
+	return &SpanRecorder{ring: ring[Span]{buf: make([]Span, capacity)}}
 }
 
 // Instrument reports the recorder's occupancy and its overwritten spans
@@ -89,34 +66,20 @@ func (r *SpanRecorder) Instrument(reg *Registry) {
 	if r == nil {
 		return
 	}
-	r.retained = reg.Gauge("cosm_obs_spans_retained", "Spans the flight recorder currently holds.")
-	r.overwritten = reg.Counter("cosm_obs_spans_overwritten_total", "Spans evicted from the full flight recorder by newer ones.")
+	r.ring.occ = reg.Occupancy("cosm_obs_spans", "overwritten", "Spans", "flight recorder")
 }
 
 // Enabled reports whether spans are being retained.
 func (r *SpanRecorder) Enabled() bool { return r != nil }
 
-// Record retains one completed span, evicting the oldest in its shard
-// when the ring is full. Spans without a trace ID are dropped — they
-// could never be assembled into a tree.
+// Record retains one completed span, evicting the oldest when the ring
+// is full. Spans without a trace ID are dropped — they could never be
+// assembled into a tree.
 func (r *SpanRecorder) Record(s Span) {
 	if r == nil || s.Trace == "" {
 		return
 	}
-	sh := &r.shards[fnv32(s.Trace)%spanShards]
-	sh.mu.Lock()
-	evicting := sh.full
-	sh.buf[sh.next] = s
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next, sh.full = 0, true
-	}
-	sh.mu.Unlock()
-	if evicting {
-		r.overwritten.Inc()
-	} else {
-		r.retained.Add(1)
-	}
+	r.ring.add(func(slot *Span, _ uint64) { *slot = s })
 }
 
 // Snapshot copies every retained span, ordered by start time.
@@ -124,45 +87,23 @@ func (r *SpanRecorder) Snapshot() []Span {
 	if r == nil {
 		return nil
 	}
-	var out []Span
-	for i := range r.shards {
-		out = append(out, r.shards[i].snapshot()...)
-	}
+	out := r.ring.snapshot()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
 }
 
 // Trace returns the retained spans of one trace, ordered by start time.
-// Sharding by trace ID means only one shard is scanned.
 func (r *SpanRecorder) Trace(id string) []Span {
 	if r == nil || id == "" {
 		return nil
 	}
 	var out []Span
-	for _, s := range r.shards[fnv32(id)%spanShards].snapshot() {
+	for _, s := range r.ring.snapshot() {
 		if s.Trace == id {
 			out = append(out, s)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
-}
-
-func (sh *spanShard) snapshot() []Span {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	n := sh.next
-	if sh.full {
-		n = len(sh.buf)
-	}
-	out := make([]Span, n)
-	if sh.full {
-		// Oldest-first: the ring wraps at next.
-		copy(out, sh.buf[sh.next:])
-		copy(out[len(sh.buf)-sh.next:], sh.buf[:sh.next])
-	} else {
-		copy(out, sh.buf[:n])
-	}
 	return out
 }
 
@@ -267,14 +208,4 @@ func SlowestN(summaries []TraceSummary, n int) []TraceSummary {
 		out = out[:n]
 	}
 	return out
-}
-
-// fnv32 is the FNV-1a hash of s, inlined to keep Record allocation-free.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

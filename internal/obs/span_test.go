@@ -45,8 +45,8 @@ func TestSpanRecorderBounded(t *testing.T) {
 	reg := NewRegistry()
 	r.Instrument(reg)
 	base := time.Unix(1000, 0)
-	// One trace stays in one shard; overfill it and check the ring keeps
-	// only the newest per-shard window, oldest-first.
+	// Overfill the ring and check it keeps only the newest window,
+	// oldest-first.
 	for i := 0; i < 40; i++ {
 		r.Record(spanAt("tr", fmt.Sprintf("s%02d", i), "", "op", SpanServer, base.Add(time.Duration(i)*time.Millisecond), time.Millisecond))
 	}

@@ -52,7 +52,7 @@ func (s *State) compile(src string) (*Constraint, error) {
 	if s.constraints == nil {
 		return Compile(src)
 	}
-	if c, ok := s.constraints.get(src); ok {
+	if c, ok := s.constraints.Get(src); ok {
 		s.compileOutcomes.With("hit").Inc()
 		return c, nil
 	}
@@ -61,7 +61,7 @@ func (s *State) compile(src string) (*Constraint, error) {
 		return nil, err
 	}
 	s.compileOutcomes.With("miss").Inc()
-	s.constraints.add(src, c)
+	s.constraints.Add(src, c)
 	return c, nil
 }
 

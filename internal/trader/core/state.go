@@ -55,7 +55,7 @@ type State struct {
 	byID  map[string]*Offer
 
 	// constraints caches compiled constraint expressions (nil: off).
-	constraints *lruCache[*Constraint]
+	constraints *obs.LRU[*Constraint]
 
 	// rng drives the "random" policy; seeded, so a serialised caller
 	// sees the same permutations run after run.
@@ -75,7 +75,7 @@ func New(repo *typemgr.Repo, opts Options) *State {
 		linear:      opts.Linear,
 		types:       map[string]*typeBucket{},
 		byID:        map[string]*Offer{},
-		constraints: newLRU[*Constraint](opts.ConstraintCacheSize, newCacheMetrics(reg, "constraint", "Compiled constraints")),
+		constraints: obs.NewLRU[*Constraint](opts.ConstraintCacheSize, reg.Occupancy("cosm_trader_constraint_cache", "evicted", "Compiled constraints", "constraint cache")),
 		rng:         rand.New(rand.NewSource(1)),
 
 		rebuilds:        reg.Counter("cosm_trader_index_snapshot_rebuilds_total", "Type snapshots built from scratch, on a type's first read; writes derive them."),

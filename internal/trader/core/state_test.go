@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cosm/internal/match"
+	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
 	"cosm/internal/typemgr"
@@ -184,8 +185,68 @@ func TestCompileCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.constraints.len(); n != 4 {
+	if n := s.constraints.Len(); n != 4 {
 		t.Fatalf("constraint cache holds %d entries, want its bound of 4", n)
+	}
+}
+
+// TestCacheMetricsReportOccupancyAndEvictions: the state's constraint
+// LRU reports what it holds and what it dropped, and an add that evicts
+// allocates nothing for the reporting.
+func TestCacheMetricsReportOccupancyAndEvictions(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(typemgr.NewRepo(), Options{Metrics: reg, ConstraintCacheSize: 4})
+	s.Apply(&Mutation{Op: OpExport, Offers: []*Offer{offer("o1", "A", 1, 10, 0)}})
+	const imports = 30
+	for i := 0; i < imports; i++ {
+		mustImport(t, s, "A", fmt.Sprintf("Price < %d", i), "", nil, t0)
+	}
+	retained := reg.Gauge("cosm_trader_constraint_cache_retained", "").Value()
+	evicted := reg.Counter("cosm_trader_constraint_cache_evicted_total", "").Value()
+	if retained != 4 || evicted != imports-4 {
+		t.Errorf("constraint cache: retained %d, evicted %d; want 4 and %d", retained, evicted, imports-4)
+	}
+
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	evictingAdds := func(occ obs.Occupancy) float64 {
+		c, i := obs.NewLRU[int](2, occ), 0
+		return testing.AllocsPerRun(200, func() { c.Add(keys[i%len(keys)], i); i++ })
+	}
+	if bare, reported := evictingAdds(obs.Occupancy{}), evictingAdds(reg.Occupancy("cosm_trader_test_cache", "evicted", "Entries", "test cache")); reported != bare {
+		t.Fatalf("an evicting add allocates %.1f times reporting, %.1f without", reported, bare)
+	}
+}
+
+// TestConstraintCacheAllocs: once the cache is full, a hit and an add
+// that evicts allocate nothing — the entries live in one slice sized at
+// construction. With a list element and an entry per add, an add cost 2.
+func TestConstraintCacheAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	c := New(typemgr.NewRepo(), Options{Metrics: obs.NewRegistry(), ConstraintCacheSize: 4}).constraints
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("Price < %d", i)
+	}
+	compiled := MustCompile("Price < 1")
+	i := 0
+	add := func() { c.Add(keys[i%len(keys)], compiled); i++ }
+	for range len(keys) {
+		add() // fills the cache and grows its index to the bound
+	}
+	if got := testing.AllocsPerRun(200, add); got != 0 {
+		t.Errorf("an add that evicts allocates %v times, want 0", got)
+	}
+	hit := keys[(i-1)%len(keys)]
+	if got := testing.AllocsPerRun(200, func() { c.Get(hit) }); got != 0 {
+		t.Errorf("a hit allocates %v times, want 0", got)
+	}
+	if _, ok := c.Get(hit); !ok {
+		t.Fatalf("%q missing right after its add", hit)
 	}
 }
 

@@ -119,10 +119,6 @@ func (r *walRecord) mutation() (*core.Mutation, error) {
 	return m, nil
 }
 
-// errJournalAppend marks a commit whose record never reached the
-// journal, so the mutation was not applied either.
-var errJournalAppend = errors.New("trader: journal")
-
 // commit makes one validated mutation durable and visible: one
 // journal.Commit encodes its record (only when a journal is attached),
 // appends it and applies the mutation. The replication wait comes after
@@ -155,7 +151,7 @@ func (t *Trader) record(rec func() *walRecord, apply func() error, wait bool) er
 		return xcode.AppendEncode(dst, journalTypes().record, rec())
 	}, apply)
 	if err != nil {
-		return fmt.Errorf("%w: %w", errJournalAppend, err)
+		return fmt.Errorf("trader: journal: %w", err)
 	}
 	if !wait {
 		return nil
@@ -245,22 +241,12 @@ func (t *Trader) RestoreSnapshot(payload []byte) error {
 	if err := xcode.DecodeInto(journalTypes().snapshot, payload, &snap); err != nil {
 		return fmt.Errorf("trader: snapshot: %w", err)
 	}
-	// Types may reference each other as supertypes; define in passes
-	// until a fixed point so ordering never matters.
-	pending := append([]string(nil), snap.Types...)
-	for len(pending) > 0 {
-		var stuck []string
-		var lastErr error
-		for _, src := range pending {
-			if err := t.defineFromSIDL(src); err != nil {
-				stuck = append(stuck, src)
-				lastErr = err
-			}
+	// Journalled types come from SIDL, which names no supertype, so
+	// their order does not matter.
+	for _, src := range snap.Types {
+		if err := t.defineFromSIDL(src); err != nil {
+			return fmt.Errorf("trader: snapshot types: %w", err)
 		}
-		if len(stuck) == len(pending) {
-			return fmt.Errorf("trader: snapshot types: %w", lastErr)
-		}
-		pending = stuck
 	}
 	offers := make([]*Offer, len(snap.Offers))
 	for i, rec := range snap.Offers {

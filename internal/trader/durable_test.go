@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
@@ -254,6 +255,32 @@ func TestUnjournalledTraderUnaffected(t *testing.T) {
 	}
 	if err := tr.Withdraw(id); err == nil {
 		t.Fatal("second withdraw should fail")
+	}
+}
+
+// TestWithdrawAllFailsWhenTheJournalRefuses: a batch withdrawal whose
+// record the journal cannot write fails like Withdraw and leaves every
+// offer in place, so memory, log and followers keep agreeing.
+func TestWithdrawAllFailsWhenTheJournalRefuses(t *testing.T) {
+	inj := journal.NewFaultInjector()
+	tr, _ := newDurableTrader(t, "T", t.TempDir(), journal.Options{Fsync: journal.FsyncNever, FaultHook: inj.Hook()})
+	if err := tr.DefineTypeSIDL(sidl.CarRentalIDL); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		id, err := tr.Export("CarRentalService", carRef(i), carProps("FIAT_Uno", float64(50+i), "USD"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	inj.FailFrom(journal.FaultWrite, inj.Count(journal.FaultWrite)+1, errors.New("disk full"))
+	if n, err := tr.WithdrawAll(ids); err == nil || n != 0 {
+		t.Fatalf("WithdrawAll = %d, %v; want 0 and the journal's error", n, err)
+	}
+	if n := tr.OfferCount(); n != len(ids) {
+		t.Fatalf("OfferCount = %d after a refused WithdrawAll, want %d", n, len(ids))
 	}
 }
 

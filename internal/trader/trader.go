@@ -63,8 +63,8 @@ func ParsePolicy(src string) (Policy, error) { return core.ParsePolicy(src) }
 // OfferFromRecord reverses (*Offer).Record.
 func OfferFromRecord(rec OfferRecord) (*Offer, error) { return core.OfferFromRecord(rec) }
 
-// ImportRequest is one import call (step 2 of Fig. 1). It doubles as
-// the wire struct of the trader protocol; in-process callers usually
+// ImportRequest is one import call (step 2 of Fig. 1); the trader
+// protocol carries it as importReqWire. In-process callers usually
 // build it with NewImport and the functional options (Where, OrderBy,
 // Limit, Hops).
 type ImportRequest struct {
@@ -513,13 +513,11 @@ func (t *Trader) Withdraw(offerID string) error {
 // WithdrawAll removes a batch of offers and returns how many were
 // actually withdrawn. Unknown IDs are skipped, so the call is
 // idempotent — the shape a provider's shutdown path wants. A follower
-// refuses with ErrNotLeader like every other mutation. A journal append
-// failure is logged and the in-memory withdrawal proceeds: the call's
-// contract is idempotent best-effort, and a provider retry after a
-// recovery that resurrected the offers heals the divergence. A sync-
-// replication timeout, as for Withdraw, is an error after the withdrawal
-// was applied: the count comes back beside it — over the wire in the
-// error's detail (Client.WithdrawAll).
+// refuses with ErrNotLeader like every other mutation, and a journal
+// append failure fails the call with nothing withdrawn, as it fails
+// Withdraw. A sync-replication timeout, as for Withdraw, is an error
+// after the withdrawal was applied: the count comes back beside it —
+// over the wire in the error's detail (Client.WithdrawAll).
 func (t *Trader) WithdrawAll(offerIDs []string) (int, error) {
 	if err := t.leaderCheck(); err != nil {
 		return 0, err
@@ -527,12 +525,7 @@ func (t *Trader) WithdrawAll(offerIDs []string) (int, error) {
 	if len(offerIDs) == 0 {
 		return 0, nil
 	}
-	m := &core.Mutation{Op: core.OpWithdrawAll, IDs: offerIDs}
-	gone, err := t.commit(m)
-	if errors.Is(err, errJournalAppend) {
-		t.log.Log(nil, "journal_error", "op", m.Op, "err", err.Error())
-		gone, err = t.core.Apply(m), nil
-	}
+	gone, err := t.commit(&core.Mutation{Op: core.OpWithdrawAll, IDs: offerIDs})
 	t.noteWithdrawals(gone)
 	return len(gone), err
 }

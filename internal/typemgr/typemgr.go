@@ -232,15 +232,6 @@ func (r *Repo) DefineWithSource(st *ServiceType, source string) error {
 	return nil
 }
 
-// Source returns the retained source text the named type was defined
-// from, if any.
-func (r *Repo) Source(name string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	src, ok := r.sources[name]
-	return src, ok
-}
-
 // Sources returns a copy of all retained type sources by type name.
 func (r *Repo) Sources() map[string]string {
 	r.mu.RLock()
