@@ -128,12 +128,14 @@ fuzz:
 	done
 
 # What cosmbench (bench/, see BENCHMARK.json) does not measure: the
-# paper-figure groups (Fig1-Fig7, Sec22, Sec23), the ablations, and the
+# paper-figure groups (Fig1-Fig7, Sec22, Sec23), the ablations, the
 # overload, failover, event-log, gossip-round and read-replica
-# benchmarks. The market's hot paths are cosmbench workloads:
-# `bash bench/run.sh`.
+# benchmarks, and the ordered walk over offers with siblings, which
+# import_match's market has none of. The market's hot paths are
+# cosmbench workloads: `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench RankedWalk -benchmem $(CORE)
 
 # The non-test Go line count that ROADMAP's census tracks: every *.go
 # file except *_test.go, outside .bench_build/ (cosmbench's build tree).

@@ -11,9 +11,12 @@ import "sync"
 // Its entries sit in one slice, linked into a circular recency list by
 // index, so a hit allocates nothing, and once the cache is full neither
 // does an add: the least recently used entry takes the new key in
-// place. The slice grows by append up to the bound rather than being
-// allocated whole at construction: a trader that sees few constraints,
-// like a federation's peers, keeps a few entries, not the bound's.
+// place. The slice and the index grow together, doubling up to the
+// bound, rather than being allocated whole at construction: a trader
+// that sees few constraints, like a federation's peers, keeps room for
+// a few entries, not the bound's. The index is rebuilt at each doubling
+// with room for the slice's, so it never grows on its own and a full
+// cache's index is the one a presized map would be.
 type LRU[V any] struct {
 	mu    sync.Mutex
 	bound int
@@ -36,7 +39,7 @@ func NewLRU[V any](capacity int, occ Occupancy) *LRU[V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &LRU[V]{bound: capacity, index: make(map[string]int32, capacity), occ: occ}
+	return &LRU[V]{bound: capacity, occ: occ}
 }
 
 // Get returns the cached value and marks it most recently used.
@@ -94,6 +97,9 @@ func (c *LRU[V]) GetOrAdd(key string, fresh func() V) V {
 // when the cache is full.
 func (c *LRU[V]) insert(key string, val V) {
 	if i := int32(len(c.ents)); int(i) < c.bound {
+		if len(c.ents) == cap(c.ents) {
+			c.grow()
+		}
 		c.ents = append(c.ents, lruEntry[V]{key: key, val: val})
 		c.link(i, c.head) // the first entry, 0, links to itself
 		c.head, c.index[key] = i, i
@@ -108,6 +114,17 @@ func (c *LRU[V]) insert(key string, val V) {
 		c.occ.dropped.Inc()
 	}
 	c.occ.retained.Set(int64(len(c.ents)))
+}
+
+// grow doubles the room for entries, up to the bound, and rebuilds the
+// index with as much.
+func (c *LRU[V]) grow() {
+	n := min(max(2*cap(c.ents), 8), c.bound)
+	c.ents = append(make([]lruEntry[V], 0, n), c.ents...)
+	c.index = make(map[string]int32, n)
+	for i, e := range c.ents {
+		c.index[e.key] = int32(i)
+	}
 }
 
 // touch makes entry i the most recently used.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -96,6 +97,33 @@ func TestLRUNilDisabled(t *testing.T) {
 		}
 	}
 }
+
+// TestNewLRUCostsNothingPerBound: an LRU makes room for its entries and
+// its index as they arrive, so one holding a few keys costs the same at
+// any larger bound. An index presized for the bound cost 13 656 B at
+// 256 entries and 218 482 B at 4 096 (amd64).
+func TestNewLRUCostsNothingPerBound(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e"}
+	bytes := func(capacity, held int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 100 {
+			lruSink = NewLRU[int](capacity, Occupancy{})
+			for _, k := range keys[:held] {
+				lruSink.Add(k, 1)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	for _, held := range []int{0, len(keys)} {
+		if small, large := bytes(8, held), bytes(4096, held); large > small+64 || large > 1024 {
+			t.Errorf("an LRU holding %d keys allocates %d B at bound 4096 and %d B at bound 8; want about the same, at most 1 KB", held, large, small)
+		}
+	}
+}
+
+var lruSink *LRU[int]
 
 // Concurrent gets and adds must be race-free (run under -race) and
 // never grow the cache beyond capacity.

@@ -200,6 +200,7 @@ func (s *State) localMatches(bs []consultedBucket, q Query, now time.Time) []Mat
 // them.
 type walkCursor struct {
 	tm     match.TypeMatch
+	snap   *typeSnapshot // the bucket's; idx is its index of the ranked property
 	idx    runs[numEntry]
 	desc   bool // max: values walk downward
 	lo, hi int
@@ -281,7 +282,7 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 		if hi = max(lo, hi); hi-lo > least {
 			return nil, false
 		}
-		cs = append(cs, walkCursor{tm: b.tm, idx: idx, desc: desc, lo: lo, hi: hi})
+		cs = append(cs, walkCursor{tm: b.tm, snap: b.snap, idx: idx, desc: desc, lo: lo, hi: hi})
 		total += hi - lo
 	}
 	s.indexLookups.With("ordered").Add(uint64(len(bs)))
@@ -306,7 +307,7 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 		if o.Expired(now) || !q.constraint.Match(o.Props) {
 			continue
 		}
-		if shadowedBy(bs, o, q.constraint, now) != nil {
+		if shadowedBy(bs, c.snap, o, q.constraint, now) != nil {
 			continue
 		}
 		m := Match{Offer: o, Grade: c.tm.Grade, Score: c.tm.Score}
@@ -332,10 +333,14 @@ func walksBefore(a, b numEntry, desc bool) bool {
 // shadowedBy returns a sibling of o — a stored offer of the same
 // service with a lower ID — that is unexpired and matches in some
 // consulted bucket, or nil. Such a sibling, not o, is the one Import
-// keeps.
-func shadowedBy(bs []consultedBucket, o *Offer, c *Constraint, now time.Time) *Offer {
+// keeps. own is the snapshot o came from: when it counts no siblings,
+// o has none there, and only the other buckets are searched.
+func shadowedBy(bs []consultedBucket, own *typeSnapshot, o *Offer, c *Constraint, now time.Time) *Offer {
 	var sib *Offer
 	for i := range bs {
+		if bs[i].snap == own && own.sibs == 0 {
+			continue
+		}
 		offers := bs[i].snap.offers
 		j := offers.search(func(e *Offer) bool { return compareRef(e.Ref, o.Ref) >= 0 })
 		offers.each(j, offers.Len(), func(e *Offer) bool {

@@ -28,13 +28,13 @@ func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
 
 // sameSnapshot fails unless derived — a snapshot some chain of writes
 // derived — holds what a fresh build of the bucket holds: the same
-// property counts, and the offer list, each posting list and each
-// numeric index entry for entry, since their (Ref, ID) and (value,
-// ID) orders are part of the contract (a walk in policy order breaks
-// ties by the latter). The lists are compared flattened: where a chain
-// of writes split and merged runs legitimately differs from a build,
-// which packs them full. Every list of either snapshot must keep the run
-// invariants (see checkRuns).
+// sibling count, the same property counts, and the offer list, each
+// posting list and each numeric index entry for entry, since their
+// (Ref, ID) and (value, ID) orders are part of the contract (a walk in
+// policy order breaks ties by the latter). The lists are compared
+// flattened: where a chain of writes split and merged runs legitimately
+// differs from a build, which packs them full. Every list of either
+// snapshot must keep the run invariants (see checkRuns).
 func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	t.Helper()
 	for _, snap := range []*typeSnapshot{derived, built} {
@@ -48,6 +48,9 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	}
 	if d, b := derived.offers.all(), built.offers.all(); !slices.Equal(d, b) {
 		t.Fatalf("%s: offers %q, built %q", step, ids(d), ids(b))
+	}
+	if derived.sibs != built.sibs {
+		t.Fatalf("%s: %d siblings, built %d", step, derived.sibs, built.sibs)
 	}
 	if fmt.Sprint(derived.props) != fmt.Sprint(built.props) {
 		t.Fatalf("%s: props %v, built %v", step, derived.props, built.props)
@@ -78,10 +81,12 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 
 // TestDerivedSnapshotEqualsRebuilt drives a random Apply sequence —
 // export batches across two types, withdraw, withdraw_all, replace,
-// suspect, purge, and an export re-applied under an already stored ID —
-// reading every type before each step, so every write derives. After
-// each step every derived snapshot must equal a fresh build of its
-// bucket; after Clear nothing is left to read.
+// suspect, purge, and an export re-applied under an already stored ID,
+// half the time with another service's Ref — reading every type before
+// each step, so every write derives. Refs come from a small pool, so the
+// writes make and break siblings. After each step every derived
+// snapshot must equal a fresh build of its bucket; after Clear nothing
+// is left to read.
 func TestDerivedSnapshotEqualsRebuilt(t *testing.T) {
 	derivedEqualsRebuilt(t, 40, 60, 0)
 }
@@ -99,11 +104,18 @@ func TestDerivedLargeSnapshotEqualsRebuilt(t *testing.T) {
 
 // derivedEqualsRebuilt runs the Apply sequences of the two tests above
 // after preloading type A with the given number of offers, and returns
-// the most runs any derived offer list spanned.
+// the most runs any derived offer list spanned. It draws each offer's
+// Ref from 16 services plus one for every two preloaded offers, and
+// fails unless some derived snapshot counted a sibling and some derived
+// snapshot with offers counted none.
 func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 	t.Helper()
 	types := []string{"A", "B"}
-	widest := 0
+	widest, withSibs, withoutSibs := 0, false, false
+	services := 16 + preload/2
+	service := func(r *rand.Rand) ref.ServiceRef {
+		return ref.New(fmt.Sprintf("tcp:10.0.0.%d:7000", r.Intn(services)), "A")
+	}
 	for seed := int64(0); seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := New(typemgr.NewRepo(), Options{})
@@ -129,8 +141,7 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 			return out
 		}
 		newOffer := func(typ string) *Offer {
-			o := &Offer{ID: fmt.Sprintf("o%d", len(stored)), Type: typ, Props: props(),
-				Ref: ref.New(fmt.Sprintf("tcp:10.0.0.%d:7000", len(stored)), "A")}
+			o := &Offer{ID: fmt.Sprintf("o%d", len(stored)), Type: typ, Props: props(), Ref: service(r)}
 			if r.Intn(4) == 0 {
 				o.Expires = t0.Add(time.Duration(r.Intn(60)) * time.Second)
 			}
@@ -167,6 +178,9 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 			default: // a replayed export: the ID is stored, the offer fresh
 				o := *stored[r.Intn(len(stored))]
 				o.Props = props()
+				if r.Intn(2) == 0 {
+					o.Ref = service(r)
+				}
 				m = &Mutation{Op: OpExport, Offers: []*Offer{&o}}
 			}
 			s.Apply(m)
@@ -184,6 +198,8 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 				}
 				sameSnapshot(t, fmt.Sprintf("seed %d step %d %s type %s", seed, step, m.Op, typ), derived, s.buildSnapshot(typ))
 				widest = max(widest, len(derived.offers.spine))
+				withSibs = withSibs || derived.sibs > 0
+				withoutSibs = withoutSibs || derived.sibs == 0 && derived.offers.Len() > 0
 			}
 		}
 		s.Clear()
@@ -192,6 +208,9 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 				t.Fatalf("seed %d: type %s readable after Clear", seed, typ)
 			}
 		}
+	}
+	if !withSibs || !withoutSibs {
+		t.Fatalf("derived snapshots with siblings: %t, with offers and none: %t; want both", withSibs, withoutSibs)
 	}
 	return widest
 }

@@ -221,8 +221,9 @@ func TestCacheMetricsReportOccupancyAndEvictions(t *testing.T) {
 }
 
 // TestConstraintCacheAllocs: once the cache is full, a hit and an add
-// that evicts allocate nothing — the entries live in one slice sized at
-// construction. With a list element and an entry per add, an add cost 2.
+// that evicts allocate nothing — the entries live in one slice, grown
+// with the index up to the bound. With a list element and an entry per
+// add, an add cost 2.
 func TestConstraintCacheAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are exact only without the race detector")

@@ -158,9 +158,13 @@ func (s *State) pin(serviceType string, b *typeBucket) *typeSnapshot {
 // per list its write touched. The offer list and every posting list are
 // in (Ref, ID) order, so the stored offers of one service — siblings,
 // which an import deduplicates — sit together in ID order and are found
-// by one binary search (see shadowedBy).
+// by one binary search (see shadowedBy). sibs counts the offers whose
+// Ref is their predecessor's in that order — each service's offers
+// here less one, summed — so at 0 no offer has a sibling in this
+// snapshot, and that search skips it.
 type typeSnapshot struct {
 	offers runs[*Offer] // in (Ref, ID) order
+	sibs   int          // offers whose Ref is their predecessor's
 	// props counts the offers carrying each property name; an equality
 	// hint whose right-hand side is syntactically an identifier is only
 	// index-resolvable when that identifier names no stored property
@@ -211,7 +215,10 @@ func (s *State) buildSnapshot(serviceType string) *typeSnapshot {
 	}
 	eq := map[eqK][]*Offer{}
 	num := map[string][]numEntry{}
-	for _, o := range offers { // (Ref, ID) order keeps posting lists sorted
+	for i, o := range offers { // (Ref, ID) order keeps posting lists sorted
+		if i > 0 && offers[i-1].Ref == o.Ref {
+			snap.sibs++
+		}
 		for name, lit := range o.Props {
 			snap.props[name]++
 			if k, ok := eqKey(name, litVal(lit)); ok {
@@ -246,8 +253,10 @@ func (snap *typeSnapshot) derive(old, fresh *Offer) *typeSnapshot {
 	if fresh != nil {
 		id, freshProps = fresh.ID, fresh.Props
 	}
+	offers, sibs := spliceOffers(snap.offers, old, fresh)
 	next := &typeSnapshot{
-		offers: spliceOffers(snap.offers, old, fresh),
+		offers: offers,
+		sibs:   snap.sibs + sibs,
 		props:  maps.Clone(snap.props),
 		eq:     maps.Clone(snap.eq),
 		num:    maps.Clone(snap.num),
@@ -264,13 +273,15 @@ func (snap *typeSnapshot) derive(old, fresh *Offer) *typeSnapshot {
 	for name, lit := range oldProps {
 		if k, ok := eqKey(name, litVal(lit)); ok {
 			if l, kept := freshProps[name]; !kept || litVal(l) != litVal(lit) {
-				next.setEq(k, spliceOffers(next.eq[k], old, nil))
+				list, _ := spliceOffers(next.eq[k], old, nil)
+				next.setEq(k, list)
 			}
 		}
 	}
 	for name, lit := range freshProps {
 		if k, ok := eqKey(name, litVal(lit)); ok {
-			next.setEq(k, spliceOffers(next.eq[k], old, fresh))
+			list, _ := spliceOffers(next.eq[k], old, fresh)
+			next.setEq(k, list)
 		}
 	}
 
@@ -345,22 +356,38 @@ func byValID(a, b numEntry) int {
 }
 
 // spliceOffers returns the (Ref, ID)-ordered list without old and with
-// fresh; either may be nil.
-func spliceOffers(list runs[*Offer], old, fresh *Offer) runs[*Offer] {
-	del, ins := -1, -1
+// fresh, either of which may be nil, and what that adds to the list's
+// sibling count (see typeSnapshot.sibs): -1 when old leaves a sibling
+// behind, +1 when fresh joins one. Siblings are adjacent, so the
+// neighbours of the two positions decide; a swap that keeps the Ref
+// changes no count and reads none.
+func spliceOffers(list runs[*Offer], old, fresh *Offer) (runs[*Offer], int) {
+	moved := old == nil || fresh == nil || old.Ref != fresh.Ref
+	del, ins, sibs := -1, -1, 0
 	if old != nil {
 		i, e, ok := list.find(func(e *Offer) bool { return byRefID(e, old) >= 0 })
 		if ok && byRefID(e, old) == 0 {
 			del = i
+			if moved && (refAt(list, i-1, old.Ref) || refAt(list, i+1, old.Ref)) {
+				sibs--
+			}
 		}
 	}
 	if fresh != nil {
 		ins = list.search(func(e *Offer) bool { return byRefID(e, fresh) >= 0 })
+		if moved && (refAt(list, ins-1, fresh.Ref) || refAt(list, ins, fresh.Ref)) {
+			sibs++
+		}
 		if del >= 0 && ins > del {
 			ins--
 		}
 	}
-	return list.splice(del, ins, fresh)
+	return list.splice(del, ins, fresh), sibs
+}
+
+// refAt reports whether list has an entry at position i and its Ref is r.
+func refAt(list runs[*Offer], i int, r ref.ServiceRef) bool {
+	return i >= 0 && i < list.Len() && list.At(i).Ref == r
 }
 
 // spliceNum returns the numeric index idx without the entry of offer id

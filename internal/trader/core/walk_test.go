@@ -16,7 +16,7 @@ import (
 
 // levelRepo defines the hierarchy L0 <- L1 <- ... <- L(n-1) and an
 // unrelated type X.
-func levelRepo(t *testing.T, n int) *typemgr.Repo {
+func levelRepo(t testing.TB, n int) *typemgr.Repo {
 	t.Helper()
 	repo := typemgr.NewRepo()
 	for i := 0; i < n; i++ {
@@ -263,6 +263,70 @@ func TestWalkedImportSeesAnyConsultedBucket(t *testing.T) {
 	}
 }
 
+// TestWalkSiblingsThroughDerive: the walk's sibling skip against the
+// linear oracle, step by step, on snapshots that the writes derive
+// after the first step's import built them. A lower-ID sibling exported
+// after the offer it shadows ("o10" sorts before "o9") hides it;
+// withdrawn, it lets it through; exported again, it hides it again; and
+// a lower-ID sibling in another consulted bucket hides an offer whose
+// own bucket counts no sibling.
+func TestWalkSiblingsThroughDerive(t *testing.T) {
+	repo := levelRepo(t, 2)
+	reg := obs.NewRegistry()
+	ordered := reg.CounterVec("cosm_trader_index_lookups_total", "", "kind").With("ordered")
+	indexed := New(repo, Options{Metrics: reg})
+	linear := New(repo, Options{Linear: true})
+	export := func(id, typ string, host int, price float64) func() *Mutation {
+		return func() *Mutation {
+			return &Mutation{Op: OpExport, Offers: []*Offer{{ID: id, Type: typ,
+				Ref: ref.New(fmt.Sprintf("tcp:10.0.0.%d:7000", host), "S"), Props: map[string]sidl.Lit{"Price": sidl.FloatLit(price)}}}}
+		}
+	}
+	withdraw := func() *Mutation { return &Mutation{Op: OpWithdraw, IDs: []string{"o10"}} }
+	for _, c := range []struct {
+		step   string
+		m      func() *Mutation
+		want   string // min:Price, Max 2
+		l0, l1 int    // the buckets' sibling counts, -1 for no bucket
+	}{
+		{"o9 alone", export("o9", "L0", 1, 1), "o9 ", 0, -1},
+		{"o5 of another service", export("o5", "L0", 2, 50), "o9 o5 ", 0, -1},
+		{"lower-ID o10 exported after o9", export("o10", "L0", 1, 100), "o5 o10 ", 1, -1},
+		{"o10 withdrawn", withdraw, "o9 o5 ", 0, -1},
+		{"o10 exported again", export("o10", "L0", 1, 100), "o5 o10 ", 1, -1},
+		{"o10 withdrawn again", withdraw, "o9 o5 ", 0, -1},
+		{"lower-ID o1 in another bucket", export("o1", "L1", 1, 100), "o5 o1 ", 0, 0},
+	} {
+		for _, s := range []*State{indexed, linear} {
+			s.Apply(c.m())
+		}
+		for _, policy := range []string{"min:Price", "max:Price"} {
+			for k := 1; k <= 4; k++ {
+				got := importMax(t, indexed, "L0", "Price < 1000", policy, k, match.GradeNone, t0)
+				want := importMax(t, linear, "L0", "Price < 1000", policy, k, match.GradeNone, t0)
+				if err := sameMatches(got, want); err != nil {
+					t.Fatalf("%s: %s max %d: %v", c.step, policy, k, err)
+				}
+			}
+		}
+		if got := matchIDs(importMax(t, indexed, "L0", "Price < 1000", "min:Price", 2, match.GradeNone, t0)); got != c.want {
+			t.Fatalf("%s: %q, want %q", c.step, got, c.want)
+		}
+		for typ, want := range map[string]int{"L0": c.l0, "L1": c.l1} {
+			got := -1
+			if snap, ok := indexed.snapshot(typ); ok {
+				got = snap.sibs
+			}
+			if got != want {
+				t.Fatalf("%s: %s counts %d siblings, want %d", c.step, typ, got, want)
+			}
+		}
+	}
+	if ordered.Value() == 0 {
+		t.Fatal("no import took the ordered walk")
+	}
+}
+
 // TestOrderedImportBytes pins what one uncached bounded min: import over
 // a 10 000-offer bucket, about a fifth of it in the constraint's range,
 // allocates: the walk stops at Max, so the bytes do not grow with the
@@ -292,5 +356,68 @@ func TestOrderedImportBytes(t *testing.T) {
 	t.Logf("%d B, %d allocs per import", res.AllocedBytesPerOp(), res.AllocsPerOp())
 	if got := res.AllocedBytesPerOp(); got > 4096 {
 		t.Fatalf("one bounded min: import allocates %d B, want at most 4096", got)
+	}
+}
+
+// BenchmarkRankedWalk times the ordered walk of import_match's shape —
+// a bounded min:Price import under a two-attribute range constraint —
+// on 20 000 offers, prepared beforehand so only Import is timed. Of the
+// flat type it imports exactly, of the five-level hierarchy
+// conformantly, the offers spread over its levels. With no siblings
+// the walk searches no bucket of the offer it keeps, and only the other
+// buckets of the closure; with every eighth offer a second offer of the
+// service exported five before it, in the same bucket, it searches that
+// bucket too. cosmbench's import_match has no siblings.
+func BenchmarkRankedWalk(b *testing.B) {
+	const n = 20000
+	for _, shape := range []struct {
+		name, typ string
+		minGrade  match.Grade
+	}{{"flat", "A", match.GradeExact}, {"closure", "L0", match.GradeNone}} {
+		for _, sibs := range []struct {
+			name  string
+			every int // every every-th offer is a sibling; 0: none
+		}{{"no-siblings", 0}, {"siblings-1in8", 8}} {
+			b.Run(shape.name+"/"+sibs.name, func(b *testing.B) {
+				reg := obs.NewRegistry()
+				ordered := reg.CounterVec("cosm_trader_index_lookups_total", "", "kind").With("ordered")
+				s := New(levelRepo(b, 5), Options{Metrics: reg})
+				r := rand.New(rand.NewSource(1))
+				offers := make([]*Offer, n)
+				for i := range offers {
+					typ := shape.typ
+					if typ == "L0" {
+						typ = fmt.Sprintf("L%d", i%5)
+					}
+					host := i
+					if sibs.every > 0 && i%sibs.every == 0 && i >= 5 {
+						host = i - 5
+					}
+					offers[i] = &Offer{ID: fmt.Sprintf("o%05d", i), Type: typ,
+						Ref: ref.New(fmt.Sprintf("tcp:10.%d.%d.%d:7000", host>>16, host>>8&255, host&255), "S"),
+						Props: map[string]sidl.Lit{
+							"Price":  sidl.FloatLit(40 + 60*r.Float64()),
+							"Rating": sidl.IntLit(int64(10000 + r.Intn(50000))),
+						}}
+				}
+				s.Apply(&Mutation{Op: OpExport, Offers: offers})
+				qs := make([]Query, 64)
+				for i := range qs {
+					var err error
+					constraint := fmt.Sprintf("Price < %.2f && Rating > %d", 45+0.25*float64(i), 10000+200*i)
+					if qs[i], err = s.Prepare(shape.typ, constraint, "min:Price", 5, shape.minGrade); err != nil {
+						b.Fatal(err)
+					}
+					if before := ordered.Value(); len(s.Import(qs[i], nil, t0)) != 5 || ordered.Value() == before {
+						b.Fatalf("%q: not five offers by the ordered walk", constraint)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Import(qs[i%len(qs)], nil, t0)
+				}
+			})
+		}
 	}
 }
