@@ -35,9 +35,10 @@ CORE := ./internal/trader/core
 # for people, stays JSON outside them.
 ONE_CODEC := journal trader trader/core browser xcode wire cosm
 
-# A client reads each reply into one string and decodes every string of
-# it as a window of that one (DESIGN.md §6): safe because a Go string
-# cannot change, and a pooled buffer is never aliased past its owner.
+# A connection reads each request and reply into one string, and every
+# string decoded from it is a window of that one (DESIGN.md §6): safe
+# because a Go string cannot change, and a pooled buffer is never
+# aliased past its owner.
 # Both hold only while no package of the program reaches for unsafe, so
 # no non-test file under internal/ or cmd/ imports it.
 
@@ -94,7 +95,9 @@ test:
 # shares pooled frame buffers and reply channels that a call cancelled
 # at the wrong instant must not hand back early, and cosm encodes every
 # call's request and reply body into one of those buffers, which must
-# go back exactly once and only after its write; obs's one ring, one LRU
+# go back exactly once and only after its write, and serves each
+# request from pooled objects that go back only after its response is
+# written; obs's one ring, one LRU
 # and one label family are shared by concurrent recorders, caches and
 # FSM sessions: those tests run twenty times over, so a rare
 # interleaving gets its chance. (The cell's

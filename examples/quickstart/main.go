@@ -58,28 +58,15 @@ func run() error {
 		return err
 	}
 	var greetings int64
-	greetingT := sid.Type("Greeting_t")
 	svc.MustHandle("Greet", func(call *cosm.Call) error {
-		name, err := call.Arg("name")
-		if err != nil {
-			return err
-		}
-		lang, err := call.Arg("language")
-		if err != nil {
+		// The enum argument binds to its literal.
+		var name, lang string
+		if err := call.Args(&name, &lang); err != nil {
 			return err
 		}
 		greetings++
-		hello := map[string]string{"ENGLISH": "Hello", "GERMAN": "Moin", "FRENCH": "Bonjour"}[lang.EnumLiteral()]
-		text := fmt.Sprintf("%s, %s!", hello, name.Str)
-		out, err := xcode.NewStruct(greetingT, map[string]*xcode.Value{
-			"text":     xcode.NewString(sidl.Basic(sidl.String), text),
-			"language": lang,
-		})
-		if err != nil {
-			return err
-		}
-		call.Result = out
-		return nil
+		hello := map[string]string{"ENGLISH": "Hello", "GERMAN": "Moin", "FRENCH": "Bonjour"}[lang]
+		return call.Return(struct{ Text, Language string }{fmt.Sprintf("%s, %s!", hello, name), lang})
 	})
 	svc.MustHandle("Count", func(call *cosm.Call) error {
 		call.Result = xcode.NewInt(sidl.Basic(sidl.Int64), greetings)

@@ -126,16 +126,16 @@ func run() error {
 		return nil
 	})
 	archiveSvc.MustHandle("GetImage", func(call *cosm.Call) error {
-		name, err := call.Arg("name")
-		if err != nil {
+		var name string
+		if err := call.Args(&name); err != nil {
 			return err
 		}
-		data, ok := images[name.Str]
+		data, ok := images[name]
 		if !ok {
-			return fmt.Errorf("no such image %q", name.Str)
+			return fmt.Errorf("no such image %q", name)
 		}
 		out, err := xcode.NewStruct(imageT, map[string]*xcode.Value{
-			"name":   name,
+			"name":   xcode.NewString(strT, name),
 			"format": xcode.NewString(strT, "Y"),
 			"data":   xcode.NewString(strT, data),
 		})
@@ -196,10 +196,11 @@ func run() error {
 		return nil
 	})
 	converterSvc.MustHandle("GetImageX", func(call *cosm.Call) error {
-		name, err := call.Arg("name")
-		if err != nil {
+		var text string
+		if err := call.Args(&text); err != nil {
 			return err
 		}
+		name := xcode.NewString(strT, text)
 		res, err := upstream.Invoke(ctx, "GetImage", name)
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package browser
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"cosm/internal/cosm"
 	"cosm/internal/ref"
@@ -84,11 +85,13 @@ func NewService(d *Directory) (*cosm.Service, error) {
 		if err := call.Args(&text, &target); err != nil {
 			return err
 		}
-		parsed, err := sidl.Parse(text)
+		// The directory keeps both: they are windows of the request
+		// (cosm.Call), so it keeps clones.
+		parsed, err := sidl.Parse(strings.Clone(text))
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSID, err)
 		}
-		return d.Register(parsed, target)
+		return d.Register(parsed, target.Clone())
 	})
 	svc.MustHandle("Withdraw", func(call *cosm.Call) error {
 		var name string

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"cosm/internal/browser"
@@ -119,7 +120,9 @@ func (s *Service) selectCar(call *cosm.Call) error {
 	if available {
 		out.Charge = perDay * float64(sel.Days)
 		s.mu.Lock()
-		s.selections[call.Session] = selection{model: sel.Model, days: sel.Days, charge: out.Charge}
+		// The session is a window of the request (cosm.Call): the
+		// table keeps a clone.
+		s.selections[strings.Clone(call.Session)] = selection{model: sel.Model, days: sel.Days, charge: out.Charge}
 		s.mu.Unlock()
 	}
 	return call.Return(out)

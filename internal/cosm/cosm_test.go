@@ -1,7 +1,6 @@
 package cosm
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -42,46 +41,39 @@ func newCalcService(t *testing.T) *Service {
 		t.Fatal(err)
 	}
 	int32T := sidl.Basic(sidl.Int32)
+	type pair struct{ A, B int64 }
 	svc.MustHandle("Add", func(call *Call) error {
-		p, err := call.Arg("p")
-		if err != nil {
+		var p pair
+		if err := call.Args(&p); err != nil {
 			return err
 		}
-		a, _ := p.Field("a")
-		b, _ := p.Field("b")
-		call.Result = xcode.NewInt(int32T, a.Int+b.Int)
+		call.Result = xcode.NewInt(int32T, p.A+p.B)
 		return nil
 	})
 	svc.MustHandle("Div", func(call *Call) error {
-		p, err := call.Arg("p")
-		if err != nil {
+		var p pair
+		if err := call.Args(&p); err != nil {
 			return err
 		}
-		a, _ := p.Field("a")
-		b, _ := p.Field("b")
-		if b.Int == 0 {
+		if p.B == 0 {
 			return errors.New("division by zero")
 		}
-		call.Result = xcode.NewInt(int32T, a.Int/b.Int)
+		call.Result = xcode.NewInt(int32T, p.A/p.B)
 		return nil
 	})
 	svc.MustHandle("Note", func(call *Call) error { return nil })
 	svc.MustHandle("Split", func(call *Call) error {
-		v, err := call.Arg("v")
-		if err != nil {
+		var v, acc int64
+		if err := call.Args(&v, &acc); err != nil {
 			return err
 		}
-		acc, err := call.Arg("acc")
-		if err != nil {
+		if err := call.SetOut("half", xcode.NewInt(int32T, v/2)); err != nil {
 			return err
 		}
-		if err := call.SetOut("half", xcode.NewInt(int32T, v.Int/2)); err != nil {
+		if err := call.SetOut("acc", xcode.NewInt(int32T, acc+v)); err != nil {
 			return err
 		}
-		if err := call.SetOut("acc", xcode.NewInt(int32T, acc.Int+v.Int)); err != nil {
-			return err
-		}
-		call.Result = xcode.NewInt(int32T, v.Int)
+		call.Result = xcode.NewInt(int32T, v)
 		return nil
 	})
 	return svc
@@ -569,16 +561,20 @@ func TestChunkCodecErrors(t *testing.T) {
 	if _, _, err := consumeChunk(""); !errors.Is(err, ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := consumeChunk([]byte{5, 1}); !errors.Is(err, ErrBadArgs) {
+	if _, _, err := consumeChunk("\x05\x01"); !errors.Is(err, ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := consumeChunk([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}); !errors.Is(err, ErrBadArgs) {
+	if _, _, err := consumeChunk(strings.Repeat("\x80", 11)); !errors.Is(err, ErrBadArgs) {
 		t.Fatalf("overflow err = %v", err)
 	}
+	// A length in more bytes than it needs: a body has one encoding.
+	if _, _, err := consumeChunk("\x81\x00a"); !errors.Is(err, ErrBadArgs) {
+		t.Fatalf("non-minimal length err = %v", err)
+	}
 	// Round trip sanity for multi-byte length prefixes.
-	long := bytes.Repeat([]byte{7}, 1<<15)
-	chunk, rest, err := consumeChunk(appendChunk(nil, long))
-	if err != nil || !bytes.Equal(chunk, long) || len(rest) != 0 {
+	long := strings.Repeat("\x07", 1<<15)
+	chunk, rest, err := consumeChunk(string(appendChunk(nil, []byte(long))))
+	if err != nil || chunk != long || len(rest) != 0 {
 		t.Fatalf("chunk round trip: %d bytes, %d left, %v", len(chunk), len(rest), err)
 	}
 }

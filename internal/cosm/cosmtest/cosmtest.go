@@ -47,7 +47,7 @@ func NewTap(t testing.TB, upstream ref.ServiceRef) (*Tap, ref.ServiceRef) {
 	srv := wire.NewServer(wire.WithServerLog(func(string, ...any) {}))
 	t.Cleanup(func() { _ = srv.Close(); _ = pool.Close() })
 	err := srv.Register(upstream.Service, wire.HandlerFunc(func(ctx context.Context, _ string, req *wire.Request) *wire.Response {
-		body, err := pool.Call(ctx, upstream.Endpoint, &wire.Request{Service: upstream.Service, Op: req.Op, Body: req.Body})
+		body, err := pool.Call(ctx, upstream.Endpoint, &wire.Request{Service: upstream.Service, Op: req.Op, Body: []byte(req.Received)})
 		resp := &wire.Response{Status: wire.StatusOK, Body: []byte(body)}
 		var re *wire.RemoteError
 		switch {
@@ -76,12 +76,12 @@ func NewTap(t testing.TB, upstream ref.ServiceRef) (*Tap, ref.ServiceRef) {
 func (tp *Tap) record(req *wire.Request, resp *wire.Response) {
 	// The session chunk leads every request body: one length byte and
 	// the binding's random identity, which no golden can hold.
-	args := req.Body
+	args := req.Received
 	if len(args) > 0 && int(args[0]) < len(args) {
 		args = args[1+int(args[0]):]
 	}
 	tp.mu.Lock()
-	tp.calls = append(tp.calls, Exchange{Op: req.Op, Args: hex.EncodeToString(args), Result: hex.EncodeToString(resp.Body), Err: resp.ErrMsg})
+	tp.calls = append(tp.calls, Exchange{Op: req.Op, Args: hex.EncodeToString([]byte(args)), Result: hex.EncodeToString(resp.Body), Err: resp.ErrMsg})
 	tp.mu.Unlock()
 }
 

@@ -126,7 +126,7 @@ func (n *Node) Host(name string, svc *Service) error {
 	if svc == nil {
 		return ErrNilService
 	}
-	return n.server.Register(name, wire.HandlerFunc(svc.serveCOSM))
+	return n.server.Register(name, svc)
 }
 
 // ListenAndServe binds the node to an endpoint ("tcp:host:port" or

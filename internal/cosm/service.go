@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"cosm/internal/fsm"
 	"cosm/internal/obs"
@@ -45,12 +46,18 @@ var (
 	ErrNilService = errors.New("cosm: nil service")
 )
 
-// Call carries one invocation through a handler. A handler with Go
-// types for the operation binds its in/inout arguments with Args and its
-// result with Return. One without reads each argument with Arg, sets
-// Result (for non-void operations) and fills Out (one slot per
-// out/inout parameter, pre-populated with zero values), all dynamic
-// values.
+// Call carries one invocation through a handler. A handler binds its
+// in/inout arguments with Args, and its result with Return or, as a
+// dynamic value, Result (for non-void operations); it fills Out (one
+// slot per out/inout parameter, pre-populated with zero values) with
+// SetOut.
+//
+// A Call is the dispatcher's again once its handler returns, and goes
+// back to a pool: a handler keeps neither the Call nor its Out slice.
+// Session and every string Args decodes are windows of the one string
+// the request was read into (see wire.Handler): a handler that keeps one
+// past its return keeps a clone (strings.Clone), so that it does not
+// keep the whole request alive.
 type Call struct {
 	// Ctx carries the caller's propagated deadline and cancellation (see
 	// wire.Handler); long-running handlers should honour it.
@@ -69,7 +76,7 @@ type Call struct {
 
 	// args holds the in/inout argument chunks, which dispatch validated
 	// against Op before the FSM stepped.
-	args []byte
+	args string
 	// body is the buffer the reply is encoded in, borrowed from the
 	// frame pool by the first Return or by dispatch; nil until then.
 	body *[]byte
@@ -77,31 +84,16 @@ type Call struct {
 	returned bool
 }
 
-// nextArg splits the next argument chunk off the validated args.
-func nextArg(args []byte) (chunk, rest []byte) {
-	chunk, rest, _ = consumeChunk(args) // framing checked at dispatch
-	return chunk, rest
-}
+// calls pools the Calls dispatch hands to handlers.
+var calls = sync.Pool{New: func() any { return new(Call) }}
 
-// Arg returns the in/inout argument by parameter name, decoded as a
-// dynamic value.
-func (c *Call) Arg(name string) (*xcode.Value, error) {
-	rest := c.args
-	for _, p := range c.Op.Params {
-		if p.Dir == sidl.Out {
-			continue
-		}
-		var chunk []byte
-		chunk, rest = nextArg(rest)
-		if p.Name == name {
-			v, err := xcode.Unmarshal(p.Type, chunk)
-			if err != nil {
-				return nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, name, err)
-			}
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: no in-parameter %q in op %s", ErrBadArgs, name, c.Op.Name)
+// free hands c back to calls, with the reply body no response took and
+// the Out slots emptied.
+func (c *Call) free() {
+	c.release()
+	clear(c.Out)
+	*c = Call{Out: c.Out[:0]}
+	calls.Put(c)
 }
 
 // SetOut sets the out/inout result by parameter name.
@@ -124,8 +116,8 @@ func (c *Call) SetOut(name string, v *xcode.Value) error {
 }
 
 // Args decodes the in/inout arguments, in parameter order, into what the
-// dst pointers point to (see xcode.DecodeInto) — the typed counterpart
-// of Arg for a handler that has Go types for its parameters.
+// dst pointers point to (see xcode.DecodeInto); a nil dst skips its
+// argument.
 func (c *Call) Args(dst ...any) error {
 	if len(dst) != inCount(c.Op) {
 		return c.badArgCount(len(dst))
@@ -135,8 +127,8 @@ func (c *Call) Args(dst ...any) error {
 		if p.Dir == sidl.Out {
 			continue
 		}
-		var chunk []byte
-		chunk, rest = nextArg(rest)
+		chunk, r, _ := consumeChunk(rest) // framing checked at dispatch
+		rest = r
 		if err := xcode.DecodeInto(p.Type, chunk, dst[i]); err != nil {
 			return c.badArg(i, err)
 		}
@@ -255,31 +247,35 @@ func (s *Service) MustHandle(opName string, h OpHandler) {
 	}
 }
 
-// serveCOSM dispatches one wire request. It implements wire.Handler via
-// the adapter in node.go. ctx carries the caller's propagated deadline
-// and is handed to the operation handler via Call.Ctx.
-func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Request) *wire.Response {
+// ServeCOSM dispatches one wire request: Service is the wire.Handler a
+// Node hosts. ctx carries the caller's propagated deadline and is handed
+// to the operation handler via Call.Ctx. The response is the one
+// req.Reply lends, and the Call the handler ran on goes back to its pool
+// once the handler returns.
+func (s *Service) ServeCOSM(ctx context.Context, remote string, req *wire.Request) *wire.Response {
 	switch req.Op {
 	case OpDescribe:
 		body := wire.BorrowBuf()
 		*body = append(*body, s.sid.IDL()...)
-		return &wire.Response{Status: wire.StatusOK, Body: *body, Buf: body}
+		resp := req.Reply(wire.StatusOK, "")
+		resp.Body, resp.Buf = *body, body
+		return resp
 	case OpPing:
-		return &wire.Response{Status: wire.StatusOK}
+		return req.Reply(wire.StatusOK, "")
 	}
 
 	op, ok := s.sid.Op(req.Op)
 	if !ok {
-		return &wire.Response{Status: wire.StatusNoOp, ErrMsg: req.Op}
+		return req.Reply(wire.StatusNoOp, req.Op)
 	}
 	h, ok := s.handlers[req.Op]
 	if !ok {
-		return &wire.Response{Status: wire.StatusAppError, ErrMsg: "operation not implemented: " + req.Op}
+		return req.Reply(wire.StatusAppError, "operation not implemented: "+req.Op)
 	}
 
-	session, args, err := decodeCallBody(op, req.Body)
+	session, args, err := decodeCallBody(op, req.Received)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusBadRequest, ErrMsg: err.Error()}
+		return req.Reply(wire.StatusBadRequest, err.Error())
 	}
 
 	// Server-side FSM enforcement: the authoritative protocol check of
@@ -287,26 +283,28 @@ func (s *Service) serveCOSM(ctx context.Context, remote string, req *wire.Reques
 	// reject violations before any network traffic).
 	if s.enforce && s.sid.FSM.Restricted() {
 		if err := s.step(remote, session, req.Op); err != nil {
-			return &wire.Response{Status: wire.StatusProtocol, ErrMsg: err.Error()}
+			return req.Reply(wire.StatusProtocol, err.Error())
 		}
 	}
 
-	call := &Call{Ctx: ctx, Remote: remote, Session: session, Op: op, args: args}
-	defer call.release()
+	call := calls.Get().(*Call)
+	defer call.free()
+	call.Ctx, call.Remote, call.Session, call.Op, call.args = ctx, remote, session, op, args
 	for _, p := range op.Params {
 		if p.Dir != sidl.In {
 			call.Out = append(call.Out, xcode.Zero(p.Type))
 		}
 	}
 	if err := h(call); err != nil {
-		return &wire.Response{Status: wire.StatusAppError, ErrMsg: err.Error()}
+		return req.Reply(wire.StatusAppError, err.Error())
 	}
 
 	body, err := encodeCallResult(op, call)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusAppError, ErrMsg: err.Error()}
+		return req.Reply(wire.StatusAppError, err.Error())
 	}
-	resp := &wire.Response{Status: wire.StatusOK, Body: body, Buf: call.body}
+	resp := req.Reply(wire.StatusOK, "")
+	resp.Body, resp.Buf = body, call.body
 	call.body = nil // the server hands it back after the write
 	return resp
 }
@@ -362,20 +360,24 @@ func appendValue(dst []byte, t *sidl.Type, v *xcode.Value) ([]byte, error) {
 	return closeChunk(xcode.AppendMarshal(openChunk(dst), projected), len(dst)), nil
 }
 
-// consumeChunk splits a length-prefixed chunk off a request body or a
-// reply; of a reply, read as a string, the chunk is a window. Its
-// length is read with binary.Uvarint, and converting a string for that
-// allocates nothing: the bytes do not escape, and they are at most
-// binary.MaxVarintLen64+1, one past the longest uvarint so that an
-// overlong one still reads as overlong.
-func consumeChunk[S ~string | ~[]byte](data S) (chunk, rest S, err error) {
+// consumeChunk splits a length-prefixed chunk, a window of data, off a
+// request body or a reply. Its length is read with binary.Uvarint, and
+// converting a string for that allocates nothing: the bytes do not
+// escape, and they are at most binary.MaxVarintLen64+1, one past the
+// longest uvarint so that an overlong one still reads as overlong. A
+// length is written in its shortest form (appendChunk, closeChunk), so a
+// longer one is refused: a body has one encoding.
+func consumeChunk(data string) (chunk, rest string, err error) {
 	n, size := binary.Uvarint([]byte(data[:min(len(data), binary.MaxVarintLen64+1)]))
 	if size <= 0 {
-		return chunk, rest, fmt.Errorf("%w: truncated or overlong chunk length", ErrBadArgs)
+		return "", "", fmt.Errorf("%w: truncated or overlong chunk length", ErrBadArgs)
+	}
+	if size > 1 && data[size-1] == 0 {
+		return "", "", fmt.Errorf("%w: chunk length not in its shortest form", ErrBadArgs)
 	}
 	tail := data[size:]
 	if uint64(len(tail)) < n {
-		return chunk, rest, fmt.Errorf("%w: truncated chunk", ErrBadArgs)
+		return "", "", fmt.Errorf("%w: truncated chunk", ErrBadArgs)
 	}
 	return tail[:n], tail[n:], nil
 }
@@ -413,31 +415,31 @@ func appendCallArgs[A any](dst []byte, op sidl.Op, args []A, encode func(dst []b
 }
 
 // decodeCallBody splits a request body into the session and the
-// argument chunks, and validates every argument against its parameter
-// type without building anything: a malformed body is refused here,
-// before the FSM steps or a handler runs.
-func decodeCallBody(op sidl.Op, body []byte) (session string, args []byte, err error) {
-	chunk, args, err := consumeChunk(body)
+// argument chunks, both windows of body, and validates every argument
+// against its parameter type without building anything: a malformed body
+// is refused here, before the FSM steps or a handler runs.
+func decodeCallBody(op sidl.Op, body string) (session, args string, err error) {
+	session, args, err = consumeChunk(body)
 	if err != nil {
-		return "", nil, err
+		return "", "", err
 	}
 	rest := args
 	for _, p := range op.Params {
 		if p.Dir == sidl.Out {
 			continue
 		}
-		var arg []byte
+		var arg string
 		if arg, rest, err = consumeChunk(rest); err != nil {
-			return "", nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
+			return "", "", fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
 		}
 		if err := xcode.DecodeInto(p.Type, arg, nil); err != nil {
-			return "", nil, fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
+			return "", "", fmt.Errorf("%w: argument %q: %v", ErrBadArgs, p.Name, err)
 		}
 	}
 	if len(rest) != 0 {
-		return "", nil, fmt.Errorf("%w: %d trailing bytes", ErrBadArgs, len(rest))
+		return "", "", fmt.Errorf("%w: %d trailing bytes", ErrBadArgs, len(rest))
 	}
-	return string(chunk), args, nil
+	return session, args, nil
 }
 
 // encodeCallResult encodes the reply body into call's borrowed buffer:

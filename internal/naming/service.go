@@ -2,6 +2,7 @@ package naming
 
 import (
 	"fmt"
+	"strings"
 
 	"cosm/internal/cosm"
 	"cosm/internal/ref"
@@ -67,7 +68,9 @@ func NewService(reg *Registry) (*cosm.Service, error) {
 			if err := call.Args(&name, &target); err != nil {
 				return err
 			}
-			return do(name, target)
+			// The registry keeps both: they are windows of the request
+			// (cosm.Call), so it keeps clones.
+			return do(strings.Clone(name), target.Clone())
 		}
 	}
 	svc.MustHandle("Register", bind(reg.Register))
@@ -116,7 +119,7 @@ func NewGroupService(groups *Groups) (*cosm.Service, error) {
 		if err := call.Args(&group, &endpoint); err != nil {
 			return err
 		}
-		return groups.Join(group, endpoint)
+		return groups.Join(strings.Clone(group), strings.Clone(endpoint))
 	})
 	svc.MustHandle("Leave", func(call *cosm.Call) error {
 		var group, endpoint string

@@ -35,6 +35,12 @@ func New(endpoint, service string) ServiceRef {
 	return ServiceRef{Endpoint: endpoint, Service: service}
 }
 
+// Clone returns r with strings of its own: what a server keeps of a
+// reference decoded as a window of a request (see wire.Handler).
+func (r ServiceRef) Clone() ServiceRef {
+	return ServiceRef{Endpoint: strings.Clone(r.Endpoint), Service: strings.Clone(r.Service)}
+}
+
 // IsZero reports whether r is the nil reference.
 func (r ServiceRef) IsZero() bool { return r.Endpoint == "" && r.Service == "" }
 

@@ -78,20 +78,20 @@ func appendChunk(dst, chunk []byte) []byte {
 	return append(dst, chunk...)
 }
 
-// uvarint is binary.Uvarint over bytes or a string. Converting a string
-// allocates nothing: the bytes do not escape, and they are at most
+// uvarint is binary.Uvarint over a string. Converting it allocates
+// nothing: the bytes do not escape, and they are at most
 // binary.MaxVarintLen64+1, one past the longest uvarint so that an
 // overlong one still reads as overlong.
-func uvarint[S ~string | ~[]byte](data S) (uint64, int) {
+func uvarint(data string) (uint64, int) {
 	return binary.Uvarint([]byte(data[:min(len(data), binary.MaxVarintLen64+1)]))
 }
 
-// consumeChunk splits a length-prefixed chunk off a request body or a
-// reply; of a reply, a string, the chunk is a window.
-func consumeChunk[S ~string | ~[]byte](data S) (chunk, rest S, err error) {
+// consumeChunk splits a length-prefixed chunk, a window of data, off a
+// request body or a reply.
+func consumeChunk(data string) (chunk, rest string, err error) {
 	n, size := uvarint(data)
 	if size <= 0 || uint64(len(data)-size) < n {
-		return chunk, rest, ErrDecode
+		return "", "", ErrDecode
 	}
 	return data[size : size+int(n)], data[size+int(n):], nil
 }
@@ -103,24 +103,24 @@ func encodeSelectCar(req SelectCarRequest) []byte {
 	return binary.BigEndian.AppendUint32(body, uint32(req.Days))
 }
 
-func decodeSelectCar(data []byte) (SelectCarRequest, error) {
+func decodeSelectCar(data string) (SelectCarRequest, error) {
 	var req SelectCarRequest
-	model, size := binary.Uvarint(data)
+	model, size := uvarint(data)
 	if size <= 0 || model > uint64(VWGolf) {
 		return req, ErrDecode
 	}
 	req.Model = CarModel(model)
 	data = data[size:]
-	n, size := binary.Uvarint(data)
+	n, size := uvarint(data)
 	if size <= 0 || uint64(len(data)-size) < n {
 		return req, ErrDecode
 	}
-	req.BookingDate = string(data[size : size+int(n)])
+	req.BookingDate = data[size : size+int(n)]
 	data = data[size+int(n):]
 	if len(data) != 4 {
 		return req, ErrDecode
 	}
-	req.Days = int32(binary.BigEndian.Uint32(data))
+	req.Days = int32(binary.BigEndian.Uint32([]byte(data)))
 	return req, nil
 }
 
@@ -241,7 +241,7 @@ func Handler(impl Impl) wire.Handler {
 	return wire.HandlerFunc(func(_ context.Context, _ string, req *wire.Request) *wire.Response {
 		// Skip the session chunk: the static server keeps no protocol
 		// state.
-		_, rest, err := consumeChunk(req.Body)
+		_, rest, err := consumeChunk(req.Received)
 		if err != nil {
 			return &wire.Response{Status: wire.StatusBadRequest, ErrMsg: err.Error()}
 		}

@@ -67,19 +67,15 @@ func startDynamicServer(t *testing.T, loopName string) (*cosm.Node, ref.ServiceR
 	}
 	boolT := sidl.Basic(sidl.Bool)
 	svc.MustHandle("SelectCar", func(call *cosm.Call) error {
-		selection, err := call.Arg("selection")
-		if err != nil {
-			return err
-		}
-		days, err := selection.Field("days")
-		if err != nil {
+		var selection struct{ Days int64 }
+		if err := call.Args(&selection); err != nil {
 			return err
 		}
 		out := xcode.Zero(sid.Type("SelectCarReturn_t"))
 		if err := out.SetField("available", xcode.NewBool(boolT, true)); err != nil {
 			return err
 		}
-		if err := out.SetField("charge", xcode.NewFloat(sidl.Basic(sidl.Float64), 80*float64(days.Int))); err != nil {
+		if err := out.SetField("charge", xcode.NewFloat(sidl.Basic(sidl.Float64), 80*float64(selection.Days))); err != nil {
 			return err
 		}
 		call.Result = out
@@ -160,7 +156,7 @@ func TestDynamicClientAgainstStaticServer(t *testing.T) {
 }
 
 func TestCodecRejectsJunk(t *testing.T) {
-	if _, err := decodeSelectCar([]byte{9}); !errors.Is(err, ErrDecode) {
+	if _, err := decodeSelectCar("\x09"); !errors.Is(err, ErrDecode) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := decodeSelectReturn("\x02\x00\x00"); !errors.Is(err, ErrDecode) {
@@ -169,7 +165,7 @@ func TestCodecRejectsJunk(t *testing.T) {
 	if _, err := decodeBookReturn("\x01\xc8\x01"); !errors.Is(err, ErrDecode) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := consumeChunk([]byte{200}); !errors.Is(err, ErrDecode) {
+	if _, _, err := consumeChunk("\xc8"); !errors.Is(err, ErrDecode) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -181,7 +177,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Model: FIATUno, BookingDate: "x", Days: -1},
 	}
 	for _, r := range reqs {
-		got, err := decodeSelectCar(encodeSelectCar(r))
+		got, err := decodeSelectCar(string(encodeSelectCar(r)))
 		if err != nil || got != r {
 			t.Fatalf("SelectCarRequest round trip: %+v vs %+v (%v)", got, r, err)
 		}

@@ -3,6 +3,7 @@ package trader
 import (
 	"context"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -29,6 +30,17 @@ type OfferSummary struct {
 	Gen uint64
 	// Entries lists the advertised types, sorted by name.
 	Entries []SummaryEntry
+}
+
+// clone gives the strings of s, decoded as windows of a request (see
+// cosm.Call), storage of their own: the receiver keeps the summary on
+// its link.
+func (s OfferSummary) clone() OfferSummary {
+	s.From = strings.Clone(s.From)
+	for i := range s.Entries {
+		s.Entries[i].Type = strings.Clone(s.Entries[i].Type)
+	}
+	return s
 }
 
 // SummaryPeer is the optional Federate extension for offer-summary

@@ -2,6 +2,7 @@ package trader
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"cosm/internal/cosm"
@@ -274,6 +275,9 @@ func wireProps(props []sidl.Property) []PropRecord {
 	return recs
 }
 
+// propsFromWire converts the property records of an export or a
+// replace, which the offer keeps: its names and texts, windows of the
+// request (cosm.Call), are cloned.
 func propsFromWire(recs []PropRecord) ([]sidl.Property, error) {
 	props := make([]sidl.Property, len(recs))
 	for i, r := range recs {
@@ -281,7 +285,8 @@ func propsFromWire(recs []PropRecord) ([]sidl.Property, error) {
 		if err != nil {
 			return nil, err
 		}
-		props[i] = sidl.Property{Name: r.Name, Value: lit}
+		lit.Str = strings.Clone(lit.Str)
+		props[i] = sidl.Property{Name: strings.Clone(r.Name), Value: lit}
 	}
 	return props, nil
 }
@@ -309,7 +314,7 @@ func exportItemsFromWire(ws []exportItemWire) ([]ExportItem, error) {
 		if err != nil {
 			return nil, err
 		}
-		items[i] = ExportItem{Type: w.ServiceType, Ref: w.Target, Props: props, TTL: time.Duration(w.TTLSeconds) * time.Second}
+		items[i] = ExportItem{Type: strings.Clone(w.ServiceType), Ref: w.Target.Clone(), Props: props, TTL: time.Duration(w.TTLSeconds) * time.Second}
 	}
 	return items, nil
 }
@@ -404,6 +409,11 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		return nil, err
 	}
 
+	// What a handler keeps of its arguments past its return, it clones:
+	// they are windows of the request (cosm.Call). The conversions from
+	// the wire forms clone what they keep (propsFromWire,
+	// exportItemsFromWire).
+
 	// Export is ExportLease without its trailing argument (both take only
 	// in-parameters).
 	export := func(call *cosm.Call) error {
@@ -419,7 +429,7 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err != nil {
 			return err
 		}
-		id, err := t.ExportLease(serviceType, target, props, time.Duration(ttlSeconds)*time.Second)
+		id, err := t.ExportLease(strings.Clone(serviceType), target.Clone(), props, time.Duration(ttlSeconds)*time.Second)
 		if err != nil {
 			return err
 		}
@@ -433,11 +443,11 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err := call.Args(&text, &target); err != nil {
 			return err
 		}
-		sid, err := sidl.Parse(text)
+		sid, err := sidl.Parse(strings.Clone(text))
 		if err != nil {
 			return err
 		}
-		id, err := t.ExportSID(sid, target)
+		id, err := t.ExportSID(sid, target.Clone())
 		if err != nil {
 			return err
 		}
@@ -520,7 +530,7 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err := call.Args(&text); err != nil {
 			return err
 		}
-		return t.DefineTypeSIDL(text)
+		return t.DefineTypeSIDL(strings.Clone(text))
 	})
 	svc.MustHandle("TypeNames", func(call *cosm.Call) error {
 		return call.Return(t.Types().Names())
@@ -540,7 +550,7 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err := call.Args(&followerID, &epoch, &afterSeq, &max, &waitMs); err != nil {
 			return err
 		}
-		b, err := t.PullBatch(call.Ctx, followerID, epoch, afterSeq, max, time.Duration(waitMs)*time.Millisecond)
+		b, err := t.PullBatch(call.Ctx, strings.Clone(followerID), epoch, afterSeq, max, time.Duration(waitMs)*time.Millisecond)
 		if err != nil {
 			return err
 		}
@@ -562,7 +572,7 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err := call.Args(&candidateID, &newEpoch, &applied, &tailEpoch); err != nil {
 			return err
 		}
-		v, err := t.RequestVote(call.Ctx, candidateID, newEpoch, applied, tailEpoch)
+		v, err := t.RequestVote(call.Ctx, strings.Clone(candidateID), newEpoch, applied, tailEpoch)
 		if err != nil {
 			return err
 		}
@@ -577,11 +587,11 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if t.linkDialer == nil {
 			return ErrNoLinkDialer
 		}
-		peer, err := t.linkDialer(call.Ctx, peerRef)
+		peer, err := t.linkDialer(call.Ctx, peerRef.Clone())
 		if err != nil {
 			return err
 		}
-		return t.AddLink(name, peer)
+		return t.AddLink(strings.Clone(name), peer)
 	})
 	svc.MustHandle("LinkRemove", func(call *cosm.Call) error {
 		var name string
@@ -598,7 +608,7 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err := call.Args(&theirs); err != nil {
 			return err
 		}
-		mine, err := t.ExchangeSummary(call.Ctx, theirs)
+		mine, err := t.ExchangeSummary(call.Ctx, theirs.clone())
 		if err != nil {
 			return err
 		}

@@ -104,7 +104,7 @@ func (c *Client) readLoop() {
 	defer close(c.readDone)
 	frames := newFrameReader(c.conn)
 	for {
-		f, n, err := frames.head()
+		f, err := frames.next()
 		if err != nil {
 			c.failAll(err)
 			return
@@ -113,12 +113,7 @@ func (c *Client) readLoop() {
 			c.failAll(fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, f.ftype))
 			return
 		}
-		payload, err := frames.text(n)
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		rep, err := decodeReply(payload)
+		rep, err := decodeReply(f.payload)
 		if err != nil {
 			c.failAll(err)
 			return

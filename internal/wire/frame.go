@@ -95,10 +95,11 @@ type frame struct {
 	// side's span.
 	traceID  string
 	parentID string
-	// payload is the frame's body as read. On write, a frame carrying
-	// req or resp has that encoded as its payload instead (see
-	// appendFrame); payload is written as it is otherwise.
-	payload []byte
+	// payload is the frame's body as read: one string, which what is
+	// decoded from it shares. On write, a frame carrying req or resp has
+	// that encoded as its payload instead (see appendFrame); payload is
+	// written as it is otherwise.
+	payload string
 	req     *Request
 	resp    *Response
 }
@@ -230,8 +231,7 @@ func decodeFrameMeta(meta []byte) (traceID, parentID string, err error) {
 
 // frameReader reads the frames of one connection through a buffer of
 // frameReadBuf bytes. The header, TTL and trace metadata are parsed in
-// place; only the payload, which its reader owns, and non-empty trace
-// IDs are allocated.
+// place; only the payload and non-empty trace IDs are allocated.
 type frameReader struct {
 	buf *bufio.Reader
 }
@@ -240,24 +240,24 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{buf: bufio.NewReaderSize(r, frameReadBuf)}
 }
 
-// next reads one frame, its payload into bytes of its own: how a
-// server reads requests.
+// next reads one frame, its payload into one string (text): how a
+// server reads a request and a client a reply, so that every string
+// decoded from the payload can be a window of it.
 func (r *frameReader) next() (frame, error) {
 	f, n, err := r.head()
 	if err != nil {
 		return frame{}, err
 	}
-	f.payload = make([]byte, n)
-	if _, err := io.ReadFull(r.buf, f.payload); err != nil {
-		return frame{}, truncatedPayload(err)
+	if f.payload, err = r.text(n); err != nil {
+		return frame{}, err
 	}
 	return f, nil
 }
 
 // head reads one frame up to its payload and returns the payload's
-// length, which the caller reads next (next or text). A stream that
-// ends cleanly between frames returns io.EOF; one that ends inside a
-// header returns io.ErrUnexpectedEOF.
+// length, which next reads after it. A stream that ends cleanly between
+// frames returns io.EOF; one that ends inside a header returns
+// io.ErrUnexpectedEOF.
 func (r *frameReader) head() (frame, int, error) {
 	hdr, err := r.buf.Peek(frameHeaderLen)
 	if err != nil {
@@ -308,13 +308,12 @@ func (r *frameReader) head() (frame, int, error) {
 	return f, int(n), nil
 }
 
-// text reads an n-byte payload into one string of exactly n bytes: how
-// a client reads a reply, so that every string decoded from it can be
-// a window of it. The bytes pass through a buffer from frameBufs of at
-// most frameBufMax bytes, which a read larger than the connection's
-// reader buffer fills straight from the connection; the string is
-// allocated once the first of them has arrived, so a header claiming
-// MaxFramePayload with nothing behind it costs no more than that buffer.
+// text reads an n-byte payload into one string of exactly n bytes. The
+// bytes pass through a buffer from frameBufs of at most frameBufMax
+// bytes, which a read larger than the connection's reader buffer fills
+// straight from the connection; the string is allocated once the first
+// of them has arrived, so a header claiming MaxFramePayload with nothing
+// behind it costs no more than that buffer.
 func (r *frameReader) text(n int) (string, error) {
 	bp := BorrowBuf()
 	buf := slices.Grow(*bp, min(n, frameBufMax))
@@ -356,11 +355,33 @@ func ttlOf(deadline time.Time, now time.Time) uint64 {
 }
 
 // Request is one RPC request: a service name, an operation name, and an
-// opaque body (encoded by the layer above, typically xcode).
+// opaque body (encoded by the layer above, typically xcode). A caller
+// sends Body. A Handler reads Received: a server reads each request's
+// payload into one string, and Service, Op and Received are windows of
+// it (DESIGN.md section 6).
 type Request struct {
 	Service string
 	Op      string
-	Body    []byte
+	// Body is the body a caller sends; nil in a request a server read.
+	Body []byte
+	// Received is the body of a request a server read.
+	Received string
+
+	// resp is the response the server lends the handler (see Reply).
+	resp *Response
+}
+
+// Reply returns a response with status and errMsg set, for a Handler
+// to fill and return: of a request a Server read, the one the server
+// lends with it and takes back after the write, so that a Handler
+// returning it allocates none; of any other, a new one.
+func (r *Request) Reply(status Status, errMsg string) *Response {
+	resp := r.resp
+	if resp == nil {
+		resp = new(Response)
+	}
+	*resp = Response{Status: status, ErrMsg: errMsg}
+	return resp
 }
 
 // Status is the outcome class of a response.
@@ -438,40 +459,42 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// uvarint is binary.Uvarint over bytes or a string. Converting a string
-// allocates nothing: the bytes do not escape, and they are at most
+// uvarint is binary.Uvarint over a string. Converting it allocates
+// nothing: the bytes do not escape, and they are at most
 // binary.MaxVarintLen64+1, one past the longest uvarint so that an
 // overlong one still reads as overlong.
-func uvarint[S ~string | ~[]byte](data S) (uint64, int) {
+func uvarint(data string) (uint64, int) {
 	return binary.Uvarint([]byte(data[:min(len(data), binary.MaxVarintLen64+1)]))
 }
 
-// consumeString reads a length-prefixed string: a copy out of bytes, a
-// window of a string.
-func consumeString[S ~string | ~[]byte](data S, limit int) (s string, rest S, err error) {
+// consumeString reads a length-prefixed string, a window of data.
+func consumeString(data string, limit int) (s, rest string, err error) {
 	n, size := uvarint(data)
 	if size <= 0 {
-		return "", rest, fmt.Errorf("%w: truncated string length", ErrBadFrame)
+		return "", "", fmt.Errorf("%w: truncated string length", ErrBadFrame)
 	}
 	data = data[size:]
 	if n > uint64(limit) || uint64(len(data)) < n {
-		return "", rest, fmt.Errorf("%w: string length %d", ErrBadFrame, n)
+		return "", "", fmt.Errorf("%w: string length %d", ErrBadFrame, n)
 	}
-	return string(data[:n]), data[n:], nil
+	return data[:n], data[n:], nil
 }
 
 const maxNameLen = 4096
 
-func decodeRequest(payload []byte) (*Request, error) {
+// decodeRequest reads a request payload into req: its service, op and
+// body are windows of payload.
+func decodeRequest(payload string, req *Request) error {
 	service, rest, err := consumeString(payload, maxNameLen)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	op, rest, err := consumeString(rest, maxNameLen)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Request{Service: service, Op: op, Body: rest}, nil
+	req.Service, req.Op, req.Received = service, op, rest
+	return nil
 }
 
 // reply is a Response as a client reads it: the payload was read into

@@ -498,9 +498,9 @@ func TestBreakerShedSemantics(t *testing.T) {
 
 // Request frames round-trip their TTL through the framing layer.
 func TestFrameTTLRoundTrip(t *testing.T) {
-	want := frame{ftype: frameRequest, id: 9, ttl: 123456, payload: []byte("p")}
+	want := frame{ftype: frameRequest, id: 9, ttl: 123456, payload: "p"}
 	got := roundTrip(t, &want)
-	if got.ttl != want.ttl || got.id != want.id || !bytes.Equal(got.payload, want.payload) {
+	if got.ttl != want.ttl || got.id != want.id || got.payload != want.payload {
 		t.Fatalf("round trip = %+v", got)
 	}
 

@@ -21,7 +21,15 @@ import (
 // long-running handlers should honour it. The returned response's Body
 // is opaque to the wire layer; a Body encoded in a buffer from
 // BorrowBuf names it in Response.Buf, and the server hands it back
-// after the write. A Handler must not retain req.Body past its return.
+// after the write.
+//
+// req, and the response req.Reply lends, are the server's again once
+// the response is written: a Handler keeps neither past its return.
+// The strings it reads from req — Service, Op, Received and what it
+// decodes from Received — are windows of the one string the request
+// was read into (DESIGN.md section 6). They stay valid, but each keeps
+// that whole string alive, so a Handler that keeps one past its return
+// keeps a clone (strings.Clone).
 type Handler interface {
 	ServeCOSM(ctx context.Context, remote string, req *Request) *Response
 }
@@ -292,7 +300,15 @@ func (s *Server) acceptLoop(ln listener) {
 // read loop and the per-request goroutines.
 type connState struct {
 	conn    net.Conn
+	remote  string
 	writeMu sync.Mutex // serializes frame writes
+
+	// ctx parents every request on this connection: a broken or closed
+	// connection cancels all of its in-flight handlers.
+	ctx context.Context
+	// handlers counts the connection's handler goroutines, which the read
+	// loop waits for before the connection closes.
+	handlers sync.WaitGroup
 
 	mu      sync.Mutex
 	cancels map[uint64]context.CancelFunc
@@ -331,14 +347,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 
-	remote := conn.RemoteAddr().String()
-	cs := &connState{conn: conn, cancels: map[uint64]context.CancelFunc{}}
-	// connCtx parents every request on this connection: a broken or
-	// closed connection cancels all of its in-flight handlers.
-	connCtx, connCancel := context.WithCancel(s.baseCtx)
-	defer connCancel()
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	cs := &connState{conn: conn, remote: conn.RemoteAddr().String(), cancels: map[uint64]context.CancelFunc{}}
+	var cancel context.CancelFunc
+	cs.ctx, cancel = context.WithCancel(s.baseCtx)
+	// Deferred calls run last first: the handlers are cancelled, and then
+	// waited for.
+	defer cs.handlers.Wait()
+	defer cancel()
 
 	frames := newFrameReader(conn)
 	for {
@@ -347,7 +362,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// EOF and closed-connection errors are normal client
 			// departures; framing errors are worth a log line.
 			if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooLarge) {
-				s.logf("wire: %s: %v", remote, err)
+				s.logf("wire: %s: %v", cs.remote, err)
 			}
 			return
 		}
@@ -357,24 +372,73 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		case frameRequest:
 		default:
-			s.logf("wire: %s: unexpected frame type %d", remote, f.ftype)
+			s.logf("wire: %s: unexpected frame type %d", cs.remote, f.ftype)
 			return
 		}
-		req, err := decodeRequest(f.payload)
-		if err != nil {
-			s.respond(cs, f.id, &Response{Status: StatusBadRequest, ErrMsg: err.Error()})
+		c := newServerCall()
+		c.s, c.cs, c.id, c.traceID = s, cs, f.id, f.traceID
+		if err := decodeRequest(f.payload, &c.req); err != nil {
+			c.answer(c.req.Reply(StatusBadRequest, err.Error()))
 			continue
 		}
 		s.mu.Lock()
-		h, ok := s.services[req.Service]
+		h, ok := s.services[c.req.Service]
 		draining := s.draining
 		s.mu.Unlock()
 		if !ok {
-			s.respond(cs, f.id, &Response{Status: StatusNoService, ErrMsg: req.Service})
+			c.answer(c.req.Reply(StatusNoService, c.req.Service))
 			continue
 		}
-		s.dispatch(connCtx, cs, &handlers, f, req, h, remote, draining)
+		c.h = h
+		s.dispatch(c, f, draining)
 	}
+}
+
+// serverCall is one request from its read to its response: the request
+// its handler reads, the response the handler may fill (Request.Reply),
+// and what the goroutine that runs the handler needs. serverCalls pools
+// them, and each goes back once its response is written.
+type serverCall struct {
+	req  Request
+	resp Response
+
+	s       *Server
+	cs      *connState
+	h       Handler
+	id      uint64
+	traceID string
+	ctx     context.Context
+	cancel  context.CancelFunc
+	// queueing says the request waits for an in-flight slot (dispatch).
+	queueing bool
+	// run is serve, bound once per serverCall, so that starting the
+	// goroutine that runs it allocates no closure.
+	run func()
+}
+
+var serverCalls sync.Pool
+
+// newServerCall takes a serverCall from serverCalls, or makes one.
+func newServerCall() *serverCall {
+	if c, ok := serverCalls.Get().(*serverCall); ok {
+		return c
+	}
+	c := new(serverCall)
+	c.req.resp = &c.resp
+	c.run = c.serve
+	return c
+}
+
+// free empties c and hands it back to serverCalls.
+func (c *serverCall) free() {
+	*c = serverCall{req: Request{resp: &c.resp}, run: c.run}
+	serverCalls.Put(c)
+}
+
+// answer responds to a request the read loop refuses, and frees it.
+func (c *serverCall) answer(resp *Response) {
+	c.s.respond(c.cs, c.id, resp)
+	c.free()
 }
 
 // dispatch applies deadline, drain and admission checks to one request
@@ -383,7 +447,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // RPC over TCP lacks, but DCE-style RPC provides). Shed and reject
 // paths respond inline from the read loop: they do not spawn, so the
 // goroutine population is bounded by MaxInFlight + MaxQueue.
-func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync.WaitGroup, f frame, req *Request, h Handler, remote string, draining bool) {
+func (s *Server) dispatch(c *serverCall, f frame, draining bool) {
 	// Deadline propagation: the request context inherits the caller's
 	// remaining budget, and is independently cancellable so a cancel
 	// frame for this id can abort just this request. An already-expired
@@ -391,9 +455,9 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if f.ttl > 0 {
-		ctx, cancel = context.WithTimeout(connCtx, time.Duration(f.ttl)*time.Microsecond)
+		ctx, cancel = context.WithTimeout(c.cs.ctx, time.Duration(f.ttl)*time.Microsecond)
 	} else {
-		ctx, cancel = context.WithCancel(connCtx)
+		ctx, cancel = context.WithCancel(c.cs.ctx)
 	}
 	// Trace continuation: the handler context carries the caller's trace
 	// ID under a fresh span parented at the caller's span, so every log
@@ -402,101 +466,123 @@ func (s *Server) dispatch(connCtx context.Context, cs *connState, handlers *sync
 	if f.traceID != "" {
 		ctx = obs.WithTrace(ctx, obs.Trace{ID: f.traceID, Span: f.parentID}.Child())
 	}
-	// Error responses echo the trace ID so a caller holding only the
-	// error text can still find the server-side footprint.
-	echo := traceEcho(f.traceID)
 	if ctx.Err() != nil || f.ttl == 1 {
 		// A 1µs TTL is the stamp of a caller at (or past) its deadline.
 		cancel()
-		s.expiredResponse(cs, f.id, req, echo)
+		c.expire()
+		c.free()
 		return
 	}
 	if draining {
 		cancel()
-		s.shedResponse(cs, f.id, "server draining"+echo)
+		c.shed("server draining")
+		c.free()
 		return
 	}
-	p := s.admission
-
-	queueing := false
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}: // free slot: admit immediately
 		default:
-			if int(s.queued.Load()) >= p.MaxQueue {
+			if int(s.queued.Load()) >= s.admission.MaxQueue {
 				cancel()
-				s.shedResponse(cs, f.id, "admission queue full"+echo)
+				c.shed("admission queue full")
+				c.free()
 				return
 			}
 			s.queued.Add(1)
-			queueing = true
+			c.queueing = true
 		}
 	}
 
 	s.inflight.Add(1)
 	s.m.inflight.Add(1)
-	handlers.Add(1)
-	cs.register(f.id, cancel)
-	go func(id uint64, req *Request, ctx context.Context) {
-		defer handlers.Done()
-		defer s.inflight.Done()
-		defer s.m.inflight.Add(-1)
-		defer cs.unregister(id)
-		defer cancel()
-
-		if queueing {
-			// FIFO admission wait, bounded by the queue-time cap and
-			// the request's own deadline: work nobody is waiting for
-			// anymore must not occupy a slot.
-			waitStart := time.Now()
-			wait := time.NewTimer(p.queueWait())
-			select {
-			case s.sem <- struct{}{}:
-				wait.Stop()
-				s.m.queueWait.Observe(time.Since(waitStart).Seconds())
-			case <-wait.C:
-				s.queued.Add(-1)
-				s.shedResponse(cs, id, "queue wait exceeded"+echo)
-				return
-			case <-ctx.Done():
-				wait.Stop()
-				s.queued.Add(-1)
-				s.expiredResponse(cs, id, req, echo)
-				return
-			}
-			s.queued.Add(-1)
-		}
-		if s.sem != nil {
-			defer func() { <-s.sem }()
-		}
-		// Re-check after queueing: the deadline may have expired while
-		// waiting for a slot.
-		if ctx.Err() != nil {
-			s.expiredResponse(cs, id, req, echo)
-			return
-		}
-		s.respond(cs, id, s.serveRequest(ctx, h, remote, req))
-	}(f.id, req, ctx)
+	c.cs.handlers.Add(1)
+	c.cs.register(c.id, cancel)
+	c.ctx, c.cancel = ctx, cancel
+	go c.run()
 }
 
-// traceEcho renders the error-response trace suffix for a traced
-// request ("" for untraced ones).
-func traceEcho(traceID string) string {
-	if traceID == "" {
+// serve runs on the request's own goroutine: it waits for an in-flight
+// slot when dispatch queued the request, runs the handler and writes its
+// response, and then frees c.
+func (c *serverCall) serve() {
+	s := c.s
+	defer c.finish()
+	if c.queueing {
+		// FIFO admission wait, bounded by the queue-time cap and the
+		// request's own deadline: work nobody is waiting for anymore must
+		// not occupy a slot.
+		waitStart := time.Now()
+		wait := time.NewTimer(s.admission.queueWait())
+		select {
+		case s.sem <- struct{}{}:
+			wait.Stop()
+			s.m.queueWait.Observe(time.Since(waitStart).Seconds())
+		case <-wait.C:
+			s.queued.Add(-1)
+			c.shed("queue wait exceeded")
+			return
+		case <-c.ctx.Done():
+			wait.Stop()
+			s.queued.Add(-1)
+			c.expire()
+			return
+		}
+		s.queued.Add(-1)
+	}
+	if s.sem != nil {
+		defer func() { <-s.sem }()
+	}
+	// Re-check after queueing: the deadline may have expired while
+	// waiting for a slot.
+	if c.ctx.Err() != nil {
+		c.expire()
+		return
+	}
+	s.respond(c.cs, c.id, s.serveRequest(c))
+}
+
+// finish retires a dispatched request once its response is written.
+func (c *serverCall) finish() {
+	s, cs := c.s, c.cs
+	c.cancel()
+	cs.unregister(c.id)
+	s.m.inflight.Add(-1)
+	s.inflight.Done()
+	cs.handlers.Done()
+	c.free()
+}
+
+// echo renders the error-response trace suffix: error responses echo
+// the trace ID so a caller holding only the error text can still find
+// the server-side footprint ("" for untraced requests).
+func (c *serverCall) echo() string {
+	if c.traceID == "" {
 		return ""
 	}
-	return " [trace " + traceID + "]"
+	return " [trace " + c.traceID + "]"
 }
 
 // serveRequest runs one handler, converting a panic into a
 // StatusAppError response instead of letting it kill the daemon: in an
 // open market a single misbehaving service implementation must not take
-// the whole node — and every co-hosted service — down with it.
-func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req *Request) (resp *Response) {
-	op := req.Service + "/" + req.Op
+// the whole node — and every co-hosted service — down with it. The
+// op label is built only when a metric, log line, span or watchdog
+// reads it.
+func (s *Server) serveRequest(c *serverCall) (resp *Response) {
+	ctx, remote, req := c.ctx, c.cs.remote, &c.req
 	start := time.Now()
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		d := time.Since(start)
+		tr := obs.TraceFrom(ctx)
+		traced := s.rec.Enabled() && tr.Valid()
+		slow := s.slow > 0 && d >= s.slow
+		var op string
+		if r != nil || s.m.latency != nil || s.log != nil || traced || slow {
+			op = req.Service + "/" + req.Op
+		}
+		if r != nil {
 			s.panics.Add(1)
 			s.m.panics.Inc()
 			// The stack goes through the structured logger when one is
@@ -508,17 +594,18 @@ func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req
 			} else {
 				s.logf("wire: panic in %s handler: %v\n%s", op, r, debug.Stack())
 			}
-			resp = &Response{Status: StatusAppError, ErrMsg: fmt.Sprintf("handler panic: %v", r)}
+			resp = req.Reply(StatusAppError, fmt.Sprintf("handler panic: %v", r))
 		}
-		d := time.Since(start)
-		s.m.latency.With(op).Observe(d.Seconds())
+		if s.m.latency != nil {
+			s.m.latency.With(op).Observe(d.Seconds())
+		}
 		// Access log: one line per handled request, tagged with the
 		// trace carried by ctx.
 		if s.log != nil {
 			s.log.Log(ctx, "rpc", "op", op, "remote", remote,
 				"status", resp.Status.String(), "dur", d)
 		}
-		if tr := obs.TraceFrom(ctx); s.rec.Enabled() && tr.Valid() {
+		if traced {
 			s.rec.Record(obs.Span{
 				Trace:    tr.ID,
 				ID:       tr.Span,
@@ -531,7 +618,7 @@ func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req
 				Duration: d,
 			})
 		}
-		if s.slow > 0 && d >= s.slow {
+		if slow {
 			s.m.slow.Inc()
 			// Sampled promotion: at most one watchdog line per second, so
 			// a systemic slowdown surfaces without flooding the log.
@@ -543,47 +630,54 @@ func (s *Server) serveRequest(ctx context.Context, h Handler, remote string, req
 			}
 		}
 	}()
-	resp = h.ServeCOSM(ctx, remote, req)
+	resp = c.h.ServeCOSM(ctx, remote, req)
 	if resp == nil {
-		resp = &Response{Status: StatusAppError, ErrMsg: "nil response from handler"}
+		resp = req.Reply(StatusAppError, "nil response from handler")
 	}
 	s.served.Add(1)
 	return resp
 }
 
-// shedResponse rejects one request with StatusOverloaded and the
-// configured retry-after hint.
-func (s *Server) shedResponse(cs *connState, id uint64, why string) {
+// shed rejects the request with StatusOverloaded and the configured
+// retry-after hint.
+func (c *serverCall) shed(why string) {
+	s := c.s
 	s.shed.Add(1)
 	s.m.sheds.Inc()
-	s.respond(cs, id, &Response{
-		Status:     StatusOverloaded,
-		ErrMsg:     why,
-		RetryAfter: s.admission.queueWait(),
-	})
+	resp := c.req.Reply(StatusOverloaded, why+c.echo())
+	resp.RetryAfter = s.admission.queueWait()
+	s.respond(c.cs, c.id, resp)
 }
 
-// expiredResponse rejects one request with StatusDeadlineExpired: its
-// deadline passed before its handler could run. echo is the request's
-// trace suffix (traceEcho).
-func (s *Server) expiredResponse(cs *connState, id uint64, req *Request, echo string) {
+// expire rejects the request with StatusDeadlineExpired: its deadline
+// passed before its handler could run.
+func (c *serverCall) expire() {
+	s := c.s
 	s.expired.Add(1)
 	s.m.expired.Inc()
-	s.respond(cs, id, &Response{Status: StatusDeadlineExpired, ErrMsg: req.Service + "/" + req.Op + echo})
+	s.respond(c.cs, c.id, c.req.Reply(StatusDeadlineExpired, c.req.Service+"/"+c.req.Op+c.echo()))
 }
 
 // respond writes resp and then hands back the buffer its body was
-// encoded in, whether the write succeeded or not.
+// encoded in, whether the write succeeded or not. A response too large
+// for a frame fails alone: appendFrame refuses it before a byte of it
+// is written, so the stream is intact, and the caller gets an error
+// response that names the limit while the connection's other calls go
+// on.
 func (s *Server) respond(cs *connState, id uint64, resp *Response) {
-	if s.m.status != nil {
-		s.m.status.With(statusSlug(resp.Status)).Inc()
-	}
+	status := resp.Status
 	cs.writeMu.Lock()
 	defer cs.writeMu.Unlock()
 	// Bound the write so one wedged client socket cannot hold writeMu
 	// and stall every concurrent handler response on this connection.
 	_ = cs.conn.SetWriteDeadline(time.Now().Add(defaultWriteStall))
 	err := sendFrame(cs.conn, &frame{ftype: frameResponse, id: id, resp: resp})
+	if errors.Is(err, ErrFrameTooLarge) {
+		s.logf("wire: write response: %v", err)
+		status = StatusAppError
+		err = sendFrame(cs.conn, &frame{ftype: frameResponse, id: id, resp: &Response{Status: status,
+			ErrMsg: fmt.Sprintf("%v, over the limit of %d", err, MaxFramePayload)}})
+	}
 	_ = cs.conn.SetWriteDeadline(time.Time{})
 	ReleaseBuf(resp.Buf)
 	if err != nil {
@@ -594,6 +688,9 @@ func (s *Server) respond(cs *connState, id uint64, resp *Response) {
 		// here ends and cancels this connection's handlers.
 		s.logf("wire: write response: %v", err)
 		_ = cs.conn.Close()
+	}
+	if s.m.status != nil {
+		s.m.status.With(statusSlug(status)).Inc()
 	}
 }
 

@@ -25,7 +25,7 @@ func quietServer() *Server {
 // echoHandler returns the request body with the op name prepended.
 func echoHandler() Handler {
 	return HandlerFunc(func(_ context.Context, _ string, req *Request) *Response {
-		body := append([]byte(req.Op+":"), req.Body...)
+		body := append([]byte(req.Op+":"), req.Received...)
 		return &Response{Status: StatusOK, Body: body}
 	})
 }
@@ -104,10 +104,10 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 	// Handlers sleep inversely to their index; responses must still be
 	// correlated correctly over the single shared connection.
 	h := HandlerFunc(func(_ context.Context, _ string, req *Request) *Response {
-		if len(req.Body) > 0 && req.Body[0]%2 == 0 {
+		if len(req.Received) > 0 && req.Received[0]%2 == 0 {
 			time.Sleep(2 * time.Millisecond)
 		}
-		return &Response{Status: StatusOK, Body: req.Body}
+		return &Response{Status: StatusOK, Body: []byte(req.Received)}
 	})
 	_, bound := startServer(t, "loop:mux", map[string]Handler{"svc": h})
 	c, err := Dial(bound)
@@ -171,12 +171,12 @@ func TestCallContextCancel(t *testing.T) {
 // cancellations. Every call that succeeds returns its own body.
 func TestReplyChannelsSurviveCancellation(t *testing.T) {
 	h := HandlerFunc(func(ctx context.Context, _ string, req *Request) *Response {
-		delay := time.Duration(req.Body[0]) * 4 * time.Microsecond
+		delay := time.Duration(req.Received[0]) * 4 * time.Microsecond
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
 		}
-		return &Response{Status: StatusOK, Body: append([]byte(nil), req.Body...)}
+		return &Response{Status: StatusOK, Body: []byte(req.Received)}
 	})
 	_, bound := startServer(t, "loop:reply-chans", map[string]Handler{"svc": h})
 	c, err := Dial(bound)
@@ -225,6 +225,103 @@ func TestReplyChannelsSurviveCancellation(t *testing.T) {
 	}
 	if ok.Load() == 0 || cancelled.Load() == 0 {
 		t.Fatalf("%d calls succeeded and %d were cancelled: the race between them was not run", ok.Load(), cancelled.Load())
+	}
+}
+
+// TestOversizedReplyFailsAlone: a reply past MaxFramePayload is refused
+// before a byte of it is written, so the connection is intact. Its
+// caller gets an error that names the limit, and the calls pending on
+// the same connection meanwhile are answered. (Closing the connection
+// failed all of them with EOF.)
+func TestOversizedReplyFailsAlone(t *testing.T) {
+	release := make(chan struct{})
+	h := HandlerFunc(func(_ context.Context, _ string, req *Request) *Response {
+		if req.Op == "Big" {
+			return &Response{Status: StatusOK, Body: make([]byte, MaxFramePayload)}
+		}
+		<-release
+		return &Response{Status: StatusOK, Body: []byte(req.Received)}
+	})
+	_, bound := startServer(t, "loop:oversized-reply", map[string]Handler{"svc": h})
+	c, err := Dial(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const bounded = 8
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make(chan error, bounded)
+	for i := range bounded {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want := fmt.Sprintf("small %d", i)
+			got, err := c.Call(ctx, &Request{Service: "svc", Op: "Small", Body: []byte(want)})
+			if err == nil && got != want {
+				err = fmt.Errorf("reply %q, want %q", got, want)
+			}
+			errs <- err
+		}()
+	}
+	// The small calls are pending on the connection once their ids are.
+	for {
+		c.mu.Lock()
+		n := len(c.pending)
+		c.mu.Unlock()
+		if n == bounded {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, err = c.Call(ctx, &Request{Service: "svc", Op: "Big"})
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != StatusAppError || !strings.Contains(re.Msg, fmt.Sprint(MaxFramePayload)) {
+		t.Errorf("oversized reply: err = %v, want an application error naming the limit", err)
+	}
+	close(release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Errorf("bounded call beside the oversized reply: %v", err)
+		}
+	}
+	if got, err := c.Call(ctx, &Request{Service: "svc", Op: "Small", Body: []byte("after")}); err != nil || got != "after" {
+		t.Fatalf("call after the oversized reply = %q, %v", got, err)
+	}
+}
+
+// TestClosedConnectionCancelsItsHandlers: a connection that breaks or
+// closes cancels the handlers of its requests, whose caller is gone.
+// (The read loop once waited for them before cancelling them, so a
+// handler waiting on its context held the connection until it gave up
+// by itself.)
+func TestClosedConnectionCancelsItsHandlers(t *testing.T) {
+	started, cancelled := make(chan struct{}), make(chan struct{})
+	h := HandlerFunc(func(ctx context.Context, _ string, _ *Request) *Response {
+		close(started)
+		select {
+		case <-ctx.Done():
+			close(cancelled)
+		case <-time.After(5 * time.Second):
+		}
+		return &Response{Status: StatusOK}
+	})
+	_, bound := startServer(t, "loop:closed-cancels", map[string]Handler{"svc": h})
+	c, err := Dial(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _, _ = c.Call(context.Background(), &Request{Service: "svc", Op: "Wait"}) }()
+	<-started
+	_ = c.Close()
+	select {
+	case <-cancelled:
+	case <-time.After(time.Second):
+		t.Fatal("the handler was not cancelled within 1s of its connection closing")
 	}
 }
 
@@ -356,9 +453,15 @@ func roundTrip(t testing.TB, f *frame) frame {
 
 // requestPayload and responsePayload are the payloads a request or a
 // response frame carries.
-func requestPayload(t testing.TB, req *Request) []byte {
+func requestPayload(t testing.TB, req *Request) string {
 	t.Helper()
 	return roundTrip(t, &frame{ftype: frameRequest, req: req}).payload
+}
+
+// readRequest decodes a request payload as a server does.
+func readRequest(payload string) (*Request, error) {
+	req := new(Request)
+	return req, decodeRequest(payload, req)
 }
 
 func responsePayload(t testing.TB, resp *Response) string {
@@ -374,19 +477,14 @@ func responsePayload(t testing.TB, resp *Response) string {
 // its payload into one string.
 func readReplyPayload(t testing.TB, r io.Reader) string {
 	t.Helper()
-	frames := newFrameReader(r)
-	f, n, err := frames.head()
+	f, err := newFrameReader(r).next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.ftype != frameResponse {
 		t.Fatalf("frame type %d, want a response", f.ftype)
 	}
-	payload, err := frames.text(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return payload
+	return f.payload
 }
 
 // readReply reads one response frame off r and decodes it as a client
@@ -401,9 +499,9 @@ func readReply(t testing.TB, r io.Reader) reply {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	in := frame{ftype: frameRequest, id: 42, payload: []byte("payload")}
+	in := frame{ftype: frameRequest, id: 42, payload: "payload"}
 	out := roundTrip(t, &in)
-	if out.ftype != in.ftype || out.id != in.id || !bytes.Equal(out.payload, in.payload) {
+	if out.ftype != in.ftype || out.id != in.id || out.payload != in.payload {
 		t.Fatalf("round trip: %+v vs %+v", out, in)
 	}
 }
@@ -411,29 +509,17 @@ func TestFrameRoundTrip(t *testing.T) {
 // sameFrame reports whether two frames read off a stream are equal.
 func sameFrame(a, b frame) bool {
 	return a.ftype == b.ftype && a.id == b.id && a.ttl == b.ttl &&
-		a.traceID == b.traceID && a.parentID == b.parentID && bytes.Equal(a.payload, b.payload)
+		a.traceID == b.traceID && a.parentID == b.parentID && a.payload == b.payload
 }
 
 // readAll reads frames off r through a connection's frame reader until
-// the stream ends: each payload into bytes as a server does, or with
-// asText into a string as a client does.
-func readAll(t *testing.T, r io.Reader, asText bool) []frame {
+// the stream ends.
+func readAll(t *testing.T, r io.Reader) []frame {
 	t.Helper()
 	frames := newFrameReader(r)
 	var got []frame
 	for {
-		var f frame
-		var err error
-		if asText {
-			var n int
-			var text string
-			if f, n, err = frames.head(); err == nil {
-				text, err = frames.text(n)
-				f.payload = []byte(text)
-			}
-		} else {
-			f, err = frames.next()
-		}
+		f, err := frames.next()
 		if err == io.EOF {
 			return got
 		}
@@ -446,13 +532,12 @@ func readAll(t *testing.T, r io.Reader, asText bool) []frame {
 
 // TestFrameReaderShortReads: a connection hands the frame reader its
 // bytes in pieces of any size, down to one byte a read. Every frame
-// shape reads the same from one whole buffer and one byte at a time,
-// its payload into bytes or into a string.
+// shape reads the same from one whole buffer and one byte at a time.
 func TestFrameReaderShortReads(t *testing.T) {
 	trace, parent := strings.Repeat("t", frameMaxMeta/2-1), strings.Repeat("p", frameMaxMeta/2-1)
 	// The longest metadata section: both IDs at their limit and one
 	// trailing byte, which readers skip.
-	longMeta, err := appendFrame(nil, &frame{ftype: frameRequest, id: 3, ttl: 7, payload: []byte("m")})
+	longMeta, err := appendFrame(nil, &frame{ftype: frameRequest, id: 3, ttl: 7, payload: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,22 +550,22 @@ func TestFrameReaderShortReads(t *testing.T) {
 	}
 	longMeta = append(append(longMeta[:metaAt:metaAt], section...), longMeta[metaAt+1:]...)
 
-	big := bytes.Repeat([]byte("0123456789abcdef"), 4*frameReadBuf/16+1)
+	big := strings.Repeat("0123456789abcdef", 4*frameReadBuf/16+1)
 	resp := &Response{Status: StatusOK, ErrMsg: "", Body: []byte("ok")}
 	cases := []struct {
 		name string
 		raw  []byte  // when set, the stream; else want written back to back
 		want []frame // the frames read back
 	}{
-		{name: "traced request", want: []frame{{ftype: frameRequest, id: 1, ttl: 50, traceID: "t1", parentID: "s1", payload: []byte("p")}}},
-		{name: "untraced request", want: []frame{{ftype: frameRequest, id: 2, ttl: 0, payload: []byte("p")}}},
-		{name: "255-byte metadata", raw: longMeta, want: []frame{{ftype: frameRequest, id: 3, ttl: 7, traceID: trace, parentID: parent, payload: []byte("m")}}},
-		{name: "response", want: []frame{{ftype: frameResponse, id: 4, payload: []byte(responsePayload(t, resp))}}},
+		{name: "traced request", want: []frame{{ftype: frameRequest, id: 1, ttl: 50, traceID: "t1", parentID: "s1", payload: "p"}}},
+		{name: "untraced request", want: []frame{{ftype: frameRequest, id: 2, ttl: 0, payload: "p"}}},
+		{name: "255-byte metadata", raw: longMeta, want: []frame{{ftype: frameRequest, id: 3, ttl: 7, traceID: trace, parentID: parent, payload: "m"}}},
+		{name: "response", want: []frame{{ftype: frameResponse, id: 4, payload: responsePayload(t, resp)}}},
 		{name: "cancel", want: []frame{{ftype: frameCancel, id: 5}}},
 		{name: "payload beyond the read buffer", want: []frame{{ftype: frameRequest, id: 6, traceID: "t6", payload: big}}},
 		{name: "back to back", want: []frame{
 			{ftype: frameRequest, id: 7, ttl: 9, traceID: "t7", parentID: "s7", payload: big},
-			{ftype: frameResponse, id: 7, payload: []byte("r")},
+			{ftype: frameResponse, id: 7, payload: "r"},
 		}},
 	}
 	for _, c := range cases {
@@ -493,16 +578,14 @@ func TestFrameReaderShortReads(t *testing.T) {
 					}
 				}
 			}
-			for _, asText := range []bool{false, true} {
-				whole := readAll(t, bytes.NewReader(raw), asText)
-				bytewise := readAll(t, iotest.OneByteReader(bytes.NewReader(raw)), asText)
-				if len(whole) != len(c.want) || len(bytewise) != len(c.want) {
-					t.Fatalf("text %v: read %d frames whole and %d bytewise, want %d", asText, len(whole), len(bytewise), len(c.want))
-				}
-				for i, want := range c.want {
-					if !sameFrame(whole[i], want) || !sameFrame(bytewise[i], want) {
-						t.Fatalf("text %v: frame %d read as %+v whole and %+v bytewise, want %+v", asText, i, whole[i], bytewise[i], want)
-					}
+			whole := readAll(t, bytes.NewReader(raw))
+			bytewise := readAll(t, iotest.OneByteReader(bytes.NewReader(raw)))
+			if len(whole) != len(c.want) || len(bytewise) != len(c.want) {
+				t.Fatalf("read %d frames whole and %d bytewise, want %d", len(whole), len(bytewise), len(c.want))
+			}
+			for i, want := range c.want {
+				if !sameFrame(whole[i], want) || !sameFrame(bytewise[i], want) {
+					t.Fatalf("frame %d read as %+v whole and %+v bytewise, want %+v", i, whole[i], bytewise[i], want)
 				}
 			}
 		})
@@ -570,7 +653,7 @@ func TestLargeReplyReadInLargeChunks(t *testing.T) {
 func TestFrameErrors(t *testing.T) {
 	t.Run("oversize write", func(t *testing.T) {
 		var buf bytes.Buffer
-		err := sendFrame(&buf, &frame{ftype: frameRequest, payload: make([]byte, MaxFramePayload+1)})
+		err := sendFrame(&buf, &frame{ftype: frameRequest, payload: strings.Repeat("x", MaxFramePayload+1)})
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("err = %v", err)
 		}
@@ -604,7 +687,7 @@ func TestFrameErrors(t *testing.T) {
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
-		data, err := appendFrame(nil, &frame{ftype: frameRequest, id: 1, payload: []byte("abcdef")})
+		data, err := appendFrame(nil, &frame{ftype: frameRequest, id: 1, payload: "abcdef"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -617,11 +700,11 @@ func TestFrameErrors(t *testing.T) {
 
 func TestRequestResponseCodecs(t *testing.T) {
 	req := &Request{Service: "CarRentalService", Op: "SelectCar", Body: []byte{1, 2, 3}}
-	got, err := decodeRequest(requestPayload(t, req))
+	got, err := readRequest(requestPayload(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Service != req.Service || got.Op != req.Op || !bytes.Equal(got.Body, req.Body) {
+	if got.Service != req.Service || got.Op != req.Op || got.Received != string(req.Body) {
 		t.Fatalf("request round trip: %+v", got)
 	}
 	resp := &Response{Status: StatusProtocol, ErrMsg: "illegal op", Body: []byte("x"), RetryAfter: 40 * time.Millisecond}
@@ -633,8 +716,8 @@ func TestRequestResponseCodecs(t *testing.T) {
 		t.Fatalf("response round trip: %+v", gotR)
 	}
 	// Malformed inputs.
-	if _, err := decodeRequest(nil); err == nil {
-		t.Fatal("decodeRequest(nil) must fail")
+	if _, err := readRequest(""); err == nil {
+		t.Fatal(`decodeRequest("") must fail`)
 	}
 	if _, err := decodeReply(""); err == nil {
 		t.Fatal(`decodeReply("") must fail`)
@@ -803,11 +886,11 @@ func TestRequestCodecProperty(t *testing.T) {
 			return true
 		}
 		req := &Request{Service: service, Op: op, Body: body}
-		got, err := decodeRequest(requestPayload(t, req))
+		got, err := readRequest(requestPayload(t, req))
 		if err != nil {
 			return false
 		}
-		return got.Service == service && got.Op == op && bytes.Equal(got.Body, body)
+		return got.Service == service && got.Op == op && got.Received == string(body)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -832,13 +915,13 @@ func TestResponseCodecProperty(t *testing.T) {
 // Property: frames of arbitrary payloads round-trip through the framing
 // layer.
 func TestFrameCodecProperty(t *testing.T) {
-	f := func(ftype bool, id uint64, payload []byte) bool {
+	f := func(ftype bool, id uint64, payload string) bool {
 		ft := byte(frameRequest)
 		if ftype {
 			ft = frameResponse
 		}
 		got := roundTrip(t, &frame{ftype: ft, id: id, payload: payload})
-		return got.ftype == ft && got.id == id && bytes.Equal(got.payload, payload)
+		return got.ftype == ft && got.id == id && got.payload == payload
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
