@@ -262,21 +262,21 @@ func (s *State) walkRanked(bs []consultedBucket, q Query, remote []Match, now ti
 	var buf [8]walkCursor
 	cs, total := buf[:0], 0
 	for _, b := range bs {
-		idx, ok := b.snap.num[p.prop]
-		if !ok {
+		ranked := b.snap.prop(p.prop)
+		if ranked == nil || ranked.num.Len() == 0 {
 			continue // no ranked offer: nothing there can match
 		}
+		idx := ranked.num
 		// Each hint's span once: the ranked ones bound the walk, and the
 		// shortest of all is the candidate list appendBucket would take.
+		// A ranked hint's span is a range of idx, as hintSpan would find.
 		lo, hi, least := 0, idx.Len(), b.snap.offers.Len()
 		for _, h := range q.constraint.hints() {
-			sp, _, ok := b.snap.hintSpan(h)
-			if !ok {
-				continue
-			}
-			least = min(least, sp.Len())
 			if ranks(h) {
-				lo, hi = max(lo, sp.lo), min(hi, sp.hi)
+				l, r := bounds(idx, h.op, h.val.num)
+				lo, hi, least = max(lo, l), min(hi, r), min(least, r-l)
+			} else if sp, _, ok := b.snap.hintSpan(h); ok {
+				least = min(least, sp.Len())
 			}
 		}
 		if hi = max(lo, hi); hi-lo > least {

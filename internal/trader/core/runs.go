@@ -8,11 +8,12 @@ import "slices"
 const runCap = 64
 
 // runs is an immutable list kept as a spine of bounded runs; its owner
-// keeps it sorted. A snapshot's offer list, posting lists and numeric
-// indexes are runs, and a derived snapshot shares every run its write
-// did not touch with the one it derives from (see splice). A run is
-// never changed once a spine holds it, so readers of an older snapshot
-// are unaffected by writes.
+// keeps it sorted. A snapshot's offer list and index table, and every
+// posting list and numeric index the table holds, are runs, and a
+// derived snapshot shares every run its write did not touch with the
+// one it derives from (see editor). A run is never changed once a
+// snapshot holds it, so readers of an older snapshot are unaffected by
+// writes.
 //
 // No run is empty or longer than runCap, no run but the last holds
 // fewer than runCap/4 entries, and each run's end is the count of
@@ -138,77 +139,144 @@ func (r runs[E]) all() []E {
 
 // splice returns the list with the entry at position del removed (del <
 // 0: none) and then e inserted at position ins of what is left (ins < 0:
-// none). It copies the spine and the runs it touches; r is unchanged.
+// none). It copies the spine and each run it touches once; r is
+// unchanged.
 func (r runs[E]) splice(del, ins int, e E) runs[E] {
-	if del < 0 && ins < 0 {
-		return r
-	}
-	out := runs[E]{spine: make([]run[E], len(r.spine), len(r.spine)+2)}
-	copy(out.spine, r.spine)
+	ed := editor[E]{runs: r}
 	if del >= 0 {
-		out.remove(del)
+		ed.remove(del)
 	}
 	if ins >= 0 {
-		out.insert(ins, e)
+		ed.insert(ins, e)
 	}
-	return out
+	return ed.runs
 }
 
-// remove deletes the entry at position i from a spine the caller owns,
-// copying its run. A run left empty leaves the spine; one left under
-// runCap/4 merges with a neighbour, so that deletes cannot wear the
-// spine down to runs of one entry.
-func (r *runs[E]) remove(i int) {
-	k := r.runOf(i)
-	rn := &r.spine[k]
-	j := i - rn.start()
-	for m := k; m < len(r.spine); m++ {
-		r.spine[m].end--
+// editor makes a batch of changes to a list, copy-on-write: it copies
+// the spine on the first change and a run on the first change to it, and
+// makes every later change to a run it copied in place. A batch costs
+// one spine copy plus one copy per run it touches; the list the editor
+// started from is unchanged.
+type editor[E any] struct {
+	runs[E]
+	copied bool // the spine is the editor's
+	// made holds the first entry of each run the editor made, the runs
+	// it changes in place. It holds a few; a run made past them is
+	// copied again on each change, which costs only that copy.
+	made  [4]*E
+	nmade int
+}
+
+// copySpine makes the spine the editor's, with room for two more runs.
+func (ed *editor[E]) copySpine() {
+	if !ed.copied {
+		ed.spine = append(make([]run[E], 0, len(ed.spine)+2), ed.spine...)
+		ed.copied = true
 	}
-	if len(rn.items) == 1 {
-		r.spine = append(r.spine[:k], r.spine[k+1:]...)
+}
+
+// mine reports whether the editor made the run holding items.
+func (ed *editor[E]) mine(items []E) bool {
+	for _, p := range ed.made[:ed.nmade] {
+		if p == &items[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// adopt records items as a run the editor made.
+func (ed *editor[E]) adopt(items []E) {
+	if ed.nmade < len(ed.made) && !ed.mine(items) {
+		ed.made[ed.nmade] = &items[0]
+		ed.nmade++
+	}
+}
+
+// own returns run k's entries for the editor to change in place: the run
+// itself when the editor made it, else a copy with room for extra more
+// entries, which replaces it in the spine.
+func (ed *editor[E]) own(k, extra int) []E {
+	items := ed.spine[k].items
+	if ed.mine(items) {
+		return items
+	}
+	items = append(make([]E, 0, len(items)+extra), items...)
+	ed.spine[k].items = items
+	ed.adopt(items)
+	return items
+}
+
+// set replaces the entry at position i, 0 <= i < Len.
+func (ed *editor[E]) set(i int, e E) {
+	ed.copySpine()
+	k := ed.runOf(i)
+	ed.own(k, 0)[i-ed.spine[k].start()] = e
+}
+
+// remove deletes the entry at position i, 0 <= i < Len. Removing the
+// last entry leaves no spine behind; a run left empty leaves the spine;
+// one left under runCap/4 merges with a neighbour, so that deletes
+// cannot wear the spine down to runs of one entry.
+func (ed *editor[E]) remove(i int) {
+	if ed.Len() == 1 {
+		ed.runs, ed.copied = runs[E]{}, true
 		return
 	}
-	if len(rn.items)-1 >= runCap/4 || len(r.spine) == 1 {
-		items := make([]E, 0, len(rn.items)-1)
-		rn.items = append(append(items, rn.items[:j]...), rn.items[j+1:]...)
+	ed.copySpine()
+	k := ed.runOf(i)
+	rn := &ed.spine[k]
+	j := i - rn.start()
+	for m := k; m < len(ed.spine); m++ {
+		ed.spine[m].end--
+	}
+	if len(rn.items) == 1 {
+		ed.spine = slices.Delete(ed.spine, k, k+1)
+		return
+	}
+	if len(rn.items)-1 >= runCap/4 || len(ed.spine) == 1 {
+		rn.items = slices.Delete(ed.own(k, 0), j, j+1)
 		return
 	}
 	// Merge with the left neighbour, or the right one for the first run.
 	a := max(k-1, 0)
-	left, right := r.spine[a].items, r.spine[a+1].items
+	left, right := ed.spine[a].items, ed.spine[a+1].items
 	items := make([]E, 0, len(left)+len(right)-1)
 	if a == k {
 		items = append(append(append(items, left[:j]...), left[j+1:]...), right...)
 	} else {
 		items = append(append(append(items, left...), right[:j]...), right[j+1:]...)
 	}
-	end := r.spine[a+1].end
+	ed.adopt(items)
+	end := ed.spine[a+1].end
 	if len(items) <= runCap {
-		r.spine[a] = run[E]{items: items, end: end}
-		r.spine = append(r.spine[:a+1], r.spine[a+2:]...)
+		ed.spine[a] = run[E]{items: items, end: end}
+		ed.spine = slices.Delete(ed.spine, a+1, a+2)
 		return
 	}
 	h := len(items) / 2
-	r.spine[a] = run[E]{items: items[:h:h], end: end - len(items) + h}
-	r.spine[a+1] = run[E]{items: items[h:], end: end}
+	ed.spine[a] = run[E]{items: items[:h:h], end: end - len(items) + h}
+	ed.spine[a+1] = run[E]{items: items[h:], end: end}
+	ed.adopt(items[h:])
 }
 
-// insert puts e at position i, 0 <= i <= Len, of a spine the caller
-// owns, copying the run it lands in. A run grown past runCap splits in
-// two halves.
-func (r *runs[E]) insert(i int, e E) {
-	if len(r.spine) == 0 {
-		r.spine = append(r.spine, run[E]{items: []E{e}, end: 1})
+// insert puts e at position i, 0 <= i <= Len. A run grown past runCap
+// splits in two halves.
+func (ed *editor[E]) insert(i int, e E) {
+	ed.copySpine()
+	if len(ed.spine) == 0 {
+		items := []E{e}
+		ed.spine = append(ed.spine, run[E]{items: items, end: 1})
+		ed.adopt(items)
 		return
 	}
-	k := min(r.runOf(i), len(r.spine)-1) // i == Len appends to the last run
-	rn := &r.spine[k]
+	k := min(ed.runOf(i), len(ed.spine)-1) // i == Len appends to the last run
+	rn := &ed.spine[k]
 	s := rn.start()
-	items := make([]E, 0, len(rn.items)+1)
-	items = slices.Insert(append(items, rn.items...), i-s, e)
-	for m := k; m < len(r.spine); m++ {
-		r.spine[m].end++
+	items := slices.Insert(ed.own(k, 1), i-s, e)
+	ed.adopt(items) // a run the editor made may have outgrown its array
+	for m := k; m < len(ed.spine); m++ {
+		ed.spine[m].end++
 	}
 	if len(items) <= runCap {
 		rn.items = items
@@ -217,7 +285,6 @@ func (r *runs[E]) insert(i int, e E) {
 	h := len(items) / 2
 	end := rn.end
 	*rn = run[E]{items: items[:h:h], end: s + h}
-	r.spine = append(r.spine, run[E]{})
-	copy(r.spine[k+2:], r.spine[k+1:])
-	r.spine[k+1] = run[E]{items: items[h:], end: end}
+	ed.spine = slices.Insert(ed.spine, k+1, run[E]{items: items[h:], end: end})
+	ed.adopt(items[h:])
 }

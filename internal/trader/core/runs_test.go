@@ -181,3 +181,54 @@ func edges[E any](r runs[E]) []int {
 	}
 	return out
 }
+
+// TestEditorBatchesMatchSliceProperty drives batches of one to eight
+// sets, removes and inserts through one editor each — so later changes
+// land in runs the batch already copied, and in runs it split or merged
+// — against a flat slice, growing the list past 10×runCap and shrinking
+// it to empty. After every batch the list must hold the slice and keep
+// the run invariants, and the list before the batch must be unchanged.
+func TestEditorBatchesMatchSliceProperty(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		next := 0
+		var want []int
+		var list runs[int]
+		grow := true
+		for batch := 0; batch < 1500; batch++ {
+			if len(want) > 10*runCap {
+				grow = false
+			} else if len(want) == 0 {
+				grow = true
+			}
+			before, held := list, slices.Clone(want)
+			ed := editor[int]{runs: list}
+			for k := 1 + r.Intn(8); k > 0; k-- {
+				next++
+				switch c := r.Intn(10); {
+				case len(want) == 0 || grow && c < 6 || !grow && c < 2:
+					i := r.Intn(len(want) + 1)
+					ed.insert(i, next)
+					want = slices.Insert(want, i, next)
+				case c < 8:
+					i := r.Intn(len(want))
+					ed.remove(i)
+					want = slices.Delete(want, i, i+1)
+				default:
+					i := r.Intn(len(want))
+					ed.set(i, next)
+					want[i] = next
+				}
+			}
+			list = ed.runs
+			what := fmt.Sprintf("seed %d batch %d", seed, batch)
+			checkRuns(t, what, list)
+			if got := list.all(); !slices.Equal(got, want) || list.Len() != len(want) {
+				t.Fatalf("%s: list %v, want %v", what, got, want)
+			}
+			if !slices.Equal(before.all(), held) {
+				t.Fatalf("%s: the list before the batch changed to %v, held %v", what, before.all(), held)
+			}
+		}
+	}
+}

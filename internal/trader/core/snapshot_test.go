@@ -28,22 +28,38 @@ func (s *State) snapshot(serviceType string) (*typeSnapshot, bool) {
 
 // sameSnapshot fails unless derived — a snapshot some chain of writes
 // derived — holds what a fresh build of the bucket holds: the same
-// sibling count, the same property counts, and the offer list, each
-// posting list and each numeric index entry for entry, since their
-// (Ref, ID) and (value, ID) orders are part of the contract (a walk in
-// policy order breaks ties by the latter). The lists are compared
-// flattened: where a chain of writes split and merged runs legitimately
-// differs from a build, which packs them full. Every list of either
-// snapshot must keep the run invariants (see checkRuns).
+// sibling count, the offer list, and the index table entry for entry —
+// each entry's key, count, numeric index and posting list — since the
+// table's key order and the lists' (Ref, ID) and (value, ID) orders are
+// part of the contract (a walk in policy order breaks ties by the
+// latter). The lists are compared flattened: where a chain of writes
+// split and merged runs legitimately differs from a build, which packs
+// them full. Every list of either snapshot, the table included, must
+// keep the run invariants (see checkRuns), no table entry may be empty,
+// and prop must find the property entry of every entry's property.
 func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	t.Helper()
 	for _, snap := range []*typeSnapshot{derived, built} {
 		checkRuns(t, step+": offers", snap.offers)
-		for k, list := range snap.eq {
-			checkRuns(t, fmt.Sprintf("%s: posting list %v", step, k), list)
-		}
-		for name, idx := range snap.num {
-			checkRuns(t, fmt.Sprintf("%s: numeric index %q", step, name), idx)
+		checkRuns(t, step+": index table", snap.index)
+		table := snap.index.all()
+		for i, e := range table {
+			checkRuns(t, fmt.Sprintf("%s: posting list %v", step, e.indexKey), e.list)
+			checkRuns(t, fmt.Sprintf("%s: numeric index %v", step, e.indexKey), e.num)
+			if e.empty() {
+				t.Fatalf("%s: empty table entry %v", step, e.indexKey)
+			}
+			if i > 0 && table[i-1].compare(&e.indexKey) >= 0 {
+				t.Fatalf("%s: table entries %v, %v out of key order", step, table[i-1].indexKey, e.indexKey)
+			}
+			if p := snap.prop(e.prop); p == nil || p.indexKey != propKey(e.prop) {
+				t.Fatalf("%s: entry %v: prop does not find its property's entry", step, e.indexKey)
+			}
+			for j := 1; j < e.num.Len(); j++ {
+				if byValID(e.num.At(j-1), e.num.At(j)) >= 0 {
+					t.Fatalf("%s: numeric index %q is not in (value, ID) order at %d", step, e.prop, j)
+				}
+			}
 		}
 	}
 	if d, b := derived.offers.all(), built.offers.all(); !slices.Equal(d, b) {
@@ -52,29 +68,20 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 	if derived.sibs != built.sibs {
 		t.Fatalf("%s: %d siblings, built %d", step, derived.sibs, built.sibs)
 	}
-	if fmt.Sprint(derived.props) != fmt.Sprint(built.props) {
-		t.Fatalf("%s: props %v, built %v", step, derived.props, built.props)
+	d, b := derived.index.all(), built.index.all()
+	if len(d) != len(b) {
+		t.Fatalf("%s: %d table entries, built %d", step, len(d), len(b))
 	}
-	if len(derived.eq) != len(built.eq) {
-		t.Fatalf("%s: %d posting lists, built %d", step, len(derived.eq), len(built.eq))
-	}
-	for k, list := range built.eq {
-		if d, b := derived.eq[k].all(), list.all(); !slices.Equal(d, b) {
-			t.Fatalf("%s: posting list %v = %q, built %q", step, k, ids(d), ids(b))
-		}
-	}
-	if len(derived.num) != len(built.num) {
-		t.Fatalf("%s: %d numeric indexes, built %d", step, len(derived.num), len(built.num))
-	}
-	for name, idx := range built.num {
-		d, b := derived.num[name].all(), idx.all()
-		if !slices.Equal(d, b) {
-			t.Fatalf("%s: numeric index %q differs from the built one", step, name)
-		}
-		for i := 1; i < len(b); i++ {
-			if byValID(b[i-1], b[i]) >= 0 {
-				t.Fatalf("%s: numeric index %q is not in (value, ID) order at %d", step, name, i)
-			}
+	for i := range b {
+		switch de, be := d[i], b[i]; {
+		case de.indexKey != be.indexKey:
+			t.Fatalf("%s: table entry %d is %v, built %v", step, i, de.indexKey, be.indexKey)
+		case de.n != be.n:
+			t.Fatalf("%s: property %q counts %d offers, built %d", step, be.prop, de.n, be.n)
+		case !slices.Equal(de.list.all(), be.list.all()):
+			t.Fatalf("%s: posting list %v = %q, built %q", step, be.indexKey, ids(de.list.all()), ids(be.list.all()))
+		case !slices.Equal(de.num.all(), be.num.all()):
+			t.Fatalf("%s: numeric index %q differs from the built one", step, be.prop)
 		}
 	}
 }
@@ -83,7 +90,10 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 // export batches across two types, withdraw, withdraw_all, replace,
 // suspect, purge, and an export re-applied under an already stored ID,
 // half the time with another service's Ref — reading every type before
-// each step, so every write derives. Refs come from a small pool, so the
+// each step, so every write derives. Most offers carry a Serial string
+// that is all but distinct per offer, so the index table holds about an
+// entry per offer and a write inserts and drops entries, not only
+// counts. Refs come from a small pool, so the
 // writes make and break siblings. After each step every derived
 // snapshot must equal a fresh build of its bucket; after Clear nothing
 // is left to read.
@@ -130,6 +140,9 @@ func derivedEqualsRebuilt(t *testing.T, seeds int64, steps, preload int) int {
 			}
 			if r.Intn(3) == 0 {
 				p["Seats"] = sidl.IntLit(int64(2 + r.Intn(3)))
+			}
+			if r.Intn(4) > 0 {
+				p["Serial"] = sidl.StringLit(fmt.Sprintf("s%d", r.Intn(4*len(stored)+4)))
 			}
 			return p
 		}
@@ -286,32 +299,42 @@ func TestNumericEqualityFromRangeIndex(t *testing.T) {
 	if _, kind := snap.candidates(MustCompile("ChargePerDay == 0")); kind != "range" {
 		t.Fatalf("numeric equality answered by %q, want the range index", kind)
 	}
-	for k := range snap.eq {
-		if k == (eqK{prop: "ChargePerDay", kind: cvStr, str: "0"}) {
+	for _, e := range snap.index.all() {
+		if e.kind == cvMissing || e.indexKey == (indexKey{prop: "ChargePerDay", kind: cvStr, str: "0"}) {
 			continue
 		}
-		t.Fatalf("numeric value in the equality index: %v", k)
+		t.Fatalf("numeric value in the index table: %v", e.indexKey)
 	}
 }
 
 // TestDerivedWriteBytes pins what one Export and one Withdraw of an
 // offer cost together in a read 10 000-offer bucket, whose offers all
 // sit in the Price index and in one Colour posting list: each write
-// copies the spine and one run of the offer list and of both of those.
-// Copying the three whole lists per write allocates ≈660 KB here.
+// copies the spine and one run of the offer list, of both of those and
+// of the index table. Copying the three whole lists per write allocates
+// ≈660 KB here, and cloning a map per index kind per write took 8 more
+// allocations.
 func TestDerivedWriteBytes(t *testing.T) {
-	s := New(typemgr.NewRepo(), Options{})
-	r := rand.New(rand.NewSource(1))
-	var offers []*Offer
-	for i, p := range r.Perm(10000) {
-		offers = append(offers, offer(fmt.Sprintf("o%05d", i), "B", i, float64(p), 0))
-	}
-	s.Apply(&Mutation{Op: OpExport, Offers: offers})
-	if ms := mustImport(t, s, "B", "Price < 10 && Colour == RED", "", nil, t0); len(ms) != 10 {
-		t.Fatalf("import = %q, want 10 offers", matchIDs(ms))
-	}
-	export := &Mutation{Op: OpExport, Offers: []*Offer{offer("o04999x", "B", 4999, 4999.5, 0)}}
-	withdraw := &Mutation{Op: OpWithdraw, IDs: []string{"o04999x"}}
+	derivedWriteCost(t, false, 19)
+}
+
+// TestDerivedWriteBytesDistinctValues is TestDerivedWriteBytes with a
+// string property whose value is distinct per offer, so the index table
+// holds 10 000 more entries: a write copies the table's spine and the
+// runs of the entries it changes, not the table, so the cost stays
+// bounded as before. Cloning a map keyed by every value per write
+// allocated ≈2.6 MB here.
+func TestDerivedWriteBytesDistinctValues(t *testing.T) {
+	derivedWriteCost(t, true, 23)
+}
+
+// derivedWriteCost fails unless one Export and one Withdraw in a read
+// bucket of 10 000 B offers, each with a distinct Serial string when
+// serials is set, allocate at most 128 KB, in exactly allocs
+// allocations.
+func derivedWriteCost(t *testing.T, serials bool, allocs int64) {
+	t.Helper()
+	s, export, withdraw := readBucket(t, 10000, serials)
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.Apply(export)
@@ -322,10 +345,61 @@ func TestDerivedWriteBytes(t *testing.T) {
 	if got := res.AllocedBytesPerOp(); got > 128<<10 {
 		t.Fatalf("one Export and Withdraw allocate %d B, want at most %d", got, 128<<10)
 	}
-	if got := res.AllocsPerOp(); got > 29 { // 29 when each write copied the lists
-		t.Fatalf("one Export and Withdraw allocate %d times, want at most 29", got)
+	if got := res.AllocsPerOp(); got != allocs {
+		t.Fatalf("one Export and Withdraw allocate %d times, want %d", got, allocs)
 	}
 	if b := s.types["B"]; b.snap.Load() == nil || b.snap.Load().offers.Len() != 10000 {
 		t.Fatal("the bucket's snapshot was not derived")
+	}
+}
+
+// readBucket returns a store holding n read B offers at distinct Prices,
+// each with a distinct Serial string when serials is set, and the
+// Export and the Withdraw of one more offer, priced mid-range.
+func readBucket(tb testing.TB, n int, serials bool) (s *State, export, withdraw *Mutation) {
+	tb.Helper()
+	s = New(typemgr.NewRepo(), Options{})
+	r := rand.New(rand.NewSource(1))
+	mk := func(id string, host int, price float64) *Offer {
+		o := offer(id, "B", host, price, 0)
+		if serials {
+			o.Props["Serial"] = sidl.StringLit("s" + id)
+		}
+		return o
+	}
+	var offers []*Offer
+	for i, p := range r.Perm(n) {
+		offers = append(offers, mk(fmt.Sprintf("o%05d", i), i, float64(p)))
+	}
+	s.Apply(&Mutation{Op: OpExport, Offers: offers})
+	q, err := s.Prepare("B", "Price < 10 && Colour == RED", "", 0, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if ms := s.Import(q, nil, t0); len(ms) != 10 {
+		tb.Fatalf("import = %q, want 10 offers", matchIDs(ms))
+	}
+	id := fmt.Sprintf("o%05dx", n/2-1)
+	export = &Mutation{Op: OpExport, Offers: []*Offer{mk(id, n/2-1, float64(n/2)-0.5)}}
+	return s, export, &Mutation{Op: OpWithdraw, IDs: []string{id}}
+}
+
+// BenchmarkDerive times one Export and one Withdraw in a read bucket of
+// 2 000 and of 20 000 offers, without and with a string property whose
+// value is distinct per offer: what a write costs as the bucket and the
+// number of distinct values grow.
+func BenchmarkDerive(b *testing.B) {
+	for _, n := range []int{2000, 20000} {
+		for _, serials := range []bool{false, true} {
+			b.Run(fmt.Sprintf("offers=%d/distinct=%t", n, serials), func(b *testing.B) {
+				s, export, withdraw := readBucket(b, n, serials)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Apply(export)
+					s.Apply(withdraw)
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"maps"
+	"cmp"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -154,47 +154,145 @@ func (s *State) pin(serviceType string, b *typeBucket) *typeSnapshot {
 // (see Constraint.hints) and never lock the store. The first read of a
 // type builds its snapshot; every later write derives the next one.
 //
-// Every list is runs, so a derived snapshot shares all but the one run
-// per list its write touched. The offer list and every posting list are
-// in (Ref, ID) order, so the stored offers of one service — siblings,
-// which an import deduplicates — sit together in ID order and are found
-// by one binary search (see shadowedBy). sibs counts the offers whose
-// Ref is their predecessor's in that order — each service's offers
-// here less one, summed — so at 0 no offer has a sibling in this
-// snapshot, and that search skips it.
+// The offer list, the index table and every list the table holds are
+// runs, so a derived snapshot shares all but the runs its write touched:
+// the offer list's, the table's, and one per list it changed. The offer
+// list and every posting list are in (Ref, ID) order, so the stored
+// offers of one service — siblings, which an import deduplicates — sit
+// together in ID order and are found by one binary search (see
+// shadowedBy). sibs counts the offers whose Ref is their predecessor's
+// in that order — each service's offers here less one, summed — so at
+// 0 no offer has a sibling in this snapshot, and that search skips it.
 type typeSnapshot struct {
 	offers runs[*Offer] // in (Ref, ID) order
 	sibs   int          // offers whose Ref is their predecessor's
-	// props counts the offers carrying each property name; an equality
-	// hint whose right-hand side is syntactically an identifier is only
-	// index-resolvable when that identifier names no stored property
-	// (see indexHint).
-	props map[string]int
-	// eq maps a (property, value) pair to the (Ref, ID)-ordered posting
-	// list of offers carrying exactly that value.
-	eq map[eqK]runs[*Offer]
-	// num maps a property name to its numerically valued offers in
-	// (value, ID) order — equal values, -0 and +0 among them, in ID
-	// order, the way Policy.top breaks ties — so a walk in policy order
+	index  runs[indexEntry]
+}
+
+// indexEntry is one entry of a snapshot's index table, which is in
+// indexKey order and holds an entry for each property name some offer
+// carries and for each non-numeric (property, value) pair. A lookup is
+// a binary search (see lookup), and a write copies the table's spine and
+// the runs of the entries it changes, whatever the number of values.
+type indexEntry struct {
+	indexKey
+	// A property entry counts the offers carrying the property — an
+	// equality hint whose right-hand side is syntactically an identifier
+	// is only index-resolvable when that identifier names no stored
+	// property (see hintSpan) — and lists its numerically valued offers
+	// in (value, ID) order: equal values, -0 and +0 among them, in ID
+	// order, the way Policy.top breaks ties, so a walk in policy order
 	// (see walkRanked) needs no sort.
-	num map[string]runs[numEntry]
+	n   int
+	num runs[numEntry]
+	// A value entry holds the (Ref, ID)-ordered posting list of the
+	// offers carrying exactly its value.
+	list runs[*Offer]
+}
+
+// empty reports whether no offer is left in e, which then leaves the
+// table.
+func (e *indexEntry) empty() bool { return e.n == 0 && e.list.Len() == 0 }
+
+// indexKey orders the index table by property, then kind, then value.
+// A property entry has kind cvMissing, so it precedes its values. The
+// kind is part of a value's key, so a string never collides with an
+// enum symbol of the same spelling (mixed kinds never compare equal at
+// eval time either).
+type indexKey struct {
+	prop string
+	kind cvalKind
+	b    bool
+	str  string
+}
+
+func (k *indexKey) compare(o *indexKey) int {
+	if c := strings.Compare(k.prop, o.prop); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.kind, o.kind); c != 0 {
+		return c
+	}
+	if c := strings.Compare(k.str, o.str); c != 0 {
+		return c
+	}
+	switch {
+	case k.b == o.b:
+		return 0
+	case o.b:
+		return -1
+	}
+	return 1
+}
+
+// propKey is the key of a property's entry.
+func propKey(name string) indexKey { return indexKey{prop: name} }
+
+// valueKey returns the key of the value entry of one property value.
+// Numbers have none: the property entry's numeric index answers "prop
+// == x" (see bounds).
+func valueKey(name string, v cval) (indexKey, bool) {
+	switch v.kind {
+	case cvStr, cvSym:
+		return indexKey{prop: name, kind: v.kind, str: v.str}, true
+	case cvBool:
+		return indexKey{prop: name, kind: cvBool, b: v.b}, true
+	}
+	return indexKey{}, false
+}
+
+// lookup returns the position of key k in the index table and a copy
+// of its entry there; when the table has none, it returns the position
+// k would take, the empty entry of k and false.
+func lookup(table runs[indexEntry], k indexKey) (int, indexEntry, bool) {
+	i, e, ok := table.find(func(e indexEntry) bool { return e.compare(&k) >= 0 })
+	if !ok || e.indexKey != k {
+		return i, indexEntry{indexKey: k}, false
+	}
+	return i, e, true
+}
+
+// prop returns the snapshot's entry for the property name, nil when no
+// offer carries it. It is lookup for the read path, which looks a
+// property up for each numeric hint and each walked bucket: a
+// property's entry is the first of its entries, so a search by name
+// alone finds it, comparing one string per probe in place, where
+// lookup's closure and full key compare per probe cost 2–3 times as
+// much. The entry is the snapshot's: read only.
+func (snap *typeSnapshot) prop(name string) *indexEntry {
+	spine := snap.index.spine
+	lo, hi := 0, len(spine) // first run whose last entry is at or past name
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if items := spine[m].items; items[len(items)-1].prop >= name {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(spine) {
+		return nil
+	}
+	items := spine[lo].items
+	i, j := 0, len(items)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if items[m].prop >= name {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	if items[i].prop != name {
+		return nil
+	}
+	return &items[i]
 }
 
 // numEntry is one offer of a numeric index and its value there.
 type numEntry struct {
 	val float64
 	o   *Offer
-}
-
-// eqK is the key of an equality posting list: a property and one
-// non-numeric value of it. The kind is part of the key, so a string
-// never collides with an enum symbol of the same spelling (mixed kinds
-// never compare equal at eval time either).
-type eqK struct {
-	prop string
-	kind cvalKind
-	str  string
-	b    bool
 }
 
 // buildSnapshot builds serviceType's snapshot from the stored offers of
@@ -207,44 +305,78 @@ func (s *State) buildSnapshot(serviceType string) *typeSnapshot {
 		}
 	}
 	slices.SortFunc(offers, byRefID)
-	snap := &typeSnapshot{
-		offers: runsOf(offers),
-		props:  map[string]int{},
-		eq:     map[eqK]runs[*Offer]{},
-		num:    map[string]runs[numEntry]{},
+	type lists struct {
+		n    int
+		num  []numEntry
+		list []*Offer
 	}
-	eq := map[eqK][]*Offer{}
-	num := map[string][]numEntry{}
+	entries := map[indexKey]*lists{}
+	at := func(k indexKey) *lists {
+		l := entries[k]
+		if l == nil {
+			l = &lists{}
+			entries[k] = l
+		}
+		return l
+	}
+	snap := &typeSnapshot{offers: runsOf(offers)}
 	for i, o := range offers { // (Ref, ID) order keeps posting lists sorted
 		if i > 0 && offers[i-1].Ref == o.Ref {
 			snap.sibs++
 		}
 		for name, lit := range o.Props {
-			snap.props[name]++
-			if k, ok := eqKey(name, litVal(lit)); ok {
-				eq[k] = append(eq[k], o)
+			p := at(propKey(name))
+			p.n++
+			if k, ok := valueKey(name, litVal(lit)); ok {
+				v := at(k)
+				v.list = append(v.list, o)
 			} else if x, ok := number(o.Props, name); ok {
-				num[name] = append(num[name], numEntry{x, o})
+				p.num = append(p.num, numEntry{x, o})
 			}
 		}
 	}
-	for k, list := range eq {
-		snap.eq[k] = runsOf(list)
+	table := make([]indexEntry, 0, len(entries))
+	for k, l := range entries {
+		slices.SortFunc(l.num, byValID)
+		table = append(table, indexEntry{indexKey: k, n: l.n, num: runsOf(l.num), list: runsOf(l.list)})
 	}
-	for name, list := range num {
-		slices.SortFunc(list, byValID)
-		snap.num[name] = runsOf(list)
-	}
+	slices.SortFunc(table, func(a, b indexEntry) int { return a.compare(&b.indexKey) })
+	snap.index = runsOf(table)
 	return snap
 }
 
 // derive returns the snapshot that replacing old by fresh (see
-// typeBucket.write) makes of snap. The offer list
-// and each posting list and numeric index holding old or fresh get one
-// sorted delete and/or insert, which copies their spine and the run it
-// touches; every other run, list and index is shared with snap, which
-// stays valid for the readers holding it.
+// typeBucket.write) makes of snap. The offer list, and each posting
+// list and numeric index holding old or fresh, get one sorted delete
+// and/or insert, which copies their spine and the run it touches; the
+// index table gets its changed entries in one edit, which copies its
+// spine once and each run it touches once. Every other run and list is
+// shared with snap, which stays valid for the readers holding it.
 func (snap *typeSnapshot) derive(old, fresh *Offer) *typeSnapshot {
+	var oldProps, freshProps map[string]sidl.Lit
+	if old != nil {
+		oldProps = old.Props
+	}
+	if fresh != nil {
+		freshProps = fresh.Props
+	}
+	offers, sibs := spliceOffers(snap.offers, old, fresh)
+	table := editor[indexEntry]{runs: snap.index}
+	for name := range oldProps {
+		reindex(&table, name, old, fresh)
+	}
+	for name := range freshProps {
+		if _, done := oldProps[name]; !done {
+			reindex(&table, name, old, fresh)
+		}
+	}
+	return &typeSnapshot{offers: offers, sibs: snap.sibs + sibs, index: table.runs}
+}
+
+// reindex makes in the index table what replacing old by fresh does to
+// the property name: its entry's count and numeric index, and the
+// posting lists of the values old and fresh carry for it.
+func reindex(table *editor[indexEntry], name string, old, fresh *Offer) {
 	var id string
 	var oldProps, freshProps map[string]sidl.Lit
 	if old != nil {
@@ -253,80 +385,50 @@ func (snap *typeSnapshot) derive(old, fresh *Offer) *typeSnapshot {
 	if fresh != nil {
 		id, freshProps = fresh.ID, fresh.Props
 	}
-	offers, sibs := spliceOffers(snap.offers, old, fresh)
-	next := &typeSnapshot{
-		offers: offers,
-		sibs:   snap.sibs + sibs,
-		props:  maps.Clone(snap.props),
-		eq:     maps.Clone(snap.eq),
-		num:    maps.Clone(snap.num),
-	}
-	for name := range oldProps {
-		if next.props[name]--; next.props[name] == 0 {
-			delete(next.props, name)
+	ol, oh := oldProps[name]
+	fl, fh := freshProps[name]
+	ov, on := number(oldProps, name)
+	fv, fn := number(freshProps, name)
+	if oh != fh || on || fn {
+		i, e, found := lookup(table.runs, propKey(name))
+		switch {
+		case fh && !oh:
+			e.n++
+		case oh && !fh:
+			e.n--
 		}
+		e.num = spliceNum(e.num, id, ov, on, fv, fn, fresh)
+		put(table, i, e, found)
 	}
-	for name := range freshProps {
-		next.props[name]++
+	ko, okOld := valueKey(name, litVal(ol))
+	kf, okFresh := valueKey(name, litVal(fl))
+	okOld, okFresh = okOld && oh, okFresh && fh
+	if okOld && (!okFresh || ko != kf) {
+		i, e, found := lookup(table.runs, ko)
+		e.list, _ = spliceOffers(e.list, old, nil)
+		put(table, i, e, found)
 	}
-
-	for name, lit := range oldProps {
-		if k, ok := eqKey(name, litVal(lit)); ok {
-			if l, kept := freshProps[name]; !kept || litVal(l) != litVal(lit) {
-				list, _ := spliceOffers(next.eq[k], old, nil)
-				next.setEq(k, list)
-			}
-		}
-	}
-	for name, lit := range freshProps {
-		if k, ok := eqKey(name, litVal(lit)); ok {
-			list, _ := spliceOffers(next.eq[k], old, fresh)
-			next.setEq(k, list)
-		}
-	}
-
-	renum := func(name string) {
-		ov, oh := number(oldProps, name)
-		nv, nh := number(freshProps, name)
-		if !oh && !nh {
-			return
-		}
-		idx := spliceNum(next.num[name], id, ov, oh, nv, nh, fresh)
-		if idx.Len() == 0 {
-			delete(next.num, name)
-		} else {
-			next.num[name] = idx
-		}
-	}
-	for name := range oldProps {
-		renum(name)
-	}
-	for name := range freshProps {
-		if _, done := oldProps[name]; !done {
-			renum(name)
-		}
-	}
-	return next
-}
-
-func (snap *typeSnapshot) setEq(k eqK, list runs[*Offer]) {
-	if list.Len() == 0 {
-		delete(snap.eq, k)
-	} else {
-		snap.eq[k] = list
+	if okFresh {
+		i, e, found := lookup(table.runs, kf)
+		e.list, _ = spliceOffers(e.list, old, fresh)
+		put(table, i, e, found)
 	}
 }
 
-// eqKey returns the equality-index key of one property value. Numbers
-// have none: the numeric index answers "prop == x" (see bounds).
-func eqKey(name string, v cval) (eqK, bool) {
-	switch v.kind {
-	case cvStr, cvSym:
-		return eqK{prop: name, kind: v.kind, str: v.str}, true
-	case cvBool:
-		return eqK{prop: name, kind: cvBool, b: v.b}, true
+// put stores e at position i of the index table, where lookup found it
+// (found) or would insert it: it replaces the entry found, drops one
+// left empty, and inserts a new one.
+func put(table *editor[indexEntry], i int, e indexEntry, found bool) {
+	switch {
+	case e.empty():
+		if found {
+			table.remove(i)
+		}
+	case found:
+		table.set(i, e)
+	default:
+		table.insert(i, e)
 	}
-	return eqK{}, false
 }
 
 // byRefID is the order of a snapshot's offer and posting lists.
@@ -457,21 +559,26 @@ func (s span) each(fn func(*Offer) bool) {
 // which index kind answered ("eq" or "range"), or false when no index
 // answers the hint.
 func (snap *typeSnapshot) hintSpan(h indexHint) (span, string, bool) {
-	if h.val.kind == cvSym && snap.props[h.val.str] > 0 {
-		// The "literal" side names a real property of some offer in
-		// this snapshot, so it does not uniformly resolve to an enum
-		// symbol; the posting list would not be a superset.
-		return span{}, "", false
+	if h.val.kind == cvSym {
+		if snap.prop(h.val.str) != nil {
+			// The "literal" side names a real property of some offer
+			// in this snapshot, so it does not uniformly resolve to an
+			// enum symbol; the posting list would not be a superset.
+			return span{}, "", false
+		}
 	}
 	switch {
 	case h.val.kind == cvNum:
-		idx := snap.num[h.prop]
+		var idx runs[numEntry]
+		if p := snap.prop(h.prop); p != nil {
+			idx = p.num
+		}
 		lo, hi := bounds(idx, h.op, h.val.num)
 		return span{idx: idx, num: true, lo: lo, hi: hi}, "range", true
 	case h.op == opEq:
-		if k, ok := eqKey(h.prop, h.val); ok {
-			list := snap.eq[k]
-			return span{offers: list, hi: list.Len()}, "eq", true
+		if k, ok := valueKey(h.prop, h.val); ok {
+			_, v, _ := lookup(snap.index, k)
+			return span{offers: v.list, hi: v.list.Len()}, "eq", true
 		}
 	}
 	return span{}, "", false

@@ -62,7 +62,8 @@ func tiedPrice(r *rand.Rand) (sidl.Lit, bool) {
 // match, do not, have expired or are suspect; ties as int and float and
 // as -0/+0 under both policies; two hints on the ranked property; a
 // more selective hint on another property, where the walk declines;
-// and every Max from 1 to n+1. The ordered-lookup counter must move, so
+// a Serial string all but distinct per offer, asked for == (where the
+// walk declines) and != (where it walks); and every Max from 1 to n+1. The ordered-lookup counter must move, so
 // a walk that always declined would not pass.
 func TestRankedWalkMatchesLinearProperty(t *testing.T) {
 	repo := levelRepo(t, 3)
@@ -75,6 +76,8 @@ func TestRankedWalkMatchesLinearProperty(t *testing.T) {
 		"Price == 0",
 		"Price <= 2 && Colour == BLUE", // BLUE is rare: the walk declines
 		"Price < 2 || Colour == RED",   // no hint at all
+		`Price <= 2 && Serial == "s3"`, // one offer at most: the walk declines
+		`Price < 3 && Serial != "s1"`,
 	}
 	reg := obs.NewRegistry()
 	ordered := reg.CounterVec("cosm_trader_index_lookups_total", "", "kind").With("ordered")
@@ -102,6 +105,9 @@ func TestRankedWalkMatchesLinearProperty(t *testing.T) {
 				o.Props["Colour"] = sidl.EnumLit("BLUE")
 			case 1, 2, 3:
 				o.Props["Colour"] = sidl.EnumLit("RED")
+			}
+			if r.Intn(4) > 0 {
+				o.Props["Serial"] = sidl.StringLit(fmt.Sprintf("s%d", r.Intn(2*n)))
 			}
 			switch r.Intn(5) {
 			case 0:

@@ -307,7 +307,7 @@ func TestJournalledWriteAllocs(t *testing.T) {
 		}
 	}
 	write()           // the first write sizes the buffers
-	const pinned = 18 // 20 while each type bucket kept its own offer map; 26 with the log lines' arguments built for no logger; 28 with a strconv.Format* string per number; 29 while Record() sorted a name slice; 33 when each record was JSON in fresh buffers
+	const pinned = 14 // 18 while CheckOffer built a value per attribute; 20 while each type bucket kept its own offer map; 26 with the log lines' arguments built for no logger; 28 with a strconv.Format* string per number; 29 while Record() sorted a name slice; 33 when each record was JSON in fresh buffers
 	if got := testing.AllocsPerRun(100, write); got != pinned {
 		t.Fatalf("one journalled Export and Withdraw allocate %v times, pinned at %d", got, pinned)
 	}

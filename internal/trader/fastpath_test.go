@@ -95,7 +95,10 @@ func fpExpr(r *rand.Rand, depth int) string {
 // so they derive its snapshots; a bounded Max takes its top-k heap, the
 // linear side the full sort. Some constraints ask a numeric property
 // for equality with a stored value, written as an int and as a float,
-// which the indexed side answers from the range index.
+// which the indexed side answers from the range index. Most offers
+// carry a Serial string that is all but distinct per offer, so the
+// index table holds a value entry for almost every offer, and some
+// constraints ask a stored Serial for == or != (a replace drops it).
 func TestIndexedMatchesLinearProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	clock := time.Unix(1_000_000, 0)
@@ -112,19 +115,28 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 	}
 
 	var ids []string
-	var milages []int64 // AverageMilage of every offer exported, for equality leaves
+	var milages []int64  // AverageMilage of every offer exported, for equality leaves
+	var serials []string // Serial of every offer exported, likewise
+	props := func() map[string]sidl.Lit {
+		p := propMap(fpOfferProps(r))
+		if r.Intn(4) > 0 {
+			p["Serial"] = sidl.StringLit(fmt.Sprintf("s%d", r.Intn(4*len(ids)+1)))
+		}
+		return p
+	}
 	newOffer := func() *Offer {
 		o := &Offer{
 			ID:    fmt.Sprintf("T/o%d", len(ids)+1),
 			Type:  "CarRentalService",
 			Ref:   ref.New(fmt.Sprintf("tcp:10.1.%d.%d:7000", len(ids)/250, len(ids)%250), "CarRentalService"),
-			Props: propMap(fpOfferProps(r)),
+			Props: props(),
 		}
 		if r.Intn(4) == 0 {
 			o.Expires = clock.Add(time.Duration(1+r.Intn(120)) * time.Second)
 		}
 		ids = append(ids, o.ID)
 		milages = append(milages, o.Props["AverageMilage"].Int)
+		serials = append(serials, o.Props["Serial"].Str)
 		return o
 	}
 	export := func(n int) {
@@ -135,12 +147,16 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 		apply(m)
 	}
 	constraint := func() string {
-		n := milages[r.Intn(len(milages))]
-		switch r.Intn(6) {
+		n, serial := milages[r.Intn(len(milages))], serials[r.Intn(len(serials))]
+		switch r.Intn(8) {
 		case 0:
 			return fmt.Sprintf("AverageMilage == %d", n)
 		case 1:
 			return fmt.Sprintf("AverageMilage == %d.0 && (%s)", n, fpExpr(r, 1))
+		case 2:
+			return fmt.Sprintf("Serial == %q", serial)
+		case 3:
+			return fmt.Sprintf("Serial != %q && (%s)", serial, fpExpr(r, 1))
 		}
 		return fpExpr(r, 2)
 	}
@@ -186,7 +202,7 @@ func TestIndexedMatchesLinearProperty(t *testing.T) {
 		if r.Intn(3) == 0 {
 			apply(&core.Mutation{Op: core.OpWithdrawAll, IDs: []string{ids[r.Intn(len(ids))], ids[r.Intn(len(ids))], "T/o0"}})
 		}
-		apply(&core.Mutation{Op: core.OpReplace, IDs: []string{ids[r.Intn(len(ids))]}, Props: propMap(fpOfferProps(r))})
+		apply(&core.Mutation{Op: core.OpReplace, IDs: []string{ids[r.Intn(len(ids))]}, Props: props()})
 		apply(&core.Mutation{Op: core.OpSuspect, IDs: []string{ids[r.Intn(len(ids))]}, Suspect: r.Intn(2) == 0})
 		clock = clock.Add(time.Duration(r.Intn(30)) * time.Second) // expire some leases
 		if r.Intn(3) == 0 {

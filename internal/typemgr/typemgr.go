@@ -336,7 +336,7 @@ func (r *Repo) CheckOffer(typeName string, props []sidl.Property) error {
 		if !ok {
 			return fmt.Errorf("%w: %q of type %s", ErrMissingAttr, a.Name, typeName)
 		}
-		if _, err := xcode.FromLit(a.Type, lit); err != nil {
+		if err := xcode.CheckLit(a.Type, lit); err != nil {
 			return fmt.Errorf("%w: %q: %v", ErrAttrMismatch, a.Name, err)
 		}
 	}

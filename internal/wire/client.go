@@ -45,9 +45,10 @@ func (e *RemoteError) Error() string {
 func (e *RemoteError) Unwrap() error { return ErrRemote }
 
 // defaultWriteStall caps how long one frame write may block on a stuck
-// peer socket when the caller's context has no deadline of its own. A
-// write that exceeds it breaks the connection: past that point the
-// frame may be half-sent and the stream is unusable anyway.
+// peer socket. A write that exceeds it breaks the connection: past that
+// point the frame may be half-sent and the stream is unusable anyway.
+// It is the only bound on a write: a caller's deadline ends the caller's
+// wait, never a write (see Client.Call).
 const defaultWriteStall = 30 * time.Second
 
 // replyChans holds the one-slot channels a Call waits on for its reply,
@@ -64,7 +65,12 @@ type Client struct {
 	// (set by the owning Pool; see WithPoolRecorder).
 	rec *obs.SpanRecorder
 
-	writeMu sync.Mutex // serializes frame writes
+	// writeTurn is a one-slot semaphore that serializes frame writes:
+	// unlike a mutex, a caller whose context ends while it waits for its
+	// turn can give up.
+	writeTurn chan struct{}
+	// writeStall bounds one frame write: defaultWriteStall.
+	writeStall time.Duration
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -88,10 +94,12 @@ func Dial(endpoint string) (*Client, error) {
 // RPC client. The client owns conn from here on.
 func newClientConn(endpoint string, conn net.Conn) *Client {
 	c := &Client{
-		endpoint: endpoint,
-		conn:     conn,
-		pending:  map[uint64]chan reply{},
-		readDone: make(chan struct{}),
+		endpoint:   endpoint,
+		conn:       conn,
+		pending:    map[uint64]chan reply{},
+		readDone:   make(chan struct{}),
+		writeTurn:  make(chan struct{}, 1),
+		writeStall: defaultWriteStall,
 	}
 	go c.readLoop()
 	return c
@@ -206,16 +214,22 @@ func (c *Client) Call(ctx context.Context, req *Request) (body string, err error
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	// A write deadline (the caller's, capped at defaultWriteStall)
-	// bounds the time one stuck peer socket can hold writeMu: without
-	// it a single wedged write would block every concurrent caller of
-	// this client forever.
-	deadline := time.Now().Add(defaultWriteStall)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+	// The connection is shared, so the caller's deadline bounds only its
+	// wait for a turn to write: a caller whose context ends then gives
+	// up having written nothing, and the stream stays intact. A write
+	// once started is bounded by writeStall alone, so that one
+	// wedged peer socket cannot hold the turn forever, while a short
+	// deadline cannot cut a frame in half and so break every other call
+	// on the connection.
+	select {
+	case c.writeTurn <- struct{}{}:
+	case <-ctx.Done():
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return "", fmt.Errorf("wire: call %s/%s: %w", req.Service, req.Op, ctx.Err())
 	}
-	c.writeMu.Lock()
-	_ = c.conn.SetWriteDeadline(deadline)
+	_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeStall))
 	werr := sendFrame(c.conn, &frame{
 		ftype:    frameRequest,
 		id:       id,
@@ -225,7 +239,7 @@ func (c *Client) Call(ctx context.Context, req *Request) (body string, err error
 		req:      req,
 	})
 	_ = c.conn.SetWriteDeadline(time.Time{})
-	c.writeMu.Unlock()
+	<-c.writeTurn
 	if werr != nil {
 		// A failed write may have left a partial frame on the stream;
 		// the connection is unusable for every caller, not just this
@@ -271,11 +285,11 @@ func (c *Client) sendCancel(id uint64) {
 	if c.broken() {
 		return
 	}
-	c.writeMu.Lock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(defaultWriteStall))
+	c.writeTurn <- struct{}{}
+	_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeStall))
 	err := sendFrame(c.conn, &frame{ftype: frameCancel, id: id})
 	_ = c.conn.SetWriteDeadline(time.Time{})
-	c.writeMu.Unlock()
+	<-c.writeTurn
 	if err != nil {
 		c.failAll(err)
 	}

@@ -152,36 +152,57 @@ func sendFrame(w io.Writer, f *frame) error {
 // the service and operation names, each uvarint-length-prefixed,
 // followed by the body; a response payload is the status, the
 // retry-after hint (uvarint milliseconds), the error message
-// (length-prefixed) and the body.
+// (length-prefixed) and the body. A payload past MaxFramePayload is
+// refused before anything is appended, so dst comes back as it was.
 func appendFrame(dst []byte, f *frame) ([]byte, error) {
-	start := len(dst)
+	n := payloadLen(f)
+	if n > MaxFramePayload {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
 	dst = append(dst, frameMagic[0], frameMagic[1], protoVersion, f.ftype)
 	dst = binary.BigEndian.AppendUint64(dst, f.id)
-	dst = append(dst, 0, 0, 0, 0) // payload length, patched below
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	if f.ftype == frameRequest {
 		dst = binary.BigEndian.AppendUint64(dst, f.ttl)
 		dst = appendFrameMeta(dst, f.traceID, f.parentID)
 	}
-	body := len(dst)
 	switch {
 	case f.req != nil:
 		dst = appendString(dst, f.req.Service)
 		dst = appendString(dst, f.req.Op)
-		dst = append(dst, f.req.Body...)
+		return append(dst, f.req.Body...), nil
 	case f.resp != nil:
 		dst = append(dst, byte(f.resp.Status))
-		dst = binary.AppendUvarint(dst, uint64(f.resp.RetryAfter/time.Millisecond))
+		dst = binary.AppendUvarint(dst, retryAfterMillis(f.resp))
 		dst = appendString(dst, f.resp.ErrMsg)
-		dst = append(dst, f.resp.Body...)
-	default:
-		dst = append(dst, f.payload...)
+		return append(dst, f.resp.Body...), nil
 	}
-	n := len(dst) - body
-	if n > MaxFramePayload {
-		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	return append(dst, f.payload...), nil
+}
+
+// payloadLen is the length of the payload appendFrame renders for f.
+func payloadLen(f *frame) int {
+	switch {
+	case f.req != nil:
+		return stringLen(f.req.Service) + stringLen(f.req.Op) + len(f.req.Body)
+	case f.resp != nil:
+		return 1 + uvarintLen(retryAfterMillis(f.resp)) + stringLen(f.resp.ErrMsg) + len(f.resp.Body)
 	}
-	binary.BigEndian.PutUint32(dst[start+12:], uint32(n))
-	return dst, nil
+	return len(f.payload)
+}
+
+func retryAfterMillis(r *Response) uint64 { return uint64(r.RetryAfter / time.Millisecond) }
+
+// stringLen is the length appendString renders s in.
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// uvarintLen is the length binary.AppendUvarint renders x in.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // appendFrameMeta renders the trace-metadata section: a single length

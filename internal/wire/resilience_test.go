@@ -492,17 +492,19 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 }
 
 // TestWriteDeadlineUnwedgesStuckPeer: a peer that accepts the
-// connection but never reads must not wedge writeMu forever — the
-// context deadline bounds the write, and the connection is declared
-// dead for all users.
+// connection but never reads must not hold the client's write turn
+// forever — the write stall bounds the write, not the caller's shorter
+// deadline, which would cut frames in half — and the connection is
+// declared dead for all users.
 func TestWriteDeadlineUnwedgesStuckPeer(t *testing.T) {
 	us, them := net.Pipe()
 	defer them.Close()
 	c := newClientConn("pipe:stuck", us)
 	defer c.Close()
+	c.writeStall = 200 * time.Millisecond
 
 	big := make([]byte, 1<<16) // larger than any pipe buffering
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 
 	done := make(chan error, 1)
@@ -512,21 +514,21 @@ func TestWriteDeadlineUnwedgesStuckPeer(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("write against a stuck peer must fail")
+		if !errors.Is(err, ErrClientClosed) || errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("write against a stuck peer = %v, want the stalled write to break the connection", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Call wedged on a stuck peer despite its deadline")
+		t.Fatal("Call wedged on a stuck peer despite the write stall")
 	}
 
 	// The poisoned connection must fail subsequent calls immediately,
-	// not strand them behind writeMu.
+	// not strand them behind the write turn.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel2()
 	if _, err := c.Call(ctx2, &Request{Service: "s", Op: "o"}); err == nil {
 		t.Fatal("second call on the poisoned connection must fail")
 	} else if errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("second call waited out its own deadline (%v): writeMu was wedged", err)
+		t.Fatalf("second call waited out its own deadline (%v): the write turn was wedged", err)
 	}
 }
 

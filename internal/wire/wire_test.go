@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -291,6 +292,119 @@ func TestOversizedReplyFailsAlone(t *testing.T) {
 	}
 	if got, err := c.Call(ctx, &Request{Service: "svc", Op: "Small", Body: []byte("after")}); err != nil || got != "after" {
 		t.Fatalf("call after the oversized reply = %q, %v", got, err)
+	}
+}
+
+// TestShortDeadlinesLeaveSharedConnection: over one shared loop:
+// connection, callers whose 1 ms deadlines end while they wait to write
+// or while their call is in flight run beside callers with ordinary
+// deadlines, and none of the latter may fail: a caller's deadline ends
+// its own wait, never a frame write that every call on the connection
+// depends on.
+func TestShortDeadlinesLeaveSharedConnection(t *testing.T) {
+	h := HandlerFunc(func(_ context.Context, _ string, req *Request) *Response {
+		return &Response{Status: StatusOK, Body: []byte(req.Received)}
+	})
+	_, bound := startServer(t, "loop:short-deadlines", map[string]Handler{"svc": h})
+	c, err := Dial(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	body := bytes.Repeat([]byte("x"), 32<<10)
+	stop := make(chan struct{})
+	var short, normal sync.WaitGroup
+	var cut atomic.Int64 // short calls their deadline ended
+	for range 16 {
+		short.Add(1)
+		go func() {
+			defer short.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+				if _, err := c.Call(ctx, &Request{Service: "svc", Op: "Echo", Body: body}); err != nil {
+					cut.Add(1)
+				}
+				cancel()
+			}
+		}()
+	}
+	errs := make(chan error, 8)
+	for i := range 8 {
+		normal.Add(1)
+		go func() {
+			defer normal.Done()
+			for k := range 40 {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				want := fmt.Sprintf("caller %d call %d", i, k)
+				got, err := c.Call(ctx, &Request{Service: "svc", Op: "Echo", Body: append([]byte(want), body...)})
+				cancel()
+				if err == nil && !strings.HasPrefix(got, want) {
+					err = fmt.Errorf("reply %.20q, want %q", got, want)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("caller %d call %d: %w", i, k, err)
+					return
+				}
+			}
+		}()
+	}
+	normal.Wait()
+	close(stop)
+	short.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if cut.Load() == 0 {
+		t.Fatal("no short call ran out of its deadline")
+	}
+}
+
+// TestRefusedFrameLeavesBuffer: appendFrame sizes a request, a response
+// and a raw payload from their fields, and refuses one a byte past
+// MaxFramePayload before it appends anything — the buffer comes back as
+// it was, not grown by the frame first — while one at the limit is
+// rendered whole, its length field the payload's.
+func TestRefusedFrameLeavesBuffer(t *testing.T) {
+	big := make([]byte, MaxFramePayload+1)
+	frames := func(over int) []frame {
+		return []frame{
+			{ftype: frameRequest, id: 1, traceID: "t", req: &Request{Service: "s", Op: "o", Body: big[:MaxFramePayload-4+over]}},
+			{ftype: frameResponse, id: 2, resp: &Response{Status: StatusAppError, RetryAfter: 200 * time.Millisecond, ErrMsg: "e", Body: big[:MaxFramePayload-5+over]}},
+			{ftype: frameResponse, id: 3, payload: string(big[:MaxFramePayload+over])},
+		}
+	}
+	for i, f := range frames(1) {
+		dst := append(make([]byte, 0, 64), "prefix"...)
+		got, err := appendFrame(dst, &f)
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("frame %d: err = %v, want ErrFrameTooLarge", i, err)
+		}
+		if len(got) != len(dst) || cap(got) != cap(dst) || &got[0] != &dst[0] || string(got) != "prefix" {
+			t.Fatalf("frame %d: refused, yet the buffer came back %d/%d bytes long", i, len(got), cap(got))
+		}
+	}
+	for i, f := range frames(0) {
+		got, err := appendFrame([]byte("prefix"), &f)
+		if err != nil {
+			t.Fatalf("frame %d at the limit: %v", i, err)
+		}
+		if n := binary.BigEndian.Uint32(got[6+12:]); n != MaxFramePayload {
+			t.Fatalf("frame %d at the limit: length field %d, want %d", i, n, MaxFramePayload)
+		}
+		extra := 0 // a request's TTL and trace metadata precede its payload
+		if f.ftype == frameRequest {
+			extra = frameTTLLen + 4
+		}
+		if n := len(got) - len("prefix") - frameHeaderLen; n != MaxFramePayload+extra {
+			t.Fatalf("frame %d at the limit: %d bytes after the header, want %d", i, n, MaxFramePayload+extra)
+		}
 	}
 }
 

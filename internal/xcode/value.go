@@ -141,44 +141,76 @@ func mustKind(t *sidl.Type, k sidl.Kind) {
 	}
 }
 
-// FromLit converts a SIDL literal to a value of type t.
-func FromLit(t *sidl.Type, l sidl.Lit) (*Value, error) {
+// CheckLit reports whether FromLit converts the SIDL literal l to a
+// value of type t — nil when it does, FromLit's error when not —
+// without building the value: a valid literal costs no allocation.
+func CheckLit(t *sidl.Type, l sidl.Lit) error {
+	var what string
 	switch l.Kind {
 	case sidl.LitBool:
-		if t.Kind != sidl.Bool {
-			return nil, fmt.Errorf("%w: boolean literal for %s", ErrBadLiteral, t)
+		if t.Kind == sidl.Bool {
+			return nil
 		}
+		what = "boolean"
+	case sidl.LitInt:
+		switch t.Kind {
+		case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64, sidl.Float32, sidl.Float64:
+			return nil
+		case sidl.UInt32, sidl.UInt64:
+			if l.Int < 0 {
+				return fmt.Errorf("%w: negative literal for %s", ErrBadLiteral, t)
+			}
+			return nil
+		}
+		what = "integer"
+	case sidl.LitFloat:
+		if t.Kind == sidl.Float32 || t.Kind == sidl.Float64 {
+			return nil
+		}
+		what = "float"
+	case sidl.LitString:
+		if t.Kind == sidl.String {
+			return nil
+		}
+		what = "string"
+	case sidl.LitEnum:
+		if t.Kind != sidl.Enum {
+			what = "enum"
+			break
+		}
+		if _, ok := t.Ordinal(l.Str); !ok {
+			return fmt.Errorf("%w: %q is not a literal of %s", ErrBadLiteral, l.Str, t)
+		}
+		return nil
+	default:
+		return fmt.Errorf("%w: unknown literal kind %d", ErrBadLiteral, l.Kind)
+	}
+	return fmt.Errorf("%w: %s literal for %s", ErrBadLiteral, what, t)
+}
+
+// FromLit converts a SIDL literal to a value of type t; CheckLit decides
+// which literals convert.
+func FromLit(t *sidl.Type, l sidl.Lit) (*Value, error) {
+	if err := CheckLit(t, l); err != nil {
+		return nil, err
+	}
+	switch l.Kind {
+	case sidl.LitBool:
 		return NewBool(t, l.Bool), nil
 	case sidl.LitInt:
 		switch t.Kind {
-		case sidl.Octet, sidl.Int16, sidl.Int32, sidl.Int64:
-			return NewInt(t, l.Int), nil
 		case sidl.UInt32, sidl.UInt64:
-			if l.Int < 0 {
-				return nil, fmt.Errorf("%w: negative literal for %s", ErrBadLiteral, t)
-			}
 			return NewUint(t, uint64(l.Int)), nil
 		case sidl.Float32, sidl.Float64:
 			return NewFloat(t, float64(l.Int)), nil
 		}
-		return nil, fmt.Errorf("%w: integer literal for %s", ErrBadLiteral, t)
+		return NewInt(t, l.Int), nil
 	case sidl.LitFloat:
-		if t.Kind != sidl.Float32 && t.Kind != sidl.Float64 {
-			return nil, fmt.Errorf("%w: float literal for %s", ErrBadLiteral, t)
-		}
 		return NewFloat(t, l.Float), nil
 	case sidl.LitString:
-		if t.Kind != sidl.String {
-			return nil, fmt.Errorf("%w: string literal for %s", ErrBadLiteral, t)
-		}
 		return NewString(t, l.Str), nil
-	case sidl.LitEnum:
-		if t.Kind != sidl.Enum {
-			return nil, fmt.Errorf("%w: enum literal for %s", ErrBadLiteral, t)
-		}
-		return NewEnum(t, l.Str)
 	}
-	return nil, fmt.Errorf("%w: unknown literal kind %d", ErrBadLiteral, l.Kind)
+	return NewEnum(t, l.Str)
 }
 
 // Field returns the struct member by name.

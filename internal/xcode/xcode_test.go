@@ -152,6 +152,47 @@ func TestFromLit(t *testing.T) {
 	}
 }
 
+// TestCheckLitAgreesWithFromLit: for every pair of literal kind —
+// negative and non-negative integers, an enum symbol of its enum and one
+// outside it, a kind no literal has — and SIDL type kind, CheckLit
+// accepts exactly the literals FromLit converts, with FromLit's error
+// for the rest, and allocates nothing for a literal it accepts.
+func TestCheckLitAgreesWithFromLit(t *testing.T) {
+	types := []*sidl.Type{sidl.EnumOf("E", "A", "B"), sidl.StructOf("S"), sidl.SequenceOf(sidl.Basic(sidl.Int32))}
+	for k := sidl.Void; k <= sidl.SvcRef; k++ {
+		if k.Scalar() {
+			types = append(types, sidl.Basic(k))
+		}
+	}
+	lits := []sidl.Lit{
+		sidl.BoolLit(true), sidl.IntLit(7), sidl.IntLit(-7), sidl.FloatLit(1.5),
+		sidl.StringLit("A"), sidl.EnumLit("A"), sidl.EnumLit("Z"), {Kind: 99},
+	}
+	accepted := 0
+	for _, typ := range types {
+		for _, lit := range lits {
+			checked := CheckLit(typ, lit)
+			_, converted := FromLit(typ, lit)
+			if (checked == nil) != (converted == nil) || checked != nil && checked.Error() != converted.Error() {
+				t.Fatalf("%s literal %+v: CheckLit says %v, FromLit %v", typ, lit, checked, converted)
+			}
+			if checked != nil {
+				if !errors.Is(checked, ErrBadLiteral) {
+					t.Fatalf("%s literal %+v: %v is not ErrBadLiteral", typ, lit, checked)
+				}
+				continue
+			}
+			accepted++
+			if n := testing.AllocsPerRun(10, func() { _ = CheckLit(typ, lit) }); n != 0 {
+				t.Fatalf("%s literal %+v: CheckLit allocates %v times", typ, lit, n)
+			}
+		}
+	}
+	if accepted != 19 {
+		t.Fatalf("%d pairs accepted, want 19", accepted)
+	}
+}
+
 func TestProject(t *testing.T) {
 	base := sidl.StructOf("Base", sidl.Field{Name: "x", Type: sidl.Basic(sidl.Int32)})
 	ext := sidl.StructOf("Ext",
