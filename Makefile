@@ -93,7 +93,8 @@ test:
 # installs, a replication read tails
 # segments that compaction deletes, every connection of the wire layer
 # shares pooled frame buffers and reply channels that a call cancelled
-# at the wrong instant must not hand back early, and cosm encodes every
+# at the wrong instant must not hand back early, handlers and peer
+# queries run on workers that park between jobs, and cosm encodes every
 # call's request and reply body into one of those buffers, which must
 # go back exactly once and only after its write, and serves each
 # request from pooled objects that go back only after its response is
@@ -134,13 +135,16 @@ fuzz:
 # paper-figure groups (Fig1-Fig7, Sec22, Sec23), the ablations, the
 # overload, failover, event-log, gossip-round and read-replica
 # benchmarks, the ordered walk over offers with siblings, which
-# import_match's market has none of, and a write into a read bucket of
+# import_match's market has none of, a write into a read bucket of
 # 2 000 and 20 000 offers with and without a value distinct per offer,
-# which market_churn's offers do not carry. The market's hot paths are
-# cosmbench workloads: `bash bench/run.sh`.
+# which market_churn's offers do not carry, one index-table lookup,
+# and a call to a handler whose frames outgrow a goroutine's starting
+# stack, from 1 and 8 callers over loop: and tcp:. The market's hot
+# paths are cosmbench workloads: `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) test -run '^$$' -bench 'RankedWalk|Derive' -benchmem $(CORE)
+	$(GO) test -run '^$$' -bench 'RankedWalk|Derive|IndexLookup' -benchmem $(CORE)
+	$(GO) test -run '^$$' -bench 'CallStack' -benchmem ./internal/wire
 
 # The non-test Go line count that ROADMAP's census tracks: every *.go
 # file except *_test.go, outside .bench_build/ (cosmbench's build tree).

@@ -137,8 +137,11 @@ func (c *Call) Args(dst ...any) error {
 	return nil
 }
 
-// badArgCount and badArg are out of line, like the binder's errors:
-// Args runs on a fresh handler goroutine, whose stack grows by copying.
+// badArgCount and badArg are out of line, like the binder's errors, so
+// their formatting does not enlarge Args's frame: Args runs on a
+// handler goroutine, a reused worker's (see wire.Go), and a new worker,
+// or one whose stack the GC shrank while it was parked, grows its stack
+// by copying.
 
 func (c *Call) badArgCount(got int) error {
 	return fmt.Errorf("%w: op %s takes %d in-arguments, handler binds %d", ErrBadArgs, c.Op.Name, inCount(c.Op), got)

@@ -403,3 +403,93 @@ func BenchmarkDerive(b *testing.B) {
 		}
 	}
 }
+
+// randomIndexKey draws a key from a small domain, so that a table of a
+// few hundred keys holds most of it and a draw hits present and absent
+// keys alike: one of eight properties, and its property entry or a
+// string, enum or boolean value.
+func randomIndexKey(r *rand.Rand) indexKey {
+	k := indexKey{prop: string(rune('a' + r.Intn(8)))}
+	switch r.Intn(4) {
+	case 1:
+		k.kind, k.str = cvStr, fmt.Sprint(r.Intn(20))
+	case 2:
+		k.kind, k.str = cvSym, fmt.Sprint(r.Intn(20))
+	case 3:
+		k.kind, k.b = cvBool, r.Intn(2) == 1
+	}
+	return k
+}
+
+// linearLookup is lookup by a scan of every entry of the table, given
+// as one slice.
+func linearLookup(entries []indexEntry, k indexKey) (int, indexEntry, bool) {
+	for i, e := range entries {
+		if e.compare(&k) >= 0 {
+			if e.indexKey == k {
+				return i, e, true
+			}
+			return i, indexEntry{indexKey: k}, false
+		}
+	}
+	return len(entries), indexEntry{indexKey: k}, false
+}
+
+// TestLookupMatchesLinearScanProperty grows an index table key by key
+// — so its runs split at positions the keys pick, and lookups cross
+// run boundaries of every length — and after each insert checks lookup
+// against a scan of every entry for random keys, present or absent.
+func TestLookupMatchesLinearScanProperty(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var table runs[indexEntry]
+		var entries []indexEntry
+		for step := 0; step < 400; step++ {
+			k := randomIndexKey(r)
+			if i, _, found := linearLookup(entries, k); !found {
+				table = table.splice(-1, i, indexEntry{indexKey: k, n: step + 1})
+				entries = table.all()
+			}
+			for range 8 {
+				k := randomIndexKey(r)
+				i, e, found := lookup(table, k)
+				wi, we, wfound := linearLookup(entries, k)
+				if i != wi || found != wfound || e.indexKey != we.indexKey || e.n != we.n {
+					t.Fatalf("seed %d step %d: lookup(%+v) = %d, %+v, %t; a scan finds %d, %+v, %t",
+						seed, step, k, i, e.indexKey, found, wi, we.indexKey, wfound)
+				}
+			}
+		}
+		if len(table.spine) < 3 {
+			t.Fatalf("seed %d: the table spans %d runs, want several", seed, len(table.spine))
+		}
+	}
+}
+
+// BenchmarkIndexLookup is one lookup in an index table of 6 entries (a
+// few properties, a few values) and of 600, which spans runs: the
+// search a derive makes for each entry it edits, and an import for
+// each equality hint on a string, enum or boolean.
+func BenchmarkIndexLookup(b *testing.B) {
+	for _, n := range []int{6, 600} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			var table runs[indexEntry]
+			var keys []indexKey
+			for table.Len() < n {
+				k := indexKey{prop: fmt.Sprint(r.Intn(n)), kind: cvStr, str: fmt.Sprint(r.Intn(n))}
+				if i, _, found := linearLookup(table.all(), k); !found {
+					table = table.splice(-1, i, indexEntry{indexKey: k, n: 1})
+					keys = append(keys, k)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, found := lookup(table, keys[i%len(keys)]); !found {
+					b.Fatal("a stored key is not found")
+				}
+			}
+		})
+	}
+}

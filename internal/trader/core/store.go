@@ -243,13 +243,37 @@ func valueKey(name string, v cval) (indexKey, bool) {
 
 // lookup returns the position of key k in the index table and a copy
 // of its entry there; when the table has none, it returns the position
-// k would take, the empty entry of k and false.
+// k would take, the empty entry of k and false. It searches the way
+// prop does, comparing keys in place, where runs.find's closure would
+// copy each probed entry (96 bytes) and cost twice as much.
 func lookup(table runs[indexEntry], k indexKey) (int, indexEntry, bool) {
-	i, e, ok := table.find(func(e indexEntry) bool { return e.compare(&k) >= 0 })
-	if !ok || e.indexKey != k {
-		return i, indexEntry{indexKey: k}, false
+	spine := table.spine
+	lo, hi := 0, len(spine) // first run whose last entry is at or past k
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if items := spine[m].items; items[len(items)-1].compare(&k) >= 0 {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	return i, e, true
+	if lo == len(spine) {
+		return table.Len(), indexEntry{indexKey: k}, false
+	}
+	rn := &spine[lo]
+	i, j := 0, len(rn.items)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if rn.items[m].compare(&k) >= 0 {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	if rn.items[i].indexKey != k {
+		return rn.start() + i, indexEntry{indexKey: k}, false
+	}
+	return rn.start() + i, rn.items[i], true
 }
 
 // prop returns the snapshot's entry for the property name, nil when no

@@ -1,10 +1,13 @@
 package trader
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -147,16 +150,26 @@ func (l *meshLink) info(now time.Time) LinkInfo {
 
 // linkRegistry is the trader's named federation link table. All methods
 // are safe for concurrent use — Link/Import races are the registry's
-// normal operating mode.
+// normal operating mode. The links are one name-sorted slice that add
+// and remove replace and nothing changes in place, so a reader takes
+// the current slice and keeps it without a copy or a sort.
 type linkRegistry struct {
 	policy wire.BreakerPolicy
 
 	mu    sync.RWMutex
-	links map[string]*meshLink
+	links []*meshLink // by name; replaced, never changed
 }
 
 func newLinkRegistry(policy wire.BreakerPolicy) *linkRegistry {
-	return &linkRegistry{policy: policy, links: map[string]*meshLink{}}
+	return &linkRegistry{policy: policy}
+}
+
+// find returns the position of the link named name, or where it would
+// go, and whether it is there; the caller holds mu.
+func (r *linkRegistry) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(r.links, name, func(l *meshLink, name string) int {
+		return strings.Compare(l.name, name)
+	})
 }
 
 func (r *linkRegistry) add(name string, peer Federate) (*meshLink, error) {
@@ -165,34 +178,33 @@ func (r *linkRegistry) add(name string, peer Federate) (*meshLink, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.links[name]; ok {
+	i, ok := r.find(name)
+	if ok {
 		return nil, fmt.Errorf("%w: %q", ErrLinkExists, name)
 	}
 	l := &meshLink{name: name, peer: peer, br: wire.NewBreaker(r.policy)}
-	r.links[name] = l
+	r.links = slices.Concat(r.links[:i], []*meshLink{l}, r.links[i:])
 	return l, nil
 }
 
 func (r *linkRegistry) remove(name string) (*meshLink, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l, ok := r.links[name]
-	if ok {
-		delete(r.links, name)
+	i, ok := r.find(name)
+	if !ok {
+		return nil, false
 	}
-	return l, ok
+	l := r.links[i]
+	r.links = slices.Concat(r.links[:i], r.links[i+1:])
+	return l, true
 }
 
-// snapshot returns the current links in stable name order.
+// snapshot returns the current links in name order. The slice is
+// shared: read only.
 func (r *linkRegistry) snapshot() []*meshLink {
 	r.mu.RLock()
-	out := make([]*meshLink, 0, len(r.links))
-	for _, l := range r.links {
-		out = append(out, l)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	defer r.mu.RUnlock()
+	return r.links
 }
 
 // byPeer finds the link whose peer carries the given federation
@@ -322,10 +334,13 @@ func (t *Trader) planScatter(req ImportRequest, visited []string) scatterPlan {
 
 	type scored struct {
 		l     *meshLink
-		hops  int // best hop distance for the requested type; -1 unknown
+		hops  int // best hop distance for the requested type; MaxInt unknown
 		count int
 	}
-	var routed, unknown []scored
+	// The candidates of a mesh of up to 16 links stay on the stack; the
+	// plan's targets are its one allocation.
+	var buf [16]scored
+	cands := buf[:0]
 	anySummary := false
 	for _, l := range links {
 		if skip(l) {
@@ -333,7 +348,7 @@ func (t *Trader) planScatter(req ImportRequest, visited []string) scatterPlan {
 		}
 		sum := l.freshSummary(now)
 		if sum == nil {
-			unknown = append(unknown, scored{l: l, hops: -1})
+			cands = append(cands, scored{l: l, hops: math.MaxInt})
 			continue
 		}
 		anySummary = true
@@ -354,29 +369,40 @@ func (t *Trader) planScatter(req ImportRequest, visited []string) scatterPlan {
 			}
 		}
 		if bestHops >= 0 {
-			routed = append(routed, scored{l: l, hops: bestHops, count: count})
+			cands = append(cands, scored{l: l, hops: bestHops, count: count})
 		}
 		// A fresh summary that does not cover the type rules the peer
 		// out: that is the whole point of advertising summaries.
 	}
 
-	sort.SliceStable(routed, func(i, j int) bool {
-		if routed[i].hops != routed[j].hops {
-			return routed[i].hops < routed[j].hops
+	// Summary-positive peers first, by fewest hops and then most offers,
+	// and then the peers of unknown coverage, in name order.
+	slices.SortStableFunc(cands, func(a, b scored) int {
+		if c := cmp.Compare(a.hops, b.hops); c != 0 {
+			return c
 		}
-		return routed[i].count > routed[j].count
+		return cmp.Compare(b.count, a.count)
 	})
-
-	all := append(routed, unknown...)
-	plan := scatterPlan{routed: anySummary}
-	for _, s := range all {
-		plan.targets = append(plan.targets, s.l)
+	plan := scatterPlan{routed: anySummary, targets: make([]*meshLink, len(cands))}
+	for i, c := range cands {
+		plan.targets[i] = c.l
 	}
 	if req.MaxPeers > 0 && len(plan.targets) > req.MaxPeers {
 		plan.spares = plan.targets[req.MaxPeers:]
 		plan.targets = plan.targets[:req.MaxPeers]
 	}
 	return plan
+}
+
+// forward returns the request a federated import asks its peers: one
+// hop less, carrying the visited set, with neither ordering nor a cap —
+// ordering happens once, at the originating trader.
+func (r ImportRequest) forward(visited []string) ImportRequest {
+	r.HopLimit--
+	r.Policy = ""
+	r.Max = 0
+	r.visited = visited
+	return r
 }
 
 // hopBudget derives the deadline budget for one more federation hop:
@@ -435,11 +461,9 @@ func (t *Trader) federatedMatches(ctx context.Context, req ImportRequest) []Matc
 		t.metrics.fedScatter.With("full").Inc()
 	}
 
-	sub := req
-	sub.HopLimit--
-	sub.Policy = "" // ordering happens once, at the originating trader
-	sub.Max = 0
-	sub.visited = visited
+	// Never assigned again, sub is copied into each query's closure and
+	// is not moved to the heap.
+	sub := req.forward(visited)
 
 	subCtx, cancel, cutoffAt, budgeted := hopBudget(ctx, req.HopLimit)
 	defer cancel()
@@ -450,15 +474,17 @@ func (t *Trader) federatedMatches(ctx context.Context, req ImportRequest) []Matc
 		err     error
 	}
 	// Buffered to the worst-case query count: a link that answers after
-	// the cutoff deposits its result and exits instead of leaking a
-	// goroutine.
+	// the cutoff deposits its result and gives its worker back instead
+	// of leaking a goroutine. Each query runs on a reused goroutine of
+	// the wire's worker set, so the stack the encoding and the call grew
+	// serves the next query.
 	results := make(chan linkResult, len(plan.targets)+len(plan.spares)+1)
 	launch := func(l *meshLink) {
 		t.fedPeers.Add(1)
-		go func() {
+		wire.Go(func() {
 			ms, err := l.peer.ImportGraded(subCtx, sub)
 			results <- linkResult{link: l, matches: ms, err: err}
-		}()
+		})
 	}
 	pending := 0
 	for _, l := range plan.targets {

@@ -1,9 +1,12 @@
 package trader
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,6 +50,49 @@ func TestLinkRegistryAddRemoveList(t *testing.T) {
 	}
 	if n := a.LinkCount(); n != 1 {
 		t.Fatalf("LinkCount = %d, want 1", n)
+	}
+}
+
+// The registry keeps its links in name order whatever the order they
+// were added and removed in; byPeer finds a link by its peer's
+// federation identity and, once a summary revealed it, by the trader
+// ID; and a listing taken before a change still holds what it held.
+func TestLinkRegistryKeepsNameOrder(t *testing.T) {
+	hub := New("hub", newCarRepo(t))
+	for _, name := range []string{"m", "c", "x", "a", "q", "f"} {
+		mustLink(t, hub, name, &failingFederate{id: "fed-" + name})
+	}
+	before := hub.mesh.snapshot()
+	if err := hub.RemoveLink("q"); err != nil {
+		t.Fatal(err)
+	}
+	mustLink(t, hub, "b", &failingFederate{id: "fed-b"})
+	var names []string
+	for _, li := range hub.Links() {
+		names = append(names, li.Name)
+	}
+	if got := strings.Join(names, " "); got != "a b c f m x" {
+		t.Fatalf("Links() = %s, want a b c f m x", got)
+	}
+	var old []string
+	for _, l := range before {
+		old = append(old, l.name)
+	}
+	if got := strings.Join(old, " "); got != "a c f m q x" {
+		t.Fatalf("the listing before the changes = %s, want a c f m q x", got)
+	}
+	for _, name := range names {
+		if l, ok := hub.mesh.byPeer("fed-" + name); !ok || l.name != name {
+			t.Fatalf("byPeer(fed-%s) = %v, %t; want link %s", name, l, ok, name)
+		}
+	}
+	if l, ok := hub.mesh.byPeer("fed-q"); ok {
+		t.Fatalf("byPeer(fed-q) = link %s after q was removed", l.name)
+	}
+	l, _ := hub.mesh.byPeer("fed-f")
+	l.setSummary(&OfferSummary{From: "F", Gen: 1}, time.Now())
+	if got, ok := hub.mesh.byPeer("F"); !ok || got != l {
+		t.Fatalf("byPeer(F) = %v, %t; want link f by its learned trader ID", got, ok)
 	}
 }
 
@@ -290,6 +336,77 @@ func (f *failingFederate) FederationID() string { return f.id }
 
 func (f *failingFederate) ImportGraded(context.Context, ImportRequest) ([]Match, error) {
 	return nil, errors.New("boom")
+}
+
+// lateFederate answers only once released, whatever its caller's
+// deadline.
+type lateFederate struct {
+	id      string
+	release chan struct{}
+}
+
+func (f *lateFederate) FederationID() string { return f.id }
+
+func (f *lateFederate) ImportGraded(context.Context, ImportRequest) ([]Match, error) {
+	<-f.release
+	return nil, nil
+}
+
+// goroutineStacks maps each goroutine's ID to its stack.
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if id, rest, ok := strings.Cut(strings.TrimPrefix(string(g), "goroutine "), " "); ok {
+			out[id] = rest
+		}
+	}
+	return out
+}
+
+// A peer that answers after the gather cutoff still gives its worker
+// back: the query deposits its late result in the buffered results
+// channel and its goroutine parks in the wire's worker set.
+func TestMeshLatePeerGivesWorkerBack(t *testing.T) {
+	hub := New("hub", newCarRepo(t))
+	late := &lateFederate{id: "LATE", release: make(chan struct{})}
+	mustLink(t, hub, "late", late)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if got := hub.federatedMatches(ctx, ImportRequest{Type: "CarRentalService", HopLimit: 1}); len(got) != 0 {
+		t.Fatalf("matches = %+v, want none by the cutoff", got)
+	}
+	var worker string
+	for id, stack := range goroutineStacks() {
+		if strings.Contains(stack, "(*lateFederate).ImportGraded(") {
+			worker = id
+		}
+	}
+	if worker == "" {
+		t.Fatal("no goroutine runs the late query after the cutoff")
+	}
+	close(late.release)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		stack, ok := goroutineStacks()[worker]
+		if !ok {
+			t.Fatalf("goroutine %s exited after its late query, want it parked", worker)
+		}
+		if strings.Contains(stack, "[chan receive") && !strings.Contains(stack, "lateFederate") &&
+			strings.Contains(stack, "cosm/internal/wire.park(") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine %s not parked 5 s after its late query:\n%s", worker, stack)
+		}
+	}
 }
 
 func TestHopBudgetSplitsDeadline(t *testing.T) {

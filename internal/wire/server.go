@@ -411,9 +411,11 @@ type serverCall struct {
 	cancel  context.CancelFunc
 	// queueing says the request waits for an in-flight slot (dispatch).
 	queueing bool
-	// run is serve, bound once per serverCall, so that starting the
-	// goroutine that runs it allocates no closure.
-	run func()
+	// run is serve, which dispatch hands to a parked worker, and start
+	// is work, which it starts on a new goroutine when none is parked:
+	// both are bound once per serverCall, so that neither allocates a
+	// closure.
+	run, start func()
 }
 
 var serverCalls sync.Pool
@@ -425,13 +427,13 @@ func newServerCall() *serverCall {
 	}
 	c := new(serverCall)
 	c.req.resp = &c.resp
-	c.run = c.serve
+	c.run, c.start = c.serve, c.work
 	return c
 }
 
 // free empties c and hands it back to serverCalls.
 func (c *serverCall) free() {
-	*c = serverCall{req: Request{resp: &c.resp}, run: c.run}
+	*c = serverCall{req: Request{resp: &c.resp}, run: c.run, start: c.start}
 	serverCalls.Put(c)
 }
 
@@ -442,11 +444,15 @@ func (c *serverCall) answer(resp *Response) {
 }
 
 // dispatch applies deadline, drain and admission checks to one request
-// and, when admitted, runs its handler in its own goroutine so one slow
-// operation does not block the connection (the multiplexing that Sun
-// RPC over TCP lacks, but DCE-style RPC provides). Shed and reject
-// paths respond inline from the read loop: they do not spawn, so the
-// goroutine population is bounded by MaxInFlight + MaxQueue.
+// and, when admitted, runs its handler on a goroutine of its own so one
+// slow operation does not block the connection (the multiplexing that
+// Sun RPC over TCP lacks, but DCE-style RPC provides): a parked worker
+// of the worker set (see Go), or a new goroutine that parks once the
+// response is written, so a handler's grown stack serves the next
+// request. Shed and reject paths respond inline from the read loop:
+// they take no goroutine, so the goroutines running handlers are
+// bounded by MaxInFlight + MaxQueue, and the parked ones by the worker
+// set's cap.
 func (s *Server) dispatch(c *serverCall, f frame, draining bool) {
 	// Deadline propagation: the request context inherits the caller's
 	// remaining budget, and is independently cancellable so a cancel
@@ -499,7 +505,15 @@ func (s *Server) dispatch(c *serverCall, f frame, draining bool) {
 	c.cs.handlers.Add(1)
 	c.cs.register(c.id, cancel)
 	c.ctx, c.cancel = ctx, cancel
-	go c.run()
+	if !handOff(c.run) {
+		spawn(c.start)
+	}
+}
+
+// work serves c on a new goroutine, which then parks as a worker.
+func (c *serverCall) work() {
+	c.serve()
+	park()
 }
 
 // serve runs on the request's own goroutine: it waits for an in-flight
