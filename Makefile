@@ -98,7 +98,8 @@ test:
 # call's request and reply body into one of those buffers, which must
 # go back exactly once and only after its write, and serves each
 # request from pooled objects that go back only after its response is
-# written; obs's one ring, one LRU
+# written; a loop: connection's byte queues are woken by writes, reads,
+# closes and deadline changes from either end; obs's one ring, one LRU
 # and one label family are shared by concurrent recorders, caches and
 # FSM sessions: those tests run twenty times over, so a rare
 # interleaving gets its chance. (The cell's

@@ -14,20 +14,30 @@ import (
 // run but the last full.
 func checkRuns[E any](t *testing.T, what string, r runs[E]) {
 	t.Helper()
+	if fault := runsFault(r); fault != "" {
+		t.Fatalf("%s: %s", what, fault)
+	}
+}
+
+// runsFault describes the first run invariant r breaks, "" when it
+// keeps them all: a caller checking many lists names one only when it
+// fails.
+func runsFault[E any](r runs[E]) string {
 	n := 0
 	for k, rn := range r.spine {
 		switch {
 		case len(rn.items) == 0:
-			t.Fatalf("%s: run %d of %d is empty", what, k, len(r.spine))
+			return fmt.Sprintf("run %d of %d is empty", k, len(r.spine))
 		case len(rn.items) > runCap:
-			t.Fatalf("%s: run %d holds %d entries, over runCap %d", what, k, len(rn.items), runCap)
+			return fmt.Sprintf("run %d holds %d entries, over runCap %d", k, len(rn.items), runCap)
 		case len(rn.items) < runCap/4 && k < len(r.spine)-1:
-			t.Fatalf("%s: run %d of %d holds %d entries, under runCap/4", what, k, len(r.spine), len(rn.items))
+			return fmt.Sprintf("run %d of %d holds %d entries, under runCap/4", k, len(r.spine), len(rn.items))
 		}
 		if n += len(rn.items); rn.end != n {
-			t.Fatalf("%s: run %d ends at %d, but %d entries precede its end", what, k, rn.end, n)
+			return fmt.Sprintf("run %d ends at %d, but %d entries precede its end", k, rn.end, n)
 		}
 	}
+	return ""
 }
 
 // TestRunsMatchSliceProperty drives runs through random inserts,

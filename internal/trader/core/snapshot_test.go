@@ -44,8 +44,14 @@ func sameSnapshot(t *testing.T, step string, derived, built *typeSnapshot) {
 		checkRuns(t, step+": index table", snap.index)
 		table := snap.index.all()
 		for i, e := range table {
-			checkRuns(t, fmt.Sprintf("%s: posting list %v", step, e.indexKey), e.list)
-			checkRuns(t, fmt.Sprintf("%s: numeric index %v", step, e.indexKey), e.num)
+			// Each entry's label is formatted only when it fails: a
+			// Sprintf per entry per step was most of the test's time.
+			if fault := runsFault(e.list); fault != "" {
+				t.Fatalf("%s: posting list %v: %s", step, e.indexKey, fault)
+			}
+			if fault := runsFault(e.num); fault != "" {
+				t.Fatalf("%s: numeric index %v: %s", step, e.indexKey, fault)
+			}
 			if e.empty() {
 				t.Fatalf("%s: empty table entry %v", step, e.indexKey)
 			}

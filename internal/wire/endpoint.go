@@ -8,7 +8,9 @@
 // execution per request — over two interchangeable transports: TCP
 // ("tcp:host:port" endpoints) and an in-process loopback network
 // ("loop:name" endpoints) that removes the kernel from micro-benchmarks
-// and makes multi-node tests hermetic.
+// and makes multi-node tests hermetic. A loop: connection is a pair of
+// bounded in-process byte queues, one per direction, whose deadlines
+// cost nothing to set (loopconn.go).
 package wire
 
 import (
@@ -97,8 +99,8 @@ type tcpListener struct {
 
 func (l *tcpListener) Endpoint() string { return "tcp:" + l.Addr().String() }
 
-// loopNet is an in-process transport namespace: named listeners
-// connected by net.Pipe.
+// loopNet is an in-process transport namespace: named listeners whose
+// connections are pairs of bounded byte queues (loopconn.go).
 type loopNet struct {
 	mu        sync.Mutex
 	listeners map[string]*loopListener
@@ -132,7 +134,7 @@ func (n *loopNet) dial(ctx context.Context, name string) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrLoopUnknown, name)
 	}
-	client, server := net.Pipe()
+	client, server := newLoopConns(name)
 	select {
 	case l.backlog <- server:
 		return client, nil

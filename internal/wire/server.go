@@ -580,35 +580,44 @@ func (c *serverCall) echo() string {
 // serveRequest runs one handler, converting a panic into a
 // StatusAppError response instead of letting it kill the daemon: in an
 // open market a single misbehaving service implementation must not take
-// the whole node — and every co-hosted service — down with it. The
-// op label is built only when a metric, log line, span or watchdog
-// reads it.
+// the whole node — and every co-hosted service — down with it. A
+// handler that calls runtime.Goexit is answered the same way, and the
+// response is written here: the goroutine unwinds past serve, which
+// would write it. The op label is built only when a metric, log line,
+// span or watchdog reads it.
 func (s *Server) serveRequest(c *serverCall) (resp *Response) {
 	ctx, remote, req := c.ctx, c.cs.remote, &c.req
 	start := time.Now()
 	defer func() {
 		r := recover()
+		// A handler's nil response was replaced below, and recover
+		// returns non-nil for any panic: a nil resp here is a Goexit.
+		goexit := r == nil && resp == nil
 		d := time.Since(start)
 		tr := obs.TraceFrom(ctx)
 		traced := s.rec.Enabled() && tr.Valid()
 		slow := s.slow > 0 && d >= s.slow
 		var op string
-		if r != nil || s.m.latency != nil || s.log != nil || traced || slow {
+		if r != nil || goexit || s.m.latency != nil || s.log != nil || traced || slow {
 			op = req.Service + "/" + req.Op
 		}
-		if r != nil {
+		if r != nil || goexit {
 			s.panics.Add(1)
 			s.m.panics.Inc()
+			what := "runtime.Goexit"
+			if r != nil {
+				what = fmt.Sprintf("%v", r)
+			}
 			// The stack goes through the structured logger when one is
 			// configured, so the panic line carries the request's trace
 			// ID; otherwise through the plain logf fallback.
 			if s.log != nil {
 				s.log.Log(ctx, "panic", "op", op, "remote", remote,
-					"panic", fmt.Sprintf("%v", r), "stack", string(debug.Stack()))
+					"panic", what, "stack", string(debug.Stack()))
 			} else {
-				s.logf("wire: panic in %s handler: %v\n%s", op, r, debug.Stack())
+				s.logf("wire: panic in %s handler: %s\n%s", op, what, debug.Stack())
 			}
-			resp = req.Reply(StatusAppError, fmt.Sprintf("handler panic: %v", r))
+			resp = req.Reply(StatusAppError, "handler panic: "+what)
 		}
 		if s.m.latency != nil {
 			s.m.latency.With(op).Observe(d.Seconds())
@@ -642,6 +651,9 @@ func (s *Server) serveRequest(c *serverCall) (resp *Response) {
 				s.log.Log(ctx, "slow_request", "op", op, "remote", remote,
 					"status", resp.Status.String(), "dur", d, "threshold", s.slow)
 			}
+		}
+		if goexit {
+			s.respond(c.cs, c.id, resp)
 		}
 	}()
 	resp = c.h.ServeCOSM(ctx, remote, req)

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 	"weak"
+
+	"cosm/internal/obs"
 )
 
 // shrinkIdle caps the worker set at n for the rest of the test,
@@ -160,43 +164,66 @@ func TestParkedWorkerHoldsNoJob(t *testing.T) {
 	}
 }
 
-// A handler that panics, or one that calls runtime.Goexit, leaves the
-// set counting exactly the workers parked, and the next call is served.
+// A handler that panics, or one that calls runtime.Goexit, gets its
+// caller a StatusAppError reply and one panic log line, leaves the set
+// counting exactly the workers parked, and the next call is served. A
+// server with a logger once dereferenced the nil response a Goexit
+// leaves and died; one without answered the call never.
 func TestHandlerPanicAndGoexitLeaveSetConsistent(t *testing.T) {
-	shrinkIdle(t, 2)
-	h := HandlerFunc(func(_ context.Context, _ string, req *Request) *Response {
-		switch req.Op {
-		case "Panic":
-			panic("boom")
-		case "Goexit":
-			runtime.Goexit()
-		}
-		return &Response{Status: StatusOK, Body: []byte("ok")}
-	})
-	_, bound := startServer(t, "loop:goexit", map[string]Handler{"svc": h})
-	c, err := Dial(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, op := range []string{"Panic", "Goexit", "Panic", "Goexit"} {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		_, err := c.Call(ctx, &Request{Service: "svc", Op: op})
-		cancel()
-		var re *RemoteError
-		switch {
-		case op == "Panic" && (!errors.As(err, &re) || re.Status != StatusAppError):
-			t.Fatalf("%s: err = %v, want StatusAppError", op, err)
-		case op == "Goexit" && !errors.Is(err, context.DeadlineExceeded):
-			t.Fatalf("%s: err = %v, want the caller's deadline", op, err)
-		}
-		settle(t, "after "+op+", the parked count is the parked goroutines", func() bool {
-			return parked.Load() == parkedWorkers()
-		})
-		for range 3 {
-			if got, err := c.Call(context.Background(), &Request{Service: "svc", Op: "Echo"}); err != nil || got != "ok" {
-				t.Fatalf("call after %s = %q, %v", op, got, err)
+	for _, logged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("logger=%v", logged), func(t *testing.T) {
+			shrinkIdle(t, 2)
+			h := HandlerFunc(func(_ context.Context, _ string, req *Request) *Response {
+				switch req.Op {
+				case "Panic":
+					panic("boom")
+				case "Goexit":
+					runtime.Goexit()
+				}
+				return &Response{Status: StatusOK, Body: []byte("ok")}
+			})
+			var log syncBuffer
+			s := quietServer()
+			if logged {
+				s = NewServer(WithServerLogger(obs.NewLogger(&log, "wiretest")))
 			}
-		}
+			defer s.Close()
+			if err := s.Register("svc", h); err != nil {
+				t.Fatal(err)
+			}
+			bound, err := s.ListenAndServe("loop:goexit-" + t.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Dial(bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// The deadline only turns a reply that never comes into a failure.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			ops := []string{"Panic", "Goexit", "Panic", "Goexit"}
+			for _, op := range ops {
+				_, err := c.Call(ctx, &Request{Service: "svc", Op: op})
+				var re *RemoteError
+				if !errors.As(err, &re) || re.Status != StatusAppError {
+					t.Fatalf("%s: err = %v, want StatusAppError", op, err)
+				}
+				settle(t, "after "+op+", the parked count is the parked goroutines", func() bool {
+					return parked.Load() == parkedWorkers()
+				})
+				for range 3 {
+					if got, err := c.Call(context.Background(), &Request{Service: "svc", Op: "Echo"}); err != nil || got != "ok" {
+						t.Fatalf("call after %s = %q, %v", op, got, err)
+					}
+				}
+			}
+			if logged {
+				if got := strings.Count(log.String(), "event=panic"); got != len(ops) {
+					t.Fatalf("%d panic lines for %d handler panics and Goexits:\n%s", got, len(ops), log.String())
+				}
+			}
+		})
 	}
 }
