@@ -101,8 +101,9 @@ test:
 # written; a loop: connection's byte queues are woken by writes, reads,
 # closes and deadline changes from either end; obs's one ring, one LRU
 # and one label family are shared by concurrent recorders, caches and
-# FSM sessions: those tests run twenty times over, so a rare
-# interleaving gets its chance. (The cell's
+# FSM sessions; a remote import's reply is built and decoded in scratch
+# that its pools lend to one call at a time at either end: those tests
+# run twenty times over, so a rare interleaving gets its chance. (The cell's
 # interleavings are the cell simulation's: TestCellSim sweeps seeds
 # inside the first line.)
 race:
@@ -111,7 +112,7 @@ race:
 	$(GO) test -race -count=20 ./internal/wire
 	$(GO) test -race -count=20 ./internal/cosm
 	$(GO) test -race -count=20 ./internal/obs
-	$(GO) test -race -count=20 -run '^(TestIndexedMatchesLinearProperty|TestConcurrentWritesApplyInJournalOrder|TestSnapshotInstallRacesCompaction)$$' ./internal/trader
+	$(GO) test -race -count=20 -run '^(TestIndexedMatchesLinearProperty|TestConcurrentWritesApplyInJournalOrder|TestSnapshotInstallRacesCompaction|TestConcurrentRemoteImportsShareNoScratch)$$' ./internal/trader
 	$(GO) test -race -count=20 -run '^TestConcurrentRegistrationsSurviveCompaction$$' ./internal/browser
 	$(GO) test -race -count=20 -run '^(TestCommitOrdersWithCuts|TestReadFromTailsCompactingLog)$$' ./internal/journal
 
@@ -139,13 +140,16 @@ fuzz:
 # import_match's market has none of, a write into a read bucket of
 # 2 000 and 20 000 offers with and without a value distinct per offer,
 # which market_churn's offers do not carry, one index-table lookup,
-# and a call to a handler whose frames outgrow a goroutine's starting
-# stack, from 1 and 8 callers over loop: and tcp:. The market's hot
-# paths are cosmbench workloads: `bash bench/run.sh`.
+# a call to a handler whose frames outgrow a goroutine's starting
+# stack, from 1 and 8 callers over loop: and tcp:, and a remote import
+# over loop: answering 1, 16 and 256 offers, which shows what a reply
+# costs per offer. The market's hot paths are cosmbench workloads:
+# `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench 'RankedWalk|Derive|IndexLookup' -benchmem $(CORE)
 	$(GO) test -run '^$$' -bench 'CallStack' -benchmem ./internal/wire
+	$(GO) test -run '^$$' -bench 'RemoteImport' -benchmem ./internal/trader
 
 # The non-test Go line count that ROADMAP's census tracks: every *.go
 # file except *_test.go, outside .bench_build/ (cosmbench's build tree).

@@ -239,20 +239,50 @@ func (c *Client) Import(ctx context.Context, req ImportRequest) ([]*Offer, error
 // semantic grade and score of every match. A trader that predates
 // grading answers plain offers; those decode as GradeNone matches
 // (which the federation path re-grades locally).
+//
+// The reply is decoded into pooled scratch whose offers keep their
+// record arrays from one reply to the next (xcode.DecodeInto reuses a
+// destination's slices), and its offers are built in one array, so a
+// reply allocates a fixed number of times plus each offer's property
+// map.
 func (c *Client) ImportGraded(ctx context.Context, req ImportRequest) ([]Match, error) {
-	var ws []offerWire
-	if err := c.call(ctx, "Import", &ws, wireImportReq(req)); err != nil {
+	ws := importWires.Get().(*[]offerWire)
+	defer releaseWires(ws, *ws)
+	if err := c.call(ctx, "Import", ws, wireImportReq(req)); err != nil {
 		return nil, fmt.Errorf("trader: remote import: %w", err)
 	}
-	ms := make([]Match, len(ws))
-	for i := range ws {
-		m, err := ws[i].match()
+	offers := make([]Offer, len(*ws))
+	ms := make([]Match, len(*ws))
+	for i := range *ws {
+		m, err := (*ws)[i].match(&offers[i])
 		if err != nil {
 			return nil, err
 		}
 		ms[i] = m
 	}
 	return ms, nil
+}
+
+// importWires holds the scratch Client.ImportGraded decodes replies into.
+var importWires = sync.Pool{New: func() any { return new([]offerWire) }}
+
+// releaseWires clears ws of every window of the reply it was decoded
+// from, keeping each offer's record array, and hands it back to the
+// pool. An empty reply decodes as nil, so ws gets back kept, the array
+// it held before, unless the reply left it a larger one.
+func releaseWires(ws *[]offerWire, kept []offerWire) {
+	for i := range *ws {
+		w := &(*ws)[i]
+		clear(w.Props)
+		*w = offerWire{Props: w.Props[:0]}
+	}
+	if cap(kept) > cap(*ws) {
+		*ws = kept
+	}
+	if cap(*ws) <= maxPooledOffers {
+		*ws = (*ws)[:0]
+		importWires.Put(ws)
+	}
 }
 
 // DefineTypeFromSID registers a service type at the remote trader's

@@ -130,41 +130,76 @@ func OfferFromRecord(rec OfferRecord) (*Offer, error) {
 // records cost one string however many numbers it holds; each text is
 // byte-identical to EncodeLit's.
 func PropsToRecords(dst []PropRecord, props map[string]sidl.Lit) []PropRecord {
+	var sorted [16]sidl.Property
+	var text [256]byte
+	var ends [16]int
+	w := RecordWriter{sorted: sorted[:0], text: text[:0], ends: ends[:0]}
 	start := len(dst)
-	var scratch [256]byte
-	var endsArr [16]int
-	buf, ends := scratch[:0], endsArr[:0] // ends[i]: end of the i-th number's text in buf
+	dst, w = w.Append(dst, props)
+	w.Flush(dst[start:])
+	return dst
+}
+
+// RecordWriter renders property sets in record form, as PropsToRecords
+// does one, and renders the texts of every number it meets between two
+// Flushes into one string: a reply of many offers costs that one string.
+// Its zero value is ready to use. It is a value, which its methods
+// return updated, so that one whose arrays are on its caller's stack
+// keeps them there; it keeps its arrays from one Flush to the next, but
+// no string.
+type RecordWriter struct {
+	sorted []sidl.Property // one property set, sorted by name
+	text   []byte          // the texts of the numbers since the last Flush
+	ends   []int           // ends[i]: end of the i-th of them in text
+}
+
+// Append appends props to dst in record form, sorted by name, and
+// returns the extended slice. A number's record gets its text at Flush.
+func (w RecordWriter) Append(dst []PropRecord, props map[string]sidl.Lit) ([]PropRecord, RecordWriter) {
+	sorted := w.sorted[:0]
 	for name, l := range props {
+		sorted = append(sorted, sidl.Property{Name: name, Value: l})
+	}
+	for i := 1; i < len(sorted); i++ { // insertion sort: tiny inputs
+		for j := i; j > 0 && sorted[j].Name < sorted[j-1].Name; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	for _, p := range sorted {
 		var kind, text string
-		switch l.Kind {
+		switch l := p.Value; l.Kind {
 		case sidl.LitInt:
-			kind, buf = "int", strconv.AppendInt(buf, l.Int, 10)
-			ends = append(ends, len(buf))
+			kind, w.text = "int", strconv.AppendInt(w.text, l.Int, 10)
+			w.ends = append(w.ends, len(w.text))
 		case sidl.LitFloat:
-			kind, buf = "float", strconv.AppendFloat(buf, l.Float, 'g', -1, 64)
-			ends = append(ends, len(buf))
+			kind, w.text = "float", strconv.AppendFloat(w.text, l.Float, 'g', -1, 64)
+			w.ends = append(w.ends, len(w.text))
 		default:
 			kind, text = EncodeLit(l)
 		}
-		dst = append(dst, PropRecord{Name: name, Kind: kind, Text: text})
+		dst = append(dst, PropRecord{Name: p.Name, Kind: kind, Text: text})
 	}
-	recs := dst[start:]
-	if len(ends) > 0 {
-		texts, n, from := string(buf), 0, 0
+	clear(sorted)
+	w.sorted = sorted[:0]
+	return dst, w
+}
+
+// Flush gives each number of recs, which must be exactly the records
+// appended since the last Flush, its text: a window of one string that
+// holds them all.
+func (w RecordWriter) Flush(recs []PropRecord) RecordWriter {
+	if len(w.ends) > 0 {
+		texts, n, from := string(w.text), 0, 0
 		for i := range recs {
 			if k := recs[i].Kind; k == "int" || k == "float" {
-				recs[i].Text = texts[from:ends[n]]
-				from = ends[n]
+				recs[i].Text = texts[from:w.ends[n]]
+				from = w.ends[n]
 				n++
 			}
 		}
 	}
-	for i := 1; i < len(recs); i++ { // insertion sort: tiny inputs
-		for j := i; j > 0 && recs[j].Name < recs[j-1].Name; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
-	return dst
+	w.text, w.ends = w.text[:0], w.ends[:0]
+	return w
 }
 
 // PropsFromRecords reverses PropsToRecords.

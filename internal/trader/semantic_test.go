@@ -630,7 +630,7 @@ func TestWireCompatNewClientOldTrader(t *testing.T) {
 		if err := xcode.DecodeInto(t, data, &w); err != nil {
 			return Match{}, err
 		}
-		return w.match()
+		return w.match(new(Offer))
 	}
 	oldSid, err := sidl.Parse(oldTraderIDL)
 	if err != nil {
@@ -770,7 +770,7 @@ func TestOptionalWireMembersAbsent(t *testing.T) {
 	if err := decode(without("Offer_t", "expiresUnix", "suspect", "grade", "score"), &offer); err != nil {
 		t.Fatal(err)
 	}
-	m, err := offer.match()
+	m, err := offer.match(new(Offer))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package trader
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"cosm/internal/cosm"
@@ -245,10 +247,10 @@ func wireMatch(m Match, props []PropRecord) offerWire {
 	return w
 }
 
-// match reverses wireMatch. An offer from a trader that predates
-// grading carries no grade and comes out GradeNone; the federation path
-// re-grades those locally.
-func (w *offerWire) match() (Match, error) {
+// match reverses wireMatch, building the offer in o. An offer from a
+// trader that predates grading carries no grade and comes out
+// GradeNone; the federation path re-grades those locally.
+func (w *offerWire) match(o *Offer) (Match, error) {
 	props, err := core.PropsFromRecords(w.Props)
 	if err != nil {
 		return Match{}, err
@@ -257,12 +259,59 @@ func (w *offerWire) match() (Match, error) {
 	if err != nil {
 		return Match{}, err
 	}
-	o := &Offer{ID: w.ID, Type: w.ServiceType, Ref: w.Target, Props: props, Suspect: w.Suspect}
+	*o = Offer{ID: w.ID, Type: w.ServiceType, Ref: w.Target, Props: props, Suspect: w.Suspect}
 	if w.ExpiresUnix != 0 {
 		o.Expires = time.Unix(w.ExpiresUnix, 0)
 	}
 	return Match{Offer: o, Grade: grade, Score: w.Score}, nil
 }
+
+// importReply is the scratch an Import reply is built in. It is pooled,
+// so a reply allocates only the one string that holds the texts of its
+// numbers (core.RecordWriter), not a wire form and a record array per
+// call; what it holds between replies is storage, no string.
+type importReply struct {
+	ws   []offerWire
+	recs []PropRecord // every offer's records; each offer's Props is a window
+	rw   core.RecordWriter
+}
+
+var importReplies = sync.Pool{New: func() any { return new(importReply) }}
+
+// fill renders ms in wire form and returns it, as a pointer, which the
+// binder encodes without boxing a slice.
+func (r *importReply) fill(ms []Match) *[]offerWire {
+	n := 0
+	for _, m := range ms {
+		n += len(m.Props)
+	}
+	// Grown up front: the offers' windows must not see it move.
+	r.ws, r.recs = slices.Grow(r.ws[:0], len(ms)), slices.Grow(r.recs[:0], n)
+	for _, m := range ms {
+		start := len(r.recs)
+		r.recs, r.rw = r.rw.Append(r.recs, m.Props)
+		r.ws = append(r.ws, wireMatch(m, r.recs[start:len(r.recs):len(r.recs)]))
+	}
+	r.rw = r.rw.Flush(r.recs)
+	return &r.ws
+}
+
+// release clears r of every string, which are the stored offers' and
+// the reply's texts, and hands it back to the pool, unless an unbounded
+// import grew it past what a pool should keep.
+func (r *importReply) release() {
+	clear(r.ws)
+	clear(r.recs)
+	if cap(r.ws) <= maxPooledOffers {
+		r.ws, r.recs = r.ws[:0], r.recs[:0]
+		importReplies.Put(r)
+	}
+}
+
+// maxPooledOffers bounds the replies whose scratch, at either end, goes
+// back to its pool: one import of every offer of a large market would
+// otherwise pin its size for as long as the pool keeps it.
+const maxPooledOffers = 1024
 
 // wireProps renders an argument's property list as Props_t, in the
 // caller's order (stored offers list theirs by name, see wireMatch).
@@ -510,20 +559,9 @@ func NewService(t *Trader) (*cosm.Service, error) {
 		if err != nil {
 			return err
 		}
-		// One record array holds every offer's properties, so a reply
-		// allocates it once; each offer takes a capped window of it.
-		n := 0
-		for _, m := range ms {
-			n += len(m.Props)
-		}
-		ws := make([]offerWire, len(ms))
-		recs := make([]PropRecord, 0, n)
-		for i, m := range ms {
-			start := len(recs)
-			recs = core.PropsToRecords(recs, m.Props)
-			ws[i] = wireMatch(m, recs[start:len(recs):len(recs)])
-		}
-		return call.Return(ws)
+		r := importReplies.Get().(*importReply)
+		defer r.release()
+		return call.Return(r.fill(ms))
 	})
 	svc.MustHandle("DefineTypeFromSID", func(call *cosm.Call) error {
 		var text string

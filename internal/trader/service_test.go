@@ -3,8 +3,11 @@ package trader
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,15 +103,171 @@ func remoteImport(t *testing.T, name string) func() {
 // every string decoded from it is a window of, the request, call and
 // response pooled, and the label built only for a reader, 42, of which
 // four were the two write deadlines' timers of net.Pipe, which loop:
-// was. Now a loop: connection is two byte queues whose deadlines cost
-// nothing to set.
+// was. With a loop: connection two byte queues whose deadlines cost
+// nothing to set, 38. Of those, 18 went when both ends came to work in
+// pooled scratch: at the server the reply's wire form, its record
+// array, the wire form boxed for Return and a string of number texts
+// per offer, now one per reply; at the client the variable the reply
+// was decoded into, its wire form, and a record array and an *Offer
+// per offer, now one array of offers (TestRemoteImportAllocsPerOffer).
 func TestRemoteImportAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
 	call := remoteImport(t, "trd-allocs")
-	if got := testing.AllocsPerRun(200, call); got != 38 {
-		t.Fatalf("one remote import allocates %v, want 38", got)
+	if got := testing.AllocsPerRun(200, call); got != 20 {
+		t.Fatalf("one remote import allocates %v, want 20", got)
+	}
+}
+
+// TestRemoteImportAllocsPerOffer pins what a remote import of n offers
+// allocates over loop:, client and server together, at n = 1, 5 and 40:
+// a fixed count per reply, plus each offer's property map, the two
+// allocations of a small map. Until the reply scratch was pooled at
+// both ends and the offers built in one array, each offer cost 3 more
+// than its map and each reply 3 more (38 allocations at n = 5). The
+// import is constrained: the matcher's
+// unconstrained ordered walk allocates a count of its own that varies
+// with n.
+func TestRemoteImportAllocsPerOffer(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	const perReply, perOffer = 10, 2
+	node, tr, traderRef := startTraderNode(t, "trd-per-offer", "T")
+	for i := 1; i <= 40; i++ {
+		if _, err := tr.Export("CarRentalService", carRef(i), carProps("FIAT_Uno", float64(40+i), "USD")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	tc, err := DialTrader(ctx, node.Pool(), traderRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 5, 40} {
+		req := NewImport("CarRentalService", Where("ChargePerDay > 0"), OrderBy("min:ChargePerDay"), Limit(n))
+		call := func() {
+			if ms, err := tc.ImportGraded(ctx, req); err != nil || len(ms) != n {
+				t.Fatalf("ImportGraded = %d matches, %v; want %d", len(ms), err, n)
+			}
+		}
+		call()
+		if got, want := testing.AllocsPerRun(200, call), float64(perReply+perOffer*n); got != want {
+			t.Errorf("a remote import of %d offers allocates %v, want %v", n, got, want)
+		}
+	}
+}
+
+// TestConcurrentRemoteImportsShareNoScratch: sixteen goroutines send
+// different imports through one Client, over one connection, at once.
+// Each reply is built in scratch that only its handler holds and
+// decoded into scratch that only its caller holds, so each result
+// equals the in-process import's, offer for offer and property for
+// property.
+func TestConcurrentRemoteImportsShareNoScratch(t *testing.T) {
+	node, tr, traderRef := startTraderNode(t, "trd-concurrent", "T")
+	models, currencies := []string{"AUDI", "FIAT_Uno", "VW_Golf"}, []string{"USD", "DEM", "FF", "SFR", "GBP"}
+	for i := 1; i <= 60; i++ {
+		props := carProps(models[i%len(models)], float64(40+i), currencies[i%len(currencies)])
+		props[1].Value = sidl.IntLit(int64(1000 * i)) // AverageMilage
+		if _, err := tr.Export("CarRentalService", carRef(i), props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	tc, err := DialTrader(ctx, node.Pool(), traderRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 16 {
+		req := NewImport("CarRentalService", Where(fmt.Sprintf("ChargePerDay < %d", 45+4*g)), OrderBy("max:AverageMilage"), Limit(1+3*g))
+		want, err := tr.ImportGraded(ctx, req)
+		if err != nil || len(want) == 0 {
+			t.Fatalf("in-process import %d = %d matches, %v", g, len(want), err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				got, err := tc.ImportGraded(ctx, req)
+				if err != nil {
+					t.Errorf("import %d: %v", g, err)
+					return
+				}
+				if diff := matchesDiffer(got, want); diff != "" {
+					t.Errorf("import %d: %s", g, diff)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// matchesDiffer describes the first difference between a remote
+// import's result and the in-process one's, or returns "".
+func matchesDiffer(got, want []Match) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d matches, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.ID != w.ID || g.Type != w.Type || g.Ref != w.Ref || g.Suspect != w.Suspect || !g.Expires.Equal(w.Expires) ||
+			g.Grade != w.Grade || g.Score != w.Score || !maps.Equal(g.Props, w.Props) {
+			return fmt.Sprintf("match %d is %+v / %+v, want %+v / %+v", i, g, *g.Offer, w, *w.Offer)
+		}
+	}
+	return ""
+}
+
+// BenchmarkRemoteImport is one remote import over loop: from a trader of
+// 256 offers, answering 1, 16 or 256 of them: the client, the codec,
+// the wire and the handler, and the matcher, which is small beside
+// them.
+func BenchmarkRemoteImport(b *testing.B) {
+	repo := typemgr.NewRepo()
+	st, err := typemgr.FromSID(sidl.CarRentalSID())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := repo.Define(st); err != nil {
+		b.Fatal(err)
+	}
+	tr := New("T", repo)
+	for i := 1; i <= 256; i++ {
+		if _, err := tr.Export("CarRentalService", carRef(i), carProps("FIAT_Uno", float64(40+i), "USD")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	svc, err := NewService(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	node := cosm.NewNode(cosm.WithNodeLog(func(string, ...any) {}))
+	defer node.Close()
+	if err := node.Host(ServiceName, svc); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := node.ListenAndServe("loop:trd-bench-import"); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	tc, err := DialTrader(ctx, node.Pool(), node.MustRefFor(ServiceName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("offers=%d", n), func(b *testing.B) {
+			req := NewImport("CarRentalService", Where("ChargePerDay > 0"), OrderBy("min:ChargePerDay"), Limit(n))
+			b.ReportAllocs()
+			for b.Loop() {
+				if ms, err := tc.ImportGraded(ctx, req); err != nil || len(ms) != n {
+					b.Fatalf("ImportGraded = %d matches, %v; want %d", len(ms), err, n)
+				}
+			}
+		})
 	}
 }
 
@@ -116,13 +275,14 @@ func TestRemoteImportAllocs(t *testing.T) {
 // (remoteImport) allocates, client and server together. With the call
 // bodies allocated per call and thrown away once copied into a frame
 // (the reply's grown 256 → 512 → 896 → 1408 bytes), it was ≈12.6 KB;
-// borrowed from the frame pool, it is ≈9.4 KB.
+// borrowed from the frame pool, ≈9.4 KB; with the wire forms of the
+// reply pooled at both ends, it is ≈5.0 KB.
 func TestRemoteImportBytes(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
 	call := remoteImport(t, "trd-bytes")
-	const calls, limit = 500, 10 << 10
+	const calls, limit = 500, 6 << 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range calls {

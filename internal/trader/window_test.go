@@ -2,11 +2,16 @@ package trader
 
 import (
 	"context"
+	"os"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"cosm/internal/ref"
+	"cosm/internal/sidl"
 	"cosm/internal/wire"
 )
 
@@ -97,4 +102,65 @@ func TestExportedOfferKeepsNoWindow(t *testing.T) {
 			window("property "+name, lit.Str)
 		}
 	}
+}
+
+// TestImportScratchKeepsNoWindow: both ends of a remote import work in
+// pooled scratch (DESIGN.md §6), which holds no string once the call
+// returns. The server's would keep the offers it rendered alive past
+// their withdrawal, the client's the whole reply after the caller
+// dropped what it was given, for as long as the pools keep them.
+func TestImportScratchKeepsNoWindow(t *testing.T) {
+	// One P, so that what the handler and the client hand back to their
+	// pools is what this goroutine takes out of them.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	node, tr, traderRef := startTraderNode(t, "scratch-windows", "T")
+	ctx := context.Background()
+	tc, err := DialTrader(ctx, node.Pool(), traderRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Over 16 bytes, and built at run time: the runtime may batch
+	// smaller strings into one block, which a live neighbour keeps. The
+	// service is in the server's wire form of the offer, the property's
+	// name in its records.
+	service := "CarRentalService-" + strconv.Itoa(os.Getpid())
+	name := "UndeclaredAttribute-" + strconv.Itoa(os.Getpid())
+	props := append(carProps("FIAT_Uno", 80, "USD"), sidl.Property{Name: name, Value: sidl.StringLit("x")})
+	id, err := tr.Export("CarRentalService", ref.New("tcp:10.0.0.1:7000", service), props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	props = nil
+	ms, err := tc.ImportGraded(ctx, NewImport("CarRentalService"))
+	if err != nil || len(ms) != 1 || ms[0].Ref.Service != service {
+		t.Fatalf("ImportGraded = %+v, %v", ms, err)
+	}
+	// Take both scratches out of their pools, which a collection would
+	// otherwise empty, and hold them through the collections below.
+	var replies []*importReply
+	for r := importReplies.Get().(*importReply); cap(r.ws) > 0; r = importReplies.Get().(*importReply) {
+		replies = append(replies, r)
+	}
+	var wires []*[]offerWire
+	for ws := importWires.Get().(*[]offerWire); cap(*ws) > 0; ws = importWires.Get().(*[]offerWire) {
+		wires = append(wires, ws)
+	}
+	if !raceDetector && (len(replies) == 0 || len(wires) == 0) {
+		t.Fatalf("found %d server and %d client scratches in the pools, want one or more of each", len(replies), len(wires))
+	}
+	storedService, storedName := weak.Make(unsafe.StringData(service)), weak.Make(unsafe.StringData(name))
+	reply := weak.Make(unsafe.StringData(ms[0].Type)) // a window of the reply
+	ms, service, name = nil, "", ""
+	if err := tr.Withdraw(id); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; storedService.Value() != nil || storedName.Value() != nil || reply.Value() != nil; i++ {
+		if i == 100 {
+			t.Fatalf("the scratches keep alive the withdrawn offer's service: %v, its property's name: %v; the dropped reply: %v",
+				storedService.Value() != nil, storedName.Value() != nil, reply.Value() != nil)
+		}
+		runtime.GC()
+	}
+	runtime.KeepAlive(replies)
+	runtime.KeepAlive(wires)
 }

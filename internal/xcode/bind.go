@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 
@@ -39,7 +40,15 @@ func AppendEncode(dst []byte, t *sidl.Type, src any) ([]byte, error) {
 }
 
 // DecodeInto decodes data, which must hold exactly one encoded value of
-// type t, into what dst points to, first resetting it to its zero value.
+// type t, into what dst points to. What it decodes comes out as it would
+// into a zero destination, with one difference: a slice dst already
+// holds keeps its backing array. A non-empty sequence, or string bound
+// to a byte slice, decodes into that array when it is long enough, and
+// otherwise into a larger one the old elements are copied to, so the
+// slices those elements hold keep theirs too: a reused destination
+// decodes without growing. An empty one decodes as nil. A struct with an
+// unexported field is zeroed whole first, so slices in it start over.
+// After an error, what dst holds is unspecified.
 // A nil dst decodes into nothing: the bytes are validated exactly as
 // Unmarshal would, and no Go value is built. Decoded from a string, every
 // Go string dst receives is a window of data (so it keeps data alive);
@@ -52,7 +61,6 @@ func DecodeInto[S ~string | ~[]byte](t *sidl.Type, data S, dst any) error {
 			return notPointer(dst)
 		}
 		rv = rv.Elem()
-		rv.SetZero()
 	}
 	rest, err := decodeGo(t, data, rv)
 	if err != nil {
@@ -104,6 +112,9 @@ func encode(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
 			return nil, tooLong(n)
 		}
 		dst = binary.AppendUvarint(dst, uint64(n))
+		if n > 0 && t.Elem.Kind == sidl.Struct && rv.Type().Elem().Kind() == reflect.Struct {
+			return encodeStructs(dst, t.Elem, rv)
+		}
 		for i := 0; i < n; i++ {
 			if dst, err = encode(dst, t.Elem, rv.Index(i)); err != nil {
 				return nil, inElement(i, err)
@@ -114,17 +125,40 @@ func encode(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
 		if rv.Kind() != reflect.Struct {
 			return nil, mismatch(rv, t)
 		}
-		plan := planOf(rv.Type())
-		for i, f := range t.Fields {
-			if pf := plan.field(f.Name, i); pf == nil {
-				dst = appendZero(dst, f.Type)
-			} else if dst, err = encode(dst, f.Type, rv.Field(pf.index)); err != nil {
-				return nil, inField(f.Name, err)
-			}
-		}
-		return dst, nil
+		return encodeStructs(dst, t, rv)
 	}
 	return encodeScalar(dst, t, rv)
+}
+
+// encodeStructs encodes, as struct type t, the struct rv or each
+// element of the slice rv, finding the Go field of each member once for
+// all of them.
+func encodeStructs(dst []byte, t *sidl.Type, rv reflect.Value) ([]byte, error) {
+	n, seq, rt := 1, rv.Kind() == reflect.Slice, rv.Type()
+	if seq {
+		n, rt = rv.Len(), rt.Elem()
+	}
+	var arr [16]int
+	fields := bindFields(t, planOf(rt), arr[:0])
+	var err error
+	for i := 0; i < n; i++ {
+		elem := rv
+		if seq {
+			elem = rv.Index(i)
+		}
+		for m, f := range t.Fields {
+			if j := fields[m]; j < 0 {
+				dst = appendZero(dst, f.Type)
+			} else if dst, err = encode(dst, f.Type, elem.Field(j)); err != nil {
+				err = inField(f.Name, err)
+				if seq {
+					err = inElement(i, err)
+				}
+				return nil, err
+			}
+		}
+	}
+	return dst, nil
 }
 
 func tooLong(n int) error { return fmt.Errorf("%w: length %d", ErrOversize, n) }
@@ -264,9 +298,11 @@ func decodeGo[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (rest
 		if n, data, err = decodeSeqLen(t, data); err != nil {
 			return rest, err
 		}
-		if !discard && n > 0 {
-			rv.Grow(n)
-			rv.SetLen(n)
+		if !discard {
+			setLen(rv, n)
+			if n > 0 && t.Elem.Kind == sidl.Struct && rv.Type().Elem().Kind() == reflect.Struct {
+				return decodeStructs(t.Elem, data, rv)
+			}
 		}
 		var elem reflect.Value
 		for i := 0; i < n; i++ {
@@ -279,28 +315,82 @@ func decodeGo[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (rest
 		}
 		return data, nil
 	case sidl.Struct:
-		var plan structPlan
 		if !discard {
 			if rv.Kind() != reflect.Struct {
 				return rest, mismatch(rv, t)
 			}
-			plan = planOf(rv.Type())
-			if err := plan.covers(t); err != nil {
-				return rest, err
-			}
+			return decodeStructs(t, data, rv)
 		}
-		for i, f := range t.Fields {
-			var field reflect.Value
-			if pf := plan.field(f.Name, i); pf != nil {
-				field = rv.Field(pf.index)
-			}
-			if data, err = decodeGo(f.Type, data, field); err != nil {
+		for _, f := range t.Fields {
+			if data, err = decodeGo(f.Type, data, rv); err != nil {
 				return rest, inField(f.Name, err)
 			}
 		}
 		return data, nil
 	}
 	return decodeScalar(t, data, rv)
+}
+
+// setLen makes the slice rv n long, in place when its backing array
+// holds n; zero long is nil.
+func setLen(rv reflect.Value, n int) {
+	if n == 0 {
+		rv.SetZero()
+		return
+	}
+	if c := rv.Cap(); c < n {
+		rv.SetLen(c) // so that Grow copies every element the array holds
+		rv.Grow(n - c)
+	}
+	rv.SetLen(n)
+}
+
+// decodeStructs decodes, as struct type t, into the struct rv or into
+// each element of the slice rv, finding the Go field of each member
+// once for all of them. Every Go field comes out as from a zero struct:
+// the ones a member binds to are decoded, the rest are zeroed.
+func decodeStructs[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (rest S, err error) {
+	n, seq, rt := 1, rv.Kind() == reflect.Slice, rv.Type()
+	if seq {
+		n, rt = rv.Len(), rt.Elem()
+	}
+	plan := planOf(rt)
+	if err := plan.covers(t); err != nil {
+		if seq {
+			err = inElement(0, err)
+		}
+		return rest, err
+	}
+	var arr [16]int
+	fields := bindFields(t, plan, arr[:0])
+	unbound := fields[len(t.Fields):]
+	for i := 0; i < n; i++ {
+		elem := rv
+		if seq {
+			elem = rv.Index(i)
+		}
+		if plan.unexported {
+			elem.SetZero()
+		} else {
+			for _, j := range unbound {
+				elem.Field(j).SetZero()
+			}
+		}
+		for m, f := range t.Fields {
+			var field reflect.Value
+			if j := fields[m]; j >= 0 {
+				field = elem.Field(j)
+			}
+			if data, err = decodeGo(f.Type, data, field); err != nil {
+				err = inField(f.Name, err)
+				if seq {
+					err = inElement(i, err)
+				}
+				return rest, err
+			}
+		}
+	}
+	return data, nil
 }
 
 func decodeScalar[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (rest S, err error) {
@@ -337,10 +427,10 @@ func decodeScalar[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (
 				ok = true
 			case isBytes(rv):
 				// A copy: []byte(s) would alias data when S is []byte.
-				// Empty decodes as nil, like a sequence.
-				if len(s) > 0 {
-					rv.SetBytes(append([]byte(nil), s...))
-				}
+				// Like a sequence's elements, it goes into the slice's
+				// own array, and empty decodes as nil.
+				setLen(rv, len(s))
+				copy(rv.Bytes(), s)
 				ok = true
 			}
 		}
@@ -374,7 +464,12 @@ func decodeScalar[S ~string | ~[]byte](t *sidl.Type, data S, rv reflect.Value) (
 
 // structPlan is the binding of one Go struct type: its exported fields
 // under the names they take in SIDL.
-type structPlan []planField
+type structPlan struct {
+	fields []planField
+	// unexported is whether the type has an unexported field, which the
+	// binder cannot zero on its own.
+	unexported bool
+}
 
 type planField struct {
 	// name is the sidl tag's; without one it is the Go name, which then
@@ -403,6 +498,7 @@ func planOf(rt reflect.Type) structPlan {
 	for i := 0; i < rt.NumField(); i++ {
 		sf := rt.Field(i)
 		if !sf.IsExported() {
+			p.unexported = true
 			continue
 		}
 		pf := planField{name: sf.Name, index: i}
@@ -413,7 +509,7 @@ func planOf(rt reflect.Type) structPlan {
 			}
 			pf.optional = opts == "optional"
 		}
-		p = append(p, pf)
+		p.fields = append(p.fields, pf)
 	}
 	plans.Store(rt, p)
 	return p
@@ -422,21 +518,43 @@ func planOf(rt reflect.Type) structPlan {
 // field returns the Go field bound to the named member, trying position
 // hint first: Go structs mostly declare their fields in member order.
 func (p structPlan) field(member string, hint int) *planField {
-	if hint < len(p) && p[hint].matches(member) {
-		return &p[hint]
+	if hint < len(p.fields) && p.fields[hint].matches(member) {
+		return &p.fields[hint]
 	}
-	for i := range p {
-		if p[i].matches(member) {
-			return &p[i]
+	for i := range p.fields {
+		if p.fields[i].matches(member) {
+			return &p.fields[i]
 		}
 	}
 	return nil
 }
 
+// bindFields appends to fields, for each member of struct type t, the
+// index of the Go field it binds to, or -1, and then the index of each
+// exported Go field no member binds to. The encoder and the decoder
+// find them once per struct or sequence of structs, not per element,
+// into an array on their stack that most structs fit, so finding them
+// allocates nothing.
+func bindFields(t *sidl.Type, p structPlan, fields []int) []int {
+	for i, f := range t.Fields {
+		j := -1
+		if pf := p.field(f.Name, i); pf != nil {
+			j = pf.index
+		}
+		fields = append(fields, j)
+	}
+	for _, pf := range p.fields {
+		if !slices.Contains(fields[:len(t.Fields)], pf.index) {
+			fields = append(fields, pf.index)
+		}
+	}
+	return fields
+}
+
 // covers demands a member of t for each Go field not tagged optional.
 func (p structPlan) covers(t *sidl.Type) error {
-	for i := range p {
-		if pf := &p[i]; !pf.optional && member(t, pf, i) < 0 {
+	for i := range p.fields {
+		if pf := &p.fields[i]; !pf.optional && member(t, pf, i) < 0 {
 			return fmt.Errorf("%w: %q in %s", ErrNoSuchField, pf.name, t)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"cosm/internal/ref"
@@ -634,22 +636,20 @@ func TestDecodeIntoCopiesItsInput(t *testing.T) {
 	}
 }
 
-// TestDecodeStringAllocs pins what decoding an import reply of five
-// offers of four properties each from a string allocates: the offer
-// slice and each offer's property slice. Every string in it (ID, type,
-// target, grade and each property's name, kind and text) is a window of
-// the reply; decoded from bytes, each of those 80 is a copy of its own.
-func TestDecodeStringAllocs(t *testing.T) {
+// replyOf returns the trader's Offers_t and a reply of n offers of four
+// properties each, encoded as it.
+func replyOf(t testing.TB, n int) (*sidl.Type, []offer, []byte) {
+	t.Helper()
 	sid, err := sidl.Parse(trader.IDL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	typ := sid.Type("Offers_t")
-	offers := make([]offer, 5)
+	offers := make([]offer, n)
 	for i := range offers {
 		offers[i] = offer{
-			ID: "T/" + string(rune('a'+i)), ServiceType: "CarRentalService",
-			Target: ref.New("tcp:10.0.0.1:7000", "car"+string(rune('a'+i))),
+			ID: "T/" + strconv.Itoa(i), ServiceType: "CarRentalService",
+			Target: ref.New("tcp:10.0.0.1:7000", "car"+strconv.Itoa(i)),
 			Props: []prop{
 				{"CarModel", "enum", "FIAT_Uno"}, {"ChargePerDay", "float", "50"},
 				{"Currency", "enum", "USD"}, {"Mileage", "int", "1200"},
@@ -661,25 +661,154 @@ func TestDecodeStringAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return typ, offers, data
+}
+
+// TestDecodeStringAllocs pins what decoding an import reply of five
+// offers of four properties each from a string allocates. Into a fresh
+// destination, that is the offer slice and each offer's property slice:
+// every string in it (ID, type, target, grade and each property's name,
+// kind and text) is a window of the reply; decoded from bytes, each of
+// those 80 is a copy of its own. Into a destination that held as large
+// a reply, it is nothing: its slices keep their arrays.
+func TestDecodeStringAllocs(t *testing.T) {
+	typ, offers, data := replyOf(t, 5)
 	reply := string(data)
 	var got []offer
-	fromString := testing.AllocsPerRun(100, func() {
-		if err := DecodeInto(typ, reply, &got); err != nil {
-			t.Fatal(err)
+	fresh := func(decode func() error) func() {
+		return func() {
+			got = nil
+			if err := decode(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+	}
+	fromString := testing.AllocsPerRun(100, fresh(func() error { return DecodeInto(typ, reply, &got) }))
 	if !reflect.DeepEqual(got, offers) {
 		t.Fatalf("decoded %+v, want %+v", got, offers)
 	}
 	if fromString != 6 {
 		t.Errorf("decoding five offers from a string allocates %v, want 6", fromString)
 	}
-	fromBytes := testing.AllocsPerRun(100, func() {
-		if err := DecodeInto(typ, data, &got); err != nil {
+	fromBytes := testing.AllocsPerRun(100, fresh(func() error { return DecodeInto(typ, data, &got) }))
+	if fromBytes != fromString+80 {
+		t.Errorf("decoding them from bytes allocates %v, want %v: one copy per string", fromBytes, fromString+80)
+	}
+	reused := testing.AllocsPerRun(100, func() {
+		if err := DecodeInto(typ, reply, &got); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if fromBytes != fromString+80 {
-		t.Errorf("decoding them from bytes allocates %v, want %v: one copy per string", fromBytes, fromString+80)
+	if !reflect.DeepEqual(got, offers) {
+		t.Fatalf("decoded into a reused destination %+v, want %+v", got, offers)
+	}
+	if reused != 0 {
+		t.Errorf("decoding them from a string into a reused destination allocates %v, want 0", reused)
+	}
+}
+
+// TestDecodeIntoReusedDestination: a destination reused from reply to
+// reply decodes each exactly as a fresh one does, under each revision
+// of Offers_t a peer may send: the trader's own; an extended one, the
+// §3.1 record subtype whose Offer_t and Prop_t gain members at random
+// positions, which the decoder skips; and an older one whose Offer_t
+// lacks the optional members, whose Go fields come out zero although
+// the reused offers held values in them.
+func TestDecodeIntoReusedDestination(t *testing.T) {
+	sid, err := sidl.Parse(trader.IDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sid.Type("Offers_t")
+	offerT := base.Elem
+	propsF, _ := offerT.Field("props")
+	rng := rand.New(rand.NewSource(11))
+	insert := func(st *sidl.Type, extra ...sidl.Field) *sidl.Type {
+		fields := slices.Clone(st.Fields)
+		for _, f := range extra {
+			fields = slices.Insert(fields, rng.Intn(len(fields)+1), f)
+		}
+		return sidl.StructOf(st.Name, fields...)
+	}
+	strT, longT := sidl.Basic(sidl.String), sidl.Basic(sidl.Int32)
+	revisions := []struct {
+		name string
+		typ  func() *sidl.Type
+	}{
+		{"base", func() *sidl.Type { return base }},
+		{"extended", func() *sidl.Type {
+			propT := insert(propsF.Type.Elem, sidl.Field{Name: "unit", Type: strT}, sidl.Field{Name: "weight", Type: sidl.Basic(sidl.Float64)})
+			fields := slices.Clone(offerT.Fields)
+			for i := range fields {
+				if fields[i].Name == "props" {
+					fields[i].Type = sidl.SequenceOf(propT)
+				}
+			}
+			return sidl.SequenceOf(insert(sidl.StructOf(offerT.Name, fields...),
+				sidl.Field{Name: "region", Type: strT}, sidl.Field{Name: "rank", Type: longT},
+				sidl.Field{Name: "tags", Type: sidl.SequenceOf(strT)}))
+		}},
+		{"older", func() *sidl.Type {
+			var fields []sidl.Field
+			for _, f := range offerT.Fields {
+				switch f.Name {
+				case "expiresUnix", "suspect", "grade", "score":
+				default:
+					fields = append(fields, f)
+				}
+			}
+			return sidl.SequenceOf(sidl.StructOf(offerT.Name, fields...))
+		}},
+	}
+	var reused []offer
+	for round := 0; round < 100; round++ {
+		for _, rev := range revisions {
+			typ := rev.typ()
+			reply := string(Marshal(Random(rng, typ)))
+			var fresh []offer
+			if err := DecodeInto(typ, reply, &fresh); err != nil {
+				t.Fatalf("round %d, %s: into a fresh destination: %v", round, rev.name, err)
+			}
+			if err := DecodeInto(typ, reply, &reused); err != nil {
+				t.Fatalf("round %d, %s: into a reused destination: %v", round, rev.name, err)
+			}
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("round %d, %s: into a reused destination %+v, into a fresh one %+v", round, rev.name, reused, fresh)
+			}
+			if rev.name != "older" {
+				continue
+			}
+			for i, o := range reused {
+				if o.ExpiresUnix != 0 || o.Suspect || o.Grade != "" || o.Score != 0 {
+					t.Fatalf("round %d: offer %d of an older peer reads optional members %+v", round, i, o)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeOffers decodes an import reply of 16 offers of four
+// properties each from a string, as a client does: into a fresh
+// destination, and into one that held the previous reply.
+func BenchmarkDecodeOffers(b *testing.B) {
+	typ, _, data := replyOf(b, 16)
+	reply := string(data)
+	for _, reuse := range []bool{false, true} {
+		name := "fresh"
+		if reuse {
+			name = "reused"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var got []offer
+			for b.Loop() {
+				if !reuse {
+					got = nil
+				}
+				if err := DecodeInto(typ, reply, &got); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

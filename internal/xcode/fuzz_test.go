@@ -2,6 +2,7 @@ package xcode_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -18,18 +19,29 @@ import (
 // with a Go destination and without one, and what it built must encode
 // back to a value equal to Unmarshal's. And each of them reads the input
 // as bytes, as the journal does, and as a string, as a client reads a
-// reply: the two readings must agree. The first argument picks the type
-// from mirrors(); the corpus under testdata/fuzz/FuzzUnmarshal holds the
-// pinned bodies of the wire-format tests, one chunk each.
+// reply: the two readings must agree. A third reading decodes the
+// string into a destination left dirty by the previous input of the same
+// type, as a client's reused reply scratch is, and must agree with the
+// fresh one in what it accepts and, Go field for Go field, in what it
+// builds. The first argument picks the type from mirrors(); the corpus
+// under testdata/fuzz/FuzzUnmarshal holds the pinned bodies of the
+// wire-format tests, one chunk each.
 func FuzzUnmarshal(f *testing.F) {
 	ms := mirrors(f)
+	// Per mirror, the input it saw last.
+	prev := make([][]byte, len(ms))
 	f.Add(uint8(5), []byte{2, 1, 'a', 0})                       // Names_t: ["a", ""]
 	f.Add(uint8(5), []byte{0x81, 0x00, 1, 'a'})                 // a non-minimal length
 	f.Add(uint8(4), []byte{0xff, 0xff, 0x0f, 0})                // Offers_t claiming 262143 offers
 	f.Add(uint8(1), []byte{1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 9}) // NaN charge, ordinal out of range
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		m := ms[int(which)%len(ms)]
+		k := int(which) % len(ms)
+		m := ms[k]
 		text := string(data)
+		dirty, dirtiedBy := m.new(), prev[k]
+		_ = DecodeInto(m.typ, dirtiedBy, dirty) // an error leaves it dirty too
+		prev[k] = bytes.Clone(data)
+		reusedErr := DecodeInto(m.typ, text, dirty)
 		var v, vText *Value
 		err := proportionate(t, len(data), m.typ.String(), func() (err error) {
 			v, err = Unmarshal(m.typ, data)
@@ -44,14 +56,19 @@ func FuzzUnmarshal(f *testing.F) {
 		bindTextErr := proportionate(t, len(data), m.typ.String(), func() error { return DecodeInto(m.typ, text, dstText) })
 		discardErr := DecodeInto(m.typ, data, nil)
 		discardTextErr := DecodeInto(m.typ, text, nil)
-		for _, other := range []error{textErr, bindErr, bindTextErr, discardErr, discardTextErr} {
+		for _, other := range []error{textErr, bindErr, bindTextErr, discardErr, discardTextErr, reusedErr} {
 			if (err == nil) != (other == nil) {
-				t.Fatalf("%s: Unmarshal says %v, of a string %v; DecodeInto %v, of a string %v; discarding %v, of a string %v",
-					m.typ, err, textErr, bindErr, bindTextErr, discardErr, discardTextErr)
+				t.Fatalf("%s: Unmarshal says %v, of a string %v; DecodeInto %v, of a string %v, reused %v; discarding %v, of a string %v",
+					m.typ, err, textErr, bindErr, bindTextErr, reusedErr, discardErr, discardTextErr)
 			}
 		}
 		if err != nil {
 			return
+		}
+		// %#v, not reflect.DeepEqual: a NaN is not equal to itself. It
+		// tells nil from empty, as DeepEqual does.
+		if got, want := fmt.Sprintf("%#v", dirty), fmt.Sprintf("%#v", dstText); got != want {
+			t.Fatalf("%s: decoded into a destination dirty with %x as %s, into a fresh one as %s", m.typ, dirtiedBy, got, want)
 		}
 		if !vText.Equal(v) {
 			t.Fatalf("%s: decoded as %s from bytes, as %s from a string", m.typ, v, vText)
