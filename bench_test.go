@@ -32,7 +32,6 @@ import (
 	"cosm/internal/obs"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
-	"cosm/internal/stub"
 	"cosm/internal/trader"
 	"cosm/internal/typemgr"
 	"cosm/internal/uiform"
@@ -82,7 +81,7 @@ func fillTrader(b *testing.B, tr *trader.Trader, n int) {
 }
 
 // startRentalNode hosts the full car rental service on a loopback node.
-func startRentalNode(b *testing.B, loopName string) (*cosm.Node, ref.ServiceRef) {
+func startRentalNode(b testing.TB, loopName string) (*cosm.Node, ref.ServiceRef) {
 	b.Helper()
 	svc, _, err := carrental.New()
 	if err != nil {
@@ -275,48 +274,131 @@ func BenchmarkFig2_ParseExtended(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// E3 / Fig. 3 — generic client vs. static stub
+// E3 / Fig. 3 — generic client vs. static client
 // ---------------------------------------------------------------------
 
-// BenchmarkFig3_StaticStubCall is the baseline: compiled marshalling,
-// no SID, no FSM, over the same transport and server.
-func BenchmarkFig3_StaticStubCall(b *testing.B) {
-	b.ReportAllocs()
-	node, carRef := startRentalNode(b, "bench-fig3-static")
-	c, err := stub.Dial(node.Pool(), carRef, "bench")
+// selectCar and selectCarReturn are SelectCar_t and SelectCarReturn_t
+// (sidl.CarRentalIDL) as a client compiled against the car rental SID
+// declares them; the enums bind as their literals.
+type selectCar struct {
+	Model       string
+	BookingDate string
+	Days        int64
+}
+
+type selectCarReturn struct {
+	Available bool
+	Charge    float64
+	Currency  string
+}
+
+// fig3Selection is the selection every Fig. 3 call makes, on either
+// client.
+var fig3Selection = selectCar{Model: "FIAT_Uno", BookingDate: "1994-06-21", Days: 3}
+
+// staticSelectCar hosts the car rental service on loop:loopName and
+// returns one SelectCar through the static client of section 1, whose
+// interface knowledge and marshalling are fixed at compile time: it
+// binds with the SID compiled in, so no SID is transferred, and calls
+// with Go structs that the typed binder encodes and decodes straight
+// between Go values and bytes — no Value tree, no FSM tracking.
+func staticSelectCar(tb testing.TB, loopName string) func() {
+	tb.Helper()
+	node, carRef := startRentalNode(tb, loopName)
+	conn, err := cosm.BindWithSID(node.Pool(), carRef, sidl.CarRentalSID())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx := context.Background()
-	req := stub.SelectCarRequest{Model: stub.FIATUno, BookingDate: "1994-06-21", Days: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.SelectCar(ctx, req); err != nil {
-			b.Fatal(err)
+	sel := fig3Selection
+	var ret selectCarReturn
+	return func() {
+		if err := conn.Call(ctx, "SelectCar", &ret, &sel); err != nil || !ret.Available {
+			tb.Fatalf("SelectCar = %+v, %v", ret, err)
 		}
 	}
 }
 
-// BenchmarkFig3_GenericCall is the same call through the generic
-// client: dynamic marshalling plus local FSM tracking.
-func BenchmarkFig3_GenericCall(b *testing.B) {
-	b.ReportAllocs()
-	node, carRef := startRentalNode(b, "bench-fig3-generic")
-	gc := genclient.New(node.Pool())
+// genericSelectCar is the same call through the generic client, bound
+// by SID transfer: dynamic marshalling of Value trees plus local FSM
+// tracking.
+func genericSelectCar(tb testing.TB, loopName string) func() {
+	tb.Helper()
+	node, carRef := startRentalNode(tb, loopName)
 	ctx := context.Background()
-	binding, err := gc.Bind(ctx, carRef)
+	binding, err := genclient.New(node.Pool()).Bind(ctx, carRef)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	sel := xcode.Zero(binding.SID().Type("SelectCar_t"))
-	if err := sel.SetField("days", xcode.NewInt(sidl.Basic(sidl.Int32), 3)); err != nil {
-		b.Fatal(err)
+	sid := binding.SID()
+	model, err := xcode.NewEnum(sid.Type("CarModel_t"), fig3Selection.Model)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	sel, err := xcode.NewStruct(sid.Type("SelectCar_t"), map[string]*xcode.Value{
+		"model":       model,
+		"bookingDate": xcode.NewString(sidl.Basic(sidl.String), fig3Selection.BookingDate),
+		"days":        xcode.NewInt(sidl.Basic(sidl.Int32), fig3Selection.Days),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		res, err := binding.Invoke(ctx, "SelectCar", sel)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if avail, err := res.Value.Field("available"); err != nil || !avail.Bool {
+			tb.Fatalf("SelectCar = %s, %v", res.Value, err)
+		}
+	}
+}
+
+// TestFig3CallAllocs pins what one steady-state SelectCar allocates over
+// loop:, client and server together, on the static client and on the
+// generic client: E3's allocation column (EXPERIMENTS.md), so that it
+// fails here when it drifts. Seven of either count are the server's.
+// The generic client pays for its Value trees: it projects the argument
+// onto the parameter type before it marshals it, and decodes the result
+// node by node.
+func TestFig3CallAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	for _, c := range []struct {
+		name string
+		call func(testing.TB, string) func()
+		want float64
+	}{
+		{"static", staticSelectCar, 8},
+		{"generic", genericSelectCar, 19},
+	} {
+		call := c.call(t, "fig3-allocs-"+c.name)
+		if got := testing.AllocsPerRun(200, call); got != c.want {
+			t.Errorf("one %s SelectCar allocates %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// BenchmarkFig3_StaticCall is the baseline: the static client, over the
+// same transport and server as the generic client.
+func BenchmarkFig3_StaticCall(b *testing.B) {
+	b.ReportAllocs()
+	call := staticSelectCar(b, "bench-fig3-static")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := binding.Invoke(ctx, "SelectCar", sel); err != nil {
-			b.Fatal(err)
-		}
+		call()
+	}
+}
+
+// BenchmarkFig3_GenericCall is the same call through the generic
+// client.
+func BenchmarkFig3_GenericCall(b *testing.B) {
+	b.ReportAllocs()
+	call := genericSelectCar(b, "bench-fig3-generic")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"cosm/internal/naming"
 	"cosm/internal/ref"
 	"cosm/internal/sidl"
-	"cosm/internal/stub"
 	"cosm/internal/trader"
 	"cosm/internal/typemgr"
 	"cosm/internal/wire"
@@ -244,30 +244,22 @@ func TestIntegrationFederationOverTCP(t *testing.T) {
 	}
 }
 
-// TestIntegrationMixedStubAndGeneric checks wire compatibility of all
-// four client/server combinations over TCP.
+// TestIntegrationMixedStubAndGeneric checks wire compatibility of the
+// four client/server combinations over TCP. The static client is
+// Fig. 3's: the car rental SID compiled in, and Go structs (selectCar,
+// selectCarReturn) through the typed binder. The dynamic server is the
+// cosm car rental service. The static server is a bare wire handler,
+// the minimal 1994 RPC server: no SID, no FSM, no dynamic dispatch. It
+// cannot be described, so a generic client reaches it only with a SID
+// obtained out of band.
 func TestIntegrationMixedStubAndGeneric(t *testing.T) {
 	ctx := context.Background()
-
-	// Dynamic server (cosm runtime, FSM off so the stateless static
-	// client may Commit first).
 	sid := sidl.CarRentalSID()
-	dynSvc, err := cosm.NewService(sid, cosm.WithoutFSMEnforcement())
+
+	dynSvc, _, err := carrental.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dynSvc.MustHandle("SelectCar", func(call *cosm.Call) error {
-		out := xcode.Zero(sid.Type("SelectCarReturn_t"))
-		if err := out.SetField("available", xcode.NewBool(sidl.Basic(sidl.Bool), true)); err != nil {
-			return err
-		}
-		call.Result = out
-		return nil
-	})
-	dynSvc.MustHandle("Commit", func(call *cosm.Call) error {
-		call.Result = xcode.Zero(sid.Type("BookCarReturn_t"))
-		return nil
-	})
 	dynNode := cosm.NewNode(cosm.WithNodeLog(func(string, ...any) {}))
 	if err := dynNode.Host("CarRentalService", dynSvc); err != nil {
 		t.Fatal(err)
@@ -278,9 +270,34 @@ func TestIntegrationMixedStubAndGeneric(t *testing.T) {
 	defer dynNode.Close()
 	dynRef := dynNode.MustRefFor("CarRentalService")
 
-	// Static server (hand-written stubs over bare wire).
+	// The static server frames request and reply by hand, each value a
+	// chunk (a uvarint length, then the bytes) after the request's
+	// session chunk, and binds the values with the typed binder.
+	chunk := func(data string) (string, string) {
+		n, size := binary.Uvarint([]byte(data))
+		if size <= 0 || uint64(len(data)-size) < n {
+			return "", ""
+		}
+		return data[size : size+int(n)], data[size+int(n):]
+	}
 	statSrv := wire.NewServer(wire.WithServerLog(func(string, ...any) {}))
-	if err := statSrv.Register("CarRentalService", stub.Handler(stub.FixedImpl{ChargePerDay: 80})); err != nil {
+	err = statSrv.Register("CarRentalService", wire.HandlerFunc(func(_ context.Context, _ string, req *wire.Request) *wire.Response {
+		if req.Op != "SelectCar" {
+			return &wire.Response{Status: wire.StatusNoOp, ErrMsg: req.Op}
+		}
+		_, args := chunk(req.Received)
+		arg, _ := chunk(args)
+		var sel selectCar
+		if err := xcode.DecodeInto(sid.Type("SelectCar_t"), arg, &sel); err != nil {
+			return &wire.Response{Status: wire.StatusBadRequest, ErrMsg: err.Error()}
+		}
+		ret, err := xcode.AppendEncode(nil, sid.Type("SelectCarReturn_t"), selectCarReturn{Available: true, Charge: 80 * float64(sel.Days), Currency: "USD"})
+		if err != nil {
+			return &wire.Response{Status: wire.StatusAppError, ErrMsg: err.Error()}
+		}
+		return &wire.Response{Status: wire.StatusOK, Body: append(binary.AppendUvarint(nil, uint64(len(ret))), ret...)}
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	statEP, err := statSrv.ListenAndServe("tcp:127.0.0.1:0")
@@ -294,29 +311,40 @@ func TestIntegrationMixedStubAndGeneric(t *testing.T) {
 	defer pool.Close()
 
 	servers := []struct {
-		name string
-		ref  ref.ServiceRef
-	}{{"dynamic-server", dynRef}, {"static-server", statRef}}
+		name        string
+		ref         ref.ServiceRef
+		describable bool
+	}{{"dynamic-server", dynRef, true}, {"static-server", statRef, false}}
 	for _, srv := range servers {
 		srv := srv
 		t.Run("static-client/"+srv.name, func(t *testing.T) {
-			c, err := stub.Dial(pool, srv.ref, "mix")
+			conn, err := cosm.BindWithSID(pool, srv.ref, sid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel, err := c.SelectCar(ctx, stub.SelectCarRequest{Model: stub.FIATUno, Days: 2})
-			if err != nil || !sel.Available {
-				t.Fatalf("SelectCar = %+v, %v", sel, err)
+			var ret selectCarReturn
+			if err := conn.Call(ctx, "SelectCar", &ret, &selectCar{Model: "FIAT_Uno", Days: 2}); err != nil || !ret.Available || ret.Charge != 160 {
+				t.Fatalf("SelectCar = %+v, %v", ret, err)
 			}
 		})
 		t.Run("generic-client/"+srv.name, func(t *testing.T) {
-			// The static server cannot serve a SID; supply it out of
-			// band in that case.
-			conn, err := cosm.BindWithSID(pool, srv.ref, sidl.CarRentalSID())
+			conn, err := cosm.Bind(ctx, pool, srv.ref)
+			if (err == nil) != srv.describable {
+				t.Fatalf("describe: %v, want describable = %v", err, srv.describable)
+			}
+			if !srv.describable {
+				if conn, err = cosm.BindWithSID(pool, srv.ref, sid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sel := xcode.Zero(conn.SID().Type("SelectCar_t"))
+			model, err := xcode.NewEnum(conn.SID().Type("CarModel_t"), "FIAT_Uno")
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel := xcode.Zero(sid.Type("SelectCar_t"))
+			if err := sel.SetField("model", model); err != nil {
+				t.Fatal(err)
+			}
 			if err := sel.SetField("days", xcode.NewInt(sidl.Basic(sidl.Int32), 2)); err != nil {
 				t.Fatal(err)
 			}
@@ -324,8 +352,10 @@ func TestIntegrationMixedStubAndGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if avail, _ := res.Value.Field("available"); !avail.Bool {
-				t.Fatalf("available = %s", res.Value)
+			avail, _ := res.Value.Field("available")
+			charge, _ := res.Value.Field("charge")
+			if !avail.Bool || charge.Float != 160 {
+				t.Fatalf("SelectCar = %s", res.Value)
 			}
 		})
 	}
